@@ -34,13 +34,11 @@ from .guest_memory import (
     PartitionMemory,
     Phase,
     Region,
-    create_partition_memory,
 )
 from .harness import (
     Event,
     RunReport,
     Simulator,
-    ViolationRecord,
     match_expected,
     parse_report_json,
     render_report,
@@ -81,7 +79,6 @@ from .sched import (
     ProcessState,
     ProcessTable,
     TimeModel,
-    TimeoutOverride,
     Window,
     check_deadline,
     get_my_id,
@@ -108,20 +105,15 @@ from .ub_checks import (
     check_nonnull,
     checked_arith,
     checked_div,
-    checked_float_to_int,
     checked_shift,
     checked_trunc,
     int_spec,
 )
 from .violations import (
     AccessKind,
-    AsanViolation,
-    ContractViolation,
     GuestAddr,
-    MsanViolation,
-    PortViolation,
-    UbViolation,
     UseSite,
+    Violation,
     ViolationError,
 )
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from enum import IntEnum
 
 from .errors import ConfigError, EncodingError
-from .violations import AccessKind, AsanViolation, GuestAddr
+from .violations import AccessKind, Violation
 
 VALID_GRANULARITIES = (1, 2, 4, 8, 16)
 
@@ -37,6 +37,20 @@ class PoisonKind(IntEnum):
     RIGHT_REDZONE = 0xF3
     PARTITION_RESET = 0xF8
     MANUAL_BLACKLIST = 0xFE
+
+
+def poison_detail(kind: str, label: str | None = None) -> str:
+    """Report text for an access that hit ``kind``; ``label`` names the
+    region owning or nearest to the offending byte, when one is known."""
+    if kind == WILD_ADDRESS:
+        return "address outside partition memory"
+    if kind == "PARTITION_RESET":
+        return "memory invalidated by partition reset"
+    if kind == "LEFT_REDZONE":
+        return f"left redzone of region '{label}'" if label else "left redzone"
+    if kind == "RIGHT_REDZONE":
+        return f"right redzone of region '{label}'" if label else "right redzone"
+    return f"blacklisted memory near region '{label}'" if label else "blacklisted memory"
 
 
 def shadow_size_for(memory_size: int, granularity: int) -> int:
@@ -185,9 +199,10 @@ class ShadowMap:
     def check_access(self, start: int, length: int, access: AccessKind):
         """Validate an access of ``length`` bytes at ``start``.
 
-        Returns None when every byte is addressable, otherwise an
-        AsanViolation naming the first offending byte.  The map itself is
-        never modified by a check.
+        Returns None when every byte is addressable, otherwise a Violation
+        naming the first offending byte; its detail names no region until
+        the owner's ``name_region`` adds one.  The map itself is never
+        modified by a check.
         """
         self.checks_performed += 1
         if length < 1:
@@ -195,12 +210,7 @@ class ShadowMap:
         end = start + length
         if start < 0 or end > self.memory_size:
             bad = start if (start < 0 or start >= self.memory_size) else self.memory_size
-            return AsanViolation(
-                kind=WILD_ADDRESS,
-                addr=GuestAddr(self.partition_id, bad),
-                access=access,
-                requested_len=length,
-            )
+            return self._violation(WILD_ADDRESS, bad, length, access)
         g = self.granularity
         first, last = start // g, (end - 1) // g
         for idx in range(first, last + 1):
@@ -210,13 +220,18 @@ class ShadowMap:
             if n >= hi:
                 continue
             bad = idx * g + max(lo, n)
-            return AsanViolation(
-                kind=self._violation_kind(idx),
-                addr=GuestAddr(self.partition_id, bad),
-                access=access,
-                requested_len=length,
-            )
+            return self._violation(self._violation_kind(idx), bad, length, access)
         return None
+
+    def _violation(self, kind: str, bad: int, length: int, access: AccessKind) -> Violation:
+        return Violation(
+            kind=kind,
+            partition=self.partition_id,
+            offset=bad,
+            size=length,
+            access=access.value,
+            detail=poison_detail(kind),
+        )
 
     def _violation_kind(self, granule_idx: int) -> str:
         """Kind for a violation detected in ``granule_idx``.

@@ -20,6 +20,7 @@ class ConfigError(PartsanError):
     """
 
     def __init__(self, message: str, path: str | None = None):
+        self.message = message
         self.path = path
         super().__init__(f"{path}: {message}" if path else message)
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .asan_shadow import PoisonKind, ShadowMap
+from .asan_shadow import PoisonKind, ShadowMap, poison_detail
 from .errors import ConfigError, OutOfMemory, PhaseError
 from .msan_shadow import InitShadow, ReservedInitConfig
-from .violations import AccessKind, AsanViolation, GuestAddr, ViolationError
+from .violations import AccessKind, GuestAddr, Violation, ViolationError
 
 __all__ = [
     "AccessKind",
@@ -25,7 +25,6 @@ __all__ = [
     "Phase",
     "PartitionMemory",
     "Region",
-    "create_partition_memory",
 ]
 
 #: Bytes at the bottom of every partition that are never allocated; keeps
@@ -171,11 +170,12 @@ class PartitionMemory:
         if violation is not None:
             raise ViolationError(self.name_region(violation))
 
-    def name_region(self, violation: AsanViolation) -> AsanViolation:
-        region = self.nearest_region(violation.addr.offset)
+    def name_region(self, violation: Violation) -> Violation:
+        """An address finding with the nearest region named in its detail."""
+        region = self.nearest_region(violation.offset)
         if region is None:
             return violation
-        return replace(violation, region_label=region.label)
+        return replace(violation, detail=poison_detail(violation.kind, region.label))
 
     def _own(self, addr: GuestAddr) -> int:
         if addr.partition_id != self.partition_id:
@@ -203,18 +203,3 @@ class PartitionMemory:
         if not self.reserved_init.masks_write(data):
             self.init_shadow.mark_initialized(offset, len(data), origin, force=True)
 
-
-def create_partition_memory(
-    partition_id: int,
-    size_bytes: int,
-    granularity: int = 8,
-    redzone: int = DEFAULT_REDZONE,
-    reserved_init: ReservedInitConfig | None = None,
-) -> PartitionMemory:
-    return PartitionMemory(
-        partition_id,
-        size_bytes,
-        granularity=granularity,
-        redzone=redzone,
-        reserved_init=reserved_init,
-    )

@@ -14,8 +14,7 @@ golden outputs meaningful.
 from __future__ import annotations
 
 import json
-import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -29,16 +28,7 @@ from .ports import (
     SamplingPort,
 )
 from .scenario import ExpectPattern, Scenario, Step
-from .sched import (
-    MAIN_CONTEXT,
-    MajorFrame,
-    Process,
-    ProcessTable,
-    TimeModel,
-    Window,
-    check_deadline,
-    get_my_id,
-)
+from .sched import MAIN_CONTEXT, Process, ProcessTable, TimeModel, check_deadline, get_my_id
 from .syscall_annotations import (
     ParamBinding,
     TypeSizeTable,
@@ -49,7 +39,6 @@ from .syscall_annotations import (
 from .ub_checks import (
     ArithOp,
     EnumSpec,
-    UbViolation,
     check_align,
     check_bool,
     check_enum,
@@ -60,54 +49,17 @@ from .ub_checks import (
     checked_trunc,
     int_spec,
 )
-from .violations import (
-    AccessKind,
-    AsanViolation,
-    ContractViolation,
-    GuestAddr,
-    MsanViolation,
-    PortViolation,
-    UseSite,
-    ViolationError,
-)
+from .violations import AccessKind, GuestAddr, UseSite, Violation, ViolationError
 
 __all__ = [
     "Event",
     "RunReport",
     "Simulator",
-    "ViolationRecord",
     "match_expected",
     "parse_report_json",
     "render_report",
     "run_scenario",
 ]
-
-
-@dataclass(frozen=True)
-class ViolationRecord:
-    """One finding, normalized for reporting."""
-
-    kind: str
-    partition: int | None
-    offset: int | None
-    size: int | None
-    access: str | None
-    step: int
-    detail: str
-    context: str | None = None
-    origin: str | None = None
-
-    def to_line(self) -> str:
-        addr = format(self.offset, "#x") if self.offset is not None else "-"
-        return (
-            f"VIOLATION kind={self.kind}"
-            f" part={self.partition if self.partition is not None else '-'}"
-            f" addr={addr}"
-            f" size={self.size if self.size is not None else '-'}"
-            f" access={self.access if self.access is not None else '-'}"
-            f" step={self.step}"
-            f' detail="{self.detail}"'
-        )
 
 
 @dataclass(frozen=True)
@@ -136,46 +88,67 @@ class RunReport:
     verdict: str
 
 
+def _fits(record: Violation, pattern: ExpectPattern) -> bool:
+    """Whether a record of the pattern's kind matches its other fields."""
+    return (
+        (pattern.partition is None or pattern.partition == record.partition)
+        and (pattern.offset is None or pattern.offset == record.offset)
+        and (pattern.context is None or pattern.context == record.context)
+    )
+
+
+def _place(start: int, fitting: list, owner: list) -> bool:
+    """Give pattern ``start`` one of its ``fitting`` records, if need be by
+    shifting matched patterns along an alternating path.  ``owner`` maps
+    each record to the pattern holding it.  The depth-first search keeps
+    its own stack, so long paths cannot exhaust Python's."""
+    levels = []  # (pattern, its untried fitting records)
+    taken = []  # the record each level's pattern takes over if the path ends
+    seen = set()
+    pattern = start
+    while True:
+        free = next((j for j in fitting[pattern] if owner[j] is None), None)
+        if free is not None:
+            owner[free] = pattern
+            for (level, _), record in zip(levels, taken):
+                owner[record] = level
+            return True
+        levels.append((pattern, iter(fitting[pattern])))
+        pattern = None
+        while pattern is None and levels:
+            for j in levels[-1][1]:
+                if j not in seen:
+                    seen.add(j)
+                    taken.append(j)
+                    pattern = owner[j]
+                    break
+            else:
+                levels.pop()
+                if taken:
+                    taken.pop()
+        if pattern is None:
+            return False
+
+
 def match_expected(records, patterns) -> bool:
     """Multiset match: every record consumed by exactly one pattern.
 
     Patterns are partial (omitted fields match anything), so this is a
-    bipartite perfect-matching problem; sizes are small enough for
-    backtracking with a most-constrained-first order.
+    bipartite perfect-matching problem, solved with Kuhn's augmenting paths
+    over each pattern's fitting records, listed once: polynomial, where a
+    search over assignments is factorial when the match fails.
     """
-
-    def fits(record: ViolationRecord, pattern: ExpectPattern) -> bool:
-        if pattern.kind != record.kind:
-            return False
-        if pattern.partition is not None and pattern.partition != record.partition:
-            return False
-        if pattern.offset is not None and pattern.offset != record.offset:
-            return False
-        if pattern.context is not None and pattern.context != record.context:
-            return False
-        return True
-
-    records = list(records)
-    patterns = sorted(
-        patterns,
-        key=lambda p: -sum(x is not None for x in (p.partition, p.offset, p.context)),
-    )
+    records, patterns = list(records), list(patterns)
     if len(records) != len(patterns):
         return False
-    used = [False] * len(records)
-
-    def place(i: int) -> bool:
-        if i == len(patterns):
-            return True
-        for j, record in enumerate(records):
-            if not used[j] and fits(record, patterns[i]):
-                used[j] = True
-                if place(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return place(0)
+    of_kind: dict[str, list[int]] = {}
+    for j, record in enumerate(records):
+        of_kind.setdefault(record.kind, []).append(j)
+    fitting = [
+        [j for j in of_kind.get(p.kind, ()) if _fits(records[j], p)] for p in patterns
+    ]
+    owner = [None] * len(records)
+    return all(_place(i, fitting, owner) for i in range(len(patterns)))
 
 
 class _PartitionState:
@@ -191,7 +164,6 @@ class Simulator:
     def __init__(self, scenario: Scenario, seed: int = 0):
         self.scenario = scenario
         self.seed = seed
-        self.rng = random.Random(seed)
 
         self.partitions: dict[int, _PartitionState] = {}
         for pconf in scenario.partitions:
@@ -221,14 +193,6 @@ class Simulator:
             self.partitions[pconf.partition_id] = _PartitionState(mem, table)
 
         self.model = TimeModel(scenario.time.slowdown_factor, scenario.time.costs)
-        self.frame = scenario.time.frame
-        if self.frame is None and scenario.partitions:
-            # default schedule: one 1000-tick window per partition, id order
-            windows, start = [], 0
-            for pconf in sorted(scenario.partitions, key=lambda p: p.partition_id):
-                windows.append(Window(pconf.partition_id, start, 1000))
-                start += 1000
-            self.frame = MajorFrame(start, windows)
         self.overrides: dict[int, dict[int, Fraction]] = {}
         for pid, proc, multiplier in scenario.time.overrides:
             self.overrides.setdefault(pid, {})[proc] = multiplier
@@ -261,7 +225,7 @@ class Simulator:
                     pconf.name, pconf.destination, PortDirection.DESTINATION, channel
                 )
 
-        self.violations: list[ViolationRecord] = []
+        self.violations: list[Violation] = []
         self.events: list[Event] = []
         self._step_index = 0
         self._ub_checks_this_step = 0
@@ -306,95 +270,24 @@ class Simulator:
     def _event(self, kind: str, **info) -> None:
         self.events.append(Event(kind=kind, t=self.model.virtual_now, info=info))
 
-    def _record(self, violation, partition_hint: int | None = None) -> None:
-        step = self._step_index
-        if isinstance(violation, AsanViolation):
-            record = ViolationRecord(
-                kind=violation.kind,
-                partition=violation.addr.partition_id,
-                offset=violation.addr.offset,
-                size=violation.requested_len,
-                access=violation.access.value,
-                step=step,
-                detail=self._asan_detail(violation),
-            )
-        elif isinstance(violation, MsanViolation):
-            origin = violation.origin
-            detail = f"uninitialized byte used at {violation.context.value}"
-            detail += f" (origin {origin})" if origin else " (no origin)"
-            record = ViolationRecord(
-                kind=violation.kind,
-                partition=violation.addr.partition_id,
-                offset=violation.addr.offset,
-                size=violation.len_requested,
-                access="R",
-                step=step,
-                detail=detail,
-                context=violation.context.value,
-                origin=origin,
-            )
-        elif isinstance(violation, UbViolation):
-            offset = None
-            if violation.kind.value in ("MISALIGNED", "NULL_DEREF"):
-                offset = violation.operands[0]
-            record = ViolationRecord(
-                kind=violation.kind.value,
-                partition=partition_hint,
-                offset=offset,
-                size=None,
-                access=None,
-                step=step,
-                detail=violation.detail,
-            )
-        elif isinstance(violation, PortViolation):
-            record = ViolationRecord(
-                kind=violation.kind,
-                partition=violation.partition_id,
-                offset=None,
-                size=None,
-                access=None,
-                step=step,
-                detail=violation.detail,
-            )
-        elif isinstance(violation, ContractViolation):
-            record = ViolationRecord(
-                kind=violation.kind,
-                partition=violation.partition_id,
-                offset=None,
-                size=None,
-                access=None,
-                step=step,
-                detail=violation.detail,
-            )
-        else:
-            raise AssertionError(f"unknown violation type {type(violation)!r}")
-        self.violations.append(record)
+    def _log(self, violation: Violation) -> None:
+        self.violations.append(replace(violation, step=self._step_index))
 
-    def _asan_detail(self, violation: AsanViolation) -> str:
-        label = violation.region_label
-        if violation.kind == "WILD_ADDRESS":
-            return "address outside partition memory"
-        if violation.kind == "LEFT_REDZONE":
-            return f"left redzone of region '{label}'" if label else "left redzone"
-        if violation.kind == "RIGHT_REDZONE":
-            return f"right redzone of region '{label}'" if label else "right redzone"
-        if violation.kind == "PARTITION_RESET":
-            return "memory invalidated by partition reset"
-        detail = "blacklisted memory"
-        if label:
-            detail += f" near region '{label}'"
-        return detail
+    def _contract(self, step: Step, detail: str) -> None:
+        """A self-checking step observed a result other than the declared one."""
+        self._log(Violation(kind="API_CONTRACT", partition=step["partition"], detail=detail))
 
     # -- execution ----------------------------------------------------------
 
     def run(self) -> RunReport:
+        executors = self._EXECUTORS
         for index, step in enumerate(self.scenario.workload):
             self._step_index = index
             self._ub_checks_this_step = 0
             asan_before, msan_before = self._check_counts()
             self._dispatch_for(step)
             try:
-                self._execute(step)
+                executors[step.op](self, step)
             except ConfigError as exc:
                 if exc.path is not None:
                     raise
@@ -473,10 +366,6 @@ class Simulator:
                     budget=str(miss.budget),
                 )
 
-    def _execute(self, step: Step) -> None:
-        handler = getattr(self, "_op_" + step.op.lower())
-        handler(step)
-
     # -- memory ops -----------------------------------------------------------
 
     def _op_alloc(self, step: Step) -> None:
@@ -495,7 +384,7 @@ class Simulator:
         try:
             mem.checked_write(addr, step["data"], origin=f"step:{self._step_index}")
         except ViolationError as exc:
-            self._record(exc.violation)
+            self._log(exc.violation)
 
     def _op_read(self, step: Step) -> None:
         mem = self._mem(step["partition"])
@@ -503,7 +392,7 @@ class Simulator:
         try:
             mem.checked_read(addr, step["len"])
         except ViolationError as exc:
-            self._record(exc.violation)
+            self._log(exc.violation)
 
     def _op_copy(self, step: Step) -> None:
         mem = self._mem(step["partition"])
@@ -516,23 +405,28 @@ class Simulator:
             if violation is not None:
                 raise ViolationError(mem.name_region(violation))
         except ViolationError as exc:
-            self._record(exc.violation)
+            self._log(exc.violation)
             return
         mem.data[dst.offset : dst.offset + length] = data
         # initialization state travels with the bytes, unchecked
         copy_propagate(mem.init_shadow, src.offset, dst.offset, length)
 
+    def _use(self, mem: PartitionMemory, offset: int, length: int, site: UseSite) -> bool:
+        """Address check, then an initialization check at ``site``; False
+        (with the finding logged) when the bytes are not addressable."""
+        violation = mem.shadow.check_access(offset, length, AccessKind.READ)
+        if violation is not None:
+            self._log(mem.name_region(violation))
+            return False
+        init_violation = mem.init_shadow.check(offset, length, site)
+        if init_violation is not None:
+            self._log(init_violation)
+        return True
+
     def _op_branch_on(self, step: Step) -> None:
         mem = self._mem(step["partition"])
         addr = self._addr(step, "region", "offset")
-        length = step["len"]
-        violation = mem.shadow.check_access(addr.offset, length, AccessKind.READ)
-        if violation is not None:
-            self._record(mem.name_region(violation))
-            return
-        init_violation = mem.init_shadow.check(addr.offset, length, UseSite.BRANCH)
-        if init_violation is not None:
-            self._record(init_violation)
+        self._use(mem, addr.offset, step["len"], UseSite.BRANCH)
 
     def _op_unpoison_padding(self, step: Step) -> None:
         mem = self._mem(step["partition"])
@@ -541,66 +435,64 @@ class Simulator:
 
     # -- checked arithmetic ops --------------------------------------------------
 
-    def _operand(self, step: Step, operand, default_width: int, default_signed: bool):
-        """Immediate value, or a little-endian load with ARITH use checking.
+    def _operands(self, step: Step, keys, width: int, signed: bool) -> list | None:
+        """Each named operand: an immediate value, or a little-endian load
+        (``width`` bytes and ``signed`` unless the reference overrides them)
+        with ARITH use checking.
 
-        Returns None when the bytes cannot be read (the fault is recorded
-        and the arithmetic step is skipped).
+        Returns None when some bytes cannot be read: the fault is recorded
+        and the arithmetic step is skipped.
         """
-        if isinstance(operand, int):
-            return operand
-        mem = self._mem(step["partition"])
-        width = operand.get("width", default_width)
-        signed = operand.get("signed", default_signed)
-        offset = operand["offset"]
-        label = operand.get("region")
-        if label is not None:
-            offset += mem.region(label).base
-        violation = mem.shadow.check_access(offset, width, AccessKind.READ)
-        if violation is not None:
-            self._record(mem.name_region(violation))
-            return None
-        init_violation = mem.init_shadow.check(offset, width, UseSite.ARITH)
-        if init_violation is not None:
-            self._record(init_violation)
-        return int.from_bytes(mem.data[offset : offset + width], "little", signed=signed)
+        values = []
+        for key in keys:
+            operand = step[key]
+            if not isinstance(operand, int):
+                mem = self._mem(step["partition"])
+                size = operand.get("width", width)
+                offset = operand["offset"]
+                label = operand.get("region")
+                if label is not None:
+                    offset += mem.region(label).base
+                if not self._use(mem, offset, size, UseSite.ARITH):
+                    operand = None
+                else:
+                    operand = int.from_bytes(
+                        mem.data[offset : offset + size],
+                        "little",
+                        signed=operand.get("signed", signed),
+                    )
+            values.append(operand)
+        return None if None in values else values
 
     def _run_ub(self, step: Step, result) -> None:
         self._ub_checks_this_step += 1
-        if isinstance(result, UbViolation):
-            self._record(result, partition_hint=step["partition"])
+        if isinstance(result, Violation):
+            self._log(replace(result, partition=step["partition"]))
 
     def _op_arith(self, step: Step) -> None:
         spec = int_spec(step["type"])
-        a = self._operand(step, step["a"], spec.width // 8, spec.signed)
-        b = self._operand(step, step["b"], spec.width // 8, spec.signed)
-        if a is None or b is None:
-            return
-        result = checked_arith(ArithOp(step["arith"]), a, b, spec, strict=step["strict"])
-        self._run_ub(step, result)
+        values = self._operands(step, ("a", "b"), spec.width // 8, spec.signed)
+        if values is not None:
+            op = ArithOp(step["arith"])
+            self._run_ub(step, checked_arith(op, *values, spec, strict=step["strict"]))
 
     def _op_div(self, step: Step) -> None:
         spec = int_spec(step["type"])
-        a = self._operand(step, step["a"], spec.width // 8, spec.signed)
-        b = self._operand(step, step["b"], spec.width // 8, spec.signed)
-        if a is None or b is None:
-            return
-        self._run_ub(step, checked_div(a, b, spec))
+        values = self._operands(step, ("a", "b"), spec.width // 8, spec.signed)
+        if values is not None:
+            self._run_ub(step, checked_div(*values, spec))
 
     def _op_shift(self, step: Step) -> None:
         spec = int_spec(step["type"])
-        a = self._operand(step, step["a"], spec.width // 8, spec.signed)
-        if a is None:
-            return
-        self._run_ub(step, checked_shift(a, step["s"], spec, strict=step["strict"]))
+        values = self._operands(step, ("a",), spec.width // 8, spec.signed)
+        if values is not None:
+            self._run_ub(step, checked_shift(*values, step["s"], spec, strict=step["strict"]))
 
     def _op_trunc(self, step: Step) -> None:
         from_spec = int_spec(step["from"])
-        to_spec = int_spec(step["to"])
-        a = self._operand(step, step["a"], from_spec.width // 8, from_spec.signed)
-        if a is None:
-            return
-        self._run_ub(step, checked_trunc(a, from_spec, to_spec))
+        values = self._operands(step, ("a",), from_spec.width // 8, from_spec.signed)
+        if values is not None:
+            self._run_ub(step, checked_trunc(*values, from_spec, int_spec(step["to"])))
 
     def _op_align_check(self, step: Step) -> None:
         addr = self._addr(step, "region", "offset")
@@ -611,17 +503,15 @@ class Simulator:
         self._run_ub(step, check_nonnull(addr))
 
     def _op_bool_check(self, step: Step) -> None:
-        value = self._operand(step, step["a"], 1, False)
-        if value is None:
-            return
-        self._run_ub(step, check_bool(value))
+        values = self._operands(step, ("a",), 1, False)
+        if values is not None:
+            self._run_ub(step, check_bool(*values))
 
     def _op_enum_check(self, step: Step) -> None:
-        value = self._operand(step, step["a"], 4, True)
-        if value is None:
-            return
-        spec = EnumSpec(name=step["enum"], allowed=frozenset(step["allowed"]))
-        self._run_ub(step, check_enum(value, spec))
+        values = self._operands(step, ("a",), 4, True)
+        if values is not None:
+            spec = EnumSpec(name=step["enum"], allowed=frozenset(step["allowed"]))
+            self._run_ub(step, check_enum(*values, spec))
 
     # -- syscalls ------------------------------------------------------------------
 
@@ -643,14 +533,12 @@ class Simulator:
         shadows = self._shadow_map()
         violation = enforce_pre(resolved, shadows)
         if violation is not None:
-            self._record(violation)
+            self._log(violation)
             self._event("SYSCALL", part=step["partition"], name=spec.user_name,
                         outcome="blocked")
             return
         succeeded = step["succeed"]
-        post_violation = enforce_post(resolved, shadows, succeeded)
-        if post_violation is not None:
-            self._record(post_violation)
+        enforce_post(resolved, shadows, succeeded)
         self._event(
             "SYSCALL",
             part=step["partition"],
@@ -660,14 +548,20 @@ class Simulator:
 
     # -- ports ----------------------------------------------------------------------
 
-    def _op_send(self, step: Step) -> None:
-        port = self._port(step, QueueingPort)
+    def _transmit(self, step: Step, port_method) -> None:
+        """Queueing send or sampling write of ``len`` bytes at the step's location."""
         mem = self._mem(step["partition"])
         addr = self._addr(step, "region", "offset")
         try:
-            port.send(mem, addr, step["len"], self.model.virtual_now)
+            port_method(mem, addr, step["len"], self.model.virtual_now)
         except ViolationError as exc:
-            self._record(exc.violation)
+            self._log(exc.violation)
+
+    def _op_send(self, step: Step) -> None:
+        self._transmit(step, self._port(step, QueueingPort).send)
+
+    def _op_sampling_write(self, step: Step) -> None:
+        self._transmit(step, self._port(step, SamplingPort).write)
 
     def _op_receive(self, step: Step) -> None:
         port = self._port(step, QueueingPort)
@@ -676,48 +570,26 @@ class Simulator:
         try:
             result = port.receive(mem, addr, self.model.virtual_now)
         except ViolationError as exc:
-            self._record(exc.violation)
+            self._log(exc.violation)
             return
+        expected = step.get("expect")
         if result is None:
             self._event("PORT_EMPTY", part=step["partition"], port=step["port"])
-            if step.get("expect") is not None:
-                self._record(
-                    ContractViolation(
-                        partition_id=step["partition"],
-                        detail=f"port '{step['port']}' was empty, payload expected",
-                    )
-                )
+            if expected is not None:
+                self._contract(step, f"port '{step['port']}' was empty, payload expected")
             return
         if step["expect_empty"]:
-            self._record(
-                ContractViolation(
-                    partition_id=step["partition"],
-                    detail=(
-                        f"port '{step['port']}' expected empty, delivered "
-                        f"{len(result.payload)} bytes"
-                    ),
-                )
+            self._contract(
+                step,
+                f"port '{step['port']}' expected empty, delivered "
+                f"{len(result.payload)} bytes",
             )
-        expected = step.get("expect")
         if expected is not None and result.payload != expected:
-            self._record(
-                ContractViolation(
-                    partition_id=step["partition"],
-                    detail=(
-                        f"port '{step['port']}' delivered 0x{result.payload.hex()}, "
-                        f"expected 0x{expected.hex()}"
-                    ),
-                )
+            self._contract(
+                step,
+                f"port '{step['port']}' delivered 0x{result.payload.hex()}, "
+                f"expected 0x{expected.hex()}",
             )
-
-    def _op_sampling_write(self, step: Step) -> None:
-        port = self._port(step, SamplingPort)
-        mem = self._mem(step["partition"])
-        addr = self._addr(step, "region", "offset")
-        try:
-            port.write(mem, addr, step["len"], self.model.virtual_now)
-        except ViolationError as exc:
-            self._record(exc.violation)
 
     def _op_sampling_read(self, step: Step) -> None:
         port = self._port(step, SamplingPort)
@@ -726,7 +598,7 @@ class Simulator:
         try:
             result = port.read(mem, addr, self.model.virtual_now)
         except ViolationError as exc:
-            self._record(exc.violation)
+            self._log(exc.violation)
             return
         validity = "EMPTY" if result is None else result.validity.value
         info = {"part": step["partition"], "port": step["port"], "validity": validity}
@@ -735,26 +607,15 @@ class Simulator:
         self._event("SAMPLING_READ", **info)
         expected_validity = step.get("expect_validity")
         if expected_validity is not None and expected_validity != validity:
-            self._record(
-                ContractViolation(
-                    partition_id=step["partition"],
-                    detail=(
-                        f"port '{step['port']}' read {validity}, "
-                        f"expected {expected_validity}"
-                    ),
-                )
+            self._contract(
+                step, f"port '{step['port']}' read {validity}, expected {expected_validity}"
             )
         expected = step.get("expect")
         if expected is not None and (result is None or result.payload != expected):
             delivered = "nothing" if result is None else f"0x{result.payload.hex()}"
-            self._record(
-                ContractViolation(
-                    partition_id=step["partition"],
-                    detail=(
-                        f"port '{step['port']}' delivered {delivered}, "
-                        f"expected 0x{expected.hex()}"
-                    ),
-                )
+            self._contract(
+                step,
+                f"port '{step['port']}' delivered {delivered}, expected 0x{expected.hex()}",
             )
 
     # -- identity -------------------------------------------------------------------
@@ -779,15 +640,37 @@ class Simulator:
         )
         expected = step.get("expect")
         if expected is not None and expected != result:
-            self._record(
-                ContractViolation(
-                    partition_id=step["partition"],
-                    detail=f"get_my_id returned {result}, expected {expected}",
-                )
-            )
+            self._contract(step, f"get_my_id returned {result}, expected {expected}")
 
     def _op_idle(self, step: Step) -> None:
         pass  # time advances in run(); nothing executes
+
+    # One executor per workload op, keyed by the op names of scenario._OPS.
+    _EXECUTORS = {
+        "ALLOC": _op_alloc,
+        "START_PARTITION": _op_start_partition,
+        "RESET_PARTITION": _op_reset_partition,
+        "WRITE": _op_write,
+        "READ": _op_read,
+        "COPY": _op_copy,
+        "BRANCH_ON": _op_branch_on,
+        "ARITH": _op_arith,
+        "DIV": _op_div,
+        "SHIFT": _op_shift,
+        "TRUNC": _op_trunc,
+        "ALIGN_CHECK": _op_align_check,
+        "NULL_CHECK": _op_null_check,
+        "BOOL_CHECK": _op_bool_check,
+        "ENUM_CHECK": _op_enum_check,
+        "SYSCALL": _op_syscall,
+        "SEND": _op_send,
+        "RECEIVE": _op_receive,
+        "SAMPLING_WRITE": _op_sampling_write,
+        "SAMPLING_READ": _op_sampling_read,
+        "GET_MY_ID": _op_get_my_id,
+        "UNPOISON_PADDING": _op_unpoison_padding,
+        "IDLE": _op_idle,
+    }
 
 
 def run_scenario(scenario: Scenario, seed: int = 0) -> RunReport:
@@ -804,20 +687,7 @@ def report_payload(report: RunReport) -> dict:
         "seed": report.seed,
         "raw_ticks": report.raw_ticks,
         "virtual_ticks": report.virtual_ticks,
-        "violations": [
-            {
-                "kind": v.kind,
-                "partition": v.partition,
-                "offset": v.offset,
-                "size": v.size,
-                "access": v.access,
-                "step": v.step,
-                "detail": v.detail,
-                "context": v.context,
-                "origin": v.origin,
-            }
-            for v in report.violations
-        ],
+        "violations": [asdict(v) for v in report.violations],
         "events": [
             {"kind": e.kind, "t": e.t, "info": dict(e.info)} for e in report.events
         ],
@@ -848,20 +718,7 @@ def parse_report_json(text: str) -> RunReport:
         seed=payload["seed"],
         raw_ticks=payload["raw_ticks"],
         virtual_ticks=payload["virtual_ticks"],
-        violations=tuple(
-            ViolationRecord(
-                kind=v["kind"],
-                partition=v["partition"],
-                offset=v["offset"],
-                size=v["size"],
-                access=v["access"],
-                step=v["step"],
-                detail=v["detail"],
-                context=v["context"],
-                origin=v["origin"],
-            )
-            for v in payload["violations"]
-        ),
+        violations=tuple(Violation(**v) for v in payload["violations"]),
         events=tuple(
             Event(kind=e["kind"], t=e["t"], info=e["info"]) for e in payload["events"]
         ),

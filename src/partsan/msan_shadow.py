@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .violations import GuestAddr, MsanViolation, UseSite
+from .violations import AccessKind, UseSite, Violation
 
 __all__ = [
     "InitShadow",
@@ -115,18 +115,25 @@ class InitShadow:
     def check(self, start: int, length: int, context: UseSite):
         """Check that a span about to be *used* is fully initialized.
 
-        Returns None, or an MsanViolation for the first uninitialized byte.
+        Returns None, or an UNINIT_USE Violation for the first
+        uninitialized byte.
         """
         self.checks_performed += 1
         end = self._span(start, length)
         bad = self.bits.find(0, start, end)
         if bad < 0:
             return None
-        return MsanViolation(
-            addr=GuestAddr(self.partition_id, bad),
-            len_requested=length,
-            context=context,
-            origin=self.origin_at(bad),
+        origin = self.origin_at(bad)
+        blame = f"(origin {origin})" if origin else "(no origin)"
+        return Violation(
+            kind="UNINIT_USE",
+            partition=self.partition_id,
+            offset=bad,
+            size=length,
+            access=AccessKind.READ.value,
+            detail=f"uninitialized byte used at {context.value} {blame}",
+            context=context.value,
+            origin=origin,
         )
 
     # -- propagation --------------------------------------------------------------
@@ -196,9 +203,6 @@ class PaddingRegistry:
         if type_name not in self._ranges:
             raise ConfigError(f"no padding declaration for type '{type_name}'")
         return self._ranges[type_name]
-
-    def known(self, type_name: str) -> bool:
-        return type_name in self._ranges
 
 
 def unpoison_padding(

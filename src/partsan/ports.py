@@ -19,13 +19,7 @@ from enum import Enum
 
 from .errors import ConfigError
 from .guest_memory import PartitionMemory
-from .violations import (
-    AccessKind,
-    GuestAddr,
-    PortViolation,
-    UseSite,
-    ViolationError,
-)
+from .violations import AccessKind, GuestAddr, UseSite, Violation, ViolationError
 
 
 class PortDirection(Enum):
@@ -42,7 +36,6 @@ class Validity(Enum):
 class Message:
     payload: bytes
     send_time: int
-    source_partition: int
     init_bits: bytes
     origin_labels: tuple
 
@@ -61,7 +54,6 @@ class SamplingResult:
 @dataclass(frozen=True)
 class ReceiveResult:
     payload: bytes
-    remaining: int
 
 
 class SamplingChannel:
@@ -106,10 +98,9 @@ def _collect_message(
     offset = addr.offset
     if length > channel.max_message_size:
         raise ViolationError(
-            PortViolation(
+            Violation(
                 kind="MESSAGE_TOO_LONG",
-                port_name=channel.name,
-                partition_id=mem.partition_id,
+                partition=mem.partition_id,
                 detail=(
                     f"message of {length} bytes exceeds max "
                     f"{channel.max_message_size} on port '{channel.name}'"
@@ -128,7 +119,6 @@ def _collect_message(
     return Message(
         payload=bytes(mem.data[offset : offset + length]),
         send_time=now,
-        source_partition=mem.partition_id,
         init_bits=init_bits,
         origin_labels=origin_labels,
     )
@@ -148,14 +138,10 @@ def _deliver(mem: PartitionMemory, addr: GuestAddr, msg: Message) -> None:
     mem.init_shadow.apply_snapshot(offset, msg.init_bits, msg.origin_labels)
 
 
-class SamplingPort:
-    def __init__(
-        self,
-        name: str,
-        partition_id: int,
-        direction: PortDirection,
-        channel: SamplingChannel,
-    ):
+class _Port:
+    """One partition's endpoint of a channel."""
+
+    def __init__(self, name: str, partition_id: int, direction: PortDirection, channel):
         self.name = name
         self.partition_id = partition_id
         self.direction = PortDirection(direction)
@@ -168,6 +154,8 @@ class SamplingPort:
                 f"{self.direction.value}, cannot {op}"
             )
 
+
+class SamplingPort(_Port):
     def write(self, mem: PartitionMemory, addr: GuestAddr, length: int, now: int) -> None:
         """Publish a new value; unconditionally replaces the previous one."""
         self._require(PortDirection.SOURCE, "write")
@@ -190,36 +178,16 @@ class SamplingPort:
         return SamplingResult(payload=msg.payload, validity=validity, age=age)
 
 
-class QueueingPort:
-    def __init__(
-        self,
-        name: str,
-        partition_id: int,
-        direction: PortDirection,
-        channel: QueueingChannel,
-    ):
-        self.name = name
-        self.partition_id = partition_id
-        self.direction = PortDirection(direction)
-        self.channel = channel
-
-    def _require(self, direction: PortDirection, op: str) -> None:
-        if self.direction is not direction:
-            raise ConfigError(
-                f"port '{self.name}' of partition {self.partition_id} is "
-                f"{self.direction.value}, cannot {op}"
-            )
-
+class QueueingPort(_Port):
     def send(self, mem: PartitionMemory, addr: GuestAddr, length: int, now: int) -> None:
         """Append to the queue; a full queue drops the new message."""
         self._require(PortDirection.SOURCE, "send")
         msg = _collect_message(mem, addr, length, self.channel, now)
         if len(self.channel.queue) >= self.channel.capacity:
             raise ViolationError(
-                PortViolation(
+                Violation(
                     kind="QUEUE_FULL",
-                    port_name=self.channel.name,
-                    partition_id=mem.partition_id,
+                    partition=mem.partition_id,
                     detail=(
                         f"queue full on port '{self.channel.name}' "
                         f"(capacity {self.channel.capacity}), message dropped"
@@ -235,4 +203,4 @@ class QueueingPort:
             return None
         msg = self.channel.queue.popleft()
         _deliver(mem, addr, msg)
-        return ReceiveResult(payload=msg.payload, remaining=len(self.channel.queue))
+        return ReceiveResult(payload=msg.payload)

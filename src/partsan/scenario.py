@@ -13,8 +13,10 @@ import json
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import ConfigError, ParseError
 from .msan_shadow import ReservedInitConfig
@@ -151,6 +153,9 @@ class Scenario:
 
 
 # -- field helpers ------------------------------------------------------------
+#
+# ``path`` is the JSON pointer an error is reported at; the default "" stands
+# for the value itself, and the step loader prefixes where the value sits.
 
 _MISSING = object()
 
@@ -163,7 +168,7 @@ def _get(obj: dict, key: str, path: str, default=_MISSING):
     return default
 
 
-def _as_int(value, path: str, minimum: int | None = None) -> int:
+def _as_int(value, path: str = "", minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"expected an integer, got {value!r}", path)
     if minimum is not None and value < minimum:
@@ -171,31 +176,31 @@ def _as_int(value, path: str, minimum: int | None = None) -> int:
     return value
 
 
-def _as_str(value, path: str) -> str:
+def _as_str(value, path: str = "") -> str:
     if not isinstance(value, str):
         raise ConfigError(f"expected a string, got {value!r}", path)
     return value
 
 
-def _as_bool(value, path: str) -> bool:
+def _as_bool(value, path: str = "") -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"expected a boolean, got {value!r}", path)
     return value
 
 
-def _as_list(value, path: str) -> list:
+def _as_list(value, path: str = "") -> list:
     if not isinstance(value, list):
         raise ConfigError(f"expected a list, got {value!r}", path)
     return value
 
 
-def _as_dict(value, path: str) -> dict:
+def _as_dict(value, path: str = "") -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"expected an object, got {value!r}", path)
     return value
 
 
-def _as_name(value, path: str) -> str:
+def _as_name(value, path: str = "") -> str:
     value = _as_str(value, path)
     if not _NAME_RE.match(value):
         raise ConfigError(
@@ -204,7 +209,7 @@ def _as_name(value, path: str) -> str:
     return value
 
 
-def _as_hex(value, path: str) -> bytes:
+def _as_hex(value, path: str = "") -> bytes:
     value = _as_str(value, path)
     try:
         data = bytes.fromhex(value)
@@ -229,7 +234,7 @@ def _no_extras(obj: dict, allowed, path: str) -> None:
         raise ConfigError(f"unknown keys {extras}", path)
 
 
-def _as_int_type(value, path: str) -> str:
+def _as_int_type(value, path: str = "") -> str:
     value = _as_str(value, path)
     if value not in _INT_TYPE_NAMES:
         raise ConfigError(
@@ -418,327 +423,232 @@ def _load_port(obj, path: str, partition_ids) -> PortConfig:
 
 
 # -- workload steps ---------------------------------------------------------------
+#
+# Every op is one row of _OPS: its fields, each with a value check and a
+# default, plus at most one check across fields.  Checks report paths
+# relative to the object they look at (none for the value itself), so a
+# JSON pointer is only assembled once a value turns out to be wrong.
+
+_REQUIRED = object()  # default marker: the key must be given
+_ABSENT = object()  # default marker: an absent key stays out of the fields
 
 
-def _check_operand(value, path: str):
-    """An operand is an immediate integer or a memory reference."""
-    if isinstance(value, bool):
-        raise ConfigError("operand must be an integer or a memory reference", path)
-    if isinstance(value, int):
+class _Fields:
+    """Rows of ``(key, check, default)`` describing one JSON object.
+
+    ``check(fields)`` runs on the loaded fields; ``extra_keys`` are allowed
+    in the object but not loaded (a step's ``op``).
+    """
+
+    def __init__(self, *rows, check=None, extra_keys=()):
+        self.rows = rows
+        self.keys = frozenset(extra_keys).union(key for key, _, _ in rows)
+        self.check = check
+
+    def load(self, obj) -> dict:
+        extras = obj.keys() - self.keys
+        if extras:
+            raise ConfigError(f"unknown keys {sorted(extras)}")
+        fields = {}
+        for key, check, default in self.rows:
+            if key in obj:
+                try:
+                    fields[key] = check(obj[key])
+                except ConfigError as exc:
+                    raise ConfigError(exc.message, f"/{key}{exc.path or ''}") from None
+            elif default is _REQUIRED:
+                raise ConfigError(f"missing required key '{key}'", f"/{key}")
+            elif default is not _ABSENT:
+                fields[key] = default
+        if self.check is not None:
+            self.check(fields)
+        return fields
+
+
+_count = partial(_as_int, minimum=1)
+_ticks = partial(_as_int, minimum=0)
+
+
+def _byte(value):
+    value = _as_int(value, minimum=0)
+    if value > 0xFF:
+        raise ConfigError(f"fill byte must be <= 255, got {value}")
+    return value
+
+
+def _one_of(key, *choices):
+    listed = ", ".join(choices[:-1]) + " or " + choices[-1]
+
+    def check(value):
+        value = _as_str(value)
+        if value not in choices:
+            raise ConfigError(f"{key} must be {listed}, got {value!r}")
         return value
+
+    return check
+
+
+def _power_of_two(value):
+    value = _as_int(value, minimum=1)
+    if value & (value - 1):
+        raise ConfigError(f"align must be a power of two, got {value}")
+    return value
+
+
+def _value_set(value):
+    values = _as_list(value)
+    for i, item in enumerate(values):
+        if isinstance(item, bool) or not isinstance(item, int):
+            _as_int(item, f"/{i}")
+    if not values:
+        raise ConfigError("allowed value set must not be empty")
+    return tuple(values)
+
+
+def _caller(value):
+    return value if value == "main" else _as_int(value, minimum=1)
+
+
+def _id_result(value):
+    if value in ("MAIN_PROCESS_ID", "INVALID_MODE"):
+        return value
+    return _as_int(value, minimum=1)
+
+
+_LOCATION = (("region", _as_name, _ABSENT), ("offset", _as_int, 0))
+
+_OPERAND = _Fields(*_LOCATION, ("width", _count, _ABSENT), ("signed", _as_bool, _ABSENT))
+
+_BINDING = _Fields(*_LOCATION, ("len", _count, _ABSENT))
+
+#: Binding-less SYSCALL steps share this read-only default.
+_NO_BINDINGS = MappingProxyType({})
+
+
+def _operand(value):
+    """An immediate integer or a memory reference."""
     if isinstance(value, dict):
-        _no_extras(value, ("region", "offset", "width", "signed"), path)
-        out = {"offset": _as_int(_get(value, "offset", path, 0), f"{path}/offset")}
-        if "region" in value:
-            out["region"] = _as_name(value["region"], f"{path}/region")
-        if "width" in value:
-            out["width"] = _as_int(value["width"], f"{path}/width", minimum=1)
-        if "signed" in value:
-            out["signed"] = _as_bool(value["signed"], f"{path}/signed")
-        return out
-    raise ConfigError("operand must be an integer or a memory reference", path)
+        return _OPERAND.load(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError("operand must be an integer or a memory reference")
 
 
-def _check_location(fields, obj, path: str, offset_default=None) -> None:
-    """Optional region + offset pair shared by memory-touching steps."""
-    if "region" in obj:
-        fields["region"] = _as_name(obj["region"], f"{path}/region")
-    if offset_default is None:
-        fields["offset"] = _as_int(_get(obj, "offset", path), f"{path}/offset")
+def _bindings(value):
+    bindings = {}
+    for param, binding in _as_dict(value).items():
+        try:
+            bindings[param] = _BINDING.load(_as_dict(binding))
+        except ConfigError as exc:
+            raise ConfigError(exc.message, f"/{param}{exc.path or ''}") from None
+    return bindings
+
+
+def _write_payload(fields):
+    """WRITE stores hex ``data``, or one ``fill`` byte repeated ``len`` times."""
+    if ("data" in fields) == ("fill" in fields):
+        raise ConfigError("write needs exactly one of 'data' (hex) or 'fill'+'len'")
+    if "data" in fields:
+        if "len" in fields:
+            raise ConfigError("'len' only combines with 'fill'", "/len")
+    elif "len" not in fields:
+        raise ConfigError("missing required key 'len'", "/len")
     else:
-        fields["offset"] = _as_int(_get(obj, "offset", path, offset_default), f"{path}/offset")
+        fields["data"] = bytes([fields.pop("fill")]) * fields.pop("len")
 
 
-def _step_validator(op):
-    return _STEP_VALIDATORS[op]
+def _payload_or_empty(fields):
+    if "expect" in fields and fields["expect_empty"]:
+        raise ConfigError("cannot expect both a payload and emptiness", "/expect")
+
+
+def _op(*rows, check=None):
+    return _Fields(*rows, check=check, extra_keys=("op",))
+
+
+_PART = ("partition", _as_int, _REQUIRED)
+_LEN = ("len", _count, _REQUIRED)
+_PORT = ("port", _as_name, _REQUIRED)
+_TYPE = ("type", _as_int_type, _REQUIRED)
+_A = ("a", _operand, _REQUIRED)
+_B = ("b", _operand, _REQUIRED)
+_STRICT = ("strict", _as_bool, False)
+_EXPECT = ("expect", _as_hex, _ABSENT)
+
+_OPS = {
+    "ALLOC": _op(_PART, ("label", _as_name, _REQUIRED), ("size", _count, _REQUIRED)),
+    "START_PARTITION": _op(_PART),
+    "RESET_PARTITION": _op(_PART),
+    "WRITE": _op(
+        _PART,
+        *_LOCATION,
+        ("data", _as_hex, _ABSENT),
+        ("fill", _byte, _ABSENT),
+        ("len", _count, _ABSENT),
+        check=_write_payload,
+    ),
+    "READ": _op(_PART, *_LOCATION, _LEN),
+    "COPY": _op(
+        _PART,
+        ("src_region", _as_name, _ABSENT),
+        ("src_offset", _as_int, 0),
+        ("dst_region", _as_name, _ABSENT),
+        ("dst_offset", _as_int, 0),
+        _LEN,
+    ),
+    "BRANCH_ON": _op(_PART, *_LOCATION, _LEN),
+    "ARITH": _op(
+        _PART, ("arith", _one_of("arith", "ADD", "SUB", "MUL"), _REQUIRED), _TYPE, _A, _B, _STRICT
+    ),
+    "DIV": _op(_PART, _TYPE, _A, _B),
+    "SHIFT": _op(_PART, _TYPE, _A, ("s", _as_int, _REQUIRED), _STRICT),
+    "TRUNC": _op(_PART, ("from", _as_int_type, _REQUIRED), ("to", _as_int_type, _REQUIRED), _A),
+    "ALIGN_CHECK": _op(_PART, *_LOCATION, ("align", _power_of_two, _REQUIRED)),
+    "NULL_CHECK": _op(_PART, *_LOCATION),
+    "BOOL_CHECK": _op(_PART, _A),
+    "ENUM_CHECK": _op(
+        _PART, _A, ("enum", _as_name, "anonymous"), ("allowed", _value_set, _REQUIRED)
+    ),
+    "SYSCALL": _op(
+        _PART,
+        ("name", _as_name, _REQUIRED),
+        ("bindings", _bindings, _NO_BINDINGS),
+        ("succeed", _as_bool, True),
+    ),
+    "SEND": _op(_PART, _PORT, *_LOCATION, _LEN),
+    "RECEIVE": _op(
+        _PART,
+        _PORT,
+        *_LOCATION,
+        _EXPECT,
+        ("expect_empty", _as_bool, False),
+        check=_payload_or_empty,
+    ),
+    "SAMPLING_WRITE": _op(_PART, _PORT, *_LOCATION, _LEN),
+    "SAMPLING_READ": _op(
+        _PART,
+        _PORT,
+        *_LOCATION,
+        _EXPECT,
+        ("expect_validity", _one_of("expect_validity", "VALID", "STALE", "EMPTY"), _ABSENT),
+    ),
+    "GET_MY_ID": _op(_PART, ("caller", _caller, "main"), ("expect", _id_result, _ABSENT)),
+    "UNPOISON_PADDING": _op(_PART, ("region", _as_name, _REQUIRED), ("type", _as_name, _REQUIRED)),
+    "IDLE": _op(("ticks", _ticks, _REQUIRED)),
+}
 
 
 def _load_step(obj, path: str) -> Step:
     obj = _as_dict(obj, path)
-    op = _as_str(_get(obj, "op", path), f"{path}/op")
-    if op not in _STEP_VALIDATORS:
-        raise ConfigError(
-            f"unknown op {op!r}, expected one of {sorted(_STEP_VALIDATORS)}", f"{path}/op"
-        )
-    fields = _step_validator(op)(obj, path)
-    return Step(op=op, fields=fields, path=path)
-
-
-def _v_alloc(obj, path):
-    _no_extras(obj, ("op", "partition", "label", "size"), path)
-    return {
-        "partition": _as_int(_get(obj, "partition", path), f"{path}/partition"),
-        "label": _as_name(_get(obj, "label", path), f"{path}/label"),
-        "size": _as_int(_get(obj, "size", path), f"{path}/size", minimum=1),
-    }
-
-
-def _v_start(obj, path):
-    _no_extras(obj, ("op", "partition"), path)
-    return {"partition": _as_int(_get(obj, "partition", path), f"{path}/partition")}
-
-
-def _v_write(obj, path):
-    _no_extras(obj, ("op", "partition", "region", "offset", "data", "fill", "len"), path)
-    fields = {"partition": _as_int(_get(obj, "partition", path), f"{path}/partition")}
-    _check_location(fields, obj, path, offset_default=0)
-    if ("data" in obj) == ("fill" in obj):
-        raise ConfigError("write needs exactly one of 'data' (hex) or 'fill'+'len'", path)
-    if "data" in obj:
-        if "len" in obj:
-            raise ConfigError("'len' only combines with 'fill'", f"{path}/len")
-        fields["data"] = _as_hex(obj["data"], f"{path}/data")
-    else:
-        fill = _as_int(obj["fill"], f"{path}/fill", minimum=0)
-        if fill > 0xFF:
-            raise ConfigError(f"fill byte must be <= 255, got {fill}", f"{path}/fill")
-        length = _as_int(_get(obj, "len", path), f"{path}/len", minimum=1)
-        fields["data"] = bytes([fill]) * length
-    return fields
-
-
-def _v_read(obj, path):
-    _no_extras(obj, ("op", "partition", "region", "offset", "len"), path)
-    fields = {"partition": _as_int(_get(obj, "partition", path), f"{path}/partition")}
-    _check_location(fields, obj, path, offset_default=0)
-    fields["len"] = _as_int(_get(obj, "len", path), f"{path}/len", minimum=1)
-    return fields
-
-
-def _v_copy(obj, path):
-    _no_extras(
-        obj,
-        ("op", "partition", "src_region", "src_offset", "dst_region", "dst_offset", "len"),
-        path,
-    )
-    fields = {"partition": _as_int(_get(obj, "partition", path), f"{path}/partition")}
-    if "src_region" in obj:
-        fields["src_region"] = _as_name(obj["src_region"], f"{path}/src_region")
-    if "dst_region" in obj:
-        fields["dst_region"] = _as_name(obj["dst_region"], f"{path}/dst_region")
-    fields["src_offset"] = _as_int(_get(obj, "src_offset", path, 0), f"{path}/src_offset")
-    fields["dst_offset"] = _as_int(_get(obj, "dst_offset", path, 0), f"{path}/dst_offset")
-    fields["len"] = _as_int(_get(obj, "len", path), f"{path}/len", minimum=1)
-    return fields
-
-
-def _v_branch(obj, path):
-    return _v_read(obj, path)
-
-
-def _v_arith(obj, path):
-    _no_extras(obj, ("op", "partition", "arith", "type", "a", "b", "strict"), path)
-    arith = _as_str(_get(obj, "arith", path), f"{path}/arith")
-    if arith not in ("ADD", "SUB", "MUL"):
-        raise ConfigError(f"arith must be ADD, SUB or MUL, got {arith!r}", f"{path}/arith")
-    return {
-        "partition": _as_int(_get(obj, "partition", path), f"{path}/partition"),
-        "arith": arith,
-        "type": _as_int_type(_get(obj, "type", path), f"{path}/type"),
-        "a": _check_operand(_get(obj, "a", path), f"{path}/a"),
-        "b": _check_operand(_get(obj, "b", path), f"{path}/b"),
-        "strict": _as_bool(_get(obj, "strict", path, False), f"{path}/strict"),
-    }
-
-
-def _v_div(obj, path):
-    _no_extras(obj, ("op", "partition", "type", "a", "b"), path)
-    return {
-        "partition": _as_int(_get(obj, "partition", path), f"{path}/partition"),
-        "type": _as_int_type(_get(obj, "type", path), f"{path}/type"),
-        "a": _check_operand(_get(obj, "a", path), f"{path}/a"),
-        "b": _check_operand(_get(obj, "b", path), f"{path}/b"),
-    }
-
-
-def _v_shift(obj, path):
-    _no_extras(obj, ("op", "partition", "type", "a", "s", "strict"), path)
-    return {
-        "partition": _as_int(_get(obj, "partition", path), f"{path}/partition"),
-        "type": _as_int_type(_get(obj, "type", path), f"{path}/type"),
-        "a": _check_operand(_get(obj, "a", path), f"{path}/a"),
-        "s": _as_int(_get(obj, "s", path), f"{path}/s"),
-        "strict": _as_bool(_get(obj, "strict", path, False), f"{path}/strict"),
-    }
-
-
-def _v_trunc(obj, path):
-    _no_extras(obj, ("op", "partition", "from", "to", "a"), path)
-    return {
-        "partition": _as_int(_get(obj, "partition", path), f"{path}/partition"),
-        "from": _as_int_type(_get(obj, "from", path), f"{path}/from"),
-        "to": _as_int_type(_get(obj, "to", path), f"{path}/to"),
-        "a": _check_operand(_get(obj, "a", path), f"{path}/a"),
-    }
-
-
-def _v_align(obj, path):
-    _no_extras(obj, ("op", "partition", "region", "offset", "align"), path)
-    fields = {"partition": _as_int(_get(obj, "partition", path), f"{path}/partition")}
-    _check_location(fields, obj, path, offset_default=0)
-    align = _as_int(_get(obj, "align", path), f"{path}/align", minimum=1)
-    if align & (align - 1):
-        raise ConfigError(f"align must be a power of two, got {align}", f"{path}/align")
-    fields["align"] = align
-    return fields
-
-
-def _v_null(obj, path):
-    _no_extras(obj, ("op", "partition", "region", "offset"), path)
-    fields = {"partition": _as_int(_get(obj, "partition", path), f"{path}/partition")}
-    _check_location(fields, obj, path, offset_default=0)
-    return fields
-
-
-def _v_bool(obj, path):
-    _no_extras(obj, ("op", "partition", "a"), path)
-    return {
-        "partition": _as_int(_get(obj, "partition", path), f"{path}/partition"),
-        "a": _check_operand(_get(obj, "a", path), f"{path}/a"),
-    }
-
-
-def _v_enum(obj, path):
-    _no_extras(obj, ("op", "partition", "a", "enum", "allowed"), path)
-    allowed = _as_list(_get(obj, "allowed", path), f"{path}/allowed")
-    values = [_as_int(v, f"{path}/allowed/{i}") for i, v in enumerate(allowed)]
-    if not values:
-        raise ConfigError("allowed value set must not be empty", f"{path}/allowed")
-    return {
-        "partition": _as_int(_get(obj, "partition", path), f"{path}/partition"),
-        "a": _check_operand(_get(obj, "a", path), f"{path}/a"),
-        "enum": _as_name(_get(obj, "enum", path, "anonymous"), f"{path}/enum"),
-        "allowed": tuple(values),
-    }
-
-
-def _v_syscall(obj, path):
-    _no_extras(obj, ("op", "partition", "name", "bindings", "succeed"), path)
-    fields = {
-        "partition": _as_int(_get(obj, "partition", path), f"{path}/partition"),
-        "name": _as_name(_get(obj, "name", path), f"{path}/name"),
-        "succeed": _as_bool(_get(obj, "succeed", path, True), f"{path}/succeed"),
-    }
-    bindings = {}
-    bobj = _as_dict(_get(obj, "bindings", path, {}), f"{path}/bindings")
-    for param, spec in bobj.items():
-        bpath = f"{path}/bindings/{param}"
-        spec = _as_dict(spec, bpath)
-        _no_extras(spec, ("region", "offset", "len"), bpath)
-        binding = {"offset": _as_int(_get(spec, "offset", bpath, 0), f"{bpath}/offset")}
-        if "region" in spec:
-            binding["region"] = _as_name(spec["region"], f"{bpath}/region")
-        if "len" in spec:
-            binding["len"] = _as_int(spec["len"], f"{bpath}/len", minimum=1)
-        bindings[param] = binding
-    fields["bindings"] = bindings
-    return fields
-
-
-def _v_send(obj, path):
-    _no_extras(obj, ("op", "partition", "port", "region", "offset", "len"), path)
-    fields = {
-        "partition": _as_int(_get(obj, "partition", path), f"{path}/partition"),
-        "port": _as_name(_get(obj, "port", path), f"{path}/port"),
-    }
-    _check_location(fields, obj, path, offset_default=0)
-    fields["len"] = _as_int(_get(obj, "len", path), f"{path}/len", minimum=1)
-    return fields
-
-
-def _v_receive(obj, path):
-    _no_extras(obj, ("op", "partition", "port", "region", "offset", "expect", "expect_empty"), path)
-    fields = {
-        "partition": _as_int(_get(obj, "partition", path), f"{path}/partition"),
-        "port": _as_name(_get(obj, "port", path), f"{path}/port"),
-        "expect_empty": _as_bool(_get(obj, "expect_empty", path, False), f"{path}/expect_empty"),
-    }
-    _check_location(fields, obj, path, offset_default=0)
-    if "expect" in obj:
-        fields["expect"] = _as_hex(obj["expect"], f"{path}/expect")
-        if fields["expect_empty"]:
-            raise ConfigError("cannot expect both a payload and emptiness", f"{path}/expect")
-    return fields
-
-
-def _v_sampling_read(obj, path):
-    _no_extras(
-        obj, ("op", "partition", "port", "region", "offset", "expect", "expect_validity"), path
-    )
-    fields = {
-        "partition": _as_int(_get(obj, "partition", path), f"{path}/partition"),
-        "port": _as_name(_get(obj, "port", path), f"{path}/port"),
-    }
-    _check_location(fields, obj, path, offset_default=0)
-    if "expect" in obj:
-        fields["expect"] = _as_hex(obj["expect"], f"{path}/expect")
-    if "expect_validity" in obj:
-        validity = _as_str(obj["expect_validity"], f"{path}/expect_validity")
-        if validity not in ("VALID", "STALE", "EMPTY"):
-            raise ConfigError(
-                f"expect_validity must be VALID, STALE or EMPTY, got {validity!r}",
-                f"{path}/expect_validity",
-            )
-        fields["expect_validity"] = validity
-    return fields
-
-
-def _v_get_my_id(obj, path):
-    _no_extras(obj, ("op", "partition", "caller", "expect"), path)
-    fields = {"partition": _as_int(_get(obj, "partition", path), f"{path}/partition")}
-    caller = _get(obj, "caller", path, "main")
-    if caller != "main":
-        caller = _as_int(caller, f"{path}/caller", minimum=1)
-    fields["caller"] = caller
-    if "expect" in obj:
-        expected = obj["expect"]
-        if expected not in ("MAIN_PROCESS_ID", "INVALID_MODE"):
-            expected = _as_int(expected, f"{path}/expect", minimum=1)
-        fields["expect"] = expected
-    return fields
-
-
-def _v_unpoison_padding(obj, path):
-    _no_extras(obj, ("op", "partition", "region", "type"), path)
-    return {
-        "partition": _as_int(_get(obj, "partition", path), f"{path}/partition"),
-        "region": _as_name(_get(obj, "region", path), f"{path}/region"),
-        "type": _as_name(_get(obj, "type", path), f"{path}/type"),
-    }
-
-
-def _v_idle(obj, path):
-    _no_extras(obj, ("op", "ticks"), path)
-    return {"ticks": _as_int(_get(obj, "ticks", path), f"{path}/ticks", minimum=0)}
-
-
-_STEP_VALIDATORS = {
-    "ALLOC": _v_alloc,
-    "START_PARTITION": _v_start,
-    "RESET_PARTITION": _v_start,
-    "WRITE": _v_write,
-    "READ": _v_read,
-    "COPY": _v_copy,
-    "BRANCH_ON": _v_branch,
-    "ARITH": _v_arith,
-    "DIV": _v_div,
-    "SHIFT": _v_shift,
-    "TRUNC": _v_trunc,
-    "ALIGN_CHECK": _v_align,
-    "NULL_CHECK": _v_null,
-    "BOOL_CHECK": _v_bool,
-    "ENUM_CHECK": _v_enum,
-    "SYSCALL": _v_syscall,
-    "SEND": _v_send,
-    "RECEIVE": _v_receive,
-    "SAMPLING_WRITE": _v_send,
-    "SAMPLING_READ": _v_sampling_read,
-    "GET_MY_ID": _v_get_my_id,
-    "UNPOISON_PADDING": _v_unpoison_padding,
-    "IDLE": _v_idle,
-}
-
-WORKLOAD_OPS = frozenset(_STEP_VALIDATORS)
+    op = obj.get("op")
+    fields = _OPS.get(op) if isinstance(op, str) else None
+    if fields is None:
+        op = _as_str(_get(obj, "op", path), f"{path}/op")
+        raise ConfigError(f"unknown op {op!r}, expected one of {sorted(_OPS)}", f"{path}/op")
+    try:
+        return Step(op=op, fields=fields.load(obj), path=path)
+    except ConfigError as exc:
+        raise ConfigError(exc.message, path + (exc.path or "")) from None
 
 
 # -- top-level loader ----------------------------------------------------------------

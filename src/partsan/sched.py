@@ -81,20 +81,6 @@ class DeadlineMiss:
     budget: Fraction
 
 
-@dataclass(frozen=True)
-class TimeoutOverride:
-    """Local budget stretch for one process, multiplier >= 1."""
-
-    process_id: int
-    multiplier: Fraction
-
-    def __post_init__(self):
-        if self.multiplier < 1:
-            raise ConfigError(
-                f"timeout multiplier must be >= 1, got {self.multiplier}"
-            )
-
-
 @dataclass
 class CheckCosts:
     """Raw ticks charged per workload step and per sanitizer check."""

@@ -86,14 +86,6 @@ class SyscallSpec:
     params: tuple  # of (type_token, param_name) pairs
     checks: tuple  # of CheckDirective, in source order
 
-    @property
-    def pre_checks(self) -> tuple:
-        return tuple(c for c in self.checks if c.phase is CheckPhase.PRE)
-
-    @property
-    def post_checks(self) -> tuple:
-        return tuple(c for c in self.checks if c.phase is CheckPhase.POST)
-
     def param_type(self, name: str) -> str:
         for ptype, pname in self.params:
             if pname == name:
@@ -210,14 +202,17 @@ class _Parser:
         if key.text in ("PRE", "POST"):
             self.expect_punct(":")
             phase = CheckPhase(key.text)
-            return ("check", phase, self.parse_call())
+            return ("check", phase, self.parse_call(phase))
         self.fail(f"unknown annotation keyword '{key.text}'", key)
 
-    def parse_call(self):
+    def parse_call(self, phase: CheckPhase):
         fn = self.expect_ident("msan_check or msan_unpoison")
         if fn.text not in _CALL_NAMES:
             self.fail(f"unknown annotation call '{fn.text}'", fn)
         kind = CheckKind(fn.text)
+        if phase is CheckPhase.POST and kind is CheckKind.MSAN_CHECK:
+            # a POST check would run after the kernel consumed the input
+            self.fail("POST annotations can only msan_unpoison outputs", fn)
         self.expect_punct("(")
         target = self.parse_target()
         self.expect_punct(",")
@@ -496,19 +491,13 @@ def enforce_pre(resolved: ResolvedSpec, shadows):
     return None
 
 
-def enforce_post(resolved: ResolvedSpec, shadows, syscall_succeeded: bool):
-    """Apply POST directives, but only when the syscall actually succeeded;
-    a failed syscall wrote nothing, so its outputs stay uninitialized."""
+def enforce_post(resolved: ResolvedSpec, shadows, syscall_succeeded: bool) -> None:
+    """Apply POST unpoisons, but only when the syscall actually succeeded;
+    a failed syscall wrote nothing, so its outputs stay uninitialized.
+    POST holds no checks (the parser rejects them), so nothing is reported."""
     if not syscall_succeeded:
-        return None
+        return
     for check in resolved.post:
-        shadow = _shadow_for(shadows, check.addr)
-        if check.directive.kind is CheckKind.MSAN_UNPOISON:
-            shadow.mark_initialized(
-                check.addr.offset, check.size, origin="annotation", force=False
-            )
-        else:
-            violation = shadow.check(check.addr.offset, check.size, UseSite.SYSCALL_PRE)
-            if violation is not None:
-                return violation
-    return None
+        _shadow_for(shadows, check.addr).mark_initialized(
+            check.addr.offset, check.size, origin="annotation", force=False
+        )

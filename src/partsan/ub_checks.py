@@ -14,7 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError
-from .violations import GuestAddr, UbViolation
+from .violations import GuestAddr, Violation
+
+# perfbench/tracing.py counts UB findings as isinstance(result,
+# ub_checks.UbViolation); the name stays bound to the one record class.
+UbViolation = Violation
 
 
 class UbKind(Enum):
@@ -103,6 +107,12 @@ def int_spec(name: str) -> IntSpec:
         ) from None
 
 
+def _trap(kind: UbKind, detail: str, offset: int | None = None) -> Violation:
+    """A finding of a checked primitive.  Only alignment and null checks
+    see an address; the caller stamps the partition."""
+    return Violation(kind=kind.value, offset=offset, detail=detail)
+
+
 def _require_operand(value: int, spec: IntSpec, role: str) -> None:
     if not spec.contains(value):
         raise ConfigError(f"{role} operand {value} not representable in {spec.name}")
@@ -110,7 +120,7 @@ def _require_operand(value: int, spec: IntSpec, role: str) -> None:
 
 def checked_arith(op: ArithOp, a: int, b: int, spec: IntSpec, strict: bool = False):
     """ADD/SUB/MUL with overflow detection.  Returns the result value, or a
-    UbViolation when the exact result leaves the type."""
+    Violation when the exact result leaves the type."""
     op = ArithOp(op)
     _require_operand(a, spec, "left")
     _require_operand(b, spec, "right")
@@ -124,14 +134,10 @@ def checked_arith(op: ArithOp, a: int, b: int, spec: IntSpec, strict: bool = Fal
         return exact
     if not spec.signed and not strict:
         return spec.wrap(exact)
-    return UbViolation(
-        kind=_OVERFLOW_KIND[op],
-        operands=(a, b),
-        int_spec=spec.name,
-        detail=(
-            f"{spec.name} {op.value} of {a} and {b} gives {exact}, outside "
-            f"[{spec.min}, {spec.max}]"
-        ),
+    return _trap(
+        _OVERFLOW_KIND[op],
+        f"{spec.name} {op.value} of {a} and {b} gives {exact}, outside "
+        f"[{spec.min}, {spec.max}]",
     )
 
 
@@ -140,19 +146,9 @@ def checked_div(a: int, b: int, spec: IntSpec):
     _require_operand(a, spec, "left")
     _require_operand(b, spec, "right")
     if b == 0:
-        return UbViolation(
-            kind=UbKind.DIV_BY_ZERO,
-            operands=(a, b),
-            int_spec=spec.name,
-            detail=f"{spec.name} division of {a} by zero",
-        )
+        return _trap(UbKind.DIV_BY_ZERO, f"{spec.name} division of {a} by zero")
     if spec.signed and a == spec.min and b == -1:
-        return UbViolation(
-            kind=UbKind.DIV_OVERFLOW,
-            operands=(a, b),
-            int_spec=spec.name,
-            detail=f"{spec.name} division {a} / -1 overflows to {-a}",
-        )
+        return _trap(UbKind.DIV_OVERFLOW, f"{spec.name} division {a} / -1 overflows to {-a}")
     quotient = abs(a) // abs(b)
     return quotient if (a < 0) == (b < 0) else -quotient
 
@@ -162,25 +158,17 @@ def checked_shift(a: int, s: int, spec: IntSpec, strict: bool = False):
     value must fit the type (unsigned wraps unless strict)."""
     _require_operand(a, spec, "left")
     if s < 0 or s >= spec.width:
-        return UbViolation(
-            kind=UbKind.SHIFT_RANGE,
-            operands=(a, s),
-            int_spec=spec.name,
-            detail=f"shift count {s} outside [0, {spec.width}) for {spec.name}",
+        return _trap(
+            UbKind.SHIFT_RANGE, f"shift count {s} outside [0, {spec.width}) for {spec.name}"
         )
     exact = a * (1 << s)
     if spec.contains(exact):
         return exact
     if not spec.signed and not strict:
         return spec.wrap(exact)
-    return UbViolation(
-        kind=UbKind.SHIFT_RANGE,
-        operands=(a, s),
-        int_spec=spec.name,
-        detail=(
-            f"{spec.name} shift {a} << {s} gives {exact}, outside "
-            f"[{spec.min}, {spec.max}]"
-        ),
+    return _trap(
+        UbKind.SHIFT_RANGE,
+        f"{spec.name} shift {a} << {s} gives {exact}, outside [{spec.min}, {spec.max}]",
     )
 
 
@@ -189,14 +177,10 @@ def checked_trunc(value: int, from_spec: IntSpec, to_spec: IntSpec):
     _require_operand(value, from_spec, "source")
     if to_spec.contains(value):
         return value
-    return UbViolation(
-        kind=UbKind.TRUNCATION,
-        operands=(value,),
-        int_spec=to_spec.name,
-        detail=(
-            f"{from_spec.name} value {value} does not fit {to_spec.name} "
-            f"[{to_spec.min}, {to_spec.max}]"
-        ),
+    return _trap(
+        UbKind.TRUNCATION,
+        f"{from_spec.name} value {value} does not fit {to_spec.name} "
+        f"[{to_spec.min}, {to_spec.max}]",
     )
 
 
@@ -206,11 +190,8 @@ def check_align(addr: GuestAddr, align: int):
         raise ConfigError(f"alignment must be a power of two, got {align}")
     if addr.offset % align == 0:
         return None
-    return UbViolation(
-        kind=UbKind.MISALIGNED,
-        operands=(addr.offset, align),
-        int_spec=None,
-        detail=f"offset {addr.offset} not aligned to {align}",
+    return _trap(
+        UbKind.MISALIGNED, f"offset {addr.offset} not aligned to {align}", offset=addr.offset
     )
 
 
@@ -219,11 +200,8 @@ def check_nonnull(addr: GuestAddr):
     a permanently blacklisted guard)."""
     if addr.offset != 0:
         return None
-    return UbViolation(
-        kind=UbKind.NULL_DEREF,
-        operands=(addr.offset,),
-        int_spec=None,
-        detail=f"null dereference in partition {addr.partition_id}",
+    return _trap(
+        UbKind.NULL_DEREF, f"null dereference in partition {addr.partition_id}", offset=addr.offset
     )
 
 
@@ -231,47 +209,14 @@ def check_bool(value: int):
     """A C _Bool must hold exactly 0 or 1."""
     if value in (0, 1):
         return None
-    return UbViolation(
-        kind=UbKind.BOOL_RANGE,
-        operands=(value,),
-        int_spec=None,
-        detail=f"boolean holds {value}, expected 0 or 1",
-    )
+    return _trap(UbKind.BOOL_RANGE, f"boolean holds {value}, expected 0 or 1")
 
 
 def check_enum(value: int, enum_spec: EnumSpec):
     if value in enum_spec.allowed:
         return None
-    return UbViolation(
-        kind=UbKind.ENUM_RANGE,
-        operands=(value,),
-        int_spec=None,
-        detail=(
-            f"value {value} not in enum '{enum_spec.name}' "
-            f"{sorted(enum_spec.allowed)}"
-        ),
+    return _trap(
+        UbKind.ENUM_RANGE,
+        f"value {value} not in enum '{enum_spec.name}' {sorted(enum_spec.allowed)}",
     )
 
-
-def checked_float_to_int(value: float, to_spec: IntSpec):
-    """Float-to-integer cast: truncates toward zero, violates when the
-    truncated value leaves the type (or the float is not finite)."""
-    if value != value or value in (float("inf"), float("-inf")):
-        return UbViolation(
-            kind=UbKind.TRUNCATION,
-            operands=(value,),
-            int_spec=to_spec.name,
-            detail=f"cannot convert non-finite {value!r} to {to_spec.name}",
-        )
-    truncated = int(value)
-    if to_spec.contains(truncated):
-        return truncated
-    return UbViolation(
-        kind=UbKind.TRUNCATION,
-        operands=(value,),
-        int_spec=to_spec.name,
-        detail=(
-            f"float {value!r} truncates to {truncated}, outside {to_spec.name} "
-            f"[{to_spec.min}, {to_spec.max}]"
-        ),
-    )

@@ -1,9 +1,9 @@
 """Addressing primitives and violation records shared by all checkers.
 
 A violation is a finding about the simulated guest, not a failure of the
-simulator.  Checkers either return a violation record (pure query APIs) or
-raise :class:`ViolationError` around one (mutating entry points, so that the
-faulting operation has no side effects).  The harness catches the wrapper,
+simulator.  Checkers either return a :class:`Violation` (pure query APIs)
+or raise :class:`ViolationError` around one (mutating entry points, so that
+the faulting operation has no side effects).  The harness catches the wrapper,
 logs the record and continues the run.
 """
 
@@ -46,57 +46,36 @@ class UseSite(Enum):
 
 
 @dataclass(frozen=True)
-class AsanViolation:
-    """Access touching non-addressable memory. ``kind`` is a PoisonKind name
-    or WILD_ADDRESS; ``addr`` is the first offending byte."""
+class Violation:
+    """One finding, in report form, whichever checker raised it.
+
+    Checkers fill in what they know, with ``kind`` and ``detail`` already as
+    they are printed; the harness stamps ``step`` when it logs the finding
+    (and ``partition`` on arithmetic traps, which see only values).  The
+    field names are the keys of a JSON report's violation objects.
+    """
 
     kind: str
-    addr: GuestAddr
-    access: AccessKind
-    requested_len: int
-    region_label: str | None = None
-
-
-@dataclass(frozen=True)
-class MsanViolation:
-    """Use of a byte that was never initialized."""
-
-    addr: GuestAddr
-    len_requested: int
-    context: UseSite
+    partition: int | None = None
+    offset: int | None = None
+    size: int | None = None
+    access: str | None = None  # AccessKind value, "R" or "W"
+    step: int | None = None
+    detail: str = ""
+    context: str | None = None  # UseSite value, on UNINIT_USE only
     origin: str | None = None
 
-    kind: str = "UNINIT_USE"
-
-
-@dataclass(frozen=True)
-class UbViolation:
-    """An arithmetic or value-domain trap from a checked primitive."""
-
-    kind: "object"  # UbKind; typed loosely to avoid an import cycle
-    operands: tuple
-    int_spec: str | None
-    detail: str
-
-
-@dataclass(frozen=True)
-class PortViolation:
-    """Port-level fault: oversize message or full queue."""
-
-    kind: str  # MESSAGE_TOO_LONG | QUEUE_FULL
-    port_name: str
-    partition_id: int
-    detail: str
-
-
-@dataclass(frozen=True)
-class ContractViolation:
-    """A self-checking step observed a result other than the declared one."""
-
-    partition_id: int | None
-    detail: str
-
-    kind: str = "API_CONTRACT"
+    def to_line(self) -> str:
+        addr = format(self.offset, "#x") if self.offset is not None else "-"
+        return (
+            f"VIOLATION kind={self.kind}"
+            f" part={self.partition if self.partition is not None else '-'}"
+            f" addr={addr}"
+            f" size={self.size if self.size is not None else '-'}"
+            f" access={self.access if self.access is not None else '-'}"
+            f" step={self.step}"
+            f' detail="{self.detail}"'
+        )
 
 
 class ViolationError(PartsanError):

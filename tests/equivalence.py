@@ -112,11 +112,11 @@ def run_asan_equivalence(
             assert verdict is not None, (
                 f"{ctx}: check({start}, {length}) passed, oracle wants {cls}@{bad}"
             )
-            assert verdict.addr.offset == bad, (
-                f"{ctx}: first bad byte {verdict.addr.offset}, oracle {bad}"
+            assert verdict.offset == bad, (
+                f"{ctx}: first bad byte {verdict.offset}, oracle {bad}"
             )
-            assert verdict.requested_len == length
-            assert verdict.access is AccessKind.READ
+            assert verdict.size == length
+            assert verdict.access == AccessKind.READ.value
             if cls == "WILD":
                 assert verdict.kind == "WILD_ADDRESS", f"{ctx}: {verdict.kind}"
             else:
@@ -182,14 +182,14 @@ def run_msan_equivalence(rng, size, n_ops, full_compare_every, label=""):
                 assert verdict is not None, (
                     f"{ctx}: check({start}, {length}) passed, oracle wants byte {bad}"
                 )
-                assert verdict.addr.offset == bad, (
-                    f"{ctx}: first uninit {verdict.addr.offset}, oracle {bad}"
+                assert verdict.offset == bad, (
+                    f"{ctx}: first uninit {verdict.offset}, oracle {bad}"
                 )
                 assert verdict.origin == origin, (
                     f"{ctx}: origin {verdict.origin!r}, oracle {origin!r}"
                 )
-                assert verdict.context is context
-                assert verdict.len_requested == length
+                assert verdict.context == context.value
+                assert verdict.size == length
                 tally["check_fail"] += 1
         if (op_index + 1) % full_compare_every == 0:
             _assert_same_init(shadow, oracle, ctx)

@@ -80,7 +80,7 @@ def test_03_init_shadow_oracle_equivalence():
     shadow.mark_initialized(4, 4, "write:w")
     copy_propagate(shadow, 0, 16, 8)
     violation = shadow.check(16, 8, UseSite.BRANCH)
-    assert violation.addr.offset == 16
+    assert violation.offset == 16
     assert violation.origin == "alloc:src"
     assert shadow.origin_at(20) == "write:w"
     assert shadow.check(20, 4, UseSite.BRANCH) is None

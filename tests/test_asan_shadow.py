@@ -155,10 +155,11 @@ def test_check_access_flags_first_bad_byte_and_kind():
     m.unpoison(16, 16)
     v = m.check_access(12, 8, AccessKind.WRITE)
     assert v.kind == PoisonKind.MANUAL_BLACKLIST.name
-    assert v.addr.offset == 12
-    assert v.access is AccessKind.WRITE and v.requested_len == 8
+    assert v.offset == 12
+    assert v.access == AccessKind.WRITE.value and v.size == 8
+    assert (v.partition, v.detail) == (1, "blacklisted memory")
     v = m.check_access(16, 20, AccessKind.READ)
-    assert v.addr.offset == 32
+    assert v.offset == 32
 
 
 def test_partial_granule_violation_blames_next_poison_to_the_right():
@@ -167,7 +168,7 @@ def test_partial_granule_violation_blames_next_poison_to_the_right():
     m.unpoison(16, 13)  # payload 16..29, granule 3 holds 5 addressable bytes
     m.poison(32, 16, PoisonKind.RIGHT_REDZONE)
     v = m.check_access(29, 1, AccessKind.READ)
-    assert v.addr.offset == 29
+    assert v.offset == 29
     assert v.kind == PoisonKind.RIGHT_REDZONE.name
 
 
@@ -176,7 +177,7 @@ def test_partial_granule_violation_without_right_poison_falls_back():
     m.unpoison(0, 16)
     m.unpoison(8, 5)  # tail granule prefix 5, nothing poisoned to the right
     v = m.check_access(13, 1, AccessKind.READ)
-    assert v.addr.offset == 13
+    assert v.offset == 13
     assert v.kind == PoisonKind.MANUAL_BLACKLIST.name
 
 
@@ -184,11 +185,11 @@ def test_check_access_wild_address_bounds():
     m = ShadowMap(1, 64, granularity=8)
     m.unpoison(0, 64)
     v = m.check_access(-1, 4, AccessKind.READ)
-    assert v.kind == WILD_ADDRESS and v.addr.offset == -1
+    assert v.kind == WILD_ADDRESS and v.offset == -1
     v = m.check_access(70, 2, AccessKind.READ)
-    assert v.kind == WILD_ADDRESS and v.addr.offset == 70
+    assert v.kind == WILD_ADDRESS and v.offset == 70
     v = m.check_access(60, 8, AccessKind.READ)
-    assert v.kind == WILD_ADDRESS and v.addr.offset == 64
+    assert v.kind == WILD_ADDRESS and v.offset == 64
     with pytest.raises(ConfigError):
         m.check_access(0, 0, AccessKind.READ)
 

@@ -9,7 +9,6 @@ from partsan.guest_memory import (
     NULL_GUARD,
     PartitionMemory,
     Phase,
-    create_partition_memory,
 )
 from partsan.msan_shadow import ReservedInitConfig
 from partsan.violations import AccessKind, UseSite, ViolationError
@@ -57,7 +56,7 @@ def test_alignment_pad_for_offsize_payload():
     assert region.span_end == 32 + 16 + DEFAULT_REDZONE
     v = mem.shadow.check_access(region.base + 13, 1, AccessKind.READ)
     assert v is not None
-    assert v.addr.offset == region.base + 13
+    assert v.offset == region.base + 13
     assert v.kind == PoisonKind.RIGHT_REDZONE.name
 
 
@@ -146,8 +145,8 @@ def test_checked_access_raises_violation_with_region_name():
         mem.checked_write(mem.addr(region.base - 1), b"\x01")
     violation = err.value.violation
     assert violation.kind == PoisonKind.LEFT_REDZONE.name
-    assert violation.region_label == "buffer"
-    assert violation.addr.offset == region.base - 1
+    assert violation.detail == "left redzone of region 'buffer'"
+    assert violation.offset == region.base - 1
     with pytest.raises(ViolationError) as err:
         mem.checked_read(mem.addr(region.base + 16), 1)
     assert err.value.violation.kind == PoisonKind.RIGHT_REDZONE.name
@@ -190,10 +189,3 @@ def test_region_lookup_errors():
     with pytest.raises(ConfigError):
         mem.checked_read(type(mem.addr(0))(2, 0), 1)  # wrong partition id
 
-
-def test_create_partition_memory_helper():
-    mem = create_partition_memory(3, 256, granularity=4, redzone=8)
-    assert mem.partition_id == 3
-    assert mem.granularity == 4
-    region = mem.alloc_region(4, "r")
-    assert region.base == NULL_GUARD + 8

@@ -1,36 +1,30 @@
 """End-to-end runs: verdict matching, reports, determinism, soundness."""
 
 import random
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from partsan import scenario as scenario_module
 from partsan.errors import ConfigError
 from partsan.harness import (
     RunReport,
-    ViolationRecord,
+    Simulator,
     match_expected,
     parse_report_json,
     render_report,
     run_scenario,
 )
-from partsan.scenario import ExpectPattern, load_builtin, load_scenario
+from partsan.scenario import ExpectPattern, builtin_names, load_builtin, load_scenario
+from partsan.violations import Violation
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def _record(kind, partition=None, offset=None, context=None, step=0):
-    return ViolationRecord(
-        kind=kind,
-        partition=partition,
-        offset=offset,
-        size=None,
-        access=None,
-        step=step,
-        detail="",
-        context=context,
-    )
+    return Violation(kind=kind, partition=partition, offset=offset, step=step, context=context)
 
 
 # -- match_expected ----------------------------------------------------------
@@ -72,6 +66,23 @@ def test_match_needs_backtracking():
     assert match_expected([r2, r2], patterns) is False
 
 
+def test_match_fails_fast_without_a_perfect_matching():
+    # every pattern fits all but one record, so no assignment works; a
+    # search over assignments would try 199! of them
+    records = [_record("UNINIT_USE", offset=i) for i in range(199)]
+    records.append(_record("LEFT_REDZONE"))
+    patterns = [ExpectPattern(kind="UNINIT_USE")] * 200
+    start = time.perf_counter()
+    assert match_expected(records, patterns) is False
+    assert time.perf_counter() - start < 0.25
+    assert match_expected(records[:-1], patterns[:-1]) is True
+
+
+def test_match_handles_more_patterns_than_the_recursion_limit():
+    records = [_record("UNINIT_USE", offset=i) for i in range(1100)]
+    assert match_expected(records, [ExpectPattern(kind="UNINIT_USE")] * 1100) is True
+
+
 def test_match_is_a_multiset_not_a_sequence():
     records = [_record("LEFT_REDZONE", offset=31), _record("RIGHT_REDZONE", offset=48)]
     patterns = [
@@ -82,6 +93,11 @@ def test_match_is_a_multiset_not_a_sequence():
 
 
 # -- whole-scenario runs -------------------------------------------------------
+
+
+def test_every_loadable_op_has_an_executor():
+    assert set(Simulator._EXECUTORS) == set(scenario_module._OPS)
+
 
 
 def test_listing1_overflow_report():
@@ -134,12 +150,18 @@ def test_runs_are_deterministic():
 
 
 @pytest.mark.parametrize(
-    "name", ("listing1_overflow", "ub_catalogue", "sampling_freshness")
+    ("name", "fmt"),
+    [
+        pytest.param(name, fmt, id=name if fmt == "text" else f"{name}-{fmt}")
+        for name in builtin_names()
+        for fmt in ("text", "json")
+    ],
 )
-def test_text_reports_match_golden(name):
+def test_text_reports_match_golden(name, fmt):
     report = run_scenario(load_builtin(name))
-    golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
-    assert render_report(report, "text") == golden
+    suffix = "txt" if fmt == "text" else "json"
+    golden = (GOLDEN / f"{name}.{suffix}").read_text(encoding="utf-8")
+    assert render_report(report, fmt) == golden
 
 
 def test_legacy_get_my_id_breaks_the_contract():

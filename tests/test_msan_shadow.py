@@ -21,8 +21,8 @@ def test_fresh_shadow_is_fully_uninitialized():
     s = InitShadow(1, 32)
     v = s.check(0, 4, UseSite.SYSCALL_PRE)
     assert v is not None
-    assert v.addr.offset == 0
-    assert v.context is UseSite.SYSCALL_PRE
+    assert v.offset == 0
+    assert v.context == UseSite.SYSCALL_PRE.value
     assert v.kind == "UNINIT_USE"
 
 
@@ -31,9 +31,9 @@ def test_check_reports_first_unwritten_byte_and_origin():
     s.set_uninitialized(0, 32, origin="alloc:buf")
     s.mark_initialized(0, 3, "write:w0")
     v = s.check(0, 8, UseSite.BRANCH)
-    assert v.addr.offset == 3
+    assert v.offset == 3
     assert v.origin == "alloc:buf"
-    assert v.len_requested == 8
+    assert v.size == 8
     s.mark_initialized(0, 8, "write:w1")
     assert s.check(0, 8, UseSite.BRANCH) is None
 
@@ -64,7 +64,7 @@ def test_copy_propagate_carries_bits_and_origins():
     copy_propagate(s, 0, 16, 8)
     assert [s.is_initialized(i) for i in range(16, 24)] == [True] * 4 + [False] * 4
     v = s.check(16, 8, UseSite.PORT_SEND)
-    assert v.addr.offset == 20
+    assert v.offset == 20
     assert v.origin == "alloc:src"  # blame the original allocation, not the copy
 
 
@@ -73,7 +73,7 @@ def test_copy_propagate_never_fires():
     dst = InitShadow(2, 16)
     dst.mark_initialized(0, 16, "write:w0")
     copy_propagate(src, 0, 0, 16, dst_shadow=dst)  # fully uninitialized source
-    assert dst.check(0, 16, UseSite.BRANCH).addr.offset == 0
+    assert dst.check(0, 16, UseSite.BRANCH).offset == 0
 
 
 def test_copy_propagate_overlap_behaves_like_memmove():
@@ -137,7 +137,7 @@ def test_unpoison_padding_empty_declaration_is_noop():
     reg = PaddingRegistry()
     reg.register("t", [], type_size=8)
     unpoison_padding(s, reg, "t", base=0)
-    assert s.check(0, 8, UseSite.PORT_SEND).addr.offset == 0
+    assert s.check(0, 8, UseSite.PORT_SEND).offset == 0
 
 
 def test_snapshot_roundtrip():

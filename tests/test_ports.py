@@ -15,7 +15,7 @@ from partsan.ports import (
     SamplingPort,
     Validity,
 )
-from partsan.violations import MsanViolation, UseSite, ViolationError
+from partsan.violations import UseSite, ViolationError
 
 
 def _memory(partition_id, label="buf", size=32):
@@ -128,9 +128,9 @@ def test_uninitialized_payload_blocked_and_not_stored():
     with pytest.raises(ViolationError) as err:
         src.write(src_mem, src_mem.addr(base), 8, now=0)
     violation = err.value.violation
-    assert isinstance(violation, MsanViolation)
-    assert violation.context is UseSite.PORT_SEND
-    assert violation.addr.offset == base + 4
+    assert violation.kind == "UNINIT_USE"
+    assert violation.context == UseSite.PORT_SEND.value
+    assert violation.offset == base + 4
     assert src.channel.latest is None
 
 
@@ -145,7 +145,7 @@ def test_poisoned_source_blocked():
     with pytest.raises(ViolationError) as err:
         src.write(src_mem, src_mem.addr(base + 4), 8, now=0)  # crosses right redzone
     assert err.value.violation.kind == "RIGHT_REDZONE"
-    assert err.value.violation.region_label == "buf"
+    assert err.value.violation.detail == "right redzone of region 'buf'"
     with pytest.raises(ViolationError) as err:
         src.write(src_mem, src_mem.addr(-2), 4, now=0)
     assert err.value.violation.kind == "WILD_ADDRESS"
@@ -219,7 +219,7 @@ def test_randomized_interleavings_preserve_fifo_and_init():
         else:
             result = dst.receive(dst_mem, dst_mem.addr(inbox), now=sent)
             assert result.payload == expected.popleft()
-            assert result.remaining == len(expected)
+            assert len(dst.channel.queue) == len(expected)
             # no uninitialized byte ever crosses a port
             assert dst_mem.init_shadow.check(inbox, 4, UseSite.BRANCH) is None
             received += 1

@@ -17,7 +17,6 @@ from partsan.sched import (
     ProcessState,
     ProcessTable,
     TimeModel,
-    TimeoutOverride,
     Window,
     check_deadline,
     get_my_id,
@@ -239,12 +238,6 @@ def test_check_deadline_reports_once_per_activation():
 def test_check_deadline_ignores_unactivated():
     process = Process(process_id=1, partition_id=1, priority=1, time_capacity=10)
     assert check_deadline(process, 1000) is None
-
-
-def test_timeout_override_validation():
-    TimeoutOverride(process_id=1, multiplier=Fraction(3, 2))
-    with pytest.raises(ConfigError):
-        TimeoutOverride(process_id=1, multiplier=Fraction(1, 2))
 
 
 def test_get_my_id():

@@ -69,8 +69,8 @@ EXPECTED_SPEC = SyscallSpec(
 def test_fixture_parses_to_expected_spec():
     spec = parse_template(FIXTURE.read_text(encoding="utf-8"))
     assert spec == EXPECTED_SPEC
-    assert len(spec.pre_checks) == 1
-    assert len(spec.post_checks) == 3
+    phases = [c.phase for c in spec.checks]
+    assert (phases.count(CheckPhase.PRE), phases.count(CheckPhase.POST)) == (1, 3)
     assert spec.param_type("status") == "jet_thread_status_t*"
 
 
@@ -146,6 +146,7 @@ def test_parse_errors_carry_line_and_column():
     )
     _error_at("// plain comment\nsyscall_declare(int, f);", 1, 1)
     _error_at("syscall_declare(int, f)$", 1, 24)
+    _error_at("//!POST: msan_check(a, 4);\nsyscall_declare(int, f, int, a);", 1, 10)
 
 
 def test_parse_error_message_mentions_position():
@@ -222,8 +223,8 @@ def test_enforce_pre_fires_on_uninitialized_input():
     resolved = resolve_sizes(spec, SIZES, _bindings())
     violation = enforce_pre(resolved, {1: shadow})
     assert violation is not None
-    assert violation.addr.offset == 32
-    assert violation.context is UseSite.SYSCALL_PRE
+    assert violation.offset == 32
+    assert violation.context == UseSite.SYSCALL_PRE.value
 
 
 def test_enforce_pre_passes_after_write_and_post_unpoisons_on_success():
@@ -263,7 +264,7 @@ def test_enforce_pre_stops_at_first_violation_in_order():
     }
     resolved = resolve_sizes(spec, TypeSizeTable({}), bindings)
     violation = enforce_pre(resolved, {1: shadow})
-    assert violation.addr.offset == 0
+    assert violation.offset == 0
     # the unpoison after the failing check never ran
     assert shadow.check(8, 4, UseSite.BRANCH) is not None
     shadow.mark_initialized(0, 4, "w")
