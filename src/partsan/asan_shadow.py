@@ -55,19 +55,26 @@ def poison_detail(kind: str, label: str | None = None) -> str:
 
 def shadow_size_for(memory_size: int, granularity: int) -> int:
     """Number of shadow bytes needed for ``memory_size`` guest bytes."""
-    _check_granularity(granularity)
+    check_granularity(granularity)
+    check_memory_size(memory_size, granularity)
+    return memory_size // granularity
+
+
+def check_granularity(granularity: int) -> int:
+    """A shadow granularity is one of VALID_GRANULARITIES; returns it."""
+    if granularity not in VALID_GRANULARITIES:
+        raise ConfigError(
+            f"granularity must be one of {VALID_GRANULARITIES}, got {granularity!r}"
+        )
+    return granularity
+
+
+def check_memory_size(memory_size: int, granularity: int) -> None:
+    """A partition's memory is a whole number of granules, at least one."""
     if memory_size <= 0 or memory_size % granularity != 0:
         raise ConfigError(
             f"memory size {memory_size} must be a positive multiple of "
             f"granularity {granularity}"
-        )
-    return memory_size // granularity
-
-
-def _check_granularity(granularity: int) -> None:
-    if granularity not in VALID_GRANULARITIES:
-        raise ConfigError(
-            f"granularity must be one of {VALID_GRANULARITIES}, got {granularity!r}"
         )
 
 
@@ -79,7 +86,7 @@ def encode_granule(flags, kind: PoisonKind = PoisonKind.MANUAL_BLACKLIST) -> int
     """
     flags = list(flags)
     g = len(flags)
-    _check_granularity(g)
+    check_granularity(g)
     n = 0
     while n < g and flags[n]:
         n += 1
@@ -94,7 +101,7 @@ def encode_granule(flags, kind: PoisonKind = PoisonKind.MANUAL_BLACKLIST) -> int
 
 def decode_granule(code: int, granularity: int) -> tuple[bool, ...]:
     """Per-byte addressability of one granule given its shadow code."""
-    _check_granularity(granularity)
+    check_granularity(granularity)
     if code == 0x00:
         return (True,) * granularity
     if 0 < code < granularity:

@@ -51,4 +51,9 @@ class UnknownType(PartsanError):
 
 
 class BindError(PartsanError):
-    """A syscall parameter could not be bound to a concrete address/size."""
+    """A syscall parameter could not be bound to a concrete address/size;
+    ``param`` names the parameter when the error is about its binding."""
+
+    def __init__(self, message: str, param: str | None = None):
+        self.param = param
+        super().__init__(message)

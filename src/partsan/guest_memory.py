@@ -34,6 +34,16 @@ NULL_GUARD = 16
 DEFAULT_REDZONE = 16
 
 
+def check_redzone(redzone: int, granularity: int) -> None:
+    """Redzones are whole granules, at least one, so that region payloads
+    stay granule-aligned."""
+    if redzone < granularity or redzone % granularity != 0:
+        raise ConfigError(
+            f"redzone {redzone} must be a multiple of granularity "
+            f"{granularity} and at least one granule"
+        )
+
+
 class Phase(Enum):
     INIT = "INIT"
     RUNNING = "RUNNING"
@@ -66,11 +76,7 @@ class PartitionMemory:
         redzone: int = DEFAULT_REDZONE,
         reserved_init: ReservedInitConfig | None = None,
     ):
-        if redzone < granularity or redzone % granularity != 0:
-            raise ConfigError(
-                f"redzone {redzone} must be a multiple of granularity "
-                f"{granularity} and at least one granule"
-            )
+        check_redzone(redzone, granularity)
         self.partition_id = partition_id
         self.size_bytes = size_bytes
         self.granularity = granularity

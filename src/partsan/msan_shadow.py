@@ -10,6 +10,7 @@ where the offending value came from.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -37,11 +38,17 @@ class ReservedInitConfig:
     pattern: int = 0xCD
 
     def __post_init__(self):
-        if not 0 <= self.pattern <= 0xFF:
-            raise ConfigError(f"reserved pattern must be a byte value, got {self.pattern}")
+        check_reserved_pattern(self.pattern)
 
     def masks_write(self, data: bytes) -> bool:
         return self.enabled and len(data) > 0 and all(b == self.pattern for b in data)
+
+
+def check_reserved_pattern(pattern: int) -> int:
+    """The reserved initialization pattern is one byte value; returns it."""
+    if not 0 <= pattern <= 0xFF:
+        raise ConfigError(f"reserved pattern must be a byte value, got {pattern}")
+    return pattern
 
 
 class InitShadow:
@@ -169,6 +176,27 @@ def copy_propagate(
     (dst_shadow or src_shadow).apply_snapshot(dst_start, bits, labels)
 
 
+def add_padding_range(
+    accepted: list, type_name: str, off: int, ln: int, type_size: int | None = None
+) -> None:
+    """Insert padding range ``(off, ln)`` of ``type_name`` into ``accepted``,
+    the type's ranges so far in sorted order.  The range must lie within the
+    type's size (when known) and overlap none of the accepted ones."""
+    if off < 0 or ln < 1:
+        raise ConfigError(f"padding range ({off}, {ln}) of type '{type_name}' invalid")
+    if type_size is not None and off + ln > type_size:
+        raise ConfigError(
+            f"padding range ({off}, {ln}) exceeds size {type_size} of "
+            f"type '{type_name}'"
+        )
+    i = bisect(accepted, (off, ln))
+    overlaps_before = i > 0 and sum(accepted[i - 1]) > off
+    overlaps_after = i < len(accepted) and accepted[i][0] < off + ln
+    if overlaps_before or overlaps_after:
+        raise ConfigError(f"padding ranges of type '{type_name}' overlap")
+    accepted.insert(i, (off, ln))
+
+
 class PaddingRegistry:
     """Declared padding ranges per named struct type.
 
@@ -181,23 +209,10 @@ class PaddingRegistry:
         self._ranges: dict[str, tuple[tuple[int, int], ...]] = {}
 
     def register(self, type_name: str, ranges, type_size: int | None = None) -> None:
-        checked = []
-        prev_end = -1
-        for off, ln in sorted(tuple(r) for r in ranges):
-            if off < 0 or ln < 1:
-                raise ConfigError(
-                    f"padding range ({off}, {ln}) of type '{type_name}' invalid"
-                )
-            if off < prev_end:
-                raise ConfigError(f"padding ranges of type '{type_name}' overlap")
-            if type_size is not None and off + ln > type_size:
-                raise ConfigError(
-                    f"padding range ({off}, {ln}) exceeds size {type_size} of "
-                    f"type '{type_name}'"
-                )
-            prev_end = off + ln
-            checked.append((off, ln))
-        self._ranges[type_name] = tuple(checked)
+        accepted = []
+        for off, ln in ranges:
+            add_padding_range(accepted, type_name, off, ln, type_size)
+        self._ranges[type_name] = tuple(accepted)
 
     def ranges_for(self, type_name: str) -> tuple[tuple[int, int], ...]:
         if type_name not in self._ranges:

@@ -18,12 +18,20 @@ from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 
-from .errors import ConfigError, ParseError
-from .msan_shadow import ReservedInitConfig
-from .sched import CheckCosts, MajorFrame, Window, to_fraction
-from .syscall_annotations import SyscallSpec, parse_template
+from .asan_shadow import check_granularity, check_memory_size
+from .errors import BindError, ConfigError, ParseError, UnknownType
+from .guest_memory import check_redzone
+from .msan_shadow import ReservedInitConfig, add_padding_range, check_reserved_pattern
+from .sched import CheckCosts, MajorFrame, Window, check_period, parse_slowdown, to_fraction
+from .syscall_annotations import (
+    ParamBinding,
+    SyscallSpec,
+    TypeSizeTable,
+    parse_template,
+    resolve_sizes,
+)
 from .ub_checks import UbKind
-from .violations import UseSite
+from .violations import GuestAddr, UseSite
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -138,11 +146,10 @@ class Scenario:
         shadow granularity on every partition."""
         scenario = self
         if slowdown_factor is not None:
-            factor = to_fraction(slowdown_factor)
-            if factor <= 0:
-                raise ConfigError(f"slowdown factor must be positive, got {slowdown_factor}")
+            factor = parse_slowdown(slowdown_factor)
             scenario = replace(scenario, time=replace(scenario.time, slowdown_factor=factor))
         if granularity is not None:
+            check_granularity(granularity)
             scenario = replace(
                 scenario,
                 partitions=tuple(
@@ -154,280 +161,69 @@ class Scenario:
 
 # -- field helpers ------------------------------------------------------------
 #
-# ``path`` is the JSON pointer an error is reported at; the default "" stands
-# for the value itself, and the step loader prefixes where the value sits.
-
-_MISSING = object()
-
-
-def _get(obj: dict, key: str, path: str, default=_MISSING):
-    if key in obj:
-        return obj[key]
-    if default is _MISSING:
-        raise ConfigError(f"missing required key '{key}'", f"{path}/{key}")
-    return default
+# A check takes a JSON value and returns what it loads, or raises a
+# ConfigError whose path is relative to that value (none for the value
+# itself); each enclosing object, list or map prefixes where the value sits,
+# so a JSON pointer is only assembled once a value turns out to be wrong.
 
 
-def _as_int(value, path: str = "", minimum: int | None = None) -> int:
+def _as_int(value, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"expected an integer, got {value!r}", path)
+        raise ConfigError(f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"expected an integer >= {minimum}, got {value}", path)
+        raise ConfigError(f"expected an integer >= {minimum}, got {value}")
     return value
 
 
-def _as_str(value, path: str = "") -> str:
+def _as_str(value) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"expected a string, got {value!r}", path)
+        raise ConfigError(f"expected a string, got {value!r}")
     return value
 
 
-def _as_bool(value, path: str = "") -> bool:
+def _as_bool(value) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"expected a boolean, got {value!r}", path)
+        raise ConfigError(f"expected a boolean, got {value!r}")
     return value
 
 
-def _as_list(value, path: str = "") -> list:
+def _as_list(value) -> list:
     if not isinstance(value, list):
-        raise ConfigError(f"expected a list, got {value!r}", path)
+        raise ConfigError(f"expected a list, got {value!r}")
     return value
 
 
-def _as_dict(value, path: str = "") -> dict:
+def _as_dict(value) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError(f"expected an object, got {value!r}", path)
+        raise ConfigError(f"expected an object, got {value!r}")
     return value
 
 
-def _as_name(value, path: str = "") -> str:
-    value = _as_str(value, path)
+def _as_name(value) -> str:
+    value = _as_str(value)
     if not _NAME_RE.match(value):
-        raise ConfigError(
-            f"name {value!r} must match [A-Za-z0-9_.-]+ (it appears in reports)", path
-        )
+        raise ConfigError(f"name {value!r} must match [A-Za-z0-9_.-]+ (it appears in reports)")
     return value
 
 
-def _as_hex(value, path: str = "") -> bytes:
-    value = _as_str(value, path)
+def _as_hex(value) -> bytes:
+    value = _as_str(value)
     try:
         data = bytes.fromhex(value)
     except ValueError:
-        raise ConfigError(f"not a hex byte string: {value!r}", path) from None
+        raise ConfigError(f"not a hex byte string: {value!r}") from None
     if not data:
-        raise ConfigError("hex byte string must not be empty", path)
+        raise ConfigError("hex byte string must not be empty")
     return data
 
 
-def _as_fraction(value, path: str) -> Fraction:
+def _at(key, check, *args):
+    """``check(*args)``, with an error it raises moved down to ``/key``."""
     try:
-        factor = to_fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise ConfigError(f"not a number or 'p/q' ratio: {value!r}", path) from None
-    return factor
+        return check(*args)
+    except ConfigError as exc:
+        raise ConfigError(exc.message, f"/{key}{exc.path or ''}") from None
 
-
-def _no_extras(obj: dict, allowed, path: str) -> None:
-    extras = sorted(set(obj) - set(allowed))
-    if extras:
-        raise ConfigError(f"unknown keys {extras}", path)
-
-
-def _as_int_type(value, path: str = "") -> str:
-    value = _as_str(value, path)
-    if value not in _INT_TYPE_NAMES:
-        raise ConfigError(
-            f"unknown integer type {value!r}, expected one of {_INT_TYPE_NAMES}", path
-        )
-    return value
-
-
-# -- section loaders ------------------------------------------------------------
-
-
-def _load_partition(obj, path: str) -> PartitionConfig:
-    obj = _as_dict(obj, path)
-    _no_extras(
-        obj,
-        ("id", "memory_size", "granularity", "redzone", "auto_start", "regions", "processes"),
-        path,
-    )
-    pid = _as_int(_get(obj, "id", path), f"{path}/id", minimum=1)
-    memory_size = _as_int(_get(obj, "memory_size", path, 4096), f"{path}/memory_size", minimum=1)
-    granularity = _as_int(_get(obj, "granularity", path, 8), f"{path}/granularity", minimum=1)
-    redzone = _as_int(_get(obj, "redzone", path, 16), f"{path}/redzone", minimum=1)
-    auto_start = _as_bool(_get(obj, "auto_start", path, True), f"{path}/auto_start")
-
-    regions = []
-    for i, robj in enumerate(_as_list(_get(obj, "regions", path, []), f"{path}/regions")):
-        rpath = f"{path}/regions/{i}"
-        robj = _as_dict(robj, rpath)
-        _no_extras(robj, ("label", "size"), rpath)
-        label = _as_name(_get(robj, "label", rpath), f"{rpath}/label")
-        if any(r.label == label for r in regions):
-            raise ConfigError(f"duplicate region label '{label}'", f"{rpath}/label")
-        size = _as_int(_get(robj, "size", rpath), f"{rpath}/size", minimum=1)
-        regions.append(RegionConfig(label=label, size=size))
-
-    processes = []
-    for i, pobj in enumerate(_as_list(_get(obj, "processes", path, []), f"{path}/processes")):
-        ppath = f"{path}/processes/{i}"
-        pobj = _as_dict(pobj, ppath)
-        _no_extras(pobj, ("id", "priority", "time_capacity", "period"), ppath)
-        proc_id = _as_int(_get(pobj, "id", ppath), f"{ppath}/id", minimum=1)
-        if any(p.process_id == proc_id for p in processes):
-            raise ConfigError(f"duplicate process id {proc_id}", f"{ppath}/id")
-        priority = _as_int(_get(pobj, "priority", ppath, 1), f"{ppath}/priority")
-        capacity = _as_int(_get(pobj, "time_capacity", ppath), f"{ppath}/time_capacity", minimum=1)
-        period = _get(pobj, "period", ppath, None)
-        if period is not None:
-            period = _as_int(period, f"{ppath}/period", minimum=1)
-            if period < capacity:
-                raise ConfigError(
-                    f"period {period} shorter than time_capacity {capacity}",
-                    f"{ppath}/period",
-                )
-        processes.append(
-            ProcessConfig(
-                process_id=proc_id, priority=priority, time_capacity=capacity, period=period
-            )
-        )
-
-    return PartitionConfig(
-        partition_id=pid,
-        memory_size=memory_size,
-        granularity=granularity,
-        redzone=redzone,
-        auto_start=auto_start,
-        regions=tuple(regions),
-        processes=tuple(processes),
-    )
-
-
-def _load_time(obj, path: str, partition_ids, process_keys) -> TimeConfig:
-    obj = _as_dict(obj, path)
-    _no_extras(
-        obj,
-        ("slowdown_factor", "costs", "major_frame", "timeout_overrides", "legacy_get_my_id"),
-        path,
-    )
-    factor = _as_fraction(_get(obj, "slowdown_factor", path, 1), f"{path}/slowdown_factor")
-    if factor <= 0:
-        raise ConfigError(f"slowdown factor must be positive, got {factor}", f"{path}/slowdown_factor")
-
-    cobj = _as_dict(_get(obj, "costs", path, {}), f"{path}/costs")
-    _no_extras(cobj, ("base_step", "asan_check", "msan_check", "ub_check"), f"{path}/costs")
-    costs = CheckCosts(
-        base_step=_as_int(_get(cobj, "base_step", path, 1), f"{path}/costs/base_step", minimum=0),
-        asan_check=_as_int(_get(cobj, "asan_check", path, 0), f"{path}/costs/asan_check", minimum=0),
-        msan_check=_as_int(_get(cobj, "msan_check", path, 0), f"{path}/costs/msan_check", minimum=0),
-        ub_check=_as_int(_get(cobj, "ub_check", path, 0), f"{path}/costs/ub_check", minimum=0),
-    )
-
-    frame = None
-    fobj = _get(obj, "major_frame", path, None)
-    if fobj is not None:
-        fpath = f"{path}/major_frame"
-        fobj = _as_dict(fobj, fpath)
-        _no_extras(fobj, ("frame_len", "windows"), fpath)
-        frame_len = _as_int(_get(fobj, "frame_len", fpath), f"{fpath}/frame_len", minimum=1)
-        windows = []
-        for i, wobj in enumerate(_as_list(_get(fobj, "windows", fpath), f"{fpath}/windows")):
-            wpath = f"{fpath}/windows/{i}"
-            wobj = _as_dict(wobj, wpath)
-            _no_extras(wobj, ("partition", "start", "length"), wpath)
-            wpid = _as_int(_get(wobj, "partition", wpath), f"{wpath}/partition")
-            if wpid not in partition_ids:
-                raise ConfigError(f"window references unknown partition {wpid}", f"{wpath}/partition")
-            windows.append(
-                Window(
-                    partition_id=wpid,
-                    start=_as_int(_get(wobj, "start", wpath), f"{wpath}/start", minimum=0),
-                    length=_as_int(_get(wobj, "length", wpath), f"{wpath}/length", minimum=1),
-                )
-            )
-        try:
-            frame = MajorFrame(frame_len, windows)
-        except ConfigError as exc:
-            raise ConfigError(str(exc), fpath) from None
-
-    overrides = []
-    for i, oobj in enumerate(
-        _as_list(_get(obj, "timeout_overrides", path, []), f"{path}/timeout_overrides")
-    ):
-        opath = f"{path}/timeout_overrides/{i}"
-        oobj = _as_dict(oobj, opath)
-        _no_extras(oobj, ("partition", "process", "multiplier"), opath)
-        opid = _as_int(_get(oobj, "partition", opath), f"{opath}/partition")
-        oproc = _as_int(_get(oobj, "process", opath), f"{opath}/process")
-        if (opid, oproc) not in process_keys:
-            raise ConfigError(
-                f"override references unknown process {oproc} of partition {opid}", opath
-            )
-        multiplier = _as_fraction(_get(oobj, "multiplier", opath), f"{opath}/multiplier")
-        if multiplier < 1:
-            raise ConfigError(f"multiplier must be >= 1, got {multiplier}", f"{opath}/multiplier")
-        overrides.append((opid, oproc, multiplier))
-
-    legacy = _as_bool(_get(obj, "legacy_get_my_id", path, False), f"{path}/legacy_get_my_id")
-    return TimeConfig(
-        slowdown_factor=factor,
-        costs=costs,
-        frame=frame,
-        overrides=tuple(overrides),
-        legacy_get_my_id=legacy,
-    )
-
-
-def _load_port(obj, path: str, partition_ids) -> PortConfig:
-    obj = _as_dict(obj, path)
-    kind = _as_str(_get(obj, "kind", path), f"{path}/kind")
-    if kind == "sampling":
-        _no_extras(
-            obj, ("name", "kind", "source", "destination", "max_message_size", "refresh_period"), path
-        )
-    elif kind == "queueing":
-        _no_extras(
-            obj, ("name", "kind", "source", "destination", "max_message_size", "capacity"), path
-        )
-    else:
-        raise ConfigError(f"port kind must be 'sampling' or 'queueing', got {kind!r}", f"{path}/kind")
-    name = _as_name(_get(obj, "name", path), f"{path}/name")
-    source = _get(obj, "source", path, None)
-    destination = _get(obj, "destination", path, None)
-    for label, value in (("source", source), ("destination", destination)):
-        if value is not None:
-            value = _as_int(value, f"{path}/{label}")
-            if value not in partition_ids:
-                raise ConfigError(f"{label} references unknown partition {value}", f"{path}/{label}")
-    if source is None and destination is None:
-        raise ConfigError("port needs a source and/or a destination", path)
-    if source is not None and source == destination:
-        raise ConfigError("source and destination must be different partitions", path)
-    max_size = _as_int(_get(obj, "max_message_size", path), f"{path}/max_message_size", minimum=1)
-    refresh = capacity = None
-    if kind == "sampling":
-        refresh = _as_int(_get(obj, "refresh_period", path), f"{path}/refresh_period", minimum=0)
-    else:
-        capacity = _as_int(_get(obj, "capacity", path), f"{path}/capacity", minimum=1)
-    return PortConfig(
-        name=name,
-        kind=kind,
-        source=source,
-        destination=destination,
-        max_message_size=max_size,
-        refresh_period=refresh,
-        capacity=capacity,
-    )
-
-
-# -- workload steps ---------------------------------------------------------------
-#
-# Every op is one row of _OPS: its fields, each with a value check and a
-# default, plus at most one check across fields.  Checks report paths
-# relative to the object they look at (none for the value itself), so a
-# JSON pointer is only assembled once a value turns out to be wrong.
 
 _REQUIRED = object()  # default marker: the key must be given
 _ABSENT = object()  # default marker: an absent key stays out of the fields
@@ -436,22 +232,31 @@ _ABSENT = object()  # default marker: an absent key stays out of the fields
 class _Fields:
     """Rows of ``(key, check, default)`` describing one JSON object.
 
-    ``check(fields)`` runs on the loaded fields; ``extra_keys`` are allowed
-    in the object but not loaded (a step's ``op``).
+    A ``None`` default also stands for an explicit ``null``, and a ``{}``
+    default is loaded like a given empty object, so every load gets its
+    own.  ``check(fields)`` runs on the loaded fields, then
+    ``build(**fields)`` makes the result (without ``build``, the fields
+    themselves); ``extra_keys`` are allowed in the object but not loaded
+    (the tag that picked these rows, a step's ``op`` or a port's ``kind``).
+    The instance is itself the check for such an object.
     """
 
-    def __init__(self, *rows, check=None, extra_keys=()):
+    def __init__(self, *rows, check=None, build=None, extra_keys=()):
         self.rows = rows
         self.keys = frozenset(extra_keys).union(key for key, _, _ in rows)
         self.check = check
+        self.build = build
 
-    def load(self, obj) -> dict:
+    def __call__(self, value):
+        return self.load(_as_dict(value))
+
+    def load(self, obj: dict):
         extras = obj.keys() - self.keys
         if extras:
             raise ConfigError(f"unknown keys {sorted(extras)}")
         fields = {}
         for key, check, default in self.rows:
-            if key in obj:
+            if key in obj and (default is not None or obj[key] is not None):
                 try:
                     fields[key] = check(obj[key])
                 except ConfigError as exc:
@@ -459,10 +264,59 @@ class _Fields:
             elif default is _REQUIRED:
                 raise ConfigError(f"missing required key '{key}'", f"/{key}")
             elif default is not _ABSENT:
-                fields[key] = default
+                fields[key] = check(default) if default.__class__ is dict else default
         if self.check is not None:
             self.check(fields)
-        return fields
+        return fields if self.build is None else self.build(**fields)
+
+
+def _list_of(check, unique=None):
+    """A JSON list, loaded item by item into a tuple.  ``unique`` is
+    ``(key, noun)``: no two items may share their ``key`` value."""
+
+    def load(value):
+        items = []
+        seen = set()
+        for i, item in enumerate(_as_list(value)):
+            try:
+                items.append(check(item))
+            except ConfigError as exc:
+                raise ConfigError(exc.message, f"/{i}{exc.path or ''}") from None
+            if unique is not None:
+                key, noun = unique
+                if item[key] in seen:
+                    raise ConfigError(f"duplicate {noun} {item[key]!r}", f"/{i}/{key}")
+                seen.add(item[key])
+        return tuple(items)
+
+    return load
+
+
+def _dict_of(check):
+    """A JSON object mapping any keys to values that pass ``check``."""
+
+    def load(value):
+        return {key: _at(key, check, item) for key, item in _as_dict(value).items()}
+
+    return load
+
+
+def _tagged(tag, table):
+    """A JSON object whose ``tag`` value picks the _Fields in ``table`` that
+    loads the rest of it; returns the tag value and the loaded fields."""
+    choices = sorted(table)
+
+    def load(value):
+        obj = _as_dict(value)
+        name = obj.get(tag)
+        fields = table.get(name) if isinstance(name, str) else None
+        if fields is None:
+            if tag not in obj:
+                raise ConfigError(f"missing required key '{tag}'", f"/{tag}")
+            raise ConfigError(f"unknown {tag} {name!r}, expected one of {choices}", f"/{tag}")
+        return name, fields.load(obj)
+
+    return load
 
 
 _count = partial(_as_int, minimum=1)
@@ -488,6 +342,156 @@ def _one_of(key, *choices):
     return check
 
 
+_as_int_type = _one_of("integer type", *_INT_TYPE_NAMES)
+
+
+# -- configuration sections -------------------------------------------------------
+
+
+def _layout(fields):
+    """Memory size and redzone come in whole shadow granules."""
+    _at("memory_size", check_memory_size, fields["memory_size"], fields["granularity"])
+    _at("redzone", check_redzone, fields["redzone"], fields["granularity"])
+
+
+_REGION = _Fields(("label", _as_name, _REQUIRED), ("size", _count, _REQUIRED), build=RegionConfig)
+
+_PROCESS = _Fields(
+    ("id", _count, _REQUIRED),
+    ("priority", _as_int, 1),
+    ("time_capacity", _count, _REQUIRED),
+    ("period", _as_int, None),
+    check=lambda f: _at("period", check_period, f["period"], f["time_capacity"]),
+    build=lambda id, **f: ProcessConfig(id, **f),
+)
+
+_PARTITION = _Fields(
+    ("id", _count, _REQUIRED),
+    ("memory_size", _as_int, 4096),
+    ("granularity", lambda value: check_granularity(_as_int(value)), 8),
+    ("redzone", _as_int, 16),
+    ("auto_start", _as_bool, True),
+    ("regions", _list_of(_REGION, unique=("label", "region label")), ()),
+    ("processes", _list_of(_PROCESS, unique=("id", "process id")), ()),
+    check=_layout,
+    build=lambda id, **f: PartitionConfig(id, **f),
+)
+
+
+def _multiplier(value):
+    multiplier = to_fraction(value)
+    if multiplier < 1:
+        raise ConfigError(f"multiplier must be >= 1, got {multiplier}")
+    return multiplier
+
+
+_COSTS = _Fields(
+    ("base_step", _ticks, 1),
+    ("asan_check", _ticks, 0),
+    ("msan_check", _ticks, 0),
+    ("ub_check", _ticks, 0),
+    build=CheckCosts,
+)
+
+_WINDOW = _Fields(
+    ("partition", _as_int, _REQUIRED),
+    ("start", _ticks, _REQUIRED),
+    ("length", _count, _REQUIRED),
+    build=lambda partition, **f: Window(partition, **f),
+)
+
+_FRAME = _Fields(
+    ("frame_len", _count, _REQUIRED), ("windows", _list_of(_WINDOW), _REQUIRED), build=MajorFrame
+)
+
+_OVERRIDE = _Fields(
+    ("partition", _as_int, _REQUIRED),
+    ("process", _as_int, _REQUIRED),
+    ("multiplier", _multiplier, _REQUIRED),
+    build=lambda partition, process, multiplier: (partition, process, multiplier),
+)
+
+_TIME = _Fields(
+    ("slowdown_factor", parse_slowdown, Fraction(1)),
+    ("costs", _COSTS, {}),
+    ("major_frame", _FRAME, None),
+    ("timeout_overrides", _list_of(_OVERRIDE), ()),
+    ("legacy_get_my_id", _as_bool, False),
+    build=lambda major_frame, timeout_overrides, **f: TimeConfig(
+        frame=major_frame, overrides=timeout_overrides, **f
+    ),
+)
+
+
+def _endpoints(fields):
+    if fields["source"] is None and fields["destination"] is None:
+        raise ConfigError("port needs a source and/or a destination")
+    if fields["source"] is not None and fields["source"] == fields["destination"]:
+        raise ConfigError("source and destination must be different partitions")
+
+
+def _port_kind(row):
+    return _Fields(
+        ("name", _as_name, _REQUIRED),
+        ("source", _as_int, None),
+        ("destination", _as_int, None),
+        ("max_message_size", _count, _REQUIRED),
+        row,
+        check=_endpoints,
+        extra_keys=("kind",),
+    )
+
+
+_PORT_KINDS = _tagged(
+    "kind",
+    {
+        "sampling": _port_kind(("refresh_period", _ticks, _REQUIRED)),
+        "queueing": _port_kind(("capacity", _count, _REQUIRED)),
+    },
+)
+
+
+def _port(value):
+    kind, fields = _PORT_KINDS(value)
+    return PortConfig(kind=kind, **fields)
+
+
+def _padding_range(value):
+    pair = _as_list(value)
+    if len(pair) != 2:
+        raise ConfigError("padding range must be [offset, length]")
+    return _at(0, _ticks, pair[0]), _at(1, _count, pair[1])
+
+
+_RESERVED_INIT = _Fields(
+    ("enabled", _as_bool, False),
+    ("pattern", lambda value: check_reserved_pattern(_as_int(value)), 0xCD),
+    build=ReservedInitConfig,
+)
+
+
+def _template(value):
+    try:
+        return parse_template(_as_str(value))
+    except ParseError as exc:
+        raise ConfigError(f"template does not parse: {exc}") from None
+
+
+_EXPECT_PATTERN = _Fields(
+    ("kind", _one_of("kind", *sorted(VIOLATION_KINDS)), _REQUIRED),
+    ("partition", _as_int, _ABSENT),
+    ("offset", _as_int, _ABSENT),
+    ("context", _one_of("context", *UseSite.__members__), _ABSENT),
+    build=ExpectPattern,
+)
+
+
+# -- workload steps ---------------------------------------------------------------
+#
+# Every op is one row of _OPS: its fields, each with a value check and a
+# default, plus at most one check across fields.
+
+
 def _power_of_two(value):
     value = _as_int(value, minimum=1)
     if value & (value - 1):
@@ -495,14 +499,14 @@ def _power_of_two(value):
     return value
 
 
+_INTS = _list_of(_as_int)
+
+
 def _value_set(value):
-    values = _as_list(value)
-    for i, item in enumerate(values):
-        if isinstance(item, bool) or not isinstance(item, int):
-            _as_int(item, f"/{i}")
+    values = _INTS(value)
     if not values:
         raise ConfigError("allowed value set must not be empty")
-    return tuple(values)
+    return values
 
 
 def _caller(value):
@@ -519,8 +523,6 @@ _LOCATION = (("region", _as_name, _ABSENT), ("offset", _as_int, 0))
 
 _OPERAND = _Fields(*_LOCATION, ("width", _count, _ABSENT), ("signed", _as_bool, _ABSENT))
 
-_BINDING = _Fields(*_LOCATION, ("len", _count, _ABSENT))
-
 #: Binding-less SYSCALL steps share this read-only default.
 _NO_BINDINGS = MappingProxyType({})
 
@@ -532,16 +534,6 @@ def _operand(value):
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ConfigError("operand must be an integer or a memory reference")
-
-
-def _bindings(value):
-    bindings = {}
-    for param, binding in _as_dict(value).items():
-        try:
-            bindings[param] = _BINDING.load(_as_dict(binding))
-        except ConfigError as exc:
-            raise ConfigError(exc.message, f"/{param}{exc.path or ''}") from None
-    return bindings
 
 
 def _write_payload(fields):
@@ -568,7 +560,7 @@ def _op(*rows, check=None):
 
 _PART = ("partition", _as_int, _REQUIRED)
 _LEN = ("len", _count, _REQUIRED)
-_PORT = ("port", _as_name, _REQUIRED)
+_PORT_NAME = ("port", _as_name, _REQUIRED)
 _TYPE = ("type", _as_int_type, _REQUIRED)
 _A = ("a", _operand, _REQUIRED)
 _B = ("b", _operand, _REQUIRED)
@@ -612,22 +604,22 @@ _OPS = {
     "SYSCALL": _op(
         _PART,
         ("name", _as_name, _REQUIRED),
-        ("bindings", _bindings, _NO_BINDINGS),
+        ("bindings", _dict_of(_Fields(*_LOCATION, ("len", _count, _ABSENT))), _NO_BINDINGS),
         ("succeed", _as_bool, True),
     ),
-    "SEND": _op(_PART, _PORT, *_LOCATION, _LEN),
+    "SEND": _op(_PART, _PORT_NAME, *_LOCATION, _LEN),
     "RECEIVE": _op(
         _PART,
-        _PORT,
+        _PORT_NAME,
         *_LOCATION,
         _EXPECT,
         ("expect_empty", _as_bool, False),
         check=_payload_or_empty,
     ),
-    "SAMPLING_WRITE": _op(_PART, _PORT, *_LOCATION, _LEN),
+    "SAMPLING_WRITE": _op(_PART, _PORT_NAME, *_LOCATION, _LEN),
     "SAMPLING_READ": _op(
         _PART,
-        _PORT,
+        _PORT_NAME,
         *_LOCATION,
         _EXPECT,
         ("expect_validity", _one_of("expect_validity", "VALID", "STALE", "EMPTY"), _ABSENT),
@@ -638,188 +630,133 @@ _OPS = {
 }
 
 
-def _load_step(obj, path: str) -> Step:
-    obj = _as_dict(obj, path)
-    op = obj.get("op")
-    fields = _OPS.get(op) if isinstance(op, str) else None
-    if fields is None:
-        op = _as_str(_get(obj, "op", path), f"{path}/op")
-        raise ConfigError(f"unknown op {op!r}, expected one of {sorted(_OPS)}", f"{path}/op")
-    try:
-        return Step(op=op, fields=fields.load(obj), path=path)
-    except ConfigError as exc:
-        raise ConfigError(exc.message, path + (exc.path or "")) from None
-
-
 # -- top-level loader ----------------------------------------------------------------
 
 
-_TOP_KEYS = (
-    "name",
-    "partitions",
-    "time",
-    "ports",
-    "types",
-    "padding",
-    "reserved_init",
-    "syscalls",
-    "workload",
-    "expect",
+_SCENARIO = _Fields(
+    ("name", _as_name, _REQUIRED),
+    ("partitions", _list_of(_PARTITION, unique=("id", "partition id")), ()),
+    ("time", _TIME, {}),
+    ("ports", _list_of(_port, unique=("name", "port name")), ()),
+    ("types", _dict_of(_count), {}),
+    ("padding", _dict_of(_list_of(_padding_range)), {}),
+    ("reserved_init", _RESERVED_INIT, {}),
+    ("syscalls", _list_of(_template), ()),
+    ("workload", _list_of(_tagged("op", _OPS)), ()),
+    ("expect", _list_of(_EXPECT_PATTERN), ()),
 )
 
 
-def load_scenario(data: dict) -> Scenario:
-    data = _as_dict(data, "/")
-    _no_extras(data, _TOP_KEYS, "/")
-    name = _as_name(_get(data, "name", ""), "/name")
-
-    partitions = []
-    for i, pobj in enumerate(_as_list(_get(data, "partitions", "", []), "/partitions")):
-        partition = _load_partition(pobj, f"/partitions/{i}")
-        if any(p.partition_id == partition.partition_id for p in partitions):
+def _check_syscall_step(step: Step, specs: dict, sizes: TypeSizeTable, passed: set) -> None:
+    """A SYSCALL step names a template, binds the parameters its directives
+    use and no others, and gives each directive room for its size.  Only
+    the template and each binding's ``len`` matter, so ``passed`` holds
+    the combinations already checked."""
+    key = (step["name"], tuple((param, b.get("len")) for param, b in step["bindings"].items()))
+    if key in passed:
+        return
+    spec = specs.get(step["name"])
+    if spec is None:
+        raise ConfigError(f"no syscall template named '{step['name']}'", f"{step.path}/name")
+    param_names = {pname for _, pname in spec.params}
+    for param in step["bindings"]:
+        if param not in param_names:
             raise ConfigError(
-                f"duplicate partition id {partition.partition_id}", f"/partitions/{i}/id"
+                f"binding for unknown parameter '{param}' of '{spec.syscall_name}'",
+                f"{step.path}/bindings/{param}",
             )
-        partitions.append(partition)
-    partition_ids = {p.partition_id for p in partitions}
-    process_keys = {
-        (p.partition_id, proc.process_id) for p in partitions for proc in p.processes
+    used = {c.target.param for c in spec.checks} | {c.size.name for c in spec.checks}
+    missing = sorted(used & param_names - step["bindings"].keys())
+    if missing:
+        raise ConfigError(
+            f"directives of '{spec.syscall_name}' need bindings for {missing}",
+            f"{step.path}/bindings",
+        )
+    # sizes do not depend on addresses, so any address will do
+    bindings = {
+        param: ParamBinding(GuestAddr(0, 0), binding.get("len"))
+        for param, binding in step["bindings"].items()
     }
+    try:
+        resolve_sizes(spec, sizes, bindings)
+    except UnknownType as exc:
+        raise ConfigError(str(exc), f"{step.path}/name") from None
+    except BindError as exc:
+        raise ConfigError(str(exc), f"{step.path}/bindings/{exc.param}") from None
+    passed.add(key)
 
-    time = _load_time(_get(data, "time", "", {}), "/time", partition_ids, process_keys)
 
-    ports = []
-    for i, pobj in enumerate(_as_list(_get(data, "ports", "", []), "/ports")):
-        port = _load_port(pobj, f"/ports/{i}", partition_ids)
-        if any(p.name == port.name for p in ports):
-            raise ConfigError(f"duplicate port name '{port.name}'", f"/ports/{i}/name")
-        ports.append(port)
+def load_scenario(data: dict) -> Scenario:
+    """Load every section through its _Fields, then check what refers
+    across sections: partition ids, process keys, port endpoints, padding
+    types and sizes, syscall names and bindings."""
+    try:
+        fields = _SCENARIO(data)
+    except ConfigError as exc:
+        raise ConfigError(exc.message, exc.path or "/") from None
 
-    types = {}
-    for type_name, size in _as_dict(_get(data, "types", "", {}), "/types").items():
-        types[type_name] = _as_int(size, f"/types/{type_name}", minimum=1)
-
-    padding = {}
-    for type_name, ranges in _as_dict(_get(data, "padding", "", {}), "/padding").items():
-        ppath = f"/padding/{type_name}"
-        if type_name not in types:
-            raise ConfigError(f"padding declared for unknown type '{type_name}'", ppath)
-        checked = []
-        for i, pair in enumerate(_as_list(ranges, ppath)):
-            pair = _as_list(pair, f"{ppath}/{i}")
-            if len(pair) != 2:
-                raise ConfigError("padding range must be [offset, length]", f"{ppath}/{i}")
-            off = _as_int(pair[0], f"{ppath}/{i}/0", minimum=0)
-            ln = _as_int(pair[1], f"{ppath}/{i}/1", minimum=1)
-            if off + ln > types[type_name]:
+    ids = {p.partition_id for p in fields["partitions"]}
+    time = fields["time"]
+    for i, window in enumerate(time.frame.windows if time.frame is not None else ()):
+        if window.partition_id not in ids:
+            raise ConfigError(
+                f"window references unknown partition {window.partition_id}",
+                f"/time/major_frame/windows/{i}/partition",
+            )
+    processes = {(p.partition_id, q.process_id) for p in fields["partitions"] for q in p.processes}
+    for i, (pid, proc, _) in enumerate(time.overrides):
+        if (pid, proc) not in processes:
+            raise ConfigError(
+                f"override references unknown process {proc} of partition {pid}",
+                f"/time/timeout_overrides/{i}",
+            )
+    for i, port in enumerate(fields["ports"]):
+        for label, value in (("source", port.source), ("destination", port.destination)):
+            if value is not None and value not in ids:
                 raise ConfigError(
-                    f"range ({off}, {ln}) exceeds size {types[type_name]} of "
-                    f"'{type_name}'",
-                    f"{ppath}/{i}",
+                    f"{label} references unknown partition {value}", f"/ports/{i}/{label}"
                 )
-            checked.append((off, ln))
-        padding[type_name] = tuple(checked)
 
-    robj = _as_dict(_get(data, "reserved_init", "", {}), "/reserved_init")
-    _no_extras(robj, ("enabled", "pattern"), "/reserved_init")
-    pattern = _as_int(_get(robj, "pattern", "/reserved_init", 0xCD), "/reserved_init/pattern", minimum=0)
-    if pattern > 0xFF:
-        raise ConfigError(f"pattern must be a byte value, got {pattern}", "/reserved_init/pattern")
-    reserved = ReservedInitConfig(
-        enabled=_as_bool(_get(robj, "enabled", "/reserved_init", False), "/reserved_init/enabled"),
-        pattern=pattern,
-    )
+    types = fields["types"]
+    for type_name, ranges in fields["padding"].items():
+        if type_name not in types:
+            raise ConfigError(
+                f"padding declared for unknown type '{type_name}'", f"/padding/{type_name}"
+            )
+        accepted = []
+        for i, (off, ln) in enumerate(ranges):
+            try:
+                add_padding_range(accepted, type_name, off, ln, types[type_name])
+            except ConfigError as exc:
+                raise ConfigError(exc.message, f"/padding/{type_name}/{i}") from None
 
-    syscalls = []
-    seen_user_names = set()
-    for i, text in enumerate(_as_list(_get(data, "syscalls", "", []), "/syscalls")):
-        spath = f"/syscalls/{i}"
-        try:
-            spec = parse_template(_as_str(text, spath))
-        except ParseError as exc:
-            raise ConfigError(f"template does not parse: {exc}", spath) from None
-        if spec.user_name in seen_user_names:
-            raise ConfigError(f"duplicate syscall user name '{spec.user_name}'", spath)
-        seen_user_names.add(spec.user_name)
-        syscalls.append(spec)
+    specs = {}
+    for i, spec in enumerate(fields["syscalls"]):
+        if spec.user_name in specs:
+            raise ConfigError(f"duplicate syscall user name '{spec.user_name}'", f"/syscalls/{i}")
+        specs[spec.user_name] = spec
 
+    sizes = TypeSizeTable(types)
+    passed = set()
     workload = []
-    for i, sobj in enumerate(_as_list(_get(data, "workload", "", []), "/workload")):
-        step = _load_step(sobj, f"/workload/{i}")
-        if step.op != "IDLE" and step["partition"] not in partition_ids:
+    for i, (op, step_fields) in enumerate(fields["workload"]):
+        step = Step(op=op, fields=step_fields, path=f"/workload/{i}")
+        if op != "IDLE" and step["partition"] not in ids:
             raise ConfigError(
                 f"step references unknown partition {step['partition']}",
                 f"{step.path}/partition",
             )
-        if step.op == "SYSCALL":
-            spec = next((s for s in syscalls if s.user_name == step["name"]), None)
-            if spec is None:
-                raise ConfigError(
-                    f"no syscall template named '{step['name']}'", f"{step.path}/name"
-                )
-            param_names = {pname for _, pname in spec.params}
-            for param in step["bindings"]:
-                if param not in param_names:
-                    raise ConfigError(
-                        f"binding for unknown parameter '{param}' of "
-                        f"'{spec.syscall_name}'",
-                        f"{step.path}/bindings/{param}",
-                    )
-            needed = {c.target.param for c in spec.checks}
-            needed |= {
-                c.size.name
-                for c in spec.checks
-                if c.size.name is not None and c.size.name in param_names
-            }
-            missing = sorted(needed - set(step["bindings"]))
-            if missing:
-                raise ConfigError(
-                    f"directives of '{spec.syscall_name}' need bindings for {missing}",
-                    f"{step.path}/bindings",
-                )
+        if op == "SYSCALL":
+            _check_syscall_step(step, specs, sizes, passed)
         workload.append(step)
-
-    expect = []
-    for i, eobj in enumerate(_as_list(_get(data, "expect", "", []), "/expect")):
-        epath = f"/expect/{i}"
-        eobj = _as_dict(eobj, epath)
-        _no_extras(eobj, ("kind", "partition", "offset", "context"), epath)
-        kind = _as_str(_get(eobj, "kind", epath), f"{epath}/kind")
-        if kind not in VIOLATION_KINDS:
-            raise ConfigError(f"unknown violation kind {kind!r}", f"{epath}/kind")
-        pattern_kwargs = {"kind": kind}
-        if "partition" in eobj:
-            pattern_kwargs["partition"] = _as_int(eobj["partition"], f"{epath}/partition")
-        if "offset" in eobj:
-            pattern_kwargs["offset"] = _as_int(eobj["offset"], f"{epath}/offset")
-        if "context" in eobj:
-            context = _as_str(eobj["context"], f"{epath}/context")
-            if context not in UseSite.__members__:
-                raise ConfigError(
-                    f"context must be one of {sorted(UseSite.__members__)}, got {context!r}",
-                    f"{epath}/context",
-                )
-            pattern_kwargs["context"] = context
-        expect.append(ExpectPattern(**pattern_kwargs))
-
-    return Scenario(
-        name=name,
-        partitions=tuple(partitions),
-        time=time,
-        ports=tuple(ports),
-        types=dict(types),
-        padding=padding,
-        reserved_init=reserved,
-        syscalls=tuple(syscalls),
-        workload=tuple(workload),
-        expect=tuple(expect),
-    )
+    fields["workload"] = tuple(workload)
+    return Scenario(**fields)
 
 
 def load_scenario_text(text: str) -> Scenario:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"not valid JSON: {exc}") from None
     return load_scenario(data)
 

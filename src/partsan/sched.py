@@ -33,10 +33,28 @@ MAIN_CONTEXT = _MainContext()
 
 
 def to_fraction(value) -> Fraction:
-    """Accept int, Fraction, float or '3/2'-style strings."""
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+    """Accept int, Fraction, float or '3/2'-style strings; anything else
+    is a ConfigError."""
+    try:
+        if isinstance(value, float):
+            return Fraction(str(value))
+        return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise ConfigError(f"not a number or 'p/q' ratio: {value!r}") from None
+
+
+def parse_slowdown(value) -> Fraction:
+    """A timer slowdown factor: any ratio ``to_fraction`` accepts, > 0."""
+    factor = to_fraction(value)
+    if factor <= 0:
+        raise ConfigError(f"slowdown factor must be positive, got {factor}")
+    return factor
+
+
+def check_period(period: int | None, time_capacity: int) -> None:
+    """A periodic process must fit its time capacity into each period."""
+    if period is not None and period < time_capacity:
+        raise ConfigError(f"period {period} shorter than time capacity {time_capacity}")
 
 
 class ProcessState(Enum):
@@ -64,11 +82,7 @@ class Process:
             raise ConfigError(f"process id must be >= 1, got {self.process_id}")
         if self.time_capacity < 1:
             raise ConfigError(f"time capacity must be >= 1, got {self.time_capacity}")
-        if self.period is not None and self.period < self.time_capacity:
-            raise ConfigError(
-                f"period {self.period} shorter than time capacity "
-                f"{self.time_capacity} for process {self.process_id}"
-            )
+        check_period(self.period, self.time_capacity)
 
 
 @dataclass(frozen=True)
@@ -104,10 +118,7 @@ class TimeModel:
     """
 
     def __init__(self, slowdown_factor=1, costs: CheckCosts | None = None):
-        factor = to_fraction(slowdown_factor)
-        if factor <= 0:
-            raise ConfigError(f"slowdown factor must be positive, got {slowdown_factor}")
-        self.slowdown_factor = factor
+        self.slowdown_factor = parse_slowdown(slowdown_factor)
         self.costs = costs or CheckCosts()
         self.raw_ticks = 0
 

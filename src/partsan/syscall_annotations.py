@@ -406,7 +406,6 @@ class ResolvedCheck:
 
 @dataclass(frozen=True)
 class ResolvedSpec:
-    spec: SyscallSpec
     checks: tuple
 
     @property
@@ -443,7 +442,8 @@ def resolve_sizes(
         if binding is None:
             raise BindError(
                 f"no binding for parameter '{check.target.param}' of "
-                f"'{spec.syscall_name}'"
+                f"'{spec.syscall_name}'",
+                check.target.param,
             )
         size_expr = check.size
         if size_expr.form is SizeForm.LITERAL:
@@ -459,10 +459,11 @@ def resolve_sizes(
         if binding.length is not None and size > binding.length:
             raise BindError(
                 f"directive on '{check.target.param}' needs {size} bytes, "
-                f"binding provides {binding.length}"
+                f"binding provides {binding.length}",
+                check.target.param,
             )
         resolved.append(ResolvedCheck(directive=check, addr=binding.addr, size=size))
-    return ResolvedSpec(spec=spec, checks=tuple(resolved))
+    return ResolvedSpec(checks=tuple(resolved))
 
 
 def _shadow_for(shadows, addr: GuestAddr) -> InitShadow:

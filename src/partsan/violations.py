@@ -27,9 +27,6 @@ class GuestAddr:
     partition_id: int
     offset: int
 
-    def __add__(self, delta: int) -> "GuestAddr":
-        return GuestAddr(self.partition_id, self.offset + delta)
-
 
 class AccessKind(Enum):
     READ = "R"

@@ -60,7 +60,13 @@ def test_run_invalid_scenario_file_exits_2(tmp_path, capsys):
 
 def test_run_invalid_granularity_exits_2(capsys):
     assert main(["run", "listing1_overflow", "--granularity", "3"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: granularity must be one of")
+
+
+def test_run_invalid_slowdown_factor_exits_2(capsys):
+    for factor in ("abc", "1/0"):
+        assert main(["run", "queueing_fifo", "--slowdown-factor", factor]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_run_json_report(capsys):

@@ -1,11 +1,15 @@
 """Scenario schema validation, error paths and the builtin corpus."""
 
 import copy
+import json
+import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from partsan.errors import ConfigError
+from partsan.errors import ConfigError, PartsanError
+from partsan.harness import Simulator
 from partsan.scenario import (
     VIOLATION_KINDS,
     ExpectPattern,
@@ -77,10 +81,14 @@ def test_minimal_scenario_and_defaults():
     assert scenario.time.legacy_get_my_id is False
     assert scenario.reserved_init.enabled is False
     assert scenario.reserved_init.pattern == 0xCD
+    # null stands for an absent key where the default is no value
+    assert load_scenario({"name": "empty", "time": {"major_frame": None}}).time.frame is None
 
 
 def test_partition_defaults():
-    scenario = load_scenario(_base())
+    data = _base()
+    data["partitions"][0]["processes"].append({"id": 2, "time_capacity": 5, "period": None})
+    scenario = load_scenario(data)
     part = scenario.partitions[0]
     assert part.memory_size == 4096
     assert part.granularity == 8
@@ -89,6 +97,7 @@ def test_partition_defaults():
     assert part.regions[0].label == "buf"
     assert part.processes[0].time_capacity == 100
     assert part.processes[0].period is None
+    assert part.processes[1].period is None
 
 
 def test_not_json_and_not_object():
@@ -96,6 +105,8 @@ def test_not_json_and_not_object():
         load_scenario_text("{nope")
     with pytest.raises(ConfigError):
         load_scenario_text("[1, 2]")
+    with pytest.raises(ConfigError):
+        load_scenario_text('{"name": "t", "types": {"a": ' + "1" * 5000 + "}}")
 
 
 def test_top_level_validation_paths():
@@ -103,12 +114,25 @@ def test_top_level_validation_paths():
     _fails_at({}, "/name")
     _fails_at({"name": "has spaces"}, "/name")
     _fails_at({"name": "t", "partitions": {}}, "/partitions")
+    _fails_at({"name": "t", "time": None}, "/time")
 
 
 def test_partition_validation_paths():
     data = _base()
     data["partitions"][0]["granularity"] = 0
     _fails_at(data, "/partitions/0/granularity")
+
+    data = _base()
+    data["partitions"][0]["granularity"] = 3
+    _fails_at(data, "/partitions/0/granularity")
+
+    data = _base()
+    data["partitions"][0]["memory_size"] = 4097
+    _fails_at(data, "/partitions/0/memory_size")
+
+    data = _base()
+    data["partitions"][0]["redzone"] = 12
+    _fails_at(data, "/partitions/0/redzone")
 
     data = _base()
     data["partitions"].append(copy.deepcopy(data["partitions"][0]))
@@ -207,6 +231,7 @@ def test_port_validation_paths():
 
     loaded = load_scenario(port(source=1, destination=2)).ports[0]
     assert (loaded.kind, loaded.refresh_period, loaded.capacity) == ("sampling", 10, None)
+    assert load_scenario(port(source=None, destination=2)).ports[0].source is None
 
     data = port(kind="queueing", source=1, destination=2, capacity=4)
     del data["ports"][0]["refresh_period"]
@@ -233,6 +258,11 @@ def test_types_padding_reserved_init_paths():
     data["types"] = {"msg_t": 12}
     data["padding"] = {"msg_t": [[4]]}
     _fails_at(data, "/padding/msg_t/0")
+
+    data = _base()
+    data["types"] = {"m": 8}
+    data["padding"] = {"m": [[0, 4], [2, 4]]}
+    _fails_at(data, "/padding/m/1")
 
     data = _base()
     data["reserved_init"] = {"enabled": True, "pattern": 300}
@@ -365,6 +395,18 @@ def test_syscall_step_cross_checks():
     _fails_at(data, "/workload/0/bindings/zz")
 
     data = _base()
+    data["syscalls"] = ["//!PRE: msan_check(a, sizeof(ghost_t));\nsyscall_declare(int, f, int*, a);"]
+    data["workload"] = [{"op": "SYSCALL", "partition": 1, "name": "f", "bindings": {"a": {}}}]
+    _fails_at(data, "/workload/0/name")
+
+    data = _base()
+    data["syscalls"] = ["//!PRE: msan_check(a, 64);\nsyscall_declare(int, f, int*, a);"]
+    data["workload"] = [
+        {"op": "SYSCALL", "partition": 1, "name": "f", "bindings": {"a": {"len": 8}}}
+    ]
+    _fails_at(data, "/workload/0/bindings/a")
+
+    data = _base()
     data["syscalls"] = ["syscall_declare(int f);"]
     _fails_at(data, "/syscalls/0")
 
@@ -431,3 +473,57 @@ def test_with_overrides():
         scenario.with_overrides(slowdown_factor=0)
     with pytest.raises(ConfigError):
         scenario.with_overrides(slowdown_factor=-2)
+
+
+def _names_node(doc, path):
+    """Whether ``path`` is a JSON pointer to a node of ``doc``, or to a
+    missing key directly under one of its objects."""
+    node = doc
+    parts = path.split("/")[1:] if path != "/" else []
+    for depth, part in enumerate(parts):
+        if isinstance(node, dict) and part in node:
+            node = node[part]
+        elif isinstance(node, list) and part.isdigit() and int(part) < len(node):
+            node = node[int(part)]
+        else:
+            return isinstance(node, dict) and depth == len(parts) - 1
+    return True
+
+
+def _children(node):
+    """Every (container, key) pair below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _children(value)
+
+
+def test_mutated_builtins_fail_with_a_pointer_or_run():
+    """One changed value, deleted key or added key per builtin document:
+    either loading fails with a pointer into the document, or the run
+    raises nothing but partsan's own errors."""
+    rng = random.Random(4)
+    values = (None, True, -1, 0, 1, 2, 3, 4097, "x", "buf", [], {})
+    root = resources.files("partsan.scenarios")
+    for name in builtin_names():
+        text = (root / f"{name}.json").read_text(encoding="utf-8")
+        for _ in range(100):
+            doc = json.loads(text)
+            container, key = rng.choice(list(_children(doc)))
+            roll = rng.random()
+            if roll < 0.2 and isinstance(container, dict):
+                del container[key]
+            elif roll < 0.3 and isinstance(container[key], dict):
+                container[key]["bogus"] = 1
+            else:
+                container[key] = rng.choice(values)
+            try:
+                scenario = load_scenario(doc)
+            except ConfigError as exc:
+                assert exc.path and _names_node(doc, exc.path), (name, str(exc))
+                continue
+            try:
+                Simulator(scenario).run()
+            except PartsanError:
+                pass
