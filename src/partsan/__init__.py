@@ -76,7 +76,6 @@ from .sched import (
     DeadlineMiss,
     MajorFrame,
     Process,
-    ProcessState,
     ProcessTable,
     TimeModel,
     Window,

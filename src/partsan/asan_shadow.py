@@ -208,7 +208,7 @@ class ShadowMap:
 
         Returns None when every byte is addressable, otherwise a Violation
         naming the first offending byte; its detail names no region until
-        the owner's ``name_region`` adds one.  The map itself is never
+        ``PartitionMemory.check_access`` adds one.  The map itself is never
         modified by a check.
         """
         self.checks_performed += 1

@@ -171,17 +171,21 @@ class PartitionMemory:
 
     # -- checked accesses ------------------------------------------------------
 
-    def _check(self, offset: int, length: int, access: AccessKind) -> None:
+    def check_access(self, offset: int, length: int, access: AccessKind) -> Violation | None:
+        """The shadow's address check; a finding names the region owning or
+        nearest to the offending byte in its detail."""
         violation = self.shadow.check_access(offset, length, access)
-        if violation is not None:
-            raise ViolationError(self.name_region(violation))
-
-    def name_region(self, violation: Violation) -> Violation:
-        """An address finding with the nearest region named in its detail."""
+        if violation is None:
+            return None
         region = self.nearest_region(violation.offset)
         if region is None:
             return violation
         return replace(violation, detail=poison_detail(violation.kind, region.label))
+
+    def _check(self, offset: int, length: int, access: AccessKind) -> None:
+        violation = self.check_access(offset, length, access)
+        if violation is not None:
+            raise ViolationError(violation)
 
     def _own(self, addr: GuestAddr) -> int:
         if addr.partition_id != self.partition_id:

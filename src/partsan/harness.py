@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from fractions import Fraction
 
 from .errors import ConfigError
 from .guest_memory import PartitionMemory, Phase
@@ -49,7 +48,7 @@ from .ub_checks import (
     checked_trunc,
     int_spec,
 )
-from .violations import AccessKind, GuestAddr, UseSite, Violation, ViolationError
+from .violations import AccessKind, UseSite, Violation, ViolationError
 
 __all__ = [
     "Event",
@@ -151,11 +150,12 @@ def match_expected(records, patterns) -> bool:
     return all(_place(i, fitting, owner) for i in range(len(patterns)))
 
 
-class _PartitionState:
-    def __init__(self, mem: PartitionMemory, table: ProcessTable | None):
-        self.mem = mem
-        self.table = table
-        self.last_dispatched: int | None = None
+def _offset(mem: PartitionMemory, where, prefix: str = "") -> int:
+    """The ``<prefix>offset`` of a step, operand or binding: relative to its
+    ``<prefix>region`` when one is named, absolute otherwise."""
+    offset = where[prefix + "offset"]
+    label = where.get(prefix + "region")
+    return offset if label is None else offset + mem.region(label).base
 
 
 class Simulator:
@@ -165,7 +165,9 @@ class Simulator:
         self.scenario = scenario
         self.seed = seed
 
-        self.partitions: dict[int, _PartitionState] = {}
+        multipliers = {(pid, proc): m for pid, proc, m in scenario.time.overrides}
+        self.partitions: dict[int, PartitionMemory] = {}
+        self.tables: dict[int, ProcessTable] = {}  # partitions that have processes
         for pconf in scenario.partitions:
             mem = PartitionMemory(
                 pconf.partition_id,
@@ -176,26 +178,23 @@ class Simulator:
             )
             for region in pconf.regions:
                 mem.alloc_region(region.size, region.label)
-            table = None
             if pconf.processes:
-                table = ProcessTable(
+                self.tables[pconf.partition_id] = ProcessTable(
                     Process(
                         process_id=proc.process_id,
                         partition_id=pconf.partition_id,
                         priority=proc.priority,
                         time_capacity=proc.time_capacity,
                         period=proc.period,
+                        multiplier=multipliers.get((pconf.partition_id, proc.process_id), 1),
                     )
                     for proc in pconf.processes
                 )
             if pconf.auto_start:
                 mem.start()
-            self.partitions[pconf.partition_id] = _PartitionState(mem, table)
+            self.partitions[pconf.partition_id] = mem
 
         self.model = TimeModel(scenario.time.slowdown_factor, scenario.time.costs)
-        self.overrides: dict[int, dict[int, Fraction]] = {}
-        for pid, proc, multiplier in scenario.time.overrides:
-            self.overrides.setdefault(pid, {})[proc] = multiplier
         self.legacy_get_my_id = scenario.time.legacy_get_my_id
 
         self.types = TypeSizeTable(scenario.types)
@@ -232,24 +231,6 @@ class Simulator:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _state(self, partition_id: int) -> _PartitionState:
-        try:
-            return self.partitions[partition_id]
-        except KeyError:
-            raise ConfigError(f"no partition {partition_id}") from None
-
-    def _mem(self, partition_id: int) -> PartitionMemory:
-        return self._state(partition_id).mem
-
-    def _addr(self, step: Step, region_key: str, offset_key: str) -> GuestAddr:
-        """Region-relative when a region is named, absolute otherwise."""
-        mem = self._mem(step["partition"])
-        offset = step[offset_key]
-        label = step.get(region_key)
-        if label is not None:
-            offset += mem.region(label).base
-        return mem.addr(offset)
-
     def _port(self, step: Step, want_cls):
         key = (step["partition"], step["port"])
         port = self.ports.get(key)
@@ -264,9 +245,6 @@ class Simulator:
             )
         return port
 
-    def _shadow_map(self):
-        return {pid: state.mem.init_shadow for pid, state in self.partitions.items()}
-
     def _event(self, kind: str, **info) -> None:
         self.events.append(Event(kind=kind, t=self.model.virtual_now, info=info))
 
@@ -280,26 +258,30 @@ class Simulator:
     # -- execution ----------------------------------------------------------
 
     def run(self) -> RunReport:
-        executors = self._EXECUTORS
+        executors, model = self._EXECUTORS, self.model
         for index, step in enumerate(self.scenario.workload):
             self._step_index = index
-            self._ub_checks_this_step = 0
-            asan_before, msan_before = self._check_counts()
-            self._dispatch_for(step)
-            try:
-                executors[step.op](self, step)
-            except ConfigError as exc:
-                if exc.path is not None:
-                    raise
-                raise ConfigError(str(exc), path=step.path) from exc
-            asan_after, msan_after = self._check_counts()
             if step.op == "IDLE":
-                self.model.advance(step["ticks"])
+                model.advance(step["ticks"])
             else:
-                self.model.advance(
-                    self.model.costs.base_step,
-                    asan_checks=asan_after - asan_before,
-                    msan_checks=msan_after - msan_before,
+                pid = step["partition"]
+                mem = self.partitions[pid]
+                # Every check a step makes is on its own partition's shadows,
+                # so that partition's two counters give the step's check counts.
+                asan_before = mem.shadow.checks_performed
+                msan_before = mem.init_shadow.checks_performed
+                self._ub_checks_this_step = 0
+                self._dispatch(pid, mem)
+                try:
+                    executors[step.op](self, step, mem)
+                except ConfigError as exc:
+                    if exc.path is not None:
+                        raise
+                    raise ConfigError(str(exc), path=step.path) from exc
+                model.advance(
+                    model.costs.base_step,
+                    asan_checks=mem.shadow.checks_performed - asan_before,
+                    msan_checks=mem.init_shadow.checks_performed - msan_before,
                     ub_checks=self._ub_checks_this_step,
                 )
             self._watch_deadlines()
@@ -318,45 +300,21 @@ class Simulator:
             verdict=verdict,
         )
 
-    def _check_counts(self) -> tuple[int, int]:
-        asan = sum(s.mem.shadow.checks_performed for s in self.partitions.values())
-        msan = sum(s.mem.init_shadow.checks_performed for s in self.partitions.values())
-        return asan, msan
-
-    def _dispatch_for(self, step: Step) -> None:
-        if step.op == "IDLE":
+    def _dispatch(self, pid: int, mem: PartitionMemory) -> None:
+        table = self.tables.get(pid)
+        if table is None or mem.phase is not Phase.RUNNING:
             return
-        state = self._state(step["partition"])
-        if state.table is None or state.mem.phase is not Phase.RUNNING:
-            return
-        now = self.model.virtual_now
-        self._roll_activations(state, now)
-        process = state.table.dispatch(now)
-        dispatched = process.process_id if process else None
-        if dispatched != state.last_dispatched:
-            state.last_dispatched = dispatched
-            if process is not None:
-                self._event(
-                    "DISPATCH", part=step["partition"], process=process.process_id
-                )
-
-    def _roll_activations(self, state: _PartitionState, now: int) -> None:
-        for process in state.table.processes:
-            if process.period is None or process.activation_time is None:
-                continue
-            while process.activation_time + process.period <= now:
-                process.activation_time += process.period
-                process.deadline_missed = False
+        running = table.running
+        process = table.dispatch(self.model.virtual_now)
+        if process is not running:
+            self._event("DISPATCH", part=pid, process=process.process_id)
 
     def _watch_deadlines(self) -> None:
         now = self.model.virtual_now
-        for pid, state in self.partitions.items():
-            if state.table is None:
+        for pid, table in self.tables.items():
+            if table.running is None:
                 continue
-            process = state.table.running
-            if process is None:
-                continue
-            miss = check_deadline(process, now, self.overrides.get(pid))
+            miss = check_deadline(table.running, now)
             if miss is not None:
                 self._event(
                     "DEADLINE_MISS",
@@ -368,74 +326,70 @@ class Simulator:
 
     # -- memory ops -----------------------------------------------------------
 
-    def _op_alloc(self, step: Step) -> None:
-        self._mem(step["partition"]).alloc_region(step["size"], step["label"])
+    def _op_alloc(self, step: Step, mem: PartitionMemory) -> None:
+        mem.alloc_region(step["size"], step["label"])
 
-    def _op_start_partition(self, step: Step) -> None:
-        self._mem(step["partition"]).start()
+    def _op_start_partition(self, step: Step, mem: PartitionMemory) -> None:
+        mem.start()
 
-    def _op_reset_partition(self, step: Step) -> None:
-        self._mem(step["partition"]).reset_partition()
+    def _op_reset_partition(self, step: Step, mem: PartitionMemory) -> None:
+        mem.reset_partition()
         self._event("PARTITION_RESET", part=step["partition"])
 
-    def _op_write(self, step: Step) -> None:
-        mem = self._mem(step["partition"])
-        addr = self._addr(step, "region", "offset")
+    def _op_write(self, step: Step, mem: PartitionMemory) -> None:
+        addr = mem.addr(_offset(mem, step))
         try:
             mem.checked_write(addr, step["data"], origin=f"step:{self._step_index}")
         except ViolationError as exc:
             self._log(exc.violation)
 
-    def _op_read(self, step: Step) -> None:
-        mem = self._mem(step["partition"])
-        addr = self._addr(step, "region", "offset")
+    def _op_read(self, step: Step, mem: PartitionMemory) -> None:
+        addr = mem.addr(_offset(mem, step))
         try:
             mem.checked_read(addr, step["len"])
         except ViolationError as exc:
             self._log(exc.violation)
 
-    def _op_copy(self, step: Step) -> None:
-        mem = self._mem(step["partition"])
-        src = self._addr(step, "src_region", "src_offset")
-        dst = self._addr(step, "dst_region", "dst_offset")
+    def _op_copy(self, step: Step, mem: PartitionMemory) -> None:
+        src = _offset(mem, step, "src_")
+        dst = _offset(mem, step, "dst_")
         length = step["len"]
         try:
-            data = mem.checked_read(src, length)
-            violation = mem.shadow.check_access(dst.offset, length, AccessKind.WRITE)
+            data = mem.checked_read(mem.addr(src), length)
+            violation = mem.check_access(dst, length, AccessKind.WRITE)
             if violation is not None:
-                raise ViolationError(mem.name_region(violation))
+                raise ViolationError(violation)
         except ViolationError as exc:
             self._log(exc.violation)
             return
-        mem.data[dst.offset : dst.offset + length] = data
+        mem.data[dst : dst + length] = data
         # initialization state travels with the bytes, unchecked
-        copy_propagate(mem.init_shadow, src.offset, dst.offset, length)
+        copy_propagate(mem.init_shadow, src, dst, length)
 
     def _use(self, mem: PartitionMemory, offset: int, length: int, site: UseSite) -> bool:
         """Address check, then an initialization check at ``site``; False
         (with the finding logged) when the bytes are not addressable."""
-        violation = mem.shadow.check_access(offset, length, AccessKind.READ)
+        violation = mem.check_access(offset, length, AccessKind.READ)
         if violation is not None:
-            self._log(mem.name_region(violation))
+            self._log(violation)
             return False
         init_violation = mem.init_shadow.check(offset, length, site)
         if init_violation is not None:
             self._log(init_violation)
         return True
 
-    def _op_branch_on(self, step: Step) -> None:
-        mem = self._mem(step["partition"])
-        addr = self._addr(step, "region", "offset")
-        self._use(mem, addr.offset, step["len"], UseSite.BRANCH)
+    def _op_branch_on(self, step: Step, mem: PartitionMemory) -> None:
+        self._use(mem, _offset(mem, step), step["len"], UseSite.BRANCH)
 
-    def _op_unpoison_padding(self, step: Step) -> None:
-        mem = self._mem(step["partition"])
+    def _op_unpoison_padding(self, step: Step, mem: PartitionMemory) -> None:
         base = mem.region(step["region"]).base
         unpoison_padding(mem.init_shadow, self.padding, step["type"], base)
 
     # -- checked arithmetic ops --------------------------------------------------
 
-    def _operands(self, step: Step, keys, width: int, signed: bool) -> list | None:
+    def _operands(
+        self, step: Step, mem: PartitionMemory, keys, width: int, signed: bool
+    ) -> list | None:
         """Each named operand: an immediate value, or a little-endian load
         (``width`` bytes and ``signed`` unless the reference overrides them)
         with ARITH use checking.
@@ -447,12 +401,8 @@ class Simulator:
         for key in keys:
             operand = step[key]
             if not isinstance(operand, int):
-                mem = self._mem(step["partition"])
                 size = operand.get("width", width)
-                offset = operand["offset"]
-                label = operand.get("region")
-                if label is not None:
-                    offset += mem.region(label).base
+                offset = _offset(mem, operand)
                 if not self._use(mem, offset, size, UseSite.ARITH):
                     operand = None
                 else:
@@ -469,68 +419,60 @@ class Simulator:
         if isinstance(result, Violation):
             self._log(replace(result, partition=step["partition"]))
 
-    def _op_arith(self, step: Step) -> None:
+    def _op_arith(self, step: Step, mem: PartitionMemory) -> None:
         spec = int_spec(step["type"])
-        values = self._operands(step, ("a", "b"), spec.width // 8, spec.signed)
+        values = self._operands(step, mem, ("a", "b"), spec.width // 8, spec.signed)
         if values is not None:
             op = ArithOp(step["arith"])
             self._run_ub(step, checked_arith(op, *values, spec, strict=step["strict"]))
 
-    def _op_div(self, step: Step) -> None:
+    def _op_div(self, step: Step, mem: PartitionMemory) -> None:
         spec = int_spec(step["type"])
-        values = self._operands(step, ("a", "b"), spec.width // 8, spec.signed)
+        values = self._operands(step, mem, ("a", "b"), spec.width // 8, spec.signed)
         if values is not None:
             self._run_ub(step, checked_div(*values, spec))
 
-    def _op_shift(self, step: Step) -> None:
+    def _op_shift(self, step: Step, mem: PartitionMemory) -> None:
         spec = int_spec(step["type"])
-        values = self._operands(step, ("a",), spec.width // 8, spec.signed)
+        values = self._operands(step, mem, ("a",), spec.width // 8, spec.signed)
         if values is not None:
             self._run_ub(step, checked_shift(*values, step["s"], spec, strict=step["strict"]))
 
-    def _op_trunc(self, step: Step) -> None:
+    def _op_trunc(self, step: Step, mem: PartitionMemory) -> None:
         from_spec = int_spec(step["from"])
-        values = self._operands(step, ("a",), from_spec.width // 8, from_spec.signed)
+        values = self._operands(step, mem, ("a",), from_spec.width // 8, from_spec.signed)
         if values is not None:
             self._run_ub(step, checked_trunc(*values, from_spec, int_spec(step["to"])))
 
-    def _op_align_check(self, step: Step) -> None:
-        addr = self._addr(step, "region", "offset")
-        self._run_ub(step, check_align(addr, step["align"]))
+    def _op_align_check(self, step: Step, mem: PartitionMemory) -> None:
+        self._run_ub(step, check_align(mem.addr(_offset(mem, step)), step["align"]))
 
-    def _op_null_check(self, step: Step) -> None:
-        addr = self._addr(step, "region", "offset")
-        self._run_ub(step, check_nonnull(addr))
+    def _op_null_check(self, step: Step, mem: PartitionMemory) -> None:
+        self._run_ub(step, check_nonnull(mem.addr(_offset(mem, step))))
 
-    def _op_bool_check(self, step: Step) -> None:
-        values = self._operands(step, ("a",), 1, False)
+    def _op_bool_check(self, step: Step, mem: PartitionMemory) -> None:
+        values = self._operands(step, mem, ("a",), 1, False)
         if values is not None:
             self._run_ub(step, check_bool(*values))
 
-    def _op_enum_check(self, step: Step) -> None:
-        values = self._operands(step, ("a",), 4, True)
+    def _op_enum_check(self, step: Step, mem: PartitionMemory) -> None:
+        values = self._operands(step, mem, ("a",), 4, True)
         if values is not None:
             spec = EnumSpec(name=step["enum"], allowed=frozenset(step["allowed"]))
             self._run_ub(step, check_enum(*values, spec))
 
     # -- syscalls ------------------------------------------------------------------
 
-    def _op_syscall(self, step: Step) -> None:
+    def _op_syscall(self, step: Step, mem: PartitionMemory) -> None:
         spec = self.syscalls.get(step["name"])
         if spec is None:
             raise ConfigError(f"no syscall template '{step['name']}'", path=step.path)
-        mem = self._mem(step["partition"])
-        bindings = {}
-        for param, raw in step["bindings"].items():
-            offset = raw["offset"]
-            label = raw.get("region")
-            if label is not None:
-                offset += mem.region(label).base
-            bindings[param] = ParamBinding(
-                addr=mem.addr(offset), length=raw.get("len")
-            )
+        bindings = {
+            param: ParamBinding(addr=mem.addr(_offset(mem, raw)), length=raw.get("len"))
+            for param, raw in step["bindings"].items()
+        }
         resolved = resolve_sizes(spec, self.types, bindings)
-        shadows = self._shadow_map()
+        shadows = {mem.partition_id: mem.init_shadow}
         violation = enforce_pre(resolved, shadows)
         if violation is not None:
             self._log(violation)
@@ -548,27 +490,23 @@ class Simulator:
 
     # -- ports ----------------------------------------------------------------------
 
-    def _transmit(self, step: Step, port_method) -> None:
+    def _transmit(self, step: Step, mem: PartitionMemory, port_method) -> None:
         """Queueing send or sampling write of ``len`` bytes at the step's location."""
-        mem = self._mem(step["partition"])
-        addr = self._addr(step, "region", "offset")
         try:
-            port_method(mem, addr, step["len"], self.model.virtual_now)
+            port_method(mem, mem.addr(_offset(mem, step)), step["len"], self.model.virtual_now)
         except ViolationError as exc:
             self._log(exc.violation)
 
-    def _op_send(self, step: Step) -> None:
-        self._transmit(step, self._port(step, QueueingPort).send)
+    def _op_send(self, step: Step, mem: PartitionMemory) -> None:
+        self._transmit(step, mem, self._port(step, QueueingPort).send)
 
-    def _op_sampling_write(self, step: Step) -> None:
-        self._transmit(step, self._port(step, SamplingPort).write)
+    def _op_sampling_write(self, step: Step, mem: PartitionMemory) -> None:
+        self._transmit(step, mem, self._port(step, SamplingPort).write)
 
-    def _op_receive(self, step: Step) -> None:
+    def _op_receive(self, step: Step, mem: PartitionMemory) -> None:
         port = self._port(step, QueueingPort)
-        mem = self._mem(step["partition"])
-        addr = self._addr(step, "region", "offset")
         try:
-            result = port.receive(mem, addr, self.model.virtual_now)
+            result = port.receive(mem, mem.addr(_offset(mem, step)), self.model.virtual_now)
         except ViolationError as exc:
             self._log(exc.violation)
             return
@@ -591,12 +529,10 @@ class Simulator:
                 f"expected 0x{expected.hex()}",
             )
 
-    def _op_sampling_read(self, step: Step) -> None:
+    def _op_sampling_read(self, step: Step, mem: PartitionMemory) -> None:
         port = self._port(step, SamplingPort)
-        mem = self._mem(step["partition"])
-        addr = self._addr(step, "region", "offset")
         try:
-            result = port.read(mem, addr, self.model.virtual_now)
+            result = port.read(mem, mem.addr(_offset(mem, step)), self.model.virtual_now)
         except ViolationError as exc:
             self._log(exc.violation)
             return
@@ -620,17 +556,17 @@ class Simulator:
 
     # -- identity -------------------------------------------------------------------
 
-    def _op_get_my_id(self, step: Step) -> None:
-        state = self._state(step["partition"])
+    def _op_get_my_id(self, step: Step, mem: PartitionMemory) -> None:
         caller = step["caller"]
         if caller == "main":
             context = MAIN_CONTEXT
         else:
-            if state.table is None:
+            table = self.tables.get(step["partition"])
+            if table is None:
                 raise ConfigError(
                     f"partition {step['partition']} has no processes", path=step.path
                 )
-            context = state.table.get(caller)
+            context = table.get(caller)
         result = get_my_id(context, legacy=self.legacy_get_my_id)
         self._event(
             "GET_MY_ID",
@@ -642,10 +578,8 @@ class Simulator:
         if expected is not None and expected != result:
             self._contract(step, f"get_my_id returned {result}, expected {expected}")
 
-    def _op_idle(self, step: Step) -> None:
-        pass  # time advances in run(); nothing executes
-
-    # One executor per workload op, keyed by the op names of scenario._OPS.
+    # One executor per workload op, keyed by the op names of scenario._OPS;
+    # IDLE has none, run() advances its ticks.
     _EXECUTORS = {
         "ALLOC": _op_alloc,
         "START_PARTITION": _op_start_partition,
@@ -669,7 +603,6 @@ class Simulator:
         "SAMPLING_READ": _op_sampling_read,
         "GET_MY_ID": _op_get_my_id,
         "UNPOISON_PADDING": _op_unpoison_padding,
-        "IDLE": _op_idle,
     }
 
 

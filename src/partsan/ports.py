@@ -112,9 +112,9 @@ def _collect_message(
     init_violation = mem.init_shadow.check(offset, length, UseSite.PORT_SEND)
     if init_violation is not None:
         raise ViolationError(init_violation)
-    addr_violation = mem.shadow.check_access(offset, length, AccessKind.READ)
+    addr_violation = mem.check_access(offset, length, AccessKind.READ)
     if addr_violation is not None:
-        raise ViolationError(mem.name_region(addr_violation))
+        raise ViolationError(addr_violation)
     init_bits, origin_labels = mem.init_shadow.snapshot(offset, length)
     return Message(
         payload=bytes(mem.data[offset : offset + length]),
@@ -131,9 +131,9 @@ def _deliver(mem: PartitionMemory, addr: GuestAddr, msg: Message) -> None:
     write semantics), so origin labels cross the partition boundary intact.
     """
     offset = addr.offset
-    violation = mem.shadow.check_access(offset, msg.length, AccessKind.WRITE)
+    violation = mem.check_access(offset, msg.length, AccessKind.WRITE)
     if violation is not None:
-        raise ViolationError(mem.name_region(violation))
+        raise ViolationError(violation)
     mem.data[offset : offset + msg.length] = msg.payload
     mem.init_shadow.apply_snapshot(offset, msg.init_bits, msg.origin_labels)
 

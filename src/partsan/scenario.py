@@ -22,7 +22,7 @@ from .asan_shadow import check_granularity, check_memory_size
 from .errors import BindError, ConfigError, ParseError, UnknownType
 from .guest_memory import check_redzone
 from .msan_shadow import ReservedInitConfig, add_padding_range, check_reserved_pattern
-from .sched import CheckCosts, MajorFrame, Window, check_period, parse_slowdown, to_fraction
+from .sched import CheckCosts, MajorFrame, Window, check_period, parse_multiplier, parse_slowdown
 from .syscall_annotations import (
     ParamBinding,
     SyscallSpec,
@@ -378,13 +378,6 @@ _PARTITION = _Fields(
 )
 
 
-def _multiplier(value):
-    multiplier = to_fraction(value)
-    if multiplier < 1:
-        raise ConfigError(f"multiplier must be >= 1, got {multiplier}")
-    return multiplier
-
-
 _COSTS = _Fields(
     ("base_step", _ticks, 1),
     ("asan_check", _ticks, 0),
@@ -407,7 +400,7 @@ _FRAME = _Fields(
 _OVERRIDE = _Fields(
     ("partition", _as_int, _REQUIRED),
     ("process", _as_int, _REQUIRED),
-    ("multiplier", _multiplier, _REQUIRED),
+    ("multiplier", parse_multiplier, _REQUIRED),
     build=lambda partition, process, multiplier: (partition, process, multiplier),
 )
 

@@ -11,7 +11,6 @@ when one process is hit harder than the average.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .errors import ConfigError
@@ -34,8 +33,11 @@ MAIN_CONTEXT = _MainContext()
 
 def to_fraction(value) -> Fraction:
     """Accept int, Fraction, float or '3/2'-style strings; anything else
-    is a ConfigError."""
+    is a ConfigError.  A string with an exponent is read as a float, as a
+    JSON number is: ``Fraction("1e1000000")`` would build 10**1000000."""
     try:
+        if isinstance(value, str) and "e" in value.lower():
+            value = float(value)
         if isinstance(value, float):
             return Fraction(str(value))
         return Fraction(value)
@@ -51,29 +53,32 @@ def parse_slowdown(value) -> Fraction:
     return factor
 
 
+def parse_multiplier(value) -> Fraction:
+    """A timeout override's budget multiplier: any ratio ``to_fraction``
+    accepts, >= 1."""
+    multiplier = to_fraction(value)
+    if multiplier < 1:
+        raise ConfigError(f"multiplier must be >= 1, got {multiplier}")
+    return multiplier
+
+
 def check_period(period: int | None, time_capacity: int) -> None:
     """A periodic process must fit its time capacity into each period."""
     if period is not None and period < time_capacity:
         raise ConfigError(f"period {period} shorter than time capacity {time_capacity}")
 
 
-class ProcessState(Enum):
-    DORMANT = "DORMANT"
-    READY = "READY"
-    RUNNING = "RUNNING"
-    WAITING = "WAITING"
-
-
 @dataclass
 class Process:
-    """One schedulable process inside a partition."""
+    """One schedulable process inside a partition.  ``multiplier`` stretches
+    its deadline budget (a timeout override)."""
 
     process_id: int
     partition_id: int
     priority: int
     time_capacity: int
     period: int | None = None
-    state: ProcessState = ProcessState.READY
+    multiplier: Fraction = Fraction(1)
     activation_time: int | None = None
     deadline_missed: bool = False
 
@@ -83,6 +88,7 @@ class Process:
         if self.time_capacity < 1:
             raise ConfigError(f"time capacity must be >= 1, got {self.time_capacity}")
         check_period(self.period, self.time_capacity)
+        self.multiplier = parse_multiplier(self.multiplier)
 
 
 @dataclass(frozen=True)
@@ -206,46 +212,32 @@ class ProcessTable:
                 return p
         raise ConfigError(f"no process {process_id} in this partition")
 
-    def dispatch(self, virtual_now: int) -> Process | None:
-        """Pick the highest-priority READY process (lowest id on ties).
+    def dispatch(self, virtual_now: int) -> Process:
+        """Run the top process: highest priority, lowest id on ties.
 
-        The previously running process is demoted to READY first.  Returns
-        None when nothing is runnable: the partition idles, which is not an
-        error.
+        Its first dispatch activates it.  A periodic process is re-activated
+        at the last period boundary passed, which re-arms its deadline.
         """
-        if self.running is not None and self.running.state is ProcessState.RUNNING:
-            self.running.state = ProcessState.READY
-        candidates = [p for p in self.processes if p.state is ProcessState.READY]
-        if not candidates:
-            self.running = None
-            return None
-        chosen = min(candidates, key=lambda p: (-p.priority, p.process_id))
-        chosen.state = ProcessState.RUNNING
+        chosen = min(self.processes, key=lambda p: (-p.priority, p.process_id))
         if chosen.activation_time is None:
             chosen.activation_time = virtual_now
+        elif chosen.period is not None and chosen.activation_time + chosen.period <= virtual_now:
+            periods = (virtual_now - chosen.activation_time) // chosen.period
+            chosen.activation_time += periods * chosen.period
             chosen.deadline_missed = False
         self.running = chosen
         return chosen
 
 
-def check_deadline(
-    process: Process,
-    virtual_now: int,
-    overrides: dict[int, Fraction] | None = None,
-) -> DeadlineMiss | None:
+def check_deadline(process: Process, virtual_now: int) -> DeadlineMiss | None:
     """Budget check against virtual time.
 
-    The effective budget is time_capacity times the process's override
-    multiplier (if any), compared exactly.  Reported at most once per
-    activation.
+    The budget is time_capacity times the process's multiplier, compared
+    exactly.  Reported at most once per activation.
     """
     if process.activation_time is None or process.deadline_missed:
         return None
-    budget = Fraction(process.time_capacity)
-    if overrides:
-        multiplier = overrides.get(process.process_id)
-        if multiplier is not None:
-            budget *= to_fraction(multiplier)
+    budget = process.time_capacity * process.multiplier
     elapsed = virtual_now - process.activation_time
     if elapsed <= budget:
         return None

@@ -109,7 +109,7 @@ def test_04_syscall_template_contracts():
     assert outcomes == ["blocked", "ok"]
 
     # POST unpoison covered the output buffers
-    mem = simulator.partitions[1].mem
+    mem = simulator.partitions[1]
     for label, size in (("name", 32), ("entry", 8), ("status", 16)):
         base = mem.region(label).base
         assert mem.init_shadow.check(base, size, UseSite.BRANCH) is None

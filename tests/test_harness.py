@@ -96,7 +96,7 @@ def test_match_is_a_multiset_not_a_sequence():
 
 
 def test_every_loadable_op_has_an_executor():
-    assert set(Simulator._EXECUTORS) == set(scenario_module._OPS)
+    assert set(Simulator._EXECUTORS) == set(scenario_module._OPS) - {"IDLE"}
 
 
 
@@ -141,10 +141,12 @@ def test_json_report_roundtrip():
 
 
 def test_runs_are_deterministic():
-    for name in ("listing1_overflow", "ub_catalogue", "sampling_freshness"):
-        first = run_scenario(load_builtin(name))
-        second = run_scenario(load_builtin(name))
-        assert first == second
+    # two runs of one Scenario object also show that no run state leaks into it
+    for name in builtin_names():
+        scenario = load_builtin(name)
+        first = run_scenario(scenario)
+        second = run_scenario(scenario)
+        assert first == second == run_scenario(load_builtin(name))
         assert render_report(first, "text") == render_report(second, "text")
         assert render_report(first, "json") == render_report(second, "json")
 
@@ -242,6 +244,131 @@ def test_idle_advances_virtual_time_without_checks():
     report = run_scenario(load_scenario(data))
     assert (report.raw_ticks, report.virtual_ticks) == (7, 7)
     assert report.violations == () and report.events == ()
+
+
+def test_periodic_activation_jumps_a_long_idle():
+    # the activation moves to the last period boundary in one step, so an
+    # IDLE of 10**12 ticks costs no more than one of 10
+    for capacity, period in ((1, 1), (3, 5)):
+        data = {
+            "name": "long-idle",
+            "partitions": [
+                {
+                    "id": 1,
+                    "regions": [{"label": "buf", "size": 8}],
+                    "processes": [
+                        {"id": 1, "priority": 1, "time_capacity": capacity, "period": period}
+                    ],
+                }
+            ],
+            "workload": [
+                {"op": "WRITE", "partition": 1, "region": "buf", "data": "01"},
+                {"op": "IDLE", "ticks": 10**12},
+                {"op": "WRITE", "partition": 1, "region": "buf", "data": "02"},
+            ],
+        }
+        scenario = load_scenario(data)
+        start = time.perf_counter()
+        report = run_scenario(scenario)
+        assert time.perf_counter() - start < 0.5
+        assert [e.to_line() for e in report.events] == [
+            "EVENT kind=DISPATCH t=0 part=1 process=1",
+            "EVENT kind=DEADLINE_MISS t=1000000000001 part=1 process=1 "
+            f"elapsed=1000000000001 budget={capacity}",
+        ]
+
+
+def test_schedule_with_periods_resets_and_an_override():
+    data = {
+        "name": "schedule",
+        "partitions": [
+            {
+                "id": 1,
+                "regions": [{"label": "buf", "size": 16}],
+                "processes": [
+                    {"id": 1, "priority": 2, "time_capacity": 3, "period": 10},
+                    {"id": 2, "priority": 1, "time_capacity": 2},
+                ],
+            },
+            {
+                "id": 2,
+                "regions": [{"label": "buf", "size": 16}],
+                "processes": [{"id": 1, "priority": 1, "time_capacity": 3}],
+            },
+        ],
+        "time": {
+            "slowdown_factor": 2,
+            "costs": {"asan_check": 1},
+            "timeout_overrides": [{"partition": 1, "process": 1, "multiplier": "3/2"}],
+        },
+        "workload": [
+            {"op": "WRITE", "partition": 1, "region": "buf", "data": "01020304"},
+            {"op": "IDLE", "ticks": 4},
+            {"op": "WRITE", "partition": 2, "region": "buf", "data": "05"},
+            {"op": "IDLE", "ticks": 10},
+            {"op": "READ", "partition": 1, "region": "buf", "len": 4},
+            {"op": "IDLE", "ticks": 13},
+            {"op": "READ", "partition": 1, "region": "buf", "len": 4},
+            {"op": "RESET_PARTITION", "partition": 1},
+            {"op": "IDLE", "ticks": 30},
+            {"op": "ALLOC", "partition": 1, "size": 8, "label": "buf"},
+            {"op": "START_PARTITION", "partition": 1},
+            {"op": "WRITE", "partition": 1, "region": "buf", "data": "06"},
+            {"op": "IDLE", "ticks": 12},
+            {"op": "GET_MY_ID", "partition": 1, "caller": 1, "expect": 1},
+        ],
+    }
+    report = run_scenario(load_scenario(data))
+    assert (report.raw_ticks, report.virtual_ticks, report.verdict) == (83, 41, "MATCH")
+    assert [e.to_line() for e in report.events] == [
+        "EVENT kind=DISPATCH t=0 part=1 process=1",
+        "EVENT kind=DISPATCH t=3 part=2 process=1",
+        "EVENT kind=DEADLINE_MISS t=9 part=1 process=1 elapsed=9 budget=9/2",
+        "EVENT kind=DEADLINE_MISS t=9 part=2 process=1 elapsed=6 budget=3",
+        "EVENT kind=DEADLINE_MISS t=17 part=1 process=1 elapsed=7 budget=9/2",
+        "EVENT kind=PARTITION_RESET t=17 part=1",
+        "EVENT kind=DEADLINE_MISS t=35 part=1 process=1 elapsed=5 budget=9/2",
+        "EVENT kind=GET_MY_ID t=41 part=1 caller=1 result=1",
+    ]
+
+
+def test_checks_are_charged_to_the_step_that_made_them():
+    data = {
+        "name": "costs",
+        "partitions": [
+            {"id": 1, "regions": [{"label": "buf", "size": 8}]},
+            {"id": 2, "regions": [{"label": "buf", "size": 8}]},
+        ],
+        "time": {"costs": {"asan_check": 1, "msan_check": 10, "ub_check": 100}},
+        "ports": [
+            {
+                "name": "q",
+                "kind": "queueing",
+                "source": 1,
+                "destination": 2,
+                "max_message_size": 8,
+                "capacity": 2,
+            }
+        ],
+        "workload": [
+            {"op": "WRITE", "partition": 1, "region": "buf", "data": "01020304"},
+            {"op": "SEND", "partition": 1, "port": "q", "region": "buf", "len": 4},
+            {"op": "RECEIVE", "partition": 2, "port": "q", "region": "buf", "offset": 4},
+            {
+                "op": "ARITH",
+                "partition": 2,
+                "arith": "ADD",
+                "type": "i32",
+                "a": {"region": "buf", "offset": 4},
+                "b": 1,
+            },
+        ],
+    }
+    report = run_scenario(load_scenario(data))
+    assert report.violations == () and report.verdict == "MATCH"
+    # base 1 per step; WRITE 1 asan, SEND 1 asan + 1 msan, RECEIVE 1 asan
+    # (on partition 2), ARITH 1 asan + 1 msan + 1 ub
+    assert report.raw_ticks == (1 + 1) + (1 + 1 + 10) + (1 + 1) + (1 + 1 + 10 + 100) == 128
 
 
 def test_clean_workloads_stay_clean():

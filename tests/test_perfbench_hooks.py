@@ -7,6 +7,7 @@ This runs the builtin corpus under the tracer and holds its finding counts
 to the reports.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 from partsan import asan_shadow, guest_memory, harness, msan_shadow, ports, scenario, sched
@@ -48,11 +49,15 @@ def test_tracer_counts_match_the_reports(monkeypatch):
     try:
         assert _namespaces() != before
         reports = [harness.run_scenario(load_builtin(name)) for name in builtin_names()]
+        # no builtin misses a deadline; without its override this one does
+        stripped = load_builtin("local_timeout_override")
+        stripped = replace(stripped, time=replace(stripped.time, overrides=()))
+        reports.append(harness.run_scenario(stripped))
     finally:
         tracer.uninstall()
     assert _namespaces() == before
 
-    _, _, counts = tracer.collect()
+    calls, _, counts = tracer.collect()
     kinds = [v.kind for report in reports for v in report.violations]
     ub = sum(kind in {k.value for k in UbKind} for kind in kinds)
     uninit = kinds.count("UNINIT_USE")
@@ -62,3 +67,7 @@ def test_tracer_counts_match_the_reports(monkeypatch):
     assert counts.get("msan_shadow.check.violations", 0) == uninit
     assert counts.get("asan_shadow.check_access.violations", 0) == address
     assert counts.get("harness.steps", 0) > 0
+    assert calls["sched.dispatch"] > 0
+    misses = [e for report in reports for e in report.events if e.kind == "DEADLINE_MISS"]
+    assert len(misses) == 1
+    assert counts.get("sched.check_deadline.misses", 0) == len(misses)

@@ -161,6 +161,10 @@ def test_time_validation_paths():
     _fails_at(data, "/time/slowdown_factor")
 
     data = _base()
+    data["time"] = {"slowdown_factor": "1e1000000"}
+    _fails_at(data, "/time/slowdown_factor")
+
+    data = _base()
     data["time"] = {"costs": {"base_step": -1}}
     _fails_at(data, "/time/costs/base_step")
 
@@ -193,6 +197,12 @@ def test_time_validation_paths():
     data = _base()
     data["time"] = {
         "timeout_overrides": [{"partition": 1, "process": 1, "multiplier": "1/2"}]
+    }
+    _fails_at(data, "/time/timeout_overrides/0/multiplier")
+
+    data = _base()
+    data["time"] = {
+        "timeout_overrides": [{"partition": 1, "process": 1, "multiplier": "1e-1000000"}]
     }
     _fails_at(data, "/time/timeout_overrides/0/multiplier")
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from partsan.sched import (
     CheckCosts,
     MajorFrame,
     Process,
-    ProcessState,
     ProcessTable,
     TimeModel,
     Window,
@@ -31,6 +31,14 @@ def test_to_fraction_accepts_int_float_string():
     assert to_fraction(1.5) == Fraction(3, 2)
     assert to_fraction("3/2") == Fraction(3, 2)
     assert to_fraction(Fraction(7, 4)) == Fraction(7, 4)
+    assert to_fraction("1e3") == Fraction(1000)
+    assert to_fraction("2.5E-1") == Fraction(1, 4)
+    # an exponent string is read as a float, never as 10**exponent
+    start = time.perf_counter()
+    with pytest.raises(ConfigError):
+        to_fraction("1e1000000")
+    assert to_fraction("1e-1000000000") == 0
+    assert time.perf_counter() - start < 0.1
 
 
 def test_time_model_basic_advance():
@@ -146,37 +154,23 @@ def test_dispatch_prefers_priority_then_lowest_id():
 
 
 def test_dispatch_exhaustive_small_cases():
-    # every priority assignment and READY subset for 1..3 processes
+    # every priority assignment for 1..3 processes
     for count in (1, 2, 3):
         for priorities in itertools.product((1, 2, 3), repeat=count):
-            for ready_mask in range(1 << count):
-                table = _table(*((i + 1, priorities[i]) for i in range(count)))
-                ready = []
-                for i, process in enumerate(table.processes):
-                    if ready_mask >> i & 1:
-                        ready.append((process.process_id, process.priority))
-                    else:
-                        process.state = ProcessState.DORMANT
-                picked = table.dispatch(0)
-                expected = ref_dispatch(ready)
-                if expected is None:
-                    assert picked is None
-                else:
-                    assert picked.process_id == expected
+            pairs = [(i + 1, priorities[i]) for i in range(count)]
+            table = _table(*pairs)
+            assert table.dispatch(0).process_id == ref_dispatch(pairs)
+            assert table.running.process_id == ref_dispatch(pairs)
 
 
-def test_dispatch_demotes_previous_and_idles_when_nothing_ready():
+def test_dispatch_follows_a_priority_change():
     table = _table((1, 5), (2, 9))
     first = table.dispatch(0)
-    assert first.state is ProcessState.RUNNING
+    assert table.running is first and first.process_id == 2
     first.priority = 0  # drops below process 1 at the next dispatch point
     second = table.dispatch(1)
-    assert second.process_id == 1
-    assert first.state is ProcessState.READY
-    for process in table.processes:
-        process.state = ProcessState.WAITING
-    assert table.dispatch(2) is None
-    assert table.running is None
+    assert table.running is second and second.process_id == 1
+    assert second.activation_time == 1
 
 
 def test_dispatch_records_first_activation_only():
@@ -187,6 +181,22 @@ def test_dispatch_records_first_activation_only():
     assert process.activation_time == 7
 
 
+def test_dispatch_reactivates_a_periodic_process_at_the_last_boundary():
+    table = ProcessTable(
+        [Process(process_id=1, partition_id=1, priority=1, time_capacity=3, period=5)]
+    )
+    process = table.dispatch(2)
+    assert process.activation_time == 2
+    table.dispatch(6)  # 2 + 5 not yet passed
+    assert process.activation_time == 2
+    process.deadline_missed = True
+    table.dispatch(7)
+    assert (process.activation_time, process.deadline_missed) == (7, False)
+    # one floor division, however many periods passed
+    table.dispatch(7 + 5 * 10**12 + 4)
+    assert process.activation_time == 7 + 5 * 10**12
+
+
 def test_process_validation():
     with pytest.raises(ConfigError):
         Process(process_id=0, partition_id=1, priority=1, time_capacity=10)
@@ -194,6 +204,13 @@ def test_process_validation():
         Process(process_id=1, partition_id=1, priority=1, time_capacity=0)
     with pytest.raises(ConfigError):
         Process(process_id=1, partition_id=1, priority=1, time_capacity=10, period=5)
+    for multiplier in (Fraction(1, 2), 0, "x"):
+        with pytest.raises(ConfigError):
+            Process(
+                process_id=1, partition_id=1, priority=1, time_capacity=10, multiplier=multiplier
+            )
+    process = Process(process_id=1, partition_id=1, priority=1, time_capacity=10, multiplier=2)
+    assert process.multiplier == Fraction(2)
     with pytest.raises(ConfigError):
         ProcessTable(
             [
@@ -203,8 +220,10 @@ def test_process_validation():
         )
 
 
-def _activated(capacity):
-    process = Process(process_id=1, partition_id=1, priority=1, time_capacity=capacity)
+def _activated(capacity, multiplier=1):
+    process = Process(
+        process_id=1, partition_id=1, priority=1, time_capacity=capacity, multiplier=multiplier
+    )
     process.activation_time = 0
     return process
 
@@ -214,18 +233,16 @@ def test_check_deadline_examples():
     miss = check_deadline(_activated(50), 80)
     assert miss is not None
     assert miss.elapsed == 80 and miss.budget == Fraction(50)
-    overrides = {1: Fraction(2)}
-    assert check_deadline(_activated(50), 80, overrides) is None
-    miss = check_deadline(_activated(50), 101, overrides)
+    assert check_deadline(_activated(50, Fraction(2)), 80) is None
+    miss = check_deadline(_activated(50, Fraction(2)), 101)
     assert miss is not None and miss.budget == Fraction(100)
 
 
 def test_check_deadline_boundary_is_exact():
     assert check_deadline(_activated(50), 50) is None  # equal is on time
     assert check_deadline(_activated(50), 51) is not None
-    overrides = {1: Fraction(3, 2)}  # budget 75
-    assert check_deadline(_activated(50), 75, overrides) is None
-    assert check_deadline(_activated(50), 76, overrides) is not None
+    assert check_deadline(_activated(50, Fraction(3, 2)), 75) is None  # budget 75
+    assert check_deadline(_activated(50, Fraction(3, 2)), 76) is not None
 
 
 def test_check_deadline_reports_once_per_activation():
