@@ -53,10 +53,7 @@ from .msan_shadow import (
 )
 from .ports import (
     Message,
-    PortDirection,
-    QueueingChannel,
     QueueingPort,
-    SamplingChannel,
     SamplingPort,
     Validity,
 )
@@ -110,7 +107,6 @@ from .ub_checks import (
 )
 from .violations import (
     AccessKind,
-    GuestAddr,
     UseSite,
     Violation,
     ViolationError,

@@ -16,11 +16,10 @@ from enum import Enum
 from .asan_shadow import PoisonKind, ShadowMap, poison_detail
 from .errors import ConfigError, OutOfMemory, PhaseError
 from .msan_shadow import InitShadow, ReservedInitConfig
-from .violations import AccessKind, GuestAddr, Violation, ViolationError
+from .violations import AccessKind, Violation, ViolationError
 
 __all__ = [
     "AccessKind",
-    "GuestAddr",
     "NULL_GUARD",
     "Phase",
     "PartitionMemory",
@@ -42,6 +41,13 @@ def check_redzone(redzone: int, granularity: int) -> None:
             f"redzone {redzone} must be a multiple of granularity "
             f"{granularity} and at least one granule"
         )
+
+
+def place(cursor: int, payload_len: int, granularity: int, redzone: int) -> tuple[int, int]:
+    """A region allocated at ``cursor``: its payload's base, and the end of
+    its span (redzone, payload in whole granules, redzone)."""
+    base = cursor + redzone
+    return base, base + -(-payload_len // granularity) * granularity + redzone
 
 
 class Phase(Enum):
@@ -91,9 +97,6 @@ class PartitionMemory:
         # nothing is addressable until allocated
         self.shadow.poison(0, size_bytes, PoisonKind.MANUAL_BLACKLIST)
 
-    def addr(self, offset: int) -> GuestAddr:
-        return GuestAddr(self.partition_id, offset)
-
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
@@ -126,11 +129,8 @@ class PartitionMemory:
             raise ConfigError(f"payload length must be >= 1, got {payload_len}")
         if any(r.label == label for r in self.regions):
             raise ConfigError(f"region label '{label}' already allocated")
-        g = self.granularity
         span_start = self._cursor
-        base = span_start + self.redzone
-        aligned_len = -(-payload_len // g) * g
-        span_end = base + aligned_len + self.redzone
+        base, span_end = place(span_start, payload_len, self.granularity, self.redzone)
         if span_end > self.size_bytes:
             raise OutOfMemory(
                 f"region '{label}' needs {span_end - span_start} bytes at offset "
@@ -138,7 +138,7 @@ class PartitionMemory:
             )
         self.shadow.poison(span_start, self.redzone, PoisonKind.LEFT_REDZONE)
         self.shadow.unpoison(base, payload_len)
-        self.shadow.poison(base + aligned_len, self.redzone, PoisonKind.RIGHT_REDZONE)
+        self.shadow.poison(span_end - self.redzone, self.redzone, PoisonKind.RIGHT_REDZONE)
         self.init_shadow.set_uninitialized(base, payload_len, origin=f"alloc:{label}")
         region = Region(
             label=label,
@@ -187,25 +187,15 @@ class PartitionMemory:
         if violation is not None:
             raise ViolationError(violation)
 
-    def _own(self, addr: GuestAddr) -> int:
-        if addr.partition_id != self.partition_id:
-            raise ConfigError(
-                f"address belongs to partition {addr.partition_id}, "
-                f"this is partition {self.partition_id}"
-            )
-        return addr.offset
-
-    def checked_read(self, addr: GuestAddr, length: int) -> bytes:
+    def checked_read(self, offset: int, length: int) -> bytes:
         """Read with address validation.  Reads never require or affect
         initialization state; only uses are checked for that."""
-        offset = self._own(addr)
         self._check(offset, length, AccessKind.READ)
         return bytes(self.data[offset : offset + length])
 
-    def checked_write(self, addr: GuestAddr, data: bytes, origin: str = "write") -> None:
+    def checked_write(self, offset: int, data: bytes, origin: str = "write") -> None:
         """Write with address validation.  Marks bytes initialized unless the
         payload is exactly the reserved-init fill pattern."""
-        offset = self._own(addr)
         if len(data) < 1:
             raise ConfigError("write payload must be non-empty")
         self._check(offset, len(data), AccessKind.WRITE)

@@ -4,7 +4,7 @@ Execution is report-and-continue: a guest fault (redzone hit, uninitialized
 use, arithmetic trap, port fault, contract mismatch) aborts only the
 operation that caused it, gets recorded, and the run proceeds.  Scenario
 authoring mistakes (unknown regions, allocation after start, out of
-memory) raise instead: they are bugs in the input, not findings.
+memory) fail at load instead, so a loaded scenario runs to completion.
 
 Runs are deterministic: the same scenario and overrides produce
 byte-identical reports, which is what makes expected-violation verdicts and
@@ -19,13 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 from .errors import ConfigError
 from .guest_memory import PartitionMemory, Phase
 from .msan_shadow import PaddingRegistry, copy_propagate, unpoison_padding
-from .ports import (
-    PortDirection,
-    QueueingChannel,
-    QueueingPort,
-    SamplingChannel,
-    SamplingPort,
-)
+from .ports import QueueingPort, SamplingPort
 from .scenario import ExpectPattern, Scenario, Step
 from .sched import MAIN_CONTEXT, Process, ProcessTable, TimeModel, check_deadline, get_my_id
 from .syscall_annotations import (
@@ -203,26 +197,12 @@ class Simulator:
             self.padding.register(type_name, ranges, type_size=scenario.types[type_name])
         self.syscalls = {spec.user_name: spec for spec in scenario.syscalls}
 
-        self.ports: dict[tuple[int, str], object] = {}
-        for pconf in scenario.ports:
-            if pconf.kind == "sampling":
-                channel = SamplingChannel(
-                    pconf.name, pconf.max_message_size, pconf.refresh_period
-                )
-                port_cls = SamplingPort
-            else:
-                channel = QueueingChannel(
-                    pconf.name, pconf.max_message_size, pconf.capacity
-                )
-                port_cls = QueueingPort
-            if pconf.source is not None:
-                self.ports[(pconf.source, pconf.name)] = port_cls(
-                    pconf.name, pconf.source, PortDirection.SOURCE, channel
-                )
-            if pconf.destination is not None:
-                self.ports[(pconf.destination, pconf.name)] = port_cls(
-                    pconf.name, pconf.destination, PortDirection.DESTINATION, channel
-                )
+        self.ports: dict[str, SamplingPort | QueueingPort] = {
+            pconf.name: SamplingPort(pconf.name, pconf.max_message_size, pconf.refresh_period)
+            if pconf.kind == "sampling"
+            else QueueingPort(pconf.name, pconf.max_message_size, pconf.capacity)
+            for pconf in scenario.ports
+        }
 
         self.violations: list[Violation] = []
         self.events: list[Event] = []
@@ -230,20 +210,6 @@ class Simulator:
         self._ub_checks_this_step = 0
 
     # -- plumbing ----------------------------------------------------------
-
-    def _port(self, step: Step, want_cls):
-        key = (step["partition"], step["port"])
-        port = self.ports.get(key)
-        if port is None:
-            raise ConfigError(
-                f"partition {key[0]} has no port '{key[1]}'", path=step.path
-            )
-        if not isinstance(port, want_cls):
-            raise ConfigError(
-                f"port '{key[1]}' is {type(port).__name__}, wrong op for it",
-                path=step.path,
-            )
-        return port
 
     def _event(self, kind: str, **info) -> None:
         self.events.append(Event(kind=kind, t=self.model.virtual_now, info=info))
@@ -272,12 +238,7 @@ class Simulator:
                 msan_before = mem.init_shadow.checks_performed
                 self._ub_checks_this_step = 0
                 self._dispatch(pid, mem)
-                try:
-                    executors[step.op](self, step, mem)
-                except ConfigError as exc:
-                    if exc.path is not None:
-                        raise
-                    raise ConfigError(str(exc), path=step.path) from exc
+                executors[step.op](self, step, mem)
                 model.advance(
                     model.costs.base_step,
                     asan_checks=mem.shadow.checks_performed - asan_before,
@@ -337,16 +298,14 @@ class Simulator:
         self._event("PARTITION_RESET", part=step["partition"])
 
     def _op_write(self, step: Step, mem: PartitionMemory) -> None:
-        addr = mem.addr(_offset(mem, step))
         try:
-            mem.checked_write(addr, step["data"], origin=f"step:{self._step_index}")
+            mem.checked_write(_offset(mem, step), step["data"], origin=f"step:{self._step_index}")
         except ViolationError as exc:
             self._log(exc.violation)
 
     def _op_read(self, step: Step, mem: PartitionMemory) -> None:
-        addr = mem.addr(_offset(mem, step))
         try:
-            mem.checked_read(addr, step["len"])
+            mem.checked_read(_offset(mem, step), step["len"])
         except ViolationError as exc:
             self._log(exc.violation)
 
@@ -355,7 +314,7 @@ class Simulator:
         dst = _offset(mem, step, "dst_")
         length = step["len"]
         try:
-            data = mem.checked_read(mem.addr(src), length)
+            data = mem.checked_read(src, length)
             violation = mem.check_access(dst, length, AccessKind.WRITE)
             if violation is not None:
                 raise ViolationError(violation)
@@ -445,10 +404,10 @@ class Simulator:
             self._run_ub(step, checked_trunc(*values, from_spec, int_spec(step["to"])))
 
     def _op_align_check(self, step: Step, mem: PartitionMemory) -> None:
-        self._run_ub(step, check_align(mem.addr(_offset(mem, step)), step["align"]))
+        self._run_ub(step, check_align(_offset(mem, step), step["align"]))
 
     def _op_null_check(self, step: Step, mem: PartitionMemory) -> None:
-        self._run_ub(step, check_nonnull(mem.addr(_offset(mem, step))))
+        self._run_ub(step, check_nonnull(_offset(mem, step), mem.partition_id))
 
     def _op_bool_check(self, step: Step, mem: PartitionMemory) -> None:
         values = self._operands(step, mem, ("a",), 1, False)
@@ -464,23 +423,20 @@ class Simulator:
     # -- syscalls ------------------------------------------------------------------
 
     def _op_syscall(self, step: Step, mem: PartitionMemory) -> None:
-        spec = self.syscalls.get(step["name"])
-        if spec is None:
-            raise ConfigError(f"no syscall template '{step['name']}'", path=step.path)
+        spec = self.syscalls[step["name"]]
         bindings = {
-            param: ParamBinding(addr=mem.addr(_offset(mem, raw)), length=raw.get("len"))
+            param: ParamBinding(offset=_offset(mem, raw), length=raw.get("len"))
             for param, raw in step["bindings"].items()
         }
         resolved = resolve_sizes(spec, self.types, bindings)
-        shadows = {mem.partition_id: mem.init_shadow}
-        violation = enforce_pre(resolved, shadows)
+        violation = enforce_pre(resolved, mem.init_shadow)
         if violation is not None:
             self._log(violation)
             self._event("SYSCALL", part=step["partition"], name=spec.user_name,
                         outcome="blocked")
             return
         succeeded = step["succeed"]
-        enforce_post(resolved, shadows, succeeded)
+        enforce_post(resolved, mem.init_shadow, succeeded)
         self._event(
             "SYSCALL",
             part=step["partition"],
@@ -493,20 +449,20 @@ class Simulator:
     def _transmit(self, step: Step, mem: PartitionMemory, port_method) -> None:
         """Queueing send or sampling write of ``len`` bytes at the step's location."""
         try:
-            port_method(mem, mem.addr(_offset(mem, step)), step["len"], self.model.virtual_now)
+            port_method(mem, _offset(mem, step), step["len"], self.model.virtual_now)
         except ViolationError as exc:
             self._log(exc.violation)
 
     def _op_send(self, step: Step, mem: PartitionMemory) -> None:
-        self._transmit(step, mem, self._port(step, QueueingPort).send)
+        self._transmit(step, mem, self.ports[step["port"]].send)
 
     def _op_sampling_write(self, step: Step, mem: PartitionMemory) -> None:
-        self._transmit(step, mem, self._port(step, SamplingPort).write)
+        self._transmit(step, mem, self.ports[step["port"]].write)
 
     def _op_receive(self, step: Step, mem: PartitionMemory) -> None:
-        port = self._port(step, QueueingPort)
+        port = self.ports[step["port"]]
         try:
-            result = port.receive(mem, mem.addr(_offset(mem, step)), self.model.virtual_now)
+            result = port.receive(mem, _offset(mem, step), self.model.virtual_now)
         except ViolationError as exc:
             self._log(exc.violation)
             return
@@ -530,9 +486,9 @@ class Simulator:
             )
 
     def _op_sampling_read(self, step: Step, mem: PartitionMemory) -> None:
-        port = self._port(step, SamplingPort)
+        port = self.ports[step["port"]]
         try:
-            result = port.read(mem, mem.addr(_offset(mem, step)), self.model.virtual_now)
+            result = port.read(mem, _offset(mem, step), self.model.virtual_now)
         except ViolationError as exc:
             self._log(exc.violation)
             return
@@ -561,12 +517,7 @@ class Simulator:
         if caller == "main":
             context = MAIN_CONTEXT
         else:
-            table = self.tables.get(step["partition"])
-            if table is None:
-                raise ConfigError(
-                    f"partition {step['partition']} has no processes", path=step.path
-                )
-            context = table.get(caller)
+            context = self.tables[step["partition"]].get(caller)
         result = get_my_id(context, legacy=self.legacy_get_my_id)
         self._event(
             "GET_MY_ID",

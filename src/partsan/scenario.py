@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from importlib import resources
@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 from .asan_shadow import check_granularity, check_memory_size
 from .errors import BindError, ConfigError, ParseError, UnknownType
-from .guest_memory import check_redzone
+from .guest_memory import NULL_GUARD, check_redzone, place
 from .msan_shadow import ReservedInitConfig, add_padding_range, check_reserved_pattern
 from .sched import CheckCosts, MajorFrame, Window, check_period, parse_multiplier, parse_slowdown
 from .syscall_annotations import (
@@ -30,8 +30,8 @@ from .syscall_annotations import (
     parse_template,
     resolve_sizes,
 )
-from .ub_checks import UbKind
-from .violations import GuestAddr, UseSite
+from .ub_checks import INT_SPECS, UbKind
+from .violations import UseSite
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -117,7 +117,6 @@ class ExpectPattern:
 class Step:
     op: str
     fields: dict
-    path: str  # JSON pointer, for runtime error messages
 
     def __getitem__(self, key):
         return self.fields[key]
@@ -143,7 +142,7 @@ class Scenario:
         self, slowdown_factor=None, granularity: int | None = None
     ) -> "Scenario":
         """Per-run knobs: replace the slowdown factor and/or force one
-        shadow granularity on every partition."""
+        shadow granularity on every partition, which the workload pass checks."""
         scenario = self
         if slowdown_factor is not None:
             factor = parse_slowdown(slowdown_factor)
@@ -156,6 +155,7 @@ class Scenario:
                     replace(p, granularity=granularity) for p in scenario.partitions
                 ),
             )
+            _check_workload(scenario)
         return scenario
 
 
@@ -348,12 +348,6 @@ _as_int_type = _one_of("integer type", *_INT_TYPE_NAMES)
 # -- configuration sections -------------------------------------------------------
 
 
-def _layout(fields):
-    """Memory size and redzone come in whole shadow granules."""
-    _at("memory_size", check_memory_size, fields["memory_size"], fields["granularity"])
-    _at("redzone", check_redzone, fields["redzone"], fields["granularity"])
-
-
 _REGION = _Fields(("label", _as_name, _REQUIRED), ("size", _count, _REQUIRED), build=RegionConfig)
 
 _PROCESS = _Fields(
@@ -373,7 +367,6 @@ _PARTITION = _Fields(
     ("auto_start", _as_bool, True),
     ("regions", _list_of(_REGION, unique=("label", "region label")), ()),
     ("processes", _list_of(_PROCESS, unique=("id", "process id")), ()),
-    check=_layout,
     build=lambda id, **f: PartitionConfig(id, **f),
 )
 
@@ -512,7 +505,8 @@ def _id_result(value):
     return _as_int(value, minimum=1)
 
 
-_LOCATION = (("region", _as_name, _ABSENT), ("offset", _as_int, 0))
+# A region or port reference must equal a label or name _as_name accepted.
+_LOCATION = (("region", _as_str, _ABSENT), ("offset", _as_int, 0))
 
 _OPERAND = _Fields(*_LOCATION, ("width", _count, _ABSENT), ("signed", _as_bool, _ABSENT))
 
@@ -542,6 +536,28 @@ def _write_payload(fields):
         fields["data"] = bytes([fields.pop("fill")]) * fields.pop("len")
 
 
+def _typed(type_key, *keys):
+    """The operands of an op of type ``fields[type_key]`` are values of
+    that type: an immediate lies in its range, and a memory operand's
+    ``width`` and ``signed`` load nothing outside it."""
+
+    def check(fields):
+        spec = INT_SPECS[fields[type_key]]
+        for key in keys:
+            operand = fields[key]
+            if operand.__class__ is not dict:
+                if not spec.contains(operand):
+                    raise ConfigError(f"{operand} is not a value of {spec.name}", f"/{key}")
+                continue
+            # an unsigned load fits a signed type only with a byte to spare
+            signed = operand.get("signed", spec.signed)
+            room = spec.width // 8 - (spec.signed and not signed)
+            if (signed and not spec.signed) or operand.get("width", spec.width // 8) > room:
+                raise ConfigError(f"operand loads values outside {spec.name}", f"/{key}")
+
+    return check
+
+
 def _payload_or_empty(fields):
     if "expect" in fields and fields["expect_empty"]:
         raise ConfigError("cannot expect both a payload and emptiness", "/expect")
@@ -553,8 +569,10 @@ def _op(*rows, check=None):
 
 _PART = ("partition", _as_int, _REQUIRED)
 _LEN = ("len", _count, _REQUIRED)
-_PORT_NAME = ("port", _as_name, _REQUIRED)
+_PORT_NAME = ("port", _as_str, _REQUIRED)
 _TYPE = ("type", _as_int_type, _REQUIRED)
+_FROM = ("from", _as_int_type, _REQUIRED)
+_ARITH = ("arith", _one_of("arith", "ADD", "SUB", "MUL"), _REQUIRED)
 _A = ("a", _operand, _REQUIRED)
 _B = ("b", _operand, _REQUIRED)
 _STRICT = ("strict", _as_bool, False)
@@ -575,19 +593,17 @@ _OPS = {
     "READ": _op(_PART, *_LOCATION, _LEN),
     "COPY": _op(
         _PART,
-        ("src_region", _as_name, _ABSENT),
+        ("src_region", _as_str, _ABSENT),
         ("src_offset", _as_int, 0),
-        ("dst_region", _as_name, _ABSENT),
+        ("dst_region", _as_str, _ABSENT),
         ("dst_offset", _as_int, 0),
         _LEN,
     ),
     "BRANCH_ON": _op(_PART, *_LOCATION, _LEN),
-    "ARITH": _op(
-        _PART, ("arith", _one_of("arith", "ADD", "SUB", "MUL"), _REQUIRED), _TYPE, _A, _B, _STRICT
-    ),
-    "DIV": _op(_PART, _TYPE, _A, _B),
-    "SHIFT": _op(_PART, _TYPE, _A, ("s", _as_int, _REQUIRED), _STRICT),
-    "TRUNC": _op(_PART, ("from", _as_int_type, _REQUIRED), ("to", _as_int_type, _REQUIRED), _A),
+    "ARITH": _op(_PART, _ARITH, _TYPE, _A, _B, _STRICT, check=_typed("type", "a", "b")),
+    "DIV": _op(_PART, _TYPE, _A, _B, check=_typed("type", "a", "b")),
+    "SHIFT": _op(_PART, _TYPE, _A, ("s", _as_int, _REQUIRED), _STRICT, check=_typed("type", "a")),
+    "TRUNC": _op(_PART, _FROM, ("to", _as_int_type, _REQUIRED), _A, check=_typed("from", "a")),
     "ALIGN_CHECK": _op(_PART, *_LOCATION, ("align", _power_of_two, _REQUIRED)),
     "NULL_CHECK": _op(_PART, *_LOCATION),
     "BOOL_CHECK": _op(_PART, _A),
@@ -618,7 +634,7 @@ _OPS = {
         ("expect_validity", _one_of("expect_validity", "VALID", "STALE", "EMPTY"), _ABSENT),
     ),
     "GET_MY_ID": _op(_PART, ("caller", _caller, "main"), ("expect", _id_result, _ABSENT)),
-    "UNPOISON_PADDING": _op(_PART, ("region", _as_name, _REQUIRED), ("type", _as_name, _REQUIRED)),
+    "UNPOISON_PADDING": _op(_PART, ("region", _as_str, _REQUIRED), ("type", _as_name, _REQUIRED)),
     "IDLE": _op(("ticks", _ticks, _REQUIRED)),
 }
 
@@ -640,49 +656,10 @@ _SCENARIO = _Fields(
 )
 
 
-def _check_syscall_step(step: Step, specs: dict, sizes: TypeSizeTable, passed: set) -> None:
-    """A SYSCALL step names a template, binds the parameters its directives
-    use and no others, and gives each directive room for its size.  Only
-    the template and each binding's ``len`` matter, so ``passed`` holds
-    the combinations already checked."""
-    key = (step["name"], tuple((param, b.get("len")) for param, b in step["bindings"].items()))
-    if key in passed:
-        return
-    spec = specs.get(step["name"])
-    if spec is None:
-        raise ConfigError(f"no syscall template named '{step['name']}'", f"{step.path}/name")
-    param_names = {pname for _, pname in spec.params}
-    for param in step["bindings"]:
-        if param not in param_names:
-            raise ConfigError(
-                f"binding for unknown parameter '{param}' of '{spec.syscall_name}'",
-                f"{step.path}/bindings/{param}",
-            )
-    used = {c.target.param for c in spec.checks} | {c.size.name for c in spec.checks}
-    missing = sorted(used & param_names - step["bindings"].keys())
-    if missing:
-        raise ConfigError(
-            f"directives of '{spec.syscall_name}' need bindings for {missing}",
-            f"{step.path}/bindings",
-        )
-    # sizes do not depend on addresses, so any address will do
-    bindings = {
-        param: ParamBinding(GuestAddr(0, 0), binding.get("len"))
-        for param, binding in step["bindings"].items()
-    }
-    try:
-        resolve_sizes(spec, sizes, bindings)
-    except UnknownType as exc:
-        raise ConfigError(str(exc), f"{step.path}/name") from None
-    except BindError as exc:
-        raise ConfigError(str(exc), f"{step.path}/bindings/{exc.param}") from None
-    passed.add(key)
-
-
 def load_scenario(data: dict) -> Scenario:
-    """Load every section through its _Fields, then check what refers
-    across sections: partition ids, process keys, port endpoints, padding
-    types and sizes, syscall names and bindings."""
+    """Load every section through its _Fields, check what refers across
+    sections (window partitions, override processes, port endpoints,
+    padding types and sizes), then run the workload pass."""
     try:
         fields = _SCENARIO(data)
     except ConfigError as exc:
@@ -723,27 +700,173 @@ def load_scenario(data: dict) -> Scenario:
             except ConfigError as exc:
                 raise ConfigError(exc.message, f"/padding/{type_name}/{i}") from None
 
+    fields["workload"] = tuple(Step(op, step_fields) for op, step_fields in fields["workload"])
+    scenario = Scenario(**fields)
+    _check_workload(scenario)
+    return scenario
+
+
+# -- the workload pass -------------------------------------------------------------
+#
+# Partitions, memory and ports are static and allocation only bumps a cursor,
+# so one pass over the steps replays each partition's phase, free space and
+# region labels, and rejects every step the simulator could not run.
+
+#: Per op, its region keys and its operand keys.
+_REGION_KEYS = {op: tuple(k for k, _, _ in f.rows if "region" in k) for op, f in _OPS.items()}
+_OPERAND_KEYS = {op: tuple(key for key, c, _ in f.rows if c is _operand) for op, f in _OPS.items()}
+
+#: The kind of port each port op needs, and the end of it the step must be.
+_PORT_ENDS = {
+    "SEND": ("queueing", "source"),
+    "RECEIVE": ("queueing", "destination"),
+    "SAMPLING_WRITE": ("sampling", "source"),
+    "SAMPLING_READ": ("sampling", "destination"),
+}
+
+
+@dataclass
+class _Layout:
+    """A partition's allocation cursor, region bases (0 for ``None``) and phase."""
+
+    config: PartitionConfig
+    cursor: int = NULL_GUARD
+    bases: dict = field(default_factory=lambda: {None: 0})
+    started: bool = False
+
+    def alloc(self, label: str, size: int) -> None:
+        base, end = place(self.cursor, size, self.config.granularity, self.config.redzone)
+        if end > self.config.memory_size:
+            raise ConfigError(
+                f"region '{label}' needs {end - self.cursor} bytes at offset "
+                f"{self.cursor}, partition size is {self.config.memory_size}"
+            )
+        self.bases[label] = base
+        self.cursor = end
+
+    def base(self, where, key: str = "region") -> int:
+        """The base of the allocated region ``where[key]``, or 0 without one."""
+        try:
+            return self.bases[where.get(key)]
+        except KeyError:
+            raise ConfigError(f"no region '{where[key]}' at this step", f"/{key}") from None
+
+    def span(self, start: int, length: int) -> None:
+        if start < 0 or start + length > self.config.memory_size:
+            raise ConfigError(f"span [{start}, {start + length}) leaves partition memory")
+
+
+def _directive_sizes(specs: dict, sizes: TypeSizeTable, known: dict, fields) -> tuple:
+    """A SYSCALL step names a template, binds the parameters its directives
+    use and no others, and gives each directive room for its size; returns
+    each directive's ``(param, size)``.  Only the template and each
+    binding's ``len`` matter, so ``known`` keeps the result per pair."""
+    bindings = fields["bindings"]
+    key = (fields["name"], tuple((param, b.get("len")) for param, b in bindings.items()))
+    if key in known:
+        return known[key]
+    spec = specs.get(fields["name"])
+    if spec is None:
+        raise ConfigError(f"no syscall template named '{fields['name']}'", "/name")
+    param_names = {pname for _, pname in spec.params}
+    for param in bindings:
+        if param not in param_names:
+            raise ConfigError(
+                f"binding for unknown parameter '{param}' of '{spec.syscall_name}'",
+                f"/bindings/{param}",
+            )
+    used = {c.target.param for c in spec.checks} | {c.size.name for c in spec.checks}
+    missing = sorted(used & param_names - bindings.keys())
+    if missing:
+        raise ConfigError(
+            f"directives of '{spec.syscall_name}' need bindings for {missing}", "/bindings"
+        )
+    # sizes do not depend on offsets, so any offset will do
+    capacities = {param: ParamBinding(0, b.get("len")) for param, b in bindings.items()}
+    try:
+        resolved = resolve_sizes(spec, sizes, capacities)
+    except UnknownType as exc:
+        raise ConfigError(str(exc), "/name") from None
+    except BindError as exc:
+        raise ConfigError(str(exc), f"/bindings/{exc.param}") from None
+    known[key] = tuple((c.directive.target.param, c.size) for c in resolved.checks)
+    return known[key]
+
+
+def _check_workload(scenario: Scenario) -> None:
+    """Replay every partition's layout and phase through the workload, and
+    check each step against them at the pointer of the field at fault."""
+    layouts: dict[int, _Layout] = {}
+    for i, config in enumerate(scenario.partitions):
+        at = f"partitions/{i}"
+        _at(f"{at}/memory_size", check_memory_size, config.memory_size, config.granularity)
+        _at(f"{at}/redzone", check_redzone, config.redzone, config.granularity)
+        layout = layouts[config.partition_id] = _Layout(config)
+        for j, region in enumerate(config.regions):
+            _at(f"{at}/regions/{j}/size", layout.alloc, region.label, region.size)
+        layout.started = config.auto_start
+    ports = {port.name: port for port in scenario.ports}
     specs = {}
-    for i, spec in enumerate(fields["syscalls"]):
+    for i, spec in enumerate(scenario.syscalls):
         if spec.user_name in specs:
             raise ConfigError(f"duplicate syscall user name '{spec.user_name}'", f"/syscalls/{i}")
         specs[spec.user_name] = spec
+    directive_sizes = partial(_directive_sizes, specs, TypeSizeTable(scenario.types), {})
 
-    sizes = TypeSizeTable(types)
-    passed = set()
-    workload = []
-    for i, (op, step_fields) in enumerate(fields["workload"]):
-        step = Step(op=op, fields=step_fields, path=f"/workload/{i}")
-        if op != "IDLE" and step["partition"] not in ids:
-            raise ConfigError(
-                f"step references unknown partition {step['partition']}",
-                f"{step.path}/partition",
-            )
-        if op == "SYSCALL":
-            _check_syscall_step(step, specs, sizes, passed)
-        workload.append(step)
-    fields["workload"] = tuple(workload)
-    return Scenario(**fields)
+    def check(step: Step) -> None:
+        op, fields = step.op, step.fields
+        pid = fields["partition"]
+        layout = layouts.get(pid)
+        if layout is None:
+            raise ConfigError(f"step references unknown partition {pid}", "/partition")
+        for key in _REGION_KEYS[op]:
+            layout.base(fields, key)
+        for key in _OPERAND_KEYS[op]:
+            if fields[key].__class__ is dict:
+                _at(key, layout.base, fields[key])
+        if op == "ALLOC":
+            if layout.started:
+                raise ConfigError(f"partition {pid} is running; ALLOC must come before it starts")
+            if fields["label"] in layout.bases:
+                raise ConfigError(f"region label '{fields['label']}' already allocated", "/label")
+            _at("size", layout.alloc, fields["label"], fields["size"])
+        elif op == "START_PARTITION":
+            if layout.started:
+                raise ConfigError(f"partition {pid} already started")
+            layout.started = True
+        elif op == "RESET_PARTITION":
+            layouts[pid] = _Layout(layout.config)
+        elif op in _PORT_ENDS:
+            kind, end = _PORT_ENDS[op]
+            port = ports.get(fields["port"])
+            if port is None or port.kind != kind:
+                raise ConfigError(f"no {kind} port '{fields['port']}'", "/port")
+            if getattr(port, end) != pid:
+                raise ConfigError(f"{end} of port {port.name!r} is not partition {pid}", "/port")
+        elif op == "GET_MY_ID":
+            caller = fields["caller"]
+            if caller != "main" and all(q.process_id != caller for q in layout.config.processes):
+                raise ConfigError(f"partition {pid} has no process {caller}", "/caller")
+        elif op == "UNPOISON_PADDING":
+            if fields["type"] not in scenario.padding:
+                raise ConfigError(f"no padding declaration for type '{fields['type']}'", "/type")
+            base = layout.base(fields)
+            for off, ln in scenario.padding[fields["type"]]:
+                _at("type", layout.span, base + off, ln)
+        elif op == "SYSCALL":
+            offsets = {
+                param: _at(f"bindings/{param}", layout.base, binding) + binding.get("offset", 0)
+                for param, binding in fields["bindings"].items()
+            }
+            for param, size in directive_sizes(fields):
+                _at(f"bindings/{param}", layout.span, offsets[param], size)
+
+    for i, step in enumerate(scenario.workload):
+        try:
+            if step.op != "IDLE":
+                check(step)
+        except ConfigError as exc:
+            raise ConfigError(exc.message, f"/workload/{i}{exc.path or ''}") from None
 
 
 def load_scenario_text(text: str) -> Scenario:

@@ -26,7 +26,7 @@ from enum import Enum
 
 from .errors import BindError, ConfigError, ParseError, UnknownType
 from .msan_shadow import InitShadow
-from .violations import GuestAddr, UseSite
+from .violations import UseSite
 
 _PUNCT = "()&*,;:"
 _CALL_NAMES = ("msan_check", "msan_unpoison")
@@ -391,16 +391,16 @@ class TypeSizeTable:
 
 @dataclass(frozen=True)
 class ParamBinding:
-    """Concrete address (and optional capacity) for one parameter."""
+    """Concrete offset (and optional capacity) for one parameter."""
 
-    addr: GuestAddr
+    offset: int
     length: int | None = None
 
 
 @dataclass(frozen=True)
 class ResolvedCheck:
     directive: CheckDirective
-    addr: GuestAddr
+    offset: int
     size: int
 
 
@@ -430,7 +430,7 @@ def resolve_sizes(
     table: TypeSizeTable,
     bindings: dict[str, ParamBinding],
 ) -> ResolvedSpec:
-    """Bind every directive to a concrete (address, byte count) pair.
+    """Bind every directive to a concrete (offset, byte count) pair.
 
     A binding's optional ``length`` is a capacity: a directive resolving to
     more bytes than its parameter's buffer is a template/binding mismatch
@@ -462,43 +462,34 @@ def resolve_sizes(
                 f"binding provides {binding.length}",
                 check.target.param,
             )
-        resolved.append(ResolvedCheck(directive=check, addr=binding.addr, size=size))
+        resolved.append(ResolvedCheck(directive=check, offset=binding.offset, size=size))
     return ResolvedSpec(checks=tuple(resolved))
 
 
-def _shadow_for(shadows, addr: GuestAddr) -> InitShadow:
-    try:
-        return shadows[addr.partition_id]
-    except KeyError:
-        raise ConfigError(f"no shadow for partition {addr.partition_id}") from None
-
-
-def enforce_pre(resolved: ResolvedSpec, shadows):
-    """Run PRE directives in order; stops at the first violation.
-
-    ``shadows`` maps partition id to InitShadow.  A PRE violation means the
-    syscall never runs, so POST directives must not be applied afterwards.
+def enforce_pre(resolved: ResolvedSpec, shadow: InitShadow):
+    """Run PRE directives in order on the calling partition's ``shadow``;
+    stops at the first violation.  A PRE violation means the syscall never
+    runs, so POST directives must not be applied afterwards.
     """
     for check in resolved.pre:
-        shadow = _shadow_for(shadows, check.addr)
         if check.directive.kind is CheckKind.MSAN_CHECK:
-            violation = shadow.check(check.addr.offset, check.size, UseSite.SYSCALL_PRE)
+            violation = shadow.check(check.offset, check.size, UseSite.SYSCALL_PRE)
             if violation is not None:
                 return violation
         else:
             shadow.mark_initialized(
-                check.addr.offset, check.size, origin="annotation", force=False
+                check.offset, check.size, origin="annotation", force=False
             )
     return None
 
 
-def enforce_post(resolved: ResolvedSpec, shadows, syscall_succeeded: bool) -> None:
+def enforce_post(resolved: ResolvedSpec, shadow: InitShadow, syscall_succeeded: bool) -> None:
     """Apply POST unpoisons, but only when the syscall actually succeeded;
     a failed syscall wrote nothing, so its outputs stay uninitialized.
     POST holds no checks (the parser rejects them), so nothing is reported."""
     if not syscall_succeeded:
         return
     for check in resolved.post:
-        _shadow_for(shadows, check.addr).mark_initialized(
-            check.addr.offset, check.size, origin="annotation", force=False
+        shadow.mark_initialized(
+            check.offset, check.size, origin="annotation", force=False
         )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError
-from .violations import GuestAddr, Violation
+from .violations import Violation
 
 # perfbench/tracing.py counts UB findings as isinstance(result,
 # ub_checks.UbViolation); the name stays bound to the one record class.
@@ -184,24 +184,24 @@ def checked_trunc(value: int, from_spec: IntSpec, to_spec: IntSpec):
     )
 
 
-def check_align(addr: GuestAddr, align: int):
-    """Natural-alignment check for an access at ``addr``."""
+def check_align(offset: int, align: int):
+    """Natural-alignment check for an access at ``offset``."""
     if align < 1 or align & (align - 1):
         raise ConfigError(f"alignment must be a power of two, got {align}")
-    if addr.offset % align == 0:
+    if offset % align == 0:
         return None
     return _trap(
-        UbKind.MISALIGNED, f"offset {addr.offset} not aligned to {align}", offset=addr.offset
+        UbKind.MISALIGNED, f"offset {offset} not aligned to {align}", offset=offset
     )
 
 
-def check_nonnull(addr: GuestAddr):
+def check_nonnull(offset: int, partition_id: int):
     """Guest null is offset 0 of any partition (the bottom of every space is
     a permanently blacklisted guard)."""
-    if addr.offset != 0:
+    if offset != 0:
         return None
     return _trap(
-        UbKind.NULL_DEREF, f"null dereference in partition {addr.partition_id}", offset=addr.offset
+        UbKind.NULL_DEREF, f"null dereference in partition {partition_id}", offset=offset
     )
 
 

@@ -1,4 +1,4 @@
-"""Addressing primitives and violation records shared by all checkers.
+"""Access kinds, use sites and violation records shared by all checkers.
 
 A violation is a finding about the simulated guest, not a failure of the
 simulator.  Checkers either return a :class:`Violation` (pure query APIs)
@@ -13,19 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import PartsanError
-
-
-@dataclass(frozen=True)
-class GuestAddr:
-    """An offset into one partition's private byte space.
-
-    Offsets are plain integers and may be negative or past the end; such
-    addresses are representable (arithmetic never wraps) but any access
-    through them is reported as WILD_ADDRESS.
-    """
-
-    partition_id: int
-    offset: int
 
 
 class AccessKind(Enum):

@@ -58,9 +58,14 @@ def test_run_invalid_scenario_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_run_invalid_granularity_exits_2(capsys):
+def test_run_invalid_granularity_exits_2(tmp_path, capsys):
     assert main(["run", "listing1_overflow", "--granularity", "3"]) == 2
     assert capsys.readouterr().err.startswith("error: granularity must be one of")
+    # a valid granularity the scenario's redzone is not a multiple of
+    scenario = {"name": "rz8", "partitions": [{"id": 1, "redzone": 8}]}
+    path = _write_scenario(tmp_path, scenario)
+    assert main(["run", str(path), "--granularity", "16"]) == 2
+    assert capsys.readouterr().err.startswith("error: /partitions/0/redzone: redzone 8 must be")
 
 
 def test_run_invalid_slowdown_factor_exits_2(capsys):

@@ -114,7 +114,7 @@ def test_reset_invalidates_everything_and_reopens_init():
     mem = make()
     region = mem.alloc_region(16, "buffer")
     mem.start()
-    mem.checked_write(mem.addr(region.base), b"\x01\x02")
+    mem.checked_write(region.base, b"\x01\x02")
     mem.reset_partition()
     assert mem.phase is Phase.INIT
     assert mem.regions == []
@@ -131,8 +131,8 @@ def test_checked_write_then_read_roundtrip():
     mem = make()
     region = mem.alloc_region(16, "buffer")
     mem.start()
-    mem.checked_write(mem.addr(region.base), b"\xaa\xbb\xcc")
-    assert mem.checked_read(mem.addr(region.base), 3) == b"\xaa\xbb\xcc"
+    mem.checked_write(region.base, b"\xaa\xbb\xcc")
+    assert mem.checked_read(region.base, 3) == b"\xaa\xbb\xcc"
     assert mem.init_shadow.check(region.base, 3, UseSite.BRANCH) is None
     assert mem.init_shadow.origin_at(region.base) == "write"
 
@@ -142,13 +142,13 @@ def test_checked_access_raises_violation_with_region_name():
     region = mem.alloc_region(16, "buffer")
     mem.start()
     with pytest.raises(ViolationError) as err:
-        mem.checked_write(mem.addr(region.base - 1), b"\x01")
+        mem.checked_write(region.base - 1, b"\x01")
     violation = err.value.violation
     assert violation.kind == PoisonKind.LEFT_REDZONE.name
     assert violation.detail == "left redzone of region 'buffer'"
     assert violation.offset == region.base - 1
     with pytest.raises(ViolationError) as err:
-        mem.checked_read(mem.addr(region.base + 16), 1)
+        mem.checked_read(region.base + 16, 1)
     assert err.value.violation.kind == PoisonKind.RIGHT_REDZONE.name
 
 
@@ -163,10 +163,10 @@ def test_reserved_init_write_does_not_initialize():
     mem = make(reserved_init=ReservedInitConfig(enabled=True, pattern=0xCD))
     region = mem.alloc_region(4, "var")
     mem.start()
-    mem.checked_write(mem.addr(region.base), bytes([0xCD] * 4))
-    assert mem.checked_read(mem.addr(region.base), 4) == bytes([0xCD] * 4)
+    mem.checked_write(region.base, bytes([0xCD] * 4))
+    assert mem.checked_read(region.base, 4) == bytes([0xCD] * 4)
     assert mem.init_shadow.check(region.base, 4, UseSite.BRANCH) is not None
-    mem.checked_write(mem.addr(region.base), bytes([0xCD, 0x00, 0xCD, 0xCD]))
+    mem.checked_write(region.base, bytes([0xCD, 0x00, 0xCD, 0xCD]))
     assert mem.init_shadow.check(region.base, 4, UseSite.BRANCH) is None
 
 
@@ -186,6 +186,4 @@ def test_region_lookup_errors():
     with pytest.raises(ConfigError):
         mem.region("missing")
     assert mem.nearest_region(10) is None
-    with pytest.raises(ConfigError):
-        mem.checked_read(type(mem.addr(0))(2, 0), 1)  # wrong partition id
 

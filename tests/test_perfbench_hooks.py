@@ -12,7 +12,7 @@ from pathlib import Path
 
 from partsan import asan_shadow, guest_memory, harness, msan_shadow, ports, scenario, sched
 from partsan.asan_shadow import WILD_ADDRESS, PoisonKind
-from partsan.scenario import builtin_names, load_builtin
+from partsan.scenario import builtin_names, load_builtin, load_scenario_text
 from partsan.ub_checks import UbKind
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -71,3 +71,15 @@ def test_tracer_counts_match_the_reports(monkeypatch):
     misses = [e for report in reports for e in report.events if e.kind == "DEADLINE_MISS"]
     assert len(misses) == 1
     assert counts.get("sched.check_deadline.misses", 0) == len(misses)
+
+
+def test_bench_inputs_load(monkeypatch):
+    """Every scenario the benchmark generates passes the load-time checks;
+    one they reject would count as a failed benchmark operation."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for name, generate in sorted(workloads.GENERATORS.items()):
+        for seed in (1, 4242):
+            for text in generate(seed):
+                load_scenario_text(text)

@@ -7,14 +7,8 @@ import pytest
 
 from partsan.errors import ConfigError
 from partsan.guest_memory import PartitionMemory
-from partsan.ports import (
-    PortDirection,
-    QueueingChannel,
-    QueueingPort,
-    SamplingChannel,
-    SamplingPort,
-    Validity,
-)
+from partsan.ports import QueueingPort, SamplingPort, Validity
+from partsan.scenario import load_scenario
 from partsan.violations import UseSite, ViolationError
 
 
@@ -26,26 +20,24 @@ def _memory(partition_id, label="buf", size=32):
 
 
 def _sampling_pair(refresh=10, max_size=16):
-    channel = SamplingChannel("sp", max_size, refresh)
-    src = SamplingPort("sp", 1, PortDirection.SOURCE, channel)
-    dst = SamplingPort("sp", 2, PortDirection.DESTINATION, channel)
-    return src, dst
+    # one object per declared port: the source partition writes to it and
+    # the destination partition reads from it
+    port = SamplingPort("sp", max_size, refresh)
+    return port, port
 
 
 def _queueing_pair(capacity=4, max_size=16):
-    channel = QueueingChannel("qp", max_size, capacity)
-    src = QueueingPort("qp", 1, PortDirection.SOURCE, channel)
-    dst = QueueingPort("qp", 2, PortDirection.DESTINATION, channel)
-    return src, dst
+    port = QueueingPort("qp", max_size, capacity)
+    return port, port
 
 
 def test_channel_validation():
     with pytest.raises(ConfigError):
-        SamplingChannel("s", 0, 10)
+        SamplingPort("s", 0, 10)
     with pytest.raises(ConfigError):
-        SamplingChannel("s", 8, -1)
+        SamplingPort("s", 8, -1)
     with pytest.raises(ConfigError):
-        QueueingChannel("q", 8, 0)
+        QueueingPort("q", 8, 0)
 
 
 def test_sampling_write_read_roundtrip_and_overwrite():
@@ -53,14 +45,14 @@ def test_sampling_write_read_roundtrip_and_overwrite():
     src, dst = _sampling_pair()
     base = src_mem.region("buf").base
     inbox = dst_mem.region("buf").base
-    src_mem.checked_write(src_mem.addr(base), b"\x01\x02\x03\x04")
-    src.write(src_mem, src_mem.addr(base), 4, now=0)
-    src_mem.checked_write(src_mem.addr(base), b"\x05\x06\x07\x08")
-    src.write(src_mem, src_mem.addr(base), 4, now=1)  # replaces the first value
-    result = dst.read(dst_mem, dst_mem.addr(inbox), now=2)
+    src_mem.checked_write(base, b"\x01\x02\x03\x04")
+    src.write(src_mem, base, 4, now=0)
+    src_mem.checked_write(base, b"\x05\x06\x07\x08")
+    src.write(src_mem, base, 4, now=1)  # replaces the first value
+    result = dst.read(dst_mem, inbox, now=2)
     assert result.payload == b"\x05\x06\x07\x08"
     assert result.validity is Validity.VALID and result.age == 1
-    assert dst_mem.checked_read(dst_mem.addr(inbox), 4) == b"\x05\x06\x07\x08"
+    assert dst_mem.checked_read(inbox, 4) == b"\x05\x06\x07\x08"
 
 
 def test_sampling_freshness_boundary():
@@ -68,17 +60,17 @@ def test_sampling_freshness_boundary():
     src, dst = _sampling_pair(refresh=10)
     base = src_mem.region("buf").base
     inbox = dst_mem.region("buf").base
-    src_mem.checked_write(src_mem.addr(base), b"\xff")
-    src.write(src_mem, src_mem.addr(base), 1, now=0)
-    assert dst.read(dst_mem, dst_mem.addr(inbox), now=0).validity is Validity.VALID
-    assert dst.read(dst_mem, dst_mem.addr(inbox), now=10).validity is Validity.VALID
-    assert dst.read(dst_mem, dst_mem.addr(inbox), now=11).validity is Validity.STALE
+    src_mem.checked_write(base, b"\xff")
+    src.write(src_mem, base, 1, now=0)
+    assert dst.read(dst_mem, inbox, now=0).validity is Validity.VALID
+    assert dst.read(dst_mem, inbox, now=10).validity is Validity.VALID
+    assert dst.read(dst_mem, inbox, now=11).validity is Validity.STALE
 
 
 def test_sampling_read_before_any_write_is_empty():
     dst_mem = _memory(2)
     _, dst = _sampling_pair()
-    assert dst.read(dst_mem, dst_mem.addr(dst_mem.region("buf").base), now=0) is None
+    assert dst.read(dst_mem, dst_mem.region("buf").base, now=0) is None
 
 
 def test_sampling_repeated_reads_are_idempotent():
@@ -86,68 +78,79 @@ def test_sampling_repeated_reads_are_idempotent():
     src, dst = _sampling_pair(refresh=5)
     base = src_mem.region("buf").base
     inbox = dst_mem.region("buf").base
-    src_mem.checked_write(src_mem.addr(base), b"\x11\x22")
-    src.write(src_mem, src_mem.addr(base), 2, now=0)
-    first = dst.read(dst_mem, dst_mem.addr(inbox), now=3)
-    second = dst.read(dst_mem, dst_mem.addr(inbox), now=9)
+    src_mem.checked_write(base, b"\x11\x22")
+    src.write(src_mem, base, 2, now=0)
+    first = dst.read(dst_mem, inbox, now=3)
+    second = dst.read(dst_mem, inbox, now=9)
     assert first.payload == second.payload == b"\x11\x22"
     assert first.validity is Validity.VALID and second.validity is Validity.STALE
 
 
 def test_direction_enforcement():
-    src_mem, dst_mem = _memory(1), _memory(2)
-    src, dst = _sampling_pair()
-    base = src_mem.region("buf").base
-    with pytest.raises(ConfigError):
-        src.read(src_mem, src_mem.addr(base), now=0)
-    with pytest.raises(ConfigError):
-        dst.write(dst_mem, dst_mem.addr(base), 1, now=0)
-    qsrc, qdst = _queueing_pair()
-    with pytest.raises(ConfigError):
-        qsrc.receive(src_mem, src_mem.addr(base), now=0)
-    with pytest.raises(ConfigError):
-        qdst.send(dst_mem, dst_mem.addr(base), 1, now=0)
+    # each port op must run in the partition at its end of the port; a
+    # scenario that uses the wrong end fails at load, at the step's port
+    ports = [
+        {"name": "sp", "kind": "sampling", "source": 1, "destination": 2,
+         "max_message_size": 8, "refresh_period": 10},
+        {"name": "qp", "kind": "queueing", "source": 1, "destination": 2,
+         "max_message_size": 8, "capacity": 4},
+    ]
+    partitions = [{"id": pid, "regions": [{"label": "buf", "size": 8}]} for pid in (1, 2)]
+    wrong_end = [
+        {"op": "SAMPLING_READ", "partition": 1, "port": "sp", "region": "buf"},
+        {"op": "SAMPLING_WRITE", "partition": 2, "port": "sp", "region": "buf", "len": 1},
+        {"op": "RECEIVE", "partition": 1, "port": "qp", "region": "buf"},
+        {"op": "SEND", "partition": 2, "port": "qp", "region": "buf", "len": 1},
+    ]
+    for step in wrong_end:
+        data = {"name": "t", "partitions": partitions, "ports": ports, "workload": [step]}
+        with pytest.raises(ConfigError) as err:
+            load_scenario(data)
+        assert err.value.path == "/workload/0/port", step
+
+    right_end = [dict(step, partition=3 - step["partition"]) for step in wrong_end]
+    load_scenario({"name": "t", "partitions": partitions, "ports": ports, "workload": right_end})
 
 
 def test_oversize_message_blocked():
     src_mem = _memory(1)
     src, _ = _sampling_pair(max_size=4)
     base = src_mem.region("buf").base
-    src_mem.checked_write(src_mem.addr(base), b"\x00" * 8)
+    src_mem.checked_write(base, b"\x00" * 8)
     with pytest.raises(ViolationError) as err:
-        src.write(src_mem, src_mem.addr(base), 8, now=0)
+        src.write(src_mem, base, 8, now=0)
     assert err.value.violation.kind == "MESSAGE_TOO_LONG"
-    assert src.channel.latest is None
+    assert src.latest is None
 
 
 def test_uninitialized_payload_blocked_and_not_stored():
     src_mem = _memory(1)
     src, _ = _sampling_pair()
     base = src_mem.region("buf").base
-    src_mem.checked_write(src_mem.addr(base), b"\x01\x02\x03\x04")  # half of 8
+    src_mem.checked_write(base, b"\x01\x02\x03\x04")  # half of 8
     with pytest.raises(ViolationError) as err:
-        src.write(src_mem, src_mem.addr(base), 8, now=0)
+        src.write(src_mem, base, 8, now=0)
     violation = err.value.violation
     assert violation.kind == "UNINIT_USE"
     assert violation.context == UseSite.PORT_SEND.value
     assert violation.offset == base + 4
-    assert src.channel.latest is None
+    assert src.latest is None
 
 
 def test_poisoned_source_blocked():
     src_mem = _memory(1, size=8)
     src, _ = _sampling_pair()
     base = src_mem.region("buf").base
-    src_mem.checked_write(src_mem.addr(base), b"\x00" * 8)
+    src_mem.checked_write(base, b"\x00" * 8)
     # initialization is checked before addressability, so mark the redzone
     # bytes initialized to expose the address check
     src_mem.init_shadow.mark_initialized(base + 8, 4, "stale")
     with pytest.raises(ViolationError) as err:
-        src.write(src_mem, src_mem.addr(base + 4), 8, now=0)  # crosses right redzone
+        src.write(src_mem, base + 4, 8, now=0)  # crosses right redzone
     assert err.value.violation.kind == "RIGHT_REDZONE"
     assert err.value.violation.detail == "right redzone of region 'buf'"
     with pytest.raises(ViolationError) as err:
-        src.write(src_mem, src_mem.addr(-2), 4, now=0)
+        src.write(src_mem, -2, 4, now=0)
     assert err.value.violation.kind == "WILD_ADDRESS"
 
 
@@ -157,11 +160,11 @@ def test_queueing_fifo_and_counts():
     base = src_mem.region("buf").base
     inbox = dst_mem.region("buf").base
     for value in range(5):
-        src_mem.checked_write(src_mem.addr(base), bytes([value, value]))
-        src.send(src_mem, src_mem.addr(base), 2, now=value)
+        src_mem.checked_write(base, bytes([value, value]))
+        src.send(src_mem, base, 2, now=value)
     got = []
     while True:
-        result = dst.receive(dst_mem, dst_mem.addr(inbox), now=10)
+        result = dst.receive(dst_mem, inbox, now=10)
         if result is None:
             break
         got.append(result.payload)
@@ -172,21 +175,21 @@ def test_queue_full_drops_new_message():
     src_mem = _memory(1)
     src, _ = _queueing_pair(capacity=2)
     base = src_mem.region("buf").base
-    src_mem.checked_write(src_mem.addr(base), b"\x01")
-    src.send(src_mem, src_mem.addr(base), 1, now=0)
-    src_mem.checked_write(src_mem.addr(base), b"\x02")
-    src.send(src_mem, src_mem.addr(base), 1, now=1)
-    src_mem.checked_write(src_mem.addr(base), b"\x03")
+    src_mem.checked_write(base, b"\x01")
+    src.send(src_mem, base, 1, now=0)
+    src_mem.checked_write(base, b"\x02")
+    src.send(src_mem, base, 1, now=1)
+    src_mem.checked_write(base, b"\x03")
     with pytest.raises(ViolationError) as err:
-        src.send(src_mem, src_mem.addr(base), 1, now=2)
+        src.send(src_mem, base, 1, now=2)
     assert err.value.violation.kind == "QUEUE_FULL"
-    assert [m.payload for m in src.channel.queue] == [b"\x01", b"\x02"]
+    assert [m.payload for m in src.queue] == [b"\x01", b"\x02"]
 
 
 def test_receive_from_empty_queue_is_none():
     dst_mem = _memory(2)
     _, dst = _queueing_pair()
-    assert dst.receive(dst_mem, dst_mem.addr(dst_mem.region("buf").base), now=0) is None
+    assert dst.receive(dst_mem, dst_mem.region("buf").base, now=0) is None
 
 
 def test_origin_labels_cross_the_hop():
@@ -194,9 +197,9 @@ def test_origin_labels_cross_the_hop():
     src, dst = _queueing_pair()
     base = src_mem.region("buf").base
     inbox = dst_mem.region("buf").base
-    src_mem.checked_write(src_mem.addr(base), b"\x01\x02", origin="writer-step-3")
-    src.send(src_mem, src_mem.addr(base), 2, now=0)
-    dst.receive(dst_mem, dst_mem.addr(inbox), now=1)
+    src_mem.checked_write(base, b"\x01\x02", origin="writer-step-3")
+    src.send(src_mem, base, 2, now=0)
+    dst.receive(dst_mem, inbox, now=1)
     assert dst_mem.init_shadow.origin_at(inbox) == "writer-step-3"
     assert dst_mem.init_shadow.origin_at(inbox + 1) == "writer-step-3"
 
@@ -212,16 +215,16 @@ def test_randomized_interleavings_preserve_fifo_and_init():
     while sent < 1000 or expected:
         if sent < 1000 and (not expected or rng.random() < 0.55):
             payload = sent.to_bytes(4, "little")
-            src_mem.checked_write(src_mem.addr(base), payload)
-            src.send(src_mem, src_mem.addr(base), 4, now=sent)
+            src_mem.checked_write(base, payload)
+            src.send(src_mem, base, 4, now=sent)
             expected.append(payload)
             sent += 1
         else:
-            result = dst.receive(dst_mem, dst_mem.addr(inbox), now=sent)
+            result = dst.receive(dst_mem, inbox, now=sent)
             assert result.payload == expected.popleft()
-            assert len(dst.channel.queue) == len(expected)
+            assert len(dst.queue) == len(expected)
             # no uninitialized byte ever crosses a port
             assert dst_mem.init_shadow.check(inbox, 4, UseSite.BRANCH) is None
             received += 1
     assert received == 1000
-    assert dst.receive(dst_mem, dst_mem.addr(inbox), now=0) is None
+    assert dst.receive(dst_mem, inbox, now=0) is None

@@ -8,8 +8,8 @@ from importlib import resources
 
 import pytest
 
-from partsan.errors import ConfigError, PartsanError
-from partsan.harness import Simulator
+from partsan.errors import ConfigError
+from partsan.harness import Simulator, run_scenario
 from partsan.scenario import (
     VIOLATION_KINDS,
     ExpectPattern,
@@ -376,7 +376,6 @@ def test_workload_operand_and_field_shapes():
     assert arith["b"] == 7 and arith["strict"] is False
     assert write["data"] == b"AAA"
     assert gmi["caller"] == "main" and gmi["expect"] == "MAIN_PROCESS_ID"
-    assert arith.path == "/workload/1"
 
 
 def test_syscall_step_cross_checks():
@@ -432,6 +431,124 @@ def test_syscall_step_cross_checks():
     step = load_scenario(data).workload[0]
     assert step["succeed"] is True
     assert step["bindings"] == {"a": {"region": "buf", "offset": 4, "len": 4}}
+
+
+def _doc(workload, memory_size=4096, auto_start=True, **top):
+    """One partition with a 16-byte region ``buf`` at offset 32 and one
+    process, plus the given workload and top-level sections."""
+    partition = {
+        "id": 1,
+        "memory_size": memory_size,
+        "auto_start": auto_start,
+        "regions": [{"label": "buf", "size": 16}],
+        "processes": [{"id": 1, "priority": 1, "time_capacity": 100}],
+    }
+    partitions = [partition, {"id": 2}, {"id": 3}]
+    return {"name": "t", "partitions": partitions, "workload": workload, **top}
+
+
+def _step(op, **fields):
+    return {"op": op, "partition": 1, **fields}
+
+
+def test_workload_errors_fail_at_load_with_their_pointer():
+    """Mistakes the simulator could only meet while running are rejected by
+    the load-time workload pass, at the pointer of the field at fault."""
+    queue_2_to_1 = [{"name": "q", "kind": "queueing", "source": 2, "destination": 1,
+                     "max_message_size": 8, "capacity": 2}]
+    sampling_1_to_2 = [{"name": "s", "kind": "sampling", "source": 1, "destination": 2,
+                        "max_message_size": 8, "refresh_period": 5}]
+    queue_2_to_3 = [dict(queue_2_to_1[0], destination=3)]
+    past_memory = "//!PRE: msan_check(a, 64);\nsyscall_declare(int, f, int*, a);"
+    cases = [
+        # regions exist from their ALLOC to the next RESET_PARTITION
+        (_doc([_step("WRITE", region="late", data="01"), _step("ALLOC", label="late", size=8)],
+              auto_start=False), "/workload/0/region"),
+        (_doc([_step("RESET_PARTITION"), _step("READ", region="buf", len=1)]),
+         "/workload/1/region"),
+        (_doc([_step("COPY", src_region="buf", dst_region="gone", len=1)]),
+         "/workload/0/dst_region"),
+        (_doc([_step("BRANCH_ON", region="buf", len=1), _step("ALLOC", label="x", size=8)]),
+         "/workload/1"),
+        (_doc([_step("START_PARTITION")]), "/workload/0"),
+        (_doc([_step("ALLOC", label="buf", size=8)], auto_start=False), "/workload/0/label"),
+        # memory: declared regions, then ALLOC steps, fit in memory_size
+        ({"name": "t", "partitions": [{"id": 1, "memory_size": 64, "regions": [
+            {"label": "a", "size": 16}, {"label": "b", "size": 8}]}]},
+         "/partitions/0/regions/1/size"),
+        (_doc([_step("ALLOC", label="big", size=4096)], auto_start=False), "/workload/0/size"),
+        # ports: the right kind, and the step's partition at the right end
+        (_doc([_step("SEND", port="q", region="buf", len=1)], ports=queue_2_to_1),
+         "/workload/0/port"),
+        (_doc([_step("SEND", port="s", region="buf", len=1)], ports=sampling_1_to_2),
+         "/workload/0/port"),
+        (_doc([_step("RECEIVE", port="q", region="buf")], ports=queue_2_to_3),
+         "/workload/0/port"),
+        (_doc([_step("SAMPLING_READ", port="nope", region="buf")]), "/workload/0/port"),
+        (_doc([_step("GET_MY_ID", caller=2)]), "/workload/0/caller"),
+        # padding
+        (_doc([_step("UNPOISON_PADDING", region="buf", type="msg_t")], types={"msg_t": 8}),
+         "/workload/0/type"),
+        (_doc([_step("UNPOISON_PADDING", region="buf", type="big_t")], memory_size=64,
+              types={"big_t": 64}, padding={"big_t": [[40, 8]]}), "/workload/0/type"),
+        # operands are values of the op's type
+        (_doc([_step("ARITH", arith="ADD", type="i32", a=2**31, b=1)]), "/workload/0/a"),
+        (_doc([_step("DIV", type="u8", a=1, b=-1)]), "/workload/0/b"),
+        (_doc([_step("ARITH", arith="ADD", type="i32", a=1,
+                     b={"region": "buf", "width": 4, "signed": False})]), "/workload/0/b"),
+        (_doc([_step("TRUNC", **{"from": "u16", "to": "u8"},
+                     a={"region": "buf", "signed": True})]), "/workload/0/a"),
+        (_doc([_step("SHIFT", type="i64", a={"region": "ghost"}, s=1)]), "/workload/0/a/region"),
+        # SYSCALL directives stay inside the partition
+        (_doc([_step("SYSCALL", name="f", bindings={"a": {"region": "buf", "offset": 4040}})],
+              syscalls=[past_memory]), "/workload/0/bindings/a"),
+        (_doc([_step("SYSCALL", name="f", bindings={"a": {"region": "nope"}})],
+              syscalls=[past_memory]), "/workload/0/bindings/a/region"),
+    ]
+    for data, path in cases:
+        _fails_at(data, path)
+
+    # loads that exercise the same rules without breaking them
+    fine = _doc(
+        [
+            _step("RESET_PARTITION"),
+            _step("ALLOC", label="buf", size=16),
+            _step("START_PARTITION"),
+            _step("SAMPLING_WRITE", port="s", region="buf", len=1),
+            _step("ARITH", arith="ADD", type="i32", a=-(2**31),
+                  b={"region": "buf", "width": 3, "signed": False}),
+            _step("TRUNC", **{"from": "i16", "to": "u8"}, a={"region": "buf", "width": 1}),
+            _step("GET_MY_ID", caller=1),
+            _step("SYSCALL", name="f", bindings={"a": {"region": "buf", "offset": 4000}}),
+        ],
+        ports=sampling_1_to_2,
+        syscalls=[past_memory],
+    )
+    run_scenario(load_scenario(fine))
+
+
+def test_granularity_override_rechecks_the_layout():
+    data = _base()
+    data["partitions"][0]["redzone"] = 8
+    scenario = load_scenario(data)
+    with pytest.raises(ConfigError) as err:
+        scenario.with_overrides(granularity=16)
+    assert err.value.path == "/partitions/0/redzone"
+    assert scenario.with_overrides(granularity=8).partitions[0].granularity == 8
+
+    # 17 bytes take 17 at granularity 1 and 32 at 16, so the second region
+    # no longer fits in 112 bytes
+    data = _base()
+    data["partitions"][0].update(memory_size=112, granularity=1, regions=[], auto_start=False)
+    data["workload"] = [
+        {"op": "ALLOC", "partition": 1, "label": "a", "size": 17},
+        {"op": "ALLOC", "partition": 1, "label": "b", "size": 1},
+    ]
+    scenario = load_scenario(data)
+    with pytest.raises(ConfigError) as err:
+        scenario.with_overrides(granularity=16)
+    assert err.value.path == "/workload/1/size"
+    run_scenario(scenario.with_overrides(granularity=4))
 
 
 def test_expect_validation_paths():
@@ -511,8 +628,9 @@ def _children(node):
 
 def test_mutated_builtins_fail_with_a_pointer_or_run():
     """One changed value, deleted key or added key per builtin document:
-    either loading fails with a pointer into the document, or the run
-    raises nothing but partsan's own errors."""
+    either loading fails with a pointer into the document, or the scenario
+    runs without raising, also under every granularity override it loads
+    with."""
     rng = random.Random(4)
     values = (None, True, -1, 0, 1, 2, 3, 4097, "x", "buf", [], {})
     root = resources.files("partsan.scenarios")
@@ -533,7 +651,11 @@ def test_mutated_builtins_fail_with_a_pointer_or_run():
             except ConfigError as exc:
                 assert exc.path and _names_node(doc, exc.path), (name, str(exc))
                 continue
-            try:
-                Simulator(scenario).run()
-            except PartsanError:
-                pass
+            Simulator(scenario).run()
+            for granularity in (1, 16):
+                try:
+                    regran = scenario.with_overrides(granularity=granularity)
+                except ConfigError as exc:
+                    assert exc.path and _names_node(doc, exc.path), (name, str(exc))
+                    continue
+                Simulator(regran).run()

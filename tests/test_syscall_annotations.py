@@ -23,7 +23,7 @@ from partsan.syscall_annotations import (
     render_template,
     resolve_sizes,
 )
-from partsan.violations import GuestAddr, UseSite
+from partsan.violations import UseSite
 
 FIXTURE = Path(__file__).parent / "data" / "thread_status_template.txt"
 
@@ -167,17 +167,17 @@ SIZES = TypeSizeTable(
 
 def _bindings(base=32):
     return {
-        "thread_id": ParamBinding(GuestAddr(1, base), length=4),
-        "name": ParamBinding(GuestAddr(1, base + 40), length=32),
-        "entry": ParamBinding(GuestAddr(1, base + 88), length=8),
-        "status": ParamBinding(GuestAddr(1, base + 112), length=16),
+        "thread_id": ParamBinding(base, length=4),
+        "name": ParamBinding(base + 40, length=32),
+        "entry": ParamBinding(base + 88, length=8),
+        "status": ParamBinding(base + 112, length=16),
     }
 
 
 def test_resolve_sizes_every_form():
     spec = parse_template(FIXTURE.read_text(encoding="utf-8"))
     resolved = resolve_sizes(spec, SIZES, _bindings())
-    assert [(c.addr.offset, c.size) for c in resolved.checks] == [
+    assert [(c.offset, c.size) for c in resolved.checks] == [
         (32, 4),  # sizeof(thread_id) -> jet_thread_id_t
         (72, 32),  # sizeof(max_name_t) -> type lookup
         (120, 8),  # sizeof(*entry) -> void*
@@ -192,7 +192,7 @@ def test_resolve_sizes_errors():
     with pytest.raises(UnknownType):
         resolve_sizes(spec, TypeSizeTable({}), bindings)
     short = dict(bindings)
-    short["status"] = ParamBinding(GuestAddr(1, 144), length=8)  # needs 16
+    short["status"] = ParamBinding(144, length=8)  # needs 16
     with pytest.raises(BindError):
         resolve_sizes(spec, SIZES, short)
     missing = dict(bindings)
@@ -206,7 +206,7 @@ def test_resolve_sizes_errors():
         resolve_sizes(
             deref_of_value,
             TypeSizeTable({"int": 4}),
-            {"a": ParamBinding(GuestAddr(1, 32))},
+            {"a": ParamBinding(32)},
         )
 
 
@@ -221,7 +221,7 @@ def test_enforce_pre_fires_on_uninitialized_input():
     spec = parse_template(FIXTURE.read_text(encoding="utf-8"))
     shadow = InitShadow(1, 256)
     resolved = resolve_sizes(spec, SIZES, _bindings())
-    violation = enforce_pre(resolved, {1: shadow})
+    violation = enforce_pre(resolved, shadow)
     assert violation is not None
     assert violation.offset == 32
     assert violation.context == UseSite.SYSCALL_PRE.value
@@ -232,8 +232,8 @@ def test_enforce_pre_passes_after_write_and_post_unpoisons_on_success():
     shadow = InitShadow(1, 256)
     shadow.mark_initialized(32, 4, "write:w0")
     resolved = resolve_sizes(spec, SIZES, _bindings())
-    assert enforce_pre(resolved, {1: shadow}) is None
-    assert enforce_post(resolved, {1: shadow}, syscall_succeeded=True) is None
+    assert enforce_pre(resolved, shadow) is None
+    assert enforce_post(resolved, shadow, syscall_succeeded=True) is None
     for start, length in ((72, 32), (120, 8), (144, 16)):
         assert shadow.check(start, length, UseSite.BRANCH) is None
         assert shadow.origin_at(start) == "annotation"
@@ -244,8 +244,8 @@ def test_enforce_post_skipped_on_failure():
     shadow = InitShadow(1, 256)
     shadow.mark_initialized(32, 4, "write:w0")
     resolved = resolve_sizes(spec, SIZES, _bindings())
-    assert enforce_pre(resolved, {1: shadow}) is None
-    assert enforce_post(resolved, {1: shadow}, syscall_succeeded=False) is None
+    assert enforce_pre(resolved, shadow) is None
+    assert enforce_post(resolved, shadow, syscall_succeeded=False) is None
     assert shadow.check(72, 32, UseSite.BRANCH) is not None
 
 
@@ -259,23 +259,14 @@ def test_enforce_pre_stops_at_first_violation_in_order():
     spec = parse_template(text)
     shadow = InitShadow(1, 64)
     bindings = {
-        "a": ParamBinding(GuestAddr(1, 0)),
-        "b": ParamBinding(GuestAddr(1, 8)),
+        "a": ParamBinding(0),
+        "b": ParamBinding(8),
     }
     resolved = resolve_sizes(spec, TypeSizeTable({}), bindings)
-    violation = enforce_pre(resolved, {1: shadow})
+    violation = enforce_pre(resolved, shadow)
     assert violation.offset == 0
     # the unpoison after the failing check never ran
     assert shadow.check(8, 4, UseSite.BRANCH) is not None
     shadow.mark_initialized(0, 4, "w")
-    assert enforce_pre(resolved, {1: shadow}) is None
+    assert enforce_pre(resolved, shadow) is None
     assert shadow.check(8, 4, UseSite.BRANCH) is None
-
-
-def test_enforce_requires_known_partition():
-    spec = parse_template("//!PRE: msan_check(a, 4);\nsyscall_declare(int, f, int, a);")
-    resolved = resolve_sizes(
-        spec, TypeSizeTable({}), {"a": ParamBinding(GuestAddr(9, 0))}
-    )
-    with pytest.raises(ConfigError):
-        enforce_pre(resolved, {1: InitShadow(1, 16)})

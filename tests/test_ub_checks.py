@@ -21,7 +21,7 @@ from partsan.ub_checks import (
     checked_trunc,
     int_spec,
 )
-from partsan.violations import GuestAddr, Violation
+from partsan.violations import Violation
 
 from oracles import UB_BOUNDS, ref_arith, ref_div, ref_shift, ref_trunc
 
@@ -110,17 +110,18 @@ def test_trunc_examples():
 
 
 def test_align_examples():
-    assert check_align(GuestAddr(1, 8), 4) is None
-    v = check_align(GuestAddr(1, 5), 4)
+    assert check_align(8, 4) is None
+    v = check_align(5, 4)
     assert v.kind == UbKind.MISALIGNED.value and v.offset == 5
     assert v.detail == "offset 5 not aligned to 4"
     with pytest.raises(ConfigError):
-        check_align(GuestAddr(1, 0), 3)
+        check_align(0, 3)
 
 
 def test_nonnull_bool_enum():
-    assert check_nonnull(GuestAddr(1, 32)) is None
-    assert check_nonnull(GuestAddr(1, 0)).kind == UbKind.NULL_DEREF.value
+    assert check_nonnull(32, 1) is None
+    v = check_nonnull(0, 1)
+    assert v.kind == UbKind.NULL_DEREF.value and v.detail == "null dereference in partition 1"
     assert check_bool(0) is None and check_bool(1) is None
     assert check_bool(2).kind == UbKind.BOOL_RANGE.value
     spec = EnumSpec("mode", frozenset({0, 1, 2}))
