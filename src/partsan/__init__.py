@@ -23,16 +23,13 @@ from .errors import (
     BindError,
     ConfigError,
     EncodingError,
-    OutOfMemory,
     ParseError,
     PartsanError,
-    PhaseError,
     UnknownType,
 )
 from .guest_memory import (
     NULL_GUARD,
     PartitionMemory,
-    Phase,
     Region,
 )
 from .harness import (
@@ -46,7 +43,6 @@ from .harness import (
 )
 from .msan_shadow import (
     InitShadow,
-    PaddingRegistry,
     ReservedInitConfig,
     copy_propagate,
     unpoison_padding,

@@ -25,14 +25,6 @@ class ConfigError(PartsanError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-class PhaseError(PartsanError):
-    """Operation not allowed in the partition's current phase."""
-
-
-class OutOfMemory(PartsanError):
-    """Allocation does not fit in the partition's remaining space."""
-
-
 class EncodingError(PartsanError):
     """Shadow encoding cannot represent the requested validity pattern."""
 

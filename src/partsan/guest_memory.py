@@ -1,27 +1,31 @@
 """Per-partition guest memory: static bump allocation, redzones, no reuse.
 
-All allocation happens while the partition is in INIT phase; once started,
-the layout is frozen.  Freed memory does not exist: the allocation cursor
-only moves forward, so a dangling reference can never alias a later
-allocation.  Every region is fenced by poisoned redzones, and the first
-bytes of the space form a permanently blacklisted null guard so that guest
-offset 0 is never a valid access.
+A partition allocates only before it starts and never frees: ``Layout``
+holds its regions by label, the bump cursor and whether it has started,
+and is the one place each allocation rule is checked.  The workload pass
+of ``scenario`` replays a ``Layout`` per partition at load, so a scenario
+that breaks a rule fails there with a JSON pointer; each
+``PartitionMemory`` holds one and adds the byte space and its shadows.
+The cursor only moves forward, so a dangling reference can never alias a
+later allocation.  Every region is fenced by poisoned redzones, and the
+first bytes of the space form a permanently blacklisted null guard so that
+guest offset 0 is never a valid access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
-from .asan_shadow import PoisonKind, ShadowMap, poison_detail
-from .errors import ConfigError, OutOfMemory, PhaseError
+from .asan_shadow import PoisonKind, ShadowMap, check_memory_size, poison_detail
+from .errors import ConfigError
 from .msan_shadow import InitShadow, ReservedInitConfig
 from .violations import AccessKind, Violation, ViolationError
 
 __all__ = [
     "AccessKind",
+    "MEMORY_CAP",
     "NULL_GUARD",
-    "Phase",
+    "Layout",
     "PartitionMemory",
     "Region",
 ]
@@ -32,27 +36,10 @@ NULL_GUARD = 16
 
 DEFAULT_REDZONE = 16
 
-
-def check_redzone(redzone: int, granularity: int) -> None:
-    """Redzones are whole granules, at least one, so that region payloads
-    stay granule-aligned."""
-    if redzone < granularity or redzone % granularity != 0:
-        raise ConfigError(
-            f"redzone {redzone} must be a multiple of granularity "
-            f"{granularity} and at least one granule"
-        )
-
-
-def place(cursor: int, payload_len: int, granularity: int, redzone: int) -> tuple[int, int]:
-    """A region allocated at ``cursor``: its payload's base, and the end of
-    its span (redzone, payload in whole granules, redzone)."""
-    base = cursor + redzone
-    return base, base + -(-payload_len // granularity) * granularity + redzone
-
-
-class Phase(Enum):
-    INIT = "INIT"
-    RUNNING = "RUNNING"
+#: Bound on the memory of all of a scenario's partitions together, and on
+#: the length of a WRITE step's ``fill``, so a scenario that loads can be
+#: built and run.
+MEMORY_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -71,8 +58,74 @@ class Region:
         return self.base + self.payload_len
 
 
+class Layout:
+    """One partition's regions by label, bump cursor and phase.
+
+    Each rule raises a ConfigError whose path, relative to the partition's
+    config or to an ``ALLOC`` step, names the field at fault.
+    """
+
+    def __init__(self, partition_id: int, memory_size: int, granularity: int, redzone: int):
+        try:
+            check_memory_size(memory_size, granularity)
+        except ConfigError as exc:
+            raise ConfigError(exc.message, "/memory_size") from None
+        # whole granules, at least one, so that region payloads stay aligned
+        if redzone < granularity or redzone % granularity != 0:
+            raise ConfigError(
+                f"redzone {redzone} must be a multiple of granularity "
+                f"{granularity} and at least one granule",
+                "/redzone",
+            )
+        self.partition_id = partition_id
+        self.memory_size = memory_size
+        self.granularity = granularity
+        self.redzone = redzone
+        self.reset()
+
+    def reset(self) -> None:
+        """Cold restart: back to INIT with no regions and the whole space free."""
+        self.regions: dict[str, Region] = {}
+        self.cursor = NULL_GUARD
+        self.started = False
+
+    def start(self) -> None:
+        """Freeze the layout."""
+        if self.started:
+            raise ConfigError(f"partition {self.partition_id} already started")
+        self.started = True
+
+    def alloc(self, label: str, size: int) -> Region:
+        """Place ``size`` payload bytes at the cursor: redzone, payload in
+        whole granules, redzone."""
+        if self.started:
+            raise ConfigError(
+                f"partition {self.partition_id} is running; ALLOC must come before it starts"
+            )
+        if label in self.regions:
+            raise ConfigError(f"region label '{label}' already allocated", "/label")
+        g, start = self.granularity, self.cursor
+        base = start + self.redzone
+        end = base + -(-size // g) * g + self.redzone
+        if end > self.memory_size:
+            raise ConfigError(
+                f"region '{label}' needs {end - start} bytes at offset "
+                f"{start}, partition size is {self.memory_size}",
+                "/size",
+            )
+        region = self.regions[label] = Region(label, base, size, start, end)
+        self.cursor = end
+        return region
+
+    def region(self, label: str) -> Region:
+        try:
+            return self.regions[label]
+        except KeyError:
+            raise ConfigError(f"no region '{label}' at this step") from None
+
+
 class PartitionMemory:
-    """Byte space, shadow maps and allocation state for one partition."""
+    """Byte space and shadow maps of one partition, allocated by its Layout."""
 
     def __init__(
         self,
@@ -82,28 +135,20 @@ class PartitionMemory:
         redzone: int = DEFAULT_REDZONE,
         reserved_init: ReservedInitConfig | None = None,
     ):
-        check_redzone(redzone, granularity)
+        self.layout = Layout(partition_id, size_bytes, granularity, redzone)
         self.partition_id = partition_id
         self.size_bytes = size_bytes
-        self.granularity = granularity
-        self.redzone = redzone
         self.data = bytearray(size_bytes)
         self.shadow = ShadowMap(partition_id, size_bytes, granularity)
         self.init_shadow = InitShadow(partition_id, size_bytes)
         self.reserved_init = reserved_init or ReservedInitConfig()
-        self.phase = Phase.INIT
-        self.regions: list[Region] = []
-        self._cursor = NULL_GUARD
         # nothing is addressable until allocated
         self.shadow.poison(0, size_bytes, PoisonKind.MANUAL_BLACKLIST)
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        """Freeze the layout and enter RUNNING phase."""
-        if self.phase is not Phase.INIT:
-            raise PhaseError(f"partition {self.partition_id} already started")
-        self.phase = Phase.RUNNING
+        self.layout.start()
 
     def reset_partition(self) -> None:
         """Cold restart: back to INIT, all previous allocations invalidated.
@@ -111,57 +156,29 @@ class PartitionMemory:
         Old region contents stay in the byte array (the simulator does not
         scrub), but every access to them now reports PARTITION_RESET.
         """
-        self.phase = Phase.INIT
-        self.regions = []
-        self._cursor = NULL_GUARD
+        self.layout.reset()
         self.shadow.poison(0, self.size_bytes, PoisonKind.PARTITION_RESET)
         self.init_shadow.set_uninitialized(0, self.size_bytes, origin=None)
 
     # -- allocation ----------------------------------------------------------
 
     def alloc_region(self, payload_len: int, label: str) -> Region:
-        if self.phase is not Phase.INIT:
-            raise PhaseError(
-                f"partition {self.partition_id} is RUNNING; allocation is "
-                f"only allowed before start"
-            )
-        if payload_len < 1:
-            raise ConfigError(f"payload length must be >= 1, got {payload_len}")
-        if any(r.label == label for r in self.regions):
-            raise ConfigError(f"region label '{label}' already allocated")
-        span_start = self._cursor
-        base, span_end = place(span_start, payload_len, self.granularity, self.redzone)
-        if span_end > self.size_bytes:
-            raise OutOfMemory(
-                f"region '{label}' needs {span_end - span_start} bytes at offset "
-                f"{span_start}, partition size is {self.size_bytes}"
-            )
-        self.shadow.poison(span_start, self.redzone, PoisonKind.LEFT_REDZONE)
-        self.shadow.unpoison(base, payload_len)
-        self.shadow.poison(span_end - self.redzone, self.redzone, PoisonKind.RIGHT_REDZONE)
-        self.init_shadow.set_uninitialized(base, payload_len, origin=f"alloc:{label}")
-        region = Region(
-            label=label,
-            base=base,
-            payload_len=payload_len,
-            span_start=span_start,
-            span_end=span_end,
-        )
-        self.regions.append(region)
-        self._cursor = span_end
+        region = self.layout.alloc(label, payload_len)
+        redzone = self.layout.redzone
+        self.shadow.poison(region.span_start, redzone, PoisonKind.LEFT_REDZONE)
+        self.shadow.unpoison(region.base, payload_len)
+        self.shadow.poison(region.span_end - redzone, redzone, PoisonKind.RIGHT_REDZONE)
+        self.init_shadow.set_uninitialized(region.base, payload_len, origin=f"alloc:{label}")
         return region
 
     def region(self, label: str) -> Region:
-        for r in self.regions:
-            if r.label == label:
-                return r
-        raise ConfigError(f"no region '{label}' in partition {self.partition_id}")
+        return self.layout.region(label)
 
     def nearest_region(self, offset: int) -> Region | None:
         """Region owning or closest to ``offset``; names the likely victim
         when reporting a redzone hit."""
         best, best_dist = None, None
-        for r in self.regions:
+        for r in self.layout.regions.values():
             if r.span_start <= offset < r.span_end:
                 return r
             dist = min(abs(offset - r.span_start), abs(offset - (r.span_end - 1)))

@@ -17,8 +17,8 @@ import json
 from dataclasses import asdict, dataclass, field, replace
 
 from .errors import ConfigError
-from .guest_memory import PartitionMemory, Phase
-from .msan_shadow import PaddingRegistry, copy_propagate, unpoison_padding
+from .guest_memory import PartitionMemory
+from .msan_shadow import copy_propagate, unpoison_padding
 from .ports import QueueingPort, SamplingPort
 from .scenario import ExpectPattern, Scenario, Step
 from .sched import MAIN_CONTEXT, Process, ProcessTable, TimeModel, check_deadline, get_my_id
@@ -149,7 +149,7 @@ def _offset(mem: PartitionMemory, where, prefix: str = "") -> int:
     ``<prefix>region`` when one is named, absolute otherwise."""
     offset = where[prefix + "offset"]
     label = where.get(prefix + "region")
-    return offset if label is None else offset + mem.region(label).base
+    return offset if label is None else offset + mem.layout.regions[label].base
 
 
 class Simulator:
@@ -192,9 +192,6 @@ class Simulator:
         self.legacy_get_my_id = scenario.time.legacy_get_my_id
 
         self.types = TypeSizeTable(scenario.types)
-        self.padding = PaddingRegistry()
-        for type_name, ranges in scenario.padding.items():
-            self.padding.register(type_name, ranges, type_size=scenario.types[type_name])
         self.syscalls = {spec.user_name: spec for spec in scenario.syscalls}
 
         self.ports: dict[str, SamplingPort | QueueingPort] = {
@@ -263,7 +260,7 @@ class Simulator:
 
     def _dispatch(self, pid: int, mem: PartitionMemory) -> None:
         table = self.tables.get(pid)
-        if table is None or mem.phase is not Phase.RUNNING:
+        if table is None or not mem.layout.started:
             return
         running = table.running
         process = table.dispatch(self.model.virtual_now)
@@ -298,8 +295,9 @@ class Simulator:
         self._event("PARTITION_RESET", part=step["partition"])
 
     def _op_write(self, step: Step, mem: PartitionMemory) -> None:
+        data = step.get("data") or bytes([step["fill"]]) * step["len"]
         try:
-            mem.checked_write(_offset(mem, step), step["data"], origin=f"step:{self._step_index}")
+            mem.checked_write(_offset(mem, step), data, origin=f"step:{self._step_index}")
         except ViolationError as exc:
             self._log(exc.violation)
 
@@ -341,8 +339,8 @@ class Simulator:
         self._use(mem, _offset(mem, step), step["len"], UseSite.BRANCH)
 
     def _op_unpoison_padding(self, step: Step, mem: PartitionMemory) -> None:
-        base = mem.region(step["region"]).base
-        unpoison_padding(mem.init_shadow, self.padding, step["type"], base)
+        base = mem.layout.regions[step["region"]].base
+        unpoison_padding(mem.init_shadow, self.scenario.padding[step["type"]], base)
 
     # -- checked arithmetic ops --------------------------------------------------
 

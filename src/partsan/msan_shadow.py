@@ -18,7 +18,6 @@ from .violations import AccessKind, UseSite, Violation
 
 __all__ = [
     "InitShadow",
-    "PaddingRegistry",
     "ReservedInitConfig",
     "UseSite",
     "copy_propagate",
@@ -177,14 +176,12 @@ def copy_propagate(
 
 
 def add_padding_range(
-    accepted: list, type_name: str, off: int, ln: int, type_size: int | None = None
+    accepted: list, type_name: str, off: int, ln: int, type_size: int
 ) -> None:
     """Insert padding range ``(off, ln)`` of ``type_name`` into ``accepted``,
     the type's ranges so far in sorted order.  The range must lie within the
-    type's size (when known) and overlap none of the accepted ones."""
-    if off < 0 or ln < 1:
-        raise ConfigError(f"padding range ({off}, {ln}) of type '{type_name}' invalid")
-    if type_size is not None and off + ln > type_size:
+    type's size and overlap none of the accepted ones."""
+    if off + ln > type_size:
         raise ConfigError(
             f"padding range ({off}, {ln}) exceeds size {type_size} of "
             f"type '{type_name}'"
@@ -197,32 +194,9 @@ def add_padding_range(
     accepted.insert(i, (off, ln))
 
 
-class PaddingRegistry:
-    """Declared padding ranges per named struct type.
-
-    Compilers never initialize padding bytes; annotating them as
-    defined-by-construction suppresses false positives when whole structs
-    are sent through ports or syscalls.
-    """
-
-    def __init__(self):
-        self._ranges: dict[str, tuple[tuple[int, int], ...]] = {}
-
-    def register(self, type_name: str, ranges, type_size: int | None = None) -> None:
-        accepted = []
-        for off, ln in ranges:
-            add_padding_range(accepted, type_name, off, ln, type_size)
-        self._ranges[type_name] = tuple(accepted)
-
-    def ranges_for(self, type_name: str) -> tuple[tuple[int, int], ...]:
-        if type_name not in self._ranges:
-            raise ConfigError(f"no padding declaration for type '{type_name}'")
-        return self._ranges[type_name]
-
-
-def unpoison_padding(
-    shadow: InitShadow, registry: PaddingRegistry, type_name: str, base: int
-) -> None:
-    """Mark a struct instance's declared padding bytes initialized."""
-    for off, ln in registry.ranges_for(type_name):
+def unpoison_padding(shadow: InitShadow, ranges, base: int) -> None:
+    """Mark the padding ``ranges`` (``(offset, length)`` pairs) of a struct
+    at ``base`` initialized: compilers never initialize padding, so whole
+    structs sent through ports or syscalls would otherwise be flagged."""
+    for off, ln in ranges:
         shadow.mark_initialized(base + off, ln, origin="padding", force=False)

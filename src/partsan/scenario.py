@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 
-from .asan_shadow import check_granularity, check_memory_size
+from .asan_shadow import check_granularity
 from .errors import BindError, ConfigError, ParseError, UnknownType
-from .guest_memory import NULL_GUARD, check_redzone, place
+from .guest_memory import MEMORY_CAP, Layout
 from .msan_shadow import ReservedInitConfig, add_padding_range, check_reserved_pattern
 from .sched import CheckCosts, MajorFrame, Window, check_period, parse_multiplier, parse_slowdown
 from .syscall_annotations import (
@@ -524,7 +524,8 @@ def _operand(value):
 
 
 def _write_payload(fields):
-    """WRITE stores hex ``data``, or one ``fill`` byte repeated ``len`` times."""
+    """WRITE stores hex ``data``, or one ``fill`` byte repeated ``len`` times;
+    the step keeps ``fill`` and ``len``, and the bytes are made when it runs."""
     if ("data" in fields) == ("fill" in fields):
         raise ConfigError("write needs exactly one of 'data' (hex) or 'fill'+'len'")
     if "data" in fields:
@@ -532,8 +533,8 @@ def _write_payload(fields):
             raise ConfigError("'len' only combines with 'fill'", "/len")
     elif "len" not in fields:
         raise ConfigError("missing required key 'len'", "/len")
-    else:
-        fields["data"] = bytes([fields.pop("fill")]) * fields.pop("len")
+    elif fields["len"] > MEMORY_CAP:
+        raise ConfigError(f"fill length must be <= {MEMORY_CAP}, got {fields['len']}", "/len")
 
 
 def _typed(type_key, *keys):
@@ -709,8 +710,8 @@ def load_scenario(data: dict) -> Scenario:
 # -- the workload pass -------------------------------------------------------------
 #
 # Partitions, memory and ports are static and allocation only bumps a cursor,
-# so one pass over the steps replays each partition's phase, free space and
-# region labels, and rejects every step the simulator could not run.
+# so one pass over the steps replays each partition's Layout, the allocator
+# the simulator runs, and rejects every step the simulator could not run.
 
 #: Per op, its region keys and its operand keys.
 _REGION_KEYS = {op: tuple(k for k, _, _ in f.rows if "region" in k) for op, f in _OPS.items()}
@@ -723,37 +724,6 @@ _PORT_ENDS = {
     "SAMPLING_WRITE": ("sampling", "source"),
     "SAMPLING_READ": ("sampling", "destination"),
 }
-
-
-@dataclass
-class _Layout:
-    """A partition's allocation cursor, region bases (0 for ``None``) and phase."""
-
-    config: PartitionConfig
-    cursor: int = NULL_GUARD
-    bases: dict = field(default_factory=lambda: {None: 0})
-    started: bool = False
-
-    def alloc(self, label: str, size: int) -> None:
-        base, end = place(self.cursor, size, self.config.granularity, self.config.redzone)
-        if end > self.config.memory_size:
-            raise ConfigError(
-                f"region '{label}' needs {end - self.cursor} bytes at offset "
-                f"{self.cursor}, partition size is {self.config.memory_size}"
-            )
-        self.bases[label] = base
-        self.cursor = end
-
-    def base(self, where, key: str = "region") -> int:
-        """The base of the allocated region ``where[key]``, or 0 without one."""
-        try:
-            return self.bases[where.get(key)]
-        except KeyError:
-            raise ConfigError(f"no region '{where[key]}' at this step", f"/{key}") from None
-
-    def span(self, start: int, length: int) -> None:
-        if start < 0 or start + length > self.config.memory_size:
-            raise ConfigError(f"span [{start}, {start + length}) leaves partition memory")
 
 
 def _directive_sizes(specs: dict, sizes: TypeSizeTable, known: dict, fields) -> tuple:
@@ -794,17 +764,25 @@ def _directive_sizes(specs: dict, sizes: TypeSizeTable, known: dict, fields) -> 
 
 
 def _check_workload(scenario: Scenario) -> None:
-    """Replay every partition's layout and phase through the workload, and
-    check each step against them at the pointer of the field at fault."""
-    layouts: dict[int, _Layout] = {}
+    """Replay every partition's Layout through the workload, and check each
+    step against them at the pointer of the field at fault."""
+    layouts: dict[int, Layout] = {}
+    total = 0
     for i, config in enumerate(scenario.partitions):
         at = f"partitions/{i}"
-        _at(f"{at}/memory_size", check_memory_size, config.memory_size, config.granularity)
-        _at(f"{at}/redzone", check_redzone, config.redzone, config.granularity)
-        layout = layouts[config.partition_id] = _Layout(config)
+        layout = layouts[config.partition_id] = _at(
+            at, Layout, config.partition_id, config.memory_size, config.granularity, config.redzone
+        )
+        total += config.memory_size
+        if total > MEMORY_CAP:
+            raise ConfigError(
+                f"partitions need {total} bytes of memory in all, more than {MEMORY_CAP}",
+                f"/{at}/memory_size",
+            )
         for j, region in enumerate(config.regions):
-            _at(f"{at}/regions/{j}/size", layout.alloc, region.label, region.size)
+            _at(f"{at}/regions/{j}", layout.alloc, region.label, region.size)
         layout.started = config.auto_start
+    processes = {(p.partition_id, q.process_id) for p in scenario.partitions for q in p.processes}
     ports = {port.name: port for port in scenario.ports}
     specs = {}
     for i, spec in enumerate(scenario.syscalls):
@@ -813,6 +791,15 @@ def _check_workload(scenario: Scenario) -> None:
         specs[spec.user_name] = spec
     directive_sizes = partial(_directive_sizes, specs, TypeSizeTable(scenario.types), {})
 
+    def base(layout: Layout, where, key: str = "region") -> int:
+        """The base of the allocated region ``where[key]``, or 0 without one."""
+        label = where.get(key)
+        return 0 if label is None else _at(key, layout.region, label).base
+
+    def span(layout: Layout, start: int, length: int) -> None:
+        if start < 0 or start + length > layout.memory_size:
+            raise ConfigError(f"span [{start}, {start + length}) leaves partition memory")
+
     def check(step: Step) -> None:
         op, fields = step.op, step.fields
         pid = fields["partition"]
@@ -820,22 +807,16 @@ def _check_workload(scenario: Scenario) -> None:
         if layout is None:
             raise ConfigError(f"step references unknown partition {pid}", "/partition")
         for key in _REGION_KEYS[op]:
-            layout.base(fields, key)
+            base(layout, fields, key)
         for key in _OPERAND_KEYS[op]:
             if fields[key].__class__ is dict:
-                _at(key, layout.base, fields[key])
+                _at(key, base, layout, fields[key])
         if op == "ALLOC":
-            if layout.started:
-                raise ConfigError(f"partition {pid} is running; ALLOC must come before it starts")
-            if fields["label"] in layout.bases:
-                raise ConfigError(f"region label '{fields['label']}' already allocated", "/label")
-            _at("size", layout.alloc, fields["label"], fields["size"])
+            layout.alloc(fields["label"], fields["size"])
         elif op == "START_PARTITION":
-            if layout.started:
-                raise ConfigError(f"partition {pid} already started")
-            layout.started = True
+            layout.start()
         elif op == "RESET_PARTITION":
-            layouts[pid] = _Layout(layout.config)
+            layout.reset()
         elif op in _PORT_ENDS:
             kind, end = _PORT_ENDS[op]
             port = ports.get(fields["port"])
@@ -845,21 +826,21 @@ def _check_workload(scenario: Scenario) -> None:
                 raise ConfigError(f"{end} of port {port.name!r} is not partition {pid}", "/port")
         elif op == "GET_MY_ID":
             caller = fields["caller"]
-            if caller != "main" and all(q.process_id != caller for q in layout.config.processes):
+            if caller != "main" and (pid, caller) not in processes:
                 raise ConfigError(f"partition {pid} has no process {caller}", "/caller")
         elif op == "UNPOISON_PADDING":
             if fields["type"] not in scenario.padding:
                 raise ConfigError(f"no padding declaration for type '{fields['type']}'", "/type")
-            base = layout.base(fields)
+            region_base = base(layout, fields)
             for off, ln in scenario.padding[fields["type"]]:
-                _at("type", layout.span, base + off, ln)
+                _at("type", span, layout, region_base + off, ln)
         elif op == "SYSCALL":
             offsets = {
-                param: _at(f"bindings/{param}", layout.base, binding) + binding.get("offset", 0)
+                param: _at(f"bindings/{param}", base, layout, binding) + binding.get("offset", 0)
                 for param, binding in fields["bindings"].items()
             }
             for param, size in directive_sizes(fields):
-                _at(f"bindings/{param}", layout.span, offsets[param], size)
+                _at(f"bindings/{param}", span, layout, offsets[param], size)
 
     for i, step in enumerate(scenario.workload):
         try:

@@ -3,12 +3,11 @@
 import pytest
 
 from partsan.asan_shadow import PoisonKind
-from partsan.errors import ConfigError, OutOfMemory, PhaseError
+from partsan.errors import ConfigError
 from partsan.guest_memory import (
     DEFAULT_REDZONE,
     NULL_GUARD,
     PartitionMemory,
-    Phase,
 )
 from partsan.msan_shadow import ReservedInitConfig
 from partsan.violations import AccessKind, UseSite, ViolationError
@@ -19,12 +18,14 @@ def make(size=512, **kw):
 
 
 def test_constructor_validates_redzone():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         make(redzone=4, granularity=8)  # smaller than a granule
-    with pytest.raises(ConfigError):
+    assert err.value.path == "/redzone"
+    with pytest.raises(ConfigError) as err:
         make(redzone=20, granularity=8)  # not a granule multiple
+    assert err.value.path == "/redzone"
     mem = make(redzone=8, granularity=8)
-    assert mem.redzone == 8
+    assert mem.layout.redzone == 8
 
 
 def test_fresh_partition_is_fully_blacklisted():
@@ -80,18 +81,21 @@ def test_regions_never_reuse_space():
 def test_duplicate_label_rejected():
     mem = make()
     mem.alloc_region(8, "a")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         mem.alloc_region(8, "a")
+    assert err.value.path == "/label"
 
 
 def test_out_of_memory_mutates_nothing():
     mem = make(size=128)
     mem.alloc_region(16, "a")
-    regions_before = list(mem.regions)
+    regions_before = dict(mem.layout.regions)
     shadow_before = bytes(mem.shadow.shadow)
-    with pytest.raises(OutOfMemory):
+    with pytest.raises(ConfigError) as err:
         mem.alloc_region(1000, "big")
-    assert mem.regions == regions_before
+    assert err.value.path == "/size"
+    assert str(err.value) == "/size: region 'big' needs 1032 bytes at offset 64, partition size is 128"
+    assert mem.layout.regions == regions_before
     assert bytes(mem.shadow.shadow) == shadow_before
     mem.alloc_region(8, "fits")  # cursor untouched, allocation still works
 
@@ -99,15 +103,17 @@ def test_out_of_memory_mutates_nothing():
 def test_alloc_requires_init_phase():
     mem = make()
     mem.start()
-    with pytest.raises(PhaseError):
+    with pytest.raises(ConfigError) as err:
         mem.alloc_region(8, "late")
+    assert err.value.path is None
 
 
 def test_start_twice_is_a_phase_error():
     mem = make()
     mem.start()
-    with pytest.raises(PhaseError):
+    with pytest.raises(ConfigError) as err:
         mem.start()
+    assert str(err.value) == "partition 1 already started"
 
 
 def test_reset_invalidates_everything_and_reopens_init():
@@ -116,8 +122,8 @@ def test_reset_invalidates_everything_and_reopens_init():
     mem.start()
     mem.checked_write(region.base, b"\x01\x02")
     mem.reset_partition()
-    assert mem.phase is Phase.INIT
-    assert mem.regions == []
+    assert not mem.layout.started
+    assert mem.layout.regions == {}
     v = mem.shadow.check_access(region.base, 1, AccessKind.READ)
     assert v.kind == PoisonKind.PARTITION_RESET.name
     # old contents are not scrubbed, but initialization state is gone

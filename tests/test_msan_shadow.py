@@ -7,7 +7,6 @@ import pytest
 from partsan.errors import ConfigError
 from partsan.msan_shadow import (
     InitShadow,
-    PaddingRegistry,
     ReservedInitConfig,
     copy_propagate,
     unpoison_padding,
@@ -94,28 +93,10 @@ def test_reserved_init_pattern_masks_whole_write_only():
         ReservedInitConfig(enabled=True, pattern=300)
 
 
-def test_padding_registry_validates_ranges():
-    reg = PaddingRegistry()
-    reg.register("msg_t", [(4, 4), (10, 2)], type_size=12)
-    assert reg.ranges_for("msg_t") == ((4, 4), (10, 2))
-    with pytest.raises(ConfigError):
-        reg.register("bad", [(0, 4), (2, 4)], type_size=8)  # overlap
-    with pytest.raises(ConfigError):
-        reg.register("bad", [(6, 4)], type_size=8)  # exceeds size
-    with pytest.raises(ConfigError):
-        reg.register("bad", [(-1, 2)], type_size=8)
-    with pytest.raises(ConfigError):
-        reg.register("bad", [(0, 0)], type_size=8)
-    with pytest.raises(ConfigError):
-        reg.ranges_for("never_registered")
-
-
 def test_unpoison_padding_marks_declared_ranges_only():
     s = InitShadow(1, 32)
     s.set_uninitialized(0, 32, origin="alloc:m")
-    reg = PaddingRegistry()
-    reg.register("msg_t", [(4, 4)], type_size=12)
-    unpoison_padding(s, reg, "msg_t", base=8)
+    unpoison_padding(s, ((4, 4),), base=8)
     assert [s.is_initialized(i) for i in range(8, 20)] == (
         [False] * 4 + [True] * 4 + [False] * 4
     )
@@ -125,18 +106,14 @@ def test_unpoison_padding_marks_declared_ranges_only():
 def test_unpoison_padding_preserves_existing_origins():
     s = InitShadow(1, 16)
     s.mark_initialized(4, 2, "write:w0")
-    reg = PaddingRegistry()
-    reg.register("t", [(0, 8)], type_size=8)
-    unpoison_padding(s, reg, "t", base=0)
+    unpoison_padding(s, ((0, 8),), base=0)
     assert s.origin_at(4) == "write:w0"
     assert s.origin_at(0) == "padding"
 
 
 def test_unpoison_padding_empty_declaration_is_noop():
     s = InitShadow(1, 16)
-    reg = PaddingRegistry()
-    reg.register("t", [], type_size=8)
-    unpoison_padding(s, reg, "t", base=0)
+    unpoison_padding(s, (), base=0)
     assert s.check(0, 8, UseSite.PORT_SEND).offset == 0
 
 

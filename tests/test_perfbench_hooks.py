@@ -48,11 +48,11 @@ def test_tracer_counts_match_the_reports(monkeypatch):
     tracing.install(tracer)
     try:
         assert _namespaces() != before
-        reports = [harness.run_scenario(load_builtin(name)) for name in builtin_names()]
+        scenarios = [load_builtin(name) for name in builtin_names()]
         # no builtin misses a deadline; without its override this one does
         stripped = load_builtin("local_timeout_override")
-        stripped = replace(stripped, time=replace(stripped.time, overrides=()))
-        reports.append(harness.run_scenario(stripped))
+        scenarios.append(replace(stripped, time=replace(stripped.time, overrides=())))
+        reports = [harness.run_scenario(scenario) for scenario in scenarios]
     finally:
         tracer.uninstall()
     assert _namespaces() == before
@@ -71,6 +71,12 @@ def test_tracer_counts_match_the_reports(monkeypatch):
     misses = [e for report in reports for e in report.events if e.kind == "DEADLINE_MISS"]
     assert len(misses) == 1
     assert counts.get("sched.check_deadline.misses", 0) == len(misses)
+    # every allocation and every reset goes through the traced methods
+    declared = sum(len(p.regions) for scenario in scenarios for p in scenario.partitions)
+    allocs = sum(step.op == "ALLOC" for scenario in scenarios for step in scenario.workload)
+    assert calls["guest_memory.alloc_region"] == declared + allocs > 0
+    resets = [e for report in reports for e in report.events if e.kind == "PARTITION_RESET"]
+    assert calls["guest_memory.reset_partition"] == len(resets) > 0
 
 
 def test_bench_inputs_load(monkeypatch):

@@ -3,12 +3,14 @@
 import copy
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
 from partsan.errors import ConfigError
+from partsan.guest_memory import MEMORY_CAP
 from partsan.harness import Simulator, run_scenario
 from partsan.scenario import (
     VIOLATION_KINDS,
@@ -270,6 +272,16 @@ def test_types_padding_reserved_init_paths():
     _fails_at(data, "/padding/msg_t/0")
 
     data = _base()
+    data["types"] = {"msg_t": 12}
+    data["padding"] = {"msg_t": [[-1, 2]]}
+    _fails_at(data, "/padding/msg_t/0/0")
+
+    data = _base()
+    data["types"] = {"msg_t": 12}
+    data["padding"] = {"msg_t": [[0, 0]]}
+    _fails_at(data, "/padding/msg_t/0/1")
+
+    data = _base()
     data["types"] = {"m": 8}
     data["padding"] = {"m": [[0, 4], [2, 4]]}
     _fails_at(data, "/padding/m/1")
@@ -374,7 +386,7 @@ def test_workload_operand_and_field_shapes():
     assert idle["ticks"] == 3 and idle.get("partition") is None
     assert arith["a"] == {"region": "buf", "offset": 0, "width": 1, "signed": False}
     assert arith["b"] == 7 and arith["strict"] is False
-    assert write["data"] == b"AAA"
+    assert (write["fill"], write["len"]) == (65, 3) and write.get("data") is None
     assert gmi["caller"] == "main" and gmi["expect"] == "MAIN_PROCESS_ID"
 
 
@@ -549,6 +561,42 @@ def test_granularity_override_rechecks_the_layout():
         scenario.with_overrides(granularity=16)
     assert err.value.path == "/workload/1/size"
     run_scenario(scenario.with_overrides(granularity=4))
+
+
+def test_memory_cap_bounds_partitions_and_fill_len():
+    """A scenario that loads can be built: its partitions' memory in all,
+    and a WRITE's fill length, stay within MEMORY_CAP."""
+    huge = {"name": "t", "partitions": [
+        {"id": 1, "memory_size": 2**40, "regions": [{"label": "a", "size": 2**39}]}]}
+    _fails_at(huge, "/partitions/0/memory_size")  # never built
+
+    data = _base()
+    data["partitions"] = [{"id": 1, "memory_size": MEMORY_CAP // 2},
+                          {"id": 2, "memory_size": MEMORY_CAP // 2 + 8}]
+    _fails_at(data, "/partitions/1/memory_size")
+    data["partitions"][1]["memory_size"] = MEMORY_CAP // 2
+    load_scenario(data)  # exactly the cap; not run, which would build 16 MiB
+
+    data = _base()
+    data["workload"] = [
+        {"op": "WRITE", "partition": 1, "region": "buf", "fill": 0, "len": MEMORY_CAP + 1}
+    ]
+    _fails_at(data, "/workload/0/len")
+
+    # a fill is kept as its byte and length, not expanded while loading
+    text = (
+        '{"name":"t","partitions":[{"id":1,"regions":[{"label":"b","size":8}]}],"workload":'
+        '[{"op":"WRITE","partition":1,"region":"b","fill":0,"len":10000000}]}'
+    )
+    tracemalloc.start()
+    try:
+        scenario = load_scenario_text(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    (violation,) = run_scenario(scenario).violations
+    assert (violation.kind, violation.size) == ("WILD_ADDRESS", 10**7)
 
 
 def test_expect_validation_paths():
