@@ -11,10 +11,16 @@ The encoding can only express "addressable prefix, then nothing", which is
 exactly what bump allocation with redzones produces.  Requests that would
 need an addressable hole raise :class:`EncodingError` instead of silently
 encoding the wrong thing.
+
+A span can cover only its first and last granule in part, so span
+operations check those two and write or scan everything in between with
+one slice operation or C-level search.  The per-byte oracle in
+``tests/oracles.py`` defines what each operation means.
 """
 
 from __future__ import annotations
 
+import re
 from enum import IntEnum
 
 from .errors import ConfigError, EncodingError
@@ -27,6 +33,11 @@ POISON_FLOOR = 0xF0
 
 #: Violation kind for accesses outside the partition's byte space entirely.
 WILD_ADDRESS = "WILD_ADDRESS"
+
+# C-speed searches of the shadow for a granule that is not wholly
+# addressable, and for a wholly poisoned one
+_NONZERO = re.compile(rb"[^\x00]")
+_POISONED = re.compile(rb"[\xf0-\xff]")
 
 
 class PoisonKind(IntEnum):
@@ -162,27 +173,28 @@ class ShadowMap:
         g = self.granularity
         end = start + length
         first, last = start // g, (end - 1) // g
-        # validate every granule before touching any, so a rejected request
-        # leaves the map exactly as it was
-        updates = []
-        for idx in range(first, last + 1):
-            lo = start - idx * g if idx == first else 0
-            hi = end - idx * g if idx == last else g
-            n = self.leading_addressable(idx)
-            if idx == first and lo > 0 and 0 < n < g:
-                raise EncodingError(
-                    f"poison start {start} lands mid-granule on a partially "
-                    f"addressable granule {idx}"
-                )
-            if hi < n:
-                raise EncodingError(
-                    f"poison of [{start}, {end}) would leave granule {idx} with "
-                    f"an addressable hole after offset {idx * g + hi}"
-                )
-            keep = min(n, lo)
-            updates.append((idx, int(kind) if keep == 0 else keep))
-        for idx, code in updates:
-            self.shadow[idx] = code
+        # only the first and last granule can be partly covered; validate
+        # both before touching any, so a rejected request leaves the map
+        # exactly as it was
+        lo = start - first * g
+        n = self.leading_addressable(first)
+        if lo > 0 and 0 < n < g:
+            raise EncodingError(
+                f"poison start {start} lands mid-granule on a partially "
+                f"addressable granule {first}"
+            )
+        hi = end - last * g
+        if hi < self.leading_addressable(last):
+            raise EncodingError(
+                f"poison of [{start}, {end}) would leave granule {last} with "
+                f"an addressable hole after offset {last * g + hi}"
+            )
+        # every covered granule takes the kind, except that the first keeps
+        # what was addressable before the span
+        self.shadow[first : last + 1] = bytes((kind,)) * (last + 1 - first)
+        keep = min(n, lo)
+        if keep:
+            self.shadow[first] = keep
 
     def unpoison(self, start: int, length: int) -> None:
         """Mark ``[start, start+length)`` addressable.  ``start`` must be
@@ -196,8 +208,7 @@ class ShadowMap:
             raise EncodingError(f"unpoison start {start} not aligned to granularity {g}")
         end = start + length
         full_end = end // g
-        for idx in range(start // g, full_end):
-            self.shadow[idx] = 0x00
+        self.shadow[start // g : full_end] = bytes(full_end - start // g)
         if end % g != 0:
             self.shadow[full_end] = end % g
 
@@ -220,15 +231,22 @@ class ShadowMap:
             return self._violation(WILD_ADDRESS, bad, length, access)
         g = self.granularity
         first, last = start // g, (end - 1) // g
-        for idx in range(first, last + 1):
-            lo = start - idx * g if idx == first else 0
-            hi = end - idx * g if idx == last else g
-            n = self.leading_addressable(idx)
-            if n >= hi:
-                continue
-            bad = idx * g + max(lo, n)
-            return self._violation(self._violation_kind(idx), bad, length, access)
-        return None
+        # the first and last granule may be partly covered; every one in
+        # between must be wholly addressable, i.e. code 0x00
+        lo = start - first * g
+        hi = end - first * g if first == last else g
+        n = self.leading_addressable(first)
+        if n < hi:
+            idx, bad = first, first * g + max(lo, n)
+        else:
+            if self.shadow.count(0, first + 1, last) < last - first - 1:
+                idx = _NONZERO.search(self.shadow, first + 1, last).start()
+            elif last > first and self.leading_addressable(last) < end - last * g:
+                idx = last
+            else:
+                return None
+            bad = idx * g + self.leading_addressable(idx)
+        return self._violation(self._violation_kind(idx), bad, length, access)
 
     def _violation(self, kind: str, bad: int, length: int, access: AccessKind) -> Violation:
         return Violation(
@@ -250,7 +268,7 @@ class ShadowMap:
         code = self.shadow[granule_idx]
         if code >= POISON_FLOOR:
             return PoisonKind(code).name
-        for idx in range(granule_idx + 1, len(self.shadow)):
-            if self.shadow[idx] >= POISON_FLOOR:
-                return PoisonKind(self.shadow[idx]).name
-        return PoisonKind.MANUAL_BLACKLIST.name
+        hit = _POISONED.search(self.shadow, granule_idx + 1)
+        if hit is None:
+            return PoisonKind.MANUAL_BLACKLIST.name
+        return PoisonKind(self.shadow[hit.start()]).name

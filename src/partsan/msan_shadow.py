@@ -6,10 +6,17 @@ are checked.  Each byte carries an origin label: while uninitialized it
 points at the allocation that produced the byte, once initialized at the
 write/annotation/copy-source that defined it, so a violation can always say
 where the offending value came from.
+
+Labels are interned per shadow and the ids kept in an ``array('I')``, one
+per byte.  Span operations are slice operations on the bits and the ids;
+only a ``mark_initialized`` that keeps existing origins walks its bytes.
+The per-byte oracles in ``tests/oracles.py`` define what each operation
+means.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect
 from dataclasses import dataclass
 
@@ -40,7 +47,7 @@ class ReservedInitConfig:
         check_reserved_pattern(self.pattern)
 
     def masks_write(self, data: bytes) -> bool:
-        return self.enabled and len(data) > 0 and all(b == self.pattern for b in data)
+        return self.enabled and len(data) > 0 and data.count(self.pattern) == len(data)
 
 
 def check_reserved_pattern(pattern: int) -> int:
@@ -59,7 +66,7 @@ class InitShadow:
         self.partition_id = partition_id
         self.size = size
         self.bits = bytearray(size)  # 0 = uninitialized, 1 = initialized
-        self._origin_ids = [0] * size
+        self._origin_ids = array("I", [0]) * size
         self._origin_table: list[str | None] = [None]
         self._origin_index: dict[str, int] = {}
         # running count of check() calls, feeds the instrumented-time model
@@ -88,10 +95,8 @@ class InitShadow:
     def set_uninitialized(self, start: int, length: int, origin: str | None = None) -> None:
         """Mark a span uninitialized, tagged with the allocation's origin."""
         end = self._span(start, length)
-        oid = self._intern(origin)
-        for i in range(start, end):
-            self.bits[i] = 0
-            self._origin_ids[i] = oid
+        self.bits[start:end] = bytes(length)
+        self._origin_ids[start:end] = array("I", [self._intern(origin)]) * length
 
     def mark_initialized(
         self, start: int, length: int, origin: str | None, force: bool = True
@@ -105,8 +110,12 @@ class InitShadow:
         """
         end = self._span(start, length)
         oid = self._intern(origin)
+        if force:
+            self.bits[start:end] = b"\x01" * length
+            self._origin_ids[start:end] = array("I", [oid]) * length
+            return
         for i in range(start, end):
-            if force or not self.bits[i]:
+            if not self.bits[i]:
                 self._origin_ids[i] = oid
             self.bits[i] = 1
 
@@ -145,17 +154,24 @@ class InitShadow:
     # -- propagation --------------------------------------------------------------
 
     def snapshot(self, start: int, length: int):
-        """Bits and origin labels for a span, detached from this shadow."""
+        """Bits and origin labels for a span, detached from this shadow.
+
+        The labels are ``(origin table, id slice)``: the table only ever
+        grows, so the ids stay valid however the shadow changes later.
+        """
         end = self._span(start, length, min_length=0)
-        bits = bytes(self.bits[start:end])
-        labels = tuple(self._origin_table[self._origin_ids[i]] for i in range(start, end))
-        return bits, labels
+        return bytes(self.bits[start:end]), (self._origin_table, self._origin_ids[start:end])
 
     def apply_snapshot(self, start: int, bits: bytes, labels) -> None:
-        self._span(start, len(bits), min_length=0)
-        for i, (bit, label) in enumerate(zip(bits, labels)):
-            self.bits[start + i] = bit
-            self._origin_ids[start + i] = self._intern(label)
+        """Write a ``snapshot`` at ``start``.  From another shadow, each
+        distinct origin is interned here once and the ids are translated."""
+        end = self._span(start, len(bits), min_length=0)
+        table, ids = labels
+        if table is not self._origin_table:
+            lut = {oid: self._intern(table[oid]) for oid in set(ids)}
+            ids = array("I", map(lut.__getitem__, ids))
+        self.bits[start:end] = bits
+        self._origin_ids[start:end] = ids
 
 
 def copy_propagate(

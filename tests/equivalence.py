@@ -34,13 +34,86 @@ def _assert_same_validity(shadow: ShadowMap, oracle: ByteValidityMap, label: str
         )
 
 
+#: Share of random spans drawn up to the end of memory rather than short,
+#: so that long granule interiors are held against the oracle too.
+WIDE_SPAN_SHARE = 0.03
+
+
 def _random_span(rng, size, fuzz_bounds=False):
     if fuzz_bounds and rng.random() < 0.08:
         start = rng.randint(-12, size + 12)
     else:
         start = rng.randrange(0, size)
+    if rng.random() < WIDE_SPAN_SHARE:
+        return start, rng.randint(1, max(1, size - start))
     length = rng.choice((1, 1, 2, 3, rng.randint(1, 16), rng.randint(1, 64)))
     return start, length
+
+
+def _same_error(ctx, call, impl, oracle):
+    """Runs ``impl`` and ``oracle``; both must succeed or both fail with the
+    same class.  Returns the class name of the failure, or None."""
+    impl_err = oracle_err = None
+    try:
+        impl()
+    except (EncodingError, ConfigError) as exc:
+        impl_err = type(exc).__name__
+    try:
+        oracle()
+    except OracleEncodingError:
+        oracle_err = "EncodingError"
+    except OracleBoundsError:
+        oracle_err = "ConfigError"
+    assert impl_err == oracle_err, f"{ctx}: {call} impl={impl_err} oracle={oracle_err}"
+    return impl_err
+
+
+def asan_poison(shadow, oracle, start, length, kind, ctx):
+    err = _same_error(
+        ctx,
+        f"poison({start}, {length})",
+        lambda: shadow.poison(start, length, kind),
+        lambda: oracle.poison(start, length, kind.name),
+    )
+    return "poison_err" if err else "poison"
+
+
+def asan_unpoison(shadow, oracle, start, length, ctx):
+    err = _same_error(
+        ctx,
+        f"unpoison({start}, {length})",
+        lambda: shadow.unpoison(start, length),
+        lambda: oracle.unpoison(start, length),
+    )
+    return "unpoison_err" if err else "unpoison"
+
+
+def asan_check(shadow, oracle, start, length, ctx):
+    granularity = shadow.granularity
+    verdict = shadow.check_access(start, length, AccessKind.READ)
+    expected = oracle.check(start, length)
+    if expected is None:
+        assert verdict is None, f"{ctx}: check({start}, {length}) flagged {verdict}"
+        return "check_pass"
+    cls, bad = expected
+    assert verdict is not None, (
+        f"{ctx}: check({start}, {length}) passed, oracle wants {cls}@{bad}"
+    )
+    assert verdict.offset == bad, (
+        f"{ctx}: first bad byte {verdict.offset}, oracle {bad}"
+    )
+    assert verdict.size == length
+    assert verdict.access == AccessKind.READ.value
+    if cls == "WILD":
+        assert verdict.kind == "WILD_ADDRESS", f"{ctx}: {verdict.kind}"
+    else:
+        assert verdict.kind != "WILD_ADDRESS", f"{ctx}: wild for in-bounds"
+        # the encoding stores the kind only for fully poisoned granules
+        if shadow.shadow[bad // granularity] >= POISON_FLOOR:
+            assert verdict.kind == oracle.kind[bad], (
+                f"{ctx}: kind {verdict.kind}, oracle {oracle.kind[bad]}"
+            )
+    return "check_fail"
 
 
 def run_asan_equivalence(
@@ -64,72 +137,94 @@ def run_asan_equivalence(
                 length = min(length, size - start)
             length = max(length, 1)
             kind = rng.choice(POISON_KINDS)
-            impl_err = oracle_err = None
-            try:
-                shadow.poison(start, length, kind)
-            except (EncodingError, ConfigError) as exc:
-                impl_err = type(exc).__name__
-            try:
-                oracle.poison(start, length, kind.name)
-            except OracleEncodingError:
-                oracle_err = "EncodingError"
-            except OracleBoundsError:
-                oracle_err = "ConfigError"
-            assert impl_err == oracle_err, (
-                f"{ctx}: poison({start}, {length}) impl={impl_err} oracle={oracle_err}"
-            )
-            tally["poison_err" if impl_err else "poison"] += 1
+            tally[asan_poison(shadow, oracle, start, length, kind, ctx)] += 1
         elif roll < 0.60:
             start, length = _random_span(rng, size)
             # bias toward aligned starts so unpoison usually succeeds
             if rng.random() < 0.8:
                 start -= start % granularity
             length = min(length, size - start)
-            impl_err = oracle_err = None
-            try:
-                shadow.unpoison(start, length)
-            except (EncodingError, ConfigError) as exc:
-                impl_err = type(exc).__name__
-            try:
-                oracle.unpoison(start, length)
-            except OracleEncodingError:
-                oracle_err = "EncodingError"
-            except OracleBoundsError:
-                oracle_err = "ConfigError"
-            assert impl_err == oracle_err, (
-                f"{ctx}: unpoison({start}, {length}) impl={impl_err} oracle={oracle_err}"
-            )
-            tally["unpoison_err" if impl_err else "unpoison"] += 1
+            tally[asan_unpoison(shadow, oracle, start, length, ctx)] += 1
         else:
             start, length = _random_span(rng, size, fuzz_bounds=True)
-            verdict = shadow.check_access(start, length, AccessKind.READ)
-            expected = oracle.check(start, length)
-            if expected is None:
-                assert verdict is None, f"{ctx}: check({start}, {length}) flagged {verdict}"
-                tally["check_pass"] += 1
-                continue
-            cls, bad = expected
-            assert verdict is not None, (
-                f"{ctx}: check({start}, {length}) passed, oracle wants {cls}@{bad}"
-            )
-            assert verdict.offset == bad, (
-                f"{ctx}: first bad byte {verdict.offset}, oracle {bad}"
-            )
-            assert verdict.size == length
-            assert verdict.access == AccessKind.READ.value
-            if cls == "WILD":
-                assert verdict.kind == "WILD_ADDRESS", f"{ctx}: {verdict.kind}"
-            else:
-                assert verdict.kind != "WILD_ADDRESS", f"{ctx}: wild for in-bounds"
-                # the encoding stores the kind only for fully poisoned granules
-                if shadow.shadow[bad // granularity] >= POISON_FLOOR:
-                    assert verdict.kind == oracle.kind[bad], (
-                        f"{ctx}: kind {verdict.kind}, oracle {oracle.kind[bad]}"
-                    )
-            tally["check_fail"] += 1
+            tally[asan_check(shadow, oracle, start, length, ctx)] += 1
         if (op_index + 1) % full_compare_every == 0:
             _assert_same_validity(shadow, oracle, ctx)
     _assert_same_validity(shadow, oracle, f"{label} g={granularity} final")
+    return tally
+
+
+def asan_edge_ops(size, g):
+    """Fixed ops at the edges of the slice operations: whole-partition
+    spans, partly covered first and last granules, one-granule spans,
+    two-granule spans with no interior, and failing checks whose first bad
+    granule is interior.  ``size`` must be at least 16 granules."""
+    mid = (size // g // 2) * g
+    left, right = PoisonKind.LEFT_REDZONE, PoisonKind.RIGHT_REDZONE
+    reset, manual = PoisonKind.PARTITION_RESET, PoisonKind.MANUAL_BLACKLIST
+    return [
+        # whole partition
+        ("poison", 0, size, reset),
+        ("check", 0, size),
+        ("unpoison", 0, size),
+        ("check", 0, size),
+        # partly covered first granule
+        ("poison", g + 1, 3 * g, left),
+        ("check", g, 4 * g),
+        ("check", 0, size),
+        ("poison", g + 2, g, right),
+        ("unpoison", 0, size),
+        # partly covered last granule: a hole, then a valid shrink
+        ("poison", 2 * g, g + 1, right),
+        ("unpoison", 0, 4 * g + 2),
+        ("poison", 3 * g, g + 2, right),
+        ("check", 0, 5 * g),
+        ("unpoison", 0, size - 1),
+        ("check", 0, size),
+        ("unpoison", 0, size),
+        # one granule
+        ("poison", 2 * g, g, manual),
+        ("check", 2 * g, g),
+        ("check", 2 * g - 1, g + 2),
+        ("check", 2 * g, 1),
+        ("unpoison", 2 * g, g),
+        # two granules, no interior
+        ("check", 3 * g - 1, 2),
+        ("poison", 3 * g - 1, 2, left),
+        ("poison", 2 * g, 2 * g, left),
+        ("check", 2 * g - 1, 2),
+        ("check", 3 * g - 1, 2),
+        ("unpoison", 0, size),
+        # first bad granule interior: wholly poisoned, then partly addressable
+        ("poison", mid, g, right),
+        ("check", 0, size),
+        ("check", 1, size - 2),
+        ("unpoison", mid, g - 1 if g > 1 else g),
+        ("check", 1, size - 2),
+        ("poison", size - g, g, left),
+        ("check", 1, size - 1),
+        ("unpoison", 0, mid + 1),
+        ("check", 0, size),
+        ("poison", 0, size, reset),
+        ("check", 0, size),
+    ]
+
+
+def run_asan_edge_cases(size, granularity, label=""):
+    """Every op of ``asan_edge_ops`` on a fresh map and its oracle, with a
+    full compare after each; returns the outcome tally."""
+    shadow = ShadowMap(7, size, granularity)
+    oracle = ByteValidityMap(size, granularity)
+    tally = Counter()
+    for op_index, (op, start, length, *kind) in enumerate(asan_edge_ops(size, granularity)):
+        ctx = f"{label} g={granularity} edge#{op_index}"
+        if op == "poison":
+            tally[asan_poison(shadow, oracle, start, length, kind[0], ctx)] += 1
+        elif op == "unpoison":
+            tally[asan_unpoison(shadow, oracle, start, length, ctx)] += 1
+        else:
+            tally[asan_check(shadow, oracle, start, length, ctx)] += 1
+        _assert_same_validity(shadow, oracle, ctx)
     return tally
 
 
@@ -145,15 +240,21 @@ def _assert_same_init(shadow: InitShadow, oracle: InitOracle, label: str):
 
 
 def run_msan_equivalence(rng, size, n_ops, full_compare_every, label=""):
-    """Random uninit/mark/copy/check stream with after-op state compares."""
-    shadow = InitShadow(3, size)
-    oracle = InitOracle(size)
+    """Random uninit/mark/copy/check stream with after-op state compares.
+
+    A quarter of the copies go to or from a second shadow, whose origin
+    table differs from the first's."""
+    shadow, other = InitShadow(3, size), InitShadow(4, size)
+    oracle, other_oracle = InitOracle(size), InitOracle(size)
+    oracles = {shadow: oracle, other: other_oracle}
     tally = Counter()
     for op_index in range(n_ops):
         ctx = f"{label} op#{op_index}"
         roll = rng.random()
         start = rng.randrange(0, size)
         length = min(rng.choice((1, 2, 4, rng.randint(1, 32))), size - start)
+        if rng.random() < WIDE_SPAN_SHARE:
+            length = rng.randint(1, size - start)
         if roll < 0.15:
             origin = rng.choice(ORIGIN_POOL)
             shadow.set_uninitialized(start, length, origin=origin)
@@ -167,31 +268,98 @@ def run_msan_equivalence(rng, size, n_ops, full_compare_every, label=""):
             tally["mark"] += 1
         elif roll < 0.65:
             dst = rng.randrange(0, size - length + 1)
-            copy_propagate(shadow, start, dst, length)
-            oracle.copy(oracle, start, dst, length)
+            src = dst_shadow = shadow
+            if rng.random() < 0.25:
+                src, dst_shadow = rng.choice(((shadow, other), (other, shadow)))
+                tally["copy_across"] += 1
+            copy_propagate(src, start, dst, length, dst_shadow)
+            oracles[dst_shadow].copy(oracles[src], start, dst, length)
             tally["copy"] += 1
         else:
             context = rng.choice(USE_SITES)
-            verdict = shadow.check(start, length, context)
-            expected = oracle.check(start, length)
-            if expected is None:
-                assert verdict is None, f"{ctx}: check({start}, {length}) flagged"
-                tally["check_pass"] += 1
-            else:
-                bad, origin = expected
-                assert verdict is not None, (
-                    f"{ctx}: check({start}, {length}) passed, oracle wants byte {bad}"
-                )
-                assert verdict.offset == bad, (
-                    f"{ctx}: first uninit {verdict.offset}, oracle {bad}"
-                )
-                assert verdict.origin == origin, (
-                    f"{ctx}: origin {verdict.origin!r}, oracle {origin!r}"
-                )
-                assert verdict.context == context.value
-                assert verdict.size == length
-                tally["check_fail"] += 1
+            tally[msan_check(shadow, oracle, start, length, context, ctx)] += 1
         if (op_index + 1) % full_compare_every == 0:
             _assert_same_init(shadow, oracle, ctx)
+            _assert_same_init(other, other_oracle, f"{ctx} other")
     _assert_same_init(shadow, oracle, f"{label} final")
+    _assert_same_init(other, other_oracle, f"{label} final other")
+    return tally
+
+
+def msan_check(shadow, oracle, start, length, context, ctx):
+    verdict = shadow.check(start, length, context)
+    expected = oracle.check(start, length)
+    if expected is None:
+        assert verdict is None, f"{ctx}: check({start}, {length}) flagged"
+        return "check_pass"
+    bad, origin = expected
+    assert verdict is not None, (
+        f"{ctx}: check({start}, {length}) passed, oracle wants byte {bad}"
+    )
+    assert verdict.offset == bad, (
+        f"{ctx}: first uninit {verdict.offset}, oracle {bad}"
+    )
+    assert verdict.origin == origin, (
+        f"{ctx}: origin {verdict.origin!r}, oracle {origin!r}"
+    )
+    assert verdict.context == context.value
+    assert verdict.size == length
+    return "check_fail"
+
+
+def run_msan_edge_cases(size, label=""):
+    """Whole-shadow spans, overlapping copies in both directions and copies
+    between two shadows whose origin tables differ, each followed by a full
+    compare of both shadows; returns the outcome tally.  ``size`` must be at
+    least 16."""
+    main, other = InitShadow(3, size), InitShadow(4, size)
+    oracles = {main: InitOracle(size), other: InitOracle(size)}
+    half, quarter = size // 2, size // 4
+    ops = [
+        ("uninit", main, 0, size, "alloc:a"),
+        ("check", main, 0, size),
+        ("mark", main, quarter, half, "write:w1", True),
+        ("mark", main, 0, size, "annotation", False),
+        ("check", main, 0, size),
+        # the second shadow interns its labels in another order
+        ("mark", other, 0, size, "padding", True),
+        ("uninit", other, 1, half, "alloc:b"),
+        ("mark", other, half, quarter, "write:w2", True),
+        ("copy", main, 0, other, 1, size - 1),
+        ("copy", other, 0, main, 0, size),
+        ("check", main, 1, size - 1),
+        ("uninit", main, half, 1, "alloc:a"),
+        ("copy", main, 0, main, 1, size - 1),
+        ("copy", main, 1, main, 0, size - 1),
+        ("check", main, 0, size),
+        ("copy", main, 0, other, 0, size),
+        ("mark", main, 0, size, "write:w1", True),
+        ("check", main, 0, size),
+        ("copy", other, half, main, 0, half),
+        ("check", main, 0, size),
+        ("uninit", main, 0, size, None),
+        ("check", main, size - 1, 1),
+    ]
+    tally = Counter()
+    for op_index, (op, target, *args) in enumerate(ops):
+        ctx = f"{label} edge#{op_index}"
+        oracle = oracles[target]
+        if op == "uninit":
+            start, length, origin = args
+            target.set_uninitialized(start, length, origin=origin)
+            oracle.set_uninit(start, length, origin=origin)
+        elif op == "mark":
+            start, length, origin, force = args
+            target.mark_initialized(start, length, origin, force=force)
+            oracle.mark(start, length, origin, force=force)
+        elif op == "copy":
+            src_start, dst_shadow, dst_start, length = args
+            copy_propagate(target, src_start, dst_start, length, dst_shadow)
+            oracles[dst_shadow].copy(oracle, src_start, dst_start, length)
+        else:
+            start, length = args
+            op = msan_check(target, oracle, start, length, UseSite.BRANCH, ctx)
+        tally[op] += 1
+        _assert_same_init(main, oracles[main], ctx)
+        _assert_same_init(other, oracles[other], f"{ctx} other")
     return tally

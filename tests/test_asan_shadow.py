@@ -17,7 +17,7 @@ from partsan.asan_shadow import (
 from partsan.errors import ConfigError, EncodingError
 from partsan.violations import AccessKind
 
-from equivalence import run_asan_equivalence
+from equivalence import run_asan_edge_cases, run_asan_equivalence
 
 
 def test_shadow_size_examples():
@@ -215,3 +215,24 @@ def test_oracle_equivalence_dense_small_memory():
         )
         assert tally["check_pass"] + tally["check_fail"] > 300
         assert tally["poison"] > 100 and tally["unpoison"] > 100
+
+
+@pytest.mark.parametrize("g", VALID_GRANULARITIES)
+def test_oracle_equivalence_at_span_edges(g):
+    # whole-partition spans, partial first and last granules, one- and
+    # two-granule spans, interior first bad granules
+    for size in (16 * g, 4096):
+        tally = run_asan_edge_cases(size, g, label=f"size={size}")
+        assert tally["check_fail"] >= 10 and tally["check_pass"] >= 3
+        assert tally["poison"] >= 7 and tally["unpoison"] >= 9
+
+
+def test_check_access_blames_first_bad_interior_granule():
+    m = ShadowMap(1, 1 << 16, 8)
+    m.poison(40000, 8, PoisonKind.RIGHT_REDZONE)
+    m.poison(50000, 8, PoisonKind.LEFT_REDZONE)
+    v = m.check_access(3, (1 << 16) - 6, AccessKind.WRITE)
+    assert (v.offset, v.kind) == (40000, "RIGHT_REDZONE")
+    m.unpoison(40000, 5)
+    v = m.check_access(3, (1 << 16) - 6, AccessKind.WRITE)
+    assert (v.offset, v.kind) == (40005, "LEFT_REDZONE")

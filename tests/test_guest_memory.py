@@ -1,5 +1,7 @@
 """Partition memory lifecycle, allocation layout and checked accesses."""
 
+import tracemalloc
+
 import pytest
 
 from partsan.asan_shadow import PoisonKind
@@ -193,3 +195,14 @@ def test_region_lookup_errors():
         mem.region("missing")
     assert mem.nearest_region(10) is None
 
+
+def test_mebibyte_partition_builds_in_bounded_memory():
+    # byte space 1 MiB, validity shadow 1/8 MiB, init bits 1 MiB and 4-byte
+    # origin ids 4 MiB: about 6.1 MiB, with no per-byte Python objects
+    tracemalloc.start()
+    try:
+        PartitionMemory(1, 1 << 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * (1 << 20)

@@ -13,7 +13,7 @@ from partsan.msan_shadow import (
 )
 from partsan.violations import UseSite
 
-from equivalence import run_msan_equivalence
+from equivalence import run_msan_edge_cases, run_msan_equivalence
 
 
 def test_fresh_shadow_is_fully_uninitialized():
@@ -93,6 +93,13 @@ def test_reserved_init_pattern_masks_whole_write_only():
         ReservedInitConfig(enabled=True, pattern=300)
 
 
+def test_reserved_init_pattern_masks_mebibyte_writes():
+    cfg = ReservedInitConfig(enabled=True, pattern=0xCD)
+    fill = bytes([0xCD]) * (1 << 20)
+    assert cfg.masks_write(fill)
+    assert not cfg.masks_write(fill[:-1] + b"\xcc")
+
+
 def test_unpoison_padding_marks_declared_ranges_only():
     s = InitShadow(1, 32)
     s.set_uninitialized(0, 32, origin="alloc:m")
@@ -148,8 +155,31 @@ def test_oracle_equivalence_dense_small_memory():
     tally = run_msan_equivalence(random.Random(77), 256, 2000, 1, label="unit")
     assert tally["check_pass"] + tally["check_fail"] > 300
     assert tally["copy"] > 100
+    assert tally["copy_across"] > 20
 
 
 def test_oracle_equivalence_4096_bytes():
     tally = run_msan_equivalence(random.Random(78), 4096, 2000, 401, label="wide")
     assert tally["mark"] > 300
+
+
+def test_oracle_equivalence_at_span_edges():
+    # whole-shadow spans, overlapping copies, copies between two tables
+    for size in (16, 257, 4096):
+        tally = run_msan_edge_cases(size, label=f"size={size}")
+        assert tally["copy"] == 6 and tally["check_fail"] >= 4
+
+
+def test_snapshot_into_another_shadow_keeps_every_label():
+    s = InitShadow(1, 64)
+    for i in range(64):
+        s.set_uninitialized(i, 1, origin=f"alloc:{i % 5}")
+    s.mark_initialized(10, 20, "write:w")
+    other = InitShadow(2, 128)
+    other.mark_initialized(0, 128, "write:first")
+    copy_propagate(s, 0, 32, 64, other)
+    assert [other.origin_at(32 + i) for i in range(64)] == [
+        s.origin_at(i) for i in range(64)
+    ]
+    assert bytes(other.bits[32:96]) == bytes(s.bits)
+    assert other.origin_at(0) == other.origin_at(127) == "write:first"
