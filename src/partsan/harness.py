@@ -14,6 +14,7 @@ golden outputs meaningful.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 
 from .errors import ConfigError
@@ -21,7 +22,15 @@ from .guest_memory import PartitionMemory
 from .msan_shadow import copy_propagate, unpoison_padding
 from .ports import QueueingPort, SamplingPort
 from .scenario import ExpectPattern, Scenario, Step
-from .sched import MAIN_CONTEXT, Process, ProcessTable, TimeModel, check_deadline, get_my_id
+from .sched import (
+    MAIN_CONTEXT,
+    Process,
+    ProcessTable,
+    TimeModel,
+    check_deadline,
+    deadline_due,
+    get_my_id,
+)
 from .syscall_annotations import (
     ParamBinding,
     TypeSizeTable,
@@ -187,6 +196,10 @@ class Simulator:
             if pconf.auto_start:
                 mem.start()
             self.partitions[pconf.partition_id] = mem
+        # per table, the virtual time its running process first misses its
+        # deadline (sched.deadline_due), and the earliest of them
+        self._due: dict[int, int | float] = dict.fromkeys(self.tables, math.inf)
+        self._next_due: int | float = math.inf
 
         self.model = TimeModel(scenario.time.slowdown_factor, scenario.time.costs)
         self.legacy_get_my_id = scenario.time.legacy_get_my_id
@@ -263,24 +276,36 @@ class Simulator:
         if table is None or not mem.layout.started:
             return
         running = table.running
+        activation = None if running is None else running.activation_time
         process = table.dispatch(self.model.virtual_now)
         if process is not running:
             self._event("DISPATCH", part=pid, process=process.process_id)
+        elif process.activation_time == activation:
+            return
+        self._due[pid] = deadline_due(process)
+        self._next_due = min(self._due.values())
 
     def _watch_deadlines(self) -> None:
+        """Check each running process whose deadline is due, in table order.
+        Virtual time never decreases, so this reports each miss at the same
+        step as a check of every running process after every step would."""
         now = self.model.virtual_now
+        if now < self._next_due:
+            return
+        due = self._due
         for pid, table in self.tables.items():
-            if table.running is None:
+            if due[pid] > now:
                 continue
-            miss = check_deadline(table.running, now)
-            if miss is not None:
-                self._event(
-                    "DEADLINE_MISS",
-                    part=pid,
-                    process=miss.process_id,
-                    elapsed=miss.elapsed,
-                    budget=str(miss.budget),
-                )
+            due[pid] = math.inf
+            miss = check_deadline(table.running, now)  # a miss, as ``now`` is due
+            self._event(
+                "DEADLINE_MISS",
+                part=pid,
+                process=miss.process_id,
+                elapsed=miss.elapsed,
+                budget=str(miss.budget),
+            )
+        self._next_due = min(due.values())
 
     # -- memory ops -----------------------------------------------------------
 

@@ -9,7 +9,9 @@ where the offending value came from.
 
 Labels are interned per shadow and the ids kept in an ``array('I')``, one
 per byte.  Span operations are slice operations on the bits and the ids;
-only a ``mark_initialized`` that keeps existing origins walks its bytes.
+a fill assigns one fixed block slice by slice, so it builds no span-sized
+temporary, and only a ``mark_initialized`` that keeps existing origins
+walks its bytes.
 The per-byte oracles in ``tests/oracles.py`` define what each operation
 means.
 """
@@ -29,6 +31,10 @@ __all__ = [
     "UseSite",
     "copy_propagate",
 ]
+
+#: Bytes per slice assignment of a fill: a 1 MiB reset builds 80 KiB of
+#: blocks, not a 4 MiB array of ids.
+_FILL_BLOCK = 1 << 14
 
 
 @dataclass
@@ -92,11 +98,20 @@ class InitShadow:
 
     # -- state transitions ----------------------------------------------------
 
+    def _fill(self, start: int, end: int, bit: bytes, oid: int) -> None:
+        """Set every byte of [start, end) to shadow ``bit`` and origin ``oid``."""
+        block = min(end - start, _FILL_BLOCK)
+        bits, ids = bit * block, array("I", (oid,)) * block
+        for i in range(start, end - block, block):
+            self.bits[i : i + block] = bits
+            self._origin_ids[i : i + block] = ids
+        # the last block ends at ``end``; it may overlap the one before
+        self.bits[end - block : end] = bits
+        self._origin_ids[end - block : end] = ids
+
     def set_uninitialized(self, start: int, length: int, origin: str | None = None) -> None:
         """Mark a span uninitialized, tagged with the allocation's origin."""
-        end = self._span(start, length)
-        self.bits[start:end] = bytes(length)
-        self._origin_ids[start:end] = array("I", [self._intern(origin)]) * length
+        self._fill(start, self._span(start, length), b"\x00", self._intern(origin))
 
     def mark_initialized(
         self, start: int, length: int, origin: str | None, force: bool = True
@@ -111,8 +126,7 @@ class InitShadow:
         end = self._span(start, length)
         oid = self._intern(origin)
         if force:
-            self.bits[start:end] = b"\x01" * length
-            self._origin_ids[start:end] = array("I", [oid]) * length
+            self._fill(start, end, b"\x01", oid)
             return
         for i in range(start, end):
             if not self.bits[i]:

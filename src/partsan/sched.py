@@ -10,6 +10,7 @@ when one process is hit harder than the average.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,19 +120,17 @@ class CheckCosts:
 class TimeModel:
     """Raw tick accumulator plus the virtual clock the guest sees.
 
-    virtual_now = floor(raw_ticks / slowdown_factor), computed exactly with
-    rational arithmetic so e.g. factor 3/2 never drifts.
+    virtual_now = floor(raw_ticks / slowdown_factor), computed exactly in
+    integers once per ``advance`` so e.g. factor 3/2 never drifts.
     """
 
     def __init__(self, slowdown_factor=1, costs: CheckCosts | None = None):
         self.slowdown_factor = parse_slowdown(slowdown_factor)
+        self._num = self.slowdown_factor.numerator
+        self._den = self.slowdown_factor.denominator
         self.costs = costs or CheckCosts()
         self.raw_ticks = 0
-
-    @property
-    def virtual_now(self) -> int:
-        f = self.slowdown_factor
-        return (self.raw_ticks * f.denominator) // f.numerator
+        self.virtual_now = 0
 
     def advance(
         self,
@@ -149,6 +148,7 @@ class TimeModel:
             + msan_checks * self.costs.msan_check
             + ub_checks * self.costs.ub_check
         )
+        self.virtual_now = self.raw_ticks * self._den // self._num
         return self.virtual_now
 
 
@@ -227,6 +227,17 @@ class ProcessTable:
             chosen.deadline_missed = False
         self.running = chosen
         return chosen
+
+
+def deadline_due(process: Process) -> int | float:
+    """The first virtual time at which ``check_deadline`` reports a miss of
+    the process's current activation, or infinity when it cannot: not yet
+    activated, or already missed.  Elapsed time is an integer, so
+    ``elapsed > budget`` holds exactly from ``floor(budget) + 1`` on."""
+    if process.activation_time is None or process.deadline_missed:
+        return math.inf
+    budget = process.time_capacity * process.multiplier
+    return process.activation_time + math.floor(budget) + 1
 
 
 def check_deadline(process: Process, virtual_now: int) -> DeadlineMiss | None:

@@ -198,11 +198,16 @@ def test_region_lookup_errors():
 
 def test_mebibyte_partition_builds_in_bounded_memory():
     # byte space 1 MiB, validity shadow 1/8 MiB, init bits 1 MiB and 4-byte
-    # origin ids 4 MiB: about 6.1 MiB, with no per-byte Python objects
+    # origin ids 4 MiB: about 6.1 MiB, with no per-byte Python objects; a
+    # reset refills the shadows in place, without a span-sized temporary
     tracemalloc.start()
     try:
-        PartitionMemory(1, 1 << 20)
+        mem = PartitionMemory(1, 1 << 20)
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        mem.reset_partition()
+        _, reset_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 7 * (1 << 20)
+    assert reset_peak < 7 * (1 << 20)

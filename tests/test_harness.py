@@ -334,6 +334,76 @@ def test_schedule_with_periods_resets_and_an_override():
     ]
 
 
+def _one_process(pid, capacity, period=None):
+    process = {"id": 1, "priority": 1, "time_capacity": capacity}
+    if period is not None:
+        process["period"] = period
+    return {"id": pid, "regions": [{"label": "buf", "size": 8}], "processes": [process]}
+
+
+def _write(pid):
+    return {"op": "WRITE", "partition": pid, "region": "buf", "data": "01"}
+
+
+def _events(partitions, workload, time=None):
+    data = {"name": "deadlines", "partitions": partitions, "workload": workload}
+    if time is not None:
+        data["time"] = time
+    report = run_scenario(load_scenario(data))
+    return (report.raw_ticks, report.virtual_ticks), [e.to_line() for e in report.events]
+
+
+@pytest.mark.parametrize("slowdown, ticks", [("3/2", (202, 134)), ("7/3", (202, 86))])
+def test_fractional_budgets_miss_one_tick_after_their_floor(slowdown, ticks):
+    # budgets 3 x 7/3 = 7 and 50 x 3/2 = 75; one raw tick per step, so
+    # virtual time passes every value and the miss is at floor(budget) + 1
+    time = {
+        "slowdown_factor": slowdown,
+        "timeout_overrides": [
+            {"partition": 1, "process": 1, "multiplier": "7/3"},
+            {"partition": 2, "process": 1, "multiplier": "3/2"},
+        ],
+    }
+    workload = [_write(1), _write(2)] + [{"op": "IDLE", "ticks": 1}] * 200
+    assert _events([_one_process(1, 3), _one_process(2, 50)], workload, time) == (ticks, [
+        "EVENT kind=DISPATCH t=0 part=1 process=1",
+        "EVENT kind=DISPATCH t=0 part=2 process=1",
+        "EVENT kind=DEADLINE_MISS t=8 part=1 process=1 elapsed=8 budget=7",
+        "EVENT kind=DEADLINE_MISS t=76 part=2 process=1 elapsed=76 budget=75",
+    ])
+
+
+def test_same_step_misses_follow_the_partition_order():
+    # partition 2 is declared first and due later (t=11) than partition 1
+    # (t=6); both miss on the IDLE step, in declaration order
+    workload = [_write(2), _write(1), {"op": "IDLE", "ticks": 20}, _write(1)]
+    assert _events([_one_process(2, 10), _one_process(1, 4)], workload) == ((23, 23), [
+        "EVENT kind=DISPATCH t=0 part=2 process=1",
+        "EVENT kind=DISPATCH t=1 part=1 process=1",
+        "EVENT kind=DEADLINE_MISS t=22 part=2 process=1 elapsed=22 budget=10",
+        "EVENT kind=DEADLINE_MISS t=22 part=1 process=1 elapsed=21 budget=4",
+    ])
+
+
+def test_periodic_reactivation_moves_the_deadline():
+    idle = [{"op": "IDLE", "ticks": n} for n in range(11)]
+    # missed at t=5; the dispatch at t=12 re-activates at 10, which re-arms
+    # the deadline without a DISPATCH event, and it is missed again at 13
+    workload = [_write(1), idle[4], _write(1), idle[6], _write(1), idle[1], _write(1), idle[10]]
+    assert _events([_one_process(1, 2, period=10)], workload) == ((25, 25), [
+        "EVENT kind=DISPATCH t=0 part=1 process=1",
+        "EVENT kind=DEADLINE_MISS t=5 part=1 process=1 elapsed=5 budget=2",
+        "EVENT kind=DEADLINE_MISS t=13 part=1 process=1 elapsed=3 budget=2",
+    ])
+    # re-activated at t=5 and t=10, each before the activation's deadline
+    # (t=6 and t=11) falls due, so the only miss is of the last activation
+    workload = [_write(1), idle[4], _write(1), idle[4], _write(1), idle[6]]
+    assert _events([_one_process(1, 5, period=5)], workload) == ((17, 17), [
+        "EVENT kind=DISPATCH t=0 part=1 process=1",
+        "EVENT kind=DEADLINE_MISS t=17 part=1 process=1 elapsed=7 budget=5",
+    ])
+
+
 def test_checks_are_charged_to_the_step_that_made_them():
     data = {
         "name": "costs",

@@ -164,8 +164,9 @@ def test_oracle_equivalence_4096_bytes():
 
 
 def test_oracle_equivalence_at_span_edges():
-    # whole-shadow spans, overlapping copies, copies between two tables
-    for size in (16, 257, 4096):
+    # whole-shadow spans, overlapping copies, copies between two tables; the
+    # last size fills two whole blocks and a tail
+    for size in (16, 257, 4096, 2 * 16384 + 3):
         tally = run_msan_edge_cases(size, label=f"size={size}")
         assert tally["copy"] == 6 and tally["check_fail"] >= 4
 

@@ -53,11 +53,13 @@ def test_tracer_counts_match_the_reports(monkeypatch):
         stripped = load_builtin("local_timeout_override")
         scenarios.append(replace(stripped, time=replace(stripped.time, overrides=())))
         reports = [harness.run_scenario(scenario) for scenario in scenarios]
+        calls, _, counts = tracer.collect()
+        harness.run_scenario(scenarios[-1])
+        stripped_calls, _, stripped_counts = tracer.collect()
     finally:
         tracer.uninstall()
     assert _namespaces() == before
 
-    calls, _, counts = tracer.collect()
     kinds = [v.kind for report in reports for v in report.violations]
     ub = sum(kind in {k.value for k in UbKind} for kind in kinds)
     uninit = kinds.count("UNINIT_USE")
@@ -71,6 +73,9 @@ def test_tracer_counts_match_the_reports(monkeypatch):
     misses = [e for report in reports for e in report.events if e.kind == "DEADLINE_MISS"]
     assert len(misses) == 1
     assert counts.get("sched.check_deadline.misses", 0) == len(misses)
+    # deadlines are checked only when due, and a due deadline is a miss
+    assert calls["sched.check_deadline"] == len(misses)
+    assert stripped_calls["sched.check_deadline"] == 1 < stripped_counts["harness.steps"]
     # every allocation and every reset goes through the traced methods
     declared = sum(len(p.regions) for scenario in scenarios for p in scenario.partitions)
     allocs = sum(step.op == "ALLOC" for scenario in scenarios for step in scenario.workload)

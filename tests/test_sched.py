@@ -1,6 +1,7 @@
 """Scheduling, instrumented time and deadline accounting."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -19,6 +20,7 @@ from partsan.sched import (
     TimeModel,
     Window,
     check_deadline,
+    deadline_due,
     get_my_id,
     to_fraction,
 )
@@ -65,12 +67,19 @@ def test_time_model_forty_step_example():
 
 
 def test_time_model_fractional_factor_never_drifts():
+    # virtual_now is stored by advance: every read between two advances,
+    # and the value advance returns, is floor(raw / factor)
     rng = random.Random(9)
-    for factor in (Fraction(3, 2), Fraction(7, 3), 2, Fraction(5, 4)):
-        model = TimeModel(factor)
+    for factor in (Fraction(3, 2), Fraction(7, 3), 2, Fraction(5, 4), "1e0"):
+        model = TimeModel(factor, CheckCosts(asan_check=2, ub_check=1))
+        assert model.virtual_now == 0
         for _ in range(200):
-            model.advance(rng.randint(0, 5))
-            assert model.virtual_now == ref_virtual(model.raw_ticks, factor)
+            virtual = model.advance(rng.randint(0, 5), asan_checks=rng.randint(0, 2),
+                                    ub_checks=rng.randint(0, 1))
+            want = ref_virtual(model.raw_ticks, to_fraction(factor))
+            assert virtual == want
+            for _ in range(rng.randint(0, 2)):
+                assert model.virtual_now == want
 
 
 def test_time_model_validation():
@@ -243,6 +252,24 @@ def test_check_deadline_boundary_is_exact():
     assert check_deadline(_activated(50), 51) is not None
     assert check_deadline(_activated(50, Fraction(3, 2)), 75) is None  # budget 75
     assert check_deadline(_activated(50, Fraction(3, 2)), 76) is not None
+
+
+def test_deadline_due_is_the_first_missing_time():
+    for capacity, multiplier in itertools.product(
+        (1, 2, 3, 7, 50), (1, Fraction(3, 2), Fraction(7, 3), Fraction(5, 4), 2)
+    ):
+        for activation in (0, 1, 13):
+            process = _activated(capacity, multiplier)
+            process.activation_time = activation
+            due = deadline_due(process)
+            assert check_deadline(process, due - 1) is None
+            assert not process.deadline_missed
+            assert check_deadline(process, due) is not None
+            assert deadline_due(process) == math.inf  # missed: no second report
+    assert deadline_due(_activated(3, Fraction(7, 3))) == 8  # budget 7
+    assert deadline_due(_activated(50, Fraction(3, 2))) == 76  # budget 75
+    unactivated = Process(process_id=1, partition_id=1, priority=1, time_capacity=10)
+    assert deadline_due(unactivated) == math.inf
 
 
 def test_check_deadline_reports_once_per_activation():
