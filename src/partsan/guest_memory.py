@@ -125,7 +125,8 @@ class Layout:
 
 
 class PartitionMemory:
-    """Byte space and shadow maps of one partition, allocated by its Layout."""
+    """Byte space and shadow maps of one partition, allocated by its Layout.
+    ``origins`` is the origin table its ``InitShadow`` shares, if any."""
 
     def __init__(
         self,
@@ -134,13 +135,14 @@ class PartitionMemory:
         granularity: int = 8,
         redzone: int = DEFAULT_REDZONE,
         reserved_init: ReservedInitConfig | None = None,
+        origins=None,
     ):
         self.layout = Layout(partition_id, size_bytes, granularity, redzone)
         self.partition_id = partition_id
         self.size_bytes = size_bytes
         self.data = bytearray(size_bytes)
         self.shadow = ShadowMap(partition_id, size_bytes, granularity)
-        self.init_shadow = InitShadow(partition_id, size_bytes)
+        self.init_shadow = InitShadow(partition_id, size_bytes, origins)
         self.reserved_init = reserved_init or ReservedInitConfig()
         # nothing is addressable until allocated
         self.shadow.poison(0, size_bytes, PoisonKind.MANUAL_BLACKLIST)

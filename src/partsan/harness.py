@@ -21,7 +21,7 @@ from .errors import ConfigError
 from .guest_memory import PartitionMemory
 from .msan_shadow import copy_propagate, unpoison_padding
 from .ports import QueueingPort, SamplingPort
-from .scenario import ExpectPattern, Scenario, Step
+from .scenario import ExpectPattern, Scenario
 from .sched import (
     MAIN_CONTEXT,
     Process,
@@ -169,6 +169,8 @@ class Simulator:
         self.seed = seed
 
         multipliers = {(pid, proc): m for pid, proc, m in scenario.time.overrides}
+        # one origin table for every partition, so a port hop copies ids as they are
+        origins = ([None], {})
         self.partitions: dict[int, PartitionMemory] = {}
         self.tables: dict[int, ProcessTable] = {}  # partitions that have processes
         for pconf in scenario.partitions:
@@ -178,6 +180,7 @@ class Simulator:
                 granularity=pconf.granularity,
                 redzone=pconf.redzone,
                 reserved_init=scenario.reserved_init,
+                origins=origins,
             )
             for region in pconf.regions:
                 mem.alloc_region(region.size, region.label)
@@ -196,6 +199,12 @@ class Simulator:
             if pconf.auto_start:
                 mem.start()
             self.partitions[pconf.partition_id] = mem
+        # per partition, the virtual time from which a dispatch can change
+        # its table: 0 before the first dispatch, the next period boundary of
+        # a periodic running process, infinity otherwise (or without a table)
+        self._redispatch: dict[int, int | float] = {
+            pid: 0 if pid in self.tables else math.inf for pid in self.partitions
+        }
         # per table, the virtual time its running process first misses its
         # deadline (sched.deadline_due), and the earliest of them
         self._due: dict[int, int | float] = dict.fromkeys(self.tables, math.inf)
@@ -227,35 +236,41 @@ class Simulator:
     def _log(self, violation: Violation) -> None:
         self.violations.append(replace(violation, step=self._step_index))
 
-    def _contract(self, step: Step, detail: str) -> None:
+    def _contract(self, fields: dict, detail: str) -> None:
         """A self-checking step observed a result other than the declared one."""
-        self._log(Violation(kind="API_CONTRACT", partition=step["partition"], detail=detail))
+        self._log(Violation(kind="API_CONTRACT", partition=fields["partition"], detail=detail))
 
     # -- execution ----------------------------------------------------------
 
     def run(self) -> RunReport:
         executors, model = self._EXECUTORS, self.model
+        partitions, redispatch = self.partitions, self._redispatch
+        advance, base_step = model.advance, model.costs.base_step
         for index, step in enumerate(self.scenario.workload):
             self._step_index = index
+            fields = step.fields
             if step.op == "IDLE":
-                model.advance(step["ticks"])
+                advance(fields["ticks"])
             else:
-                pid = step["partition"]
-                mem = self.partitions[pid]
+                pid = fields["partition"]
+                mem = partitions[pid]
+                shadow, init_shadow = mem.shadow, mem.init_shadow
                 # Every check a step makes is on its own partition's shadows,
                 # so that partition's two counters give the step's check counts.
-                asan_before = mem.shadow.checks_performed
-                msan_before = mem.init_shadow.checks_performed
+                asan_before = shadow.checks_performed
+                msan_before = init_shadow.checks_performed
                 self._ub_checks_this_step = 0
-                self._dispatch(pid, mem)
-                executors[step.op](self, step, mem)
-                model.advance(
-                    model.costs.base_step,
-                    asan_checks=mem.shadow.checks_performed - asan_before,
-                    msan_checks=mem.init_shadow.checks_performed - msan_before,
-                    ub_checks=self._ub_checks_this_step,
+                if model.virtual_now >= redispatch[pid] and mem.layout.started:
+                    self._dispatch(pid)
+                executors[step.op](self, fields, mem)
+                advance(
+                    base_step,
+                    shadow.checks_performed - asan_before,
+                    init_shadow.checks_performed - msan_before,
+                    self._ub_checks_this_step,
                 )
-            self._watch_deadlines()
+            if model.virtual_now >= self._next_due:
+                self._watch_deadlines()
         verdict = (
             "MATCH"
             if match_expected(self.violations, self.scenario.expect)
@@ -271,27 +286,32 @@ class Simulator:
             verdict=verdict,
         )
 
-    def _dispatch(self, pid: int, mem: PartitionMemory) -> None:
-        table = self.tables.get(pid)
-        if table is None or not mem.layout.started:
-            return
+    def _dispatch(self, pid: int) -> None:
+        """Dispatch a started partition's table when that can change it.
+
+        No op changes a priority, so the top process is the same at every
+        dispatch: only the first one activates it, and later ones matter
+        only from a periodic process's next boundary, where they re-activate
+        it.  Either way its deadline moves.
+        """
+        table = self.tables[pid]
         running = table.running
-        activation = None if running is None else running.activation_time
         process = table.dispatch(self.model.virtual_now)
         if process is not running:
             self._event("DISPATCH", part=pid, process=process.process_id)
-        elif process.activation_time == activation:
-            return
+        period = process.period
+        self._redispatch[pid] = (
+            math.inf if period is None else process.activation_time + period
+        )
         self._due[pid] = deadline_due(process)
         self._next_due = min(self._due.values())
 
     def _watch_deadlines(self) -> None:
-        """Check each running process whose deadline is due, in table order.
-        Virtual time never decreases, so this reports each miss at the same
-        step as a check of every running process after every step would."""
+        """Check each running process whose deadline is due, in table order;
+        ``run`` calls this only once the earliest one is due.  Virtual time
+        never decreases, so this reports each miss at the same step as a
+        check of every running process after every step would."""
         now = self.model.virtual_now
-        if now < self._next_due:
-            return
         due = self._due
         for pid, table in self.tables.items():
             if due[pid] > now:
@@ -309,33 +329,33 @@ class Simulator:
 
     # -- memory ops -----------------------------------------------------------
 
-    def _op_alloc(self, step: Step, mem: PartitionMemory) -> None:
-        mem.alloc_region(step["size"], step["label"])
+    def _op_alloc(self, fields: dict, mem: PartitionMemory) -> None:
+        mem.alloc_region(fields["size"], fields["label"])
 
-    def _op_start_partition(self, step: Step, mem: PartitionMemory) -> None:
+    def _op_start_partition(self, fields: dict, mem: PartitionMemory) -> None:
         mem.start()
 
-    def _op_reset_partition(self, step: Step, mem: PartitionMemory) -> None:
+    def _op_reset_partition(self, fields: dict, mem: PartitionMemory) -> None:
         mem.reset_partition()
-        self._event("PARTITION_RESET", part=step["partition"])
+        self._event("PARTITION_RESET", part=fields["partition"])
 
-    def _op_write(self, step: Step, mem: PartitionMemory) -> None:
-        data = step.get("data") or bytes([step["fill"]]) * step["len"]
+    def _op_write(self, fields: dict, mem: PartitionMemory) -> None:
+        data = fields.get("data") or bytes([fields["fill"]]) * fields["len"]
         try:
-            mem.checked_write(_offset(mem, step), data, origin=f"step:{self._step_index}")
+            mem.checked_write(_offset(mem, fields), data, origin=f"step:{self._step_index}")
         except ViolationError as exc:
             self._log(exc.violation)
 
-    def _op_read(self, step: Step, mem: PartitionMemory) -> None:
+    def _op_read(self, fields: dict, mem: PartitionMemory) -> None:
         try:
-            mem.checked_read(_offset(mem, step), step["len"])
+            mem.checked_read(_offset(mem, fields), fields["len"])
         except ViolationError as exc:
             self._log(exc.violation)
 
-    def _op_copy(self, step: Step, mem: PartitionMemory) -> None:
-        src = _offset(mem, step, "src_")
-        dst = _offset(mem, step, "dst_")
-        length = step["len"]
+    def _op_copy(self, fields: dict, mem: PartitionMemory) -> None:
+        src = _offset(mem, fields, "src_")
+        dst = _offset(mem, fields, "dst_")
+        length = fields["len"]
         try:
             data = mem.checked_read(src, length)
             violation = mem.check_access(dst, length, AccessKind.WRITE)
@@ -360,17 +380,17 @@ class Simulator:
             self._log(init_violation)
         return True
 
-    def _op_branch_on(self, step: Step, mem: PartitionMemory) -> None:
-        self._use(mem, _offset(mem, step), step["len"], UseSite.BRANCH)
+    def _op_branch_on(self, fields: dict, mem: PartitionMemory) -> None:
+        self._use(mem, _offset(mem, fields), fields["len"], UseSite.BRANCH)
 
-    def _op_unpoison_padding(self, step: Step, mem: PartitionMemory) -> None:
-        base = mem.layout.regions[step["region"]].base
-        unpoison_padding(mem.init_shadow, self.scenario.padding[step["type"]], base)
+    def _op_unpoison_padding(self, fields: dict, mem: PartitionMemory) -> None:
+        base = mem.layout.regions[fields["region"]].base
+        unpoison_padding(mem.init_shadow, self.scenario.padding[fields["type"]], base)
 
     # -- checked arithmetic ops --------------------------------------------------
 
     def _operands(
-        self, step: Step, mem: PartitionMemory, keys, width: int, signed: bool
+        self, fields: dict, mem: PartitionMemory, keys, width: int, signed: bool
     ) -> list | None:
         """Each named operand: an immediate value, or a little-endian load
         (``width`` bytes and ``signed`` unless the reference overrides them)
@@ -381,7 +401,7 @@ class Simulator:
         """
         values = []
         for key in keys:
-            operand = step[key]
+            operand = fields[key]
             if not isinstance(operand, int):
                 size = operand.get("width", width)
                 offset = _offset(mem, operand)
@@ -396,161 +416,162 @@ class Simulator:
             values.append(operand)
         return None if None in values else values
 
-    def _run_ub(self, step: Step, result) -> None:
+    def _run_ub(self, fields: dict, result) -> None:
         self._ub_checks_this_step += 1
         if isinstance(result, Violation):
-            self._log(replace(result, partition=step["partition"]))
+            self._log(replace(result, partition=fields["partition"]))
 
-    def _op_arith(self, step: Step, mem: PartitionMemory) -> None:
-        spec = int_spec(step["type"])
-        values = self._operands(step, mem, ("a", "b"), spec.width // 8, spec.signed)
+    def _op_arith(self, fields: dict, mem: PartitionMemory) -> None:
+        spec = int_spec(fields["type"])
+        values = self._operands(fields, mem, ("a", "b"), spec.width // 8, spec.signed)
         if values is not None:
-            op = ArithOp(step["arith"])
-            self._run_ub(step, checked_arith(op, *values, spec, strict=step["strict"]))
+            op = ArithOp(fields["arith"])
+            self._run_ub(fields, checked_arith(op, *values, spec, strict=fields["strict"]))
 
-    def _op_div(self, step: Step, mem: PartitionMemory) -> None:
-        spec = int_spec(step["type"])
-        values = self._operands(step, mem, ("a", "b"), spec.width // 8, spec.signed)
+    def _op_div(self, fields: dict, mem: PartitionMemory) -> None:
+        spec = int_spec(fields["type"])
+        values = self._operands(fields, mem, ("a", "b"), spec.width // 8, spec.signed)
         if values is not None:
-            self._run_ub(step, checked_div(*values, spec))
+            self._run_ub(fields, checked_div(*values, spec))
 
-    def _op_shift(self, step: Step, mem: PartitionMemory) -> None:
-        spec = int_spec(step["type"])
-        values = self._operands(step, mem, ("a",), spec.width // 8, spec.signed)
+    def _op_shift(self, fields: dict, mem: PartitionMemory) -> None:
+        spec = int_spec(fields["type"])
+        values = self._operands(fields, mem, ("a",), spec.width // 8, spec.signed)
         if values is not None:
-            self._run_ub(step, checked_shift(*values, step["s"], spec, strict=step["strict"]))
+            result = checked_shift(*values, fields["s"], spec, strict=fields["strict"])
+            self._run_ub(fields, result)
 
-    def _op_trunc(self, step: Step, mem: PartitionMemory) -> None:
-        from_spec = int_spec(step["from"])
-        values = self._operands(step, mem, ("a",), from_spec.width // 8, from_spec.signed)
+    def _op_trunc(self, fields: dict, mem: PartitionMemory) -> None:
+        from_spec = int_spec(fields["from"])
+        values = self._operands(fields, mem, ("a",), from_spec.width // 8, from_spec.signed)
         if values is not None:
-            self._run_ub(step, checked_trunc(*values, from_spec, int_spec(step["to"])))
+            self._run_ub(fields, checked_trunc(*values, from_spec, int_spec(fields["to"])))
 
-    def _op_align_check(self, step: Step, mem: PartitionMemory) -> None:
-        self._run_ub(step, check_align(_offset(mem, step), step["align"]))
+    def _op_align_check(self, fields: dict, mem: PartitionMemory) -> None:
+        self._run_ub(fields, check_align(_offset(mem, fields), fields["align"]))
 
-    def _op_null_check(self, step: Step, mem: PartitionMemory) -> None:
-        self._run_ub(step, check_nonnull(_offset(mem, step), mem.partition_id))
+    def _op_null_check(self, fields: dict, mem: PartitionMemory) -> None:
+        self._run_ub(fields, check_nonnull(_offset(mem, fields), mem.partition_id))
 
-    def _op_bool_check(self, step: Step, mem: PartitionMemory) -> None:
-        values = self._operands(step, mem, ("a",), 1, False)
+    def _op_bool_check(self, fields: dict, mem: PartitionMemory) -> None:
+        values = self._operands(fields, mem, ("a",), 1, False)
         if values is not None:
-            self._run_ub(step, check_bool(*values))
+            self._run_ub(fields, check_bool(*values))
 
-    def _op_enum_check(self, step: Step, mem: PartitionMemory) -> None:
-        values = self._operands(step, mem, ("a",), 4, True)
+    def _op_enum_check(self, fields: dict, mem: PartitionMemory) -> None:
+        values = self._operands(fields, mem, ("a",), 4, True)
         if values is not None:
-            spec = EnumSpec(name=step["enum"], allowed=frozenset(step["allowed"]))
-            self._run_ub(step, check_enum(*values, spec))
+            spec = EnumSpec(name=fields["enum"], allowed=frozenset(fields["allowed"]))
+            self._run_ub(fields, check_enum(*values, spec))
 
     # -- syscalls ------------------------------------------------------------------
 
-    def _op_syscall(self, step: Step, mem: PartitionMemory) -> None:
-        spec = self.syscalls[step["name"]]
+    def _op_syscall(self, fields: dict, mem: PartitionMemory) -> None:
+        spec = self.syscalls[fields["name"]]
         bindings = {
             param: ParamBinding(offset=_offset(mem, raw), length=raw.get("len"))
-            for param, raw in step["bindings"].items()
+            for param, raw in fields["bindings"].items()
         }
         resolved = resolve_sizes(spec, self.types, bindings)
         violation = enforce_pre(resolved, mem.init_shadow)
         if violation is not None:
             self._log(violation)
-            self._event("SYSCALL", part=step["partition"], name=spec.user_name,
+            self._event("SYSCALL", part=fields["partition"], name=spec.user_name,
                         outcome="blocked")
             return
-        succeeded = step["succeed"]
+        succeeded = fields["succeed"]
         enforce_post(resolved, mem.init_shadow, succeeded)
         self._event(
             "SYSCALL",
-            part=step["partition"],
+            part=fields["partition"],
             name=spec.user_name,
             outcome="ok" if succeeded else "failed",
         )
 
     # -- ports ----------------------------------------------------------------------
 
-    def _transmit(self, step: Step, mem: PartitionMemory, port_method) -> None:
+    def _transmit(self, fields: dict, mem: PartitionMemory, port_method) -> None:
         """Queueing send or sampling write of ``len`` bytes at the step's location."""
         try:
-            port_method(mem, _offset(mem, step), step["len"], self.model.virtual_now)
+            port_method(mem, _offset(mem, fields), fields["len"], self.model.virtual_now)
         except ViolationError as exc:
             self._log(exc.violation)
 
-    def _op_send(self, step: Step, mem: PartitionMemory) -> None:
-        self._transmit(step, mem, self.ports[step["port"]].send)
+    def _op_send(self, fields: dict, mem: PartitionMemory) -> None:
+        self._transmit(fields, mem, self.ports[fields["port"]].send)
 
-    def _op_sampling_write(self, step: Step, mem: PartitionMemory) -> None:
-        self._transmit(step, mem, self.ports[step["port"]].write)
+    def _op_sampling_write(self, fields: dict, mem: PartitionMemory) -> None:
+        self._transmit(fields, mem, self.ports[fields["port"]].write)
 
-    def _op_receive(self, step: Step, mem: PartitionMemory) -> None:
-        port = self.ports[step["port"]]
+    def _op_receive(self, fields: dict, mem: PartitionMemory) -> None:
+        port = self.ports[fields["port"]]
         try:
-            result = port.receive(mem, _offset(mem, step), self.model.virtual_now)
+            result = port.receive(mem, _offset(mem, fields), self.model.virtual_now)
         except ViolationError as exc:
             self._log(exc.violation)
             return
-        expected = step.get("expect")
+        expected = fields.get("expect")
         if result is None:
-            self._event("PORT_EMPTY", part=step["partition"], port=step["port"])
+            self._event("PORT_EMPTY", part=fields["partition"], port=fields["port"])
             if expected is not None:
-                self._contract(step, f"port '{step['port']}' was empty, payload expected")
+                self._contract(fields, f"port '{fields['port']}' was empty, payload expected")
             return
-        if step["expect_empty"]:
+        if fields["expect_empty"]:
             self._contract(
-                step,
-                f"port '{step['port']}' expected empty, delivered "
+                fields,
+                f"port '{fields['port']}' expected empty, delivered "
                 f"{len(result.payload)} bytes",
             )
         if expected is not None and result.payload != expected:
             self._contract(
-                step,
-                f"port '{step['port']}' delivered 0x{result.payload.hex()}, "
+                fields,
+                f"port '{fields['port']}' delivered 0x{result.payload.hex()}, "
                 f"expected 0x{expected.hex()}",
             )
 
-    def _op_sampling_read(self, step: Step, mem: PartitionMemory) -> None:
-        port = self.ports[step["port"]]
+    def _op_sampling_read(self, fields: dict, mem: PartitionMemory) -> None:
+        port = self.ports[fields["port"]]
         try:
-            result = port.read(mem, _offset(mem, step), self.model.virtual_now)
+            result = port.read(mem, _offset(mem, fields), self.model.virtual_now)
         except ViolationError as exc:
             self._log(exc.violation)
             return
         validity = "EMPTY" if result is None else result.validity.value
-        info = {"part": step["partition"], "port": step["port"], "validity": validity}
+        info = {"part": fields["partition"], "port": fields["port"], "validity": validity}
         if result is not None:
             info["age"] = result.age
         self._event("SAMPLING_READ", **info)
-        expected_validity = step.get("expect_validity")
+        expected_validity = fields.get("expect_validity")
         if expected_validity is not None and expected_validity != validity:
             self._contract(
-                step, f"port '{step['port']}' read {validity}, expected {expected_validity}"
+                fields, f"port '{fields['port']}' read {validity}, expected {expected_validity}"
             )
-        expected = step.get("expect")
+        expected = fields.get("expect")
         if expected is not None and (result is None or result.payload != expected):
             delivered = "nothing" if result is None else f"0x{result.payload.hex()}"
             self._contract(
-                step,
-                f"port '{step['port']}' delivered {delivered}, expected 0x{expected.hex()}",
+                fields,
+                f"port '{fields['port']}' delivered {delivered}, expected 0x{expected.hex()}",
             )
 
     # -- identity -------------------------------------------------------------------
 
-    def _op_get_my_id(self, step: Step, mem: PartitionMemory) -> None:
-        caller = step["caller"]
+    def _op_get_my_id(self, fields: dict, mem: PartitionMemory) -> None:
+        caller = fields["caller"]
         if caller == "main":
             context = MAIN_CONTEXT
         else:
-            context = self.tables[step["partition"]].get(caller)
+            context = self.tables[fields["partition"]].get(caller)
         result = get_my_id(context, legacy=self.legacy_get_my_id)
         self._event(
             "GET_MY_ID",
-            part=step["partition"],
+            part=fields["partition"],
             caller=caller,
             result=result,
         )
-        expected = step.get("expect")
+        expected = fields.get("expect")
         if expected is not None and expected != result:
-            self._contract(step, f"get_my_id returned {result}, expected {expected}")
+            self._contract(fields, f"get_my_id returned {result}, expected {expected}")
 
     # One executor per workload op, keyed by the op names of scenario._OPS;
     # IDLE has none, run() advances its ticks.

@@ -7,9 +7,11 @@ points at the allocation that produced the byte, once initialized at the
 write/annotation/copy-source that defined it, so a violation can always say
 where the offending value came from.
 
-Labels are interned per shadow and the ids kept in an ``array('I')``, one
-per byte.  Span operations are slice operations on the bits and the ids;
-a fill assigns one fixed block slice by slice, so it builds no span-sized
+Labels are interned in an origin table and the ids kept in an
+``array('I')``, one per byte.  Shadows may share one table (a simulator's
+partitions do), so that copying between them copies the ids as they are.
+Span operations are slice operations on the bits and the ids; a fill
+assigns one fixed block slice by slice, so it builds no span-sized
 temporary, and only a ``mark_initialized`` that keeps existing origins
 walks its bytes.
 The per-byte oracles in ``tests/oracles.py`` define what each operation
@@ -64,17 +66,21 @@ def check_reserved_pattern(pattern: int) -> int:
 
 
 class InitShadow:
-    """Per-byte initialization map for one partition (1:1 granularity)."""
+    """Per-byte initialization map for one partition (1:1 granularity).
 
-    def __init__(self, partition_id: int, size: int):
+    ``origins`` is an origin table shared with other shadows: a pair of the
+    label list, whose id 0 is None, and the dict from label to id.  Without
+    it the shadow gets a table of its own.
+    """
+
+    def __init__(self, partition_id: int, size: int, origins=None):
         if size <= 0:
             raise ConfigError(f"shadow size must be positive, got {size}")
         self.partition_id = partition_id
         self.size = size
         self.bits = bytearray(size)  # 0 = uninitialized, 1 = initialized
         self._origin_ids = array("I", [0]) * size
-        self._origin_table: list[str | None] = [None]
-        self._origin_index: dict[str, int] = {}
+        self._origin_table, self._origin_index = origins or ([None], {})
         # running count of check() calls, feeds the instrumented-time model
         self.checks_performed = 0
 
@@ -177,8 +183,9 @@ class InitShadow:
         return bytes(self.bits[start:end]), (self._origin_table, self._origin_ids[start:end])
 
     def apply_snapshot(self, start: int, bits: bytes, labels) -> None:
-        """Write a ``snapshot`` at ``start``.  From another shadow, each
-        distinct origin is interned here once and the ids are translated."""
+        """Write a ``snapshot`` at ``start``.  From a shadow with another
+        origin table, each distinct origin is interned here once and the ids
+        are translated."""
         end = self._span(start, len(bits), min_length=0)
         table, ids = labels
         if table is not self._origin_table:

@@ -115,14 +115,10 @@ class ExpectPattern:
 
 @dataclass(frozen=True)
 class Step:
+    """One workload op and its loaded fields, keyed by the op's JSON names."""
+
     op: str
     fields: dict
-
-    def __getitem__(self, key):
-        return self.fields[key]
-
-    def get(self, key, default=None):
-        return self.fields.get(key, default)
 
 
 @dataclass(frozen=True)

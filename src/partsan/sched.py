@@ -236,28 +236,28 @@ def deadline_due(process: Process) -> int | float:
     ``elapsed > budget`` holds exactly from ``floor(budget) + 1`` on."""
     if process.activation_time is None or process.deadline_missed:
         return math.inf
-    budget = process.time_capacity * process.multiplier
-    return process.activation_time + math.floor(budget) + 1
+    m = process.multiplier
+    return process.activation_time + process.time_capacity * m.numerator // m.denominator + 1
 
 
 def check_deadline(process: Process, virtual_now: int) -> DeadlineMiss | None:
     """Budget check against virtual time.
 
     The budget is time_capacity times the process's multiplier, compared
-    exactly.  Reported at most once per activation.
+    exactly in integers.  Reported at most once per activation.
     """
     if process.activation_time is None or process.deadline_missed:
         return None
-    budget = process.time_capacity * process.multiplier
+    m = process.multiplier
     elapsed = virtual_now - process.activation_time
-    if elapsed <= budget:
+    if elapsed * m.denominator <= process.time_capacity * m.numerator:
         return None
     process.deadline_missed = True
     return DeadlineMiss(
         process_id=process.process_id,
         partition_id=process.partition_id,
         elapsed=elapsed,
-        budget=budget,
+        budget=process.time_capacity * m,
     )
 
 

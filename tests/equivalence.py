@@ -243,10 +243,13 @@ def run_msan_equivalence(rng, size, n_ops, full_compare_every, label=""):
     """Random uninit/mark/copy/check stream with after-op state compares.
 
     A quarter of the copies go to or from a second shadow, whose origin
-    table differs from the first's."""
-    shadow, other = InitShadow(3, size), InitShadow(4, size)
-    oracle, other_oracle = InitOracle(size), InitOracle(size)
-    oracles = {shadow: oracle, other: other_oracle}
+    table differs from the first's, or a third, which shares the first's
+    table."""
+    shared = ([None], {})
+    shadow, sibling = InitShadow(3, size, shared), InitShadow(5, size, shared)
+    other = InitShadow(4, size)
+    oracle, other_oracle, sibling_oracle = (InitOracle(size) for _ in range(3))
+    oracles = {shadow: oracle, other: other_oracle, sibling: sibling_oracle}
     tally = Counter()
     for op_index in range(n_ops):
         ctx = f"{label} op#{op_index}"
@@ -270,8 +273,11 @@ def run_msan_equivalence(rng, size, n_ops, full_compare_every, label=""):
             dst = rng.randrange(0, size - length + 1)
             src = dst_shadow = shadow
             if rng.random() < 0.25:
-                src, dst_shadow = rng.choice(((shadow, other), (other, shadow)))
+                src, dst_shadow = rng.choice(
+                    ((shadow, other), (other, shadow), (shadow, sibling), (sibling, shadow))
+                )
                 tally["copy_across"] += 1
+                tally["copy_shared"] += other not in (src, dst_shadow)
             copy_propagate(src, start, dst, length, dst_shadow)
             oracles[dst_shadow].copy(oracles[src], start, dst, length)
             tally["copy"] += 1
@@ -281,8 +287,10 @@ def run_msan_equivalence(rng, size, n_ops, full_compare_every, label=""):
         if (op_index + 1) % full_compare_every == 0:
             _assert_same_init(shadow, oracle, ctx)
             _assert_same_init(other, other_oracle, f"{ctx} other")
+            _assert_same_init(sibling, sibling_oracle, f"{ctx} sibling")
     _assert_same_init(shadow, oracle, f"{label} final")
     _assert_same_init(other, other_oracle, f"{label} final other")
+    _assert_same_init(sibling, sibling_oracle, f"{label} final sibling")
     return tally
 
 
@@ -308,12 +316,15 @@ def msan_check(shadow, oracle, start, length, context, ctx):
 
 
 def run_msan_edge_cases(size, label=""):
-    """Whole-shadow spans, overlapping copies in both directions and copies
-    between two shadows whose origin tables differ, each followed by a full
-    compare of both shadows; returns the outcome tally.  ``size`` must be at
+    """Whole-shadow spans, overlapping copies in both directions, copies
+    between two shadows whose origin tables differ and copies between two
+    that share one (tallied as ``copy_shared``), each followed by a full
+    compare of every shadow; returns the outcome tally.  ``size`` must be at
     least 16."""
-    main, other = InitShadow(3, size), InitShadow(4, size)
-    oracles = {main: InitOracle(size), other: InitOracle(size)}
+    shared = ([None], {})
+    main, sibling = InitShadow(3, size, shared), InitShadow(5, size, shared)
+    other = InitShadow(4, size)
+    oracles = {main: InitOracle(size), other: InitOracle(size), sibling: InitOracle(size)}
     half, quarter = size // 2, size // 4
     ops = [
         ("uninit", main, 0, size, "alloc:a"),
@@ -339,6 +350,16 @@ def run_msan_edge_cases(size, label=""):
         ("check", main, 0, size),
         ("uninit", main, 0, size, None),
         ("check", main, size - 1, 1),
+        # the third shadow shares the first's table and interns new labels in it
+        ("uninit", sibling, 0, size, "alloc:b"),
+        ("mark", sibling, quarter, quarter, "annotation", True),
+        ("copy", main, 1, sibling, 0, half),
+        ("check", sibling, 0, size),
+        ("mark", sibling, half, quarter, "write:w3", True),
+        ("copy", sibling, 0, main, half, half),
+        ("check", main, 0, size),
+        ("copy", sibling, quarter, main, 0, size - quarter),
+        ("check", main, 0, size),
     ]
     tally = Counter()
     for op_index, (op, target, *args) in enumerate(ops):
@@ -356,10 +377,13 @@ def run_msan_edge_cases(size, label=""):
             src_start, dst_shadow, dst_start, length = args
             copy_propagate(target, src_start, dst_start, length, dst_shadow)
             oracles[dst_shadow].copy(oracle, src_start, dst_start, length)
+            if {target, dst_shadow} == {main, sibling}:
+                op = "copy_shared"
         else:
             start, length = args
             op = msan_check(target, oracle, start, length, UseSite.BRANCH, ctx)
         tally[op] += 1
         _assert_same_init(main, oracles[main], ctx)
         _assert_same_init(other, oracles[other], f"{ctx} other")
+        _assert_same_init(sibling, oracles[sibling], f"{ctx} sibling")
     return tally

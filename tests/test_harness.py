@@ -18,6 +18,7 @@ from partsan.harness import (
     run_scenario,
 )
 from partsan.scenario import ExpectPattern, builtin_names, load_builtin, load_scenario
+from partsan.sched import ProcessTable
 from partsan.violations import Violation
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -402,6 +403,89 @@ def test_periodic_reactivation_moves_the_deadline():
         "EVENT kind=DISPATCH t=0 part=1 process=1",
         "EVENT kind=DEADLINE_MISS t=17 part=1 process=1 elapsed=7 budget=5",
     ])
+
+
+def _dispatches(partitions, workload):
+    """The virtual times of the run's ProcessTable.dispatch calls, its ticks
+    and its events."""
+    calls = []
+    dispatch = ProcessTable.dispatch
+
+    def counted(table, virtual_now):
+        calls.append(virtual_now)
+        return dispatch(table, virtual_now)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ProcessTable, "dispatch", counted)
+        return calls, _events(partitions, workload)
+
+
+def test_a_process_without_a_period_is_dispatched_once():
+    calls, events = _dispatches([_one_process(1, 50)], [_write(1)] * 100)
+    assert calls == [0]
+    assert events == ((100, 100), [
+        "EVENT kind=DISPATCH t=0 part=1 process=1",
+        "EVENT kind=DEADLINE_MISS t=51 part=1 process=1 elapsed=51 budget=50",
+    ])
+
+
+def test_a_periodic_process_is_dispatched_once_per_boundary_passed():
+    calls, events = _dispatches([_one_process(1, 3, period=10)], [_write(1)] * 100)
+    assert calls == list(range(0, 100, 10))
+    assert events == ((100, 100), ["EVENT kind=DISPATCH t=0 part=1 process=1"] + [
+        f"EVENT kind=DEADLINE_MISS t={t} part=1 process=1 elapsed=4 budget=3"
+        for t in range(4, 100, 10)
+    ])
+    # an IDLE that passes the boundaries 20, 30 and 40 costs one dispatch
+    workload = [_write(1)] * 12 + [{"op": "IDLE", "ticks": 35}] + [_write(1)] * 12
+    calls, events = _dispatches([_one_process(1, 3, period=10)], workload)
+    assert calls == [0, 10, 47, 50]
+    assert events == ((59, 59), [
+        "EVENT kind=DISPATCH t=0 part=1 process=1",
+        "EVENT kind=DEADLINE_MISS t=4 part=1 process=1 elapsed=4 budget=3",
+        "EVENT kind=DEADLINE_MISS t=47 part=1 process=1 elapsed=37 budget=3",
+        "EVENT kind=DEADLINE_MISS t=48 part=1 process=1 elapsed=8 budget=3",
+        "EVENT kind=DEADLINE_MISS t=54 part=1 process=1 elapsed=4 budget=3",
+    ])
+
+
+def test_a_restarted_partition_gets_no_extra_dispatch():
+    restart = [
+        {"op": "RESET_PARTITION", "partition": 1},
+        {"op": "IDLE", "ticks": 20},
+        {"op": "ALLOC", "partition": 1, "label": "buf", "size": 8},
+        {"op": "START_PARTITION", "partition": 1},
+    ]
+    workload = [_write(1)] * 5 + restart + [_write(1)] * 5
+    calls, events = _dispatches([_one_process(1, 30)], workload)
+    assert calls == [0]
+    assert events == ((33, 33), [
+        "EVENT kind=DISPATCH t=0 part=1 process=1",
+        "EVENT kind=PARTITION_RESET t=5 part=1",
+        "EVENT kind=DEADLINE_MISS t=31 part=1 process=1 elapsed=31 budget=30",
+    ])
+    # a periodic one is re-activated at the first step after the restart,
+    # at the last boundary passed, and again at the next boundary
+    calls, events = _dispatches([_one_process(1, 3, period=10)], workload)
+    assert calls == [0, 28, 30]
+    assert events == ((33, 33), [
+        "EVENT kind=DISPATCH t=0 part=1 process=1",
+        "EVENT kind=DEADLINE_MISS t=4 part=1 process=1 elapsed=4 budget=3",
+        "EVENT kind=PARTITION_RESET t=5 part=1",
+        "EVENT kind=DEADLINE_MISS t=29 part=1 process=1 elapsed=9 budget=3",
+    ])
+
+
+def test_the_partitions_of_a_simulator_share_one_origin_table():
+    for name in ("queueing_fifo", "sampling_freshness", "port_uninit_send"):
+        simulator = Simulator(load_builtin(name))
+        shadows = [mem.init_shadow for mem in simulator.partitions.values()]
+        assert len(shadows) > 1
+        table = shadows[0]._origin_table
+        assert all(shadow._origin_table is table for shadow in shadows)
+        assert simulator.run().verdict == "MATCH"
+        # every label is interned once, whichever partition met it first
+        assert len(set(table)) == len(table) > 1
 
 
 def test_checks_are_charged_to_the_step_that_made_them():

@@ -156,6 +156,7 @@ def test_oracle_equivalence_dense_small_memory():
     assert tally["check_pass"] + tally["check_fail"] > 300
     assert tally["copy"] > 100
     assert tally["copy_across"] > 20
+    assert tally["copy_shared"] > 10
 
 
 def test_oracle_equivalence_4096_bytes():
@@ -164,11 +165,12 @@ def test_oracle_equivalence_4096_bytes():
 
 
 def test_oracle_equivalence_at_span_edges():
-    # whole-shadow spans, overlapping copies, copies between two tables; the
-    # last size fills two whole blocks and a tail
+    # whole-shadow spans, overlapping copies, copies between two tables and
+    # within one shared table; the last size fills two whole blocks and a tail
     for size in (16, 257, 4096, 2 * 16384 + 3):
         tally = run_msan_edge_cases(size, label=f"size={size}")
         assert tally["copy"] == 6 and tally["check_fail"] >= 4
+        assert tally["copy_shared"] == 3
 
 
 def test_snapshot_into_another_shadow_keeps_every_label():

@@ -12,8 +12,8 @@ from partsan.scenario import load_scenario
 from partsan.violations import UseSite, ViolationError
 
 
-def _memory(partition_id, label="buf", size=32):
-    mem = PartitionMemory(partition_id, 512)
+def _memory(partition_id, label="buf", size=32, origins=None):
+    mem = PartitionMemory(partition_id, 512, origins=origins)
     mem.alloc_region(size, label)
     mem.start()
     return mem
@@ -202,6 +202,28 @@ def test_origin_labels_cross_the_hop():
     dst.receive(dst_mem, inbox, now=1)
     assert dst_mem.init_shadow.origin_at(inbox) == "writer-step-3"
     assert dst_mem.init_shadow.origin_at(inbox + 1) == "writer-step-3"
+
+
+def test_a_hop_within_one_origin_table_adds_no_entry():
+    # a simulator's partitions share one table, so the receiver gets the
+    # sender's ids as they are; with tables of their own, it interns labels
+    for shared in (True, False):
+        origins = ([None], {}) if shared else None
+        src_mem, dst_mem = _memory(1, origins=origins), _memory(2, origins=origins)
+        port, _ = _queueing_pair()
+        base = src_mem.region("buf").base
+        inbox = dst_mem.region("buf").base
+        src_mem.checked_write(base, b"\x01\x02\x03", origin="writer")
+        src_mem.checked_write(base + 1, b"\x04", origin="patch")
+        port.send(src_mem, base, 3, now=0)
+        table = dst_mem.init_shadow._origin_table
+        entries = len(table)
+        port.receive(dst_mem, inbox, now=1)
+        assert [dst_mem.init_shadow.origin_at(inbox + i) for i in range(3)] == [
+            "writer", "patch", "writer"
+        ]
+        assert len(table) == entries + (0 if shared else 2)
+        assert (table is src_mem.init_shadow._origin_table) == shared
 
 
 def test_randomized_interleavings_preserve_fifo_and_init():

@@ -382,7 +382,7 @@ def test_workload_operand_and_field_shapes():
         {"op": "GET_MY_ID", "partition": 1, "expect": "MAIN_PROCESS_ID"},
     ]
     scenario = load_scenario(data)
-    idle, arith, write, gmi = scenario.workload
+    idle, arith, write, gmi = (step.fields for step in scenario.workload)
     assert idle["ticks"] == 3 and idle.get("partition") is None
     assert arith["a"] == {"region": "buf", "offset": 0, "width": 1, "signed": False}
     assert arith["b"] == 7 and arith["strict"] is False
@@ -441,8 +441,8 @@ def test_syscall_step_cross_checks():
         {"op": "SYSCALL", "partition": 1, "name": "f", "bindings": {"a": {"region": "buf", "offset": 4, "len": 4}}}
     ]
     step = load_scenario(data).workload[0]
-    assert step["succeed"] is True
-    assert step["bindings"] == {"a": {"region": "buf", "offset": 4, "len": 4}}
+    assert step.fields["succeed"] is True
+    assert step.fields["bindings"] == {"a": {"region": "buf", "offset": 4, "len": 4}}
 
 
 def _doc(workload, memory_size=4096, auto_start=True, **top):

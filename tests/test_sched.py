@@ -272,6 +272,26 @@ def test_deadline_due_is_the_first_missing_time():
     assert deadline_due(unactivated) == math.inf
 
 
+def test_integer_deadline_arithmetic_agrees_with_the_fraction_definition():
+    # a miss is elapsed > time_capacity x multiplier, compared as Fractions;
+    # deadline_due and check_deadline compute it in integers
+    multipliers = (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(7, 3))
+    for capacity, multiplier in itertools.product(range(1, 41), multipliers):
+        budget = capacity * multiplier
+        for activation in (0, 1, 13, 10**12):
+            process = _activated(capacity, multiplier)
+            process.activation_time = activation
+            due = deadline_due(process)
+            for elapsed in range(math.floor(budget) - 2, math.ceil(budget) + 3):
+                process.deadline_missed = False
+                miss = check_deadline(process, activation + elapsed)
+                assert (miss is not None) == (elapsed > budget)
+                assert (activation + elapsed >= due) == (elapsed > budget)
+                if miss is not None:
+                    assert miss.elapsed == elapsed
+                    assert type(miss.budget) is Fraction and miss.budget == budget
+
+
 def test_check_deadline_reports_once_per_activation():
     process = _activated(10)
     assert check_deadline(process, 20) is not None
