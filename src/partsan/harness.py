@@ -153,14 +153,6 @@ def match_expected(records, patterns) -> bool:
     return all(_place(i, fitting, owner) for i in range(len(patterns)))
 
 
-def _offset(mem: PartitionMemory, where, prefix: str = "") -> int:
-    """The ``<prefix>offset`` of a step, operand or binding: relative to its
-    ``<prefix>region`` when one is named, absolute otherwise."""
-    offset = where[prefix + "offset"]
-    label = where.get(prefix + "region")
-    return offset if label is None else offset + mem.layout.regions[label].base
-
-
 class Simulator:
     """Builds runtime state from a Scenario and interprets its workload."""
 
@@ -248,11 +240,11 @@ class Simulator:
         advance, base_step = model.advance, model.costs.base_step
         for index, step in enumerate(self.scenario.workload):
             self._step_index = index
-            fields = step.fields
-            if step.op == "IDLE":
-                advance(fields["ticks"])
+            op = step["op"]
+            if op == "IDLE":
+                advance(step["ticks"])
             else:
-                pid = fields["partition"]
+                pid = step["partition"]
                 mem = partitions[pid]
                 shadow, init_shadow = mem.shadow, mem.init_shadow
                 # Every check a step makes is on its own partition's shadows,
@@ -262,7 +254,7 @@ class Simulator:
                 self._ub_checks_this_step = 0
                 if model.virtual_now >= redispatch[pid] and mem.layout.started:
                     self._dispatch(pid)
-                executors[step.op](self, fields, mem)
+                executors[op](self, step, mem)
                 advance(
                     base_step,
                     shadow.checks_performed - asan_before,
@@ -342,19 +334,19 @@ class Simulator:
     def _op_write(self, fields: dict, mem: PartitionMemory) -> None:
         data = fields.get("data") or bytes([fields["fill"]]) * fields["len"]
         try:
-            mem.checked_write(_offset(mem, fields), data, origin=f"step:{self._step_index}")
+            mem.checked_write(fields["at"], data, origin=f"step:{self._step_index}")
         except ViolationError as exc:
             self._log(exc.violation)
 
     def _op_read(self, fields: dict, mem: PartitionMemory) -> None:
         try:
-            mem.checked_read(_offset(mem, fields), fields["len"])
+            mem.checked_read(fields["at"], fields["len"])
         except ViolationError as exc:
             self._log(exc.violation)
 
     def _op_copy(self, fields: dict, mem: PartitionMemory) -> None:
-        src = _offset(mem, fields, "src_")
-        dst = _offset(mem, fields, "dst_")
+        src = fields["src_at"]
+        dst = fields["dst_at"]
         length = fields["len"]
         try:
             data = mem.checked_read(src, length)
@@ -381,7 +373,7 @@ class Simulator:
         return True
 
     def _op_branch_on(self, fields: dict, mem: PartitionMemory) -> None:
-        self._use(mem, _offset(mem, fields), fields["len"], UseSite.BRANCH)
+        self._use(mem, fields["at"], fields["len"], UseSite.BRANCH)
 
     def _op_unpoison_padding(self, fields: dict, mem: PartitionMemory) -> None:
         base = mem.layout.regions[fields["region"]].base
@@ -404,7 +396,7 @@ class Simulator:
             operand = fields[key]
             if not isinstance(operand, int):
                 size = operand.get("width", width)
-                offset = _offset(mem, operand)
+                offset = operand["at"]
                 if not self._use(mem, offset, size, UseSite.ARITH):
                     operand = None
                 else:
@@ -448,10 +440,10 @@ class Simulator:
             self._run_ub(fields, checked_trunc(*values, from_spec, int_spec(fields["to"])))
 
     def _op_align_check(self, fields: dict, mem: PartitionMemory) -> None:
-        self._run_ub(fields, check_align(_offset(mem, fields), fields["align"]))
+        self._run_ub(fields, check_align(fields["at"], fields["align"]))
 
     def _op_null_check(self, fields: dict, mem: PartitionMemory) -> None:
-        self._run_ub(fields, check_nonnull(_offset(mem, fields), mem.partition_id))
+        self._run_ub(fields, check_nonnull(fields["at"], mem.partition_id))
 
     def _op_bool_check(self, fields: dict, mem: PartitionMemory) -> None:
         values = self._operands(fields, mem, ("a",), 1, False)
@@ -469,7 +461,7 @@ class Simulator:
     def _op_syscall(self, fields: dict, mem: PartitionMemory) -> None:
         spec = self.syscalls[fields["name"]]
         bindings = {
-            param: ParamBinding(offset=_offset(mem, raw), length=raw.get("len"))
+            param: ParamBinding(offset=raw["at"], length=raw.get("len"))
             for param, raw in fields["bindings"].items()
         }
         resolved = resolve_sizes(spec, self.types, bindings)
@@ -493,7 +485,7 @@ class Simulator:
     def _transmit(self, fields: dict, mem: PartitionMemory, port_method) -> None:
         """Queueing send or sampling write of ``len`` bytes at the step's location."""
         try:
-            port_method(mem, _offset(mem, fields), fields["len"], self.model.virtual_now)
+            port_method(mem, fields["at"], fields["len"], self.model.virtual_now)
         except ViolationError as exc:
             self._log(exc.violation)
 
@@ -506,7 +498,7 @@ class Simulator:
     def _op_receive(self, fields: dict, mem: PartitionMemory) -> None:
         port = self.ports[fields["port"]]
         try:
-            result = port.receive(mem, _offset(mem, fields), self.model.virtual_now)
+            result = port.receive(mem, fields["at"], self.model.virtual_now)
         except ViolationError as exc:
             self._log(exc.violation)
             return
@@ -532,7 +524,7 @@ class Simulator:
     def _op_sampling_read(self, fields: dict, mem: PartitionMemory) -> None:
         port = self.ports[fields["port"]]
         try:
-            result = port.read(mem, _offset(mem, fields), self.model.virtual_now)
+            result = port.read(mem, fields["at"], self.model.virtual_now)
         except ViolationError as exc:
             self._log(exc.violation)
             return

@@ -114,14 +114,6 @@ class ExpectPattern:
 
 
 @dataclass(frozen=True)
-class Step:
-    """One workload op and its loaded fields, keyed by the op's JSON names."""
-
-    op: str
-    fields: dict
-
-
-@dataclass(frozen=True)
 class Scenario:
     name: str
     partitions: tuple[PartitionConfig, ...]
@@ -131,14 +123,15 @@ class Scenario:
     padding: dict
     reserved_init: ReservedInitConfig
     syscalls: tuple[SyscallSpec, ...]
-    workload: tuple[Step, ...]
+    workload: tuple[dict, ...]  # each step's loaded fields and its "op"
     expect: tuple[ExpectPattern, ...]
 
     def with_overrides(
         self, slowdown_factor=None, granularity: int | None = None
     ) -> "Scenario":
         """Per-run knobs: replace the slowdown factor and/or force one
-        shadow granularity on every partition, which the workload pass checks."""
+        shadow granularity on every partition, which the workload pass checks
+        and binds on copies of the steps."""
         scenario = self
         if slowdown_factor is not None:
             factor = parse_slowdown(slowdown_factor)
@@ -150,6 +143,7 @@ class Scenario:
                 partitions=tuple(
                     replace(p, granularity=granularity) for p in scenario.partitions
                 ),
+                workload=tuple(_copy_step(step) for step in scenario.workload),
             )
             _check_workload(scenario)
         return scenario
@@ -164,7 +158,8 @@ class Scenario:
 
 
 def _as_int(value, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    # an exact int is never a bool, so most values skip both isinstance calls
+    if value.__class__ is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigError(f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"expected an integer >= {minimum}, got {value}")
@@ -223,6 +218,7 @@ def _at(key, check, *args):
 
 _REQUIRED = object()  # default marker: the key must be given
 _ABSENT = object()  # default marker: an absent key stays out of the fields
+_MISSING = object()  # what a row reads when its key is not in the object
 
 
 class _Fields:
@@ -233,7 +229,8 @@ class _Fields:
     own.  ``check(fields)`` runs on the loaded fields, then
     ``build(**fields)`` makes the result (without ``build``, the fields
     themselves); ``extra_keys`` are allowed in the object but not loaded
-    (the tag that picked these rows, a step's ``op`` or a port's ``kind``).
+    (the tag that picked these rows, a step's ``op`` or a port's ``kind``,
+    which _tagged adds to the fields).
     The instance is itself the check for such an object.
     """
 
@@ -247,14 +244,15 @@ class _Fields:
         return self.load(_as_dict(value))
 
     def load(self, obj: dict):
-        extras = obj.keys() - self.keys
-        if extras:
-            raise ConfigError(f"unknown keys {sorted(extras)}")
+        if not self.keys.issuperset(obj):
+            raise ConfigError(f"unknown keys {sorted(obj.keys() - self.keys)}")
         fields = {}
+        get, missing = obj.get, _MISSING
         for key, check, default in self.rows:
-            if key in obj and (default is not None or obj[key] is not None):
+            value = get(key, missing)
+            if value is not missing and (value is not None or default is not None):
                 try:
-                    fields[key] = check(obj[key])
+                    fields[key] = check(value)
                 except ConfigError as exc:
                     raise ConfigError(exc.message, f"/{key}{exc.path or ''}") from None
             elif default is _REQUIRED:
@@ -299,24 +297,30 @@ def _dict_of(check):
 
 def _tagged(tag, table):
     """A JSON object whose ``tag`` value picks the _Fields in ``table`` that
-    loads the rest of it; returns the tag value and the loaded fields."""
+    loads the rest of it; returns the loaded fields with the tag in them."""
     choices = sorted(table)
 
     def load(value):
         obj = _as_dict(value)
         name = obj.get(tag)
-        fields = table.get(name) if isinstance(name, str) else None
-        if fields is None:
+        rows = table.get(name) if isinstance(name, str) else None
+        if rows is None:
             if tag not in obj:
                 raise ConfigError(f"missing required key '{tag}'", f"/{tag}")
             raise ConfigError(f"unknown {tag} {name!r}, expected one of {choices}", f"/{tag}")
-        return name, fields.load(obj)
+        fields = rows.load(obj)
+        fields[tag] = name
+        return fields
 
     return load
 
 
-_count = partial(_as_int, minimum=1)
-_ticks = partial(_as_int, minimum=0)
+def _count(value):
+    return _as_int(value, 1)
+
+
+def _ticks(value):
+    return _as_int(value, 0)
 
 
 def _byte(value):
@@ -434,8 +438,7 @@ _PORT_KINDS = _tagged(
 
 
 def _port(value):
-    kind, fields = _PORT_KINDS(value)
-    return PortConfig(kind=kind, **fields)
+    return PortConfig(**_PORT_KINDS(value))
 
 
 def _padding_range(value):
@@ -697,7 +700,6 @@ def load_scenario(data: dict) -> Scenario:
             except ConfigError as exc:
                 raise ConfigError(exc.message, f"/padding/{type_name}/{i}") from None
 
-    fields["workload"] = tuple(Step(op, step_fields) for op, step_fields in fields["workload"])
     scenario = Scenario(**fields)
     _check_workload(scenario)
     return scenario
@@ -708,10 +710,33 @@ def load_scenario(data: dict) -> Scenario:
 # Partitions, memory and ports are static and allocation only bumps a cursor,
 # so one pass over the steps replays each partition's Layout, the allocator
 # the simulator runs, and rejects every step the simulator could not run.
+# It also binds each location to the absolute offset the simulator uses:
+# ``at`` beside a location's ``offset`` (``src_at`` and ``dst_at`` for COPY),
+# and ``at`` in each memory operand and SYSCALL binding.  No JSON key can
+# set them, as the loader rejects unknown keys.
 
-#: Per op, its region keys and its operand keys.
-_REGION_KEYS = {op: tuple(k for k, _, _ in f.rows if "region" in k) for op, f in _OPS.items()}
+#: Per op, the (region, offset, bound offset) keys of each of its locations.
+_LOCATIONS = {
+    op: tuple(
+        (prefix + "region", prefix + "offset", prefix + "at")
+        for prefix in (key.removesuffix("offset") for key, _, _ in f.rows if key.endswith("offset"))
+    )
+    for op, f in _OPS.items()
+}
+#: Per op, its operand keys.
 _OPERAND_KEYS = {op: tuple(key for key, c, _ in f.rows if c is _operand) for op, f in _OPS.items()}
+
+
+def _copy_step(step: dict) -> dict:
+    """A copy of a step that shares no dict the pass binds with it."""
+    copy = dict(step)
+    for key in _OPERAND_KEYS[step["op"]]:
+        if copy[key].__class__ is dict:
+            copy[key] = dict(copy[key])
+    if step["op"] == "SYSCALL" and step["bindings"]:
+        copy["bindings"] = {param: dict(binding) for param, binding in step["bindings"].items()}
+    return copy
+
 
 #: The kind of port each port op needs, and the end of it the step must be.
 _PORT_ENDS = {
@@ -760,8 +785,10 @@ def _directive_sizes(specs: dict, sizes: TypeSizeTable, known: dict, fields) -> 
 
 
 def _check_workload(scenario: Scenario) -> None:
-    """Replay every partition's Layout through the workload, and check each
-    step against them at the pointer of the field at fault."""
+    """Replay every partition's Layout through the workload, check each
+    step against them at the pointer of the field at fault, and bind each
+    step's locations.  The steps are bound in place, so no other Scenario
+    may hold them."""
     layouts: dict[int, Layout] = {}
     total = 0
     for i, config in enumerate(scenario.partitions):
@@ -790,23 +817,29 @@ def _check_workload(scenario: Scenario) -> None:
     def base(layout: Layout, where, key: str = "region") -> int:
         """The base of the allocated region ``where[key]``, or 0 without one."""
         label = where.get(key)
-        return 0 if label is None else _at(key, layout.region, label).base
+        if label is None:
+            return 0
+        region = layout.regions.get(label)
+        if region is None:  # not allocated at this step: raise at the key
+            region = _at(key, layout.region, label)
+        return region.base
 
     def span(layout: Layout, start: int, length: int) -> None:
         if start < 0 or start + length > layout.memory_size:
             raise ConfigError(f"span [{start}, {start + length}) leaves partition memory")
 
-    def check(step: Step) -> None:
-        op, fields = step.op, step.fields
+    def check(fields: dict) -> None:
+        op = fields["op"]
         pid = fields["partition"]
         layout = layouts.get(pid)
         if layout is None:
             raise ConfigError(f"step references unknown partition {pid}", "/partition")
-        for key in _REGION_KEYS[op]:
-            base(layout, fields, key)
+        for region_key, offset_key, at_key in _LOCATIONS[op]:
+            fields[at_key] = base(layout, fields, region_key) + fields[offset_key]
         for key in _OPERAND_KEYS[op]:
-            if fields[key].__class__ is dict:
-                _at(key, base, layout, fields[key])
+            operand = fields[key]
+            if operand.__class__ is dict:
+                operand["at"] = _at(key, base, layout, operand) + operand["offset"]
         if op == "ALLOC":
             layout.alloc(fields["label"], fields["size"])
         elif op == "START_PARTITION":
@@ -825,22 +858,21 @@ def _check_workload(scenario: Scenario) -> None:
             if caller != "main" and (pid, caller) not in processes:
                 raise ConfigError(f"partition {pid} has no process {caller}", "/caller")
         elif op == "UNPOISON_PADDING":
+            region_base = base(layout, fields)
             if fields["type"] not in scenario.padding:
                 raise ConfigError(f"no padding declaration for type '{fields['type']}'", "/type")
-            region_base = base(layout, fields)
             for off, ln in scenario.padding[fields["type"]]:
                 _at("type", span, layout, region_base + off, ln)
         elif op == "SYSCALL":
-            offsets = {
-                param: _at(f"bindings/{param}", base, layout, binding) + binding.get("offset", 0)
-                for param, binding in fields["bindings"].items()
-            }
+            bindings = fields["bindings"]
+            for param, binding in bindings.items():
+                binding["at"] = _at(f"bindings/{param}", base, layout, binding) + binding["offset"]
             for param, size in directive_sizes(fields):
-                _at(f"bindings/{param}", span, layout, offsets[param], size)
+                _at(f"bindings/{param}", span, layout, bindings[param]["at"], size)
 
     for i, step in enumerate(scenario.workload):
         try:
-            if step.op != "IDLE":
+            if step["op"] != "IDLE":
                 check(step)
         except ConfigError as exc:
             raise ConfigError(exc.message, f"/workload/{i}{exc.path or ''}") from None

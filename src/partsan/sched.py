@@ -140,7 +140,7 @@ class TimeModel:
         ub_checks: int = 0,
     ) -> int:
         """Charge one step's work; returns the new virtual time."""
-        if min(step_base_cost, asan_checks, msan_checks, ub_checks) < 0:
+        if step_base_cost < 0 or asan_checks < 0 or msan_checks < 0 or ub_checks < 0:
             raise ConfigError("advance amounts must be non-negative")
         self.raw_ticks += (
             step_base_cost

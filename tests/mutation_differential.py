@@ -9,14 +9,16 @@ versions of partsan.
 (7,200 in all; one changed value, deleted key or added key each) and
 stores each mutant's outcome: the load error's pointer and message, the
 run error, or digests of the text and JSON reports; then the same for
-every loadable mutant under a granularity override of 1 and of 16.
-``compare`` reads A as the parent and B as the change, prints the counts
-and exits 1 when B breaks one of these rules:
+every loadable mutant under a granularity override of 1 and of 16, and
+the mutant's own scenario once more after its overrides.  ``compare``
+reads A as the parent and B as the change, prints the counts and exits 1
+when B breaks one of these rules:
 
 - a load error of A is a load error of B at the same pointer;
 - a report of A is B's report, byte for byte;
 - a run error of A is a load error of B, with a pointer into the mutant;
-- nothing that B loads raises while it runs, with or without an override.
+- nothing that B loads raises while it runs, with or without an override;
+- a scenario's overrides leave its own report as it was.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ def outcome(doc):
         scenario = load_scenario(doc)
     except ConfigError as exc:
         return {"load_error": exc.path, "message": exc.message}
-    result = _run(scenario)
+    first = _run(scenario)
+    result = dict(first)
     for g in GRANULARITIES:
         try:
             regran = scenario.with_overrides(granularity=g)
@@ -89,6 +92,9 @@ def outcome(doc):
             result[f"g{g}"] = {"load_error": exc.path, "message": exc.message}
             continue
         result[f"g{g}"] = _run(regran)
+    rerun = _run(scenario)
+    if rerun != first:
+        result["rerun"] = rerun
     return result
 
 
@@ -123,6 +129,8 @@ def compare(parent_path, change_path):
             failures.append((mutant_id, "run error not a load error", old, new))
         if "load_error" in new:
             continue
+        if "rerun" in new:
+            failures.append((mutant_id, "report changed after the overrides", old, new))
         for g in GRANULARITIES:
             run = new[f"g{g}"]
             if "run_error" in run:

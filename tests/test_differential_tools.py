@@ -1,10 +1,11 @@
-"""The seeded scenario generator of ``schedule_differential.py`` keeps
-producing scenarios that load and run, so that comparing two versions with
-it keeps meaning something."""
+"""The seeded scenario generators of ``schedule_differential.py`` and
+``mutation_differential.py`` keep producing scenarios that load and run, so
+that comparing two versions with them keeps meaning something."""
 
 from collections import Counter
 from itertools import islice
 
+import mutation_differential
 import schedule_differential
 
 
@@ -28,3 +29,21 @@ def test_schedule_differential_scenarios_load_or_fail_at_load_and_run_determinis
     # most scenarios run, and most runs miss a deadline
     assert kinds["missed"] + kinds["report"] > 150
     assert kinds["missed"] > kinds["report"]
+
+
+def test_mutants_run_deterministically_and_never_raise_at_run_time():
+    first = [
+        (mutant_id, mutation_differential.outcome(doc))
+        for mutant_id, doc in islice(mutation_differential.mutants(), 300)
+    ]
+    second = [
+        (mutant_id, mutation_differential.outcome(doc))
+        for mutant_id, doc in islice(mutation_differential.mutants(), 300)
+    ]
+    assert first == second
+    for mutant_id, result in first:
+        overridden = [result.get(f"g{g}", {}) for g in mutation_differential.GRANULARITIES]
+        assert not any("run_error" in run for run in (result, *overridden)), (mutant_id, result)
+        assert "rerun" not in result, (mutant_id, result)
+    # most single-field mutants fail to load; about one in seven loads and runs
+    assert sum("report" in result for _, result in first) > 30

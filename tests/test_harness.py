@@ -2,10 +2,13 @@
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 
 import pytest
+import schedule_differential  # the test directory is on sys.path
 
 from partsan import scenario as scenario_module
 from partsan.errors import ConfigError
@@ -597,3 +600,105 @@ def test_report_dataclass_shape():
     assert isinstance(report, RunReport)
     assert report.seed == 0
     assert run_scenario(load_scenario({"name": "empty"}), seed=9).seed == 9
+
+
+# -- bound offsets ----------------------------------------------------------------
+
+
+def _live_offset(mem, where, prefix=""):
+    """The absolute ``<prefix>offset`` of a step, operand or binding, from
+    the run's live layout: relative to its ``<prefix>region`` when one is
+    named, absolute otherwise."""
+    offset = where[prefix + "offset"]
+    label = where.get(prefix + "region")
+    return offset if label is None else offset + mem.layout.regions[label].base
+
+
+def _checking(executor):
+    """``executor``, after checking every offset the workload pass bound in
+    the step against the live layout."""
+
+    def run(sim, fields, mem):
+        for prefix in ("", "src_", "dst_"):
+            if prefix + "offset" in fields:
+                assert fields[prefix + "at"] == _live_offset(mem, fields, prefix)
+                sim.checked[prefix + "location"] += 1
+        for key in ("a", "b"):
+            operand = fields.get(key)
+            if operand.__class__ is dict:
+                assert operand["at"] == _live_offset(mem, operand)
+                sim.checked["operand"] += 1
+        for binding in fields.get("bindings", {}).values():
+            assert binding["at"] == _live_offset(mem, binding)
+            sim.checked["binding"] += 1
+        return executor(sim, fields, mem)
+
+    return run
+
+
+class _BoundOffsetChecker(Simulator):
+    _EXECUTORS = {op: _checking(executor) for op, executor in Simulator._EXECUTORS.items()}
+
+    def __init__(self, scenario, checked):
+        super().__init__(scenario)
+        self.checked = checked
+
+
+def test_bound_offsets_equal_the_live_layout():
+    """Every builtin, with and without a granularity override, and the first
+    300 scheduling scenarios (locations in regions that come and go with
+    ALLOC and RESET_PARTITION) run with each bound offset checked before
+    its step."""
+    scenarios = []
+    for name in builtin_names():
+        scenario = load_builtin(name)
+        scenarios += [scenario, *(scenario.with_overrides(granularity=g) for g in (1, 16))]
+    for _, doc in islice(schedule_differential.scenarios(), 300):
+        try:
+            scenarios.append(load_scenario(doc))
+        except ConfigError:
+            continue
+    checked = Counter()
+    for scenario in scenarios:
+        assert _BoundOffsetChecker(scenario, checked).run() == run_scenario(scenario)
+    assert set(checked) == {"location", "src_location", "dst_location", "operand", "binding"}
+
+
+#: Two regions, the first of 4 bytes, so the second one's base moves with
+#: the granularity; an operand, a COPY and a binding in the second region,
+#: and findings at offsets in it.
+_MOVING_BASES = {
+    "name": "moving_bases",
+    "partitions": [
+        {"id": 1, "regions": [{"label": "head", "size": 4}, {"label": "buf", "size": 16}]}
+    ],
+    "syscalls": ["//!PRE: msan_check(a, 4);\nsyscall_declare(int, f, int*, a);"],
+    "workload": [
+        {"op": "ARITH", "partition": 1, "arith": "ADD", "type": "u32",
+         "a": {"region": "buf", "offset": 4}, "b": 1},
+        {"op": "COPY", "partition": 1, "src_region": "buf", "dst_region": "head", "len": 4},
+        {"op": "SYSCALL", "partition": 1, "name": "f",
+         "bindings": {"a": {"region": "buf", "offset": 8}}},
+        {"op": "READ", "partition": 1, "region": "buf", "offset": 16, "len": 1},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["listing1_overflow", "moving_bases"])
+def test_granularity_overrides_leave_the_original_bound(name):
+    """An override rebinds copies of the steps: after running both
+    overrides, the original runs as a fresh load does, and its steps keep
+    their offsets."""
+
+    def load():
+        return load_builtin(name) if name in builtin_names() else load_scenario(_MOVING_BASES)
+
+    original = load()
+    overridden = [run_scenario(original.with_overrides(granularity=g)) for g in (16, 1)]
+    fresh = load()
+    assert original.workload == fresh.workload
+    report, fresh_report = run_scenario(original), run_scenario(fresh)
+    for fmt in ("text", "json"):
+        assert render_report(report, fmt) == render_report(fresh_report, fmt)
+    if name == "moving_bases":  # the overrides bound other offsets
+        assert all(o.violations != report.violations for o in overridden)

@@ -78,7 +78,7 @@ def test_tracer_counts_match_the_reports(monkeypatch):
     assert stripped_calls["sched.check_deadline"] == 1 < stripped_counts["harness.steps"]
     # every allocation and every reset goes through the traced methods
     declared = sum(len(p.regions) for scenario in scenarios for p in scenario.partitions)
-    allocs = sum(step.op == "ALLOC" for scenario in scenarios for step in scenario.workload)
+    allocs = sum(step["op"] == "ALLOC" for scenario in scenarios for step in scenario.workload)
     assert calls["guest_memory.alloc_region"] == declared + allocs > 0
     resets = [e for report in reports for e in report.events if e.kind == "PARTITION_RESET"]
     assert calls["guest_memory.reset_partition"] == len(resets) > 0

@@ -1,6 +1,7 @@
 """Scenario schema validation, error paths and the builtin corpus."""
 
 import copy
+import gc
 import json
 import random
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 
 from partsan.errors import ConfigError
 from partsan.guest_memory import MEMORY_CAP
-from partsan.harness import Simulator, run_scenario
+from partsan.harness import Simulator, render_report, run_scenario
 from partsan.scenario import (
     VIOLATION_KINDS,
     ExpectPattern,
@@ -382,9 +383,9 @@ def test_workload_operand_and_field_shapes():
         {"op": "GET_MY_ID", "partition": 1, "expect": "MAIN_PROCESS_ID"},
     ]
     scenario = load_scenario(data)
-    idle, arith, write, gmi = (step.fields for step in scenario.workload)
+    idle, arith, write, gmi = scenario.workload
     assert idle["ticks"] == 3 and idle.get("partition") is None
-    assert arith["a"] == {"region": "buf", "offset": 0, "width": 1, "signed": False}
+    assert arith["a"] == {"region": "buf", "offset": 0, "width": 1, "signed": False, "at": 32}
     assert arith["b"] == 7 and arith["strict"] is False
     assert (write["fill"], write["len"]) == (65, 3) and write.get("data") is None
     assert gmi["caller"] == "main" and gmi["expect"] == "MAIN_PROCESS_ID"
@@ -441,8 +442,8 @@ def test_syscall_step_cross_checks():
         {"op": "SYSCALL", "partition": 1, "name": "f", "bindings": {"a": {"region": "buf", "offset": 4, "len": 4}}}
     ]
     step = load_scenario(data).workload[0]
-    assert step.fields["succeed"] is True
-    assert step.fields["bindings"] == {"a": {"region": "buf", "offset": 4, "len": 4}}
+    assert step["succeed"] is True
+    assert step["bindings"] == {"a": {"region": "buf", "offset": 4, "len": 4, "at": 36}}
 
 
 def _doc(workload, memory_size=4096, auto_start=True, **top):
@@ -648,6 +649,34 @@ def test_with_overrides():
         scenario.with_overrides(slowdown_factor=0)
     with pytest.raises(ConfigError):
         scenario.with_overrides(slowdown_factor=-2)
+
+    # the overrides bound copies of the steps, so the original runs as loaded
+    fresh = load_builtin("off_schedule_with_and_without_slowdown")
+    assert scenario.workload == fresh.workload
+    for fmt in ("text", "json"):
+        assert render_report(run_scenario(scenario), fmt) == render_report(run_scenario(fresh), fmt)
+
+
+def test_loaded_steps_leave_little_for_the_collector():
+    """A step of plain values loads into one dict, which CPython's cyclic
+    collector does not track, so a long workload adds little to its work."""
+    workload = []
+    for i in range(2000):
+        where = {"partition": 1, "region": "buf", "offset": i % 8}
+        workload.append([
+            {"op": "WRITE", **where, "data": "0102"},
+            {"op": "READ", **where, "len": 4},
+            {"op": "BRANCH_ON", **where, "len": 2},
+            {"op": "COPY", "partition": 1, "src_region": "buf", "src_offset": i % 4,
+             "dst_region": "buf", "dst_offset": 8, "len": 4},
+        ][i % 4])
+    doc = _doc(workload)
+    gc.collect()
+    before = len(gc.get_objects())
+    scenario = load_scenario(doc)
+    left = len(gc.get_objects()) - before
+    assert len(scenario.workload) == 2000
+    assert left < 0.5 * 2000, left
 
 
 def _names_node(doc, path):
