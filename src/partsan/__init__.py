@@ -76,9 +76,7 @@ from .sched import (
     get_my_id,
 )
 from .syscall_annotations import (
-    ParamBinding,
     SyscallSpec,
-    TypeSizeTable,
     enforce_post,
     enforce_pre,
     parse_template,

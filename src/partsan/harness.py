@@ -31,13 +31,7 @@ from .sched import (
     deadline_due,
     get_my_id,
 )
-from .syscall_annotations import (
-    ParamBinding,
-    TypeSizeTable,
-    enforce_post,
-    enforce_pre,
-    resolve_sizes,
-)
+from .syscall_annotations import enforce_post, enforce_pre, resolve_sizes
 from .ub_checks import (
     ArithOp,
     EnumSpec,
@@ -205,7 +199,6 @@ class Simulator:
         self.model = TimeModel(scenario.time.slowdown_factor, scenario.time.costs)
         self.legacy_get_my_id = scenario.time.legacy_get_my_id
 
-        self.types = TypeSizeTable(scenario.types)
         self.syscalls = {spec.user_name: spec for spec in scenario.syscalls}
 
         self.ports: dict[str, SamplingPort | QueueingPort] = {
@@ -460,11 +453,7 @@ class Simulator:
 
     def _op_syscall(self, fields: dict, mem: PartitionMemory) -> None:
         spec = self.syscalls[fields["name"]]
-        bindings = {
-            param: ParamBinding(offset=raw["at"], length=raw.get("len"))
-            for param, raw in fields["bindings"].items()
-        }
-        resolved = resolve_sizes(spec, self.types, bindings)
+        resolved = resolve_sizes(spec, self.scenario.types, fields["bindings"])
         violation = enforce_pre(resolved, mem.init_shadow)
         if violation is not None:
             self._log(violation)

@@ -23,13 +23,7 @@ from .errors import BindError, ConfigError, ParseError, UnknownType
 from .guest_memory import MEMORY_CAP, Layout
 from .msan_shadow import ReservedInitConfig, add_padding_range, check_reserved_pattern
 from .sched import CheckCosts, MajorFrame, Window, check_period, parse_multiplier, parse_slowdown
-from .syscall_annotations import (
-    ParamBinding,
-    SyscallSpec,
-    TypeSizeTable,
-    parse_template,
-    resolve_sizes,
-)
+from .syscall_annotations import SyscallSpec, parse_template, resolve_sizes
 from .ub_checks import INT_SPECS, UbKind
 from .violations import UseSite
 
@@ -50,8 +44,6 @@ VIOLATION_KINDS = frozenset(
     }
     | {kind.value for kind in UbKind}
 )
-
-_INT_TYPE_NAMES = ("i8", "u8", "i16", "u16", "i32", "u32", "i64", "u64")
 
 
 # -- config dataclasses -------------------------------------------------------
@@ -342,7 +334,7 @@ def _one_of(key, *choices):
     return check
 
 
-_as_int_type = _one_of("integer type", *_INT_TYPE_NAMES)
+_as_int_type = _one_of("integer type", *INT_SPECS)
 
 
 # -- configuration sections -------------------------------------------------------
@@ -747,7 +739,7 @@ _PORT_ENDS = {
 }
 
 
-def _directive_sizes(specs: dict, sizes: TypeSizeTable, known: dict, fields) -> tuple:
+def _directive_sizes(specs: dict, sizes: dict, known: dict, fields) -> tuple:
     """A SYSCALL step names a template, binds the parameters its directives
     use and no others, and gives each directive room for its size; returns
     each directive's ``(param, size)``.  Only the template and each
@@ -772,15 +764,13 @@ def _directive_sizes(specs: dict, sizes: TypeSizeTable, known: dict, fields) -> 
         raise ConfigError(
             f"directives of '{spec.syscall_name}' need bindings for {missing}", "/bindings"
         )
-    # sizes do not depend on offsets, so any offset will do
-    capacities = {param: ParamBinding(0, b.get("len")) for param, b in bindings.items()}
     try:
-        resolved = resolve_sizes(spec, sizes, capacities)
+        resolved = resolve_sizes(spec, sizes, bindings)
     except UnknownType as exc:
         raise ConfigError(str(exc), "/name") from None
     except BindError as exc:
         raise ConfigError(str(exc), f"/bindings/{exc.param}") from None
-    known[key] = tuple((c.directive.target.param, c.size) for c in resolved.checks)
+    known[key] = tuple((c.directive.target.param, c.size) for c in resolved)
     return known[key]
 
 
@@ -812,7 +802,7 @@ def _check_workload(scenario: Scenario) -> None:
         if spec.user_name in specs:
             raise ConfigError(f"duplicate syscall user name '{spec.user_name}'", f"/syscalls/{i}")
         specs[spec.user_name] = spec
-    directive_sizes = partial(_directive_sizes, specs, TypeSizeTable(scenario.types), {})
+    directive_sizes = partial(_directive_sizes, specs, scenario.types, {})
 
     def base(layout: Layout, where, key: str = "region") -> int:
         """The base of the allocated region ``where[key]``, or 0 without one."""

@@ -21,15 +21,14 @@ before the declaration they describe.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
-from .errors import BindError, ConfigError, ParseError, UnknownType
+from .errors import BindError, ParseError, UnknownType
 from .msan_shadow import InitShadow
 from .violations import UseSite
-
-_PUNCT = "()&*,;:"
-_CALL_NAMES = ("msan_check", "msan_unpoison")
 
 
 class CheckPhase(Enum):
@@ -40,6 +39,9 @@ class CheckPhase(Enum):
 class CheckKind(Enum):
     MSAN_CHECK = "msan_check"
     MSAN_UNPOISON = "msan_unpoison"
+
+
+_CALL_NAMES = frozenset(kind.value for kind in CheckKind)
 
 
 class TargetForm(Enum):
@@ -96,59 +98,38 @@ class SyscallSpec:
 # -- lexer -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # BANG | IDENT | INT | PUNCT | EOF
     text: str
     line: int
     col: int
 
 
+# one alternative per lexeme, tried in order at each position; the groups
+# that are not tokens are NEWLINE, SPACE (any other str.isspace character)
+# and the rejected COMMENT and OTHER
+_LEXEME = re.compile(
+    r"(?P<NEWLINE>\n)|(?P<SPACE>[^\S\n]+)|(?P<BANG>//!)|(?P<COMMENT>//|/\*)"
+    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<INT>[0-9]+)|(?P<PUNCT>[()&*,;:])|(?P<OTHER>.)"
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
+    line, line_start = 1, 0
+    for match in _LEXEME.finditer(text):
+        kind = match.lastgroup
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            col += 1
-            i += 1
-            continue
-        if text.startswith("//!", i):
-            tokens.append(_Token("BANG", "//!", line, col))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("//", i) or text.startswith("/*", i):
-            raise ParseError("plain comments are not part of the template grammar", line, col)
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _PUNCT:
-            tokens.append(_Token("PUNCT", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+            line_start = match.end()
+        elif kind != "SPACE":
+            col = match.start() - line_start + 1
+            if kind == "COMMENT":
+                raise ParseError("plain comments are not part of the template grammar", line, col)
+            if kind == "OTHER":
+                raise ParseError(f"unexpected character {match.group()!r}", line, col)
+            tokens.append(_Token(kind, match.group(), line, col))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -234,7 +215,10 @@ class _Parser:
     def parse_size(self):
         tok = self.next()
         if tok.kind == "INT":
-            return ("literal", int(tok.text), tok)
+            try:
+                return ("literal", int(tok.text), tok)
+            except ValueError:  # more digits than int() converts
+                self.fail(f"size literal of {len(tok.text)} digits is too long", tok)
         if tok.kind == "IDENT" and tok.text == "sizeof":
             self.expect_punct("(")
             deref = self.accept_punct("*")
@@ -369,52 +353,10 @@ def render_template(spec: SyscallSpec) -> str:
 # -- size resolution and enforcement ---------------------------------------------
 
 
-class TypeSizeTable:
-    """Byte sizes of named types, exact token match (stars included)."""
-
-    def __init__(self, sizes: dict[str, int] | None = None):
-        self._sizes: dict[str, int] = {}
-        for name, size in (sizes or {}).items():
-            self.declare(name, size)
-
-    def declare(self, name: str, size: int) -> None:
-        if size < 1:
-            raise ConfigError(f"type '{name}' must have positive size, got {size}")
-        self._sizes[name] = size
-
-    def size_of(self, name: str) -> int:
-        try:
-            return self._sizes[name]
-        except KeyError:
-            raise UnknownType(f"no size known for type '{name}'") from None
-
-
-@dataclass(frozen=True)
-class ParamBinding:
-    """Concrete offset (and optional capacity) for one parameter."""
-
-    offset: int
-    length: int | None = None
-
-
-@dataclass(frozen=True)
-class ResolvedCheck:
+class ResolvedCheck(NamedTuple):
     directive: CheckDirective
     offset: int
     size: int
-
-
-@dataclass(frozen=True)
-class ResolvedSpec:
-    checks: tuple
-
-    @property
-    def pre(self) -> tuple:
-        return tuple(c for c in self.checks if c.directive.phase is CheckPhase.PRE)
-
-    @property
-    def post(self) -> tuple:
-        return tuple(c for c in self.checks if c.directive.phase is CheckPhase.POST)
 
 
 def _pointee(type_token: str, param: str) -> str:
@@ -425,16 +367,14 @@ def _pointee(type_token: str, param: str) -> str:
     return type_token[:-1]
 
 
-def resolve_sizes(
-    spec: SyscallSpec,
-    table: TypeSizeTable,
-    bindings: dict[str, ParamBinding],
-) -> ResolvedSpec:
-    """Bind every directive to a concrete (offset, byte count) pair.
+def resolve_sizes(spec: SyscallSpec, sizes: dict, bindings: dict) -> tuple:
+    """Bind every directive to a concrete (offset, byte count) pair, in
+    source order.
 
-    A binding's optional ``length`` is a capacity: a directive resolving to
-    more bytes than its parameter's buffer is a template/binding mismatch
-    and raises BindError.
+    ``sizes`` maps type names (exact token, stars included) to byte counts.
+    ``bindings`` maps parameters to ``{"at": offset, "len"?: capacity}``; a
+    directive resolving to more bytes than its parameter's ``len`` is a
+    template/binding mismatch and raises BindError.
     """
     resolved = []
     for check in spec.checks:
@@ -448,30 +388,36 @@ def resolve_sizes(
         size_expr = check.size
         if size_expr.form is SizeForm.LITERAL:
             size = size_expr.value
-        elif size_expr.form is SizeForm.SIZEOF_TYPE:
-            size = table.size_of(size_expr.name)
-        elif size_expr.form is SizeForm.SIZEOF_PARAM:
-            size = table.size_of(spec.param_type(size_expr.name))
-        else:  # SIZEOF_DEREF
-            size = table.size_of(
-                _pointee(spec.param_type(size_expr.name), size_expr.name)
-            )
-        if binding.length is not None and size > binding.length:
+        else:
+            if size_expr.form is SizeForm.SIZEOF_TYPE:
+                type_name = size_expr.name
+            elif size_expr.form is SizeForm.SIZEOF_PARAM:
+                type_name = spec.param_type(size_expr.name)
+            else:  # SIZEOF_DEREF
+                type_name = _pointee(spec.param_type(size_expr.name), size_expr.name)
+            size = sizes.get(type_name)
+            if size is None:
+                raise UnknownType(f"no size known for type '{type_name}'")
+        length = binding.get("len")
+        if length is not None and size > length:
             raise BindError(
                 f"directive on '{check.target.param}' needs {size} bytes, "
-                f"binding provides {binding.length}",
+                f"binding provides {length}",
                 check.target.param,
             )
-        resolved.append(ResolvedCheck(directive=check, offset=binding.offset, size=size))
-    return ResolvedSpec(checks=tuple(resolved))
+        resolved.append(ResolvedCheck(check, binding["at"], size))
+    return tuple(resolved)
 
 
-def enforce_pre(resolved: ResolvedSpec, shadow: InitShadow):
-    """Run PRE directives in order on the calling partition's ``shadow``;
-    stops at the first violation.  A PRE violation means the syscall never
-    runs, so POST directives must not be applied afterwards.
+def enforce_pre(resolved: tuple, shadow: InitShadow):
+    """Run the PRE directives of ``resolved`` in order on the calling
+    partition's ``shadow``; stops at the first violation.  A PRE violation
+    means the syscall never runs, so POST directives must not be applied
+    afterwards.
     """
-    for check in resolved.pre:
+    for check in resolved:
+        if check.directive.phase is not CheckPhase.PRE:
+            continue
         if check.directive.kind is CheckKind.MSAN_CHECK:
             violation = shadow.check(check.offset, check.size, UseSite.SYSCALL_PRE)
             if violation is not None:
@@ -483,13 +429,14 @@ def enforce_pre(resolved: ResolvedSpec, shadow: InitShadow):
     return None
 
 
-def enforce_post(resolved: ResolvedSpec, shadow: InitShadow, syscall_succeeded: bool) -> None:
+def enforce_post(resolved: tuple, shadow: InitShadow, syscall_succeeded: bool) -> None:
     """Apply POST unpoisons, but only when the syscall actually succeeded;
     a failed syscall wrote nothing, so its outputs stay uninitialized.
     POST holds no checks (the parser rejects them), so nothing is reported."""
     if not syscall_succeeded:
         return
-    for check in resolved.post:
-        shadow.mark_initialized(
-            check.offset, check.size, origin="annotation", force=False
-        )
+    for check in resolved:
+        if check.directive.phase is CheckPhase.POST:
+            shadow.mark_initialized(
+                check.offset, check.size, origin="annotation", force=False
+            )

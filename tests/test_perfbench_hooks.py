@@ -82,6 +82,15 @@ def test_tracer_counts_match_the_reports(monkeypatch):
     assert calls["guest_memory.alloc_region"] == declared + allocs > 0
     resets = [e for report in reports for e in report.events if e.kind == "PARTITION_RESET"]
     assert calls["guest_memory.reset_partition"] == len(resets) > 0
+    # a SYSCALL step resolves its directives once and enforces its PRE
+    # directives, then its POST ones unless a PRE check blocked it
+    syscalls = sum(step["op"] == "SYSCALL" for scenario in scenarios for step in scenario.workload)
+    outcomes = [
+        e.info["outcome"] for report in reports for e in report.events if e.kind == "SYSCALL"
+    ]
+    assert len(outcomes) == syscalls and 0 < outcomes.count("blocked") < syscalls
+    assert calls["syscall_annotations.resolve_sizes"] == syscalls
+    assert calls["syscall_annotations.enforce"] == syscalls + syscalls - outcomes.count("blocked")
 
 
 def test_bench_inputs_load(monkeypatch):

@@ -1,22 +1,25 @@
 """Annotation-language parsing, rendering and contract enforcement."""
 
+import json
+import random
+import re
 from pathlib import Path
 
 import pytest
 
+from partsan.cli import main
 from partsan.errors import BindError, ConfigError, ParseError, UnknownType
 from partsan.msan_shadow import InitShadow
+from partsan.scenario import load_scenario, load_scenario_text
 from partsan.syscall_annotations import (
     CheckDirective,
     CheckKind,
     CheckPhase,
-    ParamBinding,
     SizeExpr,
     SizeForm,
     SyscallSpec,
     TargetExpr,
     TargetForm,
-    TypeSizeTable,
     enforce_post,
     enforce_pre,
     parse_template,
@@ -149,50 +152,131 @@ def test_parse_errors_carry_line_and_column():
     _error_at("//!POST: msan_check(a, 4);\nsyscall_declare(int, f, int, a);", 1, 10)
 
 
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("\u00b2", "unexpected character '\u00b2'"),
+        ("\u0663", "unexpected character '\u0663'"),
+        ("9" * 5000, "size literal of 5000 digits is too long"),
+    ],
+    ids=["superscript-two", "arabic-indic-three", "5000-digits"],
+)
+def test_size_literals_int_cannot_read_are_parse_errors(literal, message, tmp_path, capsys):
+    text = f"//!PRE: msan_check(a, {literal});\nsyscall_declare(int, f, char*, a);"
+    err = _error_at(text, 1, 23)
+    assert str(err).endswith(message)
+    with pytest.raises(ConfigError) as loaded:
+        load_scenario_text(json.dumps({"name": "s", "syscalls": [text]}))
+    assert loaded.value.path == "/syscalls/0"
+    assert message in loaded.value.message
+    path = tmp_path / "template.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["parse-template", str(path)]) == 2
+    out, err_text = capsys.readouterr()
+    assert out == "" and err_text.startswith("error: line 1, col 23: ")
+    assert "Traceback" not in err_text
+
+
+#: what fuzzed templates splice in: grammar tokens, then non-ASCII letters,
+#: digits and spaces
+_FUZZ_PIECES = (
+    "//!", "USER_NAME", "PRE", "POST", ":", "msan_check", "msan_unpoison", "sizeof",
+    "syscall_declare", "(", ")", "&", "*", ",", ";", "int", "char*", "a", "b", "t_2",
+    "0", "4", "007", " ", "\n", "\t", "//", "/*", "$",
+    "\u00e9", "\u00df", "\u03bb", "\u00b2", "\u0663", "\u00a0", "\u2003",
+)
+
+
+def _fuzz_template(rng: random.Random) -> str:
+    """A well-formed template with up to three edits: a piece inserted, up
+    to four characters deleted, or a name or literal replaced by a piece."""
+    params = rng.sample(("a", "b", "buf", "out"), rng.randint(0, 3))
+    lines = ["//!USER_NAME: u"] if rng.random() < 0.5 else []
+    for _ in range(rng.randint(0, 3) if params else 0):
+        phase, call = rng.choice(
+            (("PRE", "msan_check"), ("PRE", "msan_unpoison"), ("POST", "msan_unpoison"))
+        )
+        target = rng.choice(("", "&", "*")) + rng.choice(params)
+        size = rng.choice(
+            ("8", f"sizeof({rng.choice(params)})", f"sizeof(*{rng.choice(params)})",
+             "sizeof(word_t)")
+        )
+        lines.append(f"//!{phase}: {call}({target}, {size});")
+    types = ("int", "char*", "word_t**")
+    decl = ["int", "f"] + [f"{rng.choice(types)}, {param}" for param in params]
+    lines.append(f"syscall_declare({', '.join(decl)});")
+    text = "\n".join(lines)
+    for _ in range(rng.randint(0, 3)):
+        at = rng.randint(0, len(text))
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:at] + rng.choice(_FUZZ_PIECES) + text[at:]
+        elif edit == 1:
+            text = text[:at] + text[at + rng.randint(1, 4):]
+        else:
+            word = rng.choice(list(re.finditer(r"\w+", text)))
+            text = text[: word.start()] + rng.choice(_FUZZ_PIECES) + text[word.end():]
+    return text
+
+
+def test_parser_fuzz_gives_a_spec_or_a_parse_error():
+    """Each input parses to a spec its canonical text re-parses to, or
+    raises ParseError; any other exception fails."""
+    rng = random.Random(653)
+    parsed = 0
+    for _ in range(2000):
+        text = _fuzz_template(rng)
+        try:
+            spec = parse_template(text)
+        except ParseError:
+            continue
+        assert parse_template(render_template(spec)) == spec, text
+        parsed += 1
+    assert 200 < parsed < 1800
+
+
 def test_parse_error_message_mentions_position():
     with pytest.raises(ParseError) as err:
         parse_template("//!PRE: msan_check(\nsyscall_declare(int, f);")
     assert "line 2" in str(err.value)
 
 
-SIZES = TypeSizeTable(
-    {
-        "jet_thread_id_t": 4,
-        "max_name_t": 32,
-        "void*": 8,
-        "jet_thread_status_t": 16,
-    }
-)
+SIZES = {
+    "jet_thread_id_t": 4,
+    "max_name_t": 32,
+    "void*": 8,
+    "jet_thread_status_t": 16,
+}
 
 
 def _bindings(base=32):
     return {
-        "thread_id": ParamBinding(base, length=4),
-        "name": ParamBinding(base + 40, length=32),
-        "entry": ParamBinding(base + 88, length=8),
-        "status": ParamBinding(base + 112, length=16),
+        "thread_id": {"at": base, "len": 4},
+        "name": {"at": base + 40, "len": 32},
+        "entry": {"at": base + 88, "len": 8},
+        "status": {"at": base + 112, "len": 16},
     }
 
 
 def test_resolve_sizes_every_form():
     spec = parse_template(FIXTURE.read_text(encoding="utf-8"))
     resolved = resolve_sizes(spec, SIZES, _bindings())
-    assert [(c.offset, c.size) for c in resolved.checks] == [
+    assert [(c.offset, c.size) for c in resolved] == [
         (32, 4),  # sizeof(thread_id) -> jet_thread_id_t
         (72, 32),  # sizeof(max_name_t) -> type lookup
         (120, 8),  # sizeof(*entry) -> void*
         (144, 16),  # sizeof(*status) -> jet_thread_status_t
     ]
-    assert len(resolved.pre) == 1 and len(resolved.post) == 3
+    assert [c.directive for c in resolved] == list(spec.checks)
 
 
 def test_resolve_sizes_errors():
     spec = parse_template(FIXTURE.read_text(encoding="utf-8"))
     bindings = _bindings()
     with pytest.raises(UnknownType):
-        resolve_sizes(spec, TypeSizeTable({}), bindings)
+        resolve_sizes(spec, {}, bindings)
     short = dict(bindings)
-    short["status"] = ParamBinding(144, length=8)  # needs 16
+    short["status"] = {"at": 144, "len": 8}  # needs 16
     with pytest.raises(BindError):
         resolve_sizes(spec, SIZES, short)
     missing = dict(bindings)
@@ -205,16 +289,20 @@ def test_resolve_sizes_errors():
     with pytest.raises(UnknownType):
         resolve_sizes(
             deref_of_value,
-            TypeSizeTable({"int": 4}),
-            {"a": ParamBinding(32)},
+            {"int": 4},
+            {"a": {"at": 32}},
         )
 
 
 def test_type_size_table_validation():
-    with pytest.raises(ConfigError):
-        TypeSizeTable({"t": 0})
-    with pytest.raises(UnknownType):
-        SIZES.size_of("unknown_t")
+    with pytest.raises(ConfigError) as err:
+        load_scenario({"name": "s", "types": {"t": 0}})
+    assert err.value.path == "/types/t"
+    spec = parse_template(
+        "//!PRE: msan_check(a, sizeof(unknown_t));\nsyscall_declare(int, f, int, a);"
+    )
+    with pytest.raises(UnknownType, match="no size known for type 'unknown_t'"):
+        resolve_sizes(spec, SIZES, {"a": {"at": 0}})
 
 
 def test_enforce_pre_fires_on_uninitialized_input():
@@ -259,10 +347,10 @@ def test_enforce_pre_stops_at_first_violation_in_order():
     spec = parse_template(text)
     shadow = InitShadow(1, 64)
     bindings = {
-        "a": ParamBinding(0),
-        "b": ParamBinding(8),
+        "a": {"at": 0},
+        "b": {"at": 8},
     }
-    resolved = resolve_sizes(spec, TypeSizeTable({}), bindings)
+    resolved = resolve_sizes(spec, {}, bindings)
     violation = enforce_pre(resolved, shadow)
     assert violation.offset == 0
     # the unpoison after the failing check never ran
