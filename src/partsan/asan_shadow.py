@@ -168,7 +168,8 @@ class ShadowMap:
         Poisoning may shrink a granule's addressable prefix but can never
         leave an addressable hole; such requests raise EncodingError.
         """
-        kind = PoisonKind(kind)
+        if type(kind) is not PoisonKind:
+            kind = PoisonKind(kind)
         self._check_span(start, length)
         g = self.granularity
         end = start + length

@@ -1,4 +1,4 @@
-"""Initialization shadow: one shadow bit plus one origin tag per guest byte.
+"""Initialization shadow: one shadow bit per guest byte plus origin runs.
 
 Initialization state propagates silently through copies; only *uses* of a
 value (syscall argument, branch condition, arithmetic operand, port send)
@@ -7,21 +7,24 @@ points at the allocation that produced the byte, once initialized at the
 write/annotation/copy-source that defined it, so a violation can always say
 where the offending value came from.
 
-Labels are interned in an origin table and the ids kept in an
-``array('I')``, one per byte.  Shadows may share one table (a simulator's
-partitions do), so that copying between them copies the ids as they are.
-Span operations are slice operations on the bits and the ids; a fill
+Labels are interned in an origin table.  Shadows may share one table (a
+simulator's partitions do), so that copying between them copies the ids as
+they are.  The ids are kept as runs, not per byte: two parallel lists hold
+each run's first offset, in ascending order from 0, and its origin id, and
+a byte has the id of the last run that starts at or before it.  Origin
+memory thus grows with the number of runs, not with the partition size.
+A span operation replaces the runs over its span with a bisect and a slice
+assignment; a copy shifts the source's runs to the destination.  The bits
+stay one byte per guest byte, so that a check is a C-level search; a fill
 assigns one fixed block slice by slice, so it builds no span-sized
-temporary, and only a ``mark_initialized`` that keeps existing origins
-walks its bytes.
+temporary.
 The per-byte oracles in ``tests/oracles.py`` define what each operation
 means.
 """
 
 from __future__ import annotations
 
-from array import array
-from bisect import bisect
+from bisect import bisect, bisect_left
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -34,8 +37,8 @@ __all__ = [
     "copy_propagate",
 ]
 
-#: Bytes per slice assignment of a fill: a 1 MiB reset builds 80 KiB of
-#: blocks, not a 4 MiB array of ids.
+#: Bytes per slice assignment of a bit fill: a 1 MiB reset builds one
+#: 16 KiB block, not a 1 MiB temporary.
 _FILL_BLOCK = 1 << 14
 
 
@@ -66,7 +69,8 @@ def check_reserved_pattern(pattern: int) -> int:
 
 
 class InitShadow:
-    """Per-byte initialization map for one partition (1:1 granularity).
+    """Per-byte initialization map for one partition (1:1 granularity), with
+    origin ids kept as runs.
 
     ``origins`` is an origin table shared with other shadows: a pair of the
     label list, whose id 0 is None, and the dict from label to id.  Without
@@ -79,7 +83,9 @@ class InitShadow:
         self.partition_id = partition_id
         self.size = size
         self.bits = bytearray(size)  # 0 = uninitialized, 1 = initialized
-        self._origin_ids = array("I", [0]) * size
+        # origin runs: byte i has the id of the last run starting at or before i
+        self._starts = [0]
+        self._ids = [0]
         self._origin_table, self._origin_index = origins or ([None], {})
         # running count of check() calls, feeds the instrumented-time model
         self.checks_performed = 0
@@ -95,6 +101,8 @@ class InitShadow:
         return oid
 
     def _span(self, start: int, length: int, min_length: int = 1) -> int:
+        """End of a span that must lie in the shadow.  The per-step methods
+        test their span inline and call this only to raise its error."""
         if length < min_length:
             raise ConfigError(f"length must be >= {min_length}, got {length}")
         end = start + length
@@ -105,15 +113,25 @@ class InitShadow:
     # -- state transitions ----------------------------------------------------
 
     def _fill(self, start: int, end: int, bit: bytes, oid: int) -> None:
-        """Set every byte of [start, end) to shadow ``bit`` and origin ``oid``."""
-        block = min(end - start, _FILL_BLOCK)
-        bits, ids = bit * block, array("I", (oid,)) * block
-        for i in range(start, end - block, block):
-            self.bits[i : i + block] = bits
-            self._origin_ids[i : i + block] = ids
+        """Set every byte of [start, end) to shadow ``bit`` and origin ``oid``:
+        the runs that start in the span give way to one."""
+        runs, run_ids = self._starts, self._ids
+        lo = bisect_left(runs, start)
+        hi = bisect_left(runs, end, lo)
+        if end < self.size and (hi == len(runs) or runs[hi] != end):
+            # the bytes from ``end`` on keep the id of the run they were in
+            runs.insert(hi, end)
+            run_ids.insert(hi, run_ids[hi - 1])
+        runs[lo:hi] = (start,)
+        run_ids[lo:hi] = (oid,)
+        if end - start <= _FILL_BLOCK:
+            self.bits[start:end] = bit * (end - start)
+            return
+        bits = bit * _FILL_BLOCK
+        for i in range(start, end - _FILL_BLOCK, _FILL_BLOCK):
+            self.bits[i : i + _FILL_BLOCK] = bits
         # the last block ends at ``end``; it may overlap the one before
-        self.bits[end - block : end] = bits
-        self._origin_ids[end - block : end] = ids
+        self.bits[end - _FILL_BLOCK : end] = bits
 
     def set_uninitialized(self, start: int, length: int, origin: str | None = None) -> None:
         """Mark a span uninitialized, tagged with the allocation's origin."""
@@ -129,15 +147,22 @@ class InitShadow:
         existing origin (annotation-driven unpoison must not hide the real
         writer).
         """
-        end = self._span(start, length)
+        end = start + length
+        if length < 1 or start < 0 or end > self.size:
+            self._span(start, length)
         oid = self._intern(origin)
         if force:
             self._fill(start, end, b"\x01", oid)
             return
-        for i in range(start, end):
-            if not self.bits[i]:
-                self._origin_ids[i] = oid
-            self.bits[i] = 1
+        # fill each uninitialized segment of the span
+        find = self.bits.find
+        i = find(0, start, end)
+        while i >= 0:
+            j = find(1, i, end)
+            if j < 0:
+                j = end
+            self._fill(i, j, b"\x01", oid)
+            i = find(0, j, end)
 
     # -- queries ----------------------------------------------------------------
 
@@ -145,7 +170,9 @@ class InitShadow:
         return bool(self.bits[offset])
 
     def origin_at(self, offset: int) -> str | None:
-        return self._origin_table[self._origin_ids[offset]]
+        if not 0 <= offset < self.size:
+            raise ConfigError(f"offset {offset} outside shadow of size {self.size}")
+        return self._origin_table[self._ids[bisect(self._starts, offset) - 1]]
 
     def check(self, start: int, length: int, context: UseSite):
         """Check that a span about to be *used* is fully initialized.
@@ -154,7 +181,9 @@ class InitShadow:
         uninitialized byte.
         """
         self.checks_performed += 1
-        end = self._span(start, length)
+        end = start + length
+        if length < 1 or start < 0 or end > self.size:
+            self._span(start, length)
         bad = self.bits.find(0, start, end)
         if bad < 0:
             return None
@@ -176,23 +205,49 @@ class InitShadow:
     def snapshot(self, start: int, length: int):
         """Bits and origin labels for a span, detached from this shadow.
 
-        The labels are ``(origin table, id slice)``: the table only ever
-        grows, so the ids stay valid however the shadow changes later.
+        The bits are a ``bytearray`` copy.  The labels are ``(origin
+        table, start, inner run starts, run ids)``: the starts of the runs
+        that begin inside the span, and the ids of every run the span
+        overlaps, one more than the starts.  The table only ever grows, so
+        the ids stay valid however the shadow changes later.
         """
-        end = self._span(start, length, min_length=0)
-        return bytes(self.bits[start:end]), (self._origin_table, self._origin_ids[start:end])
+        end = start + length
+        if length < 0 or start < 0 or end > self.size:
+            self._span(start, length, min_length=0)
+        runs = self._starts
+        lo = bisect(runs, start)
+        if lo == len(runs) or runs[lo] >= end:  # inside one run
+            labels = (self._origin_table, start, (), (self._ids[lo - 1],))
+        else:
+            hi = bisect_left(runs, end, lo)
+            labels = (self._origin_table, start, runs[lo:hi], self._ids[lo - 1 : hi])
+        return self.bits[start:end], labels
 
     def apply_snapshot(self, start: int, bits: bytes, labels) -> None:
-        """Write a ``snapshot`` at ``start``.  From a shadow with another
-        origin table, each distinct origin is interned here once and the ids
-        are translated."""
-        end = self._span(start, len(bits), min_length=0)
-        table, ids = labels
+        """Write a ``snapshot`` at ``start``, its runs shifted there.  From a
+        shadow with another origin table, each run's origin is interned here
+        and its id translated."""
+        end = start + len(bits)
+        if start < 0 or end > self.size:
+            self._span(start, len(bits), min_length=0)
+        if start == end:
+            return
+        table, src_start, inner, ids = labels
         if table is not self._origin_table:
-            lut = {oid: self._intern(table[oid]) for oid in set(ids)}
-            ids = array("I", map(lut.__getitem__, ids))
+            ids = [self._intern(table[oid]) for oid in ids]
+        runs, run_ids = self._starts, self._ids
+        lo = bisect_left(runs, start)
+        hi = bisect_left(runs, end, lo)
+        if end < self.size and (hi == len(runs) or runs[hi] != end):
+            # as in ``_fill``
+            runs.insert(hi, end)
+            run_ids.insert(hi, run_ids[hi - 1])
+        if inner:
+            runs[lo:hi] = [start, *map((start - src_start).__add__, inner)]
+        else:
+            runs[lo:hi] = (start,)
+        run_ids[lo:hi] = ids
         self.bits[start:end] = bits
-        self._origin_ids[start:end] = ids
 
 
 def copy_propagate(

@@ -31,7 +31,7 @@ class Validity(Enum):
 class Message:
     payload: bytes
     send_time: int
-    init_bits: bytes
+    init_bits: bytearray
     origin_labels: tuple
 
 

@@ -233,10 +233,17 @@ ORIGIN_POOL = ("alloc:a", "alloc:b", "write:w1", "write:w2", "annotation", "padd
 USE_SITES = (UseSite.SYSCALL_PRE, UseSite.BRANCH, UseSite.ARITH, UseSite.PORT_SEND)
 
 
-def _assert_same_init(shadow: InitShadow, oracle: InitOracle, label: str):
+def _assert_same_init(shadow: InitShadow, oracle: InitOracle, ops: int, label: str):
+    """Same bits and origins as the oracle, from origin runs that are well
+    formed and number at most two per operation so far, plus one."""
     assert bytes(shadow.bits) == bytes(oracle.bits), f"{label}: init bits differ"
     got = [shadow.origin_at(i) for i in range(oracle.size)]
     assert got == oracle.origins, f"{label}: origin labels differ"
+    starts, ids = shadow._starts, shadow._ids
+    assert len(starts) == len(ids), f"{label}: {len(starts)} run starts, {len(ids)} ids"
+    assert starts[0] == 0 and starts[-1] < shadow.size, f"{label}: runs {starts}"
+    assert all(a < b for a, b in zip(starts, starts[1:])), f"{label}: runs {starts}"
+    assert len(starts) <= 2 * ops + 1, f"{label}: {len(starts)} runs after {ops} ops"
 
 
 def run_msan_equivalence(rng, size, n_ops, full_compare_every, label=""):
@@ -285,12 +292,12 @@ def run_msan_equivalence(rng, size, n_ops, full_compare_every, label=""):
             context = rng.choice(USE_SITES)
             tally[msan_check(shadow, oracle, start, length, context, ctx)] += 1
         if (op_index + 1) % full_compare_every == 0:
-            _assert_same_init(shadow, oracle, ctx)
-            _assert_same_init(other, other_oracle, f"{ctx} other")
-            _assert_same_init(sibling, sibling_oracle, f"{ctx} sibling")
-    _assert_same_init(shadow, oracle, f"{label} final")
-    _assert_same_init(other, other_oracle, f"{label} final other")
-    _assert_same_init(sibling, sibling_oracle, f"{label} final sibling")
+            _assert_same_init(shadow, oracle, op_index + 1, ctx)
+            _assert_same_init(other, other_oracle, op_index + 1, f"{ctx} other")
+            _assert_same_init(sibling, sibling_oracle, op_index + 1, f"{ctx} sibling")
+    _assert_same_init(shadow, oracle, n_ops, f"{label} final")
+    _assert_same_init(other, other_oracle, n_ops, f"{label} final other")
+    _assert_same_init(sibling, sibling_oracle, n_ops, f"{label} final sibling")
     return tally
 
 
@@ -383,7 +390,7 @@ def run_msan_edge_cases(size, label=""):
             start, length = args
             op = msan_check(target, oracle, start, length, UseSite.BRANCH, ctx)
         tally[op] += 1
-        _assert_same_init(main, oracles[main], ctx)
-        _assert_same_init(other, oracles[other], f"{ctx} other")
-        _assert_same_init(sibling, oracles[sibling], f"{ctx} sibling")
+        _assert_same_init(main, oracles[main], op_index + 1, ctx)
+        _assert_same_init(other, oracles[other], op_index + 1, f"{ctx} other")
+        _assert_same_init(sibling, oracles[sibling], op_index + 1, f"{ctx} sibling")
     return tally

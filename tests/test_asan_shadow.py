@@ -99,6 +99,15 @@ def test_poison_kind_bytes_land_in_shadow():
     assert m.shadow[0] == 0x00 and m.shadow[4] == 0x00
 
 
+def test_poison_takes_a_kind_or_its_code():
+    m = ShadowMap(1, 64, granularity=8)
+    m.poison(16, 8, int(PoisonKind.RIGHT_REDZONE))
+    assert m.shadow[2] == PoisonKind.RIGHT_REDZONE
+    with pytest.raises(ValueError, match="66 is not a valid PoisonKind"):
+        m.poison(32, 8, 0x42)
+    assert m.shadow[4] == 0x00
+
+
 def test_poison_rejects_midgranule_start_on_partial_granule():
     m = ShadowMap(1, 64, granularity=8)
     m.poison(0, 64, PoisonKind.MANUAL_BLACKLIST)

@@ -1,12 +1,18 @@
 """The seeded scenario generators of ``schedule_differential.py`` and
 ``mutation_differential.py`` keep producing scenarios that load and run, so
-that comparing two versions with them keeps meaning something."""
+that comparing two versions with them keeps meaning something; and
+``shadow_replay.py`` replays what it records."""
 
+import json
 from collections import Counter
 from itertools import islice
+from pathlib import Path
 
 import mutation_differential
 import schedule_differential
+import shadow_replay
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_schedule_differential_scenarios_load_or_fail_at_load_and_run_deterministically():
@@ -47,3 +53,20 @@ def test_mutants_run_deterministically_and_never_raise_at_run_time():
         assert "rerun" not in result, (mutant_id, result)
     # most single-field mutants fail to load; about one in seven loads and runs
     assert sum("report" in result for _, result in first) > 30
+
+
+def test_shadow_replay_rebuilds_the_recorded_shadows(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    calls, live = shadow_replay.recorded(workloads.builtin_texts())
+    names = Counter(name for _, name, *_ in calls)
+    assert names["snapshot"] > 0 and names["apply_snapshot"] > 0 and names["check"] > 0
+    replayed = shadow_replay.replay(shadow_replay.prepared(json.loads(json.dumps(calls))))
+    assert len(replayed) == len(live) == names["__init__"]
+    for got, want in zip(replayed, live):
+        assert got.bits == want.bits
+        assert got.checks_performed == want.checks_performed
+        assert [got.origin_at(i) for i in range(got.size)] == [
+            want.origin_at(i) for i in range(want.size)
+        ]

@@ -1,6 +1,7 @@
 """Initialization shadow and padding registry unit tests."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from partsan.msan_shadow import (
 from partsan.violations import UseSite
 
 from equivalence import run_msan_edge_cases, run_msan_equivalence
+from oracles import InitOracle
 
 
 def test_fresh_shadow_is_fully_uninitialized():
@@ -186,3 +188,63 @@ def test_snapshot_into_another_shadow_keeps_every_label():
     ]
     assert bytes(other.bits[32:96]) == bytes(s.bits)
     assert other.origin_at(0) == other.origin_at(127) == "write:first"
+
+
+@pytest.mark.parametrize("offset", [-1, -16, 16, 17])
+def test_origin_at_rejects_an_offset_outside_the_shadow(offset):
+    s = InitShadow(1, 16)
+    s.set_uninitialized(0, 16, origin="alloc:a")
+    with pytest.raises(ConfigError, match="outside shadow of size 16"):
+        s.origin_at(offset)
+    assert s.origin_at(0) == s.origin_at(15) == "alloc:a"
+
+
+@pytest.mark.parametrize("start", [2, 3])
+@pytest.mark.parametrize("end", [13, 14])
+def test_unforced_mark_over_alternating_bytes(start, end):
+    # even bytes were written, odd ones only allocated; the span starts and
+    # ends on either kind
+    s, oracle = InitShadow(1, 16), InitOracle(16)
+    s.set_uninitialized(0, 16, "alloc:a")
+    oracle.set_uninit(0, 16, "alloc:a")
+    for i in range(0, 16, 2):
+        s.mark_initialized(i, 1, f"write:{i}")
+        oracle.mark(i, 1, f"write:{i}")
+    s.mark_initialized(start, end - start, "annotation", force=False)
+    oracle.mark(start, end - start, "annotation", force=False)
+    assert bytes(s.bits) == bytes(oracle.bits)
+    assert [s.origin_at(i) for i in range(16)] == oracle.origins
+
+
+def test_a_mebibyte_shadow_builds_and_resets_without_a_per_byte_origin_array():
+    tracemalloc.start()
+    try:
+        s = InitShadow(1, 1 << 20)
+        s.mark_initialized(0, 1 << 20, "write:w")
+        s.set_uninitialized(0, 1 << 20, origin=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the bits take 1 MiB; one id per byte would take 4 MiB more
+    assert peak < 1.5 * (1 << 20)
+    assert s.origin_at((1 << 20) - 1) is None
+
+
+def test_a_large_snapshot_holds_its_labels_in_runs():
+    s = InitShadow(1, 1 << 20)
+    s.set_uninitialized(0, 1 << 20, origin="alloc:big")
+    for i in range(8):
+        s.mark_initialized(4096 + i * 30000, 100, f"write:{i}")
+    tracemalloc.start()
+    try:
+        bits, labels = s.snapshot(1000, 1 << 18)
+        del bits
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 4096
+    other = InitShadow(2, 1 << 20)
+    copy_propagate(s, 1000, 5000, 1 << 18, other)
+    assert [other.origin_at(5000 + i) for i in range(0, 1 << 18, 997)] == [
+        s.origin_at(1000 + i) for i in range(0, 1 << 18, 997)
+    ]
