@@ -232,6 +232,8 @@ class ShadowMap:
             return self._violation(WILD_ADDRESS, bad, length, access)
         g = self.granularity
         first, last = start // g, (end - 1) // g
+        if self.shadow.count(0, first, last + 1) == last + 1 - first:
+            return None  # every granule of the span is wholly addressable
         # the first and last granule may be partly covered; every one in
         # between must be wholly addressable, i.e. code 0x00
         lo = start - first * g

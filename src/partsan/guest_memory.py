@@ -14,7 +14,7 @@ guest offset 0 is never a valid access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .asan_shadow import PoisonKind, ShadowMap, check_memory_size, poison_detail
 from .errors import ConfigError
@@ -194,17 +194,18 @@ class PartitionMemory:
         """The shadow's address check; a finding names the region owning or
         nearest to the offending byte in its detail."""
         violation = self.shadow.check_access(offset, length, access)
-        if violation is None:
-            return None
+        return None if violation is None else self._named(violation)
+
+    def _named(self, violation: Violation) -> Violation:
         region = self.nearest_region(violation.offset)
         if region is None:
             return violation
-        return replace(violation, detail=poison_detail(violation.kind, region.label))
+        return violation._replace(detail=poison_detail(violation.kind, region.label))
 
     def _check(self, offset: int, length: int, access: AccessKind) -> None:
-        violation = self.check_access(offset, length, access)
+        violation = self.shadow.check_access(offset, length, access)
         if violation is not None:
-            raise ViolationError(violation)
+            raise ViolationError(self._named(violation))
 
     def checked_read(self, offset: int, length: int) -> bytes:
         """Read with address validation.  Reads never require or affect

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .guest_memory import PartitionMemory
@@ -58,14 +59,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """Trace entry that is not a fault (dispatches, deadline misses, port
     status, identity queries)."""
 
     kind: str
     t: int
-    info: dict = field(default_factory=dict)
+    info: dict
 
     def to_line(self) -> str:
         parts = [f"EVENT kind={self.kind}", f"t={self.t}"]
@@ -219,7 +219,7 @@ class Simulator:
         self.events.append(Event(kind=kind, t=self.model.virtual_now, info=info))
 
     def _log(self, violation: Violation) -> None:
-        self.violations.append(replace(violation, step=self._step_index))
+        self.violations.append(violation._replace(step=self._step_index))
 
     def _contract(self, fields: dict, detail: str) -> None:
         """A self-checking step observed a result other than the declared one."""
@@ -404,7 +404,7 @@ class Simulator:
     def _run_ub(self, fields: dict, result) -> None:
         self._ub_checks_this_step += 1
         if isinstance(result, Violation):
-            self._log(replace(result, partition=fields["partition"]))
+            self._log(result._replace(partition=fields["partition"]))
 
     def _op_arith(self, fields: dict, mem: PartitionMemory) -> None:
         spec = int_spec(fields["type"])
@@ -596,7 +596,7 @@ def report_payload(report: RunReport) -> dict:
         "seed": report.seed,
         "raw_ticks": report.raw_ticks,
         "virtual_ticks": report.virtual_ticks,
-        "violations": [asdict(v) for v in report.violations],
+        "violations": [v._asdict() for v in report.violations],
         "events": [
             {"kind": e.kind, "t": e.t, "info": dict(e.info)} for e in report.events
         ],

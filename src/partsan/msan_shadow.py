@@ -1,4 +1,5 @@
-"""Initialization shadow: one shadow bit per guest byte plus origin runs.
+"""Initialization shadow: the offsets where a partition's initialization
+state flips, plus origin runs.
 
 Initialization state propagates silently through copies; only *uses* of a
 value (syscall argument, branch condition, arithmetic operand, port send)
@@ -7,17 +8,17 @@ points at the allocation that produced the byte, once initialized at the
 write/annotation/copy-source that defined it, so a violation can always say
 where the offending value came from.
 
-Labels are interned in an origin table.  Shadows may share one table (a
-simulator's partitions do), so that copying between them copies the ids as
-they are.  The ids are kept as runs, not per byte: two parallel lists hold
-each run's first offset, in ascending order from 0, and its origin id, and
-a byte has the id of the last run that starts at or before it.  Origin
-memory thus grows with the number of runs, not with the partition size.
-A span operation replaces the runs over its span with a bisect and a slice
-assignment; a copy shifts the source's runs to the destination.  The bits
-stay one byte per guest byte, so that a check is a C-level search; a fill
-assigns one fixed block slice by slice, so it builds no span-sized
-temporary.
+No state is kept per byte.  One sorted list holds the offsets where the
+state flips, from uninitialized at byte 0, so a byte is initialized iff an
+odd number of flips lie at or before it.  Labels are interned in an origin
+table.  Shadows may share one table (a simulator's partitions do), so that
+copying between them copies the ids as they are.  The ids are kept as runs:
+two parallel lists hold each run's first offset, in ascending order from 0,
+and its origin id, and a byte has the id of the last run that starts at or
+before it.  Shadow memory thus grows with the number of flips and runs, not
+with the partition size.  A span operation replaces the flips and the runs
+over its span with a bisect and a slice assignment each, and a check is one
+bisect; a copy shifts the source's flips and runs to the destination.
 The per-byte oracles in ``tests/oracles.py`` define what each operation
 means.
 """
@@ -37,9 +38,8 @@ __all__ = [
     "copy_propagate",
 ]
 
-#: Bytes per slice assignment of a bit fill: a 1 MiB reset builds one
-#: 16 KiB block, not a 1 MiB temporary.
-_FILL_BLOCK = 1 << 14
+#: Shadow byte of each state in a ``snapshot``'s bits.
+_STATE_BYTE = (b"\x00", b"\x01")
 
 
 @dataclass
@@ -69,8 +69,8 @@ def check_reserved_pattern(pattern: int) -> int:
 
 
 class InitShadow:
-    """Per-byte initialization map for one partition (1:1 granularity), with
-    origin ids kept as runs.
+    """Initialization map for one partition (1:1 granularity), kept as the
+    offsets where the state flips, with origin ids kept as runs.
 
     ``origins`` is an origin table shared with other shadows: a pair of the
     label list, whose id 0 is None, and the dict from label to id.  Without
@@ -82,7 +82,9 @@ class InitShadow:
             raise ConfigError(f"shadow size must be positive, got {size}")
         self.partition_id = partition_id
         self.size = size
-        self.bits = bytearray(size)  # 0 = uninitialized, 1 = initialized
+        # ascending offsets where the state flips: byte 0 starts
+        # uninitialized, so byte i is initialized iff bisect(_edges, i) is odd
+        self._edges = []
         # origin runs: byte i has the id of the last run starting at or before i
         self._starts = [0]
         self._ids = [0]
@@ -110,11 +112,26 @@ class InitShadow:
             raise ConfigError(f"span [{start}, {end}) outside shadow of size {self.size}")
         return end
 
+    def _offset(self, offset: int) -> int:
+        if not 0 <= offset < self.size:
+            raise ConfigError(f"offset {offset} outside shadow of size {self.size}")
+        return offset
+
     # -- state transitions ----------------------------------------------------
 
-    def _fill(self, start: int, end: int, bit: bytes, oid: int) -> None:
-        """Set every byte of [start, end) to shadow ``bit`` and origin ``oid``:
-        the runs that start in the span give way to one."""
+    def _fill(self, start: int, end: int, state: int, oid: int) -> None:
+        """Set every byte of [start, end) to ``state`` (1 = initialized) and
+        origin ``oid``: the flips in the span give way to at most one at
+        each end, the runs that start in it to one."""
+        edges = self._edges
+        lo = bisect_left(edges, start)
+        hi = bisect(edges, end, lo)
+        # lo & 1 is the state of the byte before the span, hi & 1 that of
+        # the byte at ``end``
+        flips = (start,) if lo & 1 != state else ()
+        if end < self.size and hi & 1 != state:
+            flips += (end,)
+        edges[lo:hi] = flips
         runs, run_ids = self._starts, self._ids
         lo = bisect_left(runs, start)
         hi = bisect_left(runs, end, lo)
@@ -124,18 +141,10 @@ class InitShadow:
             run_ids.insert(hi, run_ids[hi - 1])
         runs[lo:hi] = (start,)
         run_ids[lo:hi] = (oid,)
-        if end - start <= _FILL_BLOCK:
-            self.bits[start:end] = bit * (end - start)
-            return
-        bits = bit * _FILL_BLOCK
-        for i in range(start, end - _FILL_BLOCK, _FILL_BLOCK):
-            self.bits[i : i + _FILL_BLOCK] = bits
-        # the last block ends at ``end``; it may overlap the one before
-        self.bits[end - _FILL_BLOCK : end] = bits
 
     def set_uninitialized(self, start: int, length: int, origin: str | None = None) -> None:
         """Mark a span uninitialized, tagged with the allocation's origin."""
-        self._fill(start, self._span(start, length), b"\x00", self._intern(origin))
+        self._fill(start, self._span(start, length), 0, self._intern(origin))
 
     def mark_initialized(
         self, start: int, length: int, origin: str | None, force: bool = True
@@ -152,27 +161,24 @@ class InitShadow:
             self._span(start, length)
         oid = self._intern(origin)
         if force:
-            self._fill(start, end, b"\x01", oid)
+            self._fill(start, end, 1, oid)
             return
-        # fill each uninitialized segment of the span
-        find = self.bits.find
-        i = find(0, start, end)
-        while i >= 0:
-            j = find(1, i, end)
-            if j < 0:
-                j = end
-            self._fill(i, j, b"\x01", oid)
-            i = find(0, j, end)
+        # fill each uninitialized segment: the span's flips cut it into
+        # segments that alternate from the state at ``start``
+        edges = self._edges
+        i = bisect(edges, start)
+        bounds = [start, *edges[i : bisect_left(edges, end, i)], end]
+        first = i & 1
+        for a, b in zip(bounds[first::2], bounds[first + 1 :: 2]):
+            self._fill(a, b, 1, oid)
 
     # -- queries ----------------------------------------------------------------
 
     def is_initialized(self, offset: int) -> bool:
-        return bool(self.bits[offset])
+        return bisect(self._edges, self._offset(offset)) & 1 == 1
 
     def origin_at(self, offset: int) -> str | None:
-        if not 0 <= offset < self.size:
-            raise ConfigError(f"offset {offset} outside shadow of size {self.size}")
-        return self._origin_table[self._ids[bisect(self._starts, offset) - 1]]
+        return self._origin_table[self._ids[bisect(self._starts, self._offset(offset)) - 1]]
 
     def check(self, start: int, length: int, context: UseSite):
         """Check that a span about to be *used* is fully initialized.
@@ -184,9 +190,14 @@ class InitShadow:
         end = start + length
         if length < 1 or start < 0 or end > self.size:
             self._span(start, length)
-        bad = self.bits.find(0, start, end)
-        if bad < 0:
+        edges = self._edges
+        i = bisect(edges, start)
+        if not i & 1:
+            bad = start
+        elif i == len(edges) or edges[i] >= end:
             return None
+        else:
+            bad = edges[i]
         origin = self.origin_at(bad)
         blame = f"(origin {origin})" if origin else "(no origin)"
         return Violation(
@@ -205,15 +216,26 @@ class InitShadow:
     def snapshot(self, start: int, length: int):
         """Bits and origin labels for a span, detached from this shadow.
 
-        The bits are a ``bytearray`` copy.  The labels are ``(origin
-        table, start, inner run starts, run ids)``: the starts of the runs
-        that begin inside the span, and the ids of every run the span
-        overlaps, one more than the starts.  The table only ever grows, so
-        the ids stay valid however the shadow changes later.
+        The bits are ``bytes``, one per span byte, 1 where it is
+        initialized.  The labels are ``(origin table, start, inner run
+        starts, run ids)``: the starts of the runs that begin inside the
+        span, and the ids of every run the span overlaps, one more than
+        the starts.  The table only ever grows, so the ids stay valid
+        however the shadow changes later.
         """
         end = start + length
         if length < 0 or start < 0 or end > self.size:
             self._span(start, length, min_length=0)
+        edges = self._edges
+        i = bisect(edges, start)
+        if i == len(edges) or edges[i] >= end:  # no flip inside the span
+            bits = _STATE_BYTE[i & 1] * length
+        else:
+            bounds = [start, *edges[i : bisect_left(edges, end, i)], end]
+            bits = b"".join(
+                _STATE_BYTE[(i + k) & 1] * (b - a)
+                for k, (a, b) in enumerate(zip(bounds, bounds[1:]))
+            )
         runs = self._starts
         lo = bisect(runs, start)
         if lo == len(runs) or runs[lo] >= end:  # inside one run
@@ -221,12 +243,12 @@ class InitShadow:
         else:
             hi = bisect_left(runs, end, lo)
             labels = (self._origin_table, start, runs[lo:hi], self._ids[lo - 1 : hi])
-        return self.bits[start:end], labels
+        return bits, labels
 
     def apply_snapshot(self, start: int, bits: bytes, labels) -> None:
-        """Write a ``snapshot`` at ``start``, its runs shifted there.  From a
-        shadow with another origin table, each run's origin is interned here
-        and its id translated."""
+        """Write a ``snapshot`` at ``start``: its flips and its runs shifted
+        there.  From a shadow with another origin table, each run's origin
+        is interned here and its id translated."""
         end = start + len(bits)
         if start < 0 or end > self.size:
             self._span(start, len(bits), min_length=0)
@@ -247,7 +269,21 @@ class InitShadow:
         else:
             runs[lo:hi] = (start,)
         run_ids[lo:hi] = ids
-        self.bits[start:end] = bits
+        # as in ``_fill``, with the flips that ``bits`` holds
+        edges = self._edges
+        lo = bisect_left(edges, start)
+        hi = bisect(edges, end, lo)
+        state = bits[0]
+        flips = [start] if lo & 1 != state else []
+        find = bits.find
+        k = find(state ^ 1)
+        while k >= 0:
+            flips.append(start + k)
+            state ^= 1
+            k = find(state ^ 1, k)
+        if end < self.size and hi & 1 != state:
+            flips.append(end)
+        edges[lo:hi] = flips
 
 
 def copy_propagate(

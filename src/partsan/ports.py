@@ -14,8 +14,8 @@ origin labels into the receiver's shadow, so blame survives the hop.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .guest_memory import PartitionMemory
@@ -27,16 +27,14 @@ class Validity(Enum):
     STALE = "STALE"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     payload: bytes
     send_time: int
-    init_bits: bytearray
+    init_bits: bytes  # one shadow byte per payload byte, from InitShadow.snapshot
     origin_labels: tuple
 
 
-@dataclass(frozen=True)
-class SamplingResult:
+class SamplingResult(NamedTuple):
     payload: bytes
     validity: Validity
     age: int
@@ -74,7 +72,7 @@ def _collect_message(
         raise ViolationError(addr_violation)
     init_bits, origin_labels = mem.init_shadow.snapshot(offset, length)
     return Message(
-        payload=bytes(mem.data[offset : offset + length]),
+        payload=memoryview(mem.data)[offset : offset + length].tobytes(),
         send_time=now,
         init_bits=init_bits,
         origin_labels=origin_labels,

@@ -10,7 +10,7 @@ when the exact value a * 2**s does not fit the type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ConfigError
@@ -54,18 +54,19 @@ class IntSpec:
 
     width: int
     signed: bool
+    # the type's bounds, set once from width and signedness
+    min: int = field(init=False, repr=False, compare=False)
+    max: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.width not in (8, 16, 32, 64):
             raise ConfigError(f"unsupported integer width {self.width}")
-
-    @property
-    def min(self) -> int:
-        return -(1 << (self.width - 1)) if self.signed else 0
-
-    @property
-    def max(self) -> int:
-        return (1 << (self.width - 1)) - 1 if self.signed else (1 << self.width) - 1
+        if self.signed:
+            bounds = -(1 << (self.width - 1)), (1 << (self.width - 1)) - 1
+        else:
+            bounds = 0, (1 << self.width) - 1
+        object.__setattr__(self, "min", bounds[0])
+        object.__setattr__(self, "max", bounds[1])
 
     @property
     def name(self) -> str:
@@ -121,7 +122,8 @@ def _require_operand(value: int, spec: IntSpec, role: str) -> None:
 def checked_arith(op: ArithOp, a: int, b: int, spec: IntSpec, strict: bool = False):
     """ADD/SUB/MUL with overflow detection.  Returns the result value, or a
     Violation when the exact result leaves the type."""
-    op = ArithOp(op)
+    if type(op) is not ArithOp:
+        op = ArithOp(op)
     _require_operand(a, spec, "left")
     _require_operand(b, spec, "right")
     if op is ArithOp.ADD:

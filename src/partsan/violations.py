@@ -9,8 +9,8 @@ logs the record and continues the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import PartsanError
 
@@ -29,14 +29,14 @@ class UseSite(Enum):
     PORT_SEND = "PORT_SEND"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One finding, in report form, whichever checker raised it.
 
     Checkers fill in what they know, with ``kind`` and ``detail`` already as
     they are printed; the harness stamps ``step`` when it logs the finding
-    (and ``partition`` on arithmetic traps, which see only values).  The
-    field names are the keys of a JSON report's violation objects.
+    (and ``partition`` on arithmetic traps, which see only values) with
+    ``_replace``.  The field names are the keys of a JSON report's violation
+    objects.
     """
 
     kind: str

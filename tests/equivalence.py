@@ -234,11 +234,17 @@ USE_SITES = (UseSite.SYSCALL_PRE, UseSite.BRANCH, UseSite.ARITH, UseSite.PORT_SE
 
 
 def _assert_same_init(shadow: InitShadow, oracle: InitOracle, ops: int, label: str):
-    """Same bits and origins as the oracle, from origin runs that are well
-    formed and number at most two per operation so far, plus one."""
-    assert bytes(shadow.bits) == bytes(oracle.bits), f"{label}: init bits differ"
+    """Same bits and origins as the oracle, from flips and origin runs that
+    are well formed and number at most two per operation so far (the runs
+    one more)."""
+    bits, _ = shadow.snapshot(0, shadow.size)
+    assert bytes(bits) == bytes(oracle.bits), f"{label}: init bits differ"
     got = [shadow.origin_at(i) for i in range(oracle.size)]
     assert got == oracle.origins, f"{label}: origin labels differ"
+    edges = shadow._edges
+    assert all(a < b for a, b in zip(edges, edges[1:])), f"{label}: flips {edges}"
+    assert not edges or 0 <= edges[0] and edges[-1] < shadow.size, f"{label}: flips {edges}"
+    assert len(edges) <= 2 * ops, f"{label}: {len(edges)} flips after {ops} ops"
     starts, ids = shadow._starts, shadow._ids
     assert len(starts) == len(ids), f"{label}: {len(starts)} run starts, {len(ids)} ids"
     assert starts[0] == 0 and starts[-1] < shadow.size, f"{label}: runs {starts}"

@@ -154,6 +154,14 @@ def replay(stream):
     return shadows
 
 
+def state(shadow):
+    """A shadow's per-byte bits, per-byte origin labels and check count, read
+    through methods every version has."""
+    bits, _ = shadow.snapshot(0, shadow.size)
+    origins = [shadow.origin_at(i) for i in range(shadow.size)]
+    return bytes(bits), origins, shadow.checks_performed
+
+
 def time_streams(path, repeat=7):
     streams = json.loads(Path(path).read_text())
     for name, calls in streams.items():

@@ -192,6 +192,20 @@ def test_receive_from_empty_queue_is_none():
     assert dst.receive(dst_mem, dst_mem.region("buf").base, now=0) is None
 
 
+def test_a_sent_message_holds_its_own_immutable_copy():
+    src_mem, dst_mem = _memory(1), _memory(2)
+    port, _ = _queueing_pair()
+    base = src_mem.region("buf").base
+    src_mem.checked_write(base, b"\x01\x02\x03")
+    port.send(src_mem, base, 3, now=0)
+    src_mem.checked_write(base, b"\x09\x09\x09")
+    msg = port.queue[0]
+    assert type(msg.payload) is bytes and msg.payload == b"\x01\x02\x03"
+    assert msg.init_bits == b"\x01\x01\x01"
+    port.receive(dst_mem, dst_mem.region("buf").base, now=1)
+    assert dst_mem.checked_read(dst_mem.region("buf").base, 3) == b"\x01\x02\x03"
+
+
 def test_origin_labels_cross_the_hop():
     src_mem, dst_mem = _memory(1), _memory(2)
     src, dst = _queueing_pair()
