@@ -61,12 +61,9 @@ class IntSpec:
     def __post_init__(self):
         if self.width not in (8, 16, 32, 64):
             raise ConfigError(f"unsupported integer width {self.width}")
-        if self.signed:
-            bounds = -(1 << (self.width - 1)), (1 << (self.width - 1)) - 1
-        else:
-            bounds = 0, (1 << self.width) - 1
-        object.__setattr__(self, "min", bounds[0])
-        object.__setattr__(self, "max", bounds[1])
+        half = 1 << (self.width - 1)
+        object.__setattr__(self, "min", -half if self.signed else 0)
+        object.__setattr__(self, "max", half - 1 if self.signed else 2 * half - 1)
 
     @property
     def name(self) -> str:
