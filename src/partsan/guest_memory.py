@@ -14,7 +14,7 @@ guest offset 0 is never a valid access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .asan_shadow import PoisonKind, ShadowMap, check_memory_size, poison_detail
 from .errors import ConfigError
@@ -42,8 +42,7 @@ DEFAULT_REDZONE = 16
 MEMORY_CAP = 1 << 24
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """One allocation.  ``span`` covers left redzone, payload, alignment pad
     and right redzone; only ``[base, base + payload_len)`` is addressable."""
 

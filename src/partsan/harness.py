@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -73,8 +72,7 @@ class Event(NamedTuple):
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     scenario_name: str
     seed: int
     raw_ticks: int

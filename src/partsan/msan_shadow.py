@@ -26,7 +26,6 @@ means.
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
-from dataclasses import dataclass
 
 from .errors import ConfigError
 from .violations import AccessKind, UseSite, Violation
@@ -42,7 +41,6 @@ __all__ = [
 _STATE_BYTE = (b"\x00", b"\x01")
 
 
-@dataclass
 class ReservedInitConfig:
     """Optional 'reserved initialization value' handling.
 
@@ -51,11 +49,11 @@ class ReservedInitConfig:
     reserved pattern stay visible to the checker.
     """
 
-    enabled: bool = False
-    pattern: int = 0xCD
+    __slots__ = ("enabled", "pattern")
 
-    def __post_init__(self):
-        check_reserved_pattern(self.pattern)
+    def __init__(self, enabled: bool = False, pattern: int = 0xCD):
+        self.enabled = enabled
+        self.pattern = check_reserved_pattern(pattern)
 
     def masks_write(self, data: bytes) -> bool:
         return self.enabled and len(data) > 0 and data.count(self.pattern) == len(data)

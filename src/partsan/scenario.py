@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
-from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .asan_shadow import check_granularity
 from .errors import BindError, ConfigError, ParseError, UnknownType
@@ -27,7 +26,7 @@ from .syscall_annotations import SyscallSpec, parse_template, resolve_sizes
 from .ub_checks import INT_SPECS, UbKind
 from .violations import UseSite
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 #: Violation kinds that may appear in reports and expectations.
 VIOLATION_KINDS = frozenset(
@@ -46,25 +45,22 @@ VIOLATION_KINDS = frozenset(
 )
 
 
-# -- config dataclasses -------------------------------------------------------
+# -- config records -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegionConfig:
+class RegionConfig(NamedTuple):
     label: str
     size: int
 
 
-@dataclass(frozen=True)
-class ProcessConfig:
+class ProcessConfig(NamedTuple):
     process_id: int
     priority: int
     time_capacity: int
     period: int | None
 
 
-@dataclass(frozen=True)
-class PartitionConfig:
+class PartitionConfig(NamedTuple):
     partition_id: int
     memory_size: int
     granularity: int
@@ -74,8 +70,7 @@ class PartitionConfig:
     processes: tuple[ProcessConfig, ...]
 
 
-@dataclass(frozen=True)
-class PortConfig:
+class PortConfig(NamedTuple):
     name: str
     kind: str  # sampling | queueing
     source: int | None
@@ -85,8 +80,7 @@ class PortConfig:
     capacity: int | None = None
 
 
-@dataclass(frozen=True)
-class TimeConfig:
+class TimeConfig(NamedTuple):
     slowdown_factor: Fraction
     costs: CheckCosts
     frame: MajorFrame | None
@@ -94,8 +88,7 @@ class TimeConfig:
     legacy_get_my_id: bool
 
 
-@dataclass(frozen=True)
-class ExpectPattern:
+class ExpectPattern(NamedTuple):
     """Partial match against one violation record; omitted fields match
     anything.  The run verdict is a multiset comparison."""
 
@@ -105,8 +98,7 @@ class ExpectPattern:
     context: str | None = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     partitions: tuple[PartitionConfig, ...]
     time: TimeConfig
@@ -127,13 +119,12 @@ class Scenario:
         scenario = self
         if slowdown_factor is not None:
             factor = parse_slowdown(slowdown_factor)
-            scenario = replace(scenario, time=replace(scenario.time, slowdown_factor=factor))
+            scenario = scenario._replace(time=scenario.time._replace(slowdown_factor=factor))
         if granularity is not None:
             check_granularity(granularity)
-            scenario = replace(
-                scenario,
+            scenario = scenario._replace(
                 partitions=tuple(
-                    replace(p, granularity=granularity) for p in scenario.partitions
+                    p._replace(granularity=granularity) for p in scenario.partitions
                 ),
                 workload=tuple(_copy_step(step) for step in scenario.workload),
             )
@@ -184,7 +175,7 @@ def _as_dict(value) -> dict:
 
 def _as_name(value) -> str:
     value = _as_str(value)
-    if not _NAME_RE.match(value):
+    if not _NAME_RE.fullmatch(value):
         raise ConfigError(f"name {value!r} must match [A-Za-z0-9_.-]+ (it appears in reports)")
     return value
 
@@ -883,18 +874,16 @@ def load_scenario_file(path) -> Scenario:
 # -- builtin corpus ---------------------------------------------------------------
 
 
+#: The builtin scenarios, shipped as package data beside this module.
+_BUILTINS = Path(__file__).parent / "scenarios"
+
+
 def builtin_names() -> list[str]:
-    root = resources.files("partsan.scenarios")
-    return sorted(
-        entry.name[: -len(".json")]
-        for entry in root.iterdir()
-        if entry.name.endswith(".json")
-    )
+    return sorted(entry.stem for entry in _BUILTINS.glob("*.json"))
 
 
 def load_builtin(name: str) -> Scenario:
-    root = resources.files("partsan.scenarios")
-    entry = root / f"{name}.json"
+    entry = _BUILTINS / f"{name}.json"
     if not entry.is_file():
         raise ConfigError(
             f"no builtin scenario '{name}'; available: {', '.join(builtin_names())}"

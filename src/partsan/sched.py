@@ -11,8 +11,8 @@ when one process is hit harder than the average.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -41,9 +41,11 @@ def to_fraction(value) -> Fraction:
             value = float(value)
         if isinstance(value, float):
             return Fraction(str(value))
-        return Fraction(value)
+        if not isinstance(value, bool):  # a JSON true or false is no ratio
+            return Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError):
-        raise ConfigError(f"not a number or 'p/q' ratio: {value!r}") from None
+        pass
+    raise ConfigError(f"not a number or 'p/q' ratio: {value!r}")
 
 
 def parse_slowdown(value) -> Fraction:
@@ -69,31 +71,40 @@ def check_period(period: int | None, time_capacity: int) -> None:
         raise ConfigError(f"period {period} shorter than time capacity {time_capacity}")
 
 
-@dataclass
 class Process:
     """One schedulable process inside a partition.  ``multiplier`` stretches
     its deadline budget (a timeout override)."""
 
-    process_id: int
-    partition_id: int
-    priority: int
-    time_capacity: int
-    period: int | None = None
-    multiplier: Fraction = Fraction(1)
-    activation_time: int | None = None
-    deadline_missed: bool = False
+    __slots__ = (
+        "process_id",
+        "partition_id",
+        "priority",
+        "time_capacity",
+        "period",
+        "multiplier",
+        "activation_time",
+        "deadline_missed",
+    )
 
-    def __post_init__(self):
-        if self.process_id < 1:
-            raise ConfigError(f"process id must be >= 1, got {self.process_id}")
-        if self.time_capacity < 1:
-            raise ConfigError(f"time capacity must be >= 1, got {self.time_capacity}")
-        check_period(self.period, self.time_capacity)
-        self.multiplier = parse_multiplier(self.multiplier)
+    def __init__(
+        self, process_id, partition_id, priority, time_capacity, period=None, multiplier=1
+    ):
+        if process_id < 1:
+            raise ConfigError(f"process id must be >= 1, got {process_id}")
+        if time_capacity < 1:
+            raise ConfigError(f"time capacity must be >= 1, got {time_capacity}")
+        check_period(period, time_capacity)
+        self.process_id = process_id
+        self.partition_id = partition_id
+        self.priority = priority
+        self.time_capacity = time_capacity
+        self.period = period
+        self.multiplier = parse_multiplier(multiplier)
+        self.activation_time: int | None = None
+        self.deadline_missed = False
 
 
-@dataclass(frozen=True)
-class DeadlineMiss:
+class DeadlineMiss(NamedTuple):
     """A process exceeded its (possibly override-stretched) time budget."""
 
     process_id: int
@@ -102,19 +113,19 @@ class DeadlineMiss:
     budget: Fraction
 
 
-@dataclass
 class CheckCosts:
     """Raw ticks charged per workload step and per sanitizer check."""
 
-    base_step: int = 1
-    asan_check: int = 0
-    msan_check: int = 0
-    ub_check: int = 0
+    __slots__ = ("base_step", "asan_check", "msan_check", "ub_check")
 
-    def __post_init__(self):
-        for name in ("base_step", "asan_check", "msan_check", "ub_check"):
-            if getattr(self, name) < 0:
+    def __init__(self, base_step=1, asan_check=0, msan_check=0, ub_check=0):
+        for name, cost in zip(self.__slots__, (base_step, asan_check, msan_check, ub_check)):
+            if cost < 0:
                 raise ConfigError(f"cost '{name}' must be >= 0")
+        self.base_step = base_step
+        self.asan_check = asan_check
+        self.msan_check = msan_check
+        self.ub_check = ub_check
 
 
 class TimeModel:
@@ -152,8 +163,7 @@ class TimeModel:
         return self.virtual_now
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     partition_id: int
     start: int
     length: int

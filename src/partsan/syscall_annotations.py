@@ -22,7 +22,6 @@ before the declaration they describe.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -57,29 +56,25 @@ class SizeForm(Enum):
     SIZEOF_DEREF = "SIZEOF_DEREF"  # sizeof(*p) -> size of p's pointee type
 
 
-@dataclass(frozen=True)
-class TargetExpr:
+class TargetExpr(NamedTuple):
     form: TargetForm
     param: str
 
 
-@dataclass(frozen=True)
-class SizeExpr:
+class SizeExpr(NamedTuple):
     form: SizeForm
     name: str | None = None
     value: int | None = None
 
 
-@dataclass(frozen=True)
-class CheckDirective:
+class CheckDirective(NamedTuple):
     phase: CheckPhase
     kind: CheckKind
     target: TargetExpr
     size: SizeExpr
 
 
-@dataclass(frozen=True)
-class SyscallSpec:
+class SyscallSpec(NamedTuple):
     """One parsed template: declaration plus its contract annotations."""
 
     user_name: str

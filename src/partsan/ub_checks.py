@@ -10,7 +10,6 @@ when the exact value a * 2**s does not fit the type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ConfigError
@@ -48,22 +47,20 @@ _OVERFLOW_KIND = {
 }
 
 
-@dataclass(frozen=True)
 class IntSpec:
     """A fixed-width two's-complement (or unsigned) integer type."""
 
-    width: int
-    signed: bool
-    # the type's bounds, set once from width and signedness
-    min: int = field(init=False, repr=False, compare=False)
-    max: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("width", "signed", "min", "max")
 
-    def __post_init__(self):
-        if self.width not in (8, 16, 32, 64):
-            raise ConfigError(f"unsupported integer width {self.width}")
-        half = 1 << (self.width - 1)
-        object.__setattr__(self, "min", -half if self.signed else 0)
-        object.__setattr__(self, "max", half - 1 if self.signed else 2 * half - 1)
+    def __init__(self, width: int, signed: bool):
+        if width not in (8, 16, 32, 64):
+            raise ConfigError(f"unsupported integer width {width}")
+        self.width = width
+        self.signed = signed
+        # the type's bounds, set once from width and signedness
+        half = 1 << (width - 1)
+        self.min = -half if signed else 0
+        self.max = half - 1 if signed else 2 * half - 1
 
     @property
     def name(self) -> str:
@@ -84,16 +81,16 @@ INT_SPECS = {
 }
 
 
-@dataclass(frozen=True)
 class EnumSpec:
     """A named enum type with an explicit set of valid underlying values."""
 
-    name: str
-    allowed: frozenset[int]
+    __slots__ = ("name", "allowed")
 
-    def __post_init__(self):
-        if not self.allowed:
-            raise ConfigError(f"enum '{self.name}' has no allowed values")
+    def __init__(self, name: str, allowed: frozenset[int]):
+        if not allowed:
+            raise ConfigError(f"enum '{name}' has no allowed values")
+        self.name = name
+        self.allowed = allowed
 
 
 def int_spec(name: str) -> IntSpec:

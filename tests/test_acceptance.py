@@ -7,7 +7,6 @@ plain pytest run doubles as the checklist: `pytest tests/test_acceptance.py -q`.
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -209,7 +208,7 @@ def test_07_padding_and_reserved_init():
     )
 
     # declaring the two padding bytes turns the same workload clean
-    fixed = replace(scenario, padding={"msg_t": ((4, 4),)}, expect=())
+    fixed = scenario._replace(padding={"msg_t": ((4, 4),)}, expect=())
     fixed_report = run_scenario(fixed)
     assert fixed_report.violations == ()
     assert fixed_report.verdict == "MATCH"
@@ -255,7 +254,7 @@ def test_09_get_my_id_regression():
     scenario = load_builtin("get_my_id_regression")
     assert run_scenario(scenario).verdict == "MATCH"
 
-    legacy = replace(scenario, time=replace(scenario.time, legacy_get_my_id=True))
+    legacy = scenario._replace(time=scenario.time._replace(legacy_get_my_id=True))
     report = run_scenario(legacy)
     assert report.verdict == "MISMATCH"
     (violation,) = report.violations

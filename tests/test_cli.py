@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes and output formats."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from partsan.cli import main
 from partsan.scenario import builtin_names
 
 FIXTURE = Path(__file__).parent / "data" / "thread_status_template.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MISMATCH_SCENARIO = {
     "name": "goes-sideways",
@@ -163,3 +165,17 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines() == builtin_names()
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_resources():
+    """Start-up imports no module that only generates or locates code."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, partsan.cli; print(*sorted(sys.modules))"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(result.stdout.split())
+    assert "partsan.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "importlib.resources"})

@@ -1,7 +1,8 @@
 """The seeded scenario generators of ``schedule_differential.py`` and
 ``mutation_differential.py`` keep producing scenarios that load and run, so
-that comparing two versions with them keeps meaning something; and
-``shadow_replay.py`` replays what it records."""
+that comparing two versions with them keeps meaning something;
+``shadow_replay.py`` replays what it records; and ``startup.py`` times
+fresh interpreters."""
 
 import json
 from collections import Counter
@@ -11,8 +12,10 @@ from pathlib import Path
 import mutation_differential
 import schedule_differential
 import shadow_replay
+import startup
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_schedule_differential_scenarios_load_or_fail_at_load_and_run_deterministically():
@@ -66,3 +69,14 @@ def test_shadow_replay_rebuilds_the_recorded_shadows(monkeypatch):
     assert len(replayed) == len(live) == names["__init__"]
     for got, want in zip(replayed, live):
         assert shadow_replay.state(got) == shadow_replay.state(want)
+
+
+def test_startup_times_each_command_and_module():
+    best, modules = startup.measure({"A": SRC, "B": SRC}, 1)
+    for setting in startup.SETTINGS:
+        for label in "AB":
+            assert set(best[setting][label]) == set(startup.COMMANDS)
+            assert all(0 < seconds < 10 for seconds in best[setting][label].values())
+    assert set(startup.summary(best)["warm"]) == {"import", "run_all"}
+    for label in "AB":
+        assert {"partsan", "partsan.cli", "partsan.scenario"} <= modules[label].keys()

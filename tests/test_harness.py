@@ -3,7 +3,6 @@
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -139,7 +138,7 @@ def test_json_report_roundtrip():
     assert parse_report_json(render_report(report, "json")) == report
 
     legacy = load_builtin("get_my_id_regression")
-    legacy = replace(legacy, time=replace(legacy.time, legacy_get_my_id=True))
+    legacy = legacy._replace(time=legacy.time._replace(legacy_get_my_id=True))
     report = run_scenario(legacy)
     assert parse_report_json(render_report(report, "json")) == report
 
@@ -174,7 +173,7 @@ def test_legacy_get_my_id_breaks_the_contract():
     scenario = load_builtin("get_my_id_regression")
     assert run_scenario(scenario).verdict == "MATCH"
 
-    legacy = replace(scenario, time=replace(scenario.time, legacy_get_my_id=True))
+    legacy = scenario._replace(time=scenario.time._replace(legacy_get_my_id=True))
     report = run_scenario(legacy)
     assert report.verdict == "MISMATCH"
     (violation,) = report.violations
@@ -205,7 +204,7 @@ def test_timeout_override_absorbs_local_overhead():
     assert with_override.verdict == "MATCH"
     assert not [e for e in with_override.events if e.kind == "DEADLINE_MISS"]
 
-    stripped = replace(scenario, time=replace(scenario.time, overrides=()))
+    stripped = scenario._replace(time=scenario.time._replace(overrides=()))
     report = run_scenario(stripped)
     (miss,) = [e for e in report.events if e.kind == "DEADLINE_MISS"]
     assert (miss.t, miss.info["elapsed"], miss.info["budget"]) == (52, 52, "50")

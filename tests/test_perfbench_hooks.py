@@ -7,7 +7,6 @@ This runs the builtin corpus under the tracer and holds its finding counts
 to the reports.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 from partsan import asan_shadow, guest_memory, harness, msan_shadow, ports, scenario, sched
@@ -51,7 +50,7 @@ def test_tracer_counts_match_the_reports(monkeypatch):
         scenarios = [load_builtin(name) for name in builtin_names()]
         # no builtin misses a deadline; without its override this one does
         stripped = load_builtin("local_timeout_override")
-        scenarios.append(replace(stripped, time=replace(stripped.time, overrides=())))
+        scenarios.append(stripped._replace(time=stripped.time._replace(overrides=())))
         reports = [harness.run_scenario(scenario) for scenario in scenarios]
         calls, _, counts = tracer.collect()
         harness.run_scenario(scenarios[-1])

@@ -167,6 +167,13 @@ def test_time_validation_paths():
     data["time"] = {"slowdown_factor": "1e1000000"}
     _fails_at(data, "/time/slowdown_factor")
 
+    # a JSON boolean is no ratio, though Fraction(True) is 1
+    for flag in (True, False):
+        data = _base()
+        data["time"] = {"slowdown_factor": flag}
+        err = _fails_at(data, "/time/slowdown_factor")
+        assert err.message == f"not a number or 'p/q' ratio: {flag!r}"
+
     data = _base()
     data["time"] = {"costs": {"base_step": -1}}
     _fails_at(data, "/time/costs/base_step")
@@ -208,6 +215,11 @@ def test_time_validation_paths():
         "timeout_overrides": [{"partition": 1, "process": 1, "multiplier": "1e-1000000"}]
     }
     _fails_at(data, "/time/timeout_overrides/0/multiplier")
+
+    data = _base()
+    data["time"] = {"timeout_overrides": [{"partition": 1, "process": 1, "multiplier": True}]}
+    err = _fails_at(data, "/time/timeout_overrides/0/multiplier")
+    assert err.message == "not a number or 'p/q' ratio: True"
 
 
 def test_time_accepts_ratio_strings_and_overrides():
@@ -365,6 +377,45 @@ def test_workload_validation_paths():
         {"op": "SAMPLING_READ", "partition": 1, "port": "p", "expect_validity": "FRESH"}
     ]
     _fails_at(data, "/workload/0/expect_validity")
+
+
+@pytest.mark.parametrize(
+    "where, pointer",
+    [
+        (("name",), "/name"),
+        (("partitions", 0, "regions", 0, "label"), "/partitions/0/regions/0/label"),
+        (("ports", 0, "name"), "/ports/0/name"),
+        (("workload", 0, "label"), "/workload/0/label"),
+        (("workload", 1, "enum"), "/workload/1/enum"),
+        (("workload", 2, "type"), "/workload/2/type"),
+        (("workload", 3, "name"), "/workload/3/name"),
+    ],
+)
+def test_names_reject_a_trailing_newline(where, pointer):
+    """A name appears in reports; one ending in a newline would split its
+    line there (``SCENARIO name=demo`` / `` raw=0 virtual=0``)."""
+    data = _base()
+    data["partitions"][0]["auto_start"] = False  # so that ALLOC may run
+    data["partitions"].append({"id": 2})
+    port = {"name": "p", "kind": "sampling", "source": 1, "destination": 2}
+    data["ports"] = [dict(port, max_message_size=8, refresh_period=10)]
+    data["types"] = {"msg_t": 8}
+    data["padding"] = {"msg_t": [[4, 4]]}
+    data["syscalls"] = ["syscall_declare(int, f);"]
+    data["workload"] = [
+        {"op": "ALLOC", "partition": 1, "label": "more", "size": 8},
+        {"op": "ENUM_CHECK", "partition": 1, "a": 1, "enum": "mode", "allowed": [1]},
+        {"op": "UNPOISON_PADDING", "partition": 1, "region": "buf", "type": "msg_t"},
+        {"op": "SYSCALL", "partition": 1, "name": "f"},
+    ]
+    load_scenario(copy.deepcopy(data))
+    *path, key = where
+    node = data
+    for step in path:
+        node = node[step]
+    node[key] += "\n"
+    err = _fails_at(data, pointer)
+    assert "must match [A-Za-z0-9_.-]+" in err.message
 
 
 def test_workload_operand_and_field_shapes():

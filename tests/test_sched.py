@@ -85,6 +85,9 @@ def test_time_model_fractional_factor_never_drifts():
 def test_time_model_validation():
     with pytest.raises(ConfigError):
         TimeModel(0)
+    for flag in (True, False):  # Fraction(True) is 1, but a boolean is no ratio
+        with pytest.raises(ConfigError, match="not a number or 'p/q' ratio"):
+            TimeModel(flag)
     with pytest.raises(ConfigError):
         TimeModel(-2)
     with pytest.raises(ConfigError):
@@ -213,7 +216,7 @@ def test_process_validation():
         Process(process_id=1, partition_id=1, priority=1, time_capacity=0)
     with pytest.raises(ConfigError):
         Process(process_id=1, partition_id=1, priority=1, time_capacity=10, period=5)
-    for multiplier in (Fraction(1, 2), 0, "x"):
+    for multiplier in (Fraction(1, 2), 0, "x", True):
         with pytest.raises(ConfigError):
             Process(
                 process_id=1, partition_id=1, priority=1, time_capacity=10, multiplier=multiplier
