@@ -14,8 +14,10 @@ encoding the wrong thing.
 
 A span can cover only its first and last granule in part, so span
 operations check those two and write or scan everything in between with
-one slice operation or C-level search.  The per-byte oracle in
-``tests/oracles.py`` defines what each operation means.
+one slice operation or C-level search.  An allocation (left redzone,
+payload with its partial last granule, right redzone) covers whole
+granules and is written in one slice by ``write_allocation``.  The per-byte
+oracle in ``tests/oracles.py`` defines what each operation means.
 """
 
 from __future__ import annotations
@@ -122,6 +124,10 @@ def decode_granule(code: int, granularity: int) -> tuple[bool, ...]:
     raise EncodingError(f"shadow code {code:#04x} invalid for granularity {granularity}")
 
 
+_LEFT_REDZONE = bytes((PoisonKind.LEFT_REDZONE,))
+_RIGHT_REDZONE = bytes((PoisonKind.RIGHT_REDZONE,))
+
+
 class ShadowMap:
     """Address-validity map for one partition's byte space."""
 
@@ -212,6 +218,39 @@ class ShadowMap:
         self.shadow[start // g : full_end] = bytes(full_end - start // g)
         if end % g != 0:
             self.shadow[full_end] = end % g
+
+    def write_allocation(self, start: int, payload_len: int, redzone: int) -> None:
+        """Write one allocation from granule-aligned ``start`` in one slice:
+        ``redzone`` bytes of LEFT_REDZONE, ``payload_len`` addressable bytes
+        (a partial last granule gets ``payload_len mod g`` as its prefix),
+        then ``redzone`` bytes of RIGHT_REDZONE.  ``redzone`` is whole
+        granules, so every granule of the span is covered wholly and the
+        map ends as ``poison``, ``unpoison``, ``poison`` over the three parts
+        would leave it, whatever the span held; a span that does not fit is
+        rejected with nothing written."""
+        g = self.granularity
+        if payload_len < 0 or redzone < 1:
+            raise ConfigError(
+                f"allocation needs a payload >= 0 and a redzone >= 1 byte, got "
+                f"{payload_len} and {redzone}"
+            )
+        if start % g != 0 or redzone % g != 0:
+            raise EncodingError(
+                f"allocation at {start} with redzone {redzone} not aligned to granularity {g}"
+            )
+        full, tail = divmod(payload_len, g)
+        granules = full + (tail > 0)
+        self._check_span(start, 2 * redzone + granules * g)
+        fence = redzone // g
+        # the payload's codes are the zeros the buffer starts with; built
+        # in place, so a large payload costs one buffer, not a copy per part
+        codes = bytearray(2 * fence + granules)
+        codes[:fence] = _LEFT_REDZONE * fence
+        codes[fence + granules :] = _RIGHT_REDZONE * fence
+        if tail:
+            codes[fence + full] = tail
+        first = start // g
+        self.shadow[first : first + len(codes)] = codes
 
     # -- checking -----------------------------------------------------------
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import PartsanError
 from .harness import render_report, report_payload, run_scenario
-from .scenario import builtin_names, load_builtin, load_scenario_file
+from .scenario import builtin_names, load_builtin, load_scenario_file, read_utf8
 from .syscall_annotations import parse_template, render_template
 
 
@@ -104,8 +104,7 @@ def _cmd_run_all(args) -> int:
 
 
 def _cmd_parse_template(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
-    sys.stdout.write(render_template(parse_template(text)))
+    sys.stdout.write(render_template(parse_template(read_utf8(args.file))))
     return 0
 
 

@@ -165,10 +165,7 @@ class PartitionMemory:
 
     def alloc_region(self, payload_len: int, label: str) -> Region:
         region = self.layout.alloc(label, payload_len)
-        redzone = self.layout.redzone
-        self.shadow.poison(region.span_start, redzone, PoisonKind.LEFT_REDZONE)
-        self.shadow.unpoison(region.base, payload_len)
-        self.shadow.poison(region.span_end - redzone, redzone, PoisonKind.RIGHT_REDZONE)
+        self.shadow.write_allocation(region.span_start, payload_len, self.layout.redzone)
         self.init_shadow.set_uninitialized(region.base, payload_len, origin=f"alloc:{label}")
         return region
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -153,6 +154,7 @@ class Simulator:
         self.seed = seed
 
         multipliers = {(pid, proc): m for pid, proc, m in scenario.time.overrides}
+        one = Fraction(1)  # the multiplier of every process without an override
         # one origin table for every partition, so a port hop copies ids as they are
         origins = ([None], {})
         self.partitions: dict[int, PartitionMemory] = {}
@@ -176,7 +178,7 @@ class Simulator:
                         priority=proc.priority,
                         time_capacity=proc.time_capacity,
                         period=proc.period,
-                        multiplier=multipliers.get((pconf.partition_id, proc.process_id), 1),
+                        multiplier=multipliers.get((pconf.partition_id, proc.process_id), one),
                     )
                     for proc in pconf.processes
                 )

@@ -867,8 +867,17 @@ def load_scenario_text(text: str) -> Scenario:
     return load_scenario(data)
 
 
+def read_utf8(path) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 are a
+    ConfigError, as text that is not JSON is."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not valid UTF-8: {exc.reason} at byte {exc.start} of {path}") from None
+
+
 def load_scenario_file(path) -> Scenario:
-    return load_scenario_text(Path(path).read_text(encoding="utf-8"))
+    return load_scenario_text(read_utf8(path))
 
 
 # -- builtin corpus ---------------------------------------------------------------

@@ -34,8 +34,11 @@ MAIN_CONTEXT = _MainContext()
 
 def to_fraction(value) -> Fraction:
     """Accept int, Fraction, float or '3/2'-style strings; anything else
-    is a ConfigError.  A string with an exponent is read as a float, as a
-    JSON number is: ``Fraction("1e1000000")`` would build 10**1000000."""
+    is a ConfigError.  A Fraction is returned as it is.  A string with an
+    exponent is read as a float, as a JSON number is:
+    ``Fraction("1e1000000")`` would build 10**1000000."""
+    if type(value) is Fraction:
+        return value
     try:
         if isinstance(value, str) and "e" in value.lower():
             value = float(value)

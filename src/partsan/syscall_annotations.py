@@ -93,76 +93,91 @@ class SyscallSpec(NamedTuple):
 # -- lexer -------------------------------------------------------------------
 
 
-class _Token(NamedTuple):
-    kind: str  # BANG | IDENT | INT | PUNCT | EOF
-    text: str
-    line: int
-    col: int
+# one alternative per token, tried in order at each position; whitespace
+# matches none of them, so findall skips it
+_LEXEME = re.compile(r"//!?|/\*|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S")
+
+#: token kind by the token's first character (names, integers and
+#: punctuation) or, for a token that starts with "/", by its whole text
+_KINDS = {
+    **dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "IDENT"),
+    **dict.fromkeys("0123456789", "INT"),
+    **dict.fromkeys("()&*,;:", "PUNCT"),
+    "//!": "BANG",
+    "//": "COMMENT",
+    "/*": "COMMENT",
+}
 
 
-# one alternative per lexeme, tried in order at each position; the groups
-# that are not tokens are NEWLINE, SPACE (any other str.isspace character)
-# and the rejected COMMENT and OTHER
-_LEXEME = re.compile(
-    r"(?P<NEWLINE>\n)|(?P<SPACE>[^\S\n]+)|(?P<BANG>//!)|(?P<COMMENT>//|/\*)"
-    r"|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<INT>[0-9]+)|(?P<PUNCT>[()&*,;:])|(?P<OTHER>.)"
-)
+def _position(text: str, index: int) -> tuple:
+    """Line and column of token ``index`` of ``text``, or of the end of
+    input when ``index`` is the token count.  Only an error needs them, so
+    they are found by scanning the text again."""
+    start = len(text)
+    for i, match in enumerate(_LEXEME.finditer(text)):
+        if i == index:
+            start = match.start()
+            break
+    line_start = text.rfind("\n", 0, start) + 1
+    return text.count("\n", 0, start) + 1, start - line_start + 1
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, line_start = 1, 0
-    for match in _LEXEME.finditer(text):
-        kind = match.lastgroup
-        if kind == "NEWLINE":
-            line += 1
-            line_start = match.end()
-        elif kind != "SPACE":
-            col = match.start() - line_start + 1
-            if kind == "COMMENT":
-                raise ParseError("plain comments are not part of the template grammar", line, col)
-            if kind == "OTHER":
-                raise ParseError(f"unexpected character {match.group()!r}", line, col)
-            tokens.append(_Token(kind, match.group(), line, col))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
+def _tokenize(text: str) -> tuple:
+    """The token texts of ``text``, then the end of input, and their kinds
+    (BANG, IDENT, INT, PUNCT, EOF); a plain comment or any other character
+    is a ParseError at the first one."""
+    tokens = _LEXEME.findall(text)
+    kinds = [_KINDS.get(tok[0]) or _KINDS.get(tok, "OTHER") for tok in tokens]
+    if "COMMENT" in kinds or "OTHER" in kinds:
+        index = next(i for i, kind in enumerate(kinds) if kind in ("COMMENT", "OTHER"))
+        if kinds[index] == "COMMENT":
+            message = "plain comments are not part of the template grammar"
+        else:
+            message = f"unexpected character {tokens[index]!r}"
+        raise ParseError(message, *_position(text, index))
+    # the end of input is a token no expected one matches
+    tokens.append("")
+    kinds.append("EOF")
+    return tokens, kinds
 
 
 # -- parser -------------------------------------------------------------------
 
 
 class _Parser:
+    """Reads the token texts in order; a token is named by its index, and
+    its line and column are found only for an error."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens, self.kinds = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> int:
+        """Consume one token; returns its index."""
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def fail(self, message: str, index: int):
+        raise ParseError(message, *_position(self.text, index))
 
-    def expect_punct(self, char: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "PUNCT" or tok.text != char:
-            self.fail(f"expected '{char}', got {tok.text!r}", tok)
-        return tok
+    def expect_punct(self, char: str) -> None:
+        index = self.next()
+        tok = self.tokens[index]
+        if tok != char:  # a token with a punctuation character's text is one
+            self.fail(f"expected '{char}', got {tok!r}", index)
 
-    def expect_ident(self, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "IDENT":
-            self.fail(f"expected {what}, got {tok.text!r}", tok)
-        return tok
+    def expect_ident(self, what: str) -> int:
+        index = self.next()
+        if self.kinds[index] != "IDENT":
+            self.fail(f"expected {what}, got {self.tokens[index]!r}", index)
+        return index
 
     def accept_punct(self, char: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == char:
+        if self.tokens[self.pos] == char:
             self.pos += 1
             return True
         return False
@@ -171,21 +186,23 @@ class _Parser:
 
     def parse_annotation(self):
         key = self.expect_ident("annotation keyword")
-        if key.text == "USER_NAME":
+        keyword = self.tokens[key]
+        if keyword == "USER_NAME":
             self.expect_punct(":")
             name = self.expect_ident("user-facing syscall name")
-            return ("user", name.text, key)
-        if key.text in ("PRE", "POST"):
+            return ("user", self.tokens[name], key)
+        if keyword in ("PRE", "POST"):
             self.expect_punct(":")
-            phase = CheckPhase(key.text)
+            phase = CheckPhase(keyword)
             return ("check", phase, self.parse_call(phase))
-        self.fail(f"unknown annotation keyword '{key.text}'", key)
+        self.fail(f"unknown annotation keyword '{keyword}'", key)
 
     def parse_call(self, phase: CheckPhase):
         fn = self.expect_ident("msan_check or msan_unpoison")
-        if fn.text not in _CALL_NAMES:
-            self.fail(f"unknown annotation call '{fn.text}'", fn)
-        kind = CheckKind(fn.text)
+        call = self.tokens[fn]
+        if call not in _CALL_NAMES:
+            self.fail(f"unknown annotation call '{call}'", fn)
+        kind = CheckKind(call)
         if phase is CheckPhase.POST and kind is CheckKind.MSAN_CHECK:
             # a POST check would run after the kernel consumed the input
             self.fail("POST annotations can only msan_unpoison outputs", fn)
@@ -199,54 +216,56 @@ class _Parser:
 
     def parse_target(self):
         tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text in "&*":
+        if tok == "&" or tok == "*":
             self.next()
             name = self.expect_ident("parameter name")
-            form = TargetForm.ADDR_OF if tok.text == "&" else TargetForm.DEREF
+            form = TargetForm.ADDR_OF if tok == "&" else TargetForm.DEREF
             return form, name
         name = self.expect_ident("parameter name")
         return TargetForm.PARAM, name
 
     def parse_size(self):
-        tok = self.next()
-        if tok.kind == "INT":
+        index = self.next()
+        tok = self.tokens[index]
+        if self.kinds[index] == "INT":
             try:
-                return ("literal", int(tok.text), tok)
+                return ("literal", int(tok), index)
             except ValueError:  # more digits than int() converts
-                self.fail(f"size literal of {len(tok.text)} digits is too long", tok)
-        if tok.kind == "IDENT" and tok.text == "sizeof":
+                self.fail(f"size literal of {len(tok)} digits is too long", index)
+        if tok == "sizeof":
             self.expect_punct("(")
             deref = self.accept_punct("*")
             name = self.expect_ident("type or parameter name")
             self.expect_punct(")")
             return ("sizeof", deref, name)
-        self.fail("expected a byte count or sizeof(...)", tok)
+        self.fail("expected a byte count or sizeof(...)", index)
 
     # declaration --------------------------------------------------------
 
     def parse_type_token(self) -> str:
-        base = self.expect_ident("type name")
+        base = self.tokens[self.expect_ident("type name")]
         stars = ""
         while self.accept_punct("*"):
             stars += "*"
-        return base.text + stars
+        return base + stars
 
     def parse_declaration(self):
         decl = self.expect_ident("syscall_declare")
-        if decl.text != "syscall_declare":
-            self.fail(f"expected syscall_declare, got '{decl.text}'", decl)
+        if self.tokens[decl] != "syscall_declare":
+            self.fail(f"expected syscall_declare, got '{self.tokens[decl]}'", decl)
         self.expect_punct("(")
         return_type = self.parse_type_token()
         self.expect_punct(",")
-        syscall_name = self.expect_ident("syscall name").text
+        syscall_name = self.tokens[self.expect_ident("syscall name")]
         params = []
         while self.accept_punct(","):
             ptype = self.parse_type_token()
             self.expect_punct(",")
-            pname = self.expect_ident("parameter name")
-            if any(existing == pname.text for _, existing in params):
-                self.fail(f"duplicate parameter name '{pname.text}'", pname)
-            params.append((ptype, pname.text))
+            index = self.expect_ident("parameter name")
+            pname = self.tokens[index]
+            if any(existing == pname for _, existing in params):
+                self.fail(f"duplicate parameter name '{pname}'", index)
+            params.append((ptype, pname))
         self.expect_punct(")")
         self.accept_punct(";")
         return return_type, syscall_name, tuple(params)
@@ -261,9 +280,10 @@ def parse_template(text: str) -> SyscallSpec:
     matches, else to a type name.
     """
     parser = _Parser(text)
+    tokens = parser.tokens
     raw_annotations = []
     user_name = None
-    while parser.peek().kind == "BANG":
+    while parser.peek() == "//!":
         parser.next()
         ann = parser.parse_annotation()
         if ann[0] == "user":
@@ -274,41 +294,37 @@ def parse_template(text: str) -> SyscallSpec:
             raw_annotations.append(ann)
     return_type, syscall_name, params = parser.parse_declaration()
     tail = parser.next()
-    if tail.kind != "EOF":
-        parser.fail(f"unexpected trailing input {tail.text!r}", tail)
+    if parser.kinds[tail] != "EOF":
+        parser.fail(f"unexpected trailing input {tokens[tail]!r}", tail)
 
     param_names = {name for _, name in params}
 
     checks = []
     for _, phase, (kind, target_draft, size_draft) in raw_annotations:
-        form, name_tok = target_draft
-        if name_tok.text not in param_names:
-            raise ParseError(
-                f"target '{name_tok.text}' is not a parameter of '{syscall_name}'",
-                name_tok.line,
-                name_tok.col,
-            )
-        target = TargetExpr(form, name_tok.text)
+        form, name_index = target_draft
+        name = tokens[name_index]
+        if name not in param_names:
+            parser.fail(f"target '{name}' is not a parameter of '{syscall_name}'", name_index)
+        target = TargetExpr(form, name)
         if size_draft[0] == "literal":
-            _, value, value_tok = size_draft
+            _, value, value_index = size_draft
             if value < 1:
-                raise ParseError("size literal must be >= 1", value_tok.line, value_tok.col)
+                parser.fail("size literal must be >= 1", value_index)
             size = SizeExpr(SizeForm.LITERAL, value=value)
         else:
-            _, deref, size_tok = size_draft
+            _, deref, size_index = size_draft
+            size_name = tokens[size_index]
             if deref:
-                if size_tok.text not in param_names:
-                    raise ParseError(
-                        f"sizeof(*{size_tok.text}) needs a parameter, "
-                        f"'{size_tok.text}' is not one",
-                        size_tok.line,
-                        size_tok.col,
+                if size_name not in param_names:
+                    parser.fail(
+                        f"sizeof(*{size_name}) needs a parameter, '{size_name}' is not one",
+                        size_index,
                     )
-                size = SizeExpr(SizeForm.SIZEOF_DEREF, name=size_tok.text)
-            elif size_tok.text in param_names:
-                size = SizeExpr(SizeForm.SIZEOF_PARAM, name=size_tok.text)
+                size = SizeExpr(SizeForm.SIZEOF_DEREF, name=size_name)
+            elif size_name in param_names:
+                size = SizeExpr(SizeForm.SIZEOF_PARAM, name=size_name)
             else:
-                size = SizeExpr(SizeForm.SIZEOF_TYPE, name=size_tok.text)
+                size = SizeExpr(SizeForm.SIZEOF_TYPE, name=size_name)
         checks.append(CheckDirective(phase, kind, target, size))
 
     return SyscallSpec(

@@ -11,6 +11,7 @@ from collections import Counter
 
 from partsan.asan_shadow import POISON_FLOOR, PoisonKind, ShadowMap
 from partsan.errors import ConfigError, EncodingError
+from partsan.guest_memory import PartitionMemory
 from partsan.msan_shadow import InitShadow, copy_propagate
 from partsan.violations import AccessKind, UseSite
 
@@ -88,6 +89,16 @@ def asan_unpoison(shadow, oracle, start, length, ctx):
     return "unpoison_err" if err else "unpoison"
 
 
+def asan_allocation(shadow, oracle, start, payload_len, redzone, ctx):
+    err = _same_error(
+        ctx,
+        f"write_allocation({start}, {payload_len}, {redzone})",
+        lambda: shadow.write_allocation(start, payload_len, redzone),
+        lambda: oracle.allocate(start, payload_len, redzone),
+    )
+    return "alloc_err" if err else "alloc"
+
+
 def asan_check(shadow, oracle, start, length, ctx):
     granularity = shadow.granularity
     verdict = shadow.check_access(start, length, AccessKind.READ)
@@ -119,14 +130,25 @@ def asan_check(shadow, oracle, start, length, ctx):
 def run_asan_equivalence(
     rng, size, granularity, n_ops, full_compare_every, label=""
 ):
-    """Random poison/unpoison/check stream; returns outcome tally."""
+    """Random allocation/poison/unpoison/check stream; returns outcome
+    tally."""
     shadow = ShadowMap(7, size, granularity)
     oracle = ByteValidityMap(size, granularity)
     tally = Counter()
     for op_index in range(n_ops):
         ctx = f"{label} g={granularity} op#{op_index}"
         roll = rng.random()
-        if roll < 0.30:
+        if roll < 0.08:
+            # over whatever the span holds; mostly whole granules that fit
+            start = rng.randrange(0, size)
+            if rng.random() < 0.9:
+                start -= start % granularity
+            redzone = granularity * rng.choice((1, 1, 2))
+            if rng.random() < 0.05:
+                redzone = rng.randint(0, 2 * granularity)
+            payload_len = rng.choice((rng.randint(1, 2 * granularity + 1), rng.randint(0, 64)))
+            tally[asan_allocation(shadow, oracle, start, payload_len, redzone, ctx)] += 1
+        elif roll < 0.34:
             start, length = _random_span(rng, size)
             # mostly representable requests, occasionally not
             if rng.random() < 0.6:
@@ -138,7 +160,7 @@ def run_asan_equivalence(
             length = max(length, 1)
             kind = rng.choice(POISON_KINDS)
             tally[asan_poison(shadow, oracle, start, length, kind, ctx)] += 1
-        elif roll < 0.60:
+        elif roll < 0.62:
             start, length = _random_span(rng, size)
             # bias toward aligned starts so unpoison usually succeeds
             if rng.random() < 0.8:
@@ -226,6 +248,45 @@ def run_asan_edge_cases(size, granularity, label=""):
             tally[asan_check(shadow, oracle, start, length, ctx)] += 1
         _assert_same_validity(shadow, oracle, ctx)
     return tally
+
+
+#: Memory of each partition ``run_allocation_layouts`` builds; holds every
+#: layout it draws at granularity 16 with two-granule redzones.
+LAYOUT_MEMORY = 4096
+
+
+def run_allocation_layouts(granularity, label=""):
+    """Payloads of 1 to 2g+1 bytes, with redzones of one and of two granules,
+    bump-allocated through ``PartitionMemory.alloc_region`` on a fresh
+    partition and again after a partition reset.  After each allocation the
+    shadow must equal, byte for byte, a ShadowMap given the three span calls
+    ``poison``, ``unpoison``, ``poison`` over redzone, payload and redzone;
+    after each round, every byte's validity must be the oracle's.  Returns
+    the number of allocations."""
+    g = granularity
+    count = 0
+    for redzone in (g, 2 * g):
+        mem = PartitionMemory(7, LAYOUT_MEMORY, g, redzone)
+        spans = ShadowMap(7, LAYOUT_MEMORY, g)
+        spans.poison(0, LAYOUT_MEMORY, PoisonKind.MANUAL_BLACKLIST)
+        oracle = ByteValidityMap(LAYOUT_MEMORY, g)
+        oracle.poison(0, LAYOUT_MEMORY, "MANUAL_BLACKLIST")
+        for round_label in ("fresh", "after reset"):
+            for payload_len in range(1, 2 * g + 2):
+                ctx = f"{label} g={g} redzone={redzone} {round_label} payload={payload_len}"
+                region = mem.alloc_region(payload_len, f"r{payload_len}")
+                right = region.span_end - redzone
+                spans.poison(region.span_start, redzone, PoisonKind.LEFT_REDZONE)
+                spans.unpoison(region.base, payload_len)
+                spans.poison(right, redzone, PoisonKind.RIGHT_REDZONE)
+                oracle.allocate(region.span_start, payload_len, redzone)
+                assert mem.shadow.shadow == spans.shadow, ctx
+                count += 1
+            _assert_same_validity(mem.shadow, oracle, f"{label} g={g} {round_label}")
+            mem.reset_partition()
+            spans.poison(0, LAYOUT_MEMORY, PoisonKind.PARTITION_RESET)
+            oracle.poison(0, LAYOUT_MEMORY, "PARTITION_RESET")
+    return count
 
 
 ORIGIN_POOL = ("alloc:a", "alloc:b", "write:w1", "write:w2", "annotation", "padding")

@@ -6,15 +6,20 @@ versions of partsan.
     PYTHONPATH=<src of version B> python tests/mutation_differential.py compare a.json b.json
 
 ``record`` applies 150 mutations per builtin for each of the seeds 4-7
-(7,200 in all; one changed value, deleted key or added key each) and
-stores each mutant's outcome: the load error's pointer and message, the
-run error, or digests of the text and JSON reports; then the same for
-every loadable mutant under a granularity override of 1 and of 16, and
-the mutant's own scenario once more after its overrides.  ``compare``
-reads A as the parent and B as the change, prints the counts and exits 1
-when B breaks one of these rules:
+(7,200 in all; one changed value, deleted key or added key each), then
+150 character edits per syscall template of a builtin for each seed (one
+character inserted, deleted or replaced; the character put in is a space,
+tab, newline, carriage return, ``/``, ``*``, a digit or a non-ASCII
+letter), and stores each mutant's outcome: the load error's pointer and
+message, the run error, or digests of the text and JSON reports; then the
+same for every loadable mutant under a granularity override of 1 and of
+16, and the mutant's own scenario once more after its overrides.
+``compare`` reads A as the parent and B as the change, prints the counts
+and exits 1 when B breaks one of these rules:
 
-- a load error of A is a load error of B at the same pointer;
+- a load error of A is a load error of B at the same pointer, and for a
+  template edit with the same message, so that a moved line or column
+  shows;
 - a report of A is B's report, byte for byte;
 - a run error of A is a load error of B, with a pointer into the mutant;
 - nothing that B loads raises while it runs, with or without an override;
@@ -36,16 +41,22 @@ SEEDS = (4, 5, 6, 7)
 PER_BUILTIN = 150
 GRANULARITIES = (1, 16)
 VALUES = (None, True, -1, 0, 1, 2, 3, 4097, "x", "buf", [], {})
+TEMPLATE_EDITS = 150
+EDIT_CHARS = (" ", "\t", "\n", "\r", "/", "*", "0", "7", "\u00e9", "\u03bb")
+
+
+def _builtins():
+    root = resources.files("partsan.scenarios")
+    names = sorted(e.name[:-5] for e in root.iterdir() if e.name.endswith(".json"))
+    return [(name, (root / f"{name}.json").read_text(encoding="utf-8")) for name in names]
 
 
 def mutants():
-    """Yield (id, document) for every mutant, in a fixed order."""
-    root = resources.files("partsan.scenarios")
-    names = sorted(e.name[:-5] for e in root.iterdir() if e.name.endswith(".json"))
+    """Yield (id, document) for every mutant, in a fixed order: the field
+    mutants, then the template edits."""
     for seed in SEEDS:
         rng = random.Random(seed)
-        for name in names:
-            text = (root / f"{name}.json").read_text(encoding="utf-8")
+        for name, text in _builtins():
             for i in range(PER_BUILTIN):
                 doc = json.loads(text)
                 container, key = rng.choice(list(_children(doc)))
@@ -57,6 +68,27 @@ def mutants():
                 else:
                     container[key] = rng.choice(VALUES)
                 yield f"{seed}/{name}/{i}", doc
+    yield from template_mutants()
+
+
+def template_mutants():
+    """Yield (id, document) for every template edit, in a fixed order."""
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for name, text in _builtins():
+            for j, template in enumerate(json.loads(text).get("syscalls", ())):
+                for i in range(TEMPLATE_EDITS):
+                    doc = json.loads(text)
+                    doc["syscalls"][j] = _edited(rng, template)
+                    yield f"{seed}/{name}/syscalls/{j}/{i}", doc
+
+
+def _edited(rng, template):
+    """``template`` with one character inserted, deleted or replaced."""
+    op = rng.choice(("insert", "delete", "replace"))
+    at = rng.randrange(len(template) + (op == "insert"))
+    put = "" if op == "delete" else rng.choice(EDIT_CHARS)
+    return template[:at] + put + template[at + (op != "insert") :]
 
 
 def _run(scenario):
@@ -118,6 +150,8 @@ def compare(parent_path, change_path):
             counts["load error kept"] += 1
             if new.get("load_error") != old["load_error"]:
                 failures.append((mutant_id, "load error moved", old, new))
+            elif "/syscalls/" in mutant_id and new["message"] != old["message"]:
+                failures.append((mutant_id, "template error message changed", old, new))
         elif "report" in old:
             if new.get("report") == old["report"]:
                 counts["report identical"] += 1

@@ -92,6 +92,22 @@ class ByteValidityMap:
                 self.valid[i] = False
                 self.kind[i] = None
 
+    def allocate(self, start, payload_len, redzone):
+        """One allocation from ``start``: ``redzone`` bytes of left redzone,
+        the payload, padded to whole granules, and ``redzone`` bytes of right
+        redzone, written as the three span operations above.  A span that is
+        not whole granules or does not fit changes nothing."""
+        if payload_len < 0 or redzone < 1:
+            raise OracleBoundsError(f"payload {payload_len}, redzone {redzone}")
+        if start % self.g != 0 or redzone % self.g != 0:
+            raise OracleEncodingError("allocation not in whole granules")
+        base = start + redzone
+        right = base + -(-payload_len // self.g) * self.g
+        self._span(start, right + redzone - start)
+        self.poison(start, redzone, "LEFT_REDZONE")
+        self.unpoison(base, payload_len)
+        self.poison(right, redzone, "RIGHT_REDZONE")
+
     def check(self, start, length):
         """None when fully addressable, else ('WILD'|'POISON', first bad byte)."""
         if length < 1:

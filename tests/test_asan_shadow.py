@@ -203,6 +203,32 @@ def test_check_access_wild_address_bounds():
         m.check_access(0, 0, AccessKind.READ)
 
 
+def test_write_allocation_writes_redzones_payload_and_partial_granule():
+    m = ShadowMap(1, 128, granularity=8)
+    m.poison(0, 128, PoisonKind.MANUAL_BLACKLIST)
+    m.write_allocation(16, 13, 16)
+    assert bytes(m.shadow[:10]) == bytes(
+        [0xFE, 0xFE, 0xF1, 0xF1, 0x00, 0x05, 0xF3, 0xF3, 0xFE, 0xFE]
+    )
+
+
+def test_write_allocation_rejects_with_nothing_written():
+    m = ShadowMap(1, 128, granularity=8)
+    m.poison(0, 128, PoisonKind.MANUAL_BLACKLIST)
+    before = bytes(m.shadow)
+    with pytest.raises(ConfigError):
+        m.write_allocation(96, 1, 16)  # needs [96, 136)
+    with pytest.raises(ConfigError):
+        m.write_allocation(16, 1, 0)
+    with pytest.raises(ConfigError):
+        m.write_allocation(16, -1, 8)
+    with pytest.raises(EncodingError):
+        m.write_allocation(12, 4, 8)
+    with pytest.raises(EncodingError):
+        m.write_allocation(16, 4, 12)
+    assert bytes(m.shadow) == before
+
+
 def test_check_access_is_pure_and_counts():
     m = ShadowMap(1, 64, granularity=8)
     m.poison(0, 64, PoisonKind.MANUAL_BLACKLIST)
@@ -224,6 +250,7 @@ def test_oracle_equivalence_dense_small_memory():
         )
         assert tally["check_pass"] + tally["check_fail"] > 300
         assert tally["poison"] > 100 and tally["unpoison"] > 100
+        assert tally["alloc"] > 50 and tally["alloc_err"] > 5
 
 
 @pytest.mark.parametrize("g", VALID_GRANULARITIES)

@@ -6,8 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from partsan.cli import main
-from partsan.scenario import builtin_names
+from partsan.errors import ConfigError
+from partsan.scenario import builtin_names, load_scenario_file
 
 FIXTURE = Path(__file__).parent / "data" / "thread_status_template.txt"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -58,6 +61,25 @@ def test_run_invalid_scenario_file_exits_2(tmp_path, capsys):
     path.write_text("{not json", encoding="utf-8")
     assert main(["run", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_files_that_are_not_utf8_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe")
+    for argv in (["run", str(path)], ["parse-template", str(path)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: not valid UTF-8: invalid start byte at byte 0 of {path}\n"
+
+
+def test_load_scenario_file_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    with pytest.raises(ConfigError) as err:
+        load_scenario_file(path)
+    assert err.value.message.startswith("not valid UTF-8: ")
+    assert err.value.path is None
 
 
 def test_run_invalid_granularity_exits_2(tmp_path, capsys):

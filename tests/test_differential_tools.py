@@ -58,6 +58,25 @@ def test_mutants_run_deterministically_and_never_raise_at_run_time():
     assert sum("report" in result for _, result in first) > 30
 
 
+def test_template_mutants_edit_one_character_and_most_fail_at_a_position():
+    first = list(islice(mutation_differential.template_mutants(), 150))
+    original = json.loads(
+        (SRC / "partsan" / "scenarios" / "uninit_syscall_param.json").read_text(encoding="utf-8")
+    )["syscalls"][0]
+    kinds = Counter()
+    for mutant_id, doc in first:
+        edited = doc["syscalls"][0]
+        assert abs(len(edited) - len(original)) <= 1, mutant_id
+        result = mutation_differential.outcome(doc)
+        assert "run_error" not in result, (mutant_id, result)
+        if "report" in result:
+            kinds["report"] += 1
+        elif result["message"].startswith("template does not parse: line "):
+            assert result["load_error"] == "/syscalls/0", (mutant_id, result)
+            kinds["parse error"] += 1
+    assert kinds["parse error"] > 75 and kinds["report"] > 10, kinds
+
+
 def test_shadow_replay_rebuilds_the_recorded_shadows(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads

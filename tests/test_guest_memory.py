@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from partsan.asan_shadow import PoisonKind
+from partsan.asan_shadow import VALID_GRANULARITIES, PoisonKind
 from partsan.errors import ConfigError
 from partsan.guest_memory import (
     DEFAULT_REDZONE,
@@ -13,6 +13,8 @@ from partsan.guest_memory import (
 )
 from partsan.msan_shadow import ReservedInitConfig
 from partsan.violations import AccessKind, UseSite, ViolationError
+
+from equivalence import run_allocation_layouts
 
 
 def make(size=512, **kw):
@@ -70,6 +72,13 @@ def test_redzone_kinds_left_and_right():
     assert left.kind == PoisonKind.LEFT_REDZONE.name
     right = mem.shadow.check_access(region.base + 16, 1, AccessKind.WRITE)
     assert right.kind == PoisonKind.RIGHT_REDZONE.name
+
+
+@pytest.mark.parametrize("g", VALID_GRANULARITIES)
+def test_one_write_allocation_matches_the_three_span_calls(g):
+    # redzones of 1 and 2 granules, payloads of 1 to 2g+1 bytes, on a fresh
+    # partition and after a reset
+    assert run_allocation_layouts(g, label="alloc") == 2 * 2 * (2 * g + 1)
 
 
 def test_regions_never_reuse_space():

@@ -150,6 +150,48 @@ def test_parse_errors_carry_line_and_column():
     _error_at("// plain comment\nsyscall_declare(int, f);", 1, 1)
     _error_at("syscall_declare(int, f)$", 1, 24)
     _error_at("//!POST: msan_check(a, 4);\nsyscall_declare(int, f, int, a);", 1, 10)
+    # line 3 or later
+    _error_at(
+        "//!USER_NAME: x\n//!PRE: msan_check(a, 4);\n"
+        "//!PRE: msan_check(a, sizeof(a)) extra\nsyscall_declare(int, f, int, a);",
+        3,
+        34,
+    )
+    _error_at(
+        "//!USER_NAME: x\n\n\n//!POST: msan_unpoison(a, 4);\n"
+        "syscall_declare(int, f, int, a, int, a);",
+        5,
+        38,
+    )
+    _error_at("syscall_declare(int, f,\n\tint, a\u00e9);", 2, 8)
+    # a tab is one column
+    _error_at("syscall_declare(int,\tf\t$);", 1, 24)
+    _error_at("\t//!PRE:\tmsan_check(a,\t0);\nsyscall_declare(int, f, int, a);", 1, 24)
+    # a carriage return is a column of its line, not a line break
+    _error_at("//!USER_NAME: x\r\n//!WRONG: y\r\nsyscall_declare(int, f);", 2, 4)
+    _error_at("//!USER_NAME: x\r\nsyscall_declare(int, f)\r\n;\r\nextra", 4, 1)
+    _error_at("//!USER_NAME: x\r\n\t// note\r\nsyscall_declare(int, f);", 2, 2)
+    # non-ASCII whitespace is one column and breaks no line
+    _error_at("syscall_declare(int,\u2003f\u2003$);", 1, 24)
+    _error_at("//!USER_NAME:\u2003\u2003x\u2003y\nsyscall_declare(int, f);", 1, 18)
+    _error_at("syscall_declare(int, f);\n\x0b\x0c\u2028\x85;", 2, 5)
+    # at the end of input, after a trailing newline
+    _error_at("syscall_declare(int, f\n", 2, 1)
+    _error_at("//!USER_NAME: x\n", 2, 1)
+    _error_at("\n\n", 3, 1)
+    _error_at("syscall_declare(int, f)\n /", 2, 2)
+    # in a //! line indented by spaces
+    _error_at("    //!WRONG: x\nsyscall_declare(int, f);", 1, 8)
+    _error_at(
+        "//!USER_NAME: x\n  //!PRE: msan_check(ghost, 4);\nsyscall_declare(int, f, int, a);",
+        2,
+        22,
+    )
+    _error_at(
+        "//!USER_NAME: x\n//!PRE: msan_check(a, 4);\n  /* c */ syscall_declare(int, f, int, a);",
+        3,
+        3,
+    )
 
 
 @pytest.mark.parametrize(
