@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
 
 from .errors import PartsanError
 from .harness import render_report, report_payload, run_scenario
@@ -61,9 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(name_or_path: str):
-    path = Path(name_or_path)
-    if path.exists():
-        return load_scenario_file(path)
+    if os.path.exists(name_or_path):
+        return load_scenario_file(name_or_path)
     return load_builtin(name_or_path.removesuffix(".json"))
 
 
@@ -74,30 +73,28 @@ def _cmd_run(args) -> int:
     report = run_scenario(scenario, seed=args.seed)
     text = render_report(report, args.report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.write(text)
     else:
         sys.stdout.write(text)
     return 0 if report.verdict == "MATCH" else 1
 
 
 def _cmd_run_all(args) -> int:
-    out_dir = None
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
     reports = []
     for name in builtin_names():
         report = run_scenario(load_builtin(name), seed=args.seed)
         reports.append(report)
-        if out_dir is not None:
+        if args.out:
             suffix = "txt" if args.report == "text" else "json"
-            (out_dir / f"{name}.{suffix}").write_text(
-                render_report(report, args.report), encoding="utf-8"
-            )
+            with open(os.path.join(args.out, f"{name}.{suffix}"), "w", encoding="utf-8") as out:
+                out.write(render_report(report, args.report))
             sys.stdout.write(f"{name}: {report.verdict}\n")
         elif args.report == "text":
             sys.stdout.write(render_report(report, "text"))
-    if out_dir is None and args.report == "json":
+    if not args.out and args.report == "json":
         payload = {"reports": [report_payload(r) for r in reports]}
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if all(r.verdict == "MATCH" for r in reports) else 1

@@ -41,6 +41,12 @@ DEFAULT_REDZONE = 16
 #: built and run.
 MEMORY_CAP = 1 << 24
 
+#: Partitions of at least this many bytes get a private anonymous mapping,
+#: zero-filled by the kernel page by page on first touch; smaller ones get
+#: a bytearray.  It is glibc's default mmap threshold: at or above it malloc
+#: maps fresh pages anyway, and a bytearray then zeroes every one of them.
+LAZY_ZERO_MIN = 128 << 10
+
 
 class Region(NamedTuple):
     """One allocation.  ``span`` covers left redzone, payload, alignment pad
@@ -125,7 +131,15 @@ class Layout:
 
 class PartitionMemory:
     """Byte space and shadow maps of one partition, allocated by its Layout.
-    ``origins`` is the origin table its ``InitShadow`` shares, if any."""
+    ``origins`` is the origin table its ``InitShadow`` shares, if any.
+
+    The byte space ``data`` is a ``bytearray`` below ``LAZY_ZERO_MIN`` bytes
+    and a private anonymous ``mmap`` from there up, as the ASan and MSan
+    runtimes map their shadow and heap: a build then costs no zeroing, and
+    a run pays a page fault only for each page it touches.  Mapping every
+    partition would cost one system call pair per small partition, which
+    a bytearray from the heap does not.
+    """
 
     def __init__(
         self,
@@ -139,7 +153,12 @@ class PartitionMemory:
         self.layout = Layout(partition_id, size_bytes, granularity, redzone)
         self.partition_id = partition_id
         self.size_bytes = size_bytes
-        self.data = bytearray(size_bytes)
+        if size_bytes >= LAZY_ZERO_MIN:
+            import mmap  # only large partitions need it, so start-up does not
+
+            self.data = mmap.mmap(-1, size_bytes, access=mmap.ACCESS_COPY)
+        else:
+            self.data = bytearray(size_bytes)
         self.shadow = ShadowMap(partition_id, size_bytes, granularity)
         self.init_shadow = InitShadow(partition_id, size_bytes, origins)
         self.reserved_init = reserved_init or ReservedInitConfig()
@@ -154,7 +173,7 @@ class PartitionMemory:
     def reset_partition(self) -> None:
         """Cold restart: back to INIT, all previous allocations invalidated.
 
-        Old region contents stay in the byte array (the simulator does not
+        Old region contents stay in the byte space (the simulator does not
         scrub), but every access to them now reports PARTITION_RESET.
         """
         self.layout.reset()

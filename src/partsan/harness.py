@@ -341,15 +341,15 @@ class Simulator:
         src = fields["src_at"]
         dst = fields["dst_at"]
         length = fields["len"]
-        try:
-            data = mem.checked_read(src, length)
+        violation = mem.check_access(src, length, AccessKind.READ)
+        if violation is None:
             violation = mem.check_access(dst, length, AccessKind.WRITE)
-            if violation is not None:
-                raise ViolationError(violation)
-        except ViolationError as exc:
-            self._log(exc.violation)
+        if violation is not None:
+            self._log(violation)
             return
-        mem.data[dst : dst + length] = data
+        # one move within the byte space; overlapping spans copy as memmove does
+        view = memoryview(mem.data)
+        view[dst : dst + length] = view[src : src + length]
         # initialization state travels with the bytes, unchecked
         copy_propagate(mem.init_shadow, src, dst, length)
 

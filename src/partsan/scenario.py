@@ -10,10 +10,10 @@ pointer to the offending element so authoring mistakes are cheap to find.
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -871,7 +871,8 @@ def read_utf8(path) -> str:
     """The text of the file at ``path``; bytes that are not UTF-8 are a
     ConfigError, as text that is not JSON is."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"not valid UTF-8: {exc.reason} at byte {exc.start} of {path}") from None
 
@@ -884,17 +885,19 @@ def load_scenario_file(path) -> Scenario:
 
 
 #: The builtin scenarios, shipped as package data beside this module.
-_BUILTINS = Path(__file__).parent / "scenarios"
+_BUILTINS = os.path.join(os.path.dirname(__file__), "scenarios")
 
 
 def builtin_names() -> list[str]:
-    return sorted(entry.stem for entry in _BUILTINS.glob("*.json"))
+    return sorted(entry[:-5] for entry in os.listdir(_BUILTINS) if entry.endswith(".json"))
 
 
 def load_builtin(name: str) -> Scenario:
-    entry = _BUILTINS / f"{name}.json"
-    if not entry.is_file():
+    entry = os.path.join(_BUILTINS, f"{name}.json")
+    if not os.path.isfile(entry):
         raise ConfigError(
             f"no builtin scenario '{name}'; available: {', '.join(builtin_names())}"
         )
-    return load_scenario_text(entry.read_text(encoding="utf-8"))
+    with open(entry, encoding="utf-8") as file:
+        text = file.read()
+    return load_scenario_text(text)

@@ -189,8 +189,9 @@ def test_module_entry_point_runs():
     assert result.stdout.splitlines() == builtin_names()
 
 
-def test_cli_import_leaves_out_dataclasses_inspect_and_resources():
-    """Start-up imports no module that only generates or locates code."""
+def test_cli_import_leaves_out_modules_it_never_uses():
+    """Start-up imports no module that only generates or locates code, no
+    path or URL machinery, and no mmap, which only large partitions need."""
     result = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, partsan.cli; print(*sorted(sys.modules))"],
         env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -200,4 +201,13 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_resources():
     )
     loaded = set(result.stdout.split())
     assert "partsan.cli" in loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect", "importlib.resources"})
+    unused = {
+        "pathlib",
+        "urllib.parse",
+        "ipaddress",
+        "mmap",
+        "dataclasses",
+        "inspect",
+        "importlib.resources",
+    }
+    assert loaded.isdisjoint(unused), sorted(loaded & unused)

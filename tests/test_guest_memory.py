@@ -1,5 +1,6 @@
 """Partition memory lifecycle, allocation layout and checked accesses."""
 
+import mmap
 import tracemalloc
 
 import pytest
@@ -8,10 +9,13 @@ from partsan.asan_shadow import VALID_GRANULARITIES, PoisonKind
 from partsan.errors import ConfigError
 from partsan.guest_memory import (
     DEFAULT_REDZONE,
+    LAZY_ZERO_MIN,
     NULL_GUARD,
     PartitionMemory,
 )
+from partsan.harness import Simulator
 from partsan.msan_shadow import ReservedInitConfig
+from partsan.scenario import load_scenario
 from partsan.violations import AccessKind, UseSite, ViolationError
 
 from equivalence import run_allocation_layouts
@@ -206,9 +210,11 @@ def test_region_lookup_errors():
 
 
 def test_mebibyte_partition_builds_in_bounded_memory():
-    # byte space 1 MiB and validity shadow 1/8 MiB, plus the shadow's fill
-    # temporary: about 1.4 MiB, since the initialization shadow keeps
-    # nothing per byte; a reset refills the validity shadow in place
+    # validity shadow 1/8 MiB plus the shadow's fill temporaries: about
+    # 0.4 MiB, since the byte space is a mapping that tracemalloc does not
+    # see (the bound would admit a 1 MiB bytearray too) and the
+    # initialization shadow keeps nothing per byte; a reset refills the
+    # validity shadow in place
     tracemalloc.start()
     try:
         mem = PartitionMemory(1, 1 << 20)
@@ -220,3 +226,125 @@ def test_mebibyte_partition_builds_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 1.75 * (1 << 20)
     assert reset_peak < 1.75 * (1 << 20)
+
+
+# -- byte space: a bytearray below LAZY_ZERO_MIN, a private mapping from there up
+
+#: a small partition keeps a bytearray, a mebibyte one is mapped
+SIZES = pytest.mark.parametrize("size", [4 << 10, 1 << 20], ids=["4KiB", "1MiB"])
+
+
+def whole(size):
+    """The payload length of one region that fills a partition of ``size``."""
+    return size - NULL_GUARD - 2 * DEFAULT_REDZONE
+
+
+def simulate(size, workload, partitions=1, ports=()):
+    """Runs ``workload`` on partitions 1.. of ``size`` bytes, each with one
+    region ``buf`` that fills it; returns the simulator and its report."""
+    data = {
+        "name": "mapped",
+        "partitions": [
+            {"id": pid, "memory_size": size, "regions": [{"label": "buf", "size": whole(size)}]}
+            for pid in range(1, partitions + 1)
+        ],
+        "ports": list(ports),
+        "workload": workload,
+    }
+    sim = Simulator(load_scenario(data))
+    return sim, sim.run()
+
+
+@pytest.mark.parametrize(
+    "size", [4 << 10, LAZY_ZERO_MIN - 8, LAZY_ZERO_MIN, 1 << 20]
+)
+def test_byte_space_is_mapped_from_the_lazy_zero_size_up(size):
+    mem = make(size)
+    assert type(mem.data) is (mmap.mmap if size >= LAZY_ZERO_MIN else bytearray)
+    assert len(mem.data) == size
+
+
+@SIZES
+def test_bytes_never_written_read_as_zero(size):
+    mem = make(size)
+    region = mem.alloc_region(whole(size), "all")
+    assert mem.checked_read(region.base, region.payload_len) == bytes(whole(size))
+    assert mem.data[:] == bytes(size)
+
+
+@SIZES
+def test_write_at_the_last_addressable_byte(size):
+    mem = make(size)
+    region = mem.alloc_region(whole(size), "all")
+    last = region.payload_end - 1
+    assert last == size - DEFAULT_REDZONE - 1
+    mem.checked_write(last, b"\xab")
+    assert mem.checked_read(last, 1) == b"\xab"
+    assert mem.data[last - 1 :] == b"\x00\xab" + bytes(DEFAULT_REDZONE)
+    assert mem.init_shadow.is_initialized(last)
+    with pytest.raises(ViolationError) as err:
+        mem.checked_write(last + 1, b"\xcd")
+    assert err.value.violation.kind == PoisonKind.RIGHT_REDZONE.name
+    assert mem.data[last + 1] == 0
+
+
+@SIZES
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_overlapping_copy_moves_bytes_as_memmove_does(size, direction):
+    # eight chunks of distinct fills, then one COPY over half the region
+    # whose source and destination overlap by three quarters of it
+    n = whole(size) // 2
+    chunk = whole(size) // 8
+    base = NULL_GUARD + DEFAULT_REDZONE
+    src, dst = (0, n // 4) if direction == "forward" else (n // 4, 0)
+    workload = [
+        {"op": "WRITE", "partition": 1, "region": "buf", "offset": i * chunk,
+         "fill": 0x11 * (i + 1), "len": chunk}
+        for i in range(8)
+    ]
+    workload.append({"op": "COPY", "partition": 1, "src_region": "buf", "src_offset": src,
+                     "dst_region": "buf", "dst_offset": dst, "len": n})
+    sim, report = simulate(size, workload)
+    assert report.violations == ()
+    oracle = bytearray(size)
+    for i in range(8):
+        start = base + i * chunk
+        oracle[start : start + chunk] = bytes([0x11 * (i + 1)]) * chunk
+    moved = bytes(oracle[base + src : base + src + n])
+    oracle[base + dst : base + dst + n] = moved
+    assert sim.partitions[1].data[:] == bytes(oracle)
+
+
+@SIZES
+def test_reset_keeps_the_bytes_but_reports_partition_reset(size):
+    at = NULL_GUARD + DEFAULT_REDZONE + whole(size) - 64
+    workload = [
+        {"op": "WRITE", "partition": 1, "offset": at, "fill": 0x5A, "len": 64},
+        {"op": "RESET_PARTITION", "partition": 1},
+        {"op": "READ", "partition": 1, "offset": at, "len": 64},
+    ]
+    sim, report = simulate(size, workload)
+    assert [(v.kind, v.offset, v.step) for v in report.violations] == [
+        (PoisonKind.PARTITION_RESET.name, at, 2)
+    ]
+    assert sim.partitions[1].data[at : at + 64] == b"\x5a" * 64
+
+
+@SIZES
+def test_send_from_and_receive_into_a_partition_deliver_the_payload(size):
+    offset = whole(size) - 8  # the last eight bytes of each region
+    port = {"name": "q", "kind": "queueing", "source": 1, "destination": 2,
+            "max_message_size": 8, "capacity": 1}
+    workload = [
+        {"op": "WRITE", "partition": 1, "region": "buf", "offset": offset,
+         "data": "0102030405060708"},
+        {"op": "SEND", "partition": 1, "port": "q", "region": "buf", "offset": offset, "len": 8},
+        {"op": "RECEIVE", "partition": 2, "port": "q", "region": "buf", "offset": offset,
+         "expect": "0102030405060708"},
+    ]
+    sim, report = simulate(size, workload, partitions=2, ports=[port])
+    assert report.violations == () and report.verdict == "MATCH"
+    at = NULL_GUARD + DEFAULT_REDZONE + offset
+    mem = sim.partitions[2]
+    assert mem.data[at : at + 8] == bytes(range(1, 9))
+    assert mem.init_shadow.check(at, 8, UseSite.BRANCH) is None

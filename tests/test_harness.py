@@ -528,6 +528,33 @@ def test_checks_are_charged_to_the_step_that_made_them():
     # (on partition 2), ARITH 1 asan + 1 msan + 1 ub
     assert report.raw_ticks == (1 + 1) + (1 + 1 + 10) + (1 + 1) + (1 + 1 + 10 + 100) == 128
 
+    # COPY checks its source, then its destination only if the source passed:
+    # base 1 plus one asan check per span checked, and no msan check
+    copies = [
+        ({"src_offset": 0, "dst_region": "buf", "dst_offset": 4}, 1 + 2, None),
+        # the destination (the null guard) is bad too, but never checked
+        ({"src_offset": 6, "dst_offset": 0}, 1 + 1, "R"),
+        ({"src_offset": 0, "dst_region": "buf", "dst_offset": 6}, 1 + 2, "W"),
+    ]
+    for fields, ticks, access in copies:
+        data["workload"] = [
+            {"op": "COPY", "partition": 1, "src_region": "buf", "len": 4, **fields}
+        ]
+        report = run_scenario(load_scenario(data))
+        assert report.raw_ticks == ticks
+        expected = () if access is None else (
+            Violation(
+                kind="RIGHT_REDZONE",
+                partition=1,
+                offset=40,
+                size=4,
+                access=access,
+                step=0,
+                detail="right redzone of region 'buf'",
+            ),
+        )
+        assert report.violations == expected
+
 
 def test_clean_workloads_stay_clean():
     """Soundness sweep: randomly generated fault-free programs must never
