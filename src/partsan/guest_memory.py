@@ -217,7 +217,8 @@ class PartitionMemory:
             return violation
         return violation._replace(detail=poison_detail(violation.kind, region.label))
 
-    def _check(self, offset: int, length: int, access: AccessKind) -> None:
+    def require_access(self, offset: int, length: int, access: AccessKind) -> None:
+        """``check_access``, with a finding raised as a ViolationError."""
         violation = self.shadow.check_access(offset, length, access)
         if violation is not None:
             raise ViolationError(self._named(violation))
@@ -225,7 +226,7 @@ class PartitionMemory:
     def checked_read(self, offset: int, length: int) -> bytes:
         """Read with address validation.  Reads never require or affect
         initialization state; only uses are checked for that."""
-        self._check(offset, length, AccessKind.READ)
+        self.require_access(offset, length, AccessKind.READ)
         return bytes(self.data[offset : offset + length])
 
     def checked_write(self, offset: int, data: bytes, origin: str = "write") -> None:
@@ -233,7 +234,7 @@ class PartitionMemory:
         payload is exactly the reserved-init fill pattern."""
         if len(data) < 1:
             raise ConfigError("write payload must be non-empty")
-        self._check(offset, len(data), AccessKind.WRITE)
+        self.require_access(offset, len(data), AccessKind.WRITE)
         self.data[offset : offset + len(data)] = data
         if not self.reserved_init.masks_write(data):
             self.init_shadow.mark_initialized(offset, len(data), origin, force=True)

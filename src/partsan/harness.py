@@ -2,7 +2,10 @@
 
 Execution is report-and-continue: a guest fault (redzone hit, uninitialized
 use, arithmetic trap, port fault, contract mismatch) aborts only the
-operation that caused it, gets recorded, and the run proceeds.  Scenario
+operation that caused it, gets recorded, and the run proceeds.  A fault
+raised as a ViolationError aborts its op and is logged in one place, the
+step loop of ``Simulator.run``; a violation a checker returns is left to the
+op, which logs it and goes on or stops as that op requires.  Scenario
 authoring mistakes (unknown regions, allocation after start, out of
 memory) fail at load instead, so a loaded scenario runs to completion.
 
@@ -247,7 +250,10 @@ class Simulator:
                 self._ub_checks_this_step = 0
                 if model.virtual_now >= redispatch[pid] and mem.layout.started:
                     self._dispatch(pid)
-                executors[op](self, step, mem)
+                try:
+                    executors[op](self, step, mem)
+                except ViolationError as exc:  # the op aborted; the step is still charged
+                    self._log(exc.violation)
                 advance(
                     base_step,
                     shadow.checks_performed - asan_before,
@@ -326,27 +332,17 @@ class Simulator:
 
     def _op_write(self, fields: dict, mem: PartitionMemory) -> None:
         data = fields.get("data") or bytes([fields["fill"]]) * fields["len"]
-        try:
-            mem.checked_write(fields["at"], data, origin=f"step:{self._step_index}")
-        except ViolationError as exc:
-            self._log(exc.violation)
+        mem.checked_write(fields["at"], data, origin=f"step:{self._step_index}")
 
     def _op_read(self, fields: dict, mem: PartitionMemory) -> None:
-        try:
-            mem.checked_read(fields["at"], fields["len"])
-        except ViolationError as exc:
-            self._log(exc.violation)
+        mem.checked_read(fields["at"], fields["len"])
 
     def _op_copy(self, fields: dict, mem: PartitionMemory) -> None:
         src = fields["src_at"]
         dst = fields["dst_at"]
         length = fields["len"]
-        violation = mem.check_access(src, length, AccessKind.READ)
-        if violation is None:
-            violation = mem.check_access(dst, length, AccessKind.WRITE)
-        if violation is not None:
-            self._log(violation)
-            return
+        mem.require_access(src, length, AccessKind.READ)
+        mem.require_access(dst, length, AccessKind.WRITE)
         # one move within the byte space; overlapping spans copy as memmove does
         view = memoryview(mem.data)
         view[dst : dst + length] = view[src : src + length]
@@ -369,8 +365,7 @@ class Simulator:
         self._use(mem, fields["at"], fields["len"], UseSite.BRANCH)
 
     def _op_unpoison_padding(self, fields: dict, mem: PartitionMemory) -> None:
-        base = mem.layout.regions[fields["region"]].base
-        unpoison_padding(mem.init_shadow, self.scenario.padding[fields["type"]], base)
+        unpoison_padding(mem.init_shadow, self.scenario.padding[fields["type"]], fields["at"])
 
     # -- checked arithmetic ops --------------------------------------------------
 
@@ -471,26 +466,15 @@ class Simulator:
 
     # -- ports ----------------------------------------------------------------------
 
-    def _transmit(self, fields: dict, mem: PartitionMemory, port_method) -> None:
-        """Queueing send or sampling write of ``len`` bytes at the step's location."""
-        try:
-            port_method(mem, fields["at"], fields["len"], self.model.virtual_now)
-        except ViolationError as exc:
-            self._log(exc.violation)
-
     def _op_send(self, fields: dict, mem: PartitionMemory) -> None:
-        self._transmit(fields, mem, self.ports[fields["port"]].send)
+        self.ports[fields["port"]].send(mem, fields["at"], fields["len"], self.model.virtual_now)
 
     def _op_sampling_write(self, fields: dict, mem: PartitionMemory) -> None:
-        self._transmit(fields, mem, self.ports[fields["port"]].write)
+        self.ports[fields["port"]].write(mem, fields["at"], fields["len"], self.model.virtual_now)
 
     def _op_receive(self, fields: dict, mem: PartitionMemory) -> None:
         port = self.ports[fields["port"]]
-        try:
-            result = port.receive(mem, fields["at"], self.model.virtual_now)
-        except ViolationError as exc:
-            self._log(exc.violation)
-            return
+        result = port.receive(mem, fields["at"], self.model.virtual_now)
         expected = fields.get("expect")
         if result is None:
             self._event("PORT_EMPTY", part=fields["partition"], port=fields["port"])
@@ -512,11 +496,7 @@ class Simulator:
 
     def _op_sampling_read(self, fields: dict, mem: PartitionMemory) -> None:
         port = self.ports[fields["port"]]
-        try:
-            result = port.read(mem, fields["at"], self.model.virtual_now)
-        except ViolationError as exc:
-            self._log(exc.violation)
-            return
+        result = port.read(mem, fields["at"], self.model.virtual_now)
         validity = "EMPTY" if result is None else result.validity.value
         info = {"part": fields["partition"], "port": fields["port"], "validity": validity}
         if result is not None:

@@ -117,19 +117,20 @@ class InitShadow:
 
     # -- state transitions ----------------------------------------------------
 
-    def _fill(self, start: int, end: int, state: int, oid: int) -> None:
-        """Set every byte of [start, end) to ``state`` (1 = initialized) and
-        origin ``oid``: the flips in the span give way to at most one at
-        each end, the runs that start in it to one."""
+    def _splice(self, start: int, end: int, first: int, flips, last: int, starts, ids) -> None:
+        """Replace the state and the origin runs over [start, end): the
+        state is ``first`` (1 = initialized) at ``start``, flips at each of
+        the offsets in the tuple ``flips`` inside the span and is ``last`` on
+        its last byte; runs begin at each of ``starts``, the first at
+        ``start``, with ``ids``."""
         edges = self._edges
         lo = bisect_left(edges, start)
         hi = bisect(edges, end, lo)
         # lo & 1 is the state of the byte before the span, hi & 1 that of
         # the byte at ``end``
-        flips = (start,) if lo & 1 != state else ()
-        if end < self.size and hi & 1 != state:
-            flips += (end,)
-        edges[lo:hi] = flips
+        head = (start,) if lo & 1 != first else ()
+        tail = (end,) if end < self.size and hi & 1 != last else ()
+        edges[lo:hi] = head + flips + tail
         runs, run_ids = self._starts, self._ids
         lo = bisect_left(runs, start)
         hi = bisect_left(runs, end, lo)
@@ -137,12 +138,12 @@ class InitShadow:
             # the bytes from ``end`` on keep the id of the run they were in
             runs.insert(hi, end)
             run_ids.insert(hi, run_ids[hi - 1])
-        runs[lo:hi] = (start,)
-        run_ids[lo:hi] = (oid,)
+        runs[lo:hi] = starts
+        run_ids[lo:hi] = ids
 
     def set_uninitialized(self, start: int, length: int, origin: str | None = None) -> None:
         """Mark a span uninitialized, tagged with the allocation's origin."""
-        self._fill(start, self._span(start, length), 0, self._intern(origin))
+        self._splice(start, self._span(start, length), 0, (), 0, (start,), (self._intern(origin),))
 
     def mark_initialized(
         self, start: int, length: int, origin: str | None, force: bool = True
@@ -159,7 +160,7 @@ class InitShadow:
             self._span(start, length)
         oid = self._intern(origin)
         if force:
-            self._fill(start, end, 1, oid)
+            self._splice(start, end, 1, (), 1, (start,), (oid,))
             return
         # fill each uninitialized segment: the span's flips cut it into
         # segments that alternate from the state at ``start``
@@ -168,7 +169,7 @@ class InitShadow:
         bounds = [start, *edges[i : bisect_left(edges, end, i)], end]
         first = i & 1
         for a, b in zip(bounds[first::2], bounds[first + 1 :: 2]):
-            self._fill(a, b, 1, oid)
+            self._splice(a, b, 1, (), 1, (a,), (oid,))
 
     # -- queries ----------------------------------------------------------------
 
@@ -255,33 +256,16 @@ class InitShadow:
         table, src_start, inner, ids = labels
         if table is not self._origin_table:
             ids = [self._intern(table[oid]) for oid in ids]
-        runs, run_ids = self._starts, self._ids
-        lo = bisect_left(runs, start)
-        hi = bisect_left(runs, end, lo)
-        if end < self.size and (hi == len(runs) or runs[hi] != end):
-            # as in ``_fill``
-            runs.insert(hi, end)
-            run_ids.insert(hi, run_ids[hi - 1])
-        if inner:
-            runs[lo:hi] = [start, *map((start - src_start).__add__, inner)]
-        else:
-            runs[lo:hi] = (start,)
-        run_ids[lo:hi] = ids
-        # as in ``_fill``, with the flips that ``bits`` holds
-        edges = self._edges
-        lo = bisect_left(edges, start)
-        hi = bisect(edges, end, lo)
-        state = bits[0]
-        flips = [start] if lo & 1 != state else []
+        first = state = bits[0]
+        flips = []
         find = bits.find
         k = find(state ^ 1)
         while k >= 0:
             flips.append(start + k)
             state ^= 1
             k = find(state ^ 1, k)
-        if end < self.size and hi & 1 != state:
-            flips.append(end)
-        edges[lo:hi] = flips
+        starts = [start, *map((start - src_start).__add__, inner)] if inner else (start,)
+        self._splice(start, end, first, tuple(flips), state, starts, ids)
 
 
 def copy_propagate(

@@ -67,9 +67,7 @@ def _collect_message(
     init_violation = mem.init_shadow.check(offset, length, UseSite.PORT_SEND)
     if init_violation is not None:
         raise ViolationError(init_violation)
-    addr_violation = mem.check_access(offset, length, AccessKind.READ)
-    if addr_violation is not None:
-        raise ViolationError(addr_violation)
+    mem.require_access(offset, length, AccessKind.READ)
     init_bits, origin_labels = mem.init_shadow.snapshot(offset, length)
     return Message(
         payload=memoryview(mem.data)[offset : offset + length].tobytes(),
@@ -86,9 +84,7 @@ def _deliver(mem: PartitionMemory, offset: int, msg: Message) -> None:
     write semantics), so origin labels cross the partition boundary intact.
     """
     length = len(msg.payload)
-    violation = mem.check_access(offset, length, AccessKind.WRITE)
-    if violation is not None:
-        raise ViolationError(violation)
+    mem.require_access(offset, length, AccessKind.WRITE)
     mem.data[offset : offset + length] = msg.payload
     mem.init_shadow.apply_snapshot(offset, msg.init_bits, msg.origin_labels)
 

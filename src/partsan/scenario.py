@@ -146,6 +146,8 @@ def _as_int(value, minimum: int | None = None) -> int:
         raise ConfigError(f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"expected an integer >= {minimum}, got {value}")
+    if not -(2**64) < value < 2**64:  # APEX times are 64-bit, and every u64 value fits
+        raise ConfigError("expected an integer of magnitude below 2**64")
     return value
 
 
@@ -501,7 +503,7 @@ def _operand(value):
     if isinstance(value, dict):
         return _OPERAND.load(value)
     if isinstance(value, int) and not isinstance(value, bool):
-        return value
+        return _as_int(value)
     raise ConfigError("operand must be an integer or a memory reference")
 
 
@@ -839,11 +841,11 @@ def _check_workload(scenario: Scenario) -> None:
             if caller != "main" and (pid, caller) not in processes:
                 raise ConfigError(f"partition {pid} has no process {caller}", "/caller")
         elif op == "UNPOISON_PADDING":
-            region_base = base(layout, fields)
+            fields["at"] = base(layout, fields)
             if fields["type"] not in scenario.padding:
                 raise ConfigError(f"no padding declaration for type '{fields['type']}'", "/type")
             for off, ln in scenario.padding[fields["type"]]:
-                _at("type", span, layout, region_base + off, ln)
+                _at("type", span, layout, fields["at"] + off, ln)
         elif op == "SYSCALL":
             bindings = fields["bindings"]
             for param, binding in bindings.items():
@@ -862,7 +864,8 @@ def _check_workload(scenario: Scenario) -> None:
 def load_scenario_text(text: str) -> Scenario:
     try:
         data = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+    # a JSONDecodeError, an integer too long to convert, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"not valid JSON: {exc}") from None
     return load_scenario(data)
 

@@ -33,22 +33,28 @@ MAIN_CONTEXT = _MainContext()
 
 
 def to_fraction(value) -> Fraction:
-    """Accept int, Fraction, float or '3/2'-style strings; anything else
+    """Accept int, Fraction, float or '3/2'-style strings; anything else,
+    or a ratio whose numerator or denominator reaches 2**64 in magnitude,
     is a ConfigError.  A Fraction is returned as it is.  A string with an
     exponent is read as a float, as a JSON number is:
     ``Fraction("1e1000000")`` would build 10**1000000."""
     if type(value) is Fraction:
         return value
+    ratio = None
     try:
         if isinstance(value, str) and "e" in value.lower():
             value = float(value)
         if isinstance(value, float):
-            return Fraction(str(value))
-        if not isinstance(value, bool):  # a JSON true or false is no ratio
-            return Fraction(value)
+            ratio = Fraction(str(value))
+        elif not isinstance(value, bool):  # a JSON true or false is no ratio
+            ratio = Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError):
         pass
-    raise ConfigError(f"not a number or 'p/q' ratio: {value!r}")
+    if ratio is None:
+        raise ConfigError(f"not a number or 'p/q' ratio: {value!r}")
+    if not -(2**64) < ratio.numerator < 2**64 or ratio.denominator >= 2**64:
+        raise ConfigError("ratio terms must be below 2**64 in magnitude")
+    return ratio
 
 
 def parse_slowdown(value) -> Fraction:

@@ -3,8 +3,9 @@
 A violation is a finding about the simulated guest, not a failure of the
 simulator.  Checkers either return a :class:`Violation` (pure query APIs)
 or raise :class:`ViolationError` around one (mutating entry points, so that
-the faulting operation has no side effects).  The harness catches the wrapper,
-logs the record and continues the run.
+the faulting operation has no side effects).  A raised one aborts its op and
+is logged only by ``Simulator.run``, which then goes on with the next step; a
+returned one is left to the op, which logs it and decides how to go on.
 """
 
 from __future__ import annotations

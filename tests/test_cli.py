@@ -73,6 +73,35 @@ def test_files_that_are_not_utf8_exit_2(tmp_path, capsys):
         assert err == f"error: not valid UTF-8: invalid start byte at byte 0 of {path}\n"
 
 
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    """Nesting past the decoder's recursion limit is text that is not JSON
+    to the loader, not a RecursionError traceback (exit 1, the MISMATCH
+    code)."""
+    path = tmp_path / "deep.json"
+    for text in ("[" * 100_000, '{"a":' * 100_000):
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: not valid JSON: maximum recursion depth exceeded")
+
+
+def test_integers_past_64_bits_exit_2_before_the_run(tmp_path, capsys):
+    """Each value loads below Python's 4,300-digit int-to-str limit, but
+    their total would not render; the loader rejects the first one."""
+    ticks = int("9" * 4300)
+    cases = [
+        ({"workload": [{"op": "IDLE", "ticks": ticks}] * 3}, "/workload/0/ticks"),
+        ({"time": {"slowdown_factor": f"{2**64}/3"}}, "/time/slowdown_factor"),
+    ]
+    for fields, pointer in cases:
+        path = _write_scenario(tmp_path, {"name": "huge", **fields})
+        assert main(["run", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {pointer}: ")
+
+
 def test_load_scenario_file_rejects_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_bytes(b'{"name": "caf\xe9"}')

@@ -1,8 +1,8 @@
 """The seeded scenario generators of ``schedule_differential.py`` and
 ``mutation_differential.py`` keep producing scenarios that load and run, so
 that comparing two versions with them keeps meaning something;
-``shadow_replay.py`` replays what it records; and ``startup.py`` times
-fresh interpreters."""
+``shadow_replay.py`` replays what it records; ``startup.py`` times fresh
+interpreters; and ``trace_counts.py`` tells two traced runs' counts apart."""
 
 import json
 from collections import Counter
@@ -13,6 +13,7 @@ import mutation_differential
 import schedule_differential
 import shadow_replay
 import startup
+import trace_counts
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -99,3 +100,34 @@ def test_startup_times_each_command_and_module():
     assert set(startup.summary(best)["warm"]) == {"import", "run_all"}
     for label in "AB":
         assert {"partsan", "partsan.cli", "partsan.scenario"} <= modules[label].keys()
+
+
+def _traced_run(path, metrics):
+    """A file like the stdout of ``perfbench/run.py --trace 1``."""
+    summary = {"correct": True, "attempted": 3, "failed": 0, "metrics": {
+        name: {"value": value, "unit": unit} for name, (value, unit) in metrics.items()}}
+    path.write_text(f"workload w, seed 1, traced\n  some table\n{json.dumps(summary)}\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+def test_trace_counts_reports_each_count_that_differs_and_no_time(tmp_path, capsys):
+    parent = {"a.calls": (3, "count"), "a.self_s": (0.25, "s"), "a.bytes": (64, "B"),
+              "share": (0.5, "ratio"), "harness.raw_ticks": (10, "ticks")}
+    a = _traced_run(tmp_path / "a.txt", parent)
+    same = _traced_run(tmp_path / "b.txt", {**parent, "a.self_s": (0.5, "s")})
+    assert trace_counts.main([a, same]) == 0
+    assert capsys.readouterr().out == "4 non-timing metrics, 0 differ\n"
+
+    changed = {**parent, "a.bytes": (65, "B"), "share": (0.25, "ratio"), "new": (1, "count")}
+    del changed["harness.raw_ticks"]
+    b = _traced_run(tmp_path / "c.txt", changed)
+    assert trace_counts.main([a, b]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a.bytes: 64 -> 65 B",
+        "share: 0.5 -> 0.25 ratio",
+        "harness.raw_ticks: 10 -> None ticks",
+        "new: None -> 1 count",
+        "5 non-timing metrics, 4 differ",
+    ]
+    assert trace_counts.main([a]) == 2

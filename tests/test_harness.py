@@ -628,6 +628,117 @@ def test_report_dataclass_shape():
     assert run_scenario(load_scenario({"name": "empty"}), seed=9).seed == 9
 
 
+# -- aborted ops --------------------------------------------------------------------
+
+
+#: Each kind of op that aborts on a fault, faulting once, between the clean
+#: steps that give the faults something to leave alone.  Partition 1 sends
+#: on both ports; partition 2 receives into ``inbox``, whose last two bytes
+#: lie before its right redzone.
+_ABORTS = {
+    "name": "aborts",
+    "partitions": [
+        {"id": 1, "regions": [{"label": "buf", "size": 8}, {"label": "dst", "size": 8}]},
+        {"id": 2, "regions": [{"label": "inbox", "size": 8}]},
+    ],
+    "ports": [
+        {"name": "q", "kind": "queueing", "source": 1, "destination": 2,
+         "max_message_size": 4, "capacity": 1},
+        {"name": "s", "kind": "sampling", "source": 1, "destination": 2,
+         "max_message_size": 4, "refresh_period": 10},
+    ],
+    "workload": [
+        {"op": "WRITE", "partition": 1, "region": "buf", "data": "01020304"},
+        {"op": "WRITE", "partition": 1, "region": "dst", "data": "a1a2a3a4a5a6a7a8"},
+        {"op": "WRITE", "partition": 1, "region": "buf", "offset": 6, "data": "ffffffff"},
+        {"op": "READ", "partition": 1, "region": "buf", "offset": 6, "len": 4},
+        {"op": "COPY", "partition": 1, "src_region": "buf", "src_offset": 6,
+         "dst_region": "dst", "len": 4},
+        {"op": "COPY", "partition": 1, "src_region": "buf", "dst_region": "dst",
+         "dst_offset": 6, "len": 4},
+        {"op": "SEND", "partition": 1, "port": "q", "region": "buf", "len": 5},
+        {"op": "SEND", "partition": 1, "port": "q", "offset": 4094, "len": 4},
+        {"op": "SEND", "partition": 1, "port": "q", "region": "buf", "offset": 4, "len": 4},
+        {"op": "SEND", "partition": 1, "port": "q", "region": "buf", "len": 4},
+        {"op": "SEND", "partition": 1, "port": "q", "region": "dst", "len": 4},
+        {"op": "SAMPLING_WRITE", "partition": 1, "port": "s", "offset": -1, "len": 2},
+        {"op": "SAMPLING_WRITE", "partition": 1, "port": "s", "region": "buf", "len": 4},
+        {"op": "RECEIVE", "partition": 2, "port": "q", "region": "inbox", "offset": 6},
+        {"op": "SAMPLING_READ", "partition": 2, "port": "s", "region": "inbox", "offset": 6},
+        {"op": "BRANCH_ON", "partition": 2, "region": "inbox", "offset": 6, "len": 2},
+    ],
+}
+
+#: (step, kind) of the one finding each faulting step logs; the last step
+#: branches on bytes the aborted deliveries left uninitialized.
+_ABORTED = [
+    (2, "RIGHT_REDZONE"),
+    (3, "RIGHT_REDZONE"),
+    (4, "RIGHT_REDZONE"),
+    (5, "RIGHT_REDZONE"),
+    (6, "MESSAGE_TOO_LONG"),
+    (7, "WILD_ADDRESS"),
+    (8, "UNINIT_USE"),
+    (10, "QUEUE_FULL"),
+    (11, "WILD_ADDRESS"),
+    (13, "RIGHT_REDZONE"),
+    (14, "RIGHT_REDZONE"),
+]
+
+
+def _guest_state(sim):
+    """Every partition's bytes, initialization state and origins, and every
+    port's held messages."""
+    state = []
+    for mem in sim.partitions.values():
+        bits, (table, _, inner, ids) = mem.init_shadow.snapshot(0, mem.size_bytes)
+        state.append((bytes(mem.data), bits, tuple(inner), tuple(table[i] for i in ids)))
+    for port in sim.ports.values():
+        state.append(tuple(port.queue) if hasattr(port, "queue") else port.latest)
+    return state
+
+
+class _StateRecorder(Simulator):
+    """Records the guest state before and after each op, faulting or not."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.states = {}
+
+        def recording(executor):
+            def run(sim, fields, mem):
+                before = _guest_state(sim)
+                try:
+                    return executor(sim, fields, mem)
+                finally:
+                    self.states[sim._step_index] = (before, _guest_state(sim))
+
+            return run
+
+        self._EXECUTORS = {op: recording(ex) for op, ex in Simulator._EXECUTORS.items()}
+
+
+def test_an_aborted_op_logs_one_finding_and_changes_nothing():
+    """A fault aborts its op alone: one finding at its own step, the
+    destination bytes, their initialization state and the ports as they
+    were, and the run goes on to its last step."""
+    sim = _StateRecorder(load_scenario(_ABORTS))
+    report = sim.run()
+    last = len(_ABORTS["workload"]) - 1
+    assert [(v.step, v.kind) for v in report.violations] == [*_ABORTED, (last, "UNINIT_USE")]
+    faulting = {step for step, _ in _ABORTED}
+    # the RECEIVE that faults still dequeues the message it could not deliver
+    for step, (before, after) in sim.states.items():
+        if step in faulting and step != 13:
+            assert before == after, step
+        elif step not in faulting:
+            assert before != after or step == last, step
+    before, after = sim.states[13]  # two partitions, then the ports q and s
+    assert before[2] != () and after == [*before[:2], (), before[3]]
+    assert sorted(sim.states) == list(range(last + 1))
+    assert report == run_scenario(load_scenario(_ABORTS))
+
+
 # -- bound offsets ----------------------------------------------------------------
 
 
@@ -657,6 +768,9 @@ def _checking(executor):
         for binding in fields.get("bindings", {}).values():
             assert binding["at"] == _live_offset(mem, binding)
             sim.checked["binding"] += 1
+        if fields["op"] == "UNPOISON_PADDING":  # the region's base, with no offset
+            assert fields["at"] == mem.layout.regions[fields["region"]].base
+            sim.checked["padding"] += 1
         return executor(sim, fields, mem)
 
     return run
@@ -674,7 +788,8 @@ def test_bound_offsets_equal_the_live_layout():
     """Every builtin, with and without a granularity override, and the first
     300 scheduling scenarios (locations in regions that come and go with
     ALLOC and RESET_PARTITION) run with each bound offset checked before
-    its step."""
+    its step.  ``padding_false_positive`` and its overrides bind the base
+    of an UNPOISON_PADDING step's region."""
     scenarios = []
     for name in builtin_names():
         scenario = load_builtin(name)
@@ -687,7 +802,9 @@ def test_bound_offsets_equal_the_live_layout():
     checked = Counter()
     for scenario in scenarios:
         assert _BoundOffsetChecker(scenario, checked).run() == run_scenario(scenario)
-    assert set(checked) == {"location", "src_location", "dst_location", "operand", "binding"}
+    assert set(checked) == {
+        "location", "src_location", "dst_location", "operand", "binding", "padding"
+    }
 
 
 #: Two regions, the first of 4 bytes, so the second one's base moves with

@@ -154,6 +154,31 @@ def test_partition_validation_paths():
     _fails_at(data, "/partitions/0/processes/1/id")
 
 
+def test_integers_are_below_2_to_the_64_in_magnitude():
+    """APEX times are 64-bit: every integer field stops short of 2**64 in
+    magnitude, so a loaded scenario's totals and offsets always render,
+    and every u64 and i64 immediate still loads."""
+    rejected = [
+        ({"op": "IDLE", "ticks": 2**64}, "/workload/0/ticks"),
+        ({"op": "READ", "partition": 1, "offset": -(2**64), "len": 1}, "/workload/0/offset"),
+        ({"op": "ENUM_CHECK", "partition": 1, "a": 1, "allowed": [1, 2**64]},
+         "/workload/0/allowed/1"),
+        ({"op": "BOOL_CHECK", "partition": 1, "a": -(2**64)}, "/workload/0/a"),
+    ]
+    for step, pointer in rejected:
+        data = _base()
+        data["workload"] = [step]
+        err = _fails_at(data, pointer)
+        assert err.message == "expected an integer of magnitude below 2**64"
+    data = _base()
+    data["workload"] = [
+        {"op": "IDLE", "ticks": 2**64 - 1},
+        {"op": "ARITH", "partition": 1, "arith": "ADD", "type": "u64", "a": 2**64 - 1, "b": 0},
+        {"op": "ARITH", "partition": 1, "arith": "ADD", "type": "i64", "a": -(2**63), "b": 0},
+    ]
+    assert load_scenario(data).workload[0]["ticks"] == 2**64 - 1
+
+
 def test_time_validation_paths():
     data = _base()
     data["time"] = {"slowdown_factor": 0}
@@ -166,6 +191,17 @@ def test_time_validation_paths():
     data = _base()
     data["time"] = {"slowdown_factor": "1e1000000"}
     _fails_at(data, "/time/slowdown_factor")
+
+    # each term of a ratio is below 2**64 in magnitude
+    for factor in (f"{2**64}/3", f"1/{2**64}", f"{2**64 - 1}/{2**64}", 1e20, "1e-20"):
+        data = _base()
+        data["time"] = {"slowdown_factor": factor}
+        err = _fails_at(data, "/time/slowdown_factor")
+        assert err.message == "ratio terms must be below 2**64 in magnitude"
+    for factor in (f"{2**64 - 1}/{2**64 - 1}", f"1/{2**64 - 1}", 1e19):
+        data = _base()
+        data["time"] = {"slowdown_factor": factor}
+        load_scenario(data)
 
     # a JSON boolean is no ratio, though Fraction(True) is 1
     for flag in (True, False):
