@@ -152,10 +152,10 @@ class QueueingPort:
         self.queue.append(msg)
 
     def receive(self, mem: PartitionMemory, offset: int, now: int):
-        """Dequeue the head message to ``offset`` and return it; None when
-        the queue is empty."""
+        """Deliver the head message to ``offset``, then dequeue and return
+        it; None when the queue is empty.  A delivery that faults leaves the
+        message at the head."""
         if not self.queue:
             return None
-        msg = self.queue.popleft()
-        _deliver(mem, offset, msg)
-        return msg
+        _deliver(mem, offset, self.queue[0])
+        return self.queue.popleft()

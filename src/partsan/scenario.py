@@ -209,13 +209,15 @@ _MISSING = object()  # what a row reads when its key is not in the object
 class _Fields:
     """Rows of ``(key, check, default)`` describing one JSON object.
 
-    A ``None`` default also stands for an explicit ``null``, and a ``{}``
-    default is loaded like a given empty object, so every load gets its
-    own.  ``check(fields)`` runs on the loaded fields, then
-    ``build(**fields)`` makes the result (without ``build``, the fields
-    themselves); ``extra_keys`` are allowed in the object but not loaded
-    (the tag that picked these rows, a step's ``op`` or a port's ``kind``,
-    which _tagged adds to the fields).
+    An object loads in place: each checked value is written back under its
+    key and each default is added, so the loaded fields are the object
+    itself.  A ``None`` default also stands for an explicit ``null``, and a
+    ``{}`` default is loaded like a given empty object, a fresh one per
+    load, as the load would otherwise fill in the row's own dict.
+    ``check(fields)`` runs on the loaded fields, then ``build(**fields)``
+    makes the result (without ``build``, the fields themselves);
+    ``extra_keys`` are allowed in the object but not loaded (the tag that
+    picked these rows, a step's ``op`` or a port's ``kind``).
     The instance is itself the check for such an object.
     """
 
@@ -231,22 +233,21 @@ class _Fields:
     def load(self, obj: dict):
         if not self.keys.issuperset(obj):
             raise ConfigError(f"unknown keys {sorted(obj.keys() - self.keys)}")
-        fields = {}
         get, missing = obj.get, _MISSING
         for key, check, default in self.rows:
             value = get(key, missing)
             if value is not missing and (value is not None or default is not None):
                 try:
-                    fields[key] = check(value)
+                    obj[key] = check(value)
                 except ConfigError as exc:
                     raise ConfigError(exc.message, f"/{key}{exc.path or ''}") from None
             elif default is _REQUIRED:
                 raise ConfigError(f"missing required key '{key}'", f"/{key}")
             elif default is not _ABSENT:
-                fields[key] = check(default) if default.__class__ is dict else default
+                obj[key] = check({}) if default.__class__ is dict else default
         if self.check is not None:
-            self.check(fields)
-        return fields if self.build is None else self.build(**fields)
+            self.check(obj)
+        return obj if self.build is None else self.build(**obj)
 
 
 def _list_of(check, unique=None):
@@ -272,18 +273,24 @@ def _list_of(check, unique=None):
 
 
 def _dict_of(check):
-    """A JSON object mapping any keys to values that pass ``check``."""
+    """A JSON object mapping any keys to values that pass ``check``,
+    loaded in place."""
 
     def load(value):
-        return {key: _at(key, check, item) for key, item in _as_dict(value).items()}
+        obj = _as_dict(value)
+        for key, item in obj.items():
+            obj[key] = _at(key, check, item)
+        return obj
 
     return load
 
 
 def _tagged(tag, table):
     """A JSON object whose ``tag`` value picks the _Fields in ``table`` that
-    loads the rest of it; returns the loaded fields with the tag in them."""
+    loads the rest of it; returns the loaded fields, their tag the table's
+    own string."""
     choices = sorted(table)
+    tags = {name: name for name in table}
 
     def load(value):
         obj = _as_dict(value)
@@ -293,9 +300,8 @@ def _tagged(tag, table):
             if tag not in obj:
                 raise ConfigError(f"missing required key '{tag}'", f"/{tag}")
             raise ConfigError(f"unknown {tag} {name!r}, expected one of {choices}", f"/{tag}")
-        fields = rows.load(obj)
-        fields[tag] = name
-        return fields
+        obj[tag] = tags[name]
+        return rows.load(obj)
 
     return load
 
@@ -316,13 +322,15 @@ def _byte(value):
 
 
 def _one_of(key, *choices):
+    """A string among ``choices``, loaded as the choice's own string."""
     listed = ", ".join(choices[:-1]) + " or " + choices[-1]
+    own = {choice: choice for choice in choices}
 
     def check(value):
-        value = _as_str(value)
-        if value not in choices:
+        choice = own.get(_as_str(value))
+        if choice is None:
             raise ConfigError(f"{key} must be {listed}, got {value!r}")
-        return value
+        return choice
 
     return check
 
@@ -641,10 +649,29 @@ _SCENARIO = _Fields(
 )
 
 
+def _copied(value):
+    """``value`` with each dict and list in it copied as a plain one; the
+    leaves are shared."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copied(item) for item in value]
+    return value
+
+
 def load_scenario(data: dict) -> Scenario:
-    """Load every section through its _Fields, check what refers across
-    sections (window partitions, override processes, port endpoints,
-    padding types and sizes), then run the workload pass."""
+    """Load a copy of ``data``, which stays as it was."""
+    try:
+        tree = _copied(data)
+    except RecursionError:  # a cycle, or nesting past the recursion limit
+        raise ConfigError("document nests too deeply to load") from None
+    return _load_tree(tree)
+
+
+def _load_tree(data) -> Scenario:
+    """Load every section of ``data`` in place through its _Fields, check
+    what refers across sections (window partitions, override processes,
+    port endpoints, padding types and sizes), then run the workload pass."""
     try:
         fields = _SCENARIO(data)
     except ConfigError as exc:
@@ -805,6 +832,7 @@ def _check_workload(scenario: Scenario) -> None:
         region = layout.regions.get(label)
         if region is None:  # not allocated at this step: raise at the key
             region = _at(key, layout.region, label)
+        where[key] = region.label  # steps naming one region share its string
         return region.base
 
     def span(layout: Layout, start: int, length: int) -> None:
@@ -836,6 +864,7 @@ def _check_workload(scenario: Scenario) -> None:
                 raise ConfigError(f"no {kind} port '{fields['port']}'", "/port")
             if getattr(port, end) != pid:
                 raise ConfigError(f"{end} of port {port.name!r} is not partition {pid}", "/port")
+            fields["port"] = port.name
         elif op == "GET_MY_ID":
             caller = fields["caller"]
             if caller != "main" and (pid, caller) not in processes:
@@ -867,7 +896,7 @@ def load_scenario_text(text: str) -> Scenario:
     # a JSONDecodeError, an integer too long to convert, or nesting too deep
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"not valid JSON: {exc}") from None
-    return load_scenario(data)
+    return _load_tree(data)  # the decoded tree is ours to load in place
 
 
 def read_utf8(path) -> str:

@@ -13,7 +13,9 @@ tab, newline, carriage return, ``/``, ``*``, a digit or a non-ASCII
 letter), and stores each mutant's outcome: the load error's pointer and
 message, the run error, or digests of the text and JSON reports; then the
 same for every loadable mutant under a granularity override of 1 and of
-16, and the mutant's own scenario once more after its overrides.
+16, and the mutant's own scenario once more after its overrides.  It also
+loads each mutant from its JSON text, and exits 1 when that load's error
+or report differs from the dict's, so the two entry points stay in step.
 ``compare`` reads A as the parent and B as the change, prints the counts
 and exits 1 when B breaks one of these rules:
 
@@ -107,14 +109,28 @@ def _run(scenario):
     return {"report": digest.hexdigest()}
 
 
-def outcome(doc):
+def _load(doc, text=False):
+    """``(scenario, None)`` or ``(None, load error)`` for ``doc``, loaded
+    from the dict or, with ``text``, from its JSON text."""
     from partsan.errors import ConfigError
-    from partsan.scenario import load_scenario
+    from partsan.scenario import load_scenario, load_scenario_text
 
     try:
-        scenario = load_scenario(doc)
+        return (load_scenario_text(json.dumps(doc)) if text else load_scenario(doc)), None
     except ConfigError as exc:
-        return {"load_error": exc.path, "message": exc.message}
+        return None, {"load_error": exc.path, "message": exc.message}
+
+
+def text_outcome(doc):
+    """The load error, or the outcome of one run, of ``doc``'s JSON text."""
+    scenario, error = _load(doc, text=True)
+    return error or _run(scenario)
+
+
+def outcome(doc):
+    scenario, error = _load(doc)
+    if error:
+        return error
     first = _run(scenario)
     result = dict(first)
     for g in GRANULARITIES:
@@ -130,12 +146,25 @@ def outcome(doc):
     return result
 
 
+def first_outcome(result):
+    """The part of an ``outcome`` that ``text_outcome`` also gives."""
+    overrides = ("rerun", *(f"g{g}" for g in GRANULARITIES))
+    return {k: v for k, v in result.items() if k not in overrides}
+
+
 def record(out_path):
-    results = {}
+    results, drifted = {}, []
     for mutant_id, doc in mutants():
-        results[mutant_id] = {"doc": doc, **outcome(doc)}
+        result = outcome(doc)
+        if text_outcome(doc) != first_outcome(result):
+            drifted.append(mutant_id)
+        results[mutant_id] = {"doc": doc, **result}
     with open(out_path, "w", encoding="utf-8") as handle:
         json.dump(results, handle)
+    for mutant_id in drifted[:20]:
+        print(f"FAIL {mutant_id}: its JSON text loads or runs unlike the dict")
+    print(f"{len(results)} mutants, {len(drifted)} loaded differently from their text")
+    return 1 if drifted else 0
 
 
 def compare(parent_path, change_path):
@@ -187,7 +216,7 @@ def compare(parent_path, change_path):
 
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "record":
-        record(sys.argv[2])
+        sys.exit(record(sys.argv[2]))
     elif len(sys.argv) == 4 and sys.argv[1] == "compare":
         sys.exit(compare(sys.argv[2], sys.argv[3]))
     else:

@@ -59,6 +59,14 @@ def test_mutants_run_deterministically_and_never_raise_at_run_time():
     assert sum("report" in result for _, result in first) > 30
 
 
+def test_mutants_load_from_their_text_as_from_the_dict():
+    """``load_scenario_text`` loads its decoded tree in place, and
+    ``load_scenario`` a copy of its dict: the two give one outcome."""
+    for mutant_id, doc in islice(mutation_differential.mutants(), 300):
+        result = mutation_differential.first_outcome(mutation_differential.outcome(doc))
+        assert mutation_differential.text_outcome(doc) == result, mutant_id
+
+
 def test_template_mutants_edit_one_character_and_most_fail_at_a_position():
     first = list(islice(mutation_differential.template_mutants(), 150))
     original = json.loads(

@@ -766,6 +766,180 @@ def test_loaded_steps_leave_little_for_the_collector():
     assert left < 0.5 * 2000, left
 
 
+_QUERY = (
+    "//!USER_NAME: query\n"
+    "//!PRE: msan_check(&req, sizeof(req));\n"
+    "//!POST: msan_unpoison(resp, sizeof(*resp));\n"
+    "syscall_declare(int, sys_query, req_t, req, resp_t*, resp);\n"
+)
+
+
+def _every_op_doc():
+    """A document that loads, with every section and every op, memory
+    operands and SYSCALL bindings."""
+    at = {"partition": 1, "region": "buf"}
+    return {
+        "name": "every_op",
+        "partitions": [
+            {"id": 1, "auto_start": False,
+             "regions": [{"label": "buf", "size": 16}, {"label": "req", "size": 8},
+                         {"label": "resp", "size": 16}],
+             "processes": [{"id": 1, "priority": 2, "time_capacity": 50, "period": 100}]},
+            {"id": 2, "regions": [{"label": "inbox", "size": 16}]},
+        ],
+        "time": {"slowdown_factor": "3/2", "costs": {"asan_check": 1},
+                 "major_frame": {"frame_len": 100, "windows": [
+                     {"partition": 1, "start": 0, "length": 50},
+                     {"partition": 2, "start": 50, "length": 50}]},
+                 "timeout_overrides": [{"partition": 1, "process": 1, "multiplier": "2"}]},
+        "ports": [
+            {"name": "q1", "kind": "queueing", "source": 1, "destination": 2,
+             "max_message_size": 8, "capacity": 2},
+            {"name": "s1", "kind": "sampling", "source": 1, "destination": 2,
+             "max_message_size": 8, "refresh_period": 5},
+        ],
+        "types": {"req_t": 8, "resp_t": 16, "pair_t": 8},
+        "padding": {"pair_t": [[4, 4]]},
+        "reserved_init": {"enabled": True},
+        "syscalls": [_QUERY],
+        "workload": [
+            {"op": "ALLOC", "partition": 1, "label": "more", "size": 8},
+            {"op": "START_PARTITION", "partition": 1},
+            {"op": "WRITE", **at, "data": "0102030405060708"},
+            {"op": "WRITE", "partition": 1, "region": "more", "fill": 0, "len": 8},
+            {"op": "READ", **at, "offset": 2, "len": 4},
+            {"op": "COPY", "partition": 1, "src_region": "buf", "dst_region": "more",
+             "dst_offset": 4, "len": 4},
+            {"op": "BRANCH_ON", **at, "len": 2},
+            {"op": "ARITH", "partition": 1, "arith": "ADD", "type": "u32",
+             "a": {"region": "buf", "offset": 0}, "b": 1, "strict": True},
+            {"op": "DIV", "partition": 1, "type": "i32", "a": 7,
+             "b": {"region": "more", "offset": 4, "width": 2, "signed": True}},
+            {"op": "SHIFT", "partition": 1, "type": "u8", "a": 1, "s": 3},
+            {"op": "TRUNC", "partition": 1, "from": "i32", "to": "u8", "a": 200},
+            {"op": "ALIGN_CHECK", **at, "align": 8},
+            {"op": "NULL_CHECK", **at},
+            {"op": "BOOL_CHECK", "partition": 1, "a": {"offset": 32, "width": 1}},
+            {"op": "ENUM_CHECK", "partition": 1, "a": 2, "enum": "mode", "allowed": [1, 2]},
+            {"op": "SYSCALL", "partition": 1, "name": "query",
+             "bindings": {"req": {"region": "req", "offset": 0},
+                          "resp": {"region": "resp", "offset": 0, "len": 16}}},
+            {"op": "SEND", "partition": 1, "port": "q1", **at, "len": 4},
+            {"op": "SAMPLING_WRITE", "partition": 1, "port": "s1", **at, "len": 4},
+            {"op": "RECEIVE", "partition": 2, "port": "q1", "region": "inbox",
+             "expect": "01020304"},
+            {"op": "SAMPLING_READ", "partition": 2, "port": "s1", "region": "inbox",
+             "offset": 8, "expect_validity": "VALID"},
+            {"op": "GET_MY_ID", "partition": 1, "caller": 1, "expect": 1},
+            {"op": "UNPOISON_PADDING", **at, "type": "pair_t"},
+            {"op": "IDLE", "ticks": 3},
+            {"op": "RESET_PARTITION", "partition": 2},
+        ],
+        "expect": [{"kind": "UNINIT_USE", "partition": 1, "context": "SYSCALL_PRE"}],
+    }
+
+
+def test_load_scenario_leaves_its_argument_as_it_was():
+    """The loader loads its own tree in place, so ``load_scenario`` copies
+    the dicts and lists of a caller's document first."""
+    doc = _every_op_doc()
+    assert {step["op"] for step in doc["workload"]} == {"IDLE", *Simulator._EXECUTORS}
+    before = copy.deepcopy(doc)
+    assert run_scenario(load_scenario(doc)).verdict == "MATCH"
+    assert doc == before
+
+    # one step dict listed twice loads as two steps, each bound on its own
+    step = {"op": "READ", "partition": 1, "region": "buf", "len": 4}
+    doc = _doc([step, step])
+    before = copy.deepcopy(doc)
+    first, second = load_scenario(doc).workload
+    assert doc == before and first is not second and first == second
+
+    doc = _every_op_doc()
+    doc["workload"].append({"op": "READ", "partition": 1, "region": "nowhere", "len": 4})
+    before = copy.deepcopy(doc)
+    _fails_at(doc, f"/workload/{len(doc['workload']) - 1}/region")
+    assert doc == before
+
+    cycle = []
+    cycle.append(cycle)
+    with pytest.raises(ConfigError):
+        load_scenario({"name": "t", "syscalls": cycle})
+
+
+def test_defaults_are_fresh_per_load():
+    one, two = load_scenario({"name": "a"}), load_scenario({"name": "a"})
+    assert one.types == two.types == {} and one.padding == two.padding == {}
+    assert one.types is not two.types and one.padding is not two.padding
+    assert one.time.costs is not two.time.costs
+
+
+def test_text_loads_in_about_the_memory_of_its_decoded_tree():
+    """``load_scenario_text`` loads the tree it decoded in place, so a long
+    workload is held once, and steps naming one region or port share the
+    string of its label or name."""
+    regions = [{"label": label, "size": 32} for label in ("buf", "dst", "req", "resp")]
+    doc = {
+        "name": "long",
+        "partitions": [{"id": 1, "regions": regions}, {"id": 2, "regions": regions}],
+        "ports": [{"name": "q1", "kind": "queueing", "source": 1, "destination": 2,
+                   "max_message_size": 8, "capacity": 4}],
+        "types": {"req_t": 8, "resp_t": 16},
+        "syscalls": [_QUERY],
+    }
+    rng = random.Random(1)
+    steps = []
+    for i in range(700):
+        where = {"partition": 1, "region": rng.choice(("buf", "dst")), "offset": i % 8}
+        steps += [
+            {"op": "WRITE", **where, "data": bytes(rng.randrange(256) for _ in range(8)).hex()},
+            {"op": "WRITE", **where, "fill": i % 256, "len": 16},
+            {"op": "READ", **where, "len": 8},
+            {"op": "COPY", "partition": 1, "src_region": "buf", "dst_region": "dst",
+             "dst_offset": 8, "len": 8},
+            {"op": "ARITH", "partition": 1, "arith": "MUL", "type": "u16",
+             "a": {"region": "buf", "offset": 2}, "b": i},
+            {"op": "SEND", "partition": 1, "port": "q1", **where, "len": 8},
+            {"op": "RECEIVE", "partition": 2, "port": "q1", "region": "buf"},
+            {"op": "SYSCALL", "partition": 1, "name": "query",
+             "bindings": {"req": {"region": "req", "offset": 0},
+                          "resp": {"region": "resp", "offset": 0}}},
+        ]
+    doc["workload"] = steps
+    text = json.dumps(doc)
+    assert len(steps) >= 5000
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        decoded = json.loads(text)
+        tree = tracemalloc.get_traced_memory()[0] - base
+        del decoded
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        scenario = load_scenario_text(text)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * tree, (peak, tree)
+
+    labels = {region.label: region.label for region in scenario.partitions[0].regions}
+    (port,) = scenario.ports
+    named = 0
+    for step in scenario.workload:
+        for key in ("region", "src_region", "dst_region"):
+            if step.get(key) is not None and step["partition"] == 1:
+                assert step[key] is labels[step[key]]
+                named += 1
+        if step["op"] == "ARITH":
+            assert step["a"]["region"] is labels["buf"]
+        elif step["op"] == "SYSCALL":
+            assert step["bindings"]["req"]["region"] is labels["req"]
+        elif step["op"] in ("SEND", "RECEIVE"):
+            assert step["port"] is port.name
+    assert named > 4000
+
+
 def _names_node(doc, path):
     """Whether ``path`` is a JSON pointer to a node of ``doc``, or to a
     missing key directly under one of its objects."""
