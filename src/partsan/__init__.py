@@ -3,10 +3,12 @@
 The package models an avionics-style partitioned system: statically
 allocated per-partition memory guarded by address-validity shadow maps,
 byte-level initialization tracking with origins, checked arithmetic
-primitives, cyclic partition scheduling with an instrumented-time model,
-sampling/queueing ports, a contract-annotation language for syscall
-boundaries, and a fault-injection harness that replays JSON scenarios and
-reports findings deterministically.
+primitives, priority-preemptive process dispatch with deadline accounting
+in an instrumented-time model (a major frame of partition windows is
+validated at load time but not enforced at run time), sampling/queueing
+ports, a contract-annotation language for syscall boundaries, and a
+fault-injection harness that replays JSON scenarios and reports findings
+deterministically.
 """
 
 from .asan_shadow import (
@@ -54,7 +56,6 @@ from .ports import (
     Validity,
 )
 from .scenario import (
-    ExpectPattern,
     Scenario,
     builtin_names,
     load_builtin,

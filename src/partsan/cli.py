@@ -60,15 +60,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(name_or_path: str):
+def _load(name_or_path: str, **overrides):
     if os.path.exists(name_or_path):
-        return load_scenario_file(name_or_path)
-    return load_builtin(name_or_path.removesuffix(".json"))
+        return load_scenario_file(name_or_path, **overrides)
+    return load_builtin(name_or_path.removesuffix(".json"), **overrides)
 
 
 def _cmd_run(args) -> int:
-    scenario = _load(args.scenario).with_overrides(
-        slowdown_factor=args.slowdown_factor, granularity=args.granularity
+    scenario = _load(
+        args.scenario, slowdown_factor=args.slowdown_factor, granularity=args.granularity
     )
     report = run_scenario(scenario, seed=args.seed)
     text = render_report(report, args.report)

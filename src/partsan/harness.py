@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .guest_memory import PartitionMemory
 from .msan_shadow import copy_propagate, unpoison_padding
 from .ports import QueueingPort, SamplingPort
-from .scenario import ExpectPattern, Scenario
+from .scenario import Scenario
 from .sched import (
     MAIN_CONTEXT,
     Process,
@@ -86,15 +86,6 @@ class RunReport(NamedTuple):
     verdict: str
 
 
-def _fits(record: Violation, pattern: ExpectPattern) -> bool:
-    """Whether a record of the pattern's kind matches its other fields."""
-    return (
-        (pattern.partition is None or pattern.partition == record.partition)
-        and (pattern.offset is None or pattern.offset == record.offset)
-        and (pattern.context is None or pattern.context == record.context)
-    )
-
-
 def _place(start: int, fitting: list, owner: list) -> bool:
     """Give pattern ``start`` one of its ``fitting`` records, if need be by
     shifting matched patterns along an alternating path.  ``owner`` maps
@@ -131,10 +122,11 @@ def _place(start: int, fitting: list, owner: list) -> bool:
 def match_expected(records, patterns) -> bool:
     """Multiset match: every record consumed by exactly one pattern.
 
-    Patterns are partial (omitted fields match anything), so this is a
-    bipartite perfect-matching problem, solved with Kuhn's augmenting paths
-    over each pattern's fitting records, listed once: polynomial, where a
-    search over assignments is factorial when the match fails.
+    Patterns are loaded ``expect`` objects, partial (an omitted key matches
+    anything), so this is a bipartite perfect-matching problem, solved with
+    Kuhn's augmenting paths over each pattern's fitting records, listed
+    once: polynomial, where a search over assignments is factorial when the
+    match fails.
     """
     records, patterns = list(records), list(patterns)
     if len(records) != len(patterns):
@@ -142,9 +134,17 @@ def match_expected(records, patterns) -> bool:
     of_kind: dict[str, list[int]] = {}
     for j, record in enumerate(records):
         of_kind.setdefault(record.kind, []).append(j)
-    fitting = [
-        [j for j in of_kind.get(p.kind, ()) if _fits(records[j], p)] for p in patterns
-    ]
+    fitting = []
+    for pattern in patterns:  # a record of its kind fits unless a field the pattern sets differs
+        get = pattern.get
+        partition, offset, context = get("partition"), get("offset"), get("context")
+        fitting.append([
+            j
+            for j in of_kind.get(pattern["kind"], ())
+            if (partition is None or partition == records[j].partition)
+            and (offset is None or offset == records[j].offset)
+            and (context is None or context == records[j].context)
+        ])
     owner = [None] * len(records)
     return all(_place(i, fitting, owner) for i in range(len(patterns)))
 
@@ -156,38 +156,42 @@ class Simulator:
         self.scenario = scenario
         self.seed = seed
 
-        multipliers = {(pid, proc): m for pid, proc, m in scenario.time.overrides}
+        time = scenario.time
+        multipliers = {
+            (o["partition"], o["process"]): o["multiplier"] for o in time["timeout_overrides"]
+        }
         one = Fraction(1)  # the multiplier of every process without an override
         # one origin table for every partition, so a port hop copies ids as they are
         origins = ([None], {})
         self.partitions: dict[int, PartitionMemory] = {}
         self.tables: dict[int, ProcessTable] = {}  # partitions that have processes
         for pconf in scenario.partitions:
+            pid = pconf["id"]
             mem = PartitionMemory(
-                pconf.partition_id,
-                pconf.memory_size,
-                granularity=pconf.granularity,
-                redzone=pconf.redzone,
+                pid,
+                pconf["memory_size"],
+                granularity=pconf["granularity"],
+                redzone=pconf["redzone"],
                 reserved_init=scenario.reserved_init,
                 origins=origins,
             )
-            for region in pconf.regions:
-                mem.alloc_region(region.size, region.label)
-            if pconf.processes:
-                self.tables[pconf.partition_id] = ProcessTable(
+            for region in pconf["regions"]:
+                mem.alloc_region(region["size"], region["label"])
+            if pconf["processes"]:
+                self.tables[pid] = ProcessTable(
                     Process(
-                        process_id=proc.process_id,
-                        partition_id=pconf.partition_id,
-                        priority=proc.priority,
-                        time_capacity=proc.time_capacity,
-                        period=proc.period,
-                        multiplier=multipliers.get((pconf.partition_id, proc.process_id), one),
+                        process_id=proc["id"],
+                        partition_id=pid,
+                        priority=proc["priority"],
+                        time_capacity=proc["time_capacity"],
+                        period=proc["period"],
+                        multiplier=multipliers.get((pid, proc["id"]), one),
                     )
-                    for proc in pconf.processes
+                    for proc in pconf["processes"]
                 )
-            if pconf.auto_start:
+            if pconf["auto_start"]:
                 mem.start()
-            self.partitions[pconf.partition_id] = mem
+            self.partitions[pid] = mem
         # per partition, the virtual time from which a dispatch can change
         # its table: 0 before the first dispatch, the next period boundary of
         # a periodic running process, infinity otherwise (or without a table)
@@ -199,15 +203,17 @@ class Simulator:
         self._due: dict[int, int | float] = dict.fromkeys(self.tables, math.inf)
         self._next_due: int | float = math.inf
 
-        self.model = TimeModel(scenario.time.slowdown_factor, scenario.time.costs)
-        self.legacy_get_my_id = scenario.time.legacy_get_my_id
+        self.model = TimeModel(time["slowdown_factor"], time["costs"])
+        self.legacy_get_my_id = time["legacy_get_my_id"]
 
         self.syscalls = {spec.user_name: spec for spec in scenario.syscalls}
 
         self.ports: dict[str, SamplingPort | QueueingPort] = {
-            pconf.name: SamplingPort(pconf.name, pconf.max_message_size, pconf.refresh_period)
-            if pconf.kind == "sampling"
-            else QueueingPort(pconf.name, pconf.max_message_size, pconf.capacity)
+            pconf["name"]: SamplingPort(
+                pconf["name"], pconf["max_message_size"], pconf["refresh_period"]
+            )
+            if pconf["kind"] == "sampling"
+            else QueueingPort(pconf["name"], pconf["max_message_size"], pconf["capacity"])
             for pconf in scenario.ports
         }
 

@@ -45,91 +45,22 @@ VIOLATION_KINDS = frozenset(
 )
 
 
-# -- config records -----------------------------------------------------------
-
-
-class RegionConfig(NamedTuple):
-    label: str
-    size: int
-
-
-class ProcessConfig(NamedTuple):
-    process_id: int
-    priority: int
-    time_capacity: int
-    period: int | None
-
-
-class PartitionConfig(NamedTuple):
-    partition_id: int
-    memory_size: int
-    granularity: int
-    redzone: int
-    auto_start: bool
-    regions: tuple[RegionConfig, ...]
-    processes: tuple[ProcessConfig, ...]
-
-
-class PortConfig(NamedTuple):
-    name: str
-    kind: str  # sampling | queueing
-    source: int | None
-    destination: int | None
-    max_message_size: int
-    refresh_period: int | None = None
-    capacity: int | None = None
-
-
-class TimeConfig(NamedTuple):
-    slowdown_factor: Fraction
-    costs: CheckCosts
-    frame: MajorFrame | None
-    overrides: tuple  # of (partition_id, process_id, Fraction)
-    legacy_get_my_id: bool
-
-
-class ExpectPattern(NamedTuple):
-    """Partial match against one violation record; omitted fields match
-    anything.  The run verdict is a multiset comparison."""
-
-    kind: str
-    partition: int | None = None
-    offset: int | None = None
-    context: str | None = None
-
-
 class Scenario(NamedTuple):
+    """A loaded scenario: each section is its checked JSON object (or list
+    of them) under its JSON keys, except where a row builds a runtime
+    object (the check costs, the major frame, ``reserved_init``) or a
+    template (``syscalls``)."""
+
     name: str
-    partitions: tuple[PartitionConfig, ...]
-    time: TimeConfig
-    ports: tuple[PortConfig, ...]
+    partitions: tuple[dict, ...]
+    time: dict
+    ports: tuple[dict, ...]
     types: dict
     padding: dict
     reserved_init: ReservedInitConfig
     syscalls: tuple[SyscallSpec, ...]
     workload: tuple[dict, ...]  # each step's loaded fields and its "op"
-    expect: tuple[ExpectPattern, ...]
-
-    def with_overrides(
-        self, slowdown_factor=None, granularity: int | None = None
-    ) -> "Scenario":
-        """Per-run knobs: replace the slowdown factor and/or force one
-        shadow granularity on every partition, which the workload pass checks
-        and binds on copies of the steps."""
-        scenario = self
-        if slowdown_factor is not None:
-            factor = parse_slowdown(slowdown_factor)
-            scenario = scenario._replace(time=scenario.time._replace(slowdown_factor=factor))
-        if granularity is not None:
-            check_granularity(granularity)
-            scenario = scenario._replace(
-                partitions=tuple(
-                    p._replace(granularity=granularity) for p in scenario.partitions
-                ),
-                workload=tuple(_copy_step(step) for step in scenario.workload),
-            )
-            _check_workload(scenario)
-        return scenario
+    expect: tuple[dict, ...]  # the kind, and what else a finding must match
 
 
 # -- field helpers ------------------------------------------------------------
@@ -341,7 +272,7 @@ _as_int_type = _one_of("integer type", *INT_SPECS)
 # -- configuration sections -------------------------------------------------------
 
 
-_REGION = _Fields(("label", _as_name, _REQUIRED), ("size", _count, _REQUIRED), build=RegionConfig)
+_REGION = _Fields(("label", _as_name, _REQUIRED), ("size", _count, _REQUIRED))
 
 _PROCESS = _Fields(
     ("id", _count, _REQUIRED),
@@ -349,18 +280,20 @@ _PROCESS = _Fields(
     ("time_capacity", _count, _REQUIRED),
     ("period", _as_int, None),
     check=lambda f: _at("period", check_period, f["period"], f["time_capacity"]),
-    build=lambda id, **f: ProcessConfig(id, **f),
 )
+
+def _granularity(value):
+    return check_granularity(_as_int(value))
+
 
 _PARTITION = _Fields(
     ("id", _count, _REQUIRED),
     ("memory_size", _as_int, 4096),
-    ("granularity", lambda value: check_granularity(_as_int(value)), 8),
+    ("granularity", _granularity, 8),
     ("redzone", _as_int, 16),
     ("auto_start", _as_bool, True),
     ("regions", _list_of(_REGION, unique=("label", "region label")), ()),
     ("processes", _list_of(_PROCESS, unique=("id", "process id")), ()),
-    build=lambda id, **f: PartitionConfig(id, **f),
 )
 
 
@@ -387,7 +320,6 @@ _OVERRIDE = _Fields(
     ("partition", _as_int, _REQUIRED),
     ("process", _as_int, _REQUIRED),
     ("multiplier", parse_multiplier, _REQUIRED),
-    build=lambda partition, process, multiplier: (partition, process, multiplier),
 )
 
 _TIME = _Fields(
@@ -396,9 +328,6 @@ _TIME = _Fields(
     ("major_frame", _FRAME, None),
     ("timeout_overrides", _list_of(_OVERRIDE), ()),
     ("legacy_get_my_id", _as_bool, False),
-    build=lambda major_frame, timeout_overrides, **f: TimeConfig(
-        frame=major_frame, overrides=timeout_overrides, **f
-    ),
 )
 
 
@@ -421,17 +350,13 @@ def _port_kind(row):
     )
 
 
-_PORT_KINDS = _tagged(
+_PORT = _tagged(
     "kind",
     {
         "sampling": _port_kind(("refresh_period", _ticks, _REQUIRED)),
         "queueing": _port_kind(("capacity", _count, _REQUIRED)),
     },
 )
-
-
-def _port(value):
-    return PortConfig(**_PORT_KINDS(value))
 
 
 def _padding_range(value):
@@ -460,7 +385,6 @@ _EXPECT_PATTERN = _Fields(
     ("partition", _as_int, _ABSENT),
     ("offset", _as_int, _ABSENT),
     ("context", _one_of("context", *UseSite.__members__), _ABSENT),
-    build=ExpectPattern,
 )
 
 
@@ -639,7 +563,7 @@ _SCENARIO = _Fields(
     ("name", _as_name, _REQUIRED),
     ("partitions", _list_of(_PARTITION, unique=("id", "partition id")), ()),
     ("time", _TIME, {}),
-    ("ports", _list_of(_port, unique=("name", "port name")), ()),
+    ("ports", _list_of(_PORT, unique=("name", "port name")), ()),
     ("types", _dict_of(_count), {}),
     ("padding", _dict_of(_list_of(_padding_range)), {}),
     ("reserved_init", _RESERVED_INIT, {}),
@@ -659,62 +583,14 @@ def _copied(value):
     return value
 
 
-def load_scenario(data: dict) -> Scenario:
-    """Load a copy of ``data``, which stays as it was."""
+def load_scenario(data: dict, **overrides) -> Scenario:
+    """Load a copy of ``data``, which stays as it was; ``overrides`` are
+    those of ``load_scenario_text``."""
     try:
         tree = _copied(data)
     except RecursionError:  # a cycle, or nesting past the recursion limit
         raise ConfigError("document nests too deeply to load") from None
-    return _load_tree(tree)
-
-
-def _load_tree(data) -> Scenario:
-    """Load every section of ``data`` in place through its _Fields, check
-    what refers across sections (window partitions, override processes,
-    port endpoints, padding types and sizes), then run the workload pass."""
-    try:
-        fields = _SCENARIO(data)
-    except ConfigError as exc:
-        raise ConfigError(exc.message, exc.path or "/") from None
-
-    ids = {p.partition_id for p in fields["partitions"]}
-    time = fields["time"]
-    for i, window in enumerate(time.frame.windows if time.frame is not None else ()):
-        if window.partition_id not in ids:
-            raise ConfigError(
-                f"window references unknown partition {window.partition_id}",
-                f"/time/major_frame/windows/{i}/partition",
-            )
-    processes = {(p.partition_id, q.process_id) for p in fields["partitions"] for q in p.processes}
-    for i, (pid, proc, _) in enumerate(time.overrides):
-        if (pid, proc) not in processes:
-            raise ConfigError(
-                f"override references unknown process {proc} of partition {pid}",
-                f"/time/timeout_overrides/{i}",
-            )
-    for i, port in enumerate(fields["ports"]):
-        for label, value in (("source", port.source), ("destination", port.destination)):
-            if value is not None and value not in ids:
-                raise ConfigError(
-                    f"{label} references unknown partition {value}", f"/ports/{i}/{label}"
-                )
-
-    types = fields["types"]
-    for type_name, ranges in fields["padding"].items():
-        if type_name not in types:
-            raise ConfigError(
-                f"padding declared for unknown type '{type_name}'", f"/padding/{type_name}"
-            )
-        accepted = []
-        for i, (off, ln) in enumerate(ranges):
-            try:
-                add_padding_range(accepted, type_name, off, ln, types[type_name])
-            except ConfigError as exc:
-                raise ConfigError(exc.message, f"/padding/{type_name}/{i}") from None
-
-    scenario = Scenario(**fields)
-    _check_workload(scenario)
-    return scenario
+    return _load_tree(tree, **overrides)
 
 
 # -- the workload pass -------------------------------------------------------------
@@ -739,17 +615,6 @@ _LOCATIONS = {
 _OPERAND_KEYS = {op: tuple(key for key, c, _ in f.rows if c is _operand) for op, f in _OPS.items()}
 
 
-def _copy_step(step: dict) -> dict:
-    """A copy of a step that shares no dict the pass binds with it."""
-    copy = dict(step)
-    for key in _OPERAND_KEYS[step["op"]]:
-        if copy[key].__class__ is dict:
-            copy[key] = dict(copy[key])
-    if step["op"] == "SYSCALL" and step["bindings"]:
-        copy["bindings"] = {param: dict(binding) for param, binding in step["bindings"].items()}
-    return copy
-
-
 #: The kind of port each port op needs, and the end of it the step must be.
 _PORT_ENDS = {
     "SEND": ("queueing", "source"),
@@ -762,8 +627,9 @@ _PORT_ENDS = {
 def _directive_sizes(specs: dict, sizes: dict, known: dict, fields) -> tuple:
     """A SYSCALL step names a template, binds the parameters its directives
     use and no others, and gives each directive room for its size; returns
-    each directive's ``(param, size)``.  Only the template and each
-    binding's ``len`` matter, so ``known`` keeps the result per pair."""
+    the template's user name and each directive's ``(param, size)``.  Only
+    the template and each binding's ``len`` matter, so ``known`` keeps the
+    result per pair."""
     bindings = fields["bindings"]
     key = (fields["name"], tuple((param, b.get("len")) for param, b in bindings.items()))
     if key in known:
@@ -790,39 +656,88 @@ def _directive_sizes(specs: dict, sizes: dict, known: dict, fields) -> tuple:
         raise ConfigError(str(exc), "/name") from None
     except BindError as exc:
         raise ConfigError(str(exc), f"/bindings/{exc.param}") from None
-    known[key] = tuple((c.directive.target.param, c.size) for c in resolved)
+    known[key] = spec.user_name, tuple((c.directive.target.param, c.size) for c in resolved)
     return known[key]
 
 
-def _check_workload(scenario: Scenario) -> None:
-    """Replay every partition's Layout through the workload, check each
-    step against them at the pointer of the field at fault, and bind each
-    step's locations.  The steps are bound in place, so no other Scenario
-    may hold them."""
+def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Scenario:
+    """Load every section of ``data`` in place through its _Fields, write
+    the overrides into the loaded ``time`` and partitions, check what
+    refers across sections (window partitions, override processes, port
+    endpoints, padding types and sizes), then replay every partition's
+    Layout through the workload: check each step against them at the
+    pointer of the field at fault, and bind each step's locations."""
+    try:
+        doc = _SCENARIO(data)
+    except ConfigError as exc:
+        raise ConfigError(exc.message, exc.path or "/") from None
+    time = doc["time"]
+    if slowdown_factor is not None:
+        time["slowdown_factor"] = parse_slowdown(slowdown_factor)
+    if granularity is not None:
+        _granularity(granularity)
+        for config in doc["partitions"]:
+            config["granularity"] = granularity
+
+    ids = {config["id"] for config in doc["partitions"]}
+    frame = time["major_frame"]
+    for i, window in enumerate(frame.windows if frame is not None else ()):
+        if window.partition_id not in ids:
+            raise ConfigError(
+                f"window references unknown partition {window.partition_id}",
+                f"/time/major_frame/windows/{i}/partition",
+            )
+    processes = {(p["id"], q["id"]) for p in doc["partitions"] for q in p["processes"]}
+    for i, override in enumerate(time["timeout_overrides"]):
+        pid, proc = override["partition"], override["process"]
+        if (pid, proc) not in processes:
+            raise ConfigError(
+                f"override references unknown process {proc} of partition {pid}",
+                f"/time/timeout_overrides/{i}",
+            )
+    for i, port in enumerate(doc["ports"]):
+        for end in ("source", "destination"):
+            if port[end] is not None and port[end] not in ids:
+                raise ConfigError(
+                    f"{end} references unknown partition {port[end]}", f"/ports/{i}/{end}"
+                )
+    types, padding = doc["types"], doc["padding"]
+    for type_name, ranges in padding.items():
+        if type_name not in types:
+            raise ConfigError(
+                f"padding declared for unknown type '{type_name}'", f"/padding/{type_name}"
+            )
+        accepted = []
+        for i, (off, ln) in enumerate(ranges):
+            try:
+                add_padding_range(accepted, type_name, off, ln, types[type_name])
+            except ConfigError as exc:
+                raise ConfigError(exc.message, f"/padding/{type_name}/{i}") from None
+
     layouts: dict[int, Layout] = {}
     total = 0
-    for i, config in enumerate(scenario.partitions):
+    for i, config in enumerate(doc["partitions"]):
         at = f"partitions/{i}"
-        layout = layouts[config.partition_id] = _at(
-            at, Layout, config.partition_id, config.memory_size, config.granularity, config.redzone
+        pid, memory_size = config["id"], config["memory_size"]
+        layout = layouts[pid] = _at(
+            at, Layout, pid, memory_size, config["granularity"], config["redzone"]
         )
-        total += config.memory_size
+        total += memory_size
         if total > MEMORY_CAP:
             raise ConfigError(
                 f"partitions need {total} bytes of memory in all, more than {MEMORY_CAP}",
                 f"/{at}/memory_size",
             )
-        for j, region in enumerate(config.regions):
-            _at(f"{at}/regions/{j}", layout.alloc, region.label, region.size)
-        layout.started = config.auto_start
-    processes = {(p.partition_id, q.process_id) for p in scenario.partitions for q in p.processes}
-    ports = {port.name: port for port in scenario.ports}
+        for j, region in enumerate(config["regions"]):
+            _at(f"{at}/regions/{j}", layout.alloc, region["label"], region["size"])
+        layout.started = config["auto_start"]
+    ports = {port["name"]: port for port in doc["ports"]}
     specs = {}
-    for i, spec in enumerate(scenario.syscalls):
+    for i, spec in enumerate(doc["syscalls"]):
         if spec.user_name in specs:
             raise ConfigError(f"duplicate syscall user name '{spec.user_name}'", f"/syscalls/{i}")
         specs[spec.user_name] = spec
-    directive_sizes = partial(_directive_sizes, specs, scenario.types, {})
+    directive_sizes = partial(_directive_sizes, specs, types, {})
 
     def base(layout: Layout, where, key: str = "region") -> int:
         """The base of the allocated region ``where[key]``, or 0 without one."""
@@ -860,43 +775,51 @@ def _check_workload(scenario: Scenario) -> None:
         elif op in _PORT_ENDS:
             kind, end = _PORT_ENDS[op]
             port = ports.get(fields["port"])
-            if port is None or port.kind != kind:
+            if port is None or port["kind"] != kind:
                 raise ConfigError(f"no {kind} port '{fields['port']}'", "/port")
-            if getattr(port, end) != pid:
-                raise ConfigError(f"{end} of port {port.name!r} is not partition {pid}", "/port")
-            fields["port"] = port.name
+            if port[end] != pid:
+                raise ConfigError(f"{end} of port {port['name']!r} is not partition {pid}", "/port")
+            fields["port"] = port["name"]
         elif op == "GET_MY_ID":
             caller = fields["caller"]
             if caller != "main" and (pid, caller) not in processes:
                 raise ConfigError(f"partition {pid} has no process {caller}", "/caller")
         elif op == "UNPOISON_PADDING":
             fields["at"] = base(layout, fields)
-            if fields["type"] not in scenario.padding:
+            if fields["type"] not in padding:
                 raise ConfigError(f"no padding declaration for type '{fields['type']}'", "/type")
-            for off, ln in scenario.padding[fields["type"]]:
+            for off, ln in padding[fields["type"]]:
                 _at("type", span, layout, fields["at"] + off, ln)
         elif op == "SYSCALL":
             bindings = fields["bindings"]
             for param, binding in bindings.items():
                 binding["at"] = _at(f"bindings/{param}", base, layout, binding) + binding["offset"]
-            for param, size in directive_sizes(fields):
+            # steps naming one template share its user name
+            fields["name"], sizes = directive_sizes(fields)
+            for param, size in sizes:
                 _at(f"bindings/{param}", span, layout, bindings[param]["at"], size)
 
-    for i, step in enumerate(scenario.workload):
+    for i, step in enumerate(doc["workload"]):
         try:
             if step["op"] != "IDLE":
                 check(step)
         except ConfigError as exc:
             raise ConfigError(exc.message, f"/workload/{i}{exc.path or ''}") from None
+    return Scenario(**doc)
 
 
-def load_scenario_text(text: str) -> Scenario:
+def load_scenario_text(text: str, *, slowdown_factor=None, granularity=None) -> Scenario:
+    """Load a scenario from its JSON text.  ``slowdown_factor`` replaces the
+    document's, and ``granularity`` every partition's; each is checked once
+    the sections load, so the document is checked at the values it runs
+    with."""
     try:
         data = json.loads(text)
     # a JSONDecodeError, an integer too long to convert, or nesting too deep
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"not valid JSON: {exc}") from None
-    return _load_tree(data)  # the decoded tree is ours to load in place
+    # the decoded tree is ours to load in place
+    return _load_tree(data, slowdown_factor, granularity)
 
 
 def read_utf8(path) -> str:
@@ -909,8 +832,8 @@ def read_utf8(path) -> str:
         raise ConfigError(f"not valid UTF-8: {exc.reason} at byte {exc.start} of {path}") from None
 
 
-def load_scenario_file(path) -> Scenario:
-    return load_scenario_text(read_utf8(path))
+def load_scenario_file(path, **overrides) -> Scenario:
+    return load_scenario_text(read_utf8(path), **overrides)
 
 
 # -- builtin corpus ---------------------------------------------------------------
@@ -924,12 +847,10 @@ def builtin_names() -> list[str]:
     return sorted(entry[:-5] for entry in os.listdir(_BUILTINS) if entry.endswith(".json"))
 
 
-def load_builtin(name: str) -> Scenario:
+def load_builtin(name: str, **overrides) -> Scenario:
     entry = os.path.join(_BUILTINS, f"{name}.json")
     if not os.path.isfile(entry):
         raise ConfigError(
             f"no builtin scenario '{name}'; available: {', '.join(builtin_names())}"
         )
-    with open(entry, encoding="utf-8") as file:
-        text = file.read()
-    return load_scenario_text(text)
+    return load_scenario_file(entry, **overrides)

@@ -12,8 +12,9 @@ character inserted, deleted or replaced; the character put in is a space,
 tab, newline, carriage return, ``/``, ``*``, a digit or a non-ASCII
 letter), and stores each mutant's outcome: the load error's pointer and
 message, the run error, or digests of the text and JSON reports; then the
-same for every loadable mutant under a granularity override of 1 and of
-16, and the mutant's own scenario once more after its overrides.  It also
+same for every loadable mutant loaded again as
+``load_scenario(doc, granularity=g)`` for ``g`` of 1 and of 16, and the
+mutant's own scenario run once more after those loads.  It also
 loads each mutant from its JSON text, and exits 1 when that load's error
 or report differs from the dict's, so the two entry points stay in step.
 ``compare`` reads A as the parent and B as the change, prints the counts
@@ -109,14 +110,16 @@ def _run(scenario):
     return {"report": digest.hexdigest()}
 
 
-def _load(doc, text=False):
+def _load(doc, text=False, **overrides):
     """``(scenario, None)`` or ``(None, load error)`` for ``doc``, loaded
-    from the dict or, with ``text``, from its JSON text."""
+    from the dict or, with ``text``, from its JSON text, with ``overrides``."""
     from partsan.errors import ConfigError
     from partsan.scenario import load_scenario, load_scenario_text
 
     try:
-        return (load_scenario_text(json.dumps(doc)) if text else load_scenario(doc)), None
+        if text:
+            return load_scenario_text(json.dumps(doc), **overrides), None
+        return load_scenario(doc, **overrides), None
     except ConfigError as exc:
         return None, {"load_error": exc.path, "message": exc.message}
 
@@ -134,12 +137,8 @@ def outcome(doc):
     first = _run(scenario)
     result = dict(first)
     for g in GRANULARITIES:
-        try:
-            regran = scenario.with_overrides(granularity=g)
-        except ConfigError as exc:
-            result[f"g{g}"] = {"load_error": exc.path, "message": exc.message}
-            continue
-        result[f"g{g}"] = _run(regran)
+        regran, error = _load(doc, granularity=g)
+        result[f"g{g}"] = error or _run(regran)
     rerun = _run(scenario)
     if rerun != first:
         result["rerun"] = rerun

@@ -164,7 +164,9 @@ def test_06_slowdown_compensation():
     assert (compensated.raw_ticks, compensated.virtual_ticks) == (80, 40)
     assert not [e for e in compensated.events if e.kind == "DEADLINE_MISS"]
 
-    uncompensated = run_scenario(scenario.with_overrides(slowdown_factor=1))
+    uncompensated = run_scenario(
+        load_builtin("off_schedule_with_and_without_slowdown", slowdown_factor=1)
+    )
     assert uncompensated.virtual_ticks == 80
     (miss,) = [e for e in uncompensated.events if e.kind == "DEADLINE_MISS"]
     assert (miss.info["elapsed"], miss.info["budget"]) == (52, "50")
@@ -254,8 +256,8 @@ def test_09_get_my_id_regression():
     scenario = load_builtin("get_my_id_regression")
     assert run_scenario(scenario).verdict == "MATCH"
 
-    legacy = scenario._replace(time=scenario.time._replace(legacy_get_my_id=True))
-    report = run_scenario(legacy)
+    scenario.time["legacy_get_my_id"] = True
+    report = run_scenario(scenario)
     assert report.verdict == "MISMATCH"
     (violation,) = report.violations
     assert violation.kind == "API_CONTRACT"

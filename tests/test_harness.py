@@ -19,7 +19,7 @@ from partsan.harness import (
     render_report,
     run_scenario,
 )
-from partsan.scenario import ExpectPattern, builtin_names, load_builtin, load_scenario
+from partsan.scenario import builtin_names, load_builtin, load_scenario
 from partsan.sched import ProcessTable
 from partsan.violations import Violation
 
@@ -40,18 +40,18 @@ def test_match_empty_against_empty():
 def test_match_count_mismatch():
     records = [_record("UNINIT_USE")]
     assert match_expected(records, []) is False
-    assert match_expected([], [ExpectPattern(kind="UNINIT_USE")]) is False
-    assert match_expected(records, [ExpectPattern(kind="UNINIT_USE")] * 2) is False
+    assert match_expected([], [{"kind": "UNINIT_USE"}]) is False
+    assert match_expected(records, [{"kind": "UNINIT_USE"}] * 2) is False
 
 
 def test_match_partial_patterns():
     records = [_record("UNINIT_USE", partition=1, offset=32, context="BRANCH")]
-    assert match_expected(records, [ExpectPattern(kind="UNINIT_USE")])
-    assert match_expected(records, [ExpectPattern(kind="UNINIT_USE", offset=32)])
-    assert not match_expected(records, [ExpectPattern(kind="UNINIT_USE", offset=33)])
-    assert not match_expected(records, [ExpectPattern(kind="LEFT_REDZONE")])
+    assert match_expected(records, [{"kind": "UNINIT_USE"}])
+    assert match_expected(records, [{"kind": "UNINIT_USE", "offset": 32}])
+    assert not match_expected(records, [{"kind": "UNINIT_USE", "offset": 33}])
+    assert not match_expected(records, [{"kind": "LEFT_REDZONE"}])
     assert not match_expected(
-        records, [ExpectPattern(kind="UNINIT_USE", context="ARITH")]
+        records, [{"kind": "UNINIT_USE", "context": "ARITH"}]
     )
 
 
@@ -61,8 +61,8 @@ def test_match_needs_backtracking():
     r1 = _record("UNINIT_USE", partition=1, offset=5)
     r2 = _record("UNINIT_USE", partition=1, offset=6)
     patterns = [
-        ExpectPattern(kind="UNINIT_USE", partition=1),
-        ExpectPattern(kind="UNINIT_USE", offset=5),
+        {"kind": "UNINIT_USE", "partition": 1},
+        {"kind": "UNINIT_USE", "offset": 5},
     ]
     assert match_expected([r1, r2], patterns) is True
     assert match_expected([r2, r1], patterns) is True
@@ -74,7 +74,7 @@ def test_match_fails_fast_without_a_perfect_matching():
     # search over assignments would try 199! of them
     records = [_record("UNINIT_USE", offset=i) for i in range(199)]
     records.append(_record("LEFT_REDZONE"))
-    patterns = [ExpectPattern(kind="UNINIT_USE")] * 200
+    patterns = [{"kind": "UNINIT_USE"}] * 200
     start = time.perf_counter()
     assert match_expected(records, patterns) is False
     assert time.perf_counter() - start < 0.25
@@ -83,14 +83,14 @@ def test_match_fails_fast_without_a_perfect_matching():
 
 def test_match_handles_more_patterns_than_the_recursion_limit():
     records = [_record("UNINIT_USE", offset=i) for i in range(1100)]
-    assert match_expected(records, [ExpectPattern(kind="UNINIT_USE")] * 1100) is True
+    assert match_expected(records, [{"kind": "UNINIT_USE"}] * 1100) is True
 
 
 def test_match_is_a_multiset_not_a_sequence():
     records = [_record("LEFT_REDZONE", offset=31), _record("RIGHT_REDZONE", offset=48)]
     patterns = [
-        ExpectPattern(kind="RIGHT_REDZONE", offset=48),
-        ExpectPattern(kind="LEFT_REDZONE", offset=31),
+        {"kind": "RIGHT_REDZONE", "offset": 48},
+        {"kind": "LEFT_REDZONE", "offset": 31},
     ]
     assert match_expected(records, patterns) is True
 
@@ -138,7 +138,7 @@ def test_json_report_roundtrip():
     assert parse_report_json(render_report(report, "json")) == report
 
     legacy = load_builtin("get_my_id_regression")
-    legacy = legacy._replace(time=legacy.time._replace(legacy_get_my_id=True))
+    legacy.time["legacy_get_my_id"] = True
     report = run_scenario(legacy)
     assert parse_report_json(render_report(report, "json")) == report
 
@@ -173,8 +173,8 @@ def test_legacy_get_my_id_breaks_the_contract():
     scenario = load_builtin("get_my_id_regression")
     assert run_scenario(scenario).verdict == "MATCH"
 
-    legacy = scenario._replace(time=scenario.time._replace(legacy_get_my_id=True))
-    report = run_scenario(legacy)
+    scenario.time["legacy_get_my_id"] = True
+    report = run_scenario(scenario)
     assert report.verdict == "MISMATCH"
     (violation,) = report.violations
     assert violation.kind == "API_CONTRACT"
@@ -190,7 +190,9 @@ def test_slowdown_compensation_on_and_off():
     assert (compensated.raw_ticks, compensated.virtual_ticks) == (80, 40)
     assert not [e for e in compensated.events if e.kind == "DEADLINE_MISS"]
 
-    uncompensated = run_scenario(scenario.with_overrides(slowdown_factor=1))
+    uncompensated = run_scenario(
+        load_builtin("off_schedule_with_and_without_slowdown", slowdown_factor=1)
+    )
     assert (uncompensated.raw_ticks, uncompensated.virtual_ticks) == (80, 80)
     (miss,) = [e for e in uncompensated.events if e.kind == "DEADLINE_MISS"]
     assert miss.t == 52
@@ -199,13 +201,13 @@ def test_slowdown_compensation_on_and_off():
 
 def test_timeout_override_absorbs_local_overhead():
     scenario = load_builtin("local_timeout_override")
-    assert scenario.time.overrides == ((1, 1, 2),)
+    assert scenario.time["timeout_overrides"] == ({"partition": 1, "process": 1, "multiplier": 2},)
     with_override = run_scenario(scenario)
     assert with_override.verdict == "MATCH"
     assert not [e for e in with_override.events if e.kind == "DEADLINE_MISS"]
 
-    stripped = scenario._replace(time=scenario.time._replace(overrides=()))
-    report = run_scenario(stripped)
+    scenario.time["timeout_overrides"] = ()
+    report = run_scenario(scenario)
     (miss,) = [e for e in report.events if e.kind == "DEADLINE_MISS"]
     assert (miss.t, miss.info["elapsed"], miss.info["budget"]) == (52, 52, "50")
 
@@ -791,8 +793,7 @@ def test_bound_offsets_equal_the_live_layout():
     of an UNPOISON_PADDING step's region."""
     scenarios = []
     for name in builtin_names():
-        scenario = load_builtin(name)
-        scenarios += [scenario, *(scenario.with_overrides(granularity=g) for g in (1, 16))]
+        scenarios += [load_builtin(name, granularity=g) for g in (None, 1, 16)]
     for _, doc in islice(schedule_differential.scenarios(), 300):
         try:
             scenarios.append(load_scenario(doc))
@@ -828,19 +829,19 @@ _MOVING_BASES = {
 
 @pytest.mark.parametrize("name", ["listing1_overflow", "moving_bases"])
 def test_granularity_overrides_leave_the_original_bound(name):
-    """An override rebinds copies of the steps: after running both
-    overrides, the original runs as a fresh load does, and its steps keep
-    their offsets."""
+    """Each override binds its own load of the steps, so the plain load
+    runs as its golden or its offsets say, and where regions move with the
+    granularity the overrides bind other offsets."""
 
-    def load():
-        return load_builtin(name) if name in builtin_names() else load_scenario(_MOVING_BASES)
+    def load(**overrides):
+        if name in builtin_names():
+            return load_builtin(name, **overrides)
+        return load_scenario(_MOVING_BASES, **overrides)
 
-    original = load()
-    overridden = [run_scenario(original.with_overrides(granularity=g)) for g in (16, 1)]
-    fresh = load()
-    assert original.workload == fresh.workload
-    report, fresh_report = run_scenario(original), run_scenario(fresh)
-    for fmt in ("text", "json"):
-        assert render_report(report, fmt) == render_report(fresh_report, fmt)
+    overridden = [run_scenario(load(granularity=g)) for g in (16, 1)]
+    report = run_scenario(load())
+    if name == "listing1_overflow":
+        golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        assert render_report(report, "text") == golden
     if name == "moving_bases":  # the overrides bound other offsets
         assert all(o.violations != report.violations for o in overridden)

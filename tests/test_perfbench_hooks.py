@@ -50,7 +50,8 @@ def test_tracer_counts_match_the_reports(monkeypatch):
         scenarios = [load_builtin(name) for name in builtin_names()]
         # no builtin misses a deadline; without its override this one does
         stripped = load_builtin("local_timeout_override")
-        scenarios.append(stripped._replace(time=stripped.time._replace(overrides=())))
+        stripped.time["timeout_overrides"] = ()
+        scenarios.append(stripped)
         reports = [harness.run_scenario(scenario) for scenario in scenarios]
         calls, _, counts = tracer.collect()
         harness.run_scenario(scenarios[-1])
@@ -76,7 +77,7 @@ def test_tracer_counts_match_the_reports(monkeypatch):
     assert calls["sched.check_deadline"] == len(misses)
     assert stripped_calls["sched.check_deadline"] == 1 < stripped_counts["harness.steps"]
     # every allocation and every reset goes through the traced methods
-    declared = sum(len(p.regions) for scenario in scenarios for p in scenario.partitions)
+    declared = sum(len(p["regions"]) for scenario in scenarios for p in scenario.partitions)
     allocs = sum(step["op"] == "ALLOC" for scenario in scenarios for step in scenario.workload)
     assert calls["guest_memory.alloc_region"] == declared + allocs > 0
     resets = [e for report in reports for e in report.events if e.kind == "PARTITION_RESET"]

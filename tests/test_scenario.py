@@ -7,21 +7,23 @@ import random
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from partsan.errors import ConfigError
 from partsan.guest_memory import MEMORY_CAP
-from partsan.harness import Simulator, render_report, run_scenario
+from partsan.harness import Simulator, run_scenario
 from partsan.scenario import (
     VIOLATION_KINDS,
-    ExpectPattern,
     Scenario,
     builtin_names,
     load_builtin,
     load_scenario,
     load_scenario_text,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 BUILTINS = (
     "get_my_id_regression",
@@ -77,30 +79,38 @@ def test_minimal_scenario_and_defaults():
     assert scenario.partitions == ()
     assert scenario.workload == ()
     assert scenario.expect == ()
-    assert scenario.time.slowdown_factor == Fraction(1)
-    assert scenario.time.costs.base_step == 1
-    assert scenario.time.costs.asan_check == 0
-    assert scenario.time.frame is None
-    assert scenario.time.legacy_get_my_id is False
+    assert scenario.time["slowdown_factor"] == Fraction(1)
+    assert scenario.time["costs"].base_step == 1
+    assert scenario.time["costs"].asan_check == 0
+    assert scenario.time["major_frame"] is None
+    assert scenario.time["timeout_overrides"] == ()
+    assert scenario.time["legacy_get_my_id"] is False
     assert scenario.reserved_init.enabled is False
     assert scenario.reserved_init.pattern == 0xCD
     # null stands for an absent key where the default is no value
-    assert load_scenario({"name": "empty", "time": {"major_frame": None}}).time.frame is None
+    null_frame = load_scenario({"name": "empty", "time": {"major_frame": None}})
+    assert null_frame.time["major_frame"] is None
 
 
 def test_partition_defaults():
     data = _base()
     data["partitions"][0]["processes"].append({"id": 2, "time_capacity": 5, "period": None})
     scenario = load_scenario(data)
-    part = scenario.partitions[0]
-    assert part.memory_size == 4096
-    assert part.granularity == 8
-    assert part.redzone == 16
-    assert part.auto_start is True
-    assert part.regions[0].label == "buf"
-    assert part.processes[0].time_capacity == 100
-    assert part.processes[0].period is None
-    assert part.processes[1].period is None
+    # a loaded section is its JSON object, under its keys, with the defaults added
+    assert scenario.partitions == (
+        {
+            "id": 1,
+            "regions": ({"label": "buf", "size": 16},),
+            "processes": (
+                {"id": 1, "priority": 1, "time_capacity": 100, "period": None},
+                {"id": 2, "time_capacity": 5, "period": None, "priority": 1},
+            ),
+            "memory_size": 4096,
+            "granularity": 8,
+            "redzone": 16,
+            "auto_start": True,
+        },
+    )
 
 
 def test_not_json_and_not_object():
@@ -265,8 +275,10 @@ def test_time_accepts_ratio_strings_and_overrides():
         "timeout_overrides": [{"partition": 1, "process": 1, "multiplier": "3/2"}],
     }
     scenario = load_scenario(data)
-    assert scenario.time.slowdown_factor == Fraction(3, 2)
-    assert scenario.time.overrides == ((1, 1, Fraction(3, 2)),)
+    assert scenario.time["slowdown_factor"] == Fraction(3, 2)
+    assert scenario.time["timeout_overrides"] == (
+        {"partition": 1, "process": 1, "multiplier": Fraction(3, 2)},
+    )
 
 
 def test_port_validation_paths():
@@ -290,14 +302,16 @@ def test_port_validation_paths():
     data["ports"].append(dict(data["ports"][0]))
     _fails_at(data, "/ports/1/name")
 
-    loaded = load_scenario(port(source=1, destination=2)).ports[0]
-    assert (loaded.kind, loaded.refresh_period, loaded.capacity) == ("sampling", 10, None)
-    assert load_scenario(port(source=None, destination=2)).ports[0].source is None
+    (loaded,) = load_scenario(port(source=1, destination=2)).ports
+    assert loaded == {"name": "p", "kind": "sampling", "max_message_size": 8,
+                      "refresh_period": 10, "source": 1, "destination": 2}
+    assert load_scenario(port(source=None, destination=2)).ports[0]["source"] is None
 
     data = port(kind="queueing", source=1, destination=2, capacity=4)
     del data["ports"][0]["refresh_period"]
-    loaded = load_scenario(data).ports[0]
-    assert (loaded.kind, loaded.refresh_period, loaded.capacity) == ("queueing", None, 4)
+    (loaded,) = load_scenario(data).ports
+    assert loaded == {"name": "p", "kind": "queueing", "max_message_size": 8,
+                      "source": 1, "destination": 2, "capacity": 4}
 
 
 def test_types_padding_reserved_init_paths():
@@ -630,11 +644,11 @@ def test_workload_errors_fail_at_load_with_their_pointer():
 def test_granularity_override_rechecks_the_layout():
     data = _base()
     data["partitions"][0]["redzone"] = 8
-    scenario = load_scenario(data)
+    load_scenario(data)
     with pytest.raises(ConfigError) as err:
-        scenario.with_overrides(granularity=16)
+        load_scenario(data, granularity=16)
     assert err.value.path == "/partitions/0/redzone"
-    assert scenario.with_overrides(granularity=8).partitions[0].granularity == 8
+    assert load_scenario(data, granularity=8).partitions[0]["granularity"] == 8
 
     # 17 bytes take 17 at granularity 1 and 32 at 16, so the second region
     # no longer fits in 112 bytes
@@ -643,12 +657,24 @@ def test_granularity_override_rechecks_the_layout():
     data["workload"] = [
         {"op": "ALLOC", "partition": 1, "label": "a", "size": 17},
         {"op": "ALLOC", "partition": 1, "label": "b", "size": 1},
+        {"op": "START_PARTITION", "partition": 1},
+        {"op": "WRITE", "partition": 1, "region": "b", "data": "01"},
+        {"op": "READ", "partition": 1, "region": "b", "offset": 1, "len": 1},
     ]
-    scenario = load_scenario(data)
+    load_scenario(data)
     with pytest.raises(ConfigError) as err:
-        scenario.with_overrides(granularity=16)
+        load_scenario(data, granularity=16)
     assert err.value.path == "/workload/1/size"
-    run_scenario(scenario.with_overrides(granularity=4))
+    run_scenario(load_scenario(data, granularity=4))
+
+    # the document is checked only at the granularity it runs with: where
+    # the regions fit only at the override's, it loads with the override
+    data["partitions"][0]["granularity"] = 16
+    _fails_at(data, "/workload/1/size")
+    report = run_scenario(load_scenario(data, granularity=1))
+    (violation,) = report.violations
+    # the null guard, a's redzone, 17 bytes of a and the redzones between a and b
+    assert (violation.kind, violation.offset) == ("RIGHT_REDZONE", 16 + 16 + 17 + 16 + 16 + 1)
 
 
 def test_memory_cap_bounds_partitions_and_fill_len():
@@ -707,8 +733,8 @@ def test_expect_validation_paths():
     ]
     scenario = load_scenario(data)
     assert scenario.expect == (
-        ExpectPattern(kind="LEFT_REDZONE", partition=1, offset=31),
-        ExpectPattern(kind="UNINIT_USE", context="SYSCALL_PRE"),
+        {"kind": "LEFT_REDZONE", "partition": 1, "offset": 31},
+        {"kind": "UNINIT_USE", "context": "SYSCALL_PRE"},
     )
 
 
@@ -717,31 +743,77 @@ def test_violation_kind_catalogue_covers_ub_kinds():
     assert {"LEFT_REDZONE", "UNINIT_USE", "QUEUE_FULL", "API_CONTRACT"} <= VIOLATION_KINDS
 
 
-def test_with_overrides():
-    scenario = load_builtin("off_schedule_with_and_without_slowdown")
-    assert scenario.time.slowdown_factor == Fraction(2)
+def test_overrides_apply_in_the_load():
+    name = "off_schedule_with_and_without_slowdown"
+    scenario = load_builtin(name)
+    assert scenario.time["slowdown_factor"] == Fraction(2)
+    assert load_builtin(name, slowdown_factor=1).time["slowdown_factor"] == Fraction(1)
+    ratio = load_builtin(name, slowdown_factor="3/2")
+    assert ratio.time["slowdown_factor"] == Fraction(3, 2)
+    regran = load_builtin(name, granularity=4)
+    assert all(p["granularity"] == 4 for p in regran.partitions)
+    assert regran.workload == scenario.workload  # no location moves in this one
 
-    rerun = scenario.with_overrides(slowdown_factor=1)
-    assert rerun.time.slowdown_factor == Fraction(1)
-    assert scenario.time.slowdown_factor == Fraction(2)  # original untouched
+    text = json.dumps({"name": "t", "partitions": [{"id": 1, "granularity": 3}]})
+    for overrides, message in (
+        ({"slowdown_factor": 0}, "slowdown factor must be positive, got 0"),
+        ({"slowdown_factor": -2}, "slowdown factor must be positive, got -2"),
+        ({"granularity": 3}, "granularity must be one of (1, 2, 4, 8, 16), got 3"),
+        ({"granularity": 16.0}, "expected an integer, got 16.0"),
+        ({"granularity": True}, "expected an integer, got True"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            load_builtin(name, **overrides)
+        assert (err.value.path, err.value.message) == (None, message)
+        # a section's own error comes first, as the overrides are checked after them
+        with pytest.raises(ConfigError) as err:
+            load_scenario_text(text, **overrides)
+        assert err.value.path == "/partitions/0/granularity"
 
-    regran = scenario.with_overrides(granularity=4)
-    assert all(p.granularity == 4 for p in regran.partitions)
-    assert rerun.workload == scenario.workload
+    # an override is checked before what refers across sections
+    data = _base()
+    data["time"] = {"timeout_overrides": [{"partition": 1, "process": 9, "multiplier": 2}]}
+    _fails_at(data, "/time/timeout_overrides/0")
+    with pytest.raises(ConfigError) as err:
+        load_scenario(data, granularity=5)
+    assert err.value.path is None
 
-    ratio = scenario.with_overrides(slowdown_factor="3/2")
-    assert ratio.time.slowdown_factor == Fraction(3, 2)
 
-    with pytest.raises(ConfigError):
-        scenario.with_overrides(slowdown_factor=0)
-    with pytest.raises(ConfigError):
-        scenario.with_overrides(slowdown_factor=-2)
+def _step_mix(monkeypatch) -> str:
+    """The JSON text of the benchmark's ``step_mix`` scenario at seed 1."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
 
-    # the overrides bound copies of the steps, so the original runs as loaded
-    fresh = load_builtin("off_schedule_with_and_without_slowdown")
-    assert scenario.workload == fresh.workload
-    for fmt in ("text", "json"):
-        assert render_report(run_scenario(scenario), fmt) == render_report(run_scenario(fresh), fmt)
+    (text,) = workloads.GENERATORS["step_mix"](1)
+    return text
+
+
+def test_an_overridden_load_holds_what_a_plain_one_does(monkeypatch):
+    """The overrides are written into the loaded sections before the one
+    workload pass, so no step is copied or bound twice."""
+    text = _step_mix(monkeypatch)
+    load_scenario_text(text)  # any one-off allocation happens outside the count
+    held = []
+    tracemalloc.start()
+    try:
+        for overrides in ({}, {"granularity": 16}):
+            base = tracemalloc.get_traced_memory()[0]
+            scenario = load_scenario_text(text, **overrides)
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+            del scenario
+    finally:
+        tracemalloc.stop()
+    plain, overridden = held
+    assert overridden <= 1.05 * plain, (plain, overridden)
+
+
+def test_steps_naming_one_template_share_its_name(monkeypatch):
+    scenario = load_scenario_text(_step_mix(monkeypatch))
+    user_names = {spec.user_name: spec.user_name for spec in scenario.syscalls}
+    names = [step["name"] for step in scenario.workload if step["op"] == "SYSCALL"]
+    assert len(names) > 900
+    assert all(name is user_names[name] for name in names)
+    assert len({id(name) for name in names}) == len(set(names))
 
 
 def test_loaded_steps_leave_little_for_the_collector():
@@ -871,7 +943,7 @@ def test_defaults_are_fresh_per_load():
     one, two = load_scenario({"name": "a"}), load_scenario({"name": "a"})
     assert one.types == two.types == {} and one.padding == two.padding == {}
     assert one.types is not two.types and one.padding is not two.padding
-    assert one.time.costs is not two.time.costs
+    assert one.time["costs"] is not two.time["costs"]
 
 
 def test_text_loads_in_about_the_memory_of_its_decoded_tree():
@@ -923,7 +995,7 @@ def test_text_loads_in_about_the_memory_of_its_decoded_tree():
         tracemalloc.stop()
     assert peak <= 1.25 * tree, (peak, tree)
 
-    labels = {region.label: region.label for region in scenario.partitions[0].regions}
+    labels = {region["label"]: region["label"] for region in scenario.partitions[0]["regions"]}
     (port,) = scenario.ports
     named = 0
     for step in scenario.workload:
@@ -935,8 +1007,9 @@ def test_text_loads_in_about_the_memory_of_its_decoded_tree():
             assert step["a"]["region"] is labels["buf"]
         elif step["op"] == "SYSCALL":
             assert step["bindings"]["req"]["region"] is labels["req"]
+            assert step["name"] is scenario.syscalls[0].user_name
         elif step["op"] in ("SEND", "RECEIVE"):
-            assert step["port"] is port.name
+            assert step["port"] is port["name"]
     assert named > 4000
 
 
@@ -992,7 +1065,7 @@ def test_mutated_builtins_fail_with_a_pointer_or_run():
             Simulator(scenario).run()
             for granularity in (1, 16):
                 try:
-                    regran = scenario.with_overrides(granularity=granularity)
+                    regran = load_scenario(doc, granularity=granularity)
                 except ConfigError as exc:
                     assert exc.path and _names_node(doc, exc.path), (name, str(exc))
                     continue
