@@ -45,7 +45,6 @@ from .harness import (
 )
 from .msan_shadow import (
     InitShadow,
-    ReservedInitConfig,
     copy_propagate,
     unpoison_padding,
 )
@@ -66,14 +65,12 @@ from .sched import (
     INVALID_MODE,
     MAIN_CONTEXT,
     MAIN_PROCESS_ID,
-    CheckCosts,
     DeadlineMiss,
-    MajorFrame,
     Process,
     ProcessTable,
     TimeModel,
-    Window,
     check_deadline,
+    current_window,
     get_my_id,
 )
 from .syscall_annotations import (

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .asan_shadow import PoisonKind, ShadowMap, check_memory_size, poison_detail
 from .errors import ConfigError
-from .msan_shadow import InitShadow, ReservedInitConfig
+from .msan_shadow import InitShadow
 from .violations import AccessKind, Violation, ViolationError
 
 __all__ = [
@@ -132,6 +132,10 @@ class Layout:
 class PartitionMemory:
     """Byte space and shadow maps of one partition, allocated by its Layout.
     ``origins`` is the origin table its ``InitShadow`` shares, if any.
+    ``reserved_pattern``, when given, is the byte value of the reserved
+    initialization value: a write made entirely of it is stored but does not
+    count as initialization, so memset-style pre-fills with it stay visible
+    to the checker.
 
     The byte space ``data`` is a ``bytearray`` below ``LAZY_ZERO_MIN`` bytes
     and a private anonymous ``mmap`` from there up, as the ASan and MSan
@@ -147,7 +151,7 @@ class PartitionMemory:
         size_bytes: int,
         granularity: int = 8,
         redzone: int = DEFAULT_REDZONE,
-        reserved_init: ReservedInitConfig | None = None,
+        reserved_pattern: int | None = None,
         origins=None,
     ):
         self.layout = Layout(partition_id, size_bytes, granularity, redzone)
@@ -161,7 +165,7 @@ class PartitionMemory:
             self.data = bytearray(size_bytes)
         self.shadow = ShadowMap(partition_id, size_bytes, granularity)
         self.init_shadow = InitShadow(partition_id, size_bytes, origins)
-        self.reserved_init = reserved_init or ReservedInitConfig()
+        self.reserved_pattern = reserved_pattern
         # nothing is addressable until allocated
         self.shadow.poison(0, size_bytes, PoisonKind.MANUAL_BLACKLIST)
 
@@ -231,11 +235,12 @@ class PartitionMemory:
 
     def checked_write(self, offset: int, data: bytes, origin: str = "write") -> None:
         """Write with address validation.  Marks bytes initialized unless the
-        payload is exactly the reserved-init fill pattern."""
+        payload is made entirely of the reserved pattern."""
         if len(data) < 1:
             raise ConfigError("write payload must be non-empty")
         self.require_access(offset, len(data), AccessKind.WRITE)
         self.data[offset : offset + len(data)] = data
-        if not self.reserved_init.masks_write(data):
+        pattern = self.reserved_pattern
+        if pattern is None or data.count(pattern) != len(data):
             self.init_shadow.mark_initialized(offset, len(data), origin, force=True)
 

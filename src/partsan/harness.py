@@ -161,6 +161,8 @@ class Simulator:
             (o["partition"], o["process"]): o["multiplier"] for o in time["timeout_overrides"]
         }
         one = Fraction(1)  # the multiplier of every process without an override
+        reserved = scenario.reserved_init
+        reserved_pattern = reserved["pattern"] if reserved["enabled"] else None
         # one origin table for every partition, so a port hop copies ids as they are
         origins = ([None], {})
         self.partitions: dict[int, PartitionMemory] = {}
@@ -172,7 +174,7 @@ class Simulator:
                 pconf["memory_size"],
                 granularity=pconf["granularity"],
                 redzone=pconf["redzone"],
-                reserved_init=scenario.reserved_init,
+                reserved_pattern=reserved_pattern,
                 origins=origins,
             )
             for region in pconf["regions"]:
@@ -239,7 +241,7 @@ class Simulator:
     def run(self) -> RunReport:
         executors, model = self._EXECUTORS, self.model
         partitions, redispatch = self.partitions, self._redispatch
-        advance, base_step = model.advance, model.costs.base_step
+        advance, base_step = model.advance, model.costs["base_step"]
         for index, step in enumerate(self.scenario.workload):
             self._step_index = index
             op = step["op"]

@@ -32,38 +32,12 @@ from .violations import AccessKind, UseSite, Violation
 
 __all__ = [
     "InitShadow",
-    "ReservedInitConfig",
     "UseSite",
     "copy_propagate",
 ]
 
 #: Shadow byte of each state in a ``snapshot``'s bits.
 _STATE_BYTE = (b"\x00", b"\x01")
-
-
-class ReservedInitConfig:
-    """Optional 'reserved initialization value' handling.
-
-    When enabled, a write whose every byte equals ``pattern`` is stored but
-    does not count as initialization: memset-style pre-fills with the
-    reserved pattern stay visible to the checker.
-    """
-
-    __slots__ = ("enabled", "pattern")
-
-    def __init__(self, enabled: bool = False, pattern: int = 0xCD):
-        self.enabled = enabled
-        self.pattern = check_reserved_pattern(pattern)
-
-    def masks_write(self, data: bytes) -> bool:
-        return self.enabled and len(data) > 0 and data.count(self.pattern) == len(data)
-
-
-def check_reserved_pattern(pattern: int) -> int:
-    """The reserved initialization pattern is one byte value; returns it."""
-    if not 0 <= pattern <= 0xFF:
-        raise ConfigError(f"reserved pattern must be a byte value, got {pattern}")
-    return pattern
 
 
 class InitShadow:

@@ -93,10 +93,6 @@ class SamplingPort:
     """Latest-value port with a freshness window."""
 
     def __init__(self, name: str, max_message_size: int, refresh_period: int):
-        if max_message_size < 1:
-            raise ConfigError(f"max message size must be >= 1, got {max_message_size}")
-        if refresh_period < 0:
-            raise ConfigError(f"refresh period must be >= 0, got {refresh_period}")
         self.name = name
         self.max_message_size = max_message_size
         self.refresh_period = refresh_period
@@ -126,10 +122,6 @@ class QueueingPort:
     """Bounded FIFO port."""
 
     def __init__(self, name: str, max_message_size: int, capacity: int):
-        if max_message_size < 1:
-            raise ConfigError(f"max message size must be >= 1, got {max_message_size}")
-        if capacity < 1:
-            raise ConfigError(f"queue capacity must be >= 1, got {capacity}")
         self.name = name
         self.max_message_size = max_message_size
         self.capacity = capacity

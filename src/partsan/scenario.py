@@ -20,8 +20,8 @@ from typing import NamedTuple
 from .asan_shadow import check_granularity
 from .errors import BindError, ConfigError, ParseError, UnknownType
 from .guest_memory import MEMORY_CAP, Layout
-from .msan_shadow import ReservedInitConfig, add_padding_range, check_reserved_pattern
-from .sched import CheckCosts, MajorFrame, Window, check_period, parse_multiplier, parse_slowdown
+from .msan_shadow import add_padding_range
+from .sched import check_period, parse_multiplier, parse_slowdown
 from .syscall_annotations import SyscallSpec, parse_template, resolve_sizes
 from .ub_checks import INT_SPECS, UbKind
 from .violations import UseSite
@@ -47,9 +47,9 @@ VIOLATION_KINDS = frozenset(
 
 class Scenario(NamedTuple):
     """A loaded scenario: each section is its checked JSON object (or list
-    of them) under its JSON keys, except where a row builds a runtime
-    object (the check costs, the major frame, ``reserved_init``) or a
-    template (``syscalls``)."""
+    of them) under its JSON keys, with every default filled in, except
+    ``syscalls``, whose templates load parsed.  The loader is the one place
+    a value is checked; the runtime takes the loaded values as they are."""
 
     name: str
     partitions: tuple[dict, ...]
@@ -57,7 +57,7 @@ class Scenario(NamedTuple):
     ports: tuple[dict, ...]
     types: dict
     padding: dict
-    reserved_init: ReservedInitConfig
+    reserved_init: dict
     syscalls: tuple[SyscallSpec, ...]
     workload: tuple[dict, ...]  # each step's loaded fields and its "op"
     expect: tuple[dict, ...]  # the kind, and what else a finding must match
@@ -145,18 +145,16 @@ class _Fields:
     itself.  A ``None`` default also stands for an explicit ``null``, and a
     ``{}`` default is loaded like a given empty object, a fresh one per
     load, as the load would otherwise fill in the row's own dict.
-    ``check(fields)`` runs on the loaded fields, then ``build(**fields)``
-    makes the result (without ``build``, the fields themselves);
+    ``check(fields)`` runs on the loaded fields, which are the result;
     ``extra_keys`` are allowed in the object but not loaded (the tag that
     picked these rows, a step's ``op`` or a port's ``kind``).
     The instance is itself the check for such an object.
     """
 
-    def __init__(self, *rows, check=None, build=None, extra_keys=()):
+    def __init__(self, *rows, check=None, extra_keys=()):
         self.rows = rows
         self.keys = frozenset(extra_keys).union(key for key, _, _ in rows)
         self.check = check
-        self.build = build
 
     def __call__(self, value):
         return self.load(_as_dict(value))
@@ -178,7 +176,7 @@ class _Fields:
                 obj[key] = check({}) if default.__class__ is dict else default
         if self.check is not None:
             self.check(obj)
-        return obj if self.build is None else self.build(**obj)
+        return obj
 
 
 def _list_of(check, unique=None):
@@ -302,18 +300,33 @@ _COSTS = _Fields(
     ("asan_check", _ticks, 0),
     ("msan_check", _ticks, 0),
     ("ub_check", _ticks, 0),
-    build=CheckCosts,
 )
 
 _WINDOW = _Fields(
     ("partition", _as_int, _REQUIRED),
     ("start", _ticks, _REQUIRED),
     ("length", _count, _REQUIRED),
-    build=lambda partition, **f: Window(partition, **f),
 )
 
+
+def _tiling(frame):
+    """A cyclic partition schedule: the windows tile [0, frame_len) exactly."""
+    if not frame["windows"]:
+        raise ConfigError("major frame needs at least one window")
+    end = 0
+    for i, window in enumerate(frame["windows"]):
+        if window["start"] != end:
+            raise ConfigError(
+                f"window {i} starts at {window['start']}, expected {end} "
+                f"(windows must be sorted, disjoint and gap-free)"
+            )
+        end += window["length"]
+    if end != frame["frame_len"]:
+        raise ConfigError(f"windows cover [0, {end}) but frame length is {frame['frame_len']}")
+
+
 _FRAME = _Fields(
-    ("frame_len", _count, _REQUIRED), ("windows", _list_of(_WINDOW), _REQUIRED), build=MajorFrame
+    ("frame_len", _count, _REQUIRED), ("windows", _list_of(_WINDOW), _REQUIRED), check=_tiling
 )
 
 _OVERRIDE = _Fields(
@@ -366,11 +379,15 @@ def _padding_range(value):
     return _at(0, _ticks, pair[0]), _at(1, _count, pair[1])
 
 
-_RESERVED_INIT = _Fields(
-    ("enabled", _as_bool, False),
-    ("pattern", lambda value: check_reserved_pattern(_as_int(value)), 0xCD),
-    build=ReservedInitConfig,
-)
+def _reserved_pattern(value):
+    value = _as_int(value)
+    if not 0 <= value <= 0xFF:
+        raise ConfigError(f"reserved pattern must be a byte value, got {value}")
+    return value
+
+
+# with ``enabled``, a write made entirely of ``pattern`` does not initialize
+_RESERVED_INIT = _Fields(("enabled", _as_bool, False), ("pattern", _reserved_pattern, 0xCD))
 
 
 def _template(value):
@@ -681,10 +698,10 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
 
     ids = {config["id"] for config in doc["partitions"]}
     frame = time["major_frame"]
-    for i, window in enumerate(frame.windows if frame is not None else ()):
-        if window.partition_id not in ids:
+    for i, window in enumerate(frame["windows"] if frame is not None else ()):
+        if window["partition"] not in ids:
             raise ConfigError(
-                f"window references unknown partition {window.partition_id}",
+                f"window references unknown partition {window['partition']}",
                 f"/time/major_frame/windows/{i}/partition",
             )
     processes = {(p["id"], q["id"]) for p in doc["partitions"] for q in p["processes"]}

@@ -98,17 +98,12 @@ class Process:
     def __init__(
         self, process_id, partition_id, priority, time_capacity, period=None, multiplier=1
     ):
-        if process_id < 1:
-            raise ConfigError(f"process id must be >= 1, got {process_id}")
-        if time_capacity < 1:
-            raise ConfigError(f"time capacity must be >= 1, got {time_capacity}")
-        check_period(period, time_capacity)
         self.process_id = process_id
         self.partition_id = partition_id
         self.priority = priority
         self.time_capacity = time_capacity
         self.period = period
-        self.multiplier = parse_multiplier(multiplier)
+        self.multiplier = multiplier
         self.activation_time: int | None = None
         self.deadline_missed = False
 
@@ -122,33 +117,20 @@ class DeadlineMiss(NamedTuple):
     budget: Fraction
 
 
-class CheckCosts:
-    """Raw ticks charged per workload step and per sanitizer check."""
-
-    __slots__ = ("base_step", "asan_check", "msan_check", "ub_check")
-
-    def __init__(self, base_step=1, asan_check=0, msan_check=0, ub_check=0):
-        for name, cost in zip(self.__slots__, (base_step, asan_check, msan_check, ub_check)):
-            if cost < 0:
-                raise ConfigError(f"cost '{name}' must be >= 0")
-        self.base_step = base_step
-        self.asan_check = asan_check
-        self.msan_check = msan_check
-        self.ub_check = ub_check
-
-
 class TimeModel:
     """Raw tick accumulator plus the virtual clock the guest sees.
 
     virtual_now = floor(raw_ticks / slowdown_factor), computed exactly in
     integers once per ``advance`` so e.g. factor 3/2 never drifts.
+    ``costs`` is a scenario's loaded ``time.costs``: the raw ticks charged
+    per workload step and per sanitizer check.
     """
 
-    def __init__(self, slowdown_factor=1, costs: CheckCosts | None = None):
-        self.slowdown_factor = parse_slowdown(slowdown_factor)
-        self._num = self.slowdown_factor.numerator
-        self._den = self.slowdown_factor.denominator
-        self.costs = costs or CheckCosts()
+    def __init__(self, slowdown_factor: Fraction, costs: dict):
+        self.slowdown_factor = slowdown_factor
+        self._num = slowdown_factor.numerator
+        self._den = slowdown_factor.denominator
+        self.costs = costs
         self.raw_ticks = 0
         self.virtual_now = 0
 
@@ -160,59 +142,27 @@ class TimeModel:
         ub_checks: int = 0,
     ) -> int:
         """Charge one step's work; returns the new virtual time."""
-        if step_base_cost < 0 or asan_checks < 0 or msan_checks < 0 or ub_checks < 0:
-            raise ConfigError("advance amounts must be non-negative")
+        costs = self.costs
         self.raw_ticks += (
             step_base_cost
-            + asan_checks * self.costs.asan_check
-            + msan_checks * self.costs.msan_check
-            + ub_checks * self.costs.ub_check
+            + asan_checks * costs["asan_check"]
+            + msan_checks * costs["msan_check"]
+            + ub_checks * costs["ub_check"]
         )
         self.virtual_now = self.raw_ticks * self._den // self._num
         return self.virtual_now
 
 
-class Window(NamedTuple):
-    partition_id: int
-    start: int
-    length: int
-
-
-class MajorFrame:
-    """Cyclic partition schedule: windows must tile [0, frame_len) exactly."""
-
-    def __init__(self, frame_len: int, windows):
-        windows = tuple(windows)
-        if frame_len < 1:
-            raise ConfigError(f"frame length must be >= 1, got {frame_len}")
-        if not windows:
-            raise ConfigError("major frame needs at least one window")
-        expected_start = 0
-        for i, w in enumerate(windows):
-            if w.length < 1:
-                raise ConfigError(f"window {i} has non-positive length {w.length}")
-            if w.start != expected_start:
-                raise ConfigError(
-                    f"window {i} starts at {w.start}, expected {expected_start} "
-                    f"(windows must be sorted, disjoint and gap-free)"
-                )
-            expected_start += w.length
-        if expected_start != frame_len:
-            raise ConfigError(
-                f"windows cover [0, {expected_start}) but frame length is {frame_len}"
-            )
-        self.frame_len = frame_len
-        self.windows = windows
-
-    def current_window(self, virtual_now: int) -> tuple[Window, int]:
-        """Window active at ``virtual_now`` and ticks remaining in it."""
-        if virtual_now < 0:
-            raise ConfigError(f"time must be >= 0, got {virtual_now}")
-        pos = virtual_now % self.frame_len
-        for w in self.windows:
-            if w.start <= pos < w.start + w.length:
-                return w, w.start + w.length - pos
-        raise AssertionError("windows tile the frame; unreachable")
+def current_window(frame: dict, virtual_now: int) -> tuple[dict, int]:
+    """The window of a loaded ``major_frame`` active at ``virtual_now``, and
+    the ticks remaining in it; the windows tile ``[0, frame_len)``."""
+    if virtual_now < 0:
+        raise ConfigError(f"time must be >= 0, got {virtual_now}")
+    pos = virtual_now % frame["frame_len"]
+    for w in frame["windows"]:
+        if w["start"] <= pos < w["start"] + w["length"]:
+            return w, w["start"] + w["length"] - pos
+    raise AssertionError("windows tile the frame; unreachable")
 
 
 class ProcessTable:
@@ -220,9 +170,6 @@ class ProcessTable:
 
     def __init__(self, processes):
         self.processes = list(processes)
-        ids = [p.process_id for p in self.processes]
-        if len(set(ids)) != len(ids):
-            raise ConfigError(f"duplicate process ids: {sorted(ids)}")
         self.running: Process | None = None
 
     def get(self, process_id: int) -> Process:
@@ -260,23 +207,17 @@ def deadline_due(process: Process) -> int | float:
 
 
 def check_deadline(process: Process, virtual_now: int) -> DeadlineMiss | None:
-    """Budget check against virtual time.
-
-    The budget is time_capacity times the process's multiplier, compared
-    exactly in integers.  Reported at most once per activation.
-    """
-    if process.activation_time is None or process.deadline_missed:
-        return None
-    m = process.multiplier
-    elapsed = virtual_now - process.activation_time
-    if elapsed * m.denominator <= process.time_capacity * m.numerator:
+    """Budget check against virtual time: a miss from ``deadline_due`` on,
+    reported at most once per activation.  The budget is time_capacity
+    times the process's multiplier."""
+    if virtual_now < deadline_due(process):
         return None
     process.deadline_missed = True
     return DeadlineMiss(
         process_id=process.process_id,
         partition_id=process.partition_id,
-        elapsed=elapsed,
-        budget=process.time_capacity * m,
+        elapsed=virtual_now - process.activation_time,
+        budget=process.time_capacity * process.multiplier,
     )
 
 

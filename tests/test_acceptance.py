@@ -13,7 +13,6 @@ from pathlib import Path
 from partsan.harness import Simulator, run_scenario
 from partsan.msan_shadow import InitShadow, copy_propagate
 from partsan.scenario import load_builtin
-from partsan.sched import CheckCosts, TimeModel
 from partsan.syscall_annotations import parse_template, render_template
 from partsan.ub_checks import (
     INT_SPECS,
@@ -28,6 +27,7 @@ from partsan.violations import UseSite
 
 from equivalence import run_asan_equivalence, run_msan_equivalence
 from oracles import ref_arith, ref_div, ref_shift, ref_trunc, ref_virtual
+from test_sched import _time_model
 from test_ub_checks import _agree, _sample_operand
 
 FIXTURE = Path(__file__).parent / "data" / "thread_status_template.txt"
@@ -179,8 +179,8 @@ def test_06_slowdown_compensation():
         plain = [rng.randrange(1, 7) for _ in range(n_steps)]
         extra = [rng.randrange(0, 9) for _ in range(n_steps)]
         factor = max(Fraction(p + e, p) for p, e in zip(plain, extra))
-        instrumented = TimeModel(factor, CheckCosts(base_step=1, asan_check=1))
-        uninstrumented = TimeModel(1, CheckCosts(base_step=1))
+        instrumented = _time_model(factor, asan_check=1)
+        uninstrumented = _time_model(1)
         virt_i, virt_u = [0], [0]
         for p, e in zip(plain, extra):
             virt_i.append(instrumented.advance(p, asan_checks=e))

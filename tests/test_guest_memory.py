@@ -14,7 +14,6 @@ from partsan.guest_memory import (
     PartitionMemory,
 )
 from partsan.harness import Simulator
-from partsan.msan_shadow import ReservedInitConfig
 from partsan.scenario import load_scenario
 from partsan.violations import AccessKind, UseSite, ViolationError
 
@@ -181,7 +180,7 @@ def test_fresh_region_is_uninitialized_with_alloc_origin():
 
 
 def test_reserved_init_write_does_not_initialize():
-    mem = make(reserved_init=ReservedInitConfig(enabled=True, pattern=0xCD))
+    mem = make(reserved_pattern=0xCD)
     region = mem.alloc_region(4, "var")
     mem.start()
     mem.checked_write(region.base, bytes([0xCD] * 4))

@@ -6,9 +6,9 @@ import tracemalloc
 import pytest
 
 from partsan.errors import ConfigError
+from partsan.guest_memory import NULL_GUARD, PartitionMemory
 from partsan.msan_shadow import (
     InitShadow,
-    ReservedInitConfig,
     copy_propagate,
     unpoison_padding,
 )
@@ -86,21 +86,30 @@ def test_copy_propagate_overlap_behaves_like_memmove():
     assert [s.is_initialized(i) for i in range(2, 10)] == [True] * 4 + [False] * 4
 
 
+def _write_initializes(data, reserved_pattern=0xCD) -> bool:
+    """Whether ``checked_write`` of ``data`` into a fresh region of its
+    length, in a partition with this reserved pattern, initializes it."""
+    mem = PartitionMemory(1, 4096 + len(data) // 8 * 8, reserved_pattern=reserved_pattern)
+    region = mem.alloc_region(len(data), "var")
+    mem.start()
+    mem.checked_write(region.base, data)
+    assert mem.checked_read(region.base, len(data)) == data  # stored either way
+    return mem.init_shadow.check(region.base, len(data), UseSite.BRANCH) is None
+
+
 def test_reserved_init_pattern_masks_whole_write_only():
-    cfg = ReservedInitConfig(enabled=True, pattern=0xCD)
-    assert cfg.masks_write(bytes([0xCD, 0xCD]))
-    assert not cfg.masks_write(bytes([0xCD, 0x01]))
-    assert not cfg.masks_write(b"")
-    assert not ReservedInitConfig().masks_write(bytes([0xCD]))
+    assert not _write_initializes(bytes([0xCD, 0xCD]))
+    assert _write_initializes(bytes([0xCD, 0x01]))
+    assert _write_initializes(bytes([0xCD]), reserved_pattern=None)  # disabled
+    mem = PartitionMemory(1, 4096, reserved_pattern=0xCD)
     with pytest.raises(ConfigError):
-        ReservedInitConfig(enabled=True, pattern=300)
+        mem.checked_write(NULL_GUARD, b"")
 
 
 def test_reserved_init_pattern_masks_mebibyte_writes():
-    cfg = ReservedInitConfig(enabled=True, pattern=0xCD)
     fill = bytes([0xCD]) * (1 << 20)
-    assert cfg.masks_write(fill)
-    assert not cfg.masks_write(fill[:-1] + b"\xcc")
+    assert not _write_initializes(fill)
+    assert _write_initializes(fill[:-1] + b"\xcc")
 
 
 def test_unpoison_padding_marks_declared_ranges_only():

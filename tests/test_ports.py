@@ -31,15 +31,6 @@ def _queueing_pair(capacity=4, max_size=16):
     return port, port
 
 
-def test_channel_validation():
-    with pytest.raises(ConfigError):
-        SamplingPort("s", 0, 10)
-    with pytest.raises(ConfigError):
-        SamplingPort("s", 8, -1)
-    with pytest.raises(ConfigError):
-        QueueingPort("q", 8, 0)
-
-
 def test_sampling_write_read_roundtrip_and_overwrite():
     src_mem, dst_mem = _memory(1), _memory(2)
     src, dst = _sampling_pair()

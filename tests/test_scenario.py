@@ -80,13 +80,12 @@ def test_minimal_scenario_and_defaults():
     assert scenario.workload == ()
     assert scenario.expect == ()
     assert scenario.time["slowdown_factor"] == Fraction(1)
-    assert scenario.time["costs"].base_step == 1
-    assert scenario.time["costs"].asan_check == 0
+    assert scenario.time["costs"] == {"base_step": 1, "asan_check": 0, "msan_check": 0,
+                                      "ub_check": 0}
     assert scenario.time["major_frame"] is None
     assert scenario.time["timeout_overrides"] == ()
     assert scenario.time["legacy_get_my_id"] is False
-    assert scenario.reserved_init.enabled is False
-    assert scenario.reserved_init.pattern == 0xCD
+    assert scenario.reserved_init == {"enabled": False, "pattern": 0xCD}
     # null stands for an absent key where the default is no value
     null_frame = load_scenario({"name": "empty", "time": {"major_frame": None}})
     assert null_frame.time["major_frame"] is None
@@ -155,14 +154,6 @@ def test_partition_validation_paths():
     data["partitions"][0]["regions"].append({"label": "buf", "size": 8})
     _fails_at(data, "/partitions/0/regions/1/label")
 
-    data = _base()
-    data["partitions"][0]["processes"][0]["period"] = 50  # < time_capacity 100
-    _fails_at(data, "/partitions/0/processes/0/period")
-
-    data = _base()
-    data["partitions"][0]["processes"].append({"id": 1, "time_capacity": 5})
-    _fails_at(data, "/partitions/0/processes/1/id")
-
 
 def test_integers_are_below_2_to_the_64_in_magnitude():
     """APEX times are 64-bit: every integer field stops short of 2**64 in
@@ -191,10 +182,6 @@ def test_integers_are_below_2_to_the_64_in_magnitude():
 
 def test_time_validation_paths():
     data = _base()
-    data["time"] = {"slowdown_factor": 0}
-    _fails_at(data, "/time/slowdown_factor")
-
-    data = _base()
     data["time"] = {"slowdown_factor": "1/0"}
     _fails_at(data, "/time/slowdown_factor")
 
@@ -221,10 +208,6 @@ def test_time_validation_paths():
         assert err.message == f"not a number or 'p/q' ratio: {flag!r}"
 
     data = _base()
-    data["time"] = {"costs": {"base_step": -1}}
-    _fails_at(data, "/time/costs/base_step")
-
-    data = _base()
     data["time"] = {
         "major_frame": {
             "frame_len": 100,
@@ -233,28 +216,9 @@ def test_time_validation_paths():
     }
     _fails_at(data, "/time/major_frame/windows/0/partition")
 
-    # overlapping windows fail while assembling the frame itself
-    data = _base()
-    data["time"] = {
-        "major_frame": {
-            "frame_len": 100,
-            "windows": [
-                {"partition": 1, "start": 0, "length": 60},
-                {"partition": 1, "start": 50, "length": 50},
-            ],
-        }
-    }
-    _fails_at(data, "/time/major_frame")
-
     data = _base()
     data["time"] = {"timeout_overrides": [{"partition": 1, "process": 9, "multiplier": 2}]}
     _fails_at(data, "/time/timeout_overrides/0")
-
-    data = _base()
-    data["time"] = {
-        "timeout_overrides": [{"partition": 1, "process": 1, "multiplier": "1/2"}]
-    }
-    _fails_at(data, "/time/timeout_overrides/0/multiplier")
 
     data = _base()
     data["time"] = {
@@ -266,6 +230,96 @@ def test_time_validation_paths():
     data["time"] = {"timeout_overrides": [{"partition": 1, "process": 1, "multiplier": True}]}
     err = _fails_at(data, "/time/timeout_overrides/0/multiplier")
     assert err.message == "not a number or 'p/q' ratio: True"
+
+
+def _every_section():
+    """_base() with a second partition, a port of each kind, check costs, a
+    major frame, a timeout override and reserved_init: a document that
+    loads, for each row below to break one value of."""
+    data = _base()
+    data["partitions"].append({"id": 2})
+    data["ports"] = [
+        {"name": "s", "kind": "sampling", "source": 1, "destination": 2,
+         "max_message_size": 8, "refresh_period": 10},
+        {"name": "q", "kind": "queueing", "source": 2, "destination": 1,
+         "max_message_size": 8, "capacity": 4},
+    ]
+    data["time"] = {
+        "slowdown_factor": "3/2",
+        "costs": {"asan_check": 1},
+        "major_frame": {"frame_len": 100, "windows": [
+            {"partition": 1, "start": 0, "length": 50},
+            {"partition": 2, "start": 50, "length": 50},
+        ]},
+        "timeout_overrides": [{"partition": 1, "process": 1, "multiplier": 2}],
+    }
+    data["reserved_init"] = {"enabled": True, "pattern": 0xCD}
+    return data
+
+
+@pytest.mark.parametrize(
+    "where, value, pointer, message",
+    [
+        pytest.param("/partitions/0/processes/0/id", 0, None,
+                     "expected an integer >= 1, got 0", id="process-id-0"),
+        pytest.param("/partitions/0/processes/0/time_capacity", 0, None,
+                     "expected an integer >= 1, got 0", id="time-capacity-0"),
+        pytest.param("/partitions/0/processes/0/period", 50, None,
+                     "period 50 shorter than time capacity 100", id="period-below-capacity"),
+        pytest.param("/partitions/0/processes/1", {"id": 1, "time_capacity": 5},
+                     "/partitions/0/processes/1/id", "duplicate process id 1",
+                     id="duplicate-process-id"),
+        pytest.param("/time/timeout_overrides/0/multiplier", "1/2", None,
+                     "multiplier must be >= 1, got 1/2", id="multiplier-half"),
+        pytest.param("/time/timeout_overrides/0/multiplier", "x", None,
+                     "not a number or 'p/q' ratio: 'x'", id="multiplier-x"),
+        pytest.param("/ports/1/max_message_size", 0, None,
+                     "expected an integer >= 1, got 0", id="queueing-size-0"),
+        pytest.param("/ports/1/capacity", 0, None,
+                     "expected an integer >= 1, got 0", id="queueing-capacity-0"),
+        pytest.param("/ports/0/max_message_size", 0, None,
+                     "expected an integer >= 1, got 0", id="sampling-size-0"),
+        pytest.param("/ports/0/refresh_period", -1, None,
+                     "expected an integer >= 0, got -1", id="sampling-refresh-period--1"),
+        pytest.param("/time/slowdown_factor", 0, None,
+                     "slowdown factor must be positive, got 0", id="slowdown-0"),
+        pytest.param("/time/slowdown_factor", -2, None,
+                     "slowdown factor must be positive, got -2", id="slowdown--2"),
+        pytest.param("/time/costs/base_step", -1, None,
+                     "expected an integer >= 0, got -1", id="negative-base-step-cost"),
+        pytest.param("/time/costs/ub_check", -1, None,
+                     "expected an integer >= 0, got -1", id="negative-check-cost"),
+        pytest.param("/time/major_frame/frame_len", 0, None,
+                     "expected an integer >= 1, got 0", id="frame-len-0"),
+        pytest.param("/time/major_frame/windows", [], "/time/major_frame",
+                     "major frame needs at least one window", id="no-windows"),
+        pytest.param("/time/major_frame/windows/1/length", 0, None,
+                     "expected an integer >= 1, got 0", id="window-length-0"),
+        pytest.param("/time/major_frame/windows/1/start", 60, "/time/major_frame",
+                     "window 1 starts at 60, expected 50 (windows must be sorted, disjoint"
+                     " and gap-free)", id="window-gap"),
+        pytest.param("/reserved_init/pattern", 300, None,
+                     "reserved pattern must be a byte value, got 300", id="pattern-300"),
+        pytest.param("/reserved_init/pattern", -1, None,
+                     "reserved pattern must be a byte value, got -1", id="pattern--1"),
+    ],
+)
+def test_each_rule_the_runtime_trusts_fails_at_load(where, value, pointer, message):
+    """The loader is the only validator: each rule the runtime types take as
+    given fails the load, with its JSON pointer (``where`` itself unless
+    given) and message."""
+    data = _every_section()
+    load_scenario(copy.deepcopy(data))
+    *parents, last = where[1:].split("/")
+    node = data
+    for key in parents:
+        node = node[int(key) if isinstance(node, list) else key]
+    if isinstance(node, list) and int(last) == len(node):
+        node.append(value)
+    else:
+        node[int(last) if isinstance(node, list) else last] = value
+    err = _fails_at(data, pointer or where)
+    assert err.message == message
 
 
 def test_time_accepts_ratio_strings_and_overrides():
@@ -350,17 +404,12 @@ def test_types_padding_reserved_init_paths():
     _fails_at(data, "/padding/m/1")
 
     data = _base()
-    data["reserved_init"] = {"enabled": True, "pattern": 300}
-    _fails_at(data, "/reserved_init/pattern")
-
-    data = _base()
     data["types"] = {"msg_t": 12}
     data["padding"] = {"msg_t": [[4, 4], [10, 2]]}
     data["reserved_init"] = {"enabled": True}
     scenario = load_scenario(data)
     assert scenario.padding == {"msg_t": ((4, 4), (10, 2))}
-    assert scenario.reserved_init.enabled is True
-    assert scenario.reserved_init.pattern == 0xCD
+    assert scenario.reserved_init == {"enabled": True, "pattern": 0xCD}
 
 
 def test_workload_validation_paths():

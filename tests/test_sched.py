@@ -13,19 +13,28 @@ from partsan.sched import (
     INVALID_MODE,
     MAIN_CONTEXT,
     MAIN_PROCESS_ID,
-    CheckCosts,
-    MajorFrame,
     Process,
     ProcessTable,
     TimeModel,
-    Window,
     check_deadline,
+    current_window,
     deadline_due,
     get_my_id,
     to_fraction,
 )
 
+from partsan.scenario import load_scenario
+
 from oracles import ref_dispatch, ref_virtual, ref_window
+
+
+def _time_model(slowdown_factor, **costs):
+    """A TimeModel of a scenario whose ``time`` gives this factor and these
+    check costs, as the loader checks them and fills in their defaults."""
+    time = load_scenario(
+        {"name": "t", "time": {"slowdown_factor": slowdown_factor, "costs": costs}}
+    ).time
+    return TimeModel(time["slowdown_factor"], time["costs"])
 
 
 def test_to_fraction_accepts_int_float_string():
@@ -44,23 +53,23 @@ def test_to_fraction_accepts_int_float_string():
 
 
 def test_time_model_basic_advance():
-    model = TimeModel(1)
+    model = _time_model(1)
     assert model.advance(1) == 1
     assert model.raw_ticks == 1
 
 
 def test_time_model_check_costs():
-    model = TimeModel(2, CheckCosts(base_step=1, asan_check=1))
+    model = _time_model(2, asan_check=1)
     virtual = model.advance(1, asan_checks=1)
     assert model.raw_ticks == 2 and virtual == 1
 
 
 def test_time_model_forty_step_example():
-    model = TimeModel(2, CheckCosts(base_step=1, asan_check=1))
+    model = _time_model(2, asan_check=1)
     for _ in range(40):
         model.advance(1, asan_checks=1)
     assert model.raw_ticks == 80 and model.virtual_now == 40
-    uncompensated = TimeModel(1, CheckCosts(base_step=1, asan_check=1))
+    uncompensated = _time_model(1, asan_check=1)
     for _ in range(40):
         uncompensated.advance(1, asan_checks=1)
     assert uncompensated.virtual_now == 80
@@ -71,7 +80,7 @@ def test_time_model_fractional_factor_never_drifts():
     # and the value advance returns, is floor(raw / factor)
     rng = random.Random(9)
     for factor in (Fraction(3, 2), Fraction(7, 3), 2, Fraction(5, 4), "1e0"):
-        model = TimeModel(factor, CheckCosts(asan_check=2, ub_check=1))
+        model = _time_model(factor, asan_check=2, ub_check=1)
         assert model.virtual_now == 0
         for _ in range(200):
             virtual = model.advance(rng.randint(0, 5), asan_checks=rng.randint(0, 2),
@@ -82,54 +91,51 @@ def test_time_model_fractional_factor_never_drifts():
                 assert model.virtual_now == want
 
 
-def test_time_model_validation():
-    with pytest.raises(ConfigError):
-        TimeModel(0)
-    for flag in (True, False):  # Fraction(True) is 1, but a boolean is no ratio
-        with pytest.raises(ConfigError, match="not a number or 'p/q' ratio"):
-            TimeModel(flag)
-    with pytest.raises(ConfigError):
-        TimeModel(-2)
-    with pytest.raises(ConfigError):
-        TimeModel(1).advance(-1)
-    with pytest.raises(ConfigError):
-        CheckCosts(base_step=-1)
+def _frame(frame_len, *windows):
+    """The loaded major frame of ``(partition, start, length)`` windows."""
+    time = {
+        "major_frame": {
+            "frame_len": frame_len,
+            "windows": [dict(zip(("partition", "start", "length"), w)) for w in windows],
+        }
+    }
+    partitions = [{"id": pid} for pid in sorted({w[0] for w in windows})]
+    return load_scenario({"name": "t", "partitions": partitions, "time": time}).time["major_frame"]
 
 
 def test_major_frame_rejects_bad_tilings():
-    a = Window(1, 0, 50)
-    with pytest.raises(ConfigError):
-        MajorFrame(100, [a, Window(2, 40, 60)])  # overlap
-    with pytest.raises(ConfigError):
-        MajorFrame(100, [a, Window(2, 60, 40)])  # gap
-    with pytest.raises(ConfigError):
-        MajorFrame(120, [a, Window(2, 50, 50)])  # does not fill frame
-    with pytest.raises(ConfigError):
-        MajorFrame(100, [])
-    with pytest.raises(ConfigError):
-        MajorFrame(100, [Window(1, 0, 100), Window(2, 100, 0)])
+    # a gap, no windows and an empty window are rows of test_scenario's
+    # test_each_rule_the_runtime_trusts_fails_at_load
+    a = (1, 0, 50)
+    for frame_len, windows, message in (
+        (100, [a, (2, 40, 60)], "window 1 starts at 40, expected 50"),  # overlap
+        (120, [a, (2, 50, 50)], "windows cover [0, 100) but frame length is 120"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            _frame(frame_len, *windows)
+        assert (err.value.path, err.value.message.split(" (")[0]) == ("/time/major_frame", message)
 
 
 def test_current_window_boundaries():
-    frame = MajorFrame(100, [Window(1, 0, 50), Window(2, 50, 50)])
-    window, remaining = frame.current_window(0)
-    assert window.partition_id == 1 and remaining == 50
-    window, remaining = frame.current_window(50)  # boundary starts next window
-    assert window.partition_id == 2 and remaining == 50
-    window, remaining = frame.current_window(99)
-    assert window.partition_id == 2 and remaining == 1
-    window, remaining = frame.current_window(100)
-    assert window.partition_id == 1 and remaining == 50
+    frame = _frame(100, (1, 0, 50), (2, 50, 50))
+    window, remaining = current_window(frame, 0)
+    assert window["partition"] == 1 and remaining == 50
+    window, remaining = current_window(frame, 50)  # boundary starts next window
+    assert window["partition"] == 2 and remaining == 50
+    window, remaining = current_window(frame, 99)
+    assert window["partition"] == 2 and remaining == 1
+    window, remaining = current_window(frame, 100)
+    assert window["partition"] == 1 and remaining == 50
 
 
 def test_current_window_wraps_into_later_frames():
-    frame = MajorFrame(100, [Window(1, 0, 50), Window(2, 50, 50)])
-    window, remaining = frame.current_window(237)  # 237 mod 100 = 37
-    assert window.partition_id == 1 and remaining == 13
+    frame = _frame(100, (1, 0, 50), (2, 50, 50))
+    window, remaining = current_window(frame, 237)  # 237 mod 100 = 37
+    assert window["partition"] == 1 and remaining == 13
     # a layout where position 37 falls in the second window
-    frame = MajorFrame(100, [Window(1, 0, 37), Window(2, 37, 63)])
-    window, remaining = frame.current_window(237)
-    assert window.partition_id == 2 and remaining == 63
+    frame = _frame(100, (1, 0, 37), (2, 37, 63))
+    window, remaining = current_window(frame, 237)
+    assert window["partition"] == 2 and remaining == 63
 
 
 def test_current_window_agrees_with_linear_scan():
@@ -138,17 +144,17 @@ def test_current_window_agrees_with_linear_scan():
         lengths = [(i + 1, rng.randint(1, 40)) for i in range(rng.randint(1, 6))]
         windows, start = [], 0
         for pid, length in lengths:
-            windows.append(Window(pid, start, length))
+            windows.append((pid, start, length))
             start += length
-        frame = MajorFrame(start, windows)
+        frame = _frame(start, *windows)
         for _ in range(20):
             t = rng.randint(0, 5 * start)
-            window, remaining = frame.current_window(t)
+            window, remaining = current_window(frame, t)
             index, want_remaining = ref_window(lengths, t)
-            assert window is windows[index]
+            assert window is frame["windows"][index]
             assert remaining == want_remaining
     with pytest.raises(ConfigError):
-        frame.current_window(-1)
+        current_window(frame, -1)
 
 
 def _table(*prio_by_id):
@@ -207,29 +213,6 @@ def test_dispatch_reactivates_a_periodic_process_at_the_last_boundary():
     # one floor division, however many periods passed
     table.dispatch(7 + 5 * 10**12 + 4)
     assert process.activation_time == 7 + 5 * 10**12
-
-
-def test_process_validation():
-    with pytest.raises(ConfigError):
-        Process(process_id=0, partition_id=1, priority=1, time_capacity=10)
-    with pytest.raises(ConfigError):
-        Process(process_id=1, partition_id=1, priority=1, time_capacity=0)
-    with pytest.raises(ConfigError):
-        Process(process_id=1, partition_id=1, priority=1, time_capacity=10, period=5)
-    for multiplier in (Fraction(1, 2), 0, "x", True):
-        with pytest.raises(ConfigError):
-            Process(
-                process_id=1, partition_id=1, priority=1, time_capacity=10, multiplier=multiplier
-            )
-    process = Process(process_id=1, partition_id=1, priority=1, time_capacity=10, multiplier=2)
-    assert process.multiplier == Fraction(2)
-    with pytest.raises(ConfigError):
-        ProcessTable(
-            [
-                Process(process_id=1, partition_id=1, priority=1, time_capacity=10),
-                Process(process_id=1, partition_id=1, priority=2, time_capacity=10),
-            ]
-        )
 
 
 def _activated(capacity, multiplier=1):
