@@ -63,7 +63,6 @@ from .scenario import (
 )
 from .sched import (
     INVALID_MODE,
-    MAIN_CONTEXT,
     MAIN_PROCESS_ID,
     DeadlineMiss,
     Process,
@@ -83,8 +82,6 @@ from .syscall_annotations import (
 )
 from .ub_checks import (
     INT_SPECS,
-    ArithOp,
-    EnumSpec,
     IntSpec,
     UbKind,
     check_align,
@@ -95,7 +92,6 @@ from .ub_checks import (
     checked_div,
     checked_shift,
     checked_trunc,
-    int_spec,
 )
 from .violations import (
     AccessKind,

@@ -27,7 +27,6 @@ from .msan_shadow import copy_propagate, unpoison_padding
 from .ports import QueueingPort, SamplingPort
 from .scenario import Scenario
 from .sched import (
-    MAIN_CONTEXT,
     Process,
     ProcessTable,
     TimeModel,
@@ -37,8 +36,7 @@ from .sched import (
 )
 from .syscall_annotations import enforce_post, enforce_pre, resolve_sizes
 from .ub_checks import (
-    ArithOp,
-    EnumSpec,
+    INT_SPECS,
     check_align,
     check_bool,
     check_enum,
@@ -47,7 +45,6 @@ from .ub_checks import (
     checked_div,
     checked_shift,
     checked_trunc,
-    int_spec,
 )
 from .violations import AccessKind, UseSite, Violation, ViolationError
 
@@ -183,7 +180,6 @@ class Simulator:
                 self.tables[pid] = ProcessTable(
                     Process(
                         process_id=proc["id"],
-                        partition_id=pid,
                         priority=proc["priority"],
                         time_capacity=proc["time_capacity"],
                         period=proc["period"],
@@ -410,30 +406,30 @@ class Simulator:
             self._log(result._replace(partition=fields["partition"]))
 
     def _op_arith(self, fields: dict, mem: PartitionMemory) -> None:
-        spec = int_spec(fields["type"])
+        spec = INT_SPECS[fields["type"]]
         values = self._operands(fields, mem, ("a", "b"), spec.width // 8, spec.signed)
         if values is not None:
-            op = ArithOp(fields["arith"])
+            op = fields["arith"]
             self._run_ub(fields, checked_arith(op, *values, spec, strict=fields["strict"]))
 
     def _op_div(self, fields: dict, mem: PartitionMemory) -> None:
-        spec = int_spec(fields["type"])
+        spec = INT_SPECS[fields["type"]]
         values = self._operands(fields, mem, ("a", "b"), spec.width // 8, spec.signed)
         if values is not None:
             self._run_ub(fields, checked_div(*values, spec))
 
     def _op_shift(self, fields: dict, mem: PartitionMemory) -> None:
-        spec = int_spec(fields["type"])
+        spec = INT_SPECS[fields["type"]]
         values = self._operands(fields, mem, ("a",), spec.width // 8, spec.signed)
         if values is not None:
             result = checked_shift(*values, fields["s"], spec, strict=fields["strict"])
             self._run_ub(fields, result)
 
     def _op_trunc(self, fields: dict, mem: PartitionMemory) -> None:
-        from_spec = int_spec(fields["from"])
+        from_spec = INT_SPECS[fields["from"]]
         values = self._operands(fields, mem, ("a",), from_spec.width // 8, from_spec.signed)
         if values is not None:
-            self._run_ub(fields, checked_trunc(*values, from_spec, int_spec(fields["to"])))
+            self._run_ub(fields, checked_trunc(*values, from_spec, INT_SPECS[fields["to"]]))
 
     def _op_align_check(self, fields: dict, mem: PartitionMemory) -> None:
         self._run_ub(fields, check_align(fields["at"], fields["align"]))
@@ -449,8 +445,7 @@ class Simulator:
     def _op_enum_check(self, fields: dict, mem: PartitionMemory) -> None:
         values = self._operands(fields, mem, ("a",), 4, True)
         if values is not None:
-            spec = EnumSpec(name=fields["enum"], allowed=frozenset(fields["allowed"]))
-            self._run_ub(fields, check_enum(*values, spec))
+            self._run_ub(fields, check_enum(*values, fields["enum"], fields["allowed"]))
 
     # -- syscalls ------------------------------------------------------------------
 
@@ -527,11 +522,7 @@ class Simulator:
 
     def _op_get_my_id(self, fields: dict, mem: PartitionMemory) -> None:
         caller = fields["caller"]
-        if caller == "main":
-            context = MAIN_CONTEXT
-        else:
-            context = self.tables[fields["partition"]].get(caller)
-        result = get_my_id(context, legacy=self.legacy_get_my_id)
+        result = get_my_id(caller, legacy=self.legacy_get_my_id)
         self._event(
             "GET_MY_ID",
             part=fields["partition"],

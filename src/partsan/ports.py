@@ -17,7 +17,6 @@ from collections import deque
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import ConfigError
 from .guest_memory import PartitionMemory
 from .violations import AccessKind, UseSite, Violation, ViolationError
 
@@ -49,8 +48,6 @@ def _collect_message(
     address validity.  Any failure raises ViolationError and nothing is
     sent.
     """
-    if length < 1:
-        raise ConfigError(f"message length must be >= 1, got {length}")
     if length > port.max_message_size:
         raise ViolationError(
             Violation(

@@ -21,7 +21,6 @@ from .asan_shadow import check_granularity
 from .errors import BindError, ConfigError, ParseError, UnknownType
 from .guest_memory import MEMORY_CAP, Layout
 from .msan_shadow import add_padding_range
-from .sched import check_period, parse_multiplier, parse_slowdown
 from .syscall_annotations import SyscallSpec, parse_template, resolve_sizes
 from .ub_checks import INT_SPECS, UbKind
 from .violations import UseSite
@@ -265,6 +264,54 @@ def _one_of(key, *choices):
 
 
 _as_int_type = _one_of("integer type", *INT_SPECS)
+
+
+def to_fraction(value) -> Fraction:
+    """Accept int, Fraction, float or '3/2'-style strings; anything else,
+    or a ratio whose numerator or denominator reaches 2**64 in magnitude,
+    is a ConfigError.  A Fraction is returned as it is.  A string with an
+    exponent is read as a float, as a JSON number is:
+    ``Fraction("1e1000000")`` would build 10**1000000."""
+    if type(value) is Fraction:
+        return value
+    ratio = None
+    try:
+        if isinstance(value, str) and "e" in value.lower():
+            value = float(value)
+        if isinstance(value, float):
+            ratio = Fraction(str(value))
+        elif not isinstance(value, bool):  # a JSON true or false is no ratio
+            ratio = Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        pass
+    if ratio is None:
+        raise ConfigError(f"not a number or 'p/q' ratio: {value!r}")
+    if not -(2**64) < ratio.numerator < 2**64 or ratio.denominator >= 2**64:
+        raise ConfigError("ratio terms must be below 2**64 in magnitude")
+    return ratio
+
+
+def parse_slowdown(value) -> Fraction:
+    """A timer slowdown factor: any ratio ``to_fraction`` accepts, > 0."""
+    factor = to_fraction(value)
+    if factor <= 0:
+        raise ConfigError(f"slowdown factor must be positive, got {factor}")
+    return factor
+
+
+def parse_multiplier(value) -> Fraction:
+    """A timeout override's budget multiplier: any ratio ``to_fraction``
+    accepts, >= 1."""
+    multiplier = to_fraction(value)
+    if multiplier < 1:
+        raise ConfigError(f"multiplier must be >= 1, got {multiplier}")
+    return multiplier
+
+
+def check_period(period: int | None, time_capacity: int) -> None:
+    """A periodic process must fit its time capacity into each period."""
+    if period is not None and period < time_capacity:
+        raise ConfigError(f"period {period} shorter than time capacity {time_capacity}")
 
 
 # -- configuration sections -------------------------------------------------------

@@ -23,70 +23,12 @@ MAIN_PROCESS_ID = "MAIN_PROCESS_ID"
 INVALID_MODE = "INVALID_MODE"
 
 
-class _MainContext:
-    def __repr__(self):
-        return "MAIN_CONTEXT"
-
-
-#: Sentinel passed to get_my_id by code running outside any process.
-MAIN_CONTEXT = _MainContext()
-
-
-def to_fraction(value) -> Fraction:
-    """Accept int, Fraction, float or '3/2'-style strings; anything else,
-    or a ratio whose numerator or denominator reaches 2**64 in magnitude,
-    is a ConfigError.  A Fraction is returned as it is.  A string with an
-    exponent is read as a float, as a JSON number is:
-    ``Fraction("1e1000000")`` would build 10**1000000."""
-    if type(value) is Fraction:
-        return value
-    ratio = None
-    try:
-        if isinstance(value, str) and "e" in value.lower():
-            value = float(value)
-        if isinstance(value, float):
-            ratio = Fraction(str(value))
-        elif not isinstance(value, bool):  # a JSON true or false is no ratio
-            ratio = Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError):
-        pass
-    if ratio is None:
-        raise ConfigError(f"not a number or 'p/q' ratio: {value!r}")
-    if not -(2**64) < ratio.numerator < 2**64 or ratio.denominator >= 2**64:
-        raise ConfigError("ratio terms must be below 2**64 in magnitude")
-    return ratio
-
-
-def parse_slowdown(value) -> Fraction:
-    """A timer slowdown factor: any ratio ``to_fraction`` accepts, > 0."""
-    factor = to_fraction(value)
-    if factor <= 0:
-        raise ConfigError(f"slowdown factor must be positive, got {factor}")
-    return factor
-
-
-def parse_multiplier(value) -> Fraction:
-    """A timeout override's budget multiplier: any ratio ``to_fraction``
-    accepts, >= 1."""
-    multiplier = to_fraction(value)
-    if multiplier < 1:
-        raise ConfigError(f"multiplier must be >= 1, got {multiplier}")
-    return multiplier
-
-
-def check_period(period: int | None, time_capacity: int) -> None:
-    """A periodic process must fit its time capacity into each period."""
-    if period is not None and period < time_capacity:
-        raise ConfigError(f"period {period} shorter than time capacity {time_capacity}")
-
-
 class Process:
     """One schedulable process inside a partition.  ``multiplier`` stretches
     its deadline budget (a timeout override)."""
 
     __slots__ = (
         "process_id",
-        "partition_id",
         "priority",
         "time_capacity",
         "period",
@@ -96,10 +38,9 @@ class Process:
     )
 
     def __init__(
-        self, process_id, partition_id, priority, time_capacity, period=None, multiplier=1
+        self, process_id, priority, time_capacity, period=None, multiplier=1
     ):
         self.process_id = process_id
-        self.partition_id = partition_id
         self.priority = priority
         self.time_capacity = time_capacity
         self.period = period
@@ -112,7 +53,6 @@ class DeadlineMiss(NamedTuple):
     """A process exceeded its (possibly override-stretched) time budget."""
 
     process_id: int
-    partition_id: int
     elapsed: int
     budget: Fraction
 
@@ -127,7 +67,6 @@ class TimeModel:
     """
 
     def __init__(self, slowdown_factor: Fraction, costs: dict):
-        self.slowdown_factor = slowdown_factor
         self._num = slowdown_factor.numerator
         self._den = slowdown_factor.denominator
         self.costs = costs
@@ -172,12 +111,6 @@ class ProcessTable:
         self.processes = list(processes)
         self.running: Process | None = None
 
-    def get(self, process_id: int) -> Process:
-        for p in self.processes:
-            if p.process_id == process_id:
-                return p
-        raise ConfigError(f"no process {process_id} in this partition")
-
     def dispatch(self, virtual_now: int) -> Process:
         """Run the top process: highest priority, lowest id on ties.
 
@@ -215,22 +148,20 @@ def check_deadline(process: Process, virtual_now: int) -> DeadlineMiss | None:
     process.deadline_missed = True
     return DeadlineMiss(
         process_id=process.process_id,
-        partition_id=process.partition_id,
         elapsed=virtual_now - process.activation_time,
         budget=process.time_capacity * process.multiplier,
     )
 
 
 def get_my_id(caller, legacy: bool = False):
-    """Identify the calling context.
+    """Identify the calling context ``caller``, a loaded GET_MY_ID step's
+    ``"main"`` or the id of one of the partition's processes.
 
     Processes get their own id.  The partition main context historically got
     INVALID_MODE (it runs before process scheduling starts); current behavior
     gives it the distinguished MAIN_PROCESS_ID so early-boot code can
     identify itself.  ``legacy`` selects the old answer.
     """
-    if caller is MAIN_CONTEXT:
+    if caller == "main":
         return INVALID_MODE if legacy else MAIN_PROCESS_ID
-    if isinstance(caller, Process):
-        return caller.process_id
-    raise ConfigError(f"caller must be a Process or MAIN_CONTEXT, got {caller!r}")
+    return caller

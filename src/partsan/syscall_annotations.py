@@ -383,19 +383,14 @@ def resolve_sizes(spec: SyscallSpec, sizes: dict, bindings: dict) -> tuple:
     source order.
 
     ``sizes`` maps type names (exact token, stars included) to byte counts.
-    ``bindings`` maps parameters to ``{"at": offset, "len"?: capacity}``; a
-    directive resolving to more bytes than its parameter's ``len`` is a
+    ``bindings`` maps parameters to ``{"at": offset, "len"?: capacity}``,
+    one for each directive's target, as the loader checks; a directive
+    resolving to more bytes than its parameter's ``len`` is a
     template/binding mismatch and raises BindError.
     """
     resolved = []
     for check in spec.checks:
-        binding = bindings.get(check.target.param)
-        if binding is None:
-            raise BindError(
-                f"no binding for parameter '{check.target.param}' of "
-                f"'{spec.syscall_name}'",
-                check.target.param,
-            )
+        binding = bindings[check.target.param]
         size_expr = check.size
         if size_expr.form is SizeForm.LITERAL:
             size = size_expr.value

@@ -16,7 +16,6 @@ from partsan.scenario import load_builtin
 from partsan.syscall_annotations import parse_template, render_template
 from partsan.ub_checks import (
     INT_SPECS,
-    ArithOp,
     UbKind,
     checked_arith,
     checked_div,
@@ -131,7 +130,7 @@ def test_05_ub_kind_catalogue():
             strict = rng.random() < 0.3
             op = rng.choice(("ADD", "SUB", "MUL"))
             _agree(
-                checked_arith(ArithOp(op), a, b, spec, strict=strict),
+                checked_arith(op, a, b, spec, strict=strict),
                 ref_arith(op, a, b, spec.name, strict=strict),
                 f"{spec.name} {op}({a}, {b})",
             )

@@ -234,8 +234,9 @@ def test_time_validation_paths():
 
 def _every_section():
     """_base() with a second partition, a port of each kind, check costs, a
-    major frame, a timeout override and reserved_init: a document that
-    loads, for each row below to break one value of."""
+    major frame, a timeout override, reserved_init, a syscall template and
+    a step of each op whose values the run-time primitives take as given: a
+    document that loads, for each row below to break one value of."""
     data = _base()
     data["partitions"].append({"id": 2})
     data["ports"] = [
@@ -254,6 +255,16 @@ def _every_section():
         "timeout_overrides": [{"partition": 1, "process": 1, "multiplier": 2}],
     }
     data["reserved_init"] = {"enabled": True, "pattern": 0xCD}
+    data["syscalls"] = ["//!PRE: msan_check(a, 4);\nsyscall_declare(int, f, int*, a);"]
+    data["workload"] = [
+        {"op": "ARITH", "partition": 1, "arith": "ADD", "type": "i8",
+         "a": 1, "b": {"region": "buf", "width": 1}},
+        {"op": "ALIGN_CHECK", "partition": 1, "region": "buf", "align": 4},
+        {"op": "ENUM_CHECK", "partition": 1, "a": 1, "allowed": [1]},
+        {"op": "GET_MY_ID", "partition": 1, "caller": 1},
+        {"op": "SEND", "partition": 2, "port": "q", "len": 4},
+        {"op": "SYSCALL", "partition": 1, "name": "f", "bindings": {"a": {"region": "buf"}}},
+    ]
     return data
 
 
@@ -302,6 +313,25 @@ def _every_section():
                      "reserved pattern must be a byte value, got 300", id="pattern-300"),
         pytest.param("/reserved_init/pattern", -1, None,
                      "reserved pattern must be a byte value, got -1", id="pattern--1"),
+        pytest.param("/workload/0/a", 128, None,
+                     "128 is not a value of i8", id="immediate-outside-type"),
+        pytest.param("/workload/0/b/width", 2, "/workload/0/b",
+                     "operand loads values outside i8", id="operand-wider-than-type"),
+        pytest.param("/workload/0/arith", "DIV", None,
+                     "arith must be ADD, SUB or MUL, got 'DIV'", id="arith-DIV"),
+        pytest.param("/workload/0/type", "i128", None,
+                     "integer type must be i8, u8, i16, u16, i32, u32, i64 or u64, got 'i128'",
+                     id="type-i128"),
+        pytest.param("/workload/1/align", 3, None,
+                     "align must be a power of two, got 3", id="align-3"),
+        pytest.param("/workload/2/allowed", [], None,
+                     "allowed value set must not be empty", id="enum-allowed-empty"),
+        pytest.param("/workload/3/caller", 2, None,
+                     "partition 1 has no process 2", id="caller-undeclared"),
+        pytest.param("/workload/4/len", 0, None,
+                     "expected an integer >= 1, got 0", id="send-len-0"),
+        pytest.param("/workload/5/bindings", {}, None,
+                     "directives of 'f' need bindings for ['a']", id="syscall-binding-missing"),
     ],
 )
 def test_each_rule_the_runtime_trusts_fails_at_load(where, value, pointer, message):
@@ -436,26 +466,10 @@ def test_workload_validation_paths():
     _fails_at(data, "/workload/0/partition")
 
     data = _base()
-    data["workload"] = [{"op": "ARITH", "partition": 1, "arith": "XOR", "type": "i32", "a": 1, "b": 2}]
-    _fails_at(data, "/workload/0/arith")
-
-    data = _base()
-    data["workload"] = [{"op": "ARITH", "partition": 1, "arith": "ADD", "type": "i7", "a": 1, "b": 2}]
-    _fails_at(data, "/workload/0/type")
-
-    data = _base()
     data["workload"] = [
         {"op": "ARITH", "partition": 1, "arith": "ADD", "type": "i32", "a": True, "b": 2}
     ]
     _fails_at(data, "/workload/0/a")
-
-    data = _base()
-    data["workload"] = [{"op": "ALIGN_CHECK", "partition": 1, "region": "buf", "align": 3}]
-    _fails_at(data, "/workload/0/align")
-
-    data = _base()
-    data["workload"] = [{"op": "ENUM_CHECK", "partition": 1, "a": 1, "allowed": []}]
-    _fails_at(data, "/workload/0/allowed")
 
     data = _base()
     data["workload"] = [{"op": "GET_MY_ID", "partition": 1, "caller": 0}]
@@ -548,11 +562,6 @@ def test_syscall_step_cross_checks():
     data["syscalls"] = [template]
     data["workload"] = [{"op": "SYSCALL", "partition": 1, "name": "ghost", "bindings": {}}]
     _fails_at(data, "/workload/0/name")
-
-    data = _base()
-    data["syscalls"] = [template]
-    data["workload"] = [{"op": "SYSCALL", "partition": 1, "name": "f", "bindings": {}}]
-    _fails_at(data, "/workload/0/bindings")
 
     data = _base()
     data["syscalls"] = [template]

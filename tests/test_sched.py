@@ -11,7 +11,6 @@ import pytest
 from partsan.errors import ConfigError
 from partsan.sched import (
     INVALID_MODE,
-    MAIN_CONTEXT,
     MAIN_PROCESS_ID,
     Process,
     ProcessTable,
@@ -20,10 +19,9 @@ from partsan.sched import (
     current_window,
     deadline_due,
     get_my_id,
-    to_fraction,
 )
 
-from partsan.scenario import load_scenario
+from partsan.scenario import load_scenario, to_fraction
 
 from oracles import ref_dispatch, ref_virtual, ref_window
 
@@ -159,7 +157,7 @@ def test_current_window_agrees_with_linear_scan():
 
 def _table(*prio_by_id):
     return ProcessTable(
-        Process(process_id=pid, partition_id=1, priority=prio, time_capacity=100)
+        Process(process_id=pid, priority=prio, time_capacity=100)
         for pid, prio in prio_by_id
     )
 
@@ -201,7 +199,7 @@ def test_dispatch_records_first_activation_only():
 
 def test_dispatch_reactivates_a_periodic_process_at_the_last_boundary():
     table = ProcessTable(
-        [Process(process_id=1, partition_id=1, priority=1, time_capacity=3, period=5)]
+        [Process(process_id=1, priority=1, time_capacity=3, period=5)]
     )
     process = table.dispatch(2)
     assert process.activation_time == 2
@@ -217,7 +215,7 @@ def test_dispatch_reactivates_a_periodic_process_at_the_last_boundary():
 
 def _activated(capacity, multiplier=1):
     process = Process(
-        process_id=1, partition_id=1, priority=1, time_capacity=capacity, multiplier=multiplier
+        process_id=1, priority=1, time_capacity=capacity, multiplier=multiplier
     )
     process.activation_time = 0
     return process
@@ -254,7 +252,7 @@ def test_deadline_due_is_the_first_missing_time():
             assert deadline_due(process) == math.inf  # missed: no second report
     assert deadline_due(_activated(3, Fraction(7, 3))) == 8  # budget 7
     assert deadline_due(_activated(50, Fraction(3, 2))) == 76  # budget 75
-    unactivated = Process(process_id=1, partition_id=1, priority=1, time_capacity=10)
+    unactivated = Process(process_id=1, priority=1, time_capacity=10)
     assert deadline_due(unactivated) == math.inf
 
 
@@ -286,15 +284,13 @@ def test_check_deadline_reports_once_per_activation():
 
 
 def test_check_deadline_ignores_unactivated():
-    process = Process(process_id=1, partition_id=1, priority=1, time_capacity=10)
+    process = Process(process_id=1, priority=1, time_capacity=10)
     assert check_deadline(process, 1000) is None
 
 
 def test_get_my_id():
-    process = Process(process_id=4, partition_id=1, priority=1, time_capacity=10)
-    assert get_my_id(process) == 4
-    assert get_my_id(MAIN_CONTEXT) == MAIN_PROCESS_ID
-    assert get_my_id(MAIN_CONTEXT, legacy=True) == INVALID_MODE
-    assert get_my_id(process, legacy=True) == 4
-    with pytest.raises(ConfigError):
-        get_my_id("main")
+    # the caller is a loaded GET_MY_ID step's: "main" or a declared process id
+    assert get_my_id(4) == 4
+    assert get_my_id("main") == MAIN_PROCESS_ID
+    assert get_my_id("main", legacy=True) == INVALID_MODE
+    assert get_my_id(4, legacy=True) == 4

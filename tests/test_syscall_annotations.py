@@ -321,10 +321,6 @@ def test_resolve_sizes_errors():
     short["status"] = {"at": 144, "len": 8}  # needs 16
     with pytest.raises(BindError):
         resolve_sizes(spec, SIZES, short)
-    missing = dict(bindings)
-    del missing["entry"]
-    with pytest.raises(BindError):
-        resolve_sizes(spec, SIZES, missing)
     deref_of_value = parse_template(
         "//!PRE: msan_check(a, sizeof(*a));\nsyscall_declare(int, f, int, a);"
     )

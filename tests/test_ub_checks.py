@@ -2,14 +2,8 @@
 
 import random
 
-import pytest
-
-from partsan.errors import ConfigError
 from partsan.ub_checks import (
     INT_SPECS,
-    ArithOp,
-    EnumSpec,
-    IntSpec,
     UbKind,
     check_align,
     check_bool,
@@ -19,35 +13,30 @@ from partsan.ub_checks import (
     checked_div,
     checked_shift,
     checked_trunc,
-    int_spec,
 )
 from partsan.violations import Violation
 
 from oracles import UB_BOUNDS, ref_arith, ref_div, ref_shift, ref_trunc
 
-I32 = int_spec("i32")
-I64 = int_spec("i64")
-U8 = int_spec("u8")
+I32 = INT_SPECS["i32"]
+I64 = INT_SPECS["i64"]
+U8 = INT_SPECS["u8"]
 
 
 def test_bounds_table_matches_intspec():
     for name, (lo, hi) in UB_BOUNDS.items():
-        spec = int_spec(name)
+        spec = INT_SPECS[name]
         assert spec.min == lo and spec.max == hi
 
 
 def test_int_spec_validation():
-    with pytest.raises(ConfigError):
-        IntSpec(12, True)
-    with pytest.raises(ConfigError):
-        int_spec("i128")
-    assert int_spec("u16").name == "u16"
+    assert INT_SPECS["u16"].name == "u16"
     assert len(INT_SPECS) == 8
 
 
 def test_add_examples():
-    assert checked_arith(ArithOp.ADD, 1, 2, I32) == 3
-    v = checked_arith(ArithOp.ADD, 2**31 - 1, 1, I32)
+    assert checked_arith("ADD", 1, 2, I32) == 3
+    v = checked_arith("ADD", 2**31 - 1, 1, I32)
     assert isinstance(v, Violation) and v.kind == UbKind.ADD_OVERFLOW.value
     # operands and type are reported in the detail
     assert v.detail == (
@@ -56,29 +45,20 @@ def test_add_examples():
 
 
 def test_sub_overflow_at_signed_floor():
-    v = checked_arith(ArithOp.SUB, -(2**31), 1, I32)
+    v = checked_arith("SUB", -(2**31), 1, I32)
     assert v.kind == UbKind.SUB_OVERFLOW.value
 
 
 def test_mul_overflow_narrow_fits_wide():
-    v = checked_arith(ArithOp.MUL, 65535, 65537, I32)
+    v = checked_arith("MUL", 65535, 65537, I32)
     assert isinstance(v, Violation) and v.kind == UbKind.MUL_OVERFLOW.value
-    assert checked_arith(ArithOp.MUL, 65535, 65537, I64) == 4294967295
+    assert checked_arith("MUL", 65535, 65537, I64) == 4294967295
 
 
 def test_unsigned_wraps_unless_strict():
-    assert checked_arith(ArithOp.ADD, 200, 100, U8) == 44
-    v = checked_arith(ArithOp.ADD, 200, 100, U8, strict=True)
+    assert checked_arith("ADD", 200, 100, U8) == 44
+    v = checked_arith("ADD", 200, 100, U8, strict=True)
     assert v.kind == UbKind.ADD_OVERFLOW.value
-
-
-def test_operands_must_be_representable():
-    with pytest.raises(ConfigError):
-        checked_arith(ArithOp.ADD, 2**31, 0, I32)
-    with pytest.raises(ConfigError):
-        checked_div(0, -1, U8)
-    with pytest.raises(ConfigError):
-        checked_trunc(256, U8, I32)
 
 
 def test_div_examples():
@@ -96,17 +76,17 @@ def test_shift_examples():
     assert checked_shift(1, 32, I32).kind == UbKind.SHIFT_RANGE.value  # s = width
     assert checked_shift(1, -1, I32).kind == UbKind.SHIFT_RANGE.value
     assert checked_shift(1, 31, I32).kind == UbKind.SHIFT_RANGE.value  # sign flip
-    assert checked_shift(1, 31, int_spec("u32")) == 2**31
-    assert checked_shift(3, 31, int_spec("u32")) == (3 << 31) % 2**32
-    assert checked_shift(3, 31, int_spec("u32"), strict=True).kind == UbKind.SHIFT_RANGE.value
+    assert checked_shift(1, 31, INT_SPECS["u32"]) == 2**31
+    assert checked_shift(3, 31, INT_SPECS["u32"]) == (3 << 31) % 2**32
+    assert checked_shift(3, 31, INT_SPECS["u32"], strict=True).kind == UbKind.SHIFT_RANGE.value
 
 
 def test_trunc_examples():
-    assert checked_trunc(300, I32, int_spec("i16")) == 300
-    v = checked_trunc(300, I32, int_spec("i8"))
+    assert checked_trunc(300, I32, INT_SPECS["i16"]) == 300
+    v = checked_trunc(300, I32, INT_SPECS["i8"])
     assert v.kind == UbKind.TRUNCATION.value
-    assert checked_trunc(-1, I32, int_spec("u32")).kind == UbKind.TRUNCATION.value
-    assert checked_trunc(127, I32, int_spec("i8")) == 127
+    assert checked_trunc(-1, I32, INT_SPECS["u32"]).kind == UbKind.TRUNCATION.value
+    assert checked_trunc(127, I32, INT_SPECS["i8"]) == 127
 
 
 def test_align_examples():
@@ -114,8 +94,6 @@ def test_align_examples():
     v = check_align(5, 4)
     assert v.kind == UbKind.MISALIGNED.value and v.offset == 5
     assert v.detail == "offset 5 not aligned to 4"
-    with pytest.raises(ConfigError):
-        check_align(0, 3)
 
 
 def test_nonnull_bool_enum():
@@ -124,11 +102,11 @@ def test_nonnull_bool_enum():
     assert v.kind == UbKind.NULL_DEREF.value and v.detail == "null dereference in partition 1"
     assert check_bool(0) is None and check_bool(1) is None
     assert check_bool(2).kind == UbKind.BOOL_RANGE.value
-    spec = EnumSpec("mode", frozenset({0, 1, 2}))
-    assert check_enum(2, spec) is None
-    assert check_enum(5, spec).kind == UbKind.ENUM_RANGE.value
-    with pytest.raises(ConfigError):
-        EnumSpec("empty", frozenset())
+    assert check_enum(2, "mode", (0, 1, 2)) is None
+    v = check_enum(5, "mode", (2, 0, 1, 2))
+    assert v.kind == UbKind.ENUM_RANGE.value
+    # the allowed values print as a sorted set, however the step lists them
+    assert v.detail == "value 5 not in enum 'mode' [0, 1, 2]"
 
 
 def _boundary_values(spec):
@@ -162,7 +140,7 @@ def test_randomized_sweep_every_op_and_spec():
             strict = rng.random() < 0.3
             op = rng.choice(("ADD", "SUB", "MUL"))
             _agree(
-                checked_arith(ArithOp(op), a, b, spec, strict=strict),
+                checked_arith(op, a, b, spec, strict=strict),
                 ref_arith(op, a, b, spec.name, strict=strict),
                 f"{spec.name} {op}({a}, {b}, strict={strict})",
             )
