@@ -14,6 +14,8 @@ guest offset 0 is never a valid access.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
 from typing import NamedTuple
 
 from .asan_shadow import PoisonKind, ShadowMap, check_memory_size, poison_detail
@@ -63,6 +65,9 @@ class Region(NamedTuple):
         return self.base + self.payload_len
 
 
+_SPAN_START = attrgetter("span_start")
+
+
 class Layout:
     """One partition's regions by label, bump cursor and phase.
 
@@ -91,6 +96,7 @@ class Layout:
     def reset(self) -> None:
         """Cold restart: back to INIT with no regions and the whole space free."""
         self.regions: dict[str, Region] = {}
+        self.in_order: list[Region] = []  # their spans tile [NULL_GUARD, cursor)
         self.cursor = NULL_GUARD
         self.started = False
 
@@ -119,6 +125,7 @@ class Layout:
                 "/size",
             )
         region = self.regions[label] = Region(label, base, size, start, end)
+        self.in_order.append(region)
         self.cursor = end
         return region
 
@@ -197,15 +204,14 @@ class PartitionMemory:
 
     def nearest_region(self, offset: int) -> Region | None:
         """Region owning or closest to ``offset``; names the likely victim
-        when reporting a redzone hit."""
-        best, best_dist = None, None
-        for r in self.layout.regions.values():
-            if r.span_start <= offset < r.span_end:
-                return r
-            dist = min(abs(offset - r.span_start), abs(offset - (r.span_end - 1)))
-            if best_dist is None or dist < best_dist:
-                best, best_dist = r, dist
-        return best
+        when reporting a redzone hit.  The spans tile [NULL_GUARD, cursor)
+        in address order, so the owner is the last region to start at or
+        before ``offset``; below them the first region is the nearest, and
+        beyond them the last."""
+        regions = self.layout.in_order
+        if not regions:
+            return None
+        return regions[max(bisect_right(regions, offset, key=_SPAN_START) - 1, 0)]
 
     # -- checked accesses ------------------------------------------------------
 
@@ -236,8 +242,6 @@ class PartitionMemory:
     def checked_write(self, offset: int, data: bytes, origin: str = "write") -> None:
         """Write with address validation.  Marks bytes initialized unless the
         payload is made entirely of the reserved pattern."""
-        if len(data) < 1:
-            raise ConfigError("write payload must be non-empty")
         self.require_access(offset, len(data), AccessKind.WRITE)
         self.data[offset : offset + len(data)] = data
         pattern = self.reserved_pattern

@@ -336,14 +336,14 @@ class Simulator:
 
     def _op_write(self, fields: dict, mem: PartitionMemory) -> None:
         data = fields.get("data") or bytes([fields["fill"]]) * fields["len"]
-        mem.checked_write(fields["at"], data, origin=f"step:{self._step_index}")
+        mem.checked_write(fields["offset"], data, origin=f"step:{self._step_index}")
 
     def _op_read(self, fields: dict, mem: PartitionMemory) -> None:
-        mem.checked_read(fields["at"], fields["len"])
+        mem.checked_read(fields["offset"], fields["len"])
 
     def _op_copy(self, fields: dict, mem: PartitionMemory) -> None:
-        src = fields["src_at"]
-        dst = fields["dst_at"]
+        src = fields["src_offset"]
+        dst = fields["dst_offset"]
         length = fields["len"]
         mem.require_access(src, length, AccessKind.READ)
         mem.require_access(dst, length, AccessKind.WRITE)
@@ -366,10 +366,10 @@ class Simulator:
         return True
 
     def _op_branch_on(self, fields: dict, mem: PartitionMemory) -> None:
-        self._use(mem, fields["at"], fields["len"], UseSite.BRANCH)
+        self._use(mem, fields["offset"], fields["len"], UseSite.BRANCH)
 
     def _op_unpoison_padding(self, fields: dict, mem: PartitionMemory) -> None:
-        unpoison_padding(mem.init_shadow, self.scenario.padding[fields["type"]], fields["at"])
+        unpoison_padding(mem.init_shadow, self.scenario.padding[fields["type"]], fields["offset"])
 
     # -- checked arithmetic ops --------------------------------------------------
 
@@ -388,7 +388,7 @@ class Simulator:
             operand = fields[key]
             if not isinstance(operand, int):
                 size = operand.get("width", width)
-                offset = operand["at"]
+                offset = operand["offset"]
                 if not self._use(mem, offset, size, UseSite.ARITH):
                     operand = None
                 else:
@@ -432,10 +432,10 @@ class Simulator:
             self._run_ub(fields, checked_trunc(*values, from_spec, INT_SPECS[fields["to"]]))
 
     def _op_align_check(self, fields: dict, mem: PartitionMemory) -> None:
-        self._run_ub(fields, check_align(fields["at"], fields["align"]))
+        self._run_ub(fields, check_align(fields["offset"], fields["align"]))
 
     def _op_null_check(self, fields: dict, mem: PartitionMemory) -> None:
-        self._run_ub(fields, check_nonnull(fields["at"], mem.partition_id))
+        self._run_ub(fields, check_nonnull(fields["offset"], mem.partition_id))
 
     def _op_bool_check(self, fields: dict, mem: PartitionMemory) -> None:
         values = self._operands(fields, mem, ("a",), 1, False)
@@ -470,14 +470,16 @@ class Simulator:
     # -- ports ----------------------------------------------------------------------
 
     def _op_send(self, fields: dict, mem: PartitionMemory) -> None:
-        self.ports[fields["port"]].send(mem, fields["at"], fields["len"], self.model.virtual_now)
+        port = self.ports[fields["port"]]
+        port.send(mem, fields["offset"], fields["len"], self.model.virtual_now)
 
     def _op_sampling_write(self, fields: dict, mem: PartitionMemory) -> None:
-        self.ports[fields["port"]].write(mem, fields["at"], fields["len"], self.model.virtual_now)
+        port = self.ports[fields["port"]]
+        port.write(mem, fields["offset"], fields["len"], self.model.virtual_now)
 
     def _op_receive(self, fields: dict, mem: PartitionMemory) -> None:
         port = self.ports[fields["port"]]
-        result = port.receive(mem, fields["at"], self.model.virtual_now)
+        result = port.receive(mem, fields["offset"], self.model.virtual_now)
         expected = fields.get("expect")
         if result is None:
             self._event("PORT_EMPTY", part=fields["partition"], port=fields["port"])
@@ -499,7 +501,7 @@ class Simulator:
 
     def _op_sampling_read(self, fields: dict, mem: PartitionMemory) -> None:
         port = self.ports[fields["port"]]
-        result = port.read(mem, fields["at"], self.model.virtual_now)
+        result = port.read(mem, fields["offset"], self.model.virtual_now)
         validity = "EMPTY" if result is None else result.validity.value
         info = {"part": fields["partition"], "port": fields["port"], "validity": validity}
         if result is not None:

@@ -47,8 +47,9 @@ VIOLATION_KINDS = frozenset(
 class Scenario(NamedTuple):
     """A loaded scenario: each section is its checked JSON object (or list
     of them) under its JSON keys, with every default filled in, except
-    ``syscalls``, whose templates load parsed.  The loader is the one place
-    a value is checked; the runtime takes the loaded values as they are."""
+    ``syscalls``, whose templates load parsed, and each step ``offset``,
+    bound to the absolute offset in its partition.  The loader is the one
+    place a value is checked; the runtime takes the loaded values as they are."""
 
     name: str
     partitions: tuple[dict, ...]
@@ -121,6 +122,11 @@ def _as_hex(value) -> bytes:
     if not data:
         raise ConfigError("hex byte string must not be empty")
     return data
+
+
+def _token(key: str) -> str:
+    """``key`` as a JSON pointer reference token (RFC 6901)."""
+    return key.replace("~", "~0").replace("/", "~1")
 
 
 def _at(key, check, *args):
@@ -207,7 +213,7 @@ def _dict_of(check):
     def load(value):
         obj = _as_dict(value)
         for key, item in obj.items():
-            obj[key] = _at(key, check, item)
+            obj[key] = _at(_token(key), check, item)
         return obj
 
     return load
@@ -662,17 +668,14 @@ def load_scenario(data: dict, **overrides) -> Scenario:
 # Partitions, memory and ports are static and allocation only bumps a cursor,
 # so one pass over the steps replays each partition's Layout, the allocator
 # the simulator runs, and rejects every step the simulator could not run.
-# It also binds each location to the absolute offset the simulator uses:
-# ``at`` beside a location's ``offset`` (``src_at`` and ``dst_at`` for COPY),
-# and ``at`` in each memory operand and SYSCALL binding.  No JSON key can
-# set them, as the loader rejects unknown keys.
+# It binds each location into its own ``offset`` key (``src_offset`` and
+# ``dst_offset`` for COPY, and that of each memory operand and SYSCALL
+# binding) by adding the named region's base, and gives UNPOISON_PADDING
+# its region's base as ``offset``: every loaded ``offset`` is absolute.
 
-#: Per op, the (region, offset, bound offset) keys of each of its locations.
+#: Per op, the (region, offset) keys of each of its locations.
 _LOCATIONS = {
-    op: tuple(
-        (prefix + "region", prefix + "offset", prefix + "at")
-        for prefix in (key.removesuffix("offset") for key, _, _ in f.rows if key.endswith("offset"))
-    )
+    op: tuple((k.replace("offset", "region"), k) for k, _, _ in f.rows if k.endswith("offset"))
     for op, f in _OPS.items()
 }
 #: Per op, its operand keys.
@@ -706,7 +709,7 @@ def _directive_sizes(specs: dict, sizes: dict, known: dict, fields) -> tuple:
         if param not in param_names:
             raise ConfigError(
                 f"binding for unknown parameter '{param}' of '{spec.syscall_name}'",
-                f"/bindings/{param}",
+                f"/bindings/{_token(param)}",
             )
     used = {c.target.param for c in spec.checks} | {c.size.name for c in spec.checks}
     missing = sorted(used & param_names - bindings.keys())
@@ -719,7 +722,7 @@ def _directive_sizes(specs: dict, sizes: dict, known: dict, fields) -> tuple:
     except UnknownType as exc:
         raise ConfigError(str(exc), "/name") from None
     except BindError as exc:
-        raise ConfigError(str(exc), f"/bindings/{exc.param}") from None
+        raise ConfigError(str(exc), f"/bindings/{_token(exc.param)}") from None
     known[key] = spec.user_name, tuple((c.directive.target.param, c.size) for c in resolved)
     return known[key]
 
@@ -767,16 +770,15 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
                 )
     types, padding = doc["types"], doc["padding"]
     for type_name, ranges in padding.items():
+        at = f"/padding/{_token(type_name)}"
         if type_name not in types:
-            raise ConfigError(
-                f"padding declared for unknown type '{type_name}'", f"/padding/{type_name}"
-            )
+            raise ConfigError(f"padding declared for unknown type '{type_name}'", at)
         accepted = []
         for i, (off, ln) in enumerate(ranges):
             try:
                 add_padding_range(accepted, type_name, off, ln, types[type_name])
             except ConfigError as exc:
-                raise ConfigError(exc.message, f"/padding/{type_name}/{i}") from None
+                raise ConfigError(exc.message, f"{at}/{i}") from None
 
     layouts: dict[int, Layout] = {}
     total = 0
@@ -808,9 +810,7 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
         label = where.get(key)
         if label is None:
             return 0
-        region = layout.regions.get(label)
-        if region is None:  # not allocated at this step: raise at the key
-            region = _at(key, layout.region, label)
+        region = layout.regions.get(label) or _at(key, layout.region, label)
         where[key] = region.label  # steps naming one region share its string
         return region.base
 
@@ -824,12 +824,12 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
         layout = layouts.get(pid)
         if layout is None:
             raise ConfigError(f"step references unknown partition {pid}", "/partition")
-        for region_key, offset_key, at_key in _LOCATIONS[op]:
-            fields[at_key] = base(layout, fields, region_key) + fields[offset_key]
+        for region_key, offset_key in _LOCATIONS[op]:
+            fields[offset_key] += base(layout, fields, region_key)
         for key in _OPERAND_KEYS[op]:
             operand = fields[key]
             if operand.__class__ is dict:
-                operand["at"] = _at(key, base, layout, operand) + operand["offset"]
+                operand["offset"] += _at(key, base, layout, operand)
         if op == "ALLOC":
             layout.alloc(fields["label"], fields["size"])
         elif op == "START_PARTITION":
@@ -849,19 +849,19 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
             if caller != "main" and (pid, caller) not in processes:
                 raise ConfigError(f"partition {pid} has no process {caller}", "/caller")
         elif op == "UNPOISON_PADDING":
-            fields["at"] = base(layout, fields)
+            fields["offset"] = base(layout, fields)
             if fields["type"] not in padding:
                 raise ConfigError(f"no padding declaration for type '{fields['type']}'", "/type")
             for off, ln in padding[fields["type"]]:
-                _at("type", span, layout, fields["at"] + off, ln)
+                _at("type", span, layout, fields["offset"] + off, ln)
         elif op == "SYSCALL":
             bindings = fields["bindings"]
             for param, binding in bindings.items():
-                binding["at"] = _at(f"bindings/{param}", base, layout, binding) + binding["offset"]
+                binding["offset"] += _at(f"bindings/{_token(param)}", base, layout, binding)
             # steps naming one template share its user name
             fields["name"], sizes = directive_sizes(fields)
             for param, size in sizes:
-                _at(f"bindings/{param}", span, layout, bindings[param]["at"], size)
+                _at(f"bindings/{_token(param)}", span, layout, bindings[param]["offset"], size)
 
     for i, step in enumerate(doc["workload"]):
         try:

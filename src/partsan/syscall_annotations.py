@@ -383,10 +383,10 @@ def resolve_sizes(spec: SyscallSpec, sizes: dict, bindings: dict) -> tuple:
     source order.
 
     ``sizes`` maps type names (exact token, stars included) to byte counts.
-    ``bindings`` maps parameters to ``{"at": offset, "len"?: capacity}``,
-    one for each directive's target, as the loader checks; a directive
-    resolving to more bytes than its parameter's ``len`` is a
-    template/binding mismatch and raises BindError.
+    ``bindings`` maps parameters to ``{"offset": offset, "len"?: capacity}``,
+    the offset absolute in the partition, one for each directive's target,
+    as the loader checks; a directive resolving to more bytes than its
+    parameter's ``len`` is a template/binding mismatch and raises BindError.
     """
     resolved = []
     for check in spec.checks:
@@ -411,7 +411,7 @@ def resolve_sizes(spec: SyscallSpec, sizes: dict, bindings: dict) -> tuple:
                 f"binding provides {length}",
                 check.target.param,
             )
-        resolved.append(ResolvedCheck(check, binding["at"], size))
+        resolved.append(ResolvedCheck(check, binding["offset"], size))
     return tuple(resolved)
 
 

@@ -230,6 +230,23 @@ def ref_trunc(value, from_name, to_name):
     return ("violation", "TRUNCATION")
 
 
+# -- layout references -----------------------------------------------------------
+
+
+def ref_nearest_region(regions, offset):
+    """The region whose span holds ``offset``, else the one whose span's
+    first or last byte is closest to it, the first allocated on a tie:
+    a scan over every region in allocation order."""
+    best, best_dist = None, None
+    for r in regions:
+        if r.span_start <= offset < r.span_end:
+            return r
+        dist = min(abs(offset - r.span_start), abs(offset - (r.span_end - 1)))
+        if best_dist is None or dist < best_dist:
+            best, best_dist = r, dist
+    return best
+
+
 # -- scheduling references ------------------------------------------------------
 
 

@@ -2,7 +2,8 @@
 ``mutation_differential.py`` keep producing scenarios that load and run, so
 that comparing two versions with them keeps meaning something;
 ``shadow_replay.py`` replays what it records; ``startup.py`` times fresh
-interpreters; and ``trace_counts.py`` tells two traced runs' counts apart."""
+interpreters; ``rss_pairs.py`` reads each benchmark child's own peak RSS;
+and ``trace_counts.py`` tells two traced runs' counts apart."""
 
 import json
 from collections import Counter
@@ -10,6 +11,7 @@ from itertools import islice
 from pathlib import Path
 
 import mutation_differential
+import rss_pairs
 import schedule_differential
 import shadow_replay
 import startup
@@ -114,6 +116,21 @@ def test_startup_times_each_command_and_module():
     assert set(startup.summary(best)["warm"]) == {"import", "run_all"}
     for label in "AB":
         assert {"partsan", "partsan.cli", "partsan.scenario"} <= modules[label].keys()
+
+
+def test_rss_pairs_reads_each_childs_own_peak():
+    root = SRC.parent
+    peaks, digests = rss_pairs.measure(
+        {"A": root, "B": root}, ["--workload", "big_partition", "--seed", "1"], 1
+    )
+    baseline = json.loads((PERFBENCH / "baseline.json").read_text(encoding="utf-8"))
+    assert digests == {baseline["workloads"]["big_partition"]["1"]["digest"]}
+    assert set(peaks) == set(rss_pairs.SETTINGS)
+    for pairs in peaks.values():
+        (pair,) = pairs
+        assert all(5 < mib < 500 for mib in pair)
+    rows = rss_pairs.summary(peaks)
+    assert {row["pairs"] for row in rows.values()} == {1}
 
 
 def _traced_run(path, metrics):

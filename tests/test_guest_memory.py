@@ -1,6 +1,8 @@
 """Partition memory lifecycle, allocation layout and checked accesses."""
 
 import mmap
+import random
+import sys
 import tracemalloc
 
 import pytest
@@ -18,6 +20,7 @@ from partsan.scenario import load_scenario
 from partsan.violations import AccessKind, UseSite, ViolationError
 
 from equivalence import run_allocation_layouts
+from oracles import ref_nearest_region
 
 
 def make(size=512, **kw):
@@ -157,6 +160,26 @@ def test_checked_write_then_read_roundtrip():
     assert mem.init_shadow.origin_at(region.base) == "write"
 
 
+def test_an_empty_write_is_rejected_and_changes_nothing():
+    """The address check rejects an access of no bytes, so an empty
+    payload leaves the bytes and both shadows as they were."""
+    mem = make()
+    region = mem.alloc_region(16, "buffer")
+    mem.start()
+    mem.checked_write(region.base, b"\xaa\xbb")
+
+    def state():
+        init = mem.init_shadow
+        shadows = bytes(mem.shadow.shadow), init._edges[:], init._starts[:], init._ids[:]
+        return bytes(mem.data), shadows
+
+    before = state()
+    for offset in (region.base, region.base + 4, region.base - 1, 0):
+        with pytest.raises(ConfigError, match="access length must be >= 1"):
+            mem.checked_write(offset, b"")
+        assert state() == before
+
+
 def test_checked_access_raises_violation_with_region_name():
     mem = make()
     region = mem.alloc_region(16, "buffer")
@@ -199,6 +222,67 @@ def test_nearest_region_names_closest_neighbor():
     assert mem.nearest_region(b.span_start).label == "b"
     assert mem.nearest_region(mem.size_bytes - 1).label == "b"
     assert mem.nearest_region(0).label == "a"
+
+
+def _offsets(mem, rng):
+    """Offsets below, inside and beyond a partition's regions: every span
+    edge and its neighbours, and random ones across the whole space."""
+    edges = {0, mem.size_bytes - 1, mem.layout.cursor}
+    for r in mem.layout.in_order:
+        edges |= {r.span_start, r.base, r.payload_end, r.span_end - 1}
+    near = {e + d for e in edges for d in (-1, 0, 1)}
+    return sorted(near | {rng.randrange(-64, mem.size_bytes + 64) for _ in range(40)})
+
+
+def test_nearest_region_agrees_with_the_scan_on_random_layouts():
+    rng = random.Random(653)
+    for _ in range(60):
+        granularity = rng.choice(VALID_GRANULARITIES)
+        mem = make(4096, granularity=granularity, redzone=granularity * rng.randint(1, 4))
+        for phase in range(3):  # allocate, then reset and allocate again
+            if phase:
+                mem.reset_partition()
+            for i in range(rng.randint(0, 12)):
+                try:
+                    mem.alloc_region(rng.randint(1, 200), f"r{i}")
+                except ConfigError:  # the partition is full
+                    break
+            regions = list(mem.layout.regions.values())
+            for offset in _offsets(mem, rng):
+                assert mem.nearest_region(offset) == ref_nearest_region(regions, offset)
+
+
+def _lines_traced(call):
+    """How many lines ``call()`` runs, in every Python function it calls."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        call()
+    finally:
+        sys.settrace(outer)
+    return count
+
+
+def test_nearest_region_costs_no_line_per_region():
+    """16 times the regions cost at most 2.2 times the lines: a lookup
+    searches the regions, it does not visit each one."""
+
+    def lines(n):
+        mem = make(1 << 20, granularity=8, redzone=8)
+        for i in range(n):
+            mem.alloc_region(1, f"r{i}")
+        offsets = [0, mem.layout.cursor + 5] + [r.base + 8 for r in mem.layout.in_order[::n // 50]]
+        return _lines_traced(lambda: [mem.nearest_region(offset) for offset in offsets])
+
+    assert lines(16_000) <= 2.2 * lines(1_000)
 
 
 def test_region_lookup_errors():

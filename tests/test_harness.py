@@ -1,5 +1,6 @@
 """End-to-end runs: verdict matching, reports, determinism, soundness."""
 
+import json
 import random
 import time
 from collections import Counter
@@ -19,7 +20,7 @@ from partsan.harness import (
     render_report,
     run_scenario,
 )
-from partsan.scenario import builtin_names, load_builtin, load_scenario
+from partsan.scenario import builtin_names, load_builtin, load_scenario, read_utf8
 from partsan.sched import ProcessTable
 from partsan.violations import Violation
 
@@ -743,34 +744,36 @@ def test_an_aborted_op_logs_one_finding_and_changes_nothing():
 # -- bound offsets ----------------------------------------------------------------
 
 
-def _live_offset(mem, where, prefix=""):
-    """The absolute ``<prefix>offset`` of a step, operand or binding, from
-    the run's live layout: relative to its ``<prefix>region`` when one is
-    named, absolute otherwise."""
-    offset = where[prefix + "offset"]
-    label = where.get(prefix + "region")
+def _live_offset(mem, decoded, prefix=""):
+    """The absolute ``<prefix>offset`` of a decoded step, operand or
+    binding, from the run's live layout: its decoded offset (default 0)
+    plus the base of its ``<prefix>region`` when one is named."""
+    offset = decoded.get(prefix + "offset", 0)
+    label = decoded.get(prefix + "region")
     return offset if label is None else offset + mem.layout.regions[label].base
 
 
 def _checking(executor):
     """``executor``, after checking every offset the workload pass bound in
-    the step against the live layout."""
+    the step against its decoded step and the live layout."""
 
     def run(sim, fields, mem):
+        decoded = sim.decoded[sim._step_index]
         for prefix in ("", "src_", "dst_"):
-            if prefix + "offset" in fields:
-                assert fields[prefix + "at"] == _live_offset(mem, fields, prefix)
+            if prefix + "offset" in fields and fields["op"] != "UNPOISON_PADDING":
+                assert fields[prefix + "offset"] == _live_offset(mem, decoded, prefix)
                 sim.checked[prefix + "location"] += 1
         for key in ("a", "b"):
             operand = fields.get(key)
             if operand.__class__ is dict:
-                assert operand["at"] == _live_offset(mem, operand)
+                assert operand["offset"] == _live_offset(mem, decoded[key])
                 sim.checked["operand"] += 1
-        for binding in fields.get("bindings", {}).values():
-            assert binding["at"] == _live_offset(mem, binding)
+        for param, binding in fields.get("bindings", {}).items():
+            assert binding["offset"] == _live_offset(mem, decoded["bindings"][param])
             sim.checked["binding"] += 1
         if fields["op"] == "UNPOISON_PADDING":  # the region's base, with no offset
-            assert fields["at"] == mem.layout.regions[fields["region"]].base
+            assert "offset" not in decoded
+            assert fields["offset"] == mem.layout.regions[fields["region"]].base
             sim.checked["padding"] += 1
         return executor(sim, fields, mem)
 
@@ -780,28 +783,32 @@ def _checking(executor):
 class _BoundOffsetChecker(Simulator):
     _EXECUTORS = {op: _checking(executor) for op, executor in Simulator._EXECUTORS.items()}
 
-    def __init__(self, scenario, checked):
+    def __init__(self, scenario, decoded, checked):
         super().__init__(scenario)
+        self.decoded = decoded
         self.checked = checked
 
 
 def test_bound_offsets_equal_the_live_layout():
     """Every builtin, with and without a granularity override, and the first
     300 scheduling scenarios (locations in regions that come and go with
-    ALLOC and RESET_PARTITION) run with each bound offset checked before
-    its step.  ``padding_false_positive`` and its overrides bind the base
-    of an UNPOISON_PADDING step's region."""
-    scenarios = []
+    ALLOC and RESET_PARTITION) run with each loaded offset checked before
+    its step: the decoded offset plus the live base of the region it
+    names.  ``padding_false_positive`` and its overrides bind the base of
+    an UNPOISON_PADDING step's region as its offset."""
+    loaded = []
     for name in builtin_names():
-        scenarios += [load_builtin(name, granularity=g) for g in (None, 1, 16)]
+        doc = json.loads(read_utf8(Path(scenario_module._BUILTINS) / f"{name}.json"))
+        loaded += [(load_builtin(name, granularity=g), doc) for g in (None, 1, 16)]
     for _, doc in islice(schedule_differential.scenarios(), 300):
         try:
-            scenarios.append(load_scenario(doc))
+            loaded.append((load_scenario(doc), doc))
         except ConfigError:
             continue
     checked = Counter()
-    for scenario in scenarios:
-        assert _BoundOffsetChecker(scenario, checked).run() == run_scenario(scenario)
+    for scenario, doc in loaded:
+        sim = _BoundOffsetChecker(scenario, doc["workload"], checked)
+        assert sim.run() == run_scenario(scenario)
     assert set(checked) == {
         "location", "src_location", "dst_location", "operand", "binding", "padding"
     }

@@ -15,6 +15,10 @@ from partsan.errors import ConfigError
 from partsan.guest_memory import MEMORY_CAP
 from partsan.harness import Simulator, run_scenario
 from partsan.scenario import (
+    _ABSENT,
+    _OPERAND,
+    _OPS,
+    _REQUIRED,
     VIOLATION_KINDS,
     Scenario,
     builtin_names,
@@ -442,6 +446,40 @@ def test_types_padding_reserved_init_paths():
     assert scenario.reserved_init == {"enabled": True, "pattern": 0xCD}
 
 
+def _pointed_at(doc, pointer):
+    """The element of ``doc`` that the JSON pointer ``pointer`` names."""
+    for token in pointer.split("/")[1:]:
+        token = token.replace("~1", "/").replace("~0", "~")
+        doc = doc[int(token)] if isinstance(doc, list) else doc[token]
+    return doc
+
+
+def test_pointers_escape_the_keys_users_choose():
+    """Type names, padding type names and binding parameters are keys a
+    document chooses; in a pointer, ``~`` is ``~0`` and ``/`` is ``~1``."""
+    template = "//!PRE: msan_check(a, 4);\nsyscall_declare(int, f, int*, a);"
+
+    def syscall(bindings):
+        return {"op": "SYSCALL", "partition": 1, "name": "f", "bindings": bindings}
+
+    cases = [
+        ({"types": {"a/b": 0}}, "/types/a~1b"),
+        ({"types": {"m~n": "z"}}, "/types/m~0n"),
+        ({"types": {"t": 8}, "padding": {"p/q": [[0, 1]]}}, "/padding/p~1q"),
+        ({"types": {"x~/y": 8}, "padding": {"x~/y": [[0, 9]]}}, "/padding/x~0~1y/0"),
+        ({"syscalls": [template], "workload": [syscall({"a/b": 5})]},
+         "/workload/0/bindings/a~1b"),
+        ({"syscalls": [template], "workload": [syscall({"a": {"region": "buf"}, "~/": {}})]},
+         "/workload/0/bindings/~0~1"),
+        ({"syscalls": [template], "workload": [syscall({"a~b": {"region": "ghost"}})]},
+         "/workload/0/bindings/a~0b/region"),
+    ]
+    for top, path in cases:
+        data = {**_base(), **top}
+        _fails_at(data, path)
+        _pointed_at(data, path)  # the pointer names an element of the document
+
+
 def test_workload_validation_paths():
     data = _base()
     data["workload"] = [{"op": "FROBNICATE"}]
@@ -549,7 +587,8 @@ def test_workload_operand_and_field_shapes():
     scenario = load_scenario(data)
     idle, arith, write, gmi = scenario.workload
     assert idle["ticks"] == 3 and idle.get("partition") is None
-    assert arith["a"] == {"region": "buf", "offset": 0, "width": 1, "signed": False, "at": 32}
+    # the operand's offset is bound to buf's base, and the operand gains no key
+    assert arith["a"] == {"region": "buf", "offset": 32, "width": 1, "signed": False}
     assert arith["b"] == 7 and arith["strict"] is False
     assert (write["fill"], write["len"]) == (65, 3) and write.get("data") is None
     assert gmi["caller"] == "main" and gmi["expect"] == "MAIN_PROCESS_ID"
@@ -602,7 +641,7 @@ def test_syscall_step_cross_checks():
     ]
     step = load_scenario(data).workload[0]
     assert step["succeed"] is True
-    assert step["bindings"] == {"a": {"region": "buf", "offset": 4, "len": 4, "at": 36}}
+    assert step["bindings"] == {"a": {"region": "buf", "offset": 36, "len": 4}}
 
 
 def _doc(workload, memory_size=4096, auto_start=True, **top):
@@ -872,6 +911,37 @@ def test_steps_naming_one_template_share_its_name(monkeypatch):
     assert len(names) > 900
     assert all(name is user_names[name] for name in names)
     assert len({id(name) for name in names}) == len(set(names))
+
+
+def _filled_defaults(rows):
+    """The keys a load adds to an object that omits them: its rows' defaults."""
+    return {key for key, _, default in rows if default is not _REQUIRED and default is not _ABSENT}
+
+
+def test_a_loaded_step_holds_its_decoded_keys_and_row_defaults(monkeypatch):
+    """The workload pass binds each location into its own offset key, so a
+    loaded step, operand or binding has the keys its JSON gave plus its
+    row defaults, and no other (an UNPOISON_PADDING step's region base is
+    its one bound ``offset``).  Every builtin and ``step_mix`` at seed 1."""
+    root = resources.files("partsan.scenarios")
+    texts = [(root / f"{name}.json").read_text(encoding="utf-8") for name in builtin_names()]
+    texts.append(_step_mix(monkeypatch))
+    located = _filled_defaults(_OPERAND.rows)  # a binding's rows fill the same
+    counted = 0
+    for text in texts:
+        decoded = json.loads(text).get("workload", [])
+        loaded = load_scenario_text(text).workload
+        assert len(loaded) == len(decoded)
+        for step, raw in zip(loaded, decoded):
+            bound = {"offset"} if raw["op"] == "UNPOISON_PADDING" else set()
+            assert step.keys() == raw.keys() | _filled_defaults(_OPS[raw["op"]].rows) | bound
+            for key in ("a", "b"):
+                if isinstance(raw.get(key), dict):
+                    assert step[key].keys() == raw[key].keys() | located
+            for param, binding in raw.get("bindings", {}).items():
+                assert step["bindings"][param].keys() == binding.keys() | located
+            counted += 1
+    assert counted > 20_000
 
 
 def test_loaded_steps_leave_little_for_the_collector():

@@ -293,10 +293,10 @@ SIZES = {
 
 def _bindings(base=32):
     return {
-        "thread_id": {"at": base, "len": 4},
-        "name": {"at": base + 40, "len": 32},
-        "entry": {"at": base + 88, "len": 8},
-        "status": {"at": base + 112, "len": 16},
+        "thread_id": {"offset": base, "len": 4},
+        "name": {"offset": base + 40, "len": 32},
+        "entry": {"offset": base + 88, "len": 8},
+        "status": {"offset": base + 112, "len": 16},
     }
 
 
@@ -318,7 +318,7 @@ def test_resolve_sizes_errors():
     with pytest.raises(UnknownType):
         resolve_sizes(spec, {}, bindings)
     short = dict(bindings)
-    short["status"] = {"at": 144, "len": 8}  # needs 16
+    short["status"] = {"offset": 144, "len": 8}  # needs 16
     with pytest.raises(BindError):
         resolve_sizes(spec, SIZES, short)
     deref_of_value = parse_template(
@@ -328,7 +328,7 @@ def test_resolve_sizes_errors():
         resolve_sizes(
             deref_of_value,
             {"int": 4},
-            {"a": {"at": 32}},
+            {"a": {"offset": 32}},
         )
 
 
@@ -340,7 +340,7 @@ def test_type_size_table_validation():
         "//!PRE: msan_check(a, sizeof(unknown_t));\nsyscall_declare(int, f, int, a);"
     )
     with pytest.raises(UnknownType, match="no size known for type 'unknown_t'"):
-        resolve_sizes(spec, SIZES, {"a": {"at": 0}})
+        resolve_sizes(spec, SIZES, {"a": {"offset": 0}})
 
 
 def test_enforce_pre_fires_on_uninitialized_input():
@@ -385,8 +385,8 @@ def test_enforce_pre_stops_at_first_violation_in_order():
     spec = parse_template(text)
     shadow = InitShadow(1, 64)
     bindings = {
-        "a": {"at": 0},
-        "b": {"at": 8},
+        "a": {"offset": 0},
+        "b": {"offset": 8},
     }
     resolved = resolve_sizes(spec, {}, bindings)
     violation = enforce_pre(resolved, shadow)
