@@ -409,8 +409,8 @@ class Simulator:
         spec = INT_SPECS[fields["type"]]
         values = self._operands(fields, mem, ("a", "b"), spec.width // 8, spec.signed)
         if values is not None:
-            op = fields["arith"]
-            self._run_ub(fields, checked_arith(op, *values, spec, strict=fields["strict"]))
+            strict = fields.get("strict", False)
+            self._run_ub(fields, checked_arith(fields["arith"], *values, spec, strict=strict))
 
     def _op_div(self, fields: dict, mem: PartitionMemory) -> None:
         spec = INT_SPECS[fields["type"]]
@@ -422,7 +422,7 @@ class Simulator:
         spec = INT_SPECS[fields["type"]]
         values = self._operands(fields, mem, ("a",), spec.width // 8, spec.signed)
         if values is not None:
-            result = checked_shift(*values, fields["s"], spec, strict=fields["strict"])
+            result = checked_shift(*values, fields["s"], spec, strict=fields.get("strict", False))
             self._run_ub(fields, result)
 
     def _op_trunc(self, fields: dict, mem: PartitionMemory) -> None:
@@ -486,7 +486,7 @@ class Simulator:
             if expected is not None:
                 self._contract(fields, f"port '{fields['port']}' was empty, payload expected")
             return
-        if fields["expect_empty"]:
+        if fields.get("expect_empty", False):
             self._contract(
                 fields,
                 f"port '{fields['port']}' expected empty, delivered "

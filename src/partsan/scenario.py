@@ -546,7 +546,7 @@ def _typed(type_key, *keys):
 
 
 def _payload_or_empty(fields):
-    if "expect" in fields and fields["expect_empty"]:
+    if "expect" in fields and fields.get("expect_empty", False):
         raise ConfigError("cannot expect both a payload and emptiness", "/expect")
 
 
@@ -562,7 +562,7 @@ _FROM = ("from", _as_int_type, _REQUIRED)
 _ARITH = ("arith", _one_of("arith", "ADD", "SUB", "MUL"), _REQUIRED)
 _A = ("a", _operand, _REQUIRED)
 _B = ("b", _operand, _REQUIRED)
-_STRICT = ("strict", _as_bool, False)
+_STRICT = ("strict", _as_bool, _ABSENT)
 _EXPECT = ("expect", _as_hex, _ABSENT)
 
 _OPS = {
@@ -609,7 +609,7 @@ _OPS = {
         _PORT_NAME,
         *_LOCATION,
         _EXPECT,
-        ("expect_empty", _as_bool, False),
+        ("expect_empty", _as_bool, _ABSENT),
         check=_payload_or_empty,
     ),
     "SAMPLING_WRITE": _op(_PART, _PORT_NAME, *_LOCATION, _LEN),
@@ -711,7 +711,8 @@ def _directive_sizes(specs: dict, sizes: dict, known: dict, fields) -> tuple:
                 f"binding for unknown parameter '{param}' of '{spec.syscall_name}'",
                 f"/bindings/{_token(param)}",
             )
-    used = {c.target.param for c in spec.checks} | {c.size.name for c in spec.checks}
+    used = {d.param for d in spec.checks}
+    used |= {d.size.lstrip("*") for d in spec.checks if isinstance(d.size, str)}
     missing = sorted(used & param_names - bindings.keys())
     if missing:
         raise ConfigError(
@@ -723,7 +724,7 @@ def _directive_sizes(specs: dict, sizes: dict, known: dict, fields) -> tuple:
         raise ConfigError(str(exc), "/name") from None
     except BindError as exc:
         raise ConfigError(str(exc), f"/bindings/{_token(exc.param)}") from None
-    known[key] = spec.user_name, tuple((c.directive.target.param, c.size) for c in resolved)
+    known[key] = spec.user_name, tuple((d.param, size) for d, _, size in resolved)
     return known[key]
 
 

@@ -22,7 +22,6 @@ before the declaration they describe.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from typing import NamedTuple
 
 from .errors import BindError, ParseError, UnknownType
@@ -30,48 +29,14 @@ from .msan_shadow import InitShadow
 from .violations import UseSite
 
 
-class CheckPhase(Enum):
-    PRE = "PRE"
-    POST = "POST"
+class Directive(NamedTuple):
+    """One PRE or POST annotation in the template's own words."""
 
-
-class CheckKind(Enum):
-    MSAN_CHECK = "msan_check"
-    MSAN_UNPOISON = "msan_unpoison"
-
-
-_CALL_NAMES = frozenset(kind.value for kind in CheckKind)
-
-
-class TargetForm(Enum):
-    PARAM = "PARAM"          # p        -> address held in p
-    ADDR_OF = "ADDR_OF"      # &p       -> address of p itself
-    DEREF = "DEREF"          # *p       -> address held in p (explicit)
-
-
-class SizeForm(Enum):
-    LITERAL = "LITERAL"            # 16
-    SIZEOF_PARAM = "SIZEOF_PARAM"  # sizeof(p)  -> size of p's declared type
-    SIZEOF_TYPE = "SIZEOF_TYPE"    # sizeof(T)  -> size of type T
-    SIZEOF_DEREF = "SIZEOF_DEREF"  # sizeof(*p) -> size of p's pointee type
-
-
-class TargetExpr(NamedTuple):
-    form: TargetForm
-    param: str
-
-
-class SizeExpr(NamedTuple):
-    form: SizeForm
-    name: str | None = None
-    value: int | None = None
-
-
-class CheckDirective(NamedTuple):
-    phase: CheckPhase
-    kind: CheckKind
-    target: TargetExpr
-    size: SizeExpr
+    phase: str  # "PRE" or "POST"
+    call: str  # "msan_check" or "msan_unpoison"
+    form: str  # the target's prefix: "" (p), "&" (&p) or "*" (*p)
+    param: str  # the target parameter
+    size: int | str  # a byte count, or the sizeof operand: "t" or "*p"
 
 
 class SyscallSpec(NamedTuple):
@@ -81,13 +46,7 @@ class SyscallSpec(NamedTuple):
     return_type: str
     syscall_name: str
     params: tuple  # of (type_token, param_name) pairs
-    checks: tuple  # of CheckDirective, in source order
-
-    def param_type(self, name: str) -> str:
-        for ptype, pname in self.params:
-            if pname == name:
-                return ptype
-        raise BindError(f"syscall '{self.syscall_name}' has no parameter '{name}'")
+    checks: tuple  # of Directive, in source order
 
 
 # -- lexer -------------------------------------------------------------------
@@ -185,59 +144,55 @@ class _Parser:
     # annotations --------------------------------------------------------
 
     def parse_annotation(self):
+        """``("USER_NAME", name, keyword index)``, or a PRE or POST
+        directive's draft from parse_call."""
         key = self.expect_ident("annotation keyword")
         keyword = self.tokens[key]
         if keyword == "USER_NAME":
             self.expect_punct(":")
             name = self.expect_ident("user-facing syscall name")
-            return ("user", self.tokens[name], key)
+            return (keyword, self.tokens[name], key)
         if keyword in ("PRE", "POST"):
             self.expect_punct(":")
-            phase = CheckPhase(keyword)
-            return ("check", phase, self.parse_call(phase))
+            return self.parse_call(keyword)
         self.fail(f"unknown annotation keyword '{keyword}'", key)
 
-    def parse_call(self, phase: CheckPhase):
+    def parse_call(self, phase: str):
+        """The directive's words, with the indexes of its target and size
+        tokens in place of the names the declaration has yet to bind:
+        ``(phase, call, form, target index, size, size index)``."""
         fn = self.expect_ident("msan_check or msan_unpoison")
         call = self.tokens[fn]
-        if call not in _CALL_NAMES:
+        if call not in ("msan_check", "msan_unpoison"):
             self.fail(f"unknown annotation call '{call}'", fn)
-        kind = CheckKind(call)
-        if phase is CheckPhase.POST and kind is CheckKind.MSAN_CHECK:
+        if phase == "POST" and call == "msan_check":
             # a POST check would run after the kernel consumed the input
             self.fail("POST annotations can only msan_unpoison outputs", fn)
         self.expect_punct("(")
-        target = self.parse_target()
+        form = self.tokens[self.next()] if self.peek() in ("&", "*") else ""
+        target = self.expect_ident("parameter name")
         self.expect_punct(",")
-        size = self.parse_size()
+        size, size_index = self.parse_size()
         self.expect_punct(")")
         self.accept_punct(";")
-        return kind, target, size
-
-    def parse_target(self):
-        tok = self.peek()
-        if tok == "&" or tok == "*":
-            self.next()
-            name = self.expect_ident("parameter name")
-            form = TargetForm.ADDR_OF if tok == "&" else TargetForm.DEREF
-            return form, name
-        name = self.expect_ident("parameter name")
-        return TargetForm.PARAM, name
+        return phase, call, form, target, size, size_index
 
     def parse_size(self):
+        """A literal's value or the sizeof operand (``"t"`` or ``"*p"``),
+        and the index of the literal or the sizeof name."""
         index = self.next()
         tok = self.tokens[index]
         if self.kinds[index] == "INT":
             try:
-                return ("literal", int(tok), index)
+                return int(tok), index
             except ValueError:  # more digits than int() converts
                 self.fail(f"size literal of {len(tok)} digits is too long", index)
         if tok == "sizeof":
             self.expect_punct("(")
-            deref = self.accept_punct("*")
-            name = self.expect_ident("type or parameter name")
+            deref = "*" if self.accept_punct("*") else ""
+            index = self.expect_ident("type or parameter name")
             self.expect_punct(")")
-            return ("sizeof", deref, name)
+            return deref + self.tokens[index], index
         self.fail("expected a byte count or sizeof(...)", index)
 
     # declaration --------------------------------------------------------
@@ -275,23 +230,23 @@ def parse_template(text: str) -> SyscallSpec:
     """Parse one annotated declaration into a SyscallSpec.
 
     Annotations come first and may reference parameters of the declaration
-    that follows; name resolution therefore happens after the declaration
-    is read.  Bare names inside sizeof resolve to a parameter when one
-    matches, else to a type name.
+    that follows; their names are therefore checked after the declaration
+    is read.  A sizeof operand stays as written; resolve_sizes turns it
+    into a type.
     """
     parser = _Parser(text)
     tokens = parser.tokens
-    raw_annotations = []
+    drafts = []
     user_name = None
     while parser.peek() == "//!":
         parser.next()
         ann = parser.parse_annotation()
-        if ann[0] == "user":
+        if ann[0] == "USER_NAME":
             if user_name is not None:
                 parser.fail("duplicate USER_NAME annotation", ann[2])
             user_name = ann[1]
         else:
-            raw_annotations.append(ann)
+            drafts.append(ann)
     return_type, syscall_name, params = parser.parse_declaration()
     tail = parser.next()
     if parser.kinds[tail] != "EOF":
@@ -300,32 +255,19 @@ def parse_template(text: str) -> SyscallSpec:
     param_names = {name for _, name in params}
 
     checks = []
-    for _, phase, (kind, target_draft, size_draft) in raw_annotations:
-        form, name_index = target_draft
-        name = tokens[name_index]
+    for phase, call, form, target, size, size_index in drafts:
+        name = tokens[target]
         if name not in param_names:
-            parser.fail(f"target '{name}' is not a parameter of '{syscall_name}'", name_index)
-        target = TargetExpr(form, name)
-        if size_draft[0] == "literal":
-            _, value, value_index = size_draft
-            if value < 1:
-                parser.fail("size literal must be >= 1", value_index)
-            size = SizeExpr(SizeForm.LITERAL, value=value)
-        else:
-            _, deref, size_index = size_draft
-            size_name = tokens[size_index]
-            if deref:
-                if size_name not in param_names:
-                    parser.fail(
-                        f"sizeof(*{size_name}) needs a parameter, '{size_name}' is not one",
-                        size_index,
-                    )
-                size = SizeExpr(SizeForm.SIZEOF_DEREF, name=size_name)
-            elif size_name in param_names:
-                size = SizeExpr(SizeForm.SIZEOF_PARAM, name=size_name)
-            else:
-                size = SizeExpr(SizeForm.SIZEOF_TYPE, name=size_name)
-        checks.append(CheckDirective(phase, kind, target, size))
+            parser.fail(f"target '{name}' is not a parameter of '{syscall_name}'", target)
+        if isinstance(size, int):
+            if size < 1:
+                parser.fail("size literal must be >= 1", size_index)
+        elif size[0] == "*" and size[1:] not in param_names:
+            parser.fail(
+                f"sizeof({size}) needs a parameter, '{size[1:]}' is not one",
+                size_index,
+            )
+        checks.append(Directive(phase, call, form, name, size))
 
     return SyscallSpec(
         user_name=user_name if user_name is not None else syscall_name,
@@ -339,19 +281,9 @@ def parse_template(text: str) -> SyscallSpec:
 def render_template(spec: SyscallSpec) -> str:
     """Canonical text for a spec; parse(render(spec)) == spec."""
     lines = [f"//!USER_NAME: {spec.user_name}"]
-    for check in spec.checks:
-        target = {
-            TargetForm.PARAM: "{p}",
-            TargetForm.ADDR_OF: "&{p}",
-            TargetForm.DEREF: "*{p}",
-        }[check.target.form].format(p=check.target.param)
-        if check.size.form is SizeForm.LITERAL:
-            size = str(check.size.value)
-        elif check.size.form is SizeForm.SIZEOF_DEREF:
-            size = f"sizeof(*{check.size.name})"
-        else:
-            size = f"sizeof({check.size.name})"
-        lines.append(f"//!{check.phase.value}: {check.kind.value}({target}, {size});")
+    for d in spec.checks:
+        size = d.size if isinstance(d.size, int) else f"sizeof({d.size})"
+        lines.append(f"//!{d.phase}: {d.call}({d.form}{d.param}, {size});")
     head = f"syscall_declare({spec.return_type}, {spec.syscall_name}"
     if spec.params:
         param_lines = [f"    {ptype}, {pname}" for ptype, pname in spec.params]
@@ -364,54 +296,45 @@ def render_template(spec: SyscallSpec) -> str:
 # -- size resolution and enforcement ---------------------------------------------
 
 
-class ResolvedCheck(NamedTuple):
-    directive: CheckDirective
-    offset: int
-    size: int
-
-
-def _pointee(type_token: str, param: str) -> str:
-    if not type_token.endswith("*"):
-        raise UnknownType(
-            f"sizeof(*{param}) needs a pointer type, '{type_token}' is not one"
-        )
-    return type_token[:-1]
-
-
 def resolve_sizes(spec: SyscallSpec, sizes: dict, bindings: dict) -> tuple:
-    """Bind every directive to a concrete (offset, byte count) pair, in
-    source order.
+    """Bind every directive to a concrete offset and byte count: a
+    ``(directive, offset, size)`` triple each, in source order.
 
     ``sizes`` maps type names (exact token, stars included) to byte counts.
+    ``sizeof(x)`` is the size of parameter ``x``'s declared type when the
+    template has a parameter ``x``, else of the type ``x``; ``sizeof(*p)``
+    is the size of pointer parameter ``p``'s pointee type.
     ``bindings`` maps parameters to ``{"offset": offset, "len"?: capacity}``,
     the offset absolute in the partition, one for each directive's target,
     as the loader checks; a directive resolving to more bytes than its
     parameter's ``len`` is a template/binding mismatch and raises BindError.
     """
+    declared = {pname: ptype for ptype, pname in spec.params}
     resolved = []
-    for check in spec.checks:
-        binding = bindings[check.target.param]
-        size_expr = check.size
-        if size_expr.form is SizeForm.LITERAL:
-            size = size_expr.value
-        else:
-            if size_expr.form is SizeForm.SIZEOF_TYPE:
-                type_name = size_expr.name
-            elif size_expr.form is SizeForm.SIZEOF_PARAM:
-                type_name = spec.param_type(size_expr.name)
-            else:  # SIZEOF_DEREF
-                type_name = _pointee(spec.param_type(size_expr.name), size_expr.name)
+    for d in spec.checks:
+        binding = bindings[d.param]
+        size = d.size
+        if not isinstance(size, int):
+            deref = size[0] == "*"
+            name = size[1:] if deref else size
+            type_name = declared.get(name, name)
+            if deref:
+                if not type_name.endswith("*"):
+                    raise UnknownType(
+                        f"sizeof({size}) needs a pointer type, '{type_name}' is not one"
+                    )
+                type_name = type_name[:-1]
             size = sizes.get(type_name)
             if size is None:
                 raise UnknownType(f"no size known for type '{type_name}'")
         length = binding.get("len")
         if length is not None and size > length:
             raise BindError(
-                f"directive on '{check.target.param}' needs {size} bytes, "
+                f"directive on '{d.param}' needs {size} bytes, "
                 f"binding provides {length}",
-                check.target.param,
+                d.param,
             )
-        resolved.append(ResolvedCheck(check, binding["offset"], size))
+        resolved.append((d, binding["offset"], size))
     return tuple(resolved)
 
 
@@ -421,16 +344,16 @@ def enforce_pre(resolved: tuple, shadow: InitShadow):
     means the syscall never runs, so POST directives must not be applied
     afterwards.
     """
-    for check in resolved:
-        if check.directive.phase is not CheckPhase.PRE:
+    for directive, offset, size in resolved:
+        if directive.phase != "PRE":
             continue
-        if check.directive.kind is CheckKind.MSAN_CHECK:
-            violation = shadow.check(check.offset, check.size, UseSite.SYSCALL_PRE)
+        if directive.call == "msan_check":
+            violation = shadow.check(offset, size, UseSite.SYSCALL_PRE)
             if violation is not None:
                 return violation
         else:
             shadow.mark_initialized(
-                check.offset, check.size, origin="annotation", force=False
+                offset, size, origin="annotation", force=False
             )
     return None
 
@@ -441,8 +364,8 @@ def enforce_post(resolved: tuple, shadow: InitShadow, syscall_succeeded: bool) -
     POST holds no checks (the parser rejects them), so nothing is reported."""
     if not syscall_succeeded:
         return
-    for check in resolved:
-        if check.directive.phase is CheckPhase.POST:
+    for directive, offset, size in resolved:
+        if directive.phase == "POST":
             shadow.mark_initialized(
-                check.offset, check.size, origin="annotation", force=False
+                offset, size, origin="annotation", force=False
             )

@@ -589,7 +589,7 @@ def test_workload_operand_and_field_shapes():
     assert idle["ticks"] == 3 and idle.get("partition") is None
     # the operand's offset is bound to buf's base, and the operand gains no key
     assert arith["a"] == {"region": "buf", "offset": 32, "width": 1, "signed": False}
-    assert arith["b"] == 7 and arith["strict"] is False
+    assert arith["b"] == 7 and "strict" not in arith
     assert (write["fill"], write["len"]) == (65, 3) and write.get("data") is None
     assert gmi["caller"] == "main" and gmi["expect"] == "MAIN_PROCESS_ID"
 
@@ -922,7 +922,11 @@ def test_a_loaded_step_holds_its_decoded_keys_and_row_defaults(monkeypatch):
     """The workload pass binds each location into its own offset key, so a
     loaded step, operand or binding has the keys its JSON gave plus its
     row defaults, and no other (an UNPOISON_PADDING step's region base is
-    its one bound ``offset``).  Every builtin and ``step_mix`` at seed 1."""
+    its one bound ``offset``).  Every builtin and ``step_mix`` at seed 1.
+    A flag that defaults to false (``strict``, ``expect_empty``) stays out."""
+    assert {op: _filled_defaults(_OPS[op].rows) for op in ("ARITH", "SHIFT", "RECEIVE")} == {
+        "ARITH": set(), "SHIFT": set(), "RECEIVE": {"offset"},
+    }
     root = resources.files("partsan.scenarios")
     texts = [(root / f"{name}.json").read_text(encoding="utf-8") for name in builtin_names()]
     texts.append(_step_mix(monkeypatch))

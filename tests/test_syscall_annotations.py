@@ -12,14 +12,8 @@ from partsan.errors import BindError, ConfigError, ParseError, UnknownType
 from partsan.msan_shadow import InitShadow
 from partsan.scenario import load_scenario, load_scenario_text
 from partsan.syscall_annotations import (
-    CheckDirective,
-    CheckKind,
-    CheckPhase,
-    SizeExpr,
-    SizeForm,
+    Directive,
     SyscallSpec,
-    TargetExpr,
-    TargetForm,
     enforce_post,
     enforce_pre,
     parse_template,
@@ -41,30 +35,10 @@ EXPECTED_SPEC = SyscallSpec(
         ("jet_thread_status_t*", "status"),
     ),
     checks=(
-        CheckDirective(
-            CheckPhase.PRE,
-            CheckKind.MSAN_CHECK,
-            TargetExpr(TargetForm.ADDR_OF, "thread_id"),
-            SizeExpr(SizeForm.SIZEOF_PARAM, name="thread_id"),
-        ),
-        CheckDirective(
-            CheckPhase.POST,
-            CheckKind.MSAN_UNPOISON,
-            TargetExpr(TargetForm.PARAM, "name"),
-            SizeExpr(SizeForm.SIZEOF_TYPE, name="max_name_t"),
-        ),
-        CheckDirective(
-            CheckPhase.POST,
-            CheckKind.MSAN_UNPOISON,
-            TargetExpr(TargetForm.PARAM, "entry"),
-            SizeExpr(SizeForm.SIZEOF_DEREF, name="entry"),
-        ),
-        CheckDirective(
-            CheckPhase.POST,
-            CheckKind.MSAN_UNPOISON,
-            TargetExpr(TargetForm.PARAM, "status"),
-            SizeExpr(SizeForm.SIZEOF_DEREF, name="status"),
-        ),
+        Directive("PRE", "msan_check", "&", "thread_id", "thread_id"),
+        Directive("POST", "msan_unpoison", "", "name", "max_name_t"),
+        Directive("POST", "msan_unpoison", "", "entry", "*entry"),
+        Directive("POST", "msan_unpoison", "", "status", "*status"),
     ),
 )
 
@@ -72,9 +46,8 @@ EXPECTED_SPEC = SyscallSpec(
 def test_fixture_parses_to_expected_spec():
     spec = parse_template(FIXTURE.read_text(encoding="utf-8"))
     assert spec == EXPECTED_SPEC
-    phases = [c.phase for c in spec.checks]
-    assert (phases.count(CheckPhase.PRE), phases.count(CheckPhase.POST)) == (1, 3)
-    assert spec.param_type("status") == "jet_thread_status_t*"
+    phases = [d.phase for d in spec.checks]
+    assert (phases.count("PRE"), phases.count("POST")) == (1, 3)
 
 
 def test_render_parse_roundtrip_and_idempotence():
@@ -114,16 +87,18 @@ def test_user_name_defaults_to_syscall_name():
 
 
 def test_literal_sizes_and_param_shadowing():
-    # a bare sizeof name that is also a parameter resolves to the parameter
+    # a bare sizeof name that is also a parameter means the parameter's
+    # declared type, not the type of that name
     text = (
         "//!PRE: msan_check(buf, 16);\n"
-        "//!PRE: msan_check(buf, sizeof(word_t));\n"
-        "syscall_declare(int, f, char*, buf, word_t, word_t);"
+        "//!PRE: msan_check(buf, sizeof(t));\n"
+        "//!PRE: msan_check(buf, sizeof(u16));\n"
+        "syscall_declare(int, f, char*, buf, u16, t);"
     )
     spec = parse_template(text)
-    first, second = spec.checks
-    assert first.size == SizeExpr(SizeForm.LITERAL, value=16)
-    assert second.size == SizeExpr(SizeForm.SIZEOF_PARAM, name="word_t")
+    assert [d.size for d in spec.checks] == [16, "t", "u16"]
+    resolved = resolve_sizes(spec, {"t": 8, "u16": 2}, {"buf": {"offset": 0}})
+    assert [size for _, _, size in resolved] == [16, 2, 2]
 
 
 def _error_at(text, line, col):
@@ -303,13 +278,13 @@ def _bindings(base=32):
 def test_resolve_sizes_every_form():
     spec = parse_template(FIXTURE.read_text(encoding="utf-8"))
     resolved = resolve_sizes(spec, SIZES, _bindings())
-    assert [(c.offset, c.size) for c in resolved] == [
+    assert [(offset, size) for _, offset, size in resolved] == [
         (32, 4),  # sizeof(thread_id) -> jet_thread_id_t
         (72, 32),  # sizeof(max_name_t) -> type lookup
         (120, 8),  # sizeof(*entry) -> void*
         (144, 16),  # sizeof(*status) -> jet_thread_status_t
     ]
-    assert [c.directive for c in resolved] == list(spec.checks)
+    assert [d for d, _, _ in resolved] == list(spec.checks)
 
 
 def test_resolve_sizes_errors():
@@ -324,7 +299,7 @@ def test_resolve_sizes_errors():
     deref_of_value = parse_template(
         "//!PRE: msan_check(a, sizeof(*a));\nsyscall_declare(int, f, int, a);"
     )
-    with pytest.raises(UnknownType):
+    with pytest.raises(UnknownType, match=r"sizeof\(\*a\) needs a pointer type, 'int' is not one"):
         resolve_sizes(
             deref_of_value,
             {"int": 4},
