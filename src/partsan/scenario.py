@@ -129,17 +129,44 @@ def _token(key: str) -> str:
     return key.replace("~", "~0").replace("/", "~1")
 
 
+def _moved(exc: ConfigError, key) -> ConfigError:
+    """``exc``, which points into a value, moved down to ``/key``."""
+    return ConfigError(exc.message, f"/{key}{exc.path or ''}")
+
+
 def _at(key, check, *args):
     """``check(*args)``, with an error it raises moved down to ``/key``."""
     try:
         return check(*args)
     except ConfigError as exc:
-        raise ConfigError(exc.message, f"/{key}{exc.path or ''}") from None
+        raise _moved(exc, key) from None
 
 
 _REQUIRED = object()  # default marker: the key must be given
 _ABSENT = object()  # default marker: an absent key stays out of the fields
 _MISSING = object()  # what a row reads when its key is not in the object
+
+#: The load at which a table generates its own load function.  Generating
+#: one costs about 55 µs per row, and each later load saves about 0.11 µs
+#: per row, so by its 500th load a table has spent on loading row by row
+#: about what generating costs: it then pays at most twice what it would
+#: have, had it known in advance how many objects it would load.  The
+#: builtins load no table more than 207 times, so they generate none.
+_HOT = 500
+
+
+def _load_row(obj: dict, key, check, default) -> None:
+    """Load ``obj[key]`` by the row ``(key, check, default)``."""
+    value = obj.get(key, _MISSING)
+    if value is not _MISSING and (value is not None or default is not None):
+        try:
+            obj[key] = check(value)
+        except ConfigError as exc:
+            raise _moved(exc, key) from None
+    elif default is _REQUIRED:
+        raise ConfigError(f"missing required key '{key}'", f"/{key}")
+    elif default is not _ABSENT:
+        obj[key] = check({}) if default.__class__ is dict else default
 
 
 class _Fields:
@@ -154,31 +181,37 @@ class _Fields:
     ``extra_keys`` are allowed in the object but not loaded (the tag that
     picked these rows, a step's ``op`` or a port's ``kind``).
     The instance is itself the check for such an object.
+
+    A table loads its first objects row by row, each row through
+    ``_load_row``.  At its ``_HOT``-th load it generates one function from
+    its rows (``_generate``), which is ``self.load`` from then on: it does
+    per row what ``_load_row`` does, with the common cases inline, and
+    calls ``_load_row`` for the rest.  So the rows stay the one description
+    of the schema: each message comes from a check or from ``_load_row``,
+    and each pointer from ``_moved``.
     """
 
     def __init__(self, *rows, check=None, extra_keys=()):
         self.rows = rows
         self.keys = frozenset(extra_keys).union(key for key, _, _ in rows)
         self.check = check
+        self.loads = 0
 
     def __call__(self, value):
-        return self.load(_as_dict(value))
+        return self.load(value if value.__class__ is dict else _as_dict(value))
 
     def load(self, obj: dict):
+        self.loads += 1
+        if self.loads >= _HOT:
+            self.load = _generate(self)
+            return self.load(obj)
+        return self.load_rows(obj)
+
+    def load_rows(self, obj: dict):
         if not self.keys.issuperset(obj):
             raise ConfigError(f"unknown keys {sorted(obj.keys() - self.keys)}")
-        get, missing = obj.get, _MISSING
         for key, check, default in self.rows:
-            value = get(key, missing)
-            if value is not missing and (value is not None or default is not None):
-                try:
-                    obj[key] = check(value)
-                except ConfigError as exc:
-                    raise ConfigError(exc.message, f"/{key}{exc.path or ''}") from None
-            elif default is _REQUIRED:
-                raise ConfigError(f"missing required key '{key}'", f"/{key}")
-            elif default is not _ABSENT:
-                obj[key] = check({}) if default.__class__ is dict else default
+            _load_row(obj, key, check, default)
         if self.check is not None:
             self.check(obj)
         return obj
@@ -195,7 +228,7 @@ def _list_of(check, unique=None):
             try:
                 items.append(check(item))
             except ConfigError as exc:
-                raise ConfigError(exc.message, f"/{i}{exc.path or ''}") from None
+                raise _moved(exc, i) from None
             if unique is not None:
                 key, noun = unique
                 if item[key] in seen:
@@ -213,7 +246,10 @@ def _dict_of(check):
     def load(value):
         obj = _as_dict(value)
         for key, item in obj.items():
-            obj[key] = _at(_token(key), check, item)
+            try:
+                obj[key] = check(item)
+            except ConfigError as exc:
+                raise _moved(exc, _token(key)) from None
         return obj
 
     return load
@@ -266,6 +302,7 @@ def _one_of(key, *choices):
             raise ConfigError(f"{key} must be {listed}, got {value!r}")
         return choice
 
+    check.own = own
     return check
 
 
@@ -626,6 +663,65 @@ _OPS = {
 }
 
 
+# -- generated loaders ----------------------------------------------------------------
+
+
+#: Per check, a test of ``v`` that passes only values the check returns
+#: unchanged (``{B}`` is 2**64).
+_UNCHANGED = {
+    _as_int: "v.__class__ is int and -{B} < v < {B}",
+    _count: "v.__class__ is int and 0 < v < {B}",
+    _ticks: "v.__class__ is int and -1 < v < {B}",
+    _operand: "v.__class__ is int and -{B} < v < {B}",
+    _as_str: "v.__class__ is str",
+    _as_bool: "v is True or v is False",
+    _as_name: "v.__class__ is str and fullmatch(v)",
+}
+
+
+def _generate(table: _Fields):
+    """The load function of ``table``, one stanza per row in row order.  A
+    given value that ``_UNCHANGED`` passes stays as it is, as does an
+    explicit ``null`` where the default is ``None``; a string an ``_one_of``
+    check owns becomes its own, and any other given value is loaded by the
+    row's check.  An absent key takes an ``_ABSENT`` or constant default,
+    and ``_load_row`` loads a missing required key or a ``{}`` default.  An
+    object with an unknown key loads row by row, to fail there."""
+    names = {"keys": table.keys, "load_rows": table.load_rows, "row": _load_row,
+             "check": table.check, "fullmatch": _NAME_RE.fullmatch,
+             "ConfigError": ConfigError, "moved": _moved}
+    lines = ["def load(obj):", "    if not keys.issuperset(obj):", "        return load_rows(obj)"]
+    for i, (key, check, default) in enumerate(table.rows):
+        names[f"c{i}"], names[f"d{i}"] = check, default
+        k, row = repr(key), f"row(obj, {key!r}, c{i}, d{i})"
+        branches = []
+        if check in _UNCHANGED:
+            branches.append((_UNCHANGED[check].format(B=2**64), "pass"))
+        elif hasattr(check, "own"):
+            names[f"own{i}"] = check.own
+            branches.append((f"v.__class__ is str and (s := own{i}.get(v)) is not None",
+                             f"obj[{k}] = s"))
+        if default is None:  # an explicit null is the default
+            branches.append(("v is None", "pass"))
+        call = ["try:", f"    obj[{k}] = c{i}(v)", "except ConfigError as exc:",
+                f"    raise moved(exc, {k}) from None"]
+        lines += [f"    if {k} in obj:", f"        v = obj[{k}]"]
+        for j, (test, body) in enumerate(branches):
+            lines += [f"        {'elif' if j else 'if'} {test}:", f"            {body}"]
+        if branches:
+            lines.append("        else:")
+        lines += [f"{'    ' * (2 + bool(branches))}{line}" for line in call]
+        if default is _REQUIRED or default.__class__ is dict:
+            lines += ["    else:", f"        {row}"]
+        elif default is not _ABSENT:
+            lines += ["    else:", f"        obj[{k}] = d{i}"]
+    if table.check is not None:
+        lines.append("    check(obj)")
+    lines.append("    return obj")
+    exec(compile("\n".join(lines), f"<load of {sorted(table.keys)}>", "exec"), names)
+    return names["load"]
+
+
 # -- top-level loader ----------------------------------------------------------------
 
 
@@ -796,7 +892,10 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
                 f"/{at}/memory_size",
             )
         for j, region in enumerate(config["regions"]):
-            _at(f"{at}/regions/{j}", layout.alloc, region["label"], region["size"])
+            try:
+                layout.alloc(region["label"], region["size"])
+            except ConfigError as exc:
+                raise _moved(exc, f"{at}/regions/{j}") from None
         layout.started = config["auto_start"]
     ports = {port["name"]: port for port in doc["ports"]}
     specs = {}
@@ -830,7 +929,10 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
         for key in _OPERAND_KEYS[op]:
             operand = fields[key]
             if operand.__class__ is dict:
-                operand["offset"] += _at(key, base, layout, operand)
+                try:
+                    operand["offset"] += base(layout, operand)
+                except ConfigError as exc:
+                    raise _moved(exc, key) from None
         if op == "ALLOC":
             layout.alloc(fields["label"], fields["size"])
         elif op == "START_PARTITION":
@@ -858,18 +960,24 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
         elif op == "SYSCALL":
             bindings = fields["bindings"]
             for param, binding in bindings.items():
-                binding["offset"] += _at(f"bindings/{_token(param)}", base, layout, binding)
+                try:
+                    binding["offset"] += base(layout, binding)
+                except ConfigError as exc:
+                    raise _moved(exc, f"bindings/{_token(param)}") from None
             # steps naming one template share its user name
             fields["name"], sizes = directive_sizes(fields)
             for param, size in sizes:
-                _at(f"bindings/{_token(param)}", span, layout, bindings[param]["offset"], size)
+                try:
+                    span(layout, bindings[param]["offset"], size)
+                except ConfigError as exc:
+                    raise _moved(exc, f"bindings/{_token(param)}") from None
 
     for i, step in enumerate(doc["workload"]):
         try:
             if step["op"] != "IDLE":
                 check(step)
         except ConfigError as exc:
-            raise ConfigError(exc.message, f"/workload/{i}{exc.path or ''}") from None
+            raise _moved(exc, f"workload/{i}") from None
     return Scenario(**doc)
 
 

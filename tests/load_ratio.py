@@ -1,0 +1,128 @@
+"""Scenario load time over ``json.loads`` time, for two versions of partsan.
+
+    python tests/load_ratio.py SRC_A SRC_B [--seed S] [--repeat N] [--json FILE]
+
+SRC_A and SRC_B are two ``src`` directories, such as a parent's and a
+change's.  Each workload of ``perfbench/workloads.py`` is generated at seed
+S (default 1).  Both versions are imported into this one process, each
+under its own ``sys.modules`` entries, and timed alternately in rounds:
+``json.loads`` of every text of the workload, then ``load_scenario_text``
+of every text by A and by B, A first in even rounds and B first in odd
+ones.  Each keeps its best of N rounds (default 7), after one untimed round
+that lets each version's lazy set-up finish.  It prints the seconds, each
+version's ratio of its load to ``json.loads``, and B's time over A's;
+``--json`` also writes them to FILE.
+
+Timings of separate processes on a shared host are bimodal, so two
+versions are compared here inside one process, not in one process each.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import json
+import sys
+import time
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+VERSIONS = ("A", "B")
+
+
+def _own_modules():
+    return {name for name in sys.modules if name == "partsan" or name.startswith("partsan.")}
+
+
+def import_version(src):
+    """The ``partsan.scenario`` module of the tree at ``src``, imported
+    under fresh ``sys.modules`` entries that are then taken out again, so a
+    second version can be imported beside it."""
+    before = {name: sys.modules.pop(name) for name in _own_modules()}
+    sys.path.insert(0, str(src))
+    try:
+        module = importlib.import_module("partsan.scenario")
+    finally:
+        sys.path.remove(str(src))
+        for name in _own_modules():
+            del sys.modules[name]
+        sys.modules.update(before)
+    return module
+
+
+def _seconds(load, texts):
+    gc.collect()
+    t0 = time.perf_counter()
+    for text in texts:
+        load(text)
+    return time.perf_counter() - t0
+
+
+def measure(loaders, texts, repeat):
+    """Best seconds of ``json.loads`` and of each version's load over ``texts``."""
+    for load in loaders.values():
+        for text in texts:
+            load(text)
+    best = dict.fromkeys(["json", *loaders], float("inf"))
+    for round_ in range(repeat):
+        order = VERSIONS if round_ % 2 == 0 else VERSIONS[::-1]
+        best["json"] = min(best["json"], _seconds(json.loads, texts))
+        for label in order:
+            best[label] = min(best[label], _seconds(loaders[label], texts))
+    return best
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_a", type=Path)
+    parser.add_argument("src_b", type=Path)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeat", type=int, default=7)
+    parser.add_argument("--json", type=Path)
+    args = parser.parse_args(argv)
+    srcs = {"A": args.src_a.resolve(), "B": args.src_b.resolve()}
+    modules = {label: import_version(src) for label, src in srcs.items()}
+
+    # the generators read the builtins through the package: give them A's
+    saved = {name: sys.modules.pop(name) for name in _own_modules()}
+    sys.path[:0] = [str(srcs["A"]), str(PERFBENCH)]
+    try:
+        import workloads
+
+        texts = {name: generate(args.seed) for name, generate in workloads.GENERATORS.items()}
+    finally:
+        del sys.path[:2]
+        for name in _own_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+    loaders = {label: module.load_scenario_text for label, module in modules.items()}
+    print(f"in process, best of {args.repeat}, seed {args.seed}, "
+          f"A={srcs['A']} and B={srcs['B']} alternating")
+    rows = {}
+    for name, workload in texts.items():
+        best = measure(loaders, workload, args.repeat)
+        rows[name] = {
+            "scenarios": len(workload),
+            "best_s": best,
+            "A_over_json": best["A"] / best["json"],
+            "B_over_json": best["B"] / best["json"],
+            "B_over_A": best["B"] / best["A"],
+        }
+        row = rows[name]
+        print(
+            f"{name:14} json {best['json']:.4f} s   A {best['A']:.4f} s "
+            f"({row['A_over_json']:.2f}x)   B {best['B']:.4f} s ({row['B_over_json']:.2f}x)   "
+            f"B/A {row['B_over_A']:.3f}",
+            flush=True,
+        )
+    if args.json is not None:
+        result = {"python": sys.version.split()[0], "seed": args.seed, "repeat": args.repeat,
+                  "src": {label: str(src) for label, src in srcs.items()}, "workloads": rows}
+        args.json.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -103,3 +103,25 @@ def test_bench_inputs_load(monkeypatch):
         for seed in (1, 4242):
             for text in generate(seed):
                 load_scenario_text(text)
+
+
+def test_generated_loads_still_parse_templates_through_the_traced_name(monkeypatch):
+    """A generated load function calls its rows' checks, which look
+    ``parse_template`` up where the tracer patches it: once every table is
+    generated, the tracer still counts one parse per template loaded."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+
+    monkeypatch.setattr(scenario, "_HOT", 1)
+    texts = workloads.campaign(1)[:200]
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        loaded = [load_scenario_text(text) for text in texts]
+        calls, _, _ = tracer.collect()
+    finally:
+        tracer.uninstall()
+    assert "load" in vars(scenario._SCENARIO)  # the table whose row loads the templates
+    templates = sum(len(s.syscalls) for s in loaded)
+    assert calls["syscall_annotations.parse_template"] == templates > 0

@@ -3,7 +3,10 @@
 import copy
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from importlib import resources
@@ -11,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from partsan import scenario as loader
 from partsan.errors import ConfigError
 from partsan.guest_memory import MEMORY_CAP
 from partsan.harness import Simulator, run_scenario
@@ -28,6 +32,7 @@ from partsan.scenario import (
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 BUILTINS = (
     "get_my_id_regression",
@@ -272,78 +277,77 @@ def _every_section():
     return data
 
 
-@pytest.mark.parametrize(
-    "where, value, pointer, message",
-    [
-        pytest.param("/partitions/0/processes/0/id", 0, None,
-                     "expected an integer >= 1, got 0", id="process-id-0"),
-        pytest.param("/partitions/0/processes/0/time_capacity", 0, None,
-                     "expected an integer >= 1, got 0", id="time-capacity-0"),
-        pytest.param("/partitions/0/processes/0/period", 50, None,
-                     "period 50 shorter than time capacity 100", id="period-below-capacity"),
-        pytest.param("/partitions/0/processes/1", {"id": 1, "time_capacity": 5},
-                     "/partitions/0/processes/1/id", "duplicate process id 1",
-                     id="duplicate-process-id"),
-        pytest.param("/time/timeout_overrides/0/multiplier", "1/2", None,
-                     "multiplier must be >= 1, got 1/2", id="multiplier-half"),
-        pytest.param("/time/timeout_overrides/0/multiplier", "x", None,
-                     "not a number or 'p/q' ratio: 'x'", id="multiplier-x"),
-        pytest.param("/ports/1/max_message_size", 0, None,
-                     "expected an integer >= 1, got 0", id="queueing-size-0"),
-        pytest.param("/ports/1/capacity", 0, None,
-                     "expected an integer >= 1, got 0", id="queueing-capacity-0"),
-        pytest.param("/ports/0/max_message_size", 0, None,
-                     "expected an integer >= 1, got 0", id="sampling-size-0"),
-        pytest.param("/ports/0/refresh_period", -1, None,
-                     "expected an integer >= 0, got -1", id="sampling-refresh-period--1"),
-        pytest.param("/time/slowdown_factor", 0, None,
-                     "slowdown factor must be positive, got 0", id="slowdown-0"),
-        pytest.param("/time/slowdown_factor", -2, None,
-                     "slowdown factor must be positive, got -2", id="slowdown--2"),
-        pytest.param("/time/costs/base_step", -1, None,
-                     "expected an integer >= 0, got -1", id="negative-base-step-cost"),
-        pytest.param("/time/costs/ub_check", -1, None,
-                     "expected an integer >= 0, got -1", id="negative-check-cost"),
-        pytest.param("/time/major_frame/frame_len", 0, None,
-                     "expected an integer >= 1, got 0", id="frame-len-0"),
-        pytest.param("/time/major_frame/windows", [], "/time/major_frame",
-                     "major frame needs at least one window", id="no-windows"),
-        pytest.param("/time/major_frame/windows/1/length", 0, None,
-                     "expected an integer >= 1, got 0", id="window-length-0"),
-        pytest.param("/time/major_frame/windows/1/start", 60, "/time/major_frame",
-                     "window 1 starts at 60, expected 50 (windows must be sorted, disjoint"
-                     " and gap-free)", id="window-gap"),
-        pytest.param("/reserved_init/pattern", 300, None,
-                     "reserved pattern must be a byte value, got 300", id="pattern-300"),
-        pytest.param("/reserved_init/pattern", -1, None,
-                     "reserved pattern must be a byte value, got -1", id="pattern--1"),
-        pytest.param("/workload/0/a", 128, None,
-                     "128 is not a value of i8", id="immediate-outside-type"),
-        pytest.param("/workload/0/b/width", 2, "/workload/0/b",
-                     "operand loads values outside i8", id="operand-wider-than-type"),
-        pytest.param("/workload/0/arith", "DIV", None,
-                     "arith must be ADD, SUB or MUL, got 'DIV'", id="arith-DIV"),
-        pytest.param("/workload/0/type", "i128", None,
-                     "integer type must be i8, u8, i16, u16, i32, u32, i64 or u64, got 'i128'",
-                     id="type-i128"),
-        pytest.param("/workload/1/align", 3, None,
-                     "align must be a power of two, got 3", id="align-3"),
-        pytest.param("/workload/2/allowed", [], None,
-                     "allowed value set must not be empty", id="enum-allowed-empty"),
-        pytest.param("/workload/3/caller", 2, None,
-                     "partition 1 has no process 2", id="caller-undeclared"),
-        pytest.param("/workload/4/len", 0, None,
-                     "expected an integer >= 1, got 0", id="send-len-0"),
-        pytest.param("/workload/5/bindings", {}, None,
-                     "directives of 'f' need bindings for ['a']", id="syscall-binding-missing"),
-    ],
-)
-def test_each_rule_the_runtime_trusts_fails_at_load(where, value, pointer, message):
-    """The loader is the only validator: each rule the runtime types take as
-    given fails the load, with its JSON pointer (``where`` itself unless
-    given) and message."""
+#: Per rule the run-time primitives trust: the value to put at ``where`` in
+#: _every_section(), and the pointer (``where`` itself unless given) and
+#: message the load then fails with.
+_RULES = [
+    pytest.param("/partitions/0/processes/0/id", 0, None,
+                 "expected an integer >= 1, got 0", id="process-id-0"),
+    pytest.param("/partitions/0/processes/0/time_capacity", 0, None,
+                 "expected an integer >= 1, got 0", id="time-capacity-0"),
+    pytest.param("/partitions/0/processes/0/period", 50, None,
+                 "period 50 shorter than time capacity 100", id="period-below-capacity"),
+    pytest.param("/partitions/0/processes/1", {"id": 1, "time_capacity": 5},
+                 "/partitions/0/processes/1/id", "duplicate process id 1",
+                 id="duplicate-process-id"),
+    pytest.param("/time/timeout_overrides/0/multiplier", "1/2", None,
+                 "multiplier must be >= 1, got 1/2", id="multiplier-half"),
+    pytest.param("/time/timeout_overrides/0/multiplier", "x", None,
+                 "not a number or 'p/q' ratio: 'x'", id="multiplier-x"),
+    pytest.param("/ports/1/max_message_size", 0, None,
+                 "expected an integer >= 1, got 0", id="queueing-size-0"),
+    pytest.param("/ports/1/capacity", 0, None,
+                 "expected an integer >= 1, got 0", id="queueing-capacity-0"),
+    pytest.param("/ports/0/max_message_size", 0, None,
+                 "expected an integer >= 1, got 0", id="sampling-size-0"),
+    pytest.param("/ports/0/refresh_period", -1, None,
+                 "expected an integer >= 0, got -1", id="sampling-refresh-period--1"),
+    pytest.param("/time/slowdown_factor", 0, None,
+                 "slowdown factor must be positive, got 0", id="slowdown-0"),
+    pytest.param("/time/slowdown_factor", -2, None,
+                 "slowdown factor must be positive, got -2", id="slowdown--2"),
+    pytest.param("/time/costs/base_step", -1, None,
+                 "expected an integer >= 0, got -1", id="negative-base-step-cost"),
+    pytest.param("/time/costs/ub_check", -1, None,
+                 "expected an integer >= 0, got -1", id="negative-check-cost"),
+    pytest.param("/time/major_frame/frame_len", 0, None,
+                 "expected an integer >= 1, got 0", id="frame-len-0"),
+    pytest.param("/time/major_frame/windows", [], "/time/major_frame",
+                 "major frame needs at least one window", id="no-windows"),
+    pytest.param("/time/major_frame/windows/1/length", 0, None,
+                 "expected an integer >= 1, got 0", id="window-length-0"),
+    pytest.param("/time/major_frame/windows/1/start", 60, "/time/major_frame",
+                 "window 1 starts at 60, expected 50 (windows must be sorted, disjoint"
+                 " and gap-free)", id="window-gap"),
+    pytest.param("/reserved_init/pattern", 300, None,
+                 "reserved pattern must be a byte value, got 300", id="pattern-300"),
+    pytest.param("/reserved_init/pattern", -1, None,
+                 "reserved pattern must be a byte value, got -1", id="pattern--1"),
+    pytest.param("/workload/0/a", 128, None,
+                 "128 is not a value of i8", id="immediate-outside-type"),
+    pytest.param("/workload/0/b/width", 2, "/workload/0/b",
+                 "operand loads values outside i8", id="operand-wider-than-type"),
+    pytest.param("/workload/0/arith", "DIV", None,
+                 "arith must be ADD, SUB or MUL, got 'DIV'", id="arith-DIV"),
+    pytest.param("/workload/0/type", "i128", None,
+                 "integer type must be i8, u8, i16, u16, i32, u32, i64 or u64, got 'i128'",
+                 id="type-i128"),
+    pytest.param("/workload/1/align", 3, None,
+                 "align must be a power of two, got 3", id="align-3"),
+    pytest.param("/workload/2/allowed", [], None,
+                 "allowed value set must not be empty", id="enum-allowed-empty"),
+    pytest.param("/workload/3/caller", 2, None,
+                 "partition 1 has no process 2", id="caller-undeclared"),
+    pytest.param("/workload/4/len", 0, None,
+                 "expected an integer >= 1, got 0", id="send-len-0"),
+    pytest.param("/workload/5/bindings", {}, None,
+                 "directives of 'f' need bindings for ['a']", id="syscall-binding-missing"),
+]
+
+
+def _broken(where, value):
+    """_every_section() with ``value`` put at the pointer ``where``."""
     data = _every_section()
-    load_scenario(copy.deepcopy(data))
     *parents, last = where[1:].split("/")
     node = data
     for key in parents:
@@ -352,7 +356,16 @@ def test_each_rule_the_runtime_trusts_fails_at_load(where, value, pointer, messa
         node.append(value)
     else:
         node[int(last) if isinstance(node, list) else last] = value
-    err = _fails_at(data, pointer or where)
+    return data
+
+
+@pytest.mark.parametrize("where, value, pointer, message", _RULES)
+def test_each_rule_the_runtime_trusts_fails_at_load(where, value, pointer, message):
+    """The loader is the only validator: each rule the runtime types take as
+    given fails the load, with its JSON pointer (``where`` itself unless
+    given) and message."""
+    load_scenario(_every_section())
+    err = _fails_at(_broken(where, value), pointer or where)
     assert err.message == message
 
 
@@ -1169,17 +1182,15 @@ def _children(node):
             yield from _children(value)
 
 
-def test_mutated_builtins_fail_with_a_pointer_or_run():
-    """One changed value, deleted key or added key per builtin document:
-    either loading fails with a pointer into the document, or the scenario
-    runs without raising, also under every granularity override it loads
-    with."""
-    rng = random.Random(4)
+def _mutants(seed, per_builtin):
+    """``(name, doc)`` for ``per_builtin`` documents of each builtin, each
+    with one changed value, deleted key or added key."""
+    rng = random.Random(seed)
     values = (None, True, -1, 0, 1, 2, 3, 4097, "x", "buf", [], {})
     root = resources.files("partsan.scenarios")
     for name in builtin_names():
         text = (root / f"{name}.json").read_text(encoding="utf-8")
-        for _ in range(100):
+        for _ in range(per_builtin):
             doc = json.loads(text)
             container, key = rng.choice(list(_children(doc)))
             roll = rng.random()
@@ -1189,16 +1200,94 @@ def test_mutated_builtins_fail_with_a_pointer_or_run():
                 container[key]["bogus"] = 1
             else:
                 container[key] = rng.choice(values)
+            yield name, doc
+
+
+def test_mutated_builtins_fail_with_a_pointer_or_run():
+    """One changed value, deleted key or added key per builtin document:
+    either loading fails with a pointer into the document, or the scenario
+    runs without raising, also under every granularity override it loads
+    with."""
+    for name, doc in _mutants(4, 100):
+        try:
+            scenario = load_scenario(doc)
+        except ConfigError as exc:
+            assert exc.path and _names_node(doc, exc.path), (name, str(exc))
+            continue
+        Simulator(scenario).run()
+        for granularity in (1, 16):
             try:
-                scenario = load_scenario(doc)
+                regran = load_scenario(doc, granularity=granularity)
             except ConfigError as exc:
                 assert exc.path and _names_node(doc, exc.path), (name, str(exc))
                 continue
-            Simulator(scenario).run()
-            for granularity in (1, 16):
-                try:
-                    regran = load_scenario(doc, granularity=granularity)
-                except ConfigError as exc:
-                    assert exc.path and _names_node(doc, exc.path), (name, str(exc))
-                    continue
-                Simulator(regran).run()
+            Simulator(regran).run()
+
+
+def _tables():
+    """Every ``_Fields`` table alive: the schema's, and any a test made."""
+    return [obj for obj in gc.get_objects() if isinstance(obj, loader._Fields)]
+
+
+def _row_by_row():
+    """Take back every generated load function: each table loads row by row
+    until it reaches ``loader._HOT`` loads again."""
+    for table in _tables():
+        vars(table).pop("load", None)
+
+
+def _outcome(load, doc):
+    try:
+        return load(doc)
+    except ConfigError as exc:
+        return exc.message, exc.path
+
+
+def test_generated_loads_agree_with_row_by_row_loads(monkeypatch):
+    """Every table generated from its first load, or none generated: the
+    same scenarios load, and each rejected document fails with the same
+    message at the same pointer."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    docs = [(load_scenario, _broken(*rule.values[:2])) for rule in _RULES]
+    docs += [(load_scenario, doc) for _, doc in _mutants(26, 10)]
+    docs += [(load_builtin, name) for name in builtin_names()]
+    for generate in workloads.GENERATORS.values():
+        docs += [(load_scenario_text, text) for seed in (1, 4242) for text in generate(seed)]
+    outcomes = {}
+    try:
+        for hot in (1, sys.maxsize):
+            _row_by_row()
+            monkeypatch.setattr(loader, "_HOT", hot)
+            outcomes[hot] = [_outcome(load, doc) for load, doc in docs]
+            generated = {id(table) for table in _tables() if "load" in vars(table)}
+            assert generated >= {id(table) for table in _OPS.values()} if hot == 1 else not generated
+    finally:
+        _row_by_row()
+    rejected = [o for o in outcomes[1] if not isinstance(o, Scenario)]
+    assert len(rejected) >= len(_RULES)
+    assert outcomes[1] == outcomes[sys.maxsize]
+
+
+def test_loading_each_builtin_once_generates_no_table():
+    """Start-up stays row by row: in a fresh process, loading every builtin
+    once brings no table to ``loader._HOT`` loads."""
+    code = (
+        "import gc\n"
+        "from partsan import scenario\n"
+        "for name in scenario.builtin_names():\n"
+        "    scenario.load_builtin(name)\n"
+        "tables = [o for o in gc.get_objects() if isinstance(o, scenario._Fields)]\n"
+        "print(sum('load' in vars(t) for t in tables), max(t.loads for t in tables))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    generated, most = map(int, result.stdout.split())
+    assert generated == 0
+    assert 0 < most < loader._HOT
