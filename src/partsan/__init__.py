@@ -39,7 +39,6 @@ from .harness import (
     RunReport,
     Simulator,
     match_expected,
-    parse_report_json,
     render_report,
     run_scenario,
 )

@@ -129,14 +129,14 @@ _RIGHT_REDZONE = bytes((PoisonKind.RIGHT_REDZONE,))
 
 
 class ShadowMap:
-    """Address-validity map for one partition's byte space."""
+    """Address-validity map for one partition's byte space; every granule
+    starts with the code ``fill``, addressable by default."""
 
-    def __init__(self, partition_id: int, memory_size: int, granularity: int = 8):
+    def __init__(self, partition_id: int, memory_size: int, granularity: int = 8, fill: int = 0):
         self.partition_id = partition_id
         self.memory_size = memory_size
         self.granularity = granularity
-        # all-addressable until the owner says otherwise
-        self.shadow = bytearray(shadow_size_for(memory_size, granularity))
+        self.shadow = bytearray((fill,)) * shadow_size_for(memory_size, granularity)
         # running count of check_access calls, feeds the instrumented-time model
         self.checks_performed = 0
 

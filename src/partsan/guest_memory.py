@@ -68,14 +68,23 @@ class Region(NamedTuple):
 _SPAN_START = attrgetter("span_start")
 
 
+def _alloc_origin(label: str) -> str:
+    """The origin label of region ``label``'s payload until it is written."""
+    return f"alloc:{label}"
+
+
 class Layout:
     """One partition's regions by label, bump cursor and phase.
 
     Each rule raises a ConfigError whose path, relative to the partition's
-    config or to an ``ALLOC`` step, names the field at fault.
+    config or to an ``ALLOC`` step, names the field at fault.  It starts
+    with the regions of ``placed``, which another Layout of the partition
+    placed, in address order.
     """
 
-    def __init__(self, partition_id: int, memory_size: int, granularity: int, redzone: int):
+    def __init__(
+        self, partition_id: int, memory_size: int, granularity: int, redzone: int, placed=()
+    ):
         try:
             check_memory_size(memory_size, granularity)
         except ConfigError as exc:
@@ -92,6 +101,10 @@ class Layout:
         self.granularity = granularity
         self.redzone = redzone
         self.reset()
+        if placed:
+            self.regions = {region.label: region for region in placed}
+            self.in_order = list(self.regions.values())
+            self.cursor = self.in_order[-1].span_end
 
     def reset(self) -> None:
         """Cold restart: back to INIT with no regions and the whole space free."""
@@ -139,6 +152,9 @@ class Layout:
 class PartitionMemory:
     """Byte space and shadow maps of one partition, allocated by its Layout.
     ``origins`` is the origin table its ``InitShadow`` shares, if any.
+    ``placed``, a loaded ``Scenario.placed`` entry, holds the regions its
+    Layout starts with; each gets the shadows ``alloc_region`` would give
+    it, without a second placement.
     ``reserved_pattern``, when given, is the byte value of the reserved
     initialization value: a write made entirely of it is stored but does not
     count as initialization, so memset-style pre-fills with it stay visible
@@ -160,8 +176,9 @@ class PartitionMemory:
         redzone: int = DEFAULT_REDZONE,
         reserved_pattern: int | None = None,
         origins=None,
+        placed=(),
     ):
-        self.layout = Layout(partition_id, size_bytes, granularity, redzone)
+        self.layout = Layout(partition_id, size_bytes, granularity, redzone, placed)
         self.partition_id = partition_id
         self.size_bytes = size_bytes
         if size_bytes >= LAZY_ZERO_MIN:
@@ -170,11 +187,13 @@ class PartitionMemory:
             self.data = mmap.mmap(-1, size_bytes, access=mmap.ACCESS_COPY)
         else:
             self.data = bytearray(size_bytes)
-        self.shadow = ShadowMap(partition_id, size_bytes, granularity)
-        self.init_shadow = InitShadow(partition_id, size_bytes, origins)
-        self.reserved_pattern = reserved_pattern
         # nothing is addressable until allocated
-        self.shadow.poison(0, size_bytes, PoisonKind.MANUAL_BLACKLIST)
+        self.shadow = ShadowMap(partition_id, size_bytes, granularity, PoisonKind.MANUAL_BLACKLIST)
+        for region in placed:
+            self.shadow.write_allocation(region.span_start, region.payload_len, redzone)
+        runs = [(region.base, region.payload_end, _alloc_origin(region.label)) for region in placed]
+        self.init_shadow = InitShadow(partition_id, size_bytes, origins, runs)
+        self.reserved_pattern = reserved_pattern
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -196,7 +215,7 @@ class PartitionMemory:
     def alloc_region(self, payload_len: int, label: str) -> Region:
         region = self.layout.alloc(label, payload_len)
         self.shadow.write_allocation(region.span_start, payload_len, self.layout.redzone)
-        self.init_shadow.set_uninitialized(region.base, payload_len, origin=f"alloc:{label}")
+        self.init_shadow.set_uninitialized(region.base, payload_len, origin=_alloc_origin(label))
         return region
 
     def region(self, label: str) -> Region:

@@ -53,7 +53,6 @@ __all__ = [
     "RunReport",
     "Simulator",
     "match_expected",
-    "parse_report_json",
     "render_report",
     "run_scenario",
 ]
@@ -164,7 +163,8 @@ class Simulator:
         origins = ([None], {})
         self.partitions: dict[int, PartitionMemory] = {}
         self.tables: dict[int, ProcessTable] = {}  # partitions that have processes
-        for pconf in scenario.partitions:
+        # each partition starts with its declared regions as the load placed them
+        for pconf, placed in zip(scenario.partitions, scenario.placed, strict=True):
             pid = pconf["id"]
             mem = PartitionMemory(
                 pid,
@@ -173,9 +173,8 @@ class Simulator:
                 redzone=pconf["redzone"],
                 reserved_pattern=reserved_pattern,
                 origins=origins,
+                placed=placed,
             )
-            for region in pconf["regions"]:
-                mem.alloc_region(region["size"], region["label"])
             if pconf["processes"]:
                 self.tables[pid] = ProcessTable(
                     Process(
@@ -598,19 +597,3 @@ def render_report(report: RunReport, fmt: str = "text") -> str:
     if fmt == "json":
         return json.dumps(report_payload(report), indent=2, sort_keys=True) + "\n"
     raise ConfigError(f"unknown report format {fmt!r}, expected 'text' or 'json'")
-
-
-def parse_report_json(text: str) -> RunReport:
-    """Inverse of render_report(..., 'json'); used for round-trip checks."""
-    payload = json.loads(text)
-    return RunReport(
-        scenario_name=payload["scenario"],
-        seed=payload["seed"],
-        raw_ticks=payload["raw_ticks"],
-        virtual_ticks=payload["virtual_ticks"],
-        violations=tuple(Violation(**v) for v in payload["violations"]),
-        events=tuple(
-            Event(kind=e["kind"], t=e["t"], info=e["info"]) for e in payload["events"]
-        ),
-        verdict=payload["verdict"],
-    )

@@ -46,10 +46,12 @@ class InitShadow:
 
     ``origins`` is an origin table shared with other shadows: a pair of the
     label list, whose id 0 is None, and the dict from label to id.  Without
-    it the shadow gets a table of its own.
+    it the shadow gets a table of its own.  Each ``(start, end, origin)`` of
+    ``runs``, in address order and apart, starts as an origin run of its
+    own, as ``set_uninitialized`` over each would leave it.
     """
 
-    def __init__(self, partition_id: int, size: int, origins=None):
+    def __init__(self, partition_id: int, size: int, origins=None, runs=()):
         if size <= 0:
             raise ConfigError(f"shadow size must be positive, got {size}")
         self.partition_id = partition_id
@@ -57,10 +59,14 @@ class InitShadow:
         # ascending offsets where the state flips: byte 0 starts
         # uninitialized, so byte i is initialized iff bisect(_edges, i) is odd
         self._edges = []
-        # origin runs: byte i has the id of the last run starting at or before i
-        self._starts = [0]
-        self._ids = [0]
         self._origin_table, self._origin_index = origins or ([None], {})
+        # origin runs: byte i has the id of the last run starting at or before
+        # i; the bytes after each of ``runs`` are untagged
+        starts = self._starts = [0]
+        ids = self._ids = [0]
+        for start, end, origin in runs:
+            starts += start, end
+            ids += self._intern(origin), 0
         # running count of check() calls, feeds the instrumented-time model
         self.checks_performed = 0
 

@@ -48,8 +48,11 @@ class Scenario(NamedTuple):
     """A loaded scenario: each section is its checked JSON object (or list
     of them) under its JSON keys, with every default filled in, except
     ``syscalls``, whose templates load parsed, and each step ``offset``,
-    bound to the absolute offset in its partition.  The loader is the one
-    place a value is checked; the runtime takes the loaded values as they are."""
+    bound to the absolute offset in its partition.  ``placed`` holds, per
+    partition in order, each declared region as the load's ``Layout``
+    placed it; it must be loaded again whenever ``partitions`` changes.
+    The loader is the one place a value is checked; the runtime takes the
+    loaded values as they are."""
 
     name: str
     partitions: tuple[dict, ...]
@@ -61,6 +64,7 @@ class Scenario(NamedTuple):
     syscalls: tuple[SyscallSpec, ...]
     workload: tuple[dict, ...]  # each step's loaded fields and its "op"
     expect: tuple[dict, ...]  # the kind, and what else a finding must match
+    placed: tuple[tuple, ...]  # per partition, its declared regions as placed
 
 
 # -- field helpers ------------------------------------------------------------
@@ -828,9 +832,10 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
     """Load every section of ``data`` in place through its _Fields, write
     the overrides into the loaded ``time`` and partitions, check what
     refers across sections (window partitions, override processes, port
-    endpoints, padding types and sizes), then replay every partition's
-    Layout through the workload: check each step against them at the
-    pointer of the field at fault, and bind each step's locations."""
+    endpoints, padding types and sizes), place each partition's declared
+    regions in its Layout and keep them as the build's ``placed``, then
+    replay every Layout through the workload: check each step against them
+    at the pointer of the field at fault, and bind each step's locations."""
     try:
         doc = _SCENARIO(data)
     except ConfigError as exc:
@@ -878,6 +883,7 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
                 raise ConfigError(exc.message, f"{at}/{i}") from None
 
     layouts: dict[int, Layout] = {}
+    placed = []
     total = 0
     for i, config in enumerate(doc["partitions"]):
         at = f"partitions/{i}"
@@ -896,6 +902,7 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
                 layout.alloc(region["label"], region["size"])
             except ConfigError as exc:
                 raise _moved(exc, f"{at}/regions/{j}") from None
+        placed.append(tuple(layout.in_order))
         layout.started = config["auto_start"]
     ports = {port["name"]: port for port in doc["ports"]}
     specs = {}
@@ -978,7 +985,7 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
                 check(step)
         except ConfigError as exc:
             raise _moved(exc, f"workload/{i}") from None
-    return Scenario(**doc)
+    return Scenario(**doc, placed=tuple(placed))
 
 
 def load_scenario_text(text: str, *, slowdown_factor=None, granularity=None) -> Scenario:

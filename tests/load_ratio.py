@@ -1,4 +1,5 @@
-"""Scenario load time over ``json.loads`` time, for two versions of partsan.
+"""Scenario load time over ``json.loads`` time, and build time, for two
+versions of partsan.
 
     python tests/load_ratio.py SRC_A SRC_B [--seed S] [--repeat N] [--json FILE]
 
@@ -6,11 +7,12 @@ SRC_A and SRC_B are two ``src`` directories, such as a parent's and a
 change's.  Each workload of ``perfbench/workloads.py`` is generated at seed
 S (default 1).  Both versions are imported into this one process, each
 under its own ``sys.modules`` entries, and timed alternately in rounds:
-``json.loads`` of every text of the workload, then ``load_scenario_text``
-of every text by A and by B, A first in even rounds and B first in odd
-ones.  Each keeps its best of N rounds (default 7), after one untimed round
-that lets each version's lazy set-up finish.  It prints the seconds, each
-version's ratio of its load to ``json.loads``, and B's time over A's;
+``json.loads`` of every text of the workload, then, by A and by B, A first
+in even rounds and B first in odd ones, ``load_scenario_text`` of every
+text and ``Simulator(...)`` of every scenario that version loaded.  Each
+keeps its best of N rounds (default 7), after one untimed round that lets
+each version's lazy set-up finish.  It prints the seconds, each version's
+ratio of its load to ``json.loads``, and B's load and build times over A's;
 ``--json`` also writes them to FILE.
 
 Timings of separate processes on a shared host are bimodal, so two
@@ -36,40 +38,49 @@ def _own_modules():
 
 
 def import_version(src):
-    """The ``partsan.scenario`` module of the tree at ``src``, imported
-    under fresh ``sys.modules`` entries that are then taken out again, so a
-    second version can be imported beside it."""
+    """The ``load_scenario_text`` and ``Simulator`` of the tree at ``src``,
+    imported under fresh ``sys.modules`` entries that are then taken out
+    again, so a second version can be imported beside it."""
     before = {name: sys.modules.pop(name) for name in _own_modules()}
     sys.path.insert(0, str(src))
     try:
-        module = importlib.import_module("partsan.scenario")
+        scenario = importlib.import_module("partsan.scenario")
+        harness = importlib.import_module("partsan.harness")
     finally:
         sys.path.remove(str(src))
         for name in _own_modules():
             del sys.modules[name]
         sys.modules.update(before)
-    return module
+    return scenario.load_scenario_text, harness.Simulator
 
 
-def _seconds(load, texts):
+def _seconds(call, items):
     gc.collect()
     t0 = time.perf_counter()
-    for text in texts:
-        load(text)
+    for item in items:
+        call(item)
     return time.perf_counter() - t0
 
 
-def measure(loaders, texts, repeat):
-    """Best seconds of ``json.loads`` and of each version's load over ``texts``."""
-    for load in loaders.values():
-        for text in texts:
-            load(text)
-    best = dict.fromkeys(["json", *loaders], float("inf"))
+def measure(versions, texts, repeat):
+    """Best seconds of ``json.loads`` over ``texts``, and of each version's
+    load of them and build of the scenarios it loaded, as ``json``,
+    ``A_load``, ``A_build`` and so on."""
+    loaded = {}
+    for label, (load, build) in versions.items():
+        loaded[label] = [load(text) for text in texts]
+        for scenario in loaded[label]:
+            build(scenario)
+    best = {"json": float("inf")}
     for round_ in range(repeat):
         order = VERSIONS if round_ % 2 == 0 else VERSIONS[::-1]
         best["json"] = min(best["json"], _seconds(json.loads, texts))
         for label in order:
-            best[label] = min(best[label], _seconds(loaders[label], texts))
+            load, build = versions[label]
+            for key, seconds in (("load", _seconds(load, texts)),
+                                 ("build", _seconds(build, loaded[label]))):
+                key = f"{label}_{key}"
+                best[key] = min(best.get(key, seconds), seconds)
     return best
 
 
@@ -82,7 +93,7 @@ def main(argv):
     parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
     srcs = {"A": args.src_a.resolve(), "B": args.src_b.resolve()}
-    modules = {label: import_version(src) for label, src in srcs.items()}
+    versions = {label: import_version(src) for label, src in srcs.items()}
 
     # the generators read the builtins through the package: give them A's
     saved = {name: sys.modules.pop(name) for name in _own_modules()}
@@ -97,24 +108,26 @@ def main(argv):
             del sys.modules[name]
         sys.modules.update(saved)
 
-    loaders = {label: module.load_scenario_text for label, module in modules.items()}
     print(f"in process, best of {args.repeat}, seed {args.seed}, "
           f"A={srcs['A']} and B={srcs['B']} alternating")
     rows = {}
     for name, workload in texts.items():
-        best = measure(loaders, workload, args.repeat)
-        rows[name] = {
+        best = measure(versions, workload, args.repeat)
+        rows[name] = row = {
             "scenarios": len(workload),
             "best_s": best,
-            "A_over_json": best["A"] / best["json"],
-            "B_over_json": best["B"] / best["json"],
-            "B_over_A": best["B"] / best["A"],
+            "A_over_json": best["A_load"] / best["json"],
+            "B_over_json": best["B_load"] / best["json"],
+            "load_B_over_A": best["B_load"] / best["A_load"],
+            "build_B_over_A": best["B_build"] / best["A_build"],
         }
-        row = rows[name]
         print(
-            f"{name:14} json {best['json']:.4f} s   A {best['A']:.4f} s "
-            f"({row['A_over_json']:.2f}x)   B {best['B']:.4f} s ({row['B_over_json']:.2f}x)   "
-            f"B/A {row['B_over_A']:.3f}",
+            f"{name:14} json {best['json']:.4f} s\n"
+            f"  load   A {best['A_load']:.4f} s ({row['A_over_json']:.2f}x)   "
+            f"B {best['B_load']:.4f} s ({row['B_over_json']:.2f}x)   "
+            f"B/A {row['load_B_over_A']:.3f}\n"
+            f"  build  A {best['A_build']:.4f} s   B {best['B_build']:.4f} s   "
+            f"B/A {row['build_B_over_A']:.3f}",
             flush=True,
         )
     if args.json is not None:

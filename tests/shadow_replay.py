@@ -49,6 +49,9 @@ def recorded(texts):
     position: a shadow is its construction index, a construction's origin
     table is its index among the tables passed (or None), a use site is its
     value, and ``apply_snapshot`` names the index of the snapshot it writes.
+    A construction with origin runs is recorded as one without them and a
+    ``set_uninitialized`` of each run, which leave the same shadow, so that
+    every version can replay it.
     A call that raises, or that a recorded call makes itself, is not
     recorded."""
     calls, shadows, tables, snapshots = [], {}, {}, {}
@@ -70,11 +73,15 @@ def recorded(texts):
             bound.apply_defaults()
             values = list(bound.arguments.values())[1:]
             if name == "__init__":
-                origins = values[2]
+                partition_id, size, origins, runs = values
                 if origins is not None:
-                    values[2] = tables.setdefault(id(origins), (len(tables), origins))[0]
+                    origins = tables.setdefault(id(origins), (len(tables), origins))[0]
                 shadows[id(self)] = (len(shadows), self)
-                calls.append([None, name, *values])
+                calls.append([None, name, partition_id, size, origins])
+                calls.extend(
+                    [len(shadows) - 1, "set_uninitialized", start, end - start, origin]
+                    for start, end, origin in runs
+                )
                 return result
             if name == "check":
                 values[2] = values[2].value

@@ -6,8 +6,10 @@ SRC_A and SRC_B are two ``src`` directories, such as a parent's and a
 change's.  Each is copied without its ``__pycache__`` directories into a
 temporary directory.  Each round runs, in a fresh ``python -S`` child and
 alternating between A and B, a bare ``pass``, ``import partsan.cli`` and
-``-m partsan run-all`` (its report discarded); each keeps its best wall time
-of REPEAT rounds (default 20).  The rounds run in two settings:
+``-m partsan run-all`` (its report discarded), A first in even rounds and
+B first in odd ones, so that an order effect falls on both; each keeps its
+best wall time of REPEAT rounds (default 20).  The rounds run in two
+settings:
 
 - ``warm``: each copy has a private bytecode cache (``PYTHONPYCACHEPREFIX``),
   filled by one untimed run of each command;
@@ -83,6 +85,12 @@ def _self_times(stderr):
     return times
 
 
+def _order(srcs, round_):
+    """The labels of ``srcs``, reversed in odd rounds."""
+    labels = list(srcs)
+    return labels if round_ % 2 == 0 else labels[::-1]
+
+
 def measure(srcs, repeat):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -101,15 +109,15 @@ def measure(srcs, repeat):
             for label in srcs:  # fill the warm caches; check every command runs
                 for args in COMMANDS.values():
                     _run(args, envs[label], tmp)
-            for _ in range(repeat):
+            for round_ in range(repeat):
                 for name, args in COMMANDS.items():
-                    for label in srcs:
+                    for label in _order(srcs, round_):
                         elapsed, _ = _run(args, envs[label], tmp)
                         best[setting][label][name] = min(best[setting][label][name], elapsed)
         modules = {label: {} for label in srcs}
-        for _ in range(repeat):
-            for label, copy in copies.items():
-                env = _env(copy, "warm", tmp / label / "cache")
+        for round_ in range(repeat):
+            for label in _order(srcs, round_):
+                env = _env(copies[label], "warm", tmp / label / "cache")
                 _, stderr = _run(["-X", "importtime", *COMMANDS["import"]], env, tmp)
                 for name, own in _self_times(stderr).items():
                     modules[label][name] = min(modules[label].get(name, own), own)
@@ -140,7 +148,8 @@ def main(argv):
     repeat = int(argv[2]) if len(argv) == 3 else 20
     best, modules = measure(srcs, repeat)
     above = summary(best)
-    print(f"python -S, best of {repeat}, alternating A={srcs['A']} and B={srcs['B']}")
+    print(f"python -S, best of {repeat}, A={srcs['A']} and B={srcs['B']}, "
+          "each first in every other round")
     for setting in SETTINGS:
         for name in COMMANDS:
             a, b = (best[setting][label][name] for label in srcs)

@@ -99,6 +99,17 @@ def test_poison_kind_bytes_land_in_shadow():
     assert m.shadow[0] == 0x00 and m.shadow[4] == 0x00
 
 
+def test_a_fill_starts_every_granule_with_its_code():
+    """``fill`` leaves the map a whole-span ``poison`` with that kind would."""
+    filled = ShadowMap(1, 64, granularity=8, fill=PoisonKind.MANUAL_BLACKLIST)
+    poisoned = ShadowMap(1, 64, granularity=8)
+    poisoned.poison(0, 64, PoisonKind.MANUAL_BLACKLIST)
+    assert filled.shadow == poisoned.shadow == bytes([0xFE]) * 8
+    v = filled.check_access(24, 1, AccessKind.READ)
+    assert v.kind == "MANUAL_BLACKLIST" and v.offset == 24
+    assert ShadowMap(1, 64, granularity=8).shadow == bytes(8)
+
+
 def test_poison_takes_a_kind_or_its_code():
     m = ShadowMap(1, 64, granularity=8)
     m.poison(16, 8, int(PoisonKind.RIGHT_REDZONE))

@@ -4,7 +4,9 @@ import mmap
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
+import mutation_differential  # the test directory is on sys.path
 import pytest
 
 from partsan.asan_shadow import VALID_GRANULARITIES, PoisonKind
@@ -16,11 +18,13 @@ from partsan.guest_memory import (
     PartitionMemory,
 )
 from partsan.harness import Simulator
-from partsan.scenario import load_scenario
+from partsan.scenario import builtin_names, load_builtin, load_scenario, load_scenario_text
 from partsan.violations import AccessKind, UseSite, ViolationError
 
 from equivalence import run_allocation_layouts
 from oracles import ref_nearest_region
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def make(size=512, **kw):
@@ -431,3 +435,77 @@ def test_send_from_and_receive_into_a_partition_deliver_the_payload(size):
     mem = sim.partitions[2]
     assert mem.data[at : at + 8] == bytes(range(1, 9))
     assert mem.init_shadow.check(at, 8, UseSite.BRANCH) is None
+
+
+# -- a build starts from the regions the load placed ---------------------------------
+
+
+def _built_state(mem):
+    """What a build sets in a partition: the shadow codes, the flips, the
+    label of each origin run, and the layout."""
+    init, layout = mem.init_shadow, mem.layout
+    table = init._origin_table
+    return (
+        bytes(mem.shadow.shadow),
+        list(init._edges),
+        list(init._starts),
+        [table[oid] for oid in init._ids],
+        dict(layout.regions),
+        list(layout.in_order),
+        layout.cursor,
+        layout.started,
+    )
+
+
+def _replayed(pconf):
+    """A fresh partition fed its declared regions through ``alloc_region``."""
+    mem = PartitionMemory(pconf["id"], pconf["memory_size"], pconf["granularity"], pconf["redzone"])
+    for region in pconf["regions"]:
+        mem.alloc_region(region["size"], region["label"])
+    if pconf["auto_start"]:
+        mem.start()
+    return mem
+
+
+def _assert_built_as_replayed(scenario):
+    built = Simulator(scenario).partitions
+    for pconf in scenario.partitions:
+        assert _built_state(built[pconf["id"]]) == _built_state(_replayed(pconf)), scenario.name
+
+
+def _mutants_that_load():
+    for _, doc in mutation_differential.mutants():
+        try:
+            yield load_scenario(doc)
+        except ConfigError:
+            pass
+
+
+def test_builtins_and_their_mutants_build_as_their_regions_replayed():
+    builtins = [load_builtin(name) for name in builtin_names()]
+    mutants = list(_mutants_that_load())
+    assert len(builtins) == 12 and len(mutants) > 1000
+    for scenario in builtins + mutants:
+        _assert_built_as_replayed(scenario)
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+def test_bench_workloads_build_as_their_regions_replayed(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for name, generate in sorted(workloads.GENERATORS.items()):
+        for text in generate(seed):
+            _assert_built_as_replayed(load_scenario_text(text))
+
+
+def test_a_run_changes_neither_the_scenario_nor_another_build_of_it():
+    for name in builtin_names():
+        scenario = load_builtin(name)
+        placed = repr(scenario.placed)
+        first, second = Simulator(scenario), Simulator(scenario)
+        states = {pid: _built_state(mem) for pid, mem in second.partitions.items()}
+        report = first.run()
+        assert {pid: _built_state(mem) for pid, mem in second.partitions.items()} == states
+        assert repr(scenario.placed) == placed
+        assert second.run() == report

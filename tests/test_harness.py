@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 import schedule_differential  # the test directory is on sys.path
+from report_json import parse_report_json
 
 from partsan import scenario as scenario_module
 from partsan.errors import ConfigError
@@ -16,7 +17,6 @@ from partsan.harness import (
     RunReport,
     Simulator,
     match_expected,
-    parse_report_json,
     render_report,
     run_scenario,
 )
@@ -153,6 +153,14 @@ def test_runs_are_deterministic():
         assert first == second == run_scenario(load_builtin(name))
         assert render_report(first, "text") == render_report(second, "text")
         assert render_report(first, "json") == render_report(second, "json")
+
+
+def test_a_build_refuses_partitions_its_placed_regions_do_not_match():
+    # ``placed`` is loaded with ``partitions``; a scenario rebuilt with
+    # other partitions must be loaded again, not built with stale regions
+    scenario = load_builtin("port_uninit_send")
+    with pytest.raises(ValueError):
+        Simulator(scenario._replace(partitions=scenario.partitions[:1]))
 
 
 @pytest.mark.parametrize(

@@ -76,12 +76,13 @@ def test_tracer_counts_match_the_reports(monkeypatch):
     # deadlines are checked only when due, and a due deadline is a miss
     assert calls["sched.check_deadline"] == len(misses)
     assert stripped_calls["sched.check_deadline"] == 1 < stripped_counts["harness.steps"]
-    # every allocation and every reset goes through the traced methods
-    declared = sum(len(p["regions"]) for scenario in scenarios for p in scenario.partitions)
+    # every ALLOC step and every reset goes through the traced methods; a
+    # build writes the declared regions the load placed without either
     allocs = sum(step["op"] == "ALLOC" for scenario in scenarios for step in scenario.workload)
-    assert calls["guest_memory.alloc_region"] == declared + allocs > 0
+    assert calls["guest_memory.alloc_region"] == allocs > 0
     resets = [e for report in reports for e in report.events if e.kind == "PARTITION_RESET"]
     assert calls["guest_memory.reset_partition"] == len(resets) > 0
+    assert calls["msan_shadow.set_uninitialized"] == len(resets) + allocs
     # a SYSCALL step resolves its directives once and enforces its PRE
     # directives, then its POST ones unless a PRE check blocked it
     syscalls = sum(step["op"] == "SYSCALL" for scenario in scenarios for step in scenario.workload)
