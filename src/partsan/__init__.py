@@ -12,22 +12,23 @@ deterministically.
 """
 
 from .asan_shadow import (
+    LEFT_REDZONE,
+    MANUAL_BLACKLIST,
+    PARTITION_RESET,
     POISON_FLOOR,
+    POISON_KINDS,
+    RIGHT_REDZONE,
     VALID_GRANULARITIES,
     WILD_ADDRESS,
-    PoisonKind,
     ShadowMap,
     decode_granule,
     encode_granule,
-    shadow_size_for,
 )
 from .errors import (
-    BindError,
     ConfigError,
     EncodingError,
     ParseError,
     PartsanError,
-    UnknownType,
 )
 from .guest_memory import (
     NULL_GUARD,
@@ -82,7 +83,6 @@ from .syscall_annotations import (
 from .ub_checks import (
     INT_SPECS,
     IntSpec,
-    UbKind,
     check_align,
     check_bool,
     check_enum,
@@ -93,8 +93,6 @@ from .ub_checks import (
     checked_trunc,
 )
 from .violations import (
-    AccessKind,
-    UseSite,
     Violation,
     ViolationError,
 )

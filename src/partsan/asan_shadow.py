@@ -5,7 +5,7 @@ Every shadow byte summarizes one granule of ``granularity`` guest bytes:
 * ``0x00`` — all bytes in the granule are addressable;
 * ``0x01 .. granularity-1`` — only that many leading bytes are addressable;
 * ``0xF0`` and above — the whole granule is non-addressable, and the code
-  identifies why (:class:`PoisonKind`).
+  identifies why: one of the four poison codes below.
 
 The encoding can only express "addressable prefix, then nothing", which is
 exactly what bump allocation with redzones produces.  Requests that would
@@ -23,10 +23,9 @@ oracle in ``tests/oracles.py`` defines what each operation means.
 from __future__ import annotations
 
 import re
-from enum import IntEnum
 
 from .errors import ConfigError, EncodingError
-from .violations import AccessKind, Violation
+from .violations import Violation
 
 VALID_GRANULARITIES = (1, 2, 4, 8, 16)
 
@@ -42,14 +41,20 @@ _NONZERO = re.compile(rb"[^\x00]")
 _POISONED = re.compile(rb"[\xf0-\xff]")
 
 
-class PoisonKind(IntEnum):
-    """Why a granule is non-addressable.  Values are stable across runs and
-    appear verbatim in shadow dumps and reports."""
+#: Why a granule is non-addressable.  The codes are stable across runs and
+#: appear verbatim in shadow dumps; reports name them by POISON_KINDS.
+LEFT_REDZONE = 0xF1
+RIGHT_REDZONE = 0xF3
+PARTITION_RESET = 0xF8
+MANUAL_BLACKLIST = 0xFE
 
-    LEFT_REDZONE = 0xF1
-    RIGHT_REDZONE = 0xF3
-    PARTITION_RESET = 0xF8
-    MANUAL_BLACKLIST = 0xFE
+#: The violation kind of each poison code.
+POISON_KINDS = {
+    LEFT_REDZONE: "LEFT_REDZONE",
+    RIGHT_REDZONE: "RIGHT_REDZONE",
+    PARTITION_RESET: "PARTITION_RESET",
+    MANUAL_BLACKLIST: "MANUAL_BLACKLIST",
+}
 
 
 def poison_detail(kind: str, label: str | None = None) -> str:
@@ -64,13 +69,6 @@ def poison_detail(kind: str, label: str | None = None) -> str:
     if kind == "RIGHT_REDZONE":
         return f"right redzone of region '{label}'" if label else "right redzone"
     return f"blacklisted memory near region '{label}'" if label else "blacklisted memory"
-
-
-def shadow_size_for(memory_size: int, granularity: int) -> int:
-    """Number of shadow bytes needed for ``memory_size`` guest bytes."""
-    check_granularity(granularity)
-    check_memory_size(memory_size, granularity)
-    return memory_size // granularity
 
 
 def check_granularity(granularity: int) -> int:
@@ -91,12 +89,15 @@ def check_memory_size(memory_size: int, granularity: int) -> None:
         )
 
 
-def encode_granule(flags, kind: PoisonKind = PoisonKind.MANUAL_BLACKLIST) -> int:
+def encode_granule(flags, kind: int = MANUAL_BLACKLIST) -> int:
     """Encode a per-byte addressability vector for one granule.
 
     Only prefix-addressable vectors are representable; anything else raises
-    EncodingError.  ``kind`` is used when no byte is addressable.
+    EncodingError.  ``kind``, a poison code, is used when no byte is
+    addressable.
     """
+    if kind not in POISON_KINDS:
+        raise ConfigError(f"{kind!r} is not a poison code")
     flags = list(flags)
     g = len(flags)
     check_granularity(g)
@@ -108,7 +109,7 @@ def encode_granule(flags, kind: PoisonKind = PoisonKind.MANUAL_BLACKLIST) -> int
     if n == g:
         return 0x00
     if n == 0:
-        return int(kind)
+        return kind
     return n
 
 
@@ -124,19 +125,20 @@ def decode_granule(code: int, granularity: int) -> tuple[bool, ...]:
     raise EncodingError(f"shadow code {code:#04x} invalid for granularity {granularity}")
 
 
-_LEFT_REDZONE = bytes((PoisonKind.LEFT_REDZONE,))
-_RIGHT_REDZONE = bytes((PoisonKind.RIGHT_REDZONE,))
+_LEFT_REDZONE = bytes((LEFT_REDZONE,))
+_RIGHT_REDZONE = bytes((RIGHT_REDZONE,))
 
 
 class ShadowMap:
     """Address-validity map for one partition's byte space; every granule
-    starts with the code ``fill``, addressable by default."""
+    starts with the code ``fill``, addressable by default.  The loader
+    checks that ``memory_size`` is a whole number of granules."""
 
     def __init__(self, partition_id: int, memory_size: int, granularity: int = 8, fill: int = 0):
         self.partition_id = partition_id
         self.memory_size = memory_size
         self.granularity = granularity
-        self.shadow = bytearray((fill,)) * shadow_size_for(memory_size, granularity)
+        self.shadow = bytearray((fill,)) * (memory_size // granularity)
         # running count of check_access calls, feeds the instrumented-time model
         self.checks_performed = 0
 
@@ -168,14 +170,15 @@ class ShadowMap:
 
     # -- mutation -----------------------------------------------------------
 
-    def poison(self, start: int, length: int, kind: PoisonKind) -> None:
-        """Mark ``[start, start+length)`` non-addressable with ``kind``.
+    def poison(self, start: int, length: int, kind: int) -> None:
+        """Mark ``[start, start+length)`` non-addressable with the poison
+        code ``kind``.
 
         Poisoning may shrink a granule's addressable prefix but can never
         leave an addressable hole; such requests raise EncodingError.
         """
-        if type(kind) is not PoisonKind:
-            kind = PoisonKind(kind)
+        if kind not in POISON_KINDS:
+            raise ConfigError(f"{kind!r} is not a poison code")
         self._check_span(start, length)
         g = self.granularity
         end = start + length
@@ -254,8 +257,8 @@ class ShadowMap:
 
     # -- checking -----------------------------------------------------------
 
-    def check_access(self, start: int, length: int, access: AccessKind):
-        """Validate an access of ``length`` bytes at ``start``.
+    def check_access(self, start: int, length: int, access: str):
+        """Validate an access (``access`` "R" or "W") of ``length`` bytes at ``start``.
 
         Returns None when every byte is addressable, otherwise a Violation
         naming the first offending byte; its detail names no region until
@@ -290,13 +293,13 @@ class ShadowMap:
             bad = idx * g + self.leading_addressable(idx)
         return self._violation(self._violation_kind(idx), bad, length, access)
 
-    def _violation(self, kind: str, bad: int, length: int, access: AccessKind) -> Violation:
+    def _violation(self, kind: str, bad: int, length: int, access: str) -> Violation:
         return Violation(
             kind=kind,
             partition=self.partition_id,
             offset=bad,
             size=length,
-            access=access.value,
+            access=access,
             detail=poison_detail(kind),
         )
 
@@ -308,9 +311,7 @@ class ShadowMap:
         that is the region's right redzone).
         """
         code = self.shadow[granule_idx]
-        if code >= POISON_FLOOR:
-            return PoisonKind(code).name
-        hit = _POISONED.search(self.shadow, granule_idx + 1)
-        if hit is None:
-            return PoisonKind.MANUAL_BLACKLIST.name
-        return PoisonKind(self.shadow[hit.start()]).name
+        if code < POISON_FLOOR:
+            hit = _POISONED.search(self.shadow, granule_idx + 1)
+            code = MANUAL_BLACKLIST if hit is None else self.shadow[hit.start()]
+        return POISON_KINDS[code]

@@ -37,15 +37,3 @@ class ParseError(PartsanError):
         self.col = col
         super().__init__(f"line {line}, col {col}: {message}")
 
-
-class UnknownType(PartsanError):
-    """A type name used in an annotation has no known size."""
-
-
-class BindError(PartsanError):
-    """A syscall parameter could not be bound to a concrete address/size;
-    ``param`` names the parameter when the error is about its binding."""
-
-    def __init__(self, message: str, param: str | None = None):
-        self.param = param
-        super().__init__(message)

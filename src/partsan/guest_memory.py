@@ -15,16 +15,15 @@ guest offset 0 is never a valid access.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from operator import attrgetter
-from typing import NamedTuple
 
-from .asan_shadow import PoisonKind, ShadowMap, check_memory_size, poison_detail
+from .asan_shadow import MANUAL_BLACKLIST, PARTITION_RESET, ShadowMap, poison_detail
 from .errors import ConfigError
 from .msan_shadow import InitShadow
-from .violations import AccessKind, Violation, ViolationError
+from .violations import Violation, ViolationError
 
 __all__ = [
-    "AccessKind",
     "MEMORY_CAP",
     "NULL_GUARD",
     "Layout",
@@ -50,15 +49,11 @@ MEMORY_CAP = 1 << 24
 LAZY_ZERO_MIN = 128 << 10
 
 
-class Region(NamedTuple):
+class Region(namedtuple("Region", "label base payload_len span_start span_end")):
     """One allocation.  ``span`` covers left redzone, payload, alignment pad
     and right redzone; only ``[base, base + payload_len)`` is addressable."""
 
-    label: str
-    base: int
-    payload_len: int
-    span_start: int
-    span_end: int
+    __slots__ = ()
 
     @property
     def payload_end(self) -> int:
@@ -76,26 +71,16 @@ def _alloc_origin(label: str) -> str:
 class Layout:
     """One partition's regions by label, bump cursor and phase.
 
-    Each rule raises a ConfigError whose path, relative to the partition's
-    config or to an ``ALLOC`` step, names the field at fault.  It starts
-    with the regions of ``placed``, which another Layout of the partition
-    placed, in address order.
+    Each rule raises a ConfigError whose path, relative to a declared
+    region or an ``ALLOC`` step, names the field at fault; the loader checks
+    that ``memory_size`` and ``redzone`` are whole granules.  It starts with
+    the regions of ``placed``, which another Layout of the partition placed,
+    in address order.
     """
 
     def __init__(
         self, partition_id: int, memory_size: int, granularity: int, redzone: int, placed=()
     ):
-        try:
-            check_memory_size(memory_size, granularity)
-        except ConfigError as exc:
-            raise ConfigError(exc.message, "/memory_size") from None
-        # whole granules, at least one, so that region payloads stay aligned
-        if redzone < granularity or redzone % granularity != 0:
-            raise ConfigError(
-                f"redzone {redzone} must be a multiple of granularity "
-                f"{granularity} and at least one granule",
-                "/redzone",
-            )
         self.partition_id = partition_id
         self.memory_size = memory_size
         self.granularity = granularity
@@ -188,7 +173,7 @@ class PartitionMemory:
         else:
             self.data = bytearray(size_bytes)
         # nothing is addressable until allocated
-        self.shadow = ShadowMap(partition_id, size_bytes, granularity, PoisonKind.MANUAL_BLACKLIST)
+        self.shadow = ShadowMap(partition_id, size_bytes, granularity, MANUAL_BLACKLIST)
         for region in placed:
             self.shadow.write_allocation(region.span_start, region.payload_len, redzone)
         runs = [(region.base, region.payload_end, _alloc_origin(region.label)) for region in placed]
@@ -207,7 +192,7 @@ class PartitionMemory:
         scrub), but every access to them now reports PARTITION_RESET.
         """
         self.layout.reset()
-        self.shadow.poison(0, self.size_bytes, PoisonKind.PARTITION_RESET)
+        self.shadow.poison(0, self.size_bytes, PARTITION_RESET)
         self.init_shadow.set_uninitialized(0, self.size_bytes, origin=None)
 
     # -- allocation ----------------------------------------------------------
@@ -234,7 +219,7 @@ class PartitionMemory:
 
     # -- checked accesses ------------------------------------------------------
 
-    def check_access(self, offset: int, length: int, access: AccessKind) -> Violation | None:
+    def check_access(self, offset: int, length: int, access: str) -> Violation | None:
         """The shadow's address check; a finding names the region owning or
         nearest to the offending byte in its detail."""
         violation = self.shadow.check_access(offset, length, access)
@@ -246,7 +231,7 @@ class PartitionMemory:
             return violation
         return violation._replace(detail=poison_detail(violation.kind, region.label))
 
-    def require_access(self, offset: int, length: int, access: AccessKind) -> None:
+    def require_access(self, offset: int, length: int, access: str) -> None:
         """``check_access``, with a finding raised as a ViolationError."""
         violation = self.shadow.check_access(offset, length, access)
         if violation is not None:
@@ -255,13 +240,13 @@ class PartitionMemory:
     def checked_read(self, offset: int, length: int) -> bytes:
         """Read with address validation.  Reads never require or affect
         initialization state; only uses are checked for that."""
-        self.require_access(offset, length, AccessKind.READ)
+        self.require_access(offset, length, "R")
         return bytes(self.data[offset : offset + length])
 
     def checked_write(self, offset: int, data: bytes, origin: str = "write") -> None:
         """Write with address validation.  Marks bytes initialized unless the
         payload is made entirely of the reserved pattern."""
-        self.require_access(offset, len(data), AccessKind.WRITE)
+        self.require_access(offset, len(data), "W")
         self.data[offset : offset + len(data)] = data
         pattern = self.reserved_pattern
         if pattern is None or data.count(pattern) != len(data):

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ConfigError
 from .guest_memory import PartitionMemory
@@ -46,7 +46,7 @@ from .ub_checks import (
     checked_shift,
     checked_trunc,
 )
-from .violations import AccessKind, UseSite, Violation, ViolationError
+from .violations import Violation, ViolationError
 
 __all__ = [
     "Event",
@@ -58,13 +58,11 @@ __all__ = [
 ]
 
 
-class Event(NamedTuple):
+class Event(namedtuple("Event", "kind t info")):
     """Trace entry that is not a fault (dispatches, deadline misses, port
     status, identity queries)."""
 
-    kind: str
-    t: int
-    info: dict
+    __slots__ = ()
 
     def to_line(self) -> str:
         parts = [f"EVENT kind={self.kind}", f"t={self.t}"]
@@ -72,14 +70,9 @@ class Event(NamedTuple):
         return " ".join(parts)
 
 
-class RunReport(NamedTuple):
-    scenario_name: str
-    seed: int
-    raw_ticks: int
-    virtual_ticks: int
-    violations: tuple
-    events: tuple
-    verdict: str
+RunReport = namedtuple(
+    "RunReport", "scenario_name seed raw_ticks virtual_ticks violations events verdict"
+)
 
 
 def _place(start: int, fitting: list, owner: list) -> bool:
@@ -344,18 +337,18 @@ class Simulator:
         src = fields["src_offset"]
         dst = fields["dst_offset"]
         length = fields["len"]
-        mem.require_access(src, length, AccessKind.READ)
-        mem.require_access(dst, length, AccessKind.WRITE)
+        mem.require_access(src, length, "R")
+        mem.require_access(dst, length, "W")
         # one move within the byte space; overlapping spans copy as memmove does
         view = memoryview(mem.data)
         view[dst : dst + length] = view[src : src + length]
         # initialization state travels with the bytes, unchecked
         copy_propagate(mem.init_shadow, src, dst, length)
 
-    def _use(self, mem: PartitionMemory, offset: int, length: int, site: UseSite) -> bool:
+    def _use(self, mem: PartitionMemory, offset: int, length: int, site: str) -> bool:
         """Address check, then an initialization check at ``site``; False
         (with the finding logged) when the bytes are not addressable."""
-        violation = mem.check_access(offset, length, AccessKind.READ)
+        violation = mem.check_access(offset, length, "R")
         if violation is not None:
             self._log(violation)
             return False
@@ -365,7 +358,7 @@ class Simulator:
         return True
 
     def _op_branch_on(self, fields: dict, mem: PartitionMemory) -> None:
-        self._use(mem, fields["offset"], fields["len"], UseSite.BRANCH)
+        self._use(mem, fields["offset"], fields["len"], "BRANCH")
 
     def _op_unpoison_padding(self, fields: dict, mem: PartitionMemory) -> None:
         unpoison_padding(mem.init_shadow, self.scenario.padding[fields["type"]], fields["offset"])
@@ -388,7 +381,7 @@ class Simulator:
             if not isinstance(operand, int):
                 size = operand.get("width", width)
                 offset = operand["offset"]
-                if not self._use(mem, offset, size, UseSite.ARITH):
+                if not self._use(mem, offset, size, "ARITH"):
                     operand = None
                 else:
                     operand = int.from_bytes(

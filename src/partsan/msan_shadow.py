@@ -28,11 +28,10 @@ from __future__ import annotations
 from bisect import bisect, bisect_left
 
 from .errors import ConfigError
-from .violations import AccessKind, UseSite, Violation
+from .violations import Violation
 
 __all__ = [
     "InitShadow",
-    "UseSite",
     "copy_propagate",
 ]
 
@@ -48,12 +47,11 @@ class InitShadow:
     label list, whose id 0 is None, and the dict from label to id.  Without
     it the shadow gets a table of its own.  Each ``(start, end, origin)`` of
     ``runs``, in address order and apart, starts as an origin run of its
-    own, as ``set_uninitialized`` over each would leave it.
+    own, as ``set_uninitialized`` over each would leave it.  ``size`` is
+    positive, as the loader checks a partition's memory size.
     """
 
     def __init__(self, partition_id: int, size: int, origins=None, runs=()):
-        if size <= 0:
-            raise ConfigError(f"shadow size must be positive, got {size}")
         self.partition_id = partition_id
         self.size = size
         # ascending offsets where the state flips: byte 0 starts
@@ -159,8 +157,10 @@ class InitShadow:
     def origin_at(self, offset: int) -> str | None:
         return self._origin_table[self._ids[bisect(self._starts, self._offset(offset)) - 1]]
 
-    def check(self, start: int, length: int, context: UseSite):
-        """Check that a span about to be *used* is fully initialized.
+    def check(self, start: int, length: int, context: str):
+        """Check that a span about to be *used* at the use site ``context``
+        ("SYSCALL_PRE", "BRANCH", "ARITH" or "PORT_SEND") is fully
+        initialized.
 
         Returns None, or an UNINIT_USE Violation for the first
         uninitialized byte.
@@ -184,9 +184,9 @@ class InitShadow:
             partition=self.partition_id,
             offset=bad,
             size=length,
-            access=AccessKind.READ.value,
-            detail=f"uninitialized byte used at {context.value} {blame}",
-            context=context.value,
+            access="R",
+            detail=f"uninitialized byte used at {context} {blame}",
+            context=context,
             origin=origin,
         )
 

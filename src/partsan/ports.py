@@ -13,12 +13,11 @@ origin labels into the receiver's shadow, so blame survives the hop.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from enum import Enum
-from typing import NamedTuple
 
 from .guest_memory import PartitionMemory
-from .violations import AccessKind, UseSite, Violation, ViolationError
+from .violations import Violation, ViolationError
 
 
 class Validity(Enum):
@@ -26,17 +25,11 @@ class Validity(Enum):
     STALE = "STALE"
 
 
-class Message(NamedTuple):
-    payload: bytes
-    send_time: int
-    init_bits: bytes  # one shadow byte per payload byte, from InitShadow.snapshot
-    origin_labels: tuple
+#: A sent message; ``init_bits`` holds one shadow byte per payload byte, from
+#: ``InitShadow.snapshot``.
+Message = namedtuple("Message", "payload send_time init_bits origin_labels")
 
-
-class SamplingResult(NamedTuple):
-    payload: bytes
-    validity: Validity
-    age: int
+SamplingResult = namedtuple("SamplingResult", "payload validity age")
 
 
 def _collect_message(
@@ -60,11 +53,11 @@ def _collect_message(
             )
         )
     if offset < 0 or offset + length > mem.size_bytes:
-        raise ViolationError(mem.shadow.check_access(offset, length, AccessKind.READ))
-    init_violation = mem.init_shadow.check(offset, length, UseSite.PORT_SEND)
+        raise ViolationError(mem.shadow.check_access(offset, length, "R"))
+    init_violation = mem.init_shadow.check(offset, length, "PORT_SEND")
     if init_violation is not None:
         raise ViolationError(init_violation)
-    mem.require_access(offset, length, AccessKind.READ)
+    mem.require_access(offset, length, "R")
     init_bits, origin_labels = mem.init_shadow.snapshot(offset, length)
     return Message(
         payload=memoryview(mem.data)[offset : offset + length].tobytes(),
@@ -81,7 +74,7 @@ def _deliver(mem: PartitionMemory, offset: int, msg: Message) -> None:
     write semantics), so origin labels cross the partition boundary intact.
     """
     length = len(msg.payload)
-    mem.require_access(offset, length, AccessKind.WRITE)
+    mem.require_access(offset, length, "W")
     mem.data[offset : offset + length] = msg.payload
     mem.init_shadow.apply_snapshot(offset, msg.init_bits, msg.origin_labels)
 

@@ -12,18 +12,17 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
-from typing import NamedTuple
 
-from .asan_shadow import check_granularity
-from .errors import BindError, ConfigError, ParseError, UnknownType
+from .asan_shadow import check_granularity, check_memory_size
+from .errors import ConfigError, ParseError
 from .guest_memory import MEMORY_CAP, Layout
 from .msan_shadow import add_padding_range
-from .syscall_annotations import SyscallSpec, parse_template, resolve_sizes
-from .ub_checks import INT_SPECS, UbKind
-from .violations import UseSite
+from .syscall_annotations import parse_template, resolve_sizes
+from .ub_checks import INT_SPECS
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
@@ -39,32 +38,39 @@ VIOLATION_KINDS = frozenset(
         "MESSAGE_TOO_LONG",
         "QUEUE_FULL",
         "API_CONTRACT",
+        "ADD_OVERFLOW",
+        "SUB_OVERFLOW",
+        "MUL_OVERFLOW",
+        "DIV_BY_ZERO",
+        "DIV_OVERFLOW",
+        "SHIFT_RANGE",
+        "MISALIGNED",
+        "NULL_DEREF",
+        "BOOL_RANGE",
+        "ENUM_RANGE",
+        "TRUNCATION",
     }
-    | {kind.value for kind in UbKind}
 )
 
 
-class Scenario(NamedTuple):
+class Scenario(
+    namedtuple(
+        "Scenario",
+        "name partitions time ports types padding reserved_init syscalls workload expect placed",
+    )
+):
     """A loaded scenario: each section is its checked JSON object (or list
     of them) under its JSON keys, with every default filled in, except
     ``syscalls``, whose templates load parsed, and each step ``offset``,
-    bound to the absolute offset in its partition.  ``placed`` holds, per
-    partition in order, each declared region as the load's ``Layout``
-    placed it; it must be loaded again whenever ``partitions`` changes.
-    The loader is the one place a value is checked; the runtime takes the
-    loaded values as they are."""
+    bound to the absolute offset in its partition.  A ``workload`` step
+    holds its loaded fields and its "op"; an ``expect`` pattern, the kind
+    and what else a finding must match.  ``placed`` holds, per partition
+    in order, each declared region as the load's ``Layout`` placed it; it
+    must be loaded again whenever ``partitions`` changes.  The loader is
+    the one place a value is checked; the runtime takes the loaded values
+    as they are."""
 
-    name: str
-    partitions: tuple[dict, ...]
-    time: dict
-    ports: tuple[dict, ...]
-    types: dict
-    padding: dict
-    reserved_init: dict
-    syscalls: tuple[SyscallSpec, ...]
-    workload: tuple[dict, ...]  # each step's loaded fields and its "op"
-    expect: tuple[dict, ...]  # the kind, and what else a finding must match
-    placed: tuple[tuple, ...]  # per partition, its declared regions as placed
+    __slots__ = ()
 
 
 # -- field helpers ------------------------------------------------------------
@@ -378,6 +384,20 @@ def _granularity(value):
     return check_granularity(_as_int(value))
 
 
+def _granules(config) -> None:
+    """A partition's memory and redzone are whole granules at the
+    granularity it runs with, which an override may set."""
+    granularity, redzone = config["granularity"], config["redzone"]
+    _at("memory_size", check_memory_size, config["memory_size"], granularity)
+    # at least one granule, so that region payloads stay aligned
+    if redzone < granularity or redzone % granularity != 0:
+        raise ConfigError(
+            f"redzone {redzone} must be a multiple of granularity "
+            f"{granularity} and at least one granule",
+            "/redzone",
+        )
+
+
 _PARTITION = _Fields(
     ("id", _count, _REQUIRED),
     ("memory_size", _as_int, 4096),
@@ -495,7 +515,7 @@ _EXPECT_PATTERN = _Fields(
     ("kind", _one_of("kind", *sorted(VIOLATION_KINDS)), _REQUIRED),
     ("partition", _as_int, _ABSENT),
     ("offset", _as_int, _ABSENT),
-    ("context", _one_of("context", *UseSite.__members__), _ABSENT),
+    ("context", _one_of("context", "SYSCALL_PRE", "BRANCH", "ARITH", "PORT_SEND"), _ABSENT),
 )
 
 
@@ -818,12 +838,7 @@ def _directive_sizes(specs: dict, sizes: dict, known: dict, fields) -> tuple:
         raise ConfigError(
             f"directives of '{spec.syscall_name}' need bindings for {missing}", "/bindings"
         )
-    try:
-        resolved = resolve_sizes(spec, sizes, bindings)
-    except UnknownType as exc:
-        raise ConfigError(str(exc), "/name") from None
-    except BindError as exc:
-        raise ConfigError(str(exc), f"/bindings/{_token(exc.param)}") from None
+    resolved = resolve_sizes(spec, sizes, bindings)
     known[key] = spec.user_name, tuple((d.param, size) for d, _, size in resolved)
     return known[key]
 
@@ -888,9 +903,8 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
     for i, config in enumerate(doc["partitions"]):
         at = f"partitions/{i}"
         pid, memory_size = config["id"], config["memory_size"]
-        layout = layouts[pid] = _at(
-            at, Layout, pid, memory_size, config["granularity"], config["redzone"]
-        )
+        _at(at, _granules, config)
+        layout = layouts[pid] = Layout(pid, memory_size, config["granularity"], config["redzone"])
         total += memory_size
         if total > MEMORY_CAP:
             raise ConfigError(

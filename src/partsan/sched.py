@@ -11,8 +11,8 @@ when one process is hit harder than the average.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -49,12 +49,8 @@ class Process:
         self.deadline_missed = False
 
 
-class DeadlineMiss(NamedTuple):
-    """A process exceeded its (possibly override-stretched) time budget."""
-
-    process_id: int
-    elapsed: int
-    budget: Fraction
+#: A process exceeded its (possibly override-stretched) time budget, a Fraction.
+DeadlineMiss = namedtuple("DeadlineMiss", "process_id elapsed budget")
 
 
 class TimeModel:

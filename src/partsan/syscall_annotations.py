@@ -22,31 +22,22 @@ before the declaration they describe.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
-from .errors import BindError, ParseError, UnknownType
+from .errors import ConfigError, ParseError
 from .msan_shadow import InitShadow
-from .violations import UseSite
 
 
-class Directive(NamedTuple):
-    """One PRE or POST annotation in the template's own words."""
+#: One PRE or POST annotation in the template's own words: ``phase`` "PRE"
+#: or "POST", ``call`` "msan_check" or "msan_unpoison", ``form`` the
+#: target's prefix, "" (p), "&" (&p) or "*" (*p), ``param`` the target
+#: parameter, and ``size`` a byte count or the sizeof operand, "t" or "*p".
+Directive = namedtuple("Directive", "phase call form param size")
 
-    phase: str  # "PRE" or "POST"
-    call: str  # "msan_check" or "msan_unpoison"
-    form: str  # the target's prefix: "" (p), "&" (&p) or "*" (*p)
-    param: str  # the target parameter
-    size: int | str  # a byte count, or the sizeof operand: "t" or "*p"
-
-
-class SyscallSpec(NamedTuple):
-    """One parsed template: declaration plus its contract annotations."""
-
-    user_name: str
-    return_type: str
-    syscall_name: str
-    params: tuple  # of (type_token, param_name) pairs
-    checks: tuple  # of Directive, in source order
+#: One parsed template: declaration plus its contract annotations.
+#: ``params`` holds (type_token, param_name) pairs, and ``checks`` each
+#: Directive in source order.
+SyscallSpec = namedtuple("SyscallSpec", "user_name return_type syscall_name params checks")
 
 
 # -- lexer -------------------------------------------------------------------
@@ -306,8 +297,10 @@ def resolve_sizes(spec: SyscallSpec, sizes: dict, bindings: dict) -> tuple:
     is the size of pointer parameter ``p``'s pointee type.
     ``bindings`` maps parameters to ``{"offset": offset, "len"?: capacity}``,
     the offset absolute in the partition, one for each directive's target,
-    as the loader checks; a directive resolving to more bytes than its
-    parameter's ``len`` is a template/binding mismatch and raises BindError.
+    as the loader checks.  A size of no known type, and a directive
+    resolving to more bytes than its parameter's ``len``, raise a
+    ConfigError whose path, relative to a SYSCALL step, is ``/name`` and
+    ``/bindings/<param>``.
     """
     declared = {pname: ptype for ptype, pname in spec.params}
     resolved = []
@@ -320,19 +313,19 @@ def resolve_sizes(spec: SyscallSpec, sizes: dict, bindings: dict) -> tuple:
             type_name = declared.get(name, name)
             if deref:
                 if not type_name.endswith("*"):
-                    raise UnknownType(
-                        f"sizeof({size}) needs a pointer type, '{type_name}' is not one"
+                    raise ConfigError(
+                        f"sizeof({size}) needs a pointer type, '{type_name}' is not one", "/name"
                     )
                 type_name = type_name[:-1]
             size = sizes.get(type_name)
             if size is None:
-                raise UnknownType(f"no size known for type '{type_name}'")
+                raise ConfigError(f"no size known for type '{type_name}'", "/name")
         length = binding.get("len")
         if length is not None and size > length:
-            raise BindError(
+            raise ConfigError(
                 f"directive on '{d.param}' needs {size} bytes, "
                 f"binding provides {length}",
-                d.param,
+                f"/bindings/{d.param}",  # an identifier: nothing to escape
             )
         resolved.append((d, binding["offset"], size))
     return tuple(resolved)
@@ -348,7 +341,7 @@ def enforce_pre(resolved: tuple, shadow: InitShadow):
         if directive.phase != "PRE":
             continue
         if directive.call == "msan_check":
-            violation = shadow.check(offset, size, UseSite.SYSCALL_PRE)
+            violation = shadow.check(offset, size, "SYSCALL_PRE")
             if violation is not None:
                 return violation
         else:

@@ -15,34 +15,11 @@ only what the guest's values decide.
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .violations import Violation
 
 # perfbench/tracing.py counts UB findings as isinstance(result,
 # ub_checks.UbViolation); the name stays bound to the one record class.
 UbViolation = Violation
-
-
-class UbKind(Enum):
-    ADD_OVERFLOW = "ADD_OVERFLOW"
-    SUB_OVERFLOW = "SUB_OVERFLOW"
-    MUL_OVERFLOW = "MUL_OVERFLOW"
-    DIV_BY_ZERO = "DIV_BY_ZERO"
-    DIV_OVERFLOW = "DIV_OVERFLOW"
-    SHIFT_RANGE = "SHIFT_RANGE"
-    MISALIGNED = "MISALIGNED"
-    NULL_DEREF = "NULL_DEREF"
-    BOOL_RANGE = "BOOL_RANGE"
-    ENUM_RANGE = "ENUM_RANGE"
-    TRUNCATION = "TRUNCATION"
-
-
-_OVERFLOW_KIND = {
-    "ADD": UbKind.ADD_OVERFLOW,
-    "SUB": UbKind.SUB_OVERFLOW,
-    "MUL": UbKind.MUL_OVERFLOW,
-}
 
 
 class IntSpec:
@@ -77,10 +54,10 @@ INT_SPECS = {
 }
 
 
-def _trap(kind: UbKind, detail: str, offset: int | None = None) -> Violation:
+def _trap(kind: str, detail: str, offset: int | None = None) -> Violation:
     """A finding of a checked primitive.  Only alignment and null checks
     see an address; the caller stamps the partition."""
-    return Violation(kind=kind.value, offset=offset, detail=detail)
+    return Violation(kind=kind, offset=offset, detail=detail)
 
 
 def checked_arith(op: str, a: int, b: int, spec: IntSpec, strict: bool = False):
@@ -97,7 +74,7 @@ def checked_arith(op: str, a: int, b: int, spec: IntSpec, strict: bool = False):
     if not spec.signed and not strict:
         return spec.wrap(exact)
     return _trap(
-        _OVERFLOW_KIND[op],
+        f"{op}_OVERFLOW",
         f"{spec.name} {op} of {a} and {b} gives {exact}, outside "
         f"[{spec.min}, {spec.max}]",
     )
@@ -106,9 +83,9 @@ def checked_arith(op: str, a: int, b: int, spec: IntSpec, strict: bool = False):
 def checked_div(a: int, b: int, spec: IntSpec):
     """Truncating division with zero-divisor and MIN/-1 detection."""
     if b == 0:
-        return _trap(UbKind.DIV_BY_ZERO, f"{spec.name} division of {a} by zero")
+        return _trap("DIV_BY_ZERO", f"{spec.name} division of {a} by zero")
     if spec.signed and a == spec.min and b == -1:
-        return _trap(UbKind.DIV_OVERFLOW, f"{spec.name} division {a} / -1 overflows to {-a}")
+        return _trap("DIV_OVERFLOW", f"{spec.name} division {a} / -1 overflows to {-a}")
     quotient = abs(a) // abs(b)
     return quotient if (a < 0) == (b < 0) else -quotient
 
@@ -118,7 +95,7 @@ def checked_shift(a: int, s: int, spec: IntSpec, strict: bool = False):
     value must fit the type (unsigned wraps unless strict)."""
     if s < 0 or s >= spec.width:
         return _trap(
-            UbKind.SHIFT_RANGE, f"shift count {s} outside [0, {spec.width}) for {spec.name}"
+            "SHIFT_RANGE", f"shift count {s} outside [0, {spec.width}) for {spec.name}"
         )
     exact = a * (1 << s)
     if spec.contains(exact):
@@ -126,7 +103,7 @@ def checked_shift(a: int, s: int, spec: IntSpec, strict: bool = False):
     if not spec.signed and not strict:
         return spec.wrap(exact)
     return _trap(
-        UbKind.SHIFT_RANGE,
+        "SHIFT_RANGE",
         f"{spec.name} shift {a} << {s} gives {exact}, outside [{spec.min}, {spec.max}]",
     )
 
@@ -136,7 +113,7 @@ def checked_trunc(value: int, from_spec: IntSpec, to_spec: IntSpec):
     if to_spec.contains(value):
         return value
     return _trap(
-        UbKind.TRUNCATION,
+        "TRUNCATION",
         f"{from_spec.name} value {value} does not fit {to_spec.name} "
         f"[{to_spec.min}, {to_spec.max}]",
     )
@@ -148,7 +125,7 @@ def check_align(offset: int, align: int):
     if offset % align == 0:
         return None
     return _trap(
-        UbKind.MISALIGNED, f"offset {offset} not aligned to {align}", offset=offset
+        "MISALIGNED", f"offset {offset} not aligned to {align}", offset=offset
     )
 
 
@@ -158,7 +135,7 @@ def check_nonnull(offset: int, partition_id: int):
     if offset != 0:
         return None
     return _trap(
-        UbKind.NULL_DEREF, f"null dereference in partition {partition_id}", offset=offset
+        "NULL_DEREF", f"null dereference in partition {partition_id}", offset=offset
     )
 
 
@@ -166,7 +143,7 @@ def check_bool(value: int):
     """A C _Bool must hold exactly 0 or 1."""
     if value in (0, 1):
         return None
-    return _trap(UbKind.BOOL_RANGE, f"boolean holds {value}, expected 0 or 1")
+    return _trap("BOOL_RANGE", f"boolean holds {value}, expected 0 or 1")
 
 
 def check_enum(value: int, name: str, allowed):
@@ -174,6 +151,6 @@ def check_enum(value: int, name: str, allowed):
     if value in allowed:
         return None
     return _trap(
-        UbKind.ENUM_RANGE, f"value {value} not in enum '{name}' {sorted(set(allowed))}"
+        "ENUM_RANGE", f"value {value} not in enum '{name}' {sorted(set(allowed))}"
     )
 

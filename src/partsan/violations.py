@@ -1,4 +1,4 @@
-"""Access kinds, use sites and violation records shared by all checkers.
+"""Violation records shared by all checkers.
 
 A violation is a finding about the simulated guest, not a failure of the
 simulator.  Checkers either return a :class:`Violation` (pure query APIs)
@@ -10,45 +10,29 @@ returned one is left to the op, which logs it and decides how to go on.
 
 from __future__ import annotations
 
-from enum import Enum
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import PartsanError
 
 
-class AccessKind(Enum):
-    READ = "R"
-    WRITE = "W"
-
-
-class UseSite(Enum):
-    """Where an initialization check happens. Only uses are checked, not copies."""
-
-    SYSCALL_PRE = "SYSCALL_PRE"
-    BRANCH = "BRANCH"
-    ARITH = "ARITH"
-    PORT_SEND = "PORT_SEND"
-
-
-class Violation(NamedTuple):
+class Violation(
+    namedtuple(
+        "Violation",
+        "kind partition offset size access step detail context origin",
+        defaults=(None, None, None, None, None, "", None, None),
+    )
+):
     """One finding, in report form, whichever checker raised it.
 
     Checkers fill in what they know, with ``kind`` and ``detail`` already as
     they are printed; the harness stamps ``step`` when it logs the finding
     (and ``partition`` on arithmetic traps, which see only values) with
-    ``_replace``.  The field names are the keys of a JSON report's violation
-    objects.
+    ``_replace``.  ``access`` is "R" or "W".  ``context``, on UNINIT_USE
+    only, is the use site: "SYSCALL_PRE", "BRANCH", "ARITH" or "PORT_SEND".
+    The field names are the keys of a JSON report's violation objects.
     """
 
-    kind: str
-    partition: int | None = None
-    offset: int | None = None
-    size: int | None = None
-    access: str | None = None  # AccessKind value, "R" or "W"
-    step: int | None = None
-    detail: str = ""
-    context: str | None = None  # UseSite value, on UNINIT_USE only
-    origin: str | None = None
+    __slots__ = ()
 
     def to_line(self) -> str:
         addr = format(self.offset, "#x") if self.offset is not None else "-"

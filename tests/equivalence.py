@@ -9,11 +9,18 @@ context to replay the failure.
 
 from collections import Counter
 
-from partsan.asan_shadow import POISON_FLOOR, PoisonKind, ShadowMap
+from partsan.asan_shadow import (
+    LEFT_REDZONE,
+    MANUAL_BLACKLIST,
+    PARTITION_RESET,
+    POISON_FLOOR,
+    POISON_KINDS,
+    RIGHT_REDZONE,
+    ShadowMap,
+)
 from partsan.errors import ConfigError, EncodingError
 from partsan.guest_memory import PartitionMemory
 from partsan.msan_shadow import InitShadow, copy_propagate
-from partsan.violations import AccessKind, UseSite
 
 from oracles import (
     ByteValidityMap,
@@ -22,7 +29,7 @@ from oracles import (
     OracleEncodingError,
 )
 
-POISON_KINDS = tuple(PoisonKind)
+POISON_CODES = tuple(POISON_KINDS)
 
 
 def _assert_same_validity(shadow: ShadowMap, oracle: ByteValidityMap, label: str):
@@ -74,7 +81,7 @@ def asan_poison(shadow, oracle, start, length, kind, ctx):
         ctx,
         f"poison({start}, {length})",
         lambda: shadow.poison(start, length, kind),
-        lambda: oracle.poison(start, length, kind.name),
+        lambda: oracle.poison(start, length, POISON_KINDS[kind]),
     )
     return "poison_err" if err else "poison"
 
@@ -101,7 +108,7 @@ def asan_allocation(shadow, oracle, start, payload_len, redzone, ctx):
 
 def asan_check(shadow, oracle, start, length, ctx):
     granularity = shadow.granularity
-    verdict = shadow.check_access(start, length, AccessKind.READ)
+    verdict = shadow.check_access(start, length, "R")
     expected = oracle.check(start, length)
     if expected is None:
         assert verdict is None, f"{ctx}: check({start}, {length}) flagged {verdict}"
@@ -114,7 +121,7 @@ def asan_check(shadow, oracle, start, length, ctx):
         f"{ctx}: first bad byte {verdict.offset}, oracle {bad}"
     )
     assert verdict.size == length
-    assert verdict.access == AccessKind.READ.value
+    assert verdict.access == "R"
     if cls == "WILD":
         assert verdict.kind == "WILD_ADDRESS", f"{ctx}: {verdict.kind}"
     else:
@@ -158,7 +165,7 @@ def run_asan_equivalence(
             if rng.random() >= 0.05:
                 length = min(length, size - start)
             length = max(length, 1)
-            kind = rng.choice(POISON_KINDS)
+            kind = rng.choice(POISON_CODES)
             tally[asan_poison(shadow, oracle, start, length, kind, ctx)] += 1
         elif roll < 0.62:
             start, length = _random_span(rng, size)
@@ -182,8 +189,8 @@ def asan_edge_ops(size, g):
     two-granule spans with no interior, and failing checks whose first bad
     granule is interior.  ``size`` must be at least 16 granules."""
     mid = (size // g // 2) * g
-    left, right = PoisonKind.LEFT_REDZONE, PoisonKind.RIGHT_REDZONE
-    reset, manual = PoisonKind.PARTITION_RESET, PoisonKind.MANUAL_BLACKLIST
+    left, right = LEFT_REDZONE, RIGHT_REDZONE
+    reset, manual = PARTITION_RESET, MANUAL_BLACKLIST
     return [
         # whole partition
         ("poison", 0, size, reset),
@@ -268,7 +275,7 @@ def run_allocation_layouts(granularity, label=""):
     for redzone in (g, 2 * g):
         mem = PartitionMemory(7, LAYOUT_MEMORY, g, redzone)
         spans = ShadowMap(7, LAYOUT_MEMORY, g)
-        spans.poison(0, LAYOUT_MEMORY, PoisonKind.MANUAL_BLACKLIST)
+        spans.poison(0, LAYOUT_MEMORY, MANUAL_BLACKLIST)
         oracle = ByteValidityMap(LAYOUT_MEMORY, g)
         oracle.poison(0, LAYOUT_MEMORY, "MANUAL_BLACKLIST")
         for round_label in ("fresh", "after reset"):
@@ -276,22 +283,22 @@ def run_allocation_layouts(granularity, label=""):
                 ctx = f"{label} g={g} redzone={redzone} {round_label} payload={payload_len}"
                 region = mem.alloc_region(payload_len, f"r{payload_len}")
                 right = region.span_end - redzone
-                spans.poison(region.span_start, redzone, PoisonKind.LEFT_REDZONE)
+                spans.poison(region.span_start, redzone, LEFT_REDZONE)
                 spans.unpoison(region.base, payload_len)
-                spans.poison(right, redzone, PoisonKind.RIGHT_REDZONE)
+                spans.poison(right, redzone, RIGHT_REDZONE)
                 oracle.allocate(region.span_start, payload_len, redzone)
                 assert mem.shadow.shadow == spans.shadow, ctx
                 count += 1
             _assert_same_validity(mem.shadow, oracle, f"{label} g={g} {round_label}")
             mem.reset_partition()
-            spans.poison(0, LAYOUT_MEMORY, PoisonKind.PARTITION_RESET)
+            spans.poison(0, LAYOUT_MEMORY, PARTITION_RESET)
             oracle.poison(0, LAYOUT_MEMORY, "PARTITION_RESET")
     return count
 
 
 ORIGIN_POOL = ("alloc:a", "alloc:b", "write:w1", "write:w2", "annotation", "padding")
 
-USE_SITES = (UseSite.SYSCALL_PRE, UseSite.BRANCH, UseSite.ARITH, UseSite.PORT_SEND)
+USE_SITES = ("SYSCALL_PRE", "BRANCH", "ARITH", "PORT_SEND")
 
 
 def _assert_same_init(shadow: InitShadow, oracle: InitOracle, ops: int, label: str):
@@ -384,7 +391,7 @@ def msan_check(shadow, oracle, start, length, context, ctx):
     assert verdict.origin == origin, (
         f"{ctx}: origin {verdict.origin!r}, oracle {origin!r}"
     )
-    assert verdict.context == context.value
+    assert verdict.context == context
     assert verdict.size == length
     return "check_fail"
 
@@ -455,7 +462,7 @@ def run_msan_edge_cases(size, label=""):
                 op = "copy_shared"
         else:
             start, length = args
-            op = msan_check(target, oracle, start, length, UseSite.BRANCH, ctx)
+            op = msan_check(target, oracle, start, length, "BRANCH", ctx)
         tally[op] += 1
         _assert_same_init(main, oracles[main], op_index + 1, ctx)
         _assert_same_init(other, oracles[other], op_index + 1, f"{ctx} other")

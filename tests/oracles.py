@@ -178,6 +178,21 @@ UB_BOUNDS = {
     "u64": (0, 18446744073709551615),
 }
 
+#: Every kind a checked primitive reports, as UBSan names its checks.
+UB_KINDS = frozenset({
+    "ADD_OVERFLOW",
+    "SUB_OVERFLOW",
+    "MUL_OVERFLOW",
+    "DIV_BY_ZERO",
+    "DIV_OVERFLOW",
+    "SHIFT_RANGE",
+    "MISALIGNED",
+    "NULL_DEREF",
+    "BOOL_RANGE",
+    "ENUM_RANGE",
+    "TRUNCATION",
+})
+
 
 def ref_arith(op, a, b, type_name, strict=False):
     """('ok', value) or ('violation', kind) for ADD/SUB/MUL."""

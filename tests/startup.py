@@ -8,7 +8,7 @@ temporary directory.  Each round runs, in a fresh ``python -S`` child and
 alternating between A and B, a bare ``pass``, ``import partsan.cli`` and
 ``-m partsan run-all`` (its report discarded), A first in even rounds and
 B first in odd ones, so that an order effect falls on both; each keeps its
-best wall time of REPEAT rounds (default 20).  The rounds run in two
+wall time in each of REPEAT rounds (default 20).  The rounds run in two
 settings:
 
 - ``warm``: each copy has a private bytecode cache (``PYTHONPYCACHEPREFIX``),
@@ -18,9 +18,14 @@ settings:
   installed bytecode).
 
 Then, warm, the ``-X importtime`` self time of each ``partsan`` module,
-best of REPEAT.  It prints each best time and, for the two partsan
-commands, the time above a bare interpreter of A and of B; ``--json``
-also writes them to FILE.
+best of REPEAT.  It prints each command's best time, median and
+interquartile range (IQR); for the two partsan commands, the best time
+above a bare interpreter of A and of B, and the median and IQR of B - A
+over the rounds, each round's A and B run one right after the other.  A
+best of 20 read a version against itself at up to +1.2 ms on a shared
+host; the median of the paired differences is the figure to quote for a
+difference near 1 ms, with its IQR beside it.  ``--json`` also writes the
+results to FILE.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -98,8 +104,8 @@ def measure(srcs, repeat):
         for label, src in srcs.items():
             copies[label] = tmp / label / "src"
             shutil.copytree(src, copies[label], ignore=shutil.ignore_patterns("__pycache__"))
-        best = {
-            setting: {label: dict.fromkeys(COMMANDS, float("inf")) for label in srcs}
+        samples = {
+            setting: {label: {name: [] for name in COMMANDS} for label in srcs}
             for setting in SETTINGS
         }
         for setting in SETTINGS:
@@ -113,7 +119,7 @@ def measure(srcs, repeat):
                 for name, args in COMMANDS.items():
                     for label in _order(srcs, round_):
                         elapsed, _ = _run(args, envs[label], tmp)
-                        best[setting][label][name] = min(best[setting][label][name], elapsed)
+                        samples[setting][label][name].append(elapsed)
         modules = {label: {} for label in srcs}
         for round_ in range(repeat):
             for label in _order(srcs, round_):
@@ -121,18 +127,29 @@ def measure(srcs, repeat):
                 _, stderr = _run(["-X", "importtime", *COMMANDS["import"]], env, tmp)
                 for name, own in _self_times(stderr).items():
                     modules[label][name] = min(modules[label].get(name, own), own)
-    return best, modules
+    return samples, modules
 
 
-def summary(best):
+def spread(values):
+    """Best, median and interquartile range of ``values``."""
+    if len(values) < 2:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"best": min(values), "median": statistics.median(values), "iqr": q3 - q1}
+
+
+def summary(samples):
     """Per setting, each partsan command's best time above a bare
-    interpreter's, for each version, and B's over A's."""
+    interpreter's, for each version, B's over A's, and the spread of the
+    per-round differences B - A."""
     above = {}
-    for setting, times in best.items():
+    for setting, times in samples.items():
         above[setting] = {}
         for name in ("import", "run_all"):
-            a, b = (times[label][name] - times[label]["bare"] for label in times)
-            above[setting][name] = {"A": a, "B": b, "B_over_A": b / a}
+            a, b = (min(times[label][name]) - min(times[label]["bare"]) for label in times)
+            diffs = [tb - ta for ta, tb in zip(times["A"][name], times["B"][name])]
+            above[setting][name] = {"A": a, "B": b, "B_over_A": b / a, "B_minus_A": spread(diffs)}
     return above
 
 
@@ -146,18 +163,24 @@ def main(argv):
         sys.exit(__doc__)
     srcs = {"A": Path(argv[0]).resolve(), "B": Path(argv[1]).resolve()}
     repeat = int(argv[2]) if len(argv) == 3 else 20
-    best, modules = measure(srcs, repeat)
-    above = summary(best)
-    print(f"python -S, best of {repeat}, A={srcs['A']} and B={srcs['B']}, "
-          "each first in every other round")
+    samples, modules = measure(srcs, repeat)
+    above = summary(samples)
+    print(f"python -S, {repeat} rounds, A={srcs['A']} and B={srcs['B']}, "
+          "each first in every other round; ms as best / median / IQR")
     for setting in SETTINGS:
         for name in COMMANDS:
-            a, b = (best[setting][label][name] for label in srcs)
-            print(f"{setting:5} {name:8} A {a * 1e3:8.2f} ms   B {b * 1e3:8.2f} ms")
+            a, b = (spread(samples[setting][label][name]) for label in srcs)
+            print(
+                f"{setting:5} {name:8} A {a['best'] * 1e3:7.2f} / {a['median'] * 1e3:7.2f} / "
+                f"{a['iqr'] * 1e3:5.2f}   B {b['best'] * 1e3:7.2f} / {b['median'] * 1e3:7.2f} / "
+                f"{b['iqr'] * 1e3:5.2f}"
+            )
         for name, row in above[setting].items():
+            diff = row["B_minus_A"]
             print(
                 f"{setting:5} {name:8} above bare: A {row['A'] * 1e3:7.2f} ms   "
-                f"B {row['B'] * 1e3:7.2f} ms   B/A {row['B_over_A']:.3f}"
+                f"B {row['B'] * 1e3:7.2f} ms   B/A {row['B_over_A']:.3f}   "
+                f"B - A median {diff['median'] * 1e3:+.2f} ms, IQR {diff['iqr'] * 1e3:.2f} ms"
             )
     print("import partsan.cli, -X importtime self time (us), warm:")
     for name in sorted(modules["A"].keys() | modules["B"].keys()):
@@ -168,7 +191,7 @@ def main(argv):
             "python": sys.version.split()[0],
             "repeat": repeat,
             "src": {label: str(src) for label, src in srcs.items()},
-            "best_s": best,
+            "samples_s": samples,
             "above_bare_s": above,
             "importtime_self_us": modules,
         }

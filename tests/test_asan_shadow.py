@@ -5,60 +5,71 @@ import random
 import pytest
 
 from partsan.asan_shadow import (
+    LEFT_REDZONE,
+    MANUAL_BLACKLIST,
+    PARTITION_RESET,
     POISON_FLOOR,
+    POISON_KINDS,
+    RIGHT_REDZONE,
     VALID_GRANULARITIES,
-    PoisonKind,
     ShadowMap,
     WILD_ADDRESS,
+    check_granularity,
+    check_memory_size,
     decode_granule,
     encode_granule,
-    shadow_size_for,
 )
 from partsan.errors import ConfigError, EncodingError
-from partsan.violations import AccessKind
 
 from equivalence import run_asan_edge_cases, run_asan_equivalence
 
 
 def test_shadow_size_examples():
-    assert shadow_size_for(4096, 8) == 512
-    assert shadow_size_for(4096, 1) == 4096
-    assert shadow_size_for(4096, 16) == 256
+    assert len(ShadowMap(1, 4096, 8).shadow) == 512
+    assert len(ShadowMap(1, 4096, 1).shadow) == 4096
+    assert len(ShadowMap(1, 4096, 16).shadow) == 256
 
 
 def test_shadow_size_rejects_misalignment_and_bad_granularity():
+    # the loader's rules; a ShadowMap takes the sizes it checked as given
     with pytest.raises(ConfigError):
-        shadow_size_for(4095, 8)
+        check_memory_size(4095, 8)
     with pytest.raises(ConfigError):
-        shadow_size_for(0, 8)
+        check_memory_size(0, 8)
     with pytest.raises(ConfigError):
-        shadow_size_for(4096, 3)
-    with pytest.raises(ConfigError):
-        ShadowMap(1, 64, granularity=5)
+        check_granularity(3)
 
 
 def test_poison_codes_are_stable():
     # report golden files depend on these exact byte values
-    assert PoisonKind.LEFT_REDZONE == 0xF1
-    assert PoisonKind.RIGHT_REDZONE == 0xF3
-    assert PoisonKind.PARTITION_RESET == 0xF8
-    assert PoisonKind.MANUAL_BLACKLIST == 0xFE
-    assert all(kind >= POISON_FLOOR for kind in PoisonKind)
+    assert LEFT_REDZONE == 0xF1
+    assert RIGHT_REDZONE == 0xF3
+    assert PARTITION_RESET == 0xF8
+    assert MANUAL_BLACKLIST == 0xFE
+    assert all(code >= POISON_FLOOR for code in POISON_KINDS)
+    assert POISON_KINDS == {
+        0xF1: "LEFT_REDZONE",
+        0xF3: "RIGHT_REDZONE",
+        0xF8: "PARTITION_RESET",
+        0xFE: "MANUAL_BLACKLIST",
+    }
 
 
 def test_encode_decode_identity_all_classes():
     for g in VALID_GRANULARITIES:
         for n in range(g + 1):
             flags = (True,) * n + (False,) * (g - n)
-            for kind in PoisonKind:
+            for kind in POISON_KINDS:
                 code = encode_granule(flags, kind)
                 assert decode_granule(code, g) == flags
                 if n == g:
                     assert code == 0x00
                 elif n == 0:
-                    assert code == int(kind)
+                    assert code == kind
                 else:
                     assert code == n
+    with pytest.raises(ConfigError, match="^3 is not a poison code$"):
+        encode_granule((False,) * 8, 3)  # would decode as 3 addressable bytes
 
 
 def test_encode_rejects_holes():
@@ -70,10 +81,10 @@ def test_encode_rejects_holes():
 
 def test_unpoison_full_and_partial_tail():
     m = ShadowMap(1, 64, granularity=8)
-    m.poison(0, 64, PoisonKind.MANUAL_BLACKLIST)
+    m.poison(0, 64, MANUAL_BLACKLIST)
     m.unpoison(0, 16)
     assert m.shadow[0] == 0x00 and m.shadow[1] == 0x00
-    m.poison(0, 64, PoisonKind.MANUAL_BLACKLIST)
+    m.poison(0, 64, MANUAL_BLACKLIST)
     m.unpoison(0, 13)
     assert m.shadow[0] == 0x00 and m.shadow[1] == 0x05
     assert m.is_addressable(12) and not m.is_addressable(13)
@@ -81,9 +92,9 @@ def test_unpoison_full_and_partial_tail():
 
 def test_unpoison_zero_length_is_noop():
     m = ShadowMap(1, 64, granularity=8)
-    m.poison(0, 64, PoisonKind.MANUAL_BLACKLIST)
+    m.poison(0, 64, MANUAL_BLACKLIST)
     m.unpoison(0, 0)
-    assert all(code == PoisonKind.MANUAL_BLACKLIST for code in m.shadow)
+    assert all(code == MANUAL_BLACKLIST for code in m.shadow)
 
 
 def test_unpoison_requires_aligned_start():
@@ -94,46 +105,48 @@ def test_unpoison_requires_aligned_start():
 
 def test_poison_kind_bytes_land_in_shadow():
     m = ShadowMap(1, 64, granularity=8)
-    m.poison(16, 16, PoisonKind.RIGHT_REDZONE)
+    m.poison(16, 16, RIGHT_REDZONE)
     assert m.shadow[2] == 0xF3 and m.shadow[3] == 0xF3
     assert m.shadow[0] == 0x00 and m.shadow[4] == 0x00
 
 
 def test_a_fill_starts_every_granule_with_its_code():
     """``fill`` leaves the map a whole-span ``poison`` with that kind would."""
-    filled = ShadowMap(1, 64, granularity=8, fill=PoisonKind.MANUAL_BLACKLIST)
+    filled = ShadowMap(1, 64, granularity=8, fill=MANUAL_BLACKLIST)
     poisoned = ShadowMap(1, 64, granularity=8)
-    poisoned.poison(0, 64, PoisonKind.MANUAL_BLACKLIST)
+    poisoned.poison(0, 64, MANUAL_BLACKLIST)
     assert filled.shadow == poisoned.shadow == bytes([0xFE]) * 8
-    v = filled.check_access(24, 1, AccessKind.READ)
+    v = filled.check_access(24, 1, "R")
     assert v.kind == "MANUAL_BLACKLIST" and v.offset == 24
     assert ShadowMap(1, 64, granularity=8).shadow == bytes(8)
 
 
 def test_poison_takes_a_kind_or_its_code():
     m = ShadowMap(1, 64, granularity=8)
-    m.poison(16, 8, int(PoisonKind.RIGHT_REDZONE))
-    assert m.shadow[2] == PoisonKind.RIGHT_REDZONE
-    with pytest.raises(ValueError, match="66 is not a valid PoisonKind"):
-        m.poison(32, 8, 0x42)
+    m.poison(16, 8, RIGHT_REDZONE)
+    assert m.shadow[2] == RIGHT_REDZONE
+    # any other value is refused before the map is touched
+    for bad in (0x42, POISON_FLOOR, 0xFF, "RIGHT_REDZONE"):
+        with pytest.raises(ConfigError, match=f"^{bad!r} is not a poison code$"):
+            m.poison(32, 8, bad)
     assert m.shadow[4] == 0x00
 
 
 def test_poison_rejects_midgranule_start_on_partial_granule():
     m = ShadowMap(1, 64, granularity=8)
-    m.poison(0, 64, PoisonKind.MANUAL_BLACKLIST)
+    m.poison(0, 64, MANUAL_BLACKLIST)
     m.unpoison(0, 13)
     # granule 1 holds 5 addressable bytes; poisoning from byte 14 cannot
     # be encoded without losing track of bytes 8..13
     with pytest.raises(EncodingError):
-        m.poison(14, 8, PoisonKind.LEFT_REDZONE)
+        m.poison(14, 8, LEFT_REDZONE)
 
 
 def test_poison_rejects_addressable_hole():
     m = ShadowMap(1, 64, granularity=8)
     m.unpoison(0, 64)
     with pytest.raises(EncodingError):
-        m.poison(0, 12, PoisonKind.LEFT_REDZONE)  # bytes 12..16 would survive
+        m.poison(0, 12, LEFT_REDZONE)  # bytes 12..16 would survive
 
 
 def test_failed_poison_leaves_map_untouched():
@@ -141,14 +154,14 @@ def test_failed_poison_leaves_map_untouched():
     m.unpoison(0, 64)
     before = bytes(m.shadow)
     with pytest.raises(EncodingError):
-        m.poison(0, 12, PoisonKind.LEFT_REDZONE)
+        m.poison(0, 12, LEFT_REDZONE)
     assert bytes(m.shadow) == before
 
 
 def test_poison_shrinks_prefix_from_aligned_interior():
     m = ShadowMap(1, 64, granularity=8)
     m.unpoison(0, 64)
-    m.poison(4, 60, PoisonKind.RIGHT_REDZONE)
+    m.poison(4, 60, RIGHT_REDZONE)
     assert m.shadow[0] == 0x04
     assert all(code == 0xF3 for code in m.shadow[1:])
     assert m.is_addressable(3) and not m.is_addressable(4)
@@ -156,67 +169,67 @@ def test_poison_shrinks_prefix_from_aligned_interior():
 
 def test_repoisoning_rekinds_whole_granule():
     m = ShadowMap(1, 64, granularity=8)
-    m.poison(0, 64, PoisonKind.MANUAL_BLACKLIST)
-    m.poison(8, 8, PoisonKind.PARTITION_RESET)
+    m.poison(0, 64, MANUAL_BLACKLIST)
+    m.poison(8, 8, PARTITION_RESET)
     assert m.shadow[1] == 0xF8
     assert m.shadow[0] == 0xFE and m.shadow[2] == 0xFE
 
 
 def test_check_access_passes_full_payload():
     m = ShadowMap(1, 64, granularity=8)
-    m.poison(0, 64, PoisonKind.MANUAL_BLACKLIST)
+    m.poison(0, 64, MANUAL_BLACKLIST)
     m.unpoison(16, 16)
-    assert m.check_access(16, 16, AccessKind.READ) is None
+    assert m.check_access(16, 16, "R") is None
 
 
 def test_check_access_flags_first_bad_byte_and_kind():
     m = ShadowMap(1, 64, granularity=8)
-    m.poison(0, 64, PoisonKind.MANUAL_BLACKLIST)
+    m.poison(0, 64, MANUAL_BLACKLIST)
     m.unpoison(16, 16)
-    v = m.check_access(12, 8, AccessKind.WRITE)
-    assert v.kind == PoisonKind.MANUAL_BLACKLIST.name
+    v = m.check_access(12, 8, "W")
+    assert v.kind == "MANUAL_BLACKLIST"
     assert v.offset == 12
-    assert v.access == AccessKind.WRITE.value and v.size == 8
+    assert v.access == "W" and v.size == 8
     assert (v.partition, v.detail) == (1, "blacklisted memory")
-    v = m.check_access(16, 20, AccessKind.READ)
+    v = m.check_access(16, 20, "R")
     assert v.offset == 32
 
 
 def test_partial_granule_violation_blames_next_poison_to_the_right():
     m = ShadowMap(1, 64, granularity=8)
-    m.poison(0, 64, PoisonKind.MANUAL_BLACKLIST)
+    m.poison(0, 64, MANUAL_BLACKLIST)
     m.unpoison(16, 13)  # payload 16..29, granule 3 holds 5 addressable bytes
-    m.poison(32, 16, PoisonKind.RIGHT_REDZONE)
-    v = m.check_access(29, 1, AccessKind.READ)
+    m.poison(32, 16, RIGHT_REDZONE)
+    v = m.check_access(29, 1, "R")
     assert v.offset == 29
-    assert v.kind == PoisonKind.RIGHT_REDZONE.name
+    assert v.kind == "RIGHT_REDZONE"
 
 
 def test_partial_granule_violation_without_right_poison_falls_back():
     m = ShadowMap(1, 16, granularity=8)
     m.unpoison(0, 16)
     m.unpoison(8, 5)  # tail granule prefix 5, nothing poisoned to the right
-    v = m.check_access(13, 1, AccessKind.READ)
+    v = m.check_access(13, 1, "R")
     assert v.offset == 13
-    assert v.kind == PoisonKind.MANUAL_BLACKLIST.name
+    assert v.kind == "MANUAL_BLACKLIST"
 
 
 def test_check_access_wild_address_bounds():
     m = ShadowMap(1, 64, granularity=8)
     m.unpoison(0, 64)
-    v = m.check_access(-1, 4, AccessKind.READ)
+    v = m.check_access(-1, 4, "R")
     assert v.kind == WILD_ADDRESS and v.offset == -1
-    v = m.check_access(70, 2, AccessKind.READ)
+    v = m.check_access(70, 2, "R")
     assert v.kind == WILD_ADDRESS and v.offset == 70
-    v = m.check_access(60, 8, AccessKind.READ)
+    v = m.check_access(60, 8, "R")
     assert v.kind == WILD_ADDRESS and v.offset == 64
     with pytest.raises(ConfigError):
-        m.check_access(0, 0, AccessKind.READ)
+        m.check_access(0, 0, "R")
 
 
 def test_write_allocation_writes_redzones_payload_and_partial_granule():
     m = ShadowMap(1, 128, granularity=8)
-    m.poison(0, 128, PoisonKind.MANUAL_BLACKLIST)
+    m.poison(0, 128, MANUAL_BLACKLIST)
     m.write_allocation(16, 13, 16)
     assert bytes(m.shadow[:10]) == bytes(
         [0xFE, 0xFE, 0xF1, 0xF1, 0x00, 0x05, 0xF3, 0xF3, 0xFE, 0xFE]
@@ -225,7 +238,7 @@ def test_write_allocation_writes_redzones_payload_and_partial_granule():
 
 def test_write_allocation_rejects_with_nothing_written():
     m = ShadowMap(1, 128, granularity=8)
-    m.poison(0, 128, PoisonKind.MANUAL_BLACKLIST)
+    m.poison(0, 128, MANUAL_BLACKLIST)
     before = bytes(m.shadow)
     with pytest.raises(ConfigError):
         m.write_allocation(96, 1, 16)  # needs [96, 136)
@@ -242,12 +255,12 @@ def test_write_allocation_rejects_with_nothing_written():
 
 def test_check_access_is_pure_and_counts():
     m = ShadowMap(1, 64, granularity=8)
-    m.poison(0, 64, PoisonKind.MANUAL_BLACKLIST)
+    m.poison(0, 64, MANUAL_BLACKLIST)
     m.unpoison(8, 8)
     before = bytes(m.shadow)
     assert m.checks_performed == 0
-    first = m.check_access(6, 4, AccessKind.READ)
-    second = m.check_access(6, 4, AccessKind.READ)
+    first = m.check_access(6, 4, "R")
+    second = m.check_access(6, 4, "R")
     assert first == second
     assert bytes(m.shadow) == before
     assert m.checks_performed == 2
@@ -276,10 +289,10 @@ def test_oracle_equivalence_at_span_edges(g):
 
 def test_check_access_blames_first_bad_interior_granule():
     m = ShadowMap(1, 1 << 16, 8)
-    m.poison(40000, 8, PoisonKind.RIGHT_REDZONE)
-    m.poison(50000, 8, PoisonKind.LEFT_REDZONE)
-    v = m.check_access(3, (1 << 16) - 6, AccessKind.WRITE)
+    m.poison(40000, 8, RIGHT_REDZONE)
+    m.poison(50000, 8, LEFT_REDZONE)
+    v = m.check_access(3, (1 << 16) - 6, "W")
     assert (v.offset, v.kind) == (40000, "RIGHT_REDZONE")
     m.unpoison(40000, 5)
-    v = m.check_access(3, (1 << 16) - 6, AccessKind.WRITE)
+    v = m.check_access(3, (1 << 16) - 6, "W")
     assert (v.offset, v.kind) == (40005, "LEFT_REDZONE")

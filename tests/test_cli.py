@@ -240,3 +240,16 @@ def test_cli_import_leaves_out_modules_it_never_uses():
         "importlib.resources",
     }
     assert loaded.isdisjoint(unused), sorted(loaded & unused)
+
+
+def test_cli_import_loads_no_typing():
+    """No partsan module imports ``typing``: records are plain named
+    tuples.  ``-S``, because ``site`` itself may import ``typing``."""
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, partsan.cli; print('typing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "False\n"

@@ -108,12 +108,16 @@ def test_shadow_replay_rebuilds_the_recorded_shadows(monkeypatch):
 
 
 def test_startup_times_each_command_and_module():
-    best, modules = startup.measure({"A": SRC, "B": SRC}, 1)
+    samples, modules = startup.measure({"A": SRC, "B": SRC}, 1)
     for setting in startup.SETTINGS:
         for label in "AB":
-            assert set(best[setting][label]) == set(startup.COMMANDS)
-            assert all(0 < seconds < 10 for seconds in best[setting][label].values())
-    assert set(startup.summary(best)["warm"]) == {"import", "run_all"}
+            assert set(samples[setting][label]) == set(startup.COMMANDS)
+            for times in samples[setting][label].values():
+                assert len(times) == 1 and all(0 < seconds < 10 for seconds in times)
+    above = startup.summary(samples)["warm"]
+    assert set(above) == {"import", "run_all"}
+    assert set(above["import"]["B_minus_A"]) == {"best", "median", "iqr"}
+    assert startup.spread([3.0, 1.0, 2.0, 4.0])["median"] == 2.5
     for label in "AB":
         assert {"partsan", "partsan.cli", "partsan.scenario"} <= modules[label].keys()
 

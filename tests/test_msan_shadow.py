@@ -12,7 +12,6 @@ from partsan.msan_shadow import (
     copy_propagate,
     unpoison_padding,
 )
-from partsan.violations import UseSite
 
 from equivalence import run_msan_edge_cases, run_msan_equivalence
 from oracles import InitOracle
@@ -20,10 +19,10 @@ from oracles import InitOracle
 
 def test_fresh_shadow_is_fully_uninitialized():
     s = InitShadow(1, 32)
-    v = s.check(0, 4, UseSite.SYSCALL_PRE)
+    v = s.check(0, 4, "SYSCALL_PRE")
     assert v is not None
     assert v.offset == 0
-    assert v.context == UseSite.SYSCALL_PRE.value
+    assert v.context == "SYSCALL_PRE"
     assert v.kind == "UNINIT_USE"
 
 
@@ -31,12 +30,12 @@ def test_check_reports_first_unwritten_byte_and_origin():
     s = InitShadow(1, 32)
     s.set_uninitialized(0, 32, origin="alloc:buf")
     s.mark_initialized(0, 3, "write:w0")
-    v = s.check(0, 8, UseSite.BRANCH)
+    v = s.check(0, 8, "BRANCH")
     assert v.offset == 3
     assert v.origin == "alloc:buf"
     assert v.size == 8
     s.mark_initialized(0, 8, "write:w1")
-    assert s.check(0, 8, UseSite.BRANCH) is None
+    assert s.check(0, 8, "BRANCH") is None
 
 
 def test_check_is_pure_and_counts():
@@ -44,8 +43,8 @@ def test_check_is_pure_and_counts():
     s.mark_initialized(4, 4, "write:w0")
     before = s.snapshot(0, 16)[0], list(s._edges)
     assert s.checks_performed == 0
-    s.check(0, 16, UseSite.ARITH)
-    s.check(4, 4, UseSite.ARITH)
+    s.check(0, 16, "ARITH")
+    s.check(4, 4, "ARITH")
     assert s.checks_performed == 2
     assert (s.snapshot(0, 16)[0], s._edges) == before
 
@@ -65,7 +64,7 @@ def test_copy_propagate_carries_bits_and_origins():
     s.mark_initialized(0, 4, "write:w0")
     copy_propagate(s, 0, 16, 8)
     assert [s.is_initialized(i) for i in range(16, 24)] == [True] * 4 + [False] * 4
-    v = s.check(16, 8, UseSite.PORT_SEND)
+    v = s.check(16, 8, "PORT_SEND")
     assert v.offset == 20
     assert v.origin == "alloc:src"  # blame the original allocation, not the copy
 
@@ -75,7 +74,7 @@ def test_copy_propagate_never_fires():
     dst = InitShadow(2, 16)
     dst.mark_initialized(0, 16, "write:w0")
     copy_propagate(src, 0, 0, 16, dst_shadow=dst)  # fully uninitialized source
-    assert dst.check(0, 16, UseSite.BRANCH).offset == 0
+    assert dst.check(0, 16, "BRANCH").offset == 0
 
 
 def test_copy_propagate_overlap_behaves_like_memmove():
@@ -94,7 +93,7 @@ def _write_initializes(data, reserved_pattern=0xCD) -> bool:
     mem.start()
     mem.checked_write(region.base, data)
     assert mem.checked_read(region.base, len(data)) == data  # stored either way
-    return mem.init_shadow.check(region.base, len(data), UseSite.BRANCH) is None
+    return mem.init_shadow.check(region.base, len(data), "BRANCH") is None
 
 
 def test_reserved_init_pattern_masks_whole_write_only():
@@ -133,7 +132,7 @@ def test_unpoison_padding_preserves_existing_origins():
 def test_unpoison_padding_empty_declaration_is_noop():
     s = InitShadow(1, 16)
     unpoison_padding(s, (), base=0)
-    assert s.check(0, 8, UseSite.PORT_SEND).offset == 0
+    assert s.check(0, 8, "PORT_SEND").offset == 0
 
 
 def test_snapshot_roundtrip():
@@ -154,13 +153,11 @@ def test_snapshot_roundtrip():
 def test_span_validation():
     s = InitShadow(1, 16)
     with pytest.raises(ConfigError):
-        s.check(12, 8, UseSite.BRANCH)
+        s.check(12, 8, "BRANCH")
     with pytest.raises(ConfigError):
         s.mark_initialized(-1, 4, "x")
     with pytest.raises(ConfigError):
-        s.check(0, 0, UseSite.BRANCH)
-    with pytest.raises(ConfigError):
-        InitShadow(1, 0)
+        s.check(0, 0, "BRANCH")
 
 
 def test_oracle_equivalence_dense_small_memory():

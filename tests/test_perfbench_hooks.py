@@ -10,9 +10,10 @@ to the reports.
 from pathlib import Path
 
 from partsan import asan_shadow, guest_memory, harness, msan_shadow, ports, scenario, sched
-from partsan.asan_shadow import WILD_ADDRESS, PoisonKind
+from partsan.asan_shadow import POISON_KINDS, WILD_ADDRESS
 from partsan.scenario import builtin_names, load_builtin, load_scenario_text
-from partsan.ub_checks import UbKind
+
+from oracles import UB_KINDS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,9 +62,9 @@ def test_tracer_counts_match_the_reports(monkeypatch):
     assert _namespaces() == before
 
     kinds = [v.kind for report in reports for v in report.violations]
-    ub = sum(kind in {k.value for k in UbKind} for kind in kinds)
+    ub = sum(kind in UB_KINDS for kind in kinds)
     uninit = kinds.count("UNINIT_USE")
-    address = sum(kind in {k.name for k in PoisonKind} | {WILD_ADDRESS} for kind in kinds)
+    address = sum(kind in {*POISON_KINDS.values(), WILD_ADDRESS} for kind in kinds)
     assert min(ub, uninit, address) > 0
     assert counts.get("ub_checks.violations", 0) == ub
     assert counts.get("msan_shadow.check.violations", 0) == uninit

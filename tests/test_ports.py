@@ -9,7 +9,7 @@ from partsan.errors import ConfigError
 from partsan.guest_memory import PartitionMemory
 from partsan.ports import QueueingPort, SamplingPort, Validity
 from partsan.scenario import load_scenario
-from partsan.violations import UseSite, ViolationError
+from partsan.violations import ViolationError
 
 
 def _memory(partition_id, label="buf", size=32, origins=None):
@@ -123,7 +123,7 @@ def test_uninitialized_payload_blocked_and_not_stored():
         src.write(src_mem, base, 8, now=0)
     violation = err.value.violation
     assert violation.kind == "UNINIT_USE"
-    assert violation.context == UseSite.PORT_SEND.value
+    assert violation.context == "PORT_SEND"
     assert violation.offset == base + 4
     assert src.latest is None
 
@@ -251,7 +251,7 @@ def test_randomized_interleavings_preserve_fifo_and_init():
             assert result.payload == expected.popleft()
             assert len(dst.queue) == len(expected)
             # no uninitialized byte ever crosses a port
-            assert dst_mem.init_shadow.check(inbox, 4, UseSite.BRANCH) is None
+            assert dst_mem.init_shadow.check(inbox, 4, "BRANCH") is None
             received += 1
     assert received == 1000
     assert dst.receive(dst_mem, inbox, now=0) is None

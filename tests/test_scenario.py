@@ -30,6 +30,19 @@ from partsan.scenario import (
     load_scenario,
     load_scenario_text,
 )
+from partsan.ub_checks import (
+    INT_SPECS,
+    check_align,
+    check_bool,
+    check_enum,
+    check_nonnull,
+    checked_arith,
+    checked_div,
+    checked_shift,
+    checked_trunc,
+)
+
+from oracles import UB_KINDS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -342,6 +355,20 @@ _RULES = [
                  "expected an integer >= 1, got 0", id="send-len-0"),
     pytest.param("/workload/5/bindings", {}, None,
                  "directives of 'f' need bindings for ['a']", id="syscall-binding-missing"),
+    pytest.param("/partitions/1/memory_size", 4095, None,
+                 "memory size 4095 must be a positive multiple of granularity 8",
+                 id="memory-size-4095"),
+    pytest.param("/partitions/1/memory_size", 0, None,
+                 "memory size 0 must be a positive multiple of granularity 8",
+                 id="memory-size-0"),
+    pytest.param("/partitions/1/granularity", 5, None,
+                 "granularity must be one of (1, 2, 4, 8, 16), got 5", id="granularity-5"),
+    pytest.param("/partitions/1/redzone", 4, None,
+                 "redzone 4 must be a multiple of granularity 8 and at least one granule",
+                 id="redzone-below-granule"),
+    pytest.param("/partitions/1/redzone", 20, None,
+                 "redzone 20 must be a multiple of granularity 8 and at least one granule",
+                 id="redzone-20"),
 ]
 
 
@@ -849,8 +876,35 @@ def test_expect_validation_paths():
 
 
 def test_violation_kind_catalogue_covers_ub_kinds():
-    assert {"ADD_OVERFLOW", "DIV_BY_ZERO", "SHIFT_RANGE", "TRUNCATION"} <= VIOLATION_KINDS
-    assert {"LEFT_REDZONE", "UNINIT_USE", "QUEUE_FULL", "API_CONTRACT"} <= VIOLATION_KINDS
+    """The kinds an expectation may name are exactly those the checkers
+    report, so a misspelt kind on either side fails here."""
+    assert VIOLATION_KINDS == {
+        "LEFT_REDZONE",
+        "RIGHT_REDZONE",
+        "PARTITION_RESET",
+        "MANUAL_BLACKLIST",
+        "WILD_ADDRESS",
+        "UNINIT_USE",
+        "MESSAGE_TOO_LONG",
+        "QUEUE_FULL",
+        "API_CONTRACT",
+        *UB_KINDS,
+    }
+    i8 = INT_SPECS["i8"]
+    traps = [
+        checked_arith("ADD", 127, 1, i8),
+        checked_arith("SUB", -128, 1, i8),
+        checked_arith("MUL", 127, 2, i8),
+        checked_div(1, 0, i8),
+        checked_div(-128, -1, i8),
+        checked_shift(1, 8, i8),
+        checked_trunc(300, INT_SPECS["i32"], i8),
+        check_align(1, 4),
+        check_nonnull(0, 1),
+        check_bool(2),
+        check_enum(3, "e", [1]),
+    ]
+    assert {trap.kind for trap in traps} == UB_KINDS
 
 
 def test_overrides_apply_in_the_load():

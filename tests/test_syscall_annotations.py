@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from partsan.cli import main
-from partsan.errors import BindError, ConfigError, ParseError, UnknownType
+from partsan.errors import ConfigError, ParseError
 from partsan.msan_shadow import InitShadow
 from partsan.scenario import load_scenario, load_scenario_text
 from partsan.syscall_annotations import (
@@ -20,7 +20,6 @@ from partsan.syscall_annotations import (
     render_template,
     resolve_sizes,
 )
-from partsan.violations import UseSite
 
 FIXTURE = Path(__file__).parent / "data" / "thread_status_template.txt"
 
@@ -290,16 +289,18 @@ def test_resolve_sizes_every_form():
 def test_resolve_sizes_errors():
     spec = parse_template(FIXTURE.read_text(encoding="utf-8"))
     bindings = _bindings()
-    with pytest.raises(UnknownType):
+    with pytest.raises(ConfigError) as err:
         resolve_sizes(spec, {}, bindings)
+    assert err.value.path == "/name"
     short = dict(bindings)
     short["status"] = {"offset": 144, "len": 8}  # needs 16
-    with pytest.raises(BindError):
+    with pytest.raises(ConfigError, match="needs 16 bytes, binding provides 8") as err:
         resolve_sizes(spec, SIZES, short)
+    assert err.value.path == "/bindings/status"
     deref_of_value = parse_template(
         "//!PRE: msan_check(a, sizeof(*a));\nsyscall_declare(int, f, int, a);"
     )
-    with pytest.raises(UnknownType, match=r"sizeof\(\*a\) needs a pointer type, 'int' is not one"):
+    with pytest.raises(ConfigError, match=r"sizeof\(\*a\) needs a pointer type, 'int' is not one"):
         resolve_sizes(
             deref_of_value,
             {"int": 4},
@@ -314,7 +315,7 @@ def test_type_size_table_validation():
     spec = parse_template(
         "//!PRE: msan_check(a, sizeof(unknown_t));\nsyscall_declare(int, f, int, a);"
     )
-    with pytest.raises(UnknownType, match="no size known for type 'unknown_t'"):
+    with pytest.raises(ConfigError, match="no size known for type 'unknown_t'"):
         resolve_sizes(spec, SIZES, {"a": {"offset": 0}})
 
 
@@ -325,7 +326,7 @@ def test_enforce_pre_fires_on_uninitialized_input():
     violation = enforce_pre(resolved, shadow)
     assert violation is not None
     assert violation.offset == 32
-    assert violation.context == UseSite.SYSCALL_PRE.value
+    assert violation.context == "SYSCALL_PRE"
 
 
 def test_enforce_pre_passes_after_write_and_post_unpoisons_on_success():
@@ -336,7 +337,7 @@ def test_enforce_pre_passes_after_write_and_post_unpoisons_on_success():
     assert enforce_pre(resolved, shadow) is None
     assert enforce_post(resolved, shadow, syscall_succeeded=True) is None
     for start, length in ((72, 32), (120, 8), (144, 16)):
-        assert shadow.check(start, length, UseSite.BRANCH) is None
+        assert shadow.check(start, length, "BRANCH") is None
         assert shadow.origin_at(start) == "annotation"
 
 
@@ -347,7 +348,7 @@ def test_enforce_post_skipped_on_failure():
     resolved = resolve_sizes(spec, SIZES, _bindings())
     assert enforce_pre(resolved, shadow) is None
     assert enforce_post(resolved, shadow, syscall_succeeded=False) is None
-    assert shadow.check(72, 32, UseSite.BRANCH) is not None
+    assert shadow.check(72, 32, "BRANCH") is not None
 
 
 def test_enforce_pre_stops_at_first_violation_in_order():
@@ -367,7 +368,7 @@ def test_enforce_pre_stops_at_first_violation_in_order():
     violation = enforce_pre(resolved, shadow)
     assert violation.offset == 0
     # the unpoison after the failing check never ran
-    assert shadow.check(8, 4, UseSite.BRANCH) is not None
+    assert shadow.check(8, 4, "BRANCH") is not None
     shadow.mark_initialized(0, 4, "w")
     assert enforce_pre(resolved, shadow) is None
-    assert shadow.check(8, 4, UseSite.BRANCH) is None
+    assert shadow.check(8, 4, "BRANCH") is None
