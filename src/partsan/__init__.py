@@ -21,8 +21,6 @@ from .asan_shadow import (
     VALID_GRANULARITIES,
     WILD_ADDRESS,
     ShadowMap,
-    decode_granule,
-    encode_granule,
 )
 from .errors import (
     ConfigError,
@@ -52,7 +50,6 @@ from .ports import (
     Message,
     QueueingPort,
     SamplingPort,
-    Validity,
 )
 from .scenario import (
     Scenario,

@@ -89,42 +89,6 @@ def check_memory_size(memory_size: int, granularity: int) -> None:
         )
 
 
-def encode_granule(flags, kind: int = MANUAL_BLACKLIST) -> int:
-    """Encode a per-byte addressability vector for one granule.
-
-    Only prefix-addressable vectors are representable; anything else raises
-    EncodingError.  ``kind``, a poison code, is used when no byte is
-    addressable.
-    """
-    if kind not in POISON_KINDS:
-        raise ConfigError(f"{kind!r} is not a poison code")
-    flags = list(flags)
-    g = len(flags)
-    check_granularity(g)
-    n = 0
-    while n < g and flags[n]:
-        n += 1
-    if any(flags[n:]):
-        raise EncodingError("addressable bytes after the first non-addressable one")
-    if n == g:
-        return 0x00
-    if n == 0:
-        return kind
-    return n
-
-
-def decode_granule(code: int, granularity: int) -> tuple[bool, ...]:
-    """Per-byte addressability of one granule given its shadow code."""
-    check_granularity(granularity)
-    if code == 0x00:
-        return (True,) * granularity
-    if 0 < code < granularity:
-        return (True,) * code + (False,) * (granularity - code)
-    if code >= POISON_FLOOR:
-        return (False,) * granularity
-    raise EncodingError(f"shadow code {code:#04x} invalid for granularity {granularity}")
-
-
 _LEFT_REDZONE = bytes((LEFT_REDZONE,))
 _RIGHT_REDZONE = bytes((RIGHT_REDZONE,))
 

@@ -118,10 +118,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except PartsanError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (PartsanError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

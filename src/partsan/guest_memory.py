@@ -137,7 +137,7 @@ class Layout:
 class PartitionMemory:
     """Byte space and shadow maps of one partition, allocated by its Layout.
     ``origins`` is the origin table its ``InitShadow`` shares, if any.
-    ``placed``, a loaded ``Scenario.placed`` entry, holds the regions its
+    ``placed``, a loaded partition's ``regions``, holds the regions its
     Layout starts with; each gets the shadows ``alloc_region`` would give
     it, without a second placement.
     ``reserved_pattern``, when given, is the byte value of the reserved

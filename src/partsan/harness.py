@@ -157,7 +157,7 @@ class Simulator:
         self.partitions: dict[int, PartitionMemory] = {}
         self.tables: dict[int, ProcessTable] = {}  # partitions that have processes
         # each partition starts with its declared regions as the load placed them
-        for pconf, placed in zip(scenario.partitions, scenario.placed, strict=True):
+        for pconf in scenario.partitions:
             pid = pconf["id"]
             mem = PartitionMemory(
                 pid,
@@ -166,7 +166,7 @@ class Simulator:
                 redzone=pconf["redzone"],
                 reserved_pattern=reserved_pattern,
                 origins=origins,
-                placed=placed,
+                placed=pconf["regions"],
             )
             if pconf["processes"]:
                 self.tables[pid] = ProcessTable(
@@ -494,7 +494,7 @@ class Simulator:
     def _op_sampling_read(self, fields: dict, mem: PartitionMemory) -> None:
         port = self.ports[fields["port"]]
         result = port.read(mem, fields["offset"], self.model.virtual_now)
-        validity = "EMPTY" if result is None else result.validity.value
+        validity = "EMPTY" if result is None else result.validity
         info = {"part": fields["partition"], "port": fields["port"], "validity": validity}
         if result is not None:
             info["age"] = result.age

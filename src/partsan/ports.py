@@ -14,13 +14,12 @@ origin labels into the receiver's shadow, so blame survives the hop.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from enum import Enum
 
 from .guest_memory import PartitionMemory
 from .violations import Violation, ViolationError
 
 
-class Validity(Enum):
+class Validity:
     VALID = "VALID"
     STALE = "STALE"
 

@@ -56,17 +56,16 @@ VIOLATION_KINDS = frozenset(
 class Scenario(
     namedtuple(
         "Scenario",
-        "name partitions time ports types padding reserved_init syscalls workload expect placed",
+        "name partitions time ports types padding reserved_init syscalls workload expect",
     )
 ):
     """A loaded scenario: each section is its checked JSON object (or list
     of them) under its JSON keys, with every default filled in, except
-    ``syscalls``, whose templates load parsed, and each step ``offset``,
-    bound to the absolute offset in its partition.  A ``workload`` step
-    holds its loaded fields and its "op"; an ``expect`` pattern, the kind
-    and what else a finding must match.  ``placed`` holds, per partition
-    in order, each declared region as the load's ``Layout`` placed it; it
-    must be loaded again whenever ``partitions`` changes.  The loader is
+    ``syscalls``, whose templates load parsed, each step ``offset``, bound
+    to the absolute offset in its partition, and a partition's
+    ``regions``, each the ``Region`` the load's ``Layout`` placed.  A
+    ``workload`` step holds its loaded fields and its "op"; an ``expect``
+    pattern, the kind and what else a finding must match.  The loader is
     the one place a value is checked; the runtime takes the loaded values
     as they are."""
 
@@ -297,7 +296,7 @@ def _ticks(value):
 def _byte(value):
     value = _as_int(value, minimum=0)
     if value > 0xFF:
-        raise ConfigError(f"fill byte must be <= 255, got {value}")
+        raise ConfigError(f"expected an integer <= 255, got {value}")
     return value
 
 
@@ -493,15 +492,8 @@ def _padding_range(value):
     return _at(0, _ticks, pair[0]), _at(1, _count, pair[1])
 
 
-def _reserved_pattern(value):
-    value = _as_int(value)
-    if not 0 <= value <= 0xFF:
-        raise ConfigError(f"reserved pattern must be a byte value, got {value}")
-    return value
-
-
 # with ``enabled``, a write made entirely of ``pattern`` does not initialize
-_RESERVED_INIT = _Fields(("enabled", _as_bool, False), ("pattern", _reserved_pattern, 0xCD))
+_RESERVED_INIT = _Fields(("enabled", _as_bool, False), ("pattern", _byte, 0xCD))
 
 
 def _template(value):
@@ -848,7 +840,7 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
     the overrides into the loaded ``time`` and partitions, check what
     refers across sections (window partitions, override processes, port
     endpoints, padding types and sizes), place each partition's declared
-    regions in its Layout and keep them as the build's ``placed``, then
+    regions in its Layout and keep them as the partition's ``regions``, then
     replay every Layout through the workload: check each step against them
     at the pointer of the field at fault, and bind each step's locations."""
     try:
@@ -872,6 +864,7 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
                 f"/time/major_frame/windows/{i}/partition",
             )
     processes = {(p["id"], q["id"]) for p in doc["partitions"] for q in p["processes"]}
+    overridden = set()
     for i, override in enumerate(time["timeout_overrides"]):
         pid, proc = override["partition"], override["process"]
         if (pid, proc) not in processes:
@@ -879,6 +872,12 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
                 f"override references unknown process {proc} of partition {pid}",
                 f"/time/timeout_overrides/{i}",
             )
+        if (pid, proc) in overridden:
+            raise ConfigError(
+                f"second override for process {proc} of partition {pid}",
+                f"/time/timeout_overrides/{i}",
+            )
+        overridden.add((pid, proc))
     for i, port in enumerate(doc["ports"]):
         for end in ("source", "destination"):
             if port[end] is not None and port[end] not in ids:
@@ -898,7 +897,6 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
                 raise ConfigError(exc.message, f"{at}/{i}") from None
 
     layouts: dict[int, Layout] = {}
-    placed = []
     total = 0
     for i, config in enumerate(doc["partitions"]):
         at = f"partitions/{i}"
@@ -916,7 +914,7 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
                 layout.alloc(region["label"], region["size"])
             except ConfigError as exc:
                 raise _moved(exc, f"{at}/regions/{j}") from None
-        placed.append(tuple(layout.in_order))
+        config["regions"] = tuple(layout.in_order)
         layout.started = config["auto_start"]
     ports = {port["name"]: port for port in doc["ports"]}
     specs = {}
@@ -999,7 +997,7 @@ def _load_tree(data, slowdown_factor=None, granularity: int | None = None) -> Sc
                 check(step)
         except ConfigError as exc:
             raise _moved(exc, f"workload/{i}") from None
-    return Scenario(**doc, placed=tuple(placed))
+    return Scenario(**doc)
 
 
 def load_scenario_text(text: str, *, slowdown_factor=None, granularity=None) -> Scenario:

@@ -37,21 +37,19 @@ def _own_modules():
     return {name for name in sys.modules if name == "partsan" or name.startswith("partsan.")}
 
 
-def import_version(src):
-    """The ``load_scenario_text`` and ``Simulator`` of the tree at ``src``,
-    imported under fresh ``sys.modules`` entries that are then taken out
-    again, so a second version can be imported beside it."""
+def import_version(src, *names):
+    """The modules ``names`` (such as ``"partsan.harness"``) of the tree at
+    ``src``, in order, imported under fresh ``sys.modules`` entries that are
+    then taken out again, so a second version can be imported beside them."""
     before = {name: sys.modules.pop(name) for name in _own_modules()}
     sys.path.insert(0, str(src))
     try:
-        scenario = importlib.import_module("partsan.scenario")
-        harness = importlib.import_module("partsan.harness")
+        return [importlib.import_module(name) for name in names]
     finally:
         sys.path.remove(str(src))
         for name in _own_modules():
             del sys.modules[name]
         sys.modules.update(before)
-    return scenario.load_scenario_text, harness.Simulator
 
 
 def _seconds(call, items):
@@ -93,7 +91,10 @@ def main(argv):
     parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
     srcs = {"A": args.src_a.resolve(), "B": args.src_b.resolve()}
-    versions = {label: import_version(src) for label, src in srcs.items()}
+    versions = {}
+    for label, src in srcs.items():
+        scenario, harness = import_version(src, "partsan.scenario", "partsan.harness")
+        versions[label] = scenario.load_scenario_text, harness.Simulator
 
     # the generators read the builtins through the package: give them A's
     saved = {name: sys.modules.pop(name) for name in _own_modules()}

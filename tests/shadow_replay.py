@@ -2,17 +2,20 @@
 and replayed on any version of partsan, for timing the shadow on its own.
 
     PYTHONPATH=src python tests/shadow_replay.py record FILE
-    PYTHONPATH=<src of a version> python tests/shadow_replay.py time FILE [REPEAT]
+    python tests/shadow_replay.py time FILE SRC_A SRC_B [REPEAT]
 
 ``record`` runs one pass of the ``step_mix`` and of the ``big_partition``
 workload of ``perfbench/workloads.py`` (seed 1) and writes, in order, every
 ``InitShadow`` construction and every outermost call of its public methods,
-as JSON.  ``time`` replays each stream on the partsan that is importable,
-best of REPEAT (default 7), and prints its seconds.  Whole-run timings of
-``step_mix`` drift by more than the shadow's share of them on a shared
-host; the replay times that share alone, on the same calls, so that two
-versions can be compared by running ``time`` alternately with each one's
-``src`` on ``PYTHONPATH``.
+as JSON.  ``time`` imports the ``InitShadow`` of each of two ``src``
+directories, such as a parent's and a change's, into this one process,
+each under its own ``sys.modules`` entries, and replays each stream on
+both alternately, A first in even rounds and B first in odd ones, after
+one untimed replay each.  It prints each version's best of REPEAT rounds
+(default 7) and B's time over A's.  Whole-run timings of ``step_mix``
+drift by more than the shadow's share of them on a shared host, and
+timings of separate processes are bimodal; the replay times that share
+alone, on the same calls, in one process.
 """
 
 from __future__ import annotations
@@ -20,16 +23,10 @@ from __future__ import annotations
 import inspect
 import json
 import sys
-import time
+from functools import partial
 from pathlib import Path
 
-from partsan import harness, scenario
-from partsan.msan_shadow import InitShadow
-
-try:  # versions whose use sites are members of an enum, not plain strings
-    from partsan.violations import UseSite
-except ImportError:
-    UseSite = str
+from load_ratio import VERSIONS, _seconds, import_version
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = ("step_mix", "big_partition")
@@ -58,6 +55,9 @@ def recorded(texts):
     every version can replay it.
     A call that raises, or that a recorded call makes itself, is not
     recorded."""
+    from partsan import harness, scenario
+    from partsan.msan_shadow import InitShadow
+
     calls, shadows, tables, snapshots = [], {}, {}, {}
     depth = 0
 
@@ -118,10 +118,12 @@ def record(path):
         print(f"{name}: {len(calls)} calls")
 
 
-def prepared(calls):
+def prepared(calls, use_site=str):
     """``calls`` as ``(shadow, method, arguments, keep)`` tuples ready to
-    run: ``keep`` says on a ``snapshot`` whether it is ever written, and on
-    an ``apply_snapshot`` whether its snapshot is written again later."""
+    run, each use site made by ``use_site`` from its recorded value (a
+    version whose use sites are members of an enum passes the enum):
+    ``keep`` says on a ``snapshot`` whether it is ever written, and on an
+    ``apply_snapshot`` whether its snapshot is written again later."""
     last_use = {}
     for index, (_, name, *values) in enumerate(calls):
         if name == "apply_snapshot":
@@ -130,7 +132,7 @@ def prepared(calls):
     for index, (shadow, name, *values) in enumerate(calls):
         keep = None
         if name == "check":
-            values[2] = UseSite(values[2])
+            values[2] = use_site(values[2])
         elif name == "snapshot":
             keep = snapshot_count in last_use
             snapshot_count += 1
@@ -140,15 +142,18 @@ def prepared(calls):
     return stream
 
 
-def replay(stream):
-    """Runs a ``prepared`` stream; returns the shadows it built."""
+def replay(stream, shadow_class=None):
+    """Runs a ``prepared`` stream on ``shadow_class``, the importable
+    ``InitShadow`` unless given; returns the shadows it built."""
+    if shadow_class is None:
+        from partsan.msan_shadow import InitShadow as shadow_class
     shadows, tables, snapshots, taken_count = [], {}, {}, 0
     for shadow, name, values, keep in stream:
         if name == "__init__":
             partition_id, size, table = values
             if table is not None:
                 table = tables.setdefault(table, ([None], {}))
-            shadows.append(InitShadow(partition_id, size, table))
+            shadows.append(shadow_class(partition_id, size, table))
         elif name == "snapshot":
             taken = shadows[shadow].snapshot(*values)
             if keep:
@@ -171,22 +176,31 @@ def state(shadow):
     return bytes(bits), origins, shadow.checks_performed
 
 
-def time_streams(path, repeat=7):
+def time_streams(path, srcs, repeat=7):
+    versions = {}
+    for label, src in zip(VERSIONS, srcs):
+        msan_shadow, violations = import_version(
+            Path(src).resolve(), "partsan.msan_shadow", "partsan.violations"
+        )
+        versions[label] = msan_shadow.InitShadow, getattr(violations, "UseSite", str)
     streams = json.loads(Path(path).read_text())
     for name, calls in streams.items():
-        stream = prepared(calls)
-        best = float("inf")
-        for _ in range(repeat):
-            t0 = time.perf_counter()
-            replay(stream)
-            best = min(best, time.perf_counter() - t0)
-        print(f"{name}: {len(calls)} calls, best of {repeat} {best:.6f} s")
+        runs = {label: (partial(replay, shadow_class=shadow_class), [prepared(calls, use_site)])
+                for label, (shadow_class, use_site) in versions.items()}
+        for run in runs.values():
+            _seconds(*run)
+        best = dict.fromkeys(VERSIONS, float("inf"))
+        for round_ in range(repeat):
+            for label in VERSIONS if round_ % 2 == 0 else VERSIONS[::-1]:
+                best[label] = min(best[label], _seconds(*runs[label]))
+        print(f"{name}: {len(calls)} calls, best of {repeat}: A {best['A']:.6f} s, "
+              f"B {best['B']:.6f} s, B/A {best['B'] / best['A']:.3f}", flush=True)
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "record":
         record(sys.argv[2])
-    elif len(sys.argv) in (3, 4) and sys.argv[1] == "time":
-        time_streams(sys.argv[2], *map(int, sys.argv[3:]))
+    elif len(sys.argv) in (5, 6) and sys.argv[1] == "time":
+        time_streams(sys.argv[2], sys.argv[3:5], *map(int, sys.argv[5:]))
     else:
         sys.exit(__doc__)

@@ -16,8 +16,6 @@ from partsan.asan_shadow import (
     WILD_ADDRESS,
     check_granularity,
     check_memory_size,
-    decode_granule,
-    encode_granule,
 )
 from partsan.errors import ConfigError, EncodingError
 
@@ -53,30 +51,6 @@ def test_poison_codes_are_stable():
         0xF8: "PARTITION_RESET",
         0xFE: "MANUAL_BLACKLIST",
     }
-
-
-def test_encode_decode_identity_all_classes():
-    for g in VALID_GRANULARITIES:
-        for n in range(g + 1):
-            flags = (True,) * n + (False,) * (g - n)
-            for kind in POISON_KINDS:
-                code = encode_granule(flags, kind)
-                assert decode_granule(code, g) == flags
-                if n == g:
-                    assert code == 0x00
-                elif n == 0:
-                    assert code == kind
-                else:
-                    assert code == n
-    with pytest.raises(ConfigError, match="^3 is not a poison code$"):
-        encode_granule((False,) * 8, 3)  # would decode as 3 addressable bytes
-
-
-def test_encode_rejects_holes():
-    with pytest.raises(EncodingError):
-        encode_granule((True, False, True, False, False, False, False, False))
-    with pytest.raises(EncodingError):
-        decode_granule(0x20, 8)
 
 
 def test_unpoison_full_and_partial_tail():

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes and output formats."""
 
+import ast
 import json
 import os
 import subprocess
@@ -253,3 +254,21 @@ def test_cli_import_loads_no_typing():
         check=True,
     )
     assert result.stdout == "False\n"
+
+
+def test_no_module_imports_enum_or_typing():
+    """No module of the package imports ``enum`` or ``typing``, read from
+    its source: ``re`` loads ``enum`` at run time anyway, so a child's
+    ``sys.modules`` cannot show it."""
+    banned = {"enum", "typing"}
+    found = []
+    for path in sorted((SRC / "partsan").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [(path.name, name) for name in names if name.split(".")[0] in banned]
+    assert found == []

@@ -450,7 +450,7 @@ def _replayed(pconf):
     """A fresh partition fed its declared regions through ``alloc_region``."""
     mem = PartitionMemory(pconf["id"], pconf["memory_size"], pconf["granularity"], pconf["redzone"])
     for region in pconf["regions"]:
-        mem.alloc_region(region["size"], region["label"])
+        mem.alloc_region(region.payload_len, region.label)
     if pconf["auto_start"]:
         mem.start()
     return mem
@@ -491,10 +491,10 @@ def test_bench_workloads_build_as_their_regions_replayed(monkeypatch, seed):
 def test_a_run_changes_neither_the_scenario_nor_another_build_of_it():
     for name in builtin_names():
         scenario = load_builtin(name)
-        placed = repr(scenario.placed)
+        partitions = repr(scenario.partitions)
         first, second = Simulator(scenario), Simulator(scenario)
         states = {pid: _built_state(mem) for pid, mem in second.partitions.items()}
         report = first.run()
         assert {pid: _built_state(mem) for pid, mem in second.partitions.items()} == states
-        assert repr(scenario.placed) == placed
+        assert repr(scenario.partitions) == partitions
         assert second.run() == report

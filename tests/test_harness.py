@@ -155,14 +155,6 @@ def test_runs_are_deterministic():
         assert render_report(first, "json") == render_report(second, "json")
 
 
-def test_a_build_refuses_partitions_its_placed_regions_do_not_match():
-    # ``placed`` is loaded with ``partitions``; a scenario rebuilt with
-    # other partitions must be loaded again, not built with stale regions
-    scenario = load_builtin("port_uninit_send")
-    with pytest.raises(ValueError):
-        Simulator(scenario._replace(partitions=scenario.partitions[:1]))
-
-
 @pytest.mark.parametrize(
     ("name", "fmt"),
     [

@@ -16,7 +16,7 @@ import pytest
 
 from partsan import scenario as loader
 from partsan.errors import ConfigError
-from partsan.guest_memory import MEMORY_CAP
+from partsan.guest_memory import MEMORY_CAP, Region
 from partsan.harness import Simulator, run_scenario
 from partsan.scenario import (
     _ABSENT,
@@ -117,11 +117,12 @@ def test_partition_defaults():
     data = _base()
     data["partitions"][0]["processes"].append({"id": 2, "time_capacity": 5, "period": None})
     scenario = load_scenario(data)
-    # a loaded section is its JSON object, under its keys, with the defaults added
+    # a loaded section is its JSON object, under its keys, with the defaults
+    # added; a partition's regions load as the Layout placed them
     assert scenario.partitions == (
         {
             "id": 1,
-            "regions": ({"label": "buf", "size": 16},),
+            "regions": (Region(label="buf", base=32, payload_len=16, span_start=16, span_end=64),),
             "processes": (
                 {"id": 1, "priority": 1, "time_capacity": 100, "period": None},
                 {"id": 2, "time_capacity": 5, "period": None, "priority": 1},
@@ -286,6 +287,7 @@ def _every_section():
         {"op": "GET_MY_ID", "partition": 1, "caller": 1},
         {"op": "SEND", "partition": 2, "port": "q", "len": 4},
         {"op": "SYSCALL", "partition": 1, "name": "f", "bindings": {"a": {"region": "buf"}}},
+        {"op": "WRITE", "partition": 1, "region": "buf", "fill": 0, "len": 1},
     ]
     return data
 
@@ -307,6 +309,8 @@ _RULES = [
                  "multiplier must be >= 1, got 1/2", id="multiplier-half"),
     pytest.param("/time/timeout_overrides/0/multiplier", "x", None,
                  "not a number or 'p/q' ratio: 'x'", id="multiplier-x"),
+    pytest.param("/time/timeout_overrides/1", {"partition": 1, "process": 1, "multiplier": 3},
+                 None, "second override for process 1 of partition 1", id="second-override"),
     pytest.param("/ports/1/max_message_size", 0, None,
                  "expected an integer >= 1, got 0", id="queueing-size-0"),
     pytest.param("/ports/1/capacity", 0, None,
@@ -333,9 +337,9 @@ _RULES = [
                  "window 1 starts at 60, expected 50 (windows must be sorted, disjoint"
                  " and gap-free)", id="window-gap"),
     pytest.param("/reserved_init/pattern", 300, None,
-                 "reserved pattern must be a byte value, got 300", id="pattern-300"),
+                 "expected an integer <= 255, got 300", id="pattern-300"),
     pytest.param("/reserved_init/pattern", -1, None,
-                 "reserved pattern must be a byte value, got -1", id="pattern--1"),
+                 "expected an integer >= 0, got -1", id="pattern--1"),
     pytest.param("/workload/0/a", 128, None,
                  "128 is not a value of i8", id="immediate-outside-type"),
     pytest.param("/workload/0/b/width", 2, "/workload/0/b",
@@ -355,6 +359,8 @@ _RULES = [
                  "expected an integer >= 1, got 0", id="send-len-0"),
     pytest.param("/workload/5/bindings", {}, None,
                  "directives of 'f' need bindings for ['a']", id="syscall-binding-missing"),
+    pytest.param("/workload/6/fill", 256, None,
+                 "expected an integer <= 255, got 256", id="fill-256"),
     pytest.param("/partitions/1/memory_size", 4095, None,
                  "memory size 4095 must be a positive multiple of granularity 8",
                  id="memory-size-4095"),
@@ -1194,7 +1200,7 @@ def test_text_loads_in_about_the_memory_of_its_decoded_tree():
         tracemalloc.stop()
     assert peak <= 1.25 * tree, (peak, tree)
 
-    labels = {region["label"]: region["label"] for region in scenario.partitions[0]["regions"]}
+    labels = {region.label: region.label for region in scenario.partitions[0]["regions"]}
     (port,) = scenario.ports
     named = 0
     for step in scenario.workload:
