@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import ConfigError
 from .guest_memory import PartitionMemory
@@ -149,7 +148,6 @@ class Simulator:
         multipliers = {
             (o["partition"], o["process"]): o["multiplier"] for o in time["timeout_overrides"]
         }
-        one = Fraction(1)  # the multiplier of every process without an override
         reserved = scenario.reserved_init
         reserved_pattern = reserved["pattern"] if reserved["enabled"] else None
         # one origin table for every partition, so a port hop copies ids as they are
@@ -175,7 +173,7 @@ class Simulator:
                         priority=proc["priority"],
                         time_capacity=proc["time_capacity"],
                         period=proc["period"],
-                        multiplier=multipliers.get((pid, proc["id"]), one),
+                        multiplier=multipliers.get((pid, proc["id"]), 1),
                     )
                     for proc in pconf["processes"]
                 )
@@ -229,7 +227,7 @@ class Simulator:
     def run(self) -> RunReport:
         executors, model = self._EXECUTORS, self.model
         partitions, redispatch = self.partitions, self._redispatch
-        advance, base_step = model.advance, model.costs["base_step"]
+        advance, base_step = model.advance, self.scenario.time["costs"]["base_step"]
         for index, step in enumerate(self.scenario.workload):
             self._step_index = index
             op = step["op"]

@@ -35,8 +35,26 @@ __all__ = [
     "copy_propagate",
 ]
 
-#: Shadow byte of each state in a ``snapshot``'s bits.
-_STATE_BYTE = (b"\x00", b"\x01")
+
+class Flips:
+    """A span's initialization state as ``snapshot`` takes it: ``first`` (1 =
+    initialized) at its first byte, the ``offsets`` from its start where it
+    flips, and its ``length``, its ``len()``; ``bytes()`` is its per-byte form."""
+
+    __slots__ = ("first", "offsets", "length")
+
+    def __init__(self, first: int, offsets: tuple, length: int):
+        self.first = first
+        self.offsets = offsets
+        self.length = length
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __bytes__(self) -> bytes:
+        bounds = (0, *self.offsets, self.length)
+        spans = enumerate(zip(bounds, bounds[1:]))
+        return b"".join(bytes([self.first ^ k & 1]) * (b - a) for k, (a, b) in spans)
 
 
 class InitShadow:
@@ -95,19 +113,18 @@ class InitShadow:
 
     # -- state transitions ----------------------------------------------------
 
-    def _splice(self, start: int, end: int, first: int, flips, last: int, starts, ids) -> None:
+    def _splice(self, start: int, end: int, first: int, flips, starts, ids) -> None:
         """Replace the state and the origin runs over [start, end): the
-        state is ``first`` (1 = initialized) at ``start``, flips at each of
-        the offsets in the tuple ``flips`` inside the span and is ``last`` on
-        its last byte; runs begin at each of ``starts``, the first at
-        ``start``, with ``ids``."""
+        state is ``first`` (1 = initialized) at ``start`` and flips at each
+        of the offsets in the tuple ``flips`` inside the span; runs begin at
+        each of ``starts``, the first at ``start``, with ``ids``."""
         edges = self._edges
         lo = bisect_left(edges, start)
         hi = bisect(edges, end, lo)
         # lo & 1 is the state of the byte before the span, hi & 1 that of
         # the byte at ``end``
         head = (start,) if lo & 1 != first else ()
-        tail = (end,) if end < self.size and hi & 1 != last else ()
+        tail = (end,) if end < self.size and hi & 1 != first ^ len(flips) & 1 else ()
         edges[lo:hi] = head + flips + tail
         runs, run_ids = self._starts, self._ids
         lo = bisect_left(runs, start)
@@ -121,7 +138,7 @@ class InitShadow:
 
     def set_uninitialized(self, start: int, length: int, origin: str | None = None) -> None:
         """Mark a span uninitialized, tagged with the allocation's origin."""
-        self._splice(start, self._span(start, length), 0, (), 0, (start,), (self._intern(origin),))
+        self._splice(start, self._span(start, length), 0, (), (start,), (self._intern(origin),))
 
     def mark_initialized(
         self, start: int, length: int, origin: str | None, force: bool = True
@@ -138,16 +155,14 @@ class InitShadow:
             self._span(start, length)
         oid = self._intern(origin)
         if force:
-            self._splice(start, end, 1, (), 1, (start,), (oid,))
+            self._splice(start, end, 1, (), (start,), (oid,))
             return
-        # fill each uninitialized segment: the span's flips cut it into
-        # segments that alternate from the state at ``start``
+        # fill every other segment the flips cut the span into, from the first uninitialized
         edges = self._edges
         i = bisect(edges, start)
-        bounds = [start, *edges[i : bisect_left(edges, end, i)], end]
-        first = i & 1
-        for a, b in zip(bounds[first::2], bounds[first + 1 :: 2]):
-            self._splice(a, b, 1, (), 1, (a,), (oid,))
+        bounds = [start, *edges[i : bisect_left(edges, end, i)], end][i & 1 :]
+        for a, b in zip(bounds[::2], bounds[1::2]):
+            self._splice(a, b, 1, (), (a,), (oid,))
 
     # -- queries ----------------------------------------------------------------
 
@@ -195,26 +210,20 @@ class InitShadow:
     def snapshot(self, start: int, length: int):
         """Bits and origin labels for a span, detached from this shadow.
 
-        The bits are ``bytes``, one per span byte, 1 where it is
-        initialized.  The labels are ``(origin table, start, inner run
-        starts, run ids)``: the starts of the runs that begin inside the
-        span, and the ids of every run the span overlaps, one more than
-        the starts.  The table only ever grows, so the ids stay valid
-        however the shadow changes later.
+        The bits are a ``Flips``, nothing per span byte.  The labels are
+        ``(origin table, start, inner run starts, run ids)``: the starts of
+        the runs that begin inside the span, and the ids of every run the
+        span overlaps, one more than the starts.  The table only ever
+        grows, so the ids stay valid however the shadow changes later.
         """
         end = start + length
         if length < 0 or start < 0 or end > self.size:
             self._span(start, length, min_length=0)
         edges = self._edges
         i = bisect(edges, start)
-        if i == len(edges) or edges[i] >= end:  # no flip inside the span
-            bits = _STATE_BYTE[i & 1] * length
-        else:
-            bounds = [start, *edges[i : bisect_left(edges, end, i)], end]
-            bits = b"".join(
-                _STATE_BYTE[(i + k) & 1] * (b - a)
-                for k, (a, b) in enumerate(zip(bounds, bounds[1:]))
-            )
+        # the flips inside the span, most often none, taken relative to its start
+        inside = edges[i : bisect_left(edges, end, i)] if i < len(edges) and edges[i] < end else ()
+        bits = Flips(i & 1, tuple(map((-start).__add__, inside)) if inside else (), length)
         runs = self._starts
         lo = bisect(runs, start)
         if lo == len(runs) or runs[lo] >= end:  # inside one run
@@ -224,28 +233,21 @@ class InitShadow:
             labels = (self._origin_table, start, runs[lo:hi], self._ids[lo - 1 : hi])
         return bits, labels
 
-    def apply_snapshot(self, start: int, bits: bytes, labels) -> None:
-        """Write a ``snapshot`` at ``start``: its flips and its runs shifted
-        there.  From a shadow with another origin table, each run's origin
-        is interned here and its id translated."""
-        end = start + len(bits)
+    def apply_snapshot(self, start: int, bits: Flips, labels) -> None:
+        """Write a ``snapshot`` at ``start``: the flips of its ``bits`` and
+        its runs, shifted there.  From a shadow with another origin table,
+        each run's origin is interned here and its id translated."""
+        end = start + bits.length
         if start < 0 or end > self.size:
-            self._span(start, len(bits), min_length=0)
+            self._span(start, bits.length, min_length=0)
         if start == end:
             return
         table, src_start, inner, ids = labels
         if table is not self._origin_table:
             ids = [self._intern(table[oid]) for oid in ids]
-        first = state = bits[0]
-        flips = []
-        find = bits.find
-        k = find(state ^ 1)
-        while k >= 0:
-            flips.append(start + k)
-            state ^= 1
-            k = find(state ^ 1, k)
+        flips = tuple(map(start.__add__, bits.offsets)) if bits.offsets else ()
         starts = [start, *map((start - src_start).__add__, inner)] if inner else (start,)
-        self._splice(start, end, first, tuple(flips), state, starts, ids)
+        self._splice(start, end, bits.first, flips, starts, ids)
 
 
 def copy_propagate(

@@ -7,8 +7,8 @@ bounded FIFOs that drop the *new* message when full.
 
 Sends are the enforcement point for initialization: a message must be fully
 initialized before it crosses a partition boundary, because the receiver
-has no way to tell junk from data.  Delivery copies the sender's per-byte
-origin labels into the receiver's shadow, so blame survives the hop.
+has no way to tell junk from data.  Delivery copies the message's flips and
+origin runs into the receiver's shadow, so blame survives the hop.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ class Validity:
     STALE = "STALE"
 
 
-#: A sent message; ``init_bits`` holds one shadow byte per payload byte, from
-#: ``InitShadow.snapshot``.
+#: A sent message; ``init_bits`` and ``origin_labels`` are its ``InitShadow.snapshot``.
 Message = namedtuple("Message", "payload send_time init_bits origin_labels")
 
 SamplingResult = namedtuple("SamplingResult", "payload validity age")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import ConfigError
 
@@ -24,8 +23,8 @@ INVALID_MODE = "INVALID_MODE"
 
 
 class Process:
-    """One schedulable process inside a partition.  ``multiplier`` stretches
-    its deadline budget (a timeout override)."""
+    """One schedulable process inside a partition.  ``multiplier`` (a timeout
+    override's Fraction, else the int 1) stretches the budget that fixes ``due_offset``."""
 
     __slots__ = (
         "process_id",
@@ -33,6 +32,7 @@ class Process:
         "time_capacity",
         "period",
         "multiplier",
+        "due_offset",
         "activation_time",
         "deadline_missed",
     )
@@ -45,11 +45,12 @@ class Process:
         self.time_capacity = time_capacity
         self.period = period
         self.multiplier = multiplier
+        self.due_offset = time_capacity * multiplier.numerator // multiplier.denominator + 1
         self.activation_time: int | None = None
         self.deadline_missed = False
 
 
-#: A process exceeded its (possibly override-stretched) time budget, a Fraction.
+#: A process exceeded its budget, time_capacity x multiplier (int or Fraction).
 DeadlineMiss = namedtuple("DeadlineMiss", "process_id elapsed budget")
 
 
@@ -59,13 +60,15 @@ class TimeModel:
     virtual_now = floor(raw_ticks / slowdown_factor), computed exactly in
     integers once per ``advance`` so e.g. factor 3/2 never drifts.
     ``costs`` is a scenario's loaded ``time.costs``: the raw ticks charged
-    per workload step and per sanitizer check.
+    per sanitizer check are read out of it here, once.
     """
 
-    def __init__(self, slowdown_factor: Fraction, costs: dict):
+    def __init__(self, slowdown_factor, costs: dict):
         self._num = slowdown_factor.numerator
         self._den = slowdown_factor.denominator
-        self.costs = costs
+        self._asan = costs["asan_check"]
+        self._msan = costs["msan_check"]
+        self._ub = costs["ub_check"]
         self.raw_ticks = 0
         self.virtual_now = 0
 
@@ -77,12 +80,11 @@ class TimeModel:
         ub_checks: int = 0,
     ) -> int:
         """Charge one step's work; returns the new virtual time."""
-        costs = self.costs
         self.raw_ticks += (
             step_base_cost
-            + asan_checks * costs["asan_check"]
-            + msan_checks * costs["msan_check"]
-            + ub_checks * costs["ub_check"]
+            + asan_checks * self._asan
+            + msan_checks * self._msan
+            + ub_checks * self._ub
         )
         self.virtual_now = self.raw_ticks * self._den // self._num
         return self.virtual_now
@@ -128,11 +130,10 @@ def deadline_due(process: Process) -> int | float:
     """The first virtual time at which ``check_deadline`` reports a miss of
     the process's current activation, or infinity when it cannot: not yet
     activated, or already missed.  Elapsed time is an integer, so
-    ``elapsed > budget`` holds exactly from ``floor(budget) + 1`` on."""
+    ``elapsed > budget`` holds exactly from its ``due_offset`` on."""
     if process.activation_time is None or process.deadline_missed:
         return math.inf
-    m = process.multiplier
-    return process.activation_time + process.time_capacity * m.numerator // m.denominator + 1
+    return process.activation_time + process.due_offset
 
 
 def check_deadline(process: Process, virtual_now: int) -> DeadlineMiss | None:

@@ -468,3 +468,59 @@ def run_msan_edge_cases(size, label=""):
         _assert_same_init(other, oracles[other], op_index + 1, f"{ctx} other")
         _assert_same_init(sibling, oracles[sibling], op_index + 1, f"{ctx} sibling")
     return tally
+
+
+def run_msan_flip_edges(rng, size, n_ops, label=""):
+    """Copies whose source span starts or ends exactly on a flip of its
+    shadow, each followed by a full compare of every shadow; returns the
+    outcome tally.  Before each copy the source snapshot's bytes are
+    compared with the oracle's.  Half the copies stay in the first shadow,
+    shifted by up to a span length so that most overlap their source; the
+    rest go to a second shadow, whose origin table differs, or a third,
+    which shares the first's.  Half the destinations start or end on a flip
+    too.  A fifth of the ops mark or unmark a random span to make new
+    flips."""
+    shared = ([None], {})
+    main, sibling = InitShadow(3, size, shared), InitShadow(5, size, shared)
+    other = InitShadow(4, size)
+    oracles = {main: InitOracle(size), other: InitOracle(size), sibling: InitOracle(size)}
+    tally = Counter()
+    for op_index in range(n_ops):
+        ctx = f"{label} flip#{op_index}"
+        src = rng.choice((main, main, other, sibling))
+        if len(src._edges) < 2 or rng.random() < 0.2:
+            start = rng.randrange(size)
+            length = rng.randint(1, min(16, size - start))
+            origin = rng.choice(ORIGIN_POOL)
+            if rng.random() < 0.5:
+                force = rng.random() < 0.5
+                src.mark_initialized(start, length, origin, force=force)
+                oracles[src].mark(start, length, origin, force=force)
+            else:
+                src.set_uninitialized(start, length, origin=origin)
+                oracles[src].set_uninit(start, length, origin=origin)
+            tally["flips_made"] += 1
+        else:
+            flip = rng.choice(src._edges)
+            length = rng.choice((1, 2, 3, rng.randint(1, max(1, size // 4))))
+            src_start = flip if rng.random() < 0.5 else flip - length
+            src_start = min(max(src_start, 0), size - length)
+            tally["src_on_flip"] += flip in (src_start, src_start + length)
+            bits, _ = src.snapshot(src_start, length)
+            want = bytes(oracles[src].bits[src_start : src_start + length])
+            assert bytes(bits) == want, f"{ctx}: snapshot({src_start}, {length}) differs"
+            dst_shadow = src if rng.random() < 0.5 else rng.choice((main, other, sibling))
+            if dst_shadow._edges and rng.random() < 0.5:
+                dst_flip = rng.choice(dst_shadow._edges)
+                dst = dst_flip if rng.random() < 0.5 else dst_flip - length
+            else:
+                dst = src_start + rng.randint(-length, length)
+            dst = min(max(dst, 0), size - length)
+            tally["dst_on_flip"] += any(e in (dst, dst + length) for e in dst_shadow._edges)
+            tally["overlap"] += dst_shadow is src and abs(dst - src_start) < length
+            tally["copy_across"] += dst_shadow is not src
+            copy_propagate(src, src_start, dst, length, dst_shadow)
+            oracles[dst_shadow].copy(oracles[src], src_start, dst, length)
+        for shadow, name in ((main, "main"), (other, "other"), (sibling, "sibling")):
+            _assert_same_init(shadow, oracles[shadow], op_index + 1, f"{ctx} {name}")
+    return tally

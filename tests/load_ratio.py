@@ -1,7 +1,7 @@
-"""Scenario load time over ``json.loads`` time, and build time, for two
-versions of partsan.
+"""Scenario load time over ``json.loads`` time, and build and run time, for
+two versions of partsan.
 
-    python tests/load_ratio.py SRC_A SRC_B [--seed S] [--repeat N] [--json FILE]
+    python tests/load_ratio.py SRC_A SRC_B [--seed S] [--repeat N] [--cpu] [--json FILE]
 
 SRC_A and SRC_B are two ``src`` directories, such as a parent's and a
 change's.  Each workload of ``perfbench/workloads.py`` is generated at seed
@@ -9,14 +9,24 @@ S (default 1).  Both versions are imported into this one process, each
 under its own ``sys.modules`` entries, and timed alternately in rounds:
 ``json.loads`` of every text of the workload, then, by A and by B, A first
 in even rounds and B first in odd ones, ``load_scenario_text`` of every
-text and ``Simulator(...)`` of every scenario that version loaded.  Each
-keeps its best of N rounds (default 7), after one untimed round that lets
-each version's lazy set-up finish.  It prints the seconds, each version's
-ratio of its load to ``json.loads``, and B's load and build times over A's;
-``--json`` also writes them to FILE.
+text, ``Simulator(...)`` of every scenario that version loaded and
+``Simulator.run()`` of every simulator it built.  Each keeps its best of N
+rounds (default 7), after one untimed round that lets each version's lazy
+set-up finish.  It prints the seconds, each version's ratio of its load to
+``json.loads``, and B's load, build and run times over A's; ``--json`` also
+writes them to FILE.
 
 Timings of separate processes on a shared host are bimodal, so two
 versions are compared here inside one process, not in one process each.
+``--cpu`` times by ``time.process_time``, this process's CPU time, instead
+of the wall clock, so that time the host gives other jobs is not counted;
+their contention for caches and memory still is.  On a shared 2-vCPU host
+(Python 3.11), three invocations of one version against itself read a
+``step_mix`` run B/A of 0.985 to 0.997 by CPU time and 0.995 to 1.018 by
+wall clock, and one more by CPU time, while other jobs ran, read 1.087.
+A change that cut the benchmark's ``step_mix`` run_s by 8 % read 0.87 to
+0.94 against its parent by either clock.  A difference of a few per cent
+needs several invocations.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ import argparse
 import gc
 import importlib
 import json
+import operator
 import sys
 import time
 from pathlib import Path
@@ -52,31 +63,45 @@ def import_version(src, *names):
         sys.modules.update(before)
 
 
-def _seconds(call, items):
+def _seconds(call, items, clock=time.perf_counter):
     gc.collect()
-    t0 = time.perf_counter()
+    t0 = clock()
     for item in items:
         call(item)
-    return time.perf_counter() - t0
+    return clock() - t0
 
 
-def measure(versions, texts, repeat):
+def _timed(call, items, clock=time.perf_counter):
+    """Seconds by ``clock`` that ``call`` takes over ``items``, and its
+    results, which are kept."""
+    gc.collect()
+    t0 = clock()
+    results = [call(item) for item in items]
+    return clock() - t0, results
+
+
+def measure(versions, texts, repeat, clock=time.perf_counter):
     """Best seconds of ``json.loads`` over ``texts``, and of each version's
-    load of them and build of the scenarios it loaded, as ``json``,
-    ``A_load``, ``A_build`` and so on."""
+    load of them, build of the scenarios it loaded and run of the
+    simulators it built, as ``json``, ``A_load``, ``A_build``, ``A_run`` and
+    so on."""
+    run = operator.methodcaller("run")
     loaded = {}
     for label, (load, build) in versions.items():
         loaded[label] = [load(text) for text in texts]
         for scenario in loaded[label]:
-            build(scenario)
+            build(scenario).run()
     best = {"json": float("inf")}
     for round_ in range(repeat):
         order = VERSIONS if round_ % 2 == 0 else VERSIONS[::-1]
-        best["json"] = min(best["json"], _seconds(json.loads, texts))
+        best["json"] = min(best["json"], _seconds(json.loads, texts, clock))
         for label in order:
             load, build = versions[label]
-            for key, seconds in (("load", _seconds(load, texts)),
-                                 ("build", _seconds(build, loaded[label]))):
+            load_s = _seconds(load, texts, clock)
+            build_s, simulators = _timed(build, loaded[label], clock)
+            run_s = _seconds(run, simulators, clock)
+            del simulators
+            for key, seconds in (("load", load_s), ("build", build_s), ("run", run_s)):
                 key = f"{label}_{key}"
                 best[key] = min(best.get(key, seconds), seconds)
     return best
@@ -88,6 +113,8 @@ def main(argv):
     parser.add_argument("src_b", type=Path)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=7)
+    parser.add_argument("--cpu", action="store_true",
+                        help="time by this process's CPU time, not by the wall clock")
     parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
     srcs = {"A": args.src_a.resolve(), "B": args.src_b.resolve()}
@@ -109,11 +136,12 @@ def main(argv):
             del sys.modules[name]
         sys.modules.update(saved)
 
-    print(f"in process, best of {args.repeat}, seed {args.seed}, "
+    clock = time.process_time if args.cpu else time.perf_counter
+    print(f"in process, best of {args.repeat} by {clock.__name__}, seed {args.seed}, "
           f"A={srcs['A']} and B={srcs['B']} alternating")
     rows = {}
     for name, workload in texts.items():
-        best = measure(versions, workload, args.repeat)
+        best = measure(versions, workload, args.repeat, clock)
         rows[name] = row = {
             "scenarios": len(workload),
             "best_s": best,
@@ -121,6 +149,7 @@ def main(argv):
             "B_over_json": best["B_load"] / best["json"],
             "load_B_over_A": best["B_load"] / best["A_load"],
             "build_B_over_A": best["B_build"] / best["A_build"],
+            "run_B_over_A": best["B_run"] / best["A_run"],
         }
         print(
             f"{name:14} json {best['json']:.4f} s\n"
@@ -128,11 +157,14 @@ def main(argv):
             f"B {best['B_load']:.4f} s ({row['B_over_json']:.2f}x)   "
             f"B/A {row['load_B_over_A']:.3f}\n"
             f"  build  A {best['A_build']:.4f} s   B {best['B_build']:.4f} s   "
-            f"B/A {row['build_B_over_A']:.3f}",
+            f"B/A {row['build_B_over_A']:.3f}\n"
+            f"  run    A {best['A_run']:.4f} s   B {best['B_run']:.4f} s   "
+            f"B/A {row['run_B_over_A']:.3f}",
             flush=True,
         )
     if args.json is not None:
         result = {"python": sys.version.split()[0], "seed": args.seed, "repeat": args.repeat,
+                  "clock": clock.__name__,
                   "src": {label: str(src) for label, src in srcs.items()}, "workloads": rows}
         args.json.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -695,7 +695,7 @@ def _guest_state(sim):
     state = []
     for mem in sim.partitions.values():
         bits, (table, _, inner, ids) = mem.init_shadow.snapshot(0, mem.size_bytes)
-        state.append((bytes(mem.data), bits, tuple(inner), tuple(table[i] for i in ids)))
+        state.append((bytes(mem.data), bytes(bits), tuple(inner), tuple(table[i] for i in ids)))
     for port in sim.ports.values():
         state.append(tuple(port.queue) if hasattr(port, "queue") else port.latest)
     return state

@@ -13,7 +13,7 @@ from partsan.msan_shadow import (
     unpoison_padding,
 )
 
-from equivalence import run_msan_edge_cases, run_msan_equivalence
+from equivalence import run_msan_edge_cases, run_msan_equivalence, run_msan_flip_edges
 from oracles import InitOracle
 
 
@@ -41,12 +41,12 @@ def test_check_reports_first_unwritten_byte_and_origin():
 def test_check_is_pure_and_counts():
     s = InitShadow(1, 16)
     s.mark_initialized(4, 4, "write:w0")
-    before = s.snapshot(0, 16)[0], list(s._edges)
+    before = bytes(s.snapshot(0, 16)[0]), list(s._edges)
     assert s.checks_performed == 0
     s.check(0, 16, "ARITH")
     s.check(4, 4, "ARITH")
     assert s.checks_performed == 2
-    assert (s.snapshot(0, 16)[0], s._edges) == before
+    assert (bytes(s.snapshot(0, 16)[0]), s._edges) == before
 
 
 def test_mark_initialized_force_retags_nonforce_preserves():
@@ -193,7 +193,7 @@ def test_snapshot_into_another_shadow_keeps_every_label():
     assert [other.origin_at(32 + i) for i in range(64)] == [
         s.origin_at(i) for i in range(64)
     ]
-    assert other.snapshot(32, 64)[0] == s.snapshot(0, 64)[0]
+    assert bytes(other.snapshot(32, 64)[0]) == bytes(s.snapshot(0, 64)[0])
     assert other.origin_at(0) == other.origin_at(127) == "write:first"
 
 
@@ -219,7 +219,7 @@ def test_unforced_mark_over_alternating_bytes(start, end):
         oracle.mark(i, 1, f"write:{i}")
     s.mark_initialized(start, end - start, "annotation", force=False)
     oracle.mark(start, end - start, "annotation", force=False)
-    assert s.snapshot(0, 16)[0] == bytes(oracle.bits)
+    assert bytes(s.snapshot(0, 16)[0]) == bytes(oracle.bits)
     assert [s.origin_at(i) for i in range(16)] == oracle.origins
 
 
@@ -259,7 +259,7 @@ def test_snapshot_bits_have_one_byte_per_span_byte():
     for start, length in ((0, 0), (0, 8), (8, 12), (0, 64), (5, 17), (21, 43), (63, 1)):
         bits, _ = s.snapshot(start, length)
         assert len(bits) == length
-        assert list(bits) == [s.is_initialized(i) for i in range(start, start + length)]
+        assert list(bytes(bits)) == [s.is_initialized(i) for i in range(start, start + length)]
 
 
 def test_a_large_snapshot_holds_its_labels_in_runs():
@@ -270,13 +270,41 @@ def test_a_large_snapshot_holds_its_labels_in_runs():
     tracemalloc.start()
     try:
         bits, labels = s.snapshot(1000, 1 << 18)
-        del bits
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert held < 4096
+    assert len(bits) == 1 << 18 and len(bits.offsets) == 16
     other = InitShadow(2, 1 << 20)
     copy_propagate(s, 1000, 5000, 1 << 18, other)
     assert [other.origin_at(5000 + i) for i in range(0, 1 << 18, 997)] == [
         s.origin_at(1000 + i) for i in range(0, 1 << 18, 997)
     ]
+
+
+def test_a_large_copy_holds_nothing_per_copied_byte():
+    s = InitShadow(1, 1 << 20)
+    s.set_uninitialized(0, 1 << 20, origin="alloc:big")
+    s.mark_initialized(1000, 5000, "write:w")
+    assert s._edges == [1000, 6000]
+    tracemalloc.start()
+    try:
+        copy_propagate(s, 0, 1 << 19, 1 << 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one shadow byte per copied byte would take 256 KiB
+    assert peak < 16 * 1024
+    assert s._edges == [1000, 6000, (1 << 19) + 1000, (1 << 19) + 6000]
+    assert bytes(s.snapshot(1 << 19, 1 << 18)[0]) == bytes(s.snapshot(0, 1 << 18)[0])
+    assert s.origin_at((1 << 19) + 999) == "alloc:big"
+    assert s.origin_at((1 << 19) + 1000) == "write:w"
+
+
+def test_oracle_equivalence_at_flips():
+    # spans that start or end exactly on a flip, copied within one shadow
+    # (overlapping) and into others, onto destinations that do the same
+    for size in (64, 257, 1024):
+        tally = run_msan_flip_edges(random.Random(size), size, 600, label=f"size={size}")
+        assert tally["src_on_flip"] > 200 and tally["dst_on_flip"] > 100
+        assert tally["overlap"] > 50 and tally["copy_across"] > 50

@@ -89,6 +89,23 @@ def test_time_model_fractional_factor_never_drifts():
                 assert model.virtual_now == want
 
 
+def test_time_model_charges_the_check_costs_it_was_built_with():
+    # random nonzero check costs and a p/q slowdown: raw ticks are the plain
+    # sum of every charge, virtual time ref_virtual of it
+    rng = random.Random(30)
+    for _ in range(40):
+        costs = {key: rng.randint(1, 9) for key in ("asan_check", "msan_check", "ub_check")}
+        factor = Fraction(rng.randint(1, 12), rng.randint(1, 12))
+        model = _time_model(f"{factor.numerator}/{factor.denominator}", **costs)
+        raw = 0
+        for _ in range(100):
+            base, checks = rng.randint(0, 5), [rng.randint(0, 3) for _ in range(3)]
+            virtual = model.advance(base, *checks)
+            raw += base + sum(n * costs[key] for n, key in zip(checks, costs))
+            assert model.raw_ticks == raw
+            assert virtual == model.virtual_now == ref_virtual(raw, factor)
+
+
 def _frame(frame_len, *windows):
     """The loaded major frame of ``(partition, start, length)`` windows."""
     time = {
@@ -259,7 +276,8 @@ def test_deadline_due_is_the_first_missing_time():
 def test_integer_deadline_arithmetic_agrees_with_the_fraction_definition():
     # a miss is elapsed > time_capacity x multiplier, compared as Fractions;
     # deadline_due and check_deadline compute it in integers
-    multipliers = (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(7, 3))
+    # the int 1 is the multiplier of a process without a timeout override
+    multipliers = (1, Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(7, 3))
     for capacity, multiplier in itertools.product(range(1, 41), multipliers):
         budget = capacity * multiplier
         for activation in (0, 1, 13, 10**12):
@@ -273,7 +291,11 @@ def test_integer_deadline_arithmetic_agrees_with_the_fraction_definition():
                 assert (activation + elapsed >= due) == (elapsed > budget)
                 if miss is not None:
                     assert miss.elapsed == elapsed
-                    assert type(miss.budget) is Fraction and miss.budget == budget
+                    assert type(miss.budget) is type(multiplier) and miss.budget == budget
+    # the harness prints str(budget): the same text for either form of 1
+    for multiplier in (1, Fraction(1)):
+        assert str(check_deadline(_activated(50, multiplier), 51).budget) == "50"
+    assert str(check_deadline(_activated(3, Fraction(3, 2)), 5).budget) == "9/2"
 
 
 def test_check_deadline_reports_once_per_activation():
