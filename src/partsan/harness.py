@@ -227,7 +227,7 @@ class Simulator:
     def run(self) -> RunReport:
         executors, model = self._EXECUTORS, self.model
         partitions, redispatch = self.partitions, self._redispatch
-        advance, base_step = model.advance, self.scenario.time["costs"]["base_step"]
+        advance, base_step = model.advance, model.base_step
         for index, step in enumerate(self.scenario.workload):
             self._step_index = index
             op = step["op"]

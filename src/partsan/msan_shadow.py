@@ -39,7 +39,7 @@ __all__ = [
 class Flips:
     """A span's initialization state as ``snapshot`` takes it: ``first`` (1 =
     initialized) at its first byte, the ``offsets`` from its start where it
-    flips, and its ``length``, its ``len()``; ``bytes()`` is its per-byte form."""
+    flips, and its ``length``, its ``len()``."""
 
     __slots__ = ("first", "offsets", "length")
 
@@ -50,11 +50,6 @@ class Flips:
 
     def __len__(self) -> int:
         return self.length
-
-    def __bytes__(self) -> bytes:
-        bounds = (0, *self.offsets, self.length)
-        spans = enumerate(zip(bounds, bounds[1:]))
-        return b"".join(bytes([self.first ^ k & 1]) * (b - a) for k, (a, b) in spans)
 
 
 class InitShadow:
@@ -157,11 +152,13 @@ class InitShadow:
         if force:
             self._splice(start, end, 1, (), (start,), (oid,))
             return
-        # fill every other segment the flips cut the span into, from the first uninitialized
+        # fill each uninitialized segment: the span's flips cut it into
+        # segments that alternate from the state at ``start``
         edges = self._edges
         i = bisect(edges, start)
-        bounds = [start, *edges[i : bisect_left(edges, end, i)], end][i & 1 :]
-        for a, b in zip(bounds[::2], bounds[1::2]):
+        bounds = [start, *edges[i : bisect_left(edges, end, i)], end]
+        first = i & 1
+        for a, b in zip(bounds[first::2], bounds[first + 1 :: 2]):
             self._splice(a, b, 1, (), (a,), (oid,))
 
     # -- queries ----------------------------------------------------------------

@@ -60,7 +60,7 @@ class TimeModel:
     virtual_now = floor(raw_ticks / slowdown_factor), computed exactly in
     integers once per ``advance`` so e.g. factor 3/2 never drifts.
     ``costs`` is a scenario's loaded ``time.costs``: the raw ticks charged
-    per sanitizer check are read out of it here, once.
+    per workload step and per sanitizer check are read out of it here, once.
     """
 
     def __init__(self, slowdown_factor, costs: dict):
@@ -69,6 +69,7 @@ class TimeModel:
         self._asan = costs["asan_check"]
         self._msan = costs["msan_check"]
         self._ub = costs["ub_check"]
+        self.base_step = costs["base_step"]
         self.raw_ticks = 0
         self.virtual_now = 0
 

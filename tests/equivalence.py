@@ -27,6 +27,7 @@ from oracles import (
     InitOracle,
     OracleBoundsError,
     OracleEncodingError,
+    snapshot_bytes,
 )
 
 POISON_CODES = tuple(POISON_KINDS)
@@ -306,7 +307,7 @@ def _assert_same_init(shadow: InitShadow, oracle: InitOracle, ops: int, label: s
     are well formed and number at most two per operation so far (the runs
     one more)."""
     bits, _ = shadow.snapshot(0, shadow.size)
-    assert bytes(bits) == bytes(oracle.bits), f"{label}: init bits differ"
+    assert snapshot_bytes(bits) == bytes(oracle.bits), f"{label}: init bits differ"
     got = [shadow.origin_at(i) for i in range(oracle.size)]
     assert got == oracle.origins, f"{label}: origin labels differ"
     edges = shadow._edges
@@ -508,7 +509,7 @@ def run_msan_flip_edges(rng, size, n_ops, label=""):
             tally["src_on_flip"] += flip in (src_start, src_start + length)
             bits, _ = src.snapshot(src_start, length)
             want = bytes(oracles[src].bits[src_start : src_start + length])
-            assert bytes(bits) == want, f"{ctx}: snapshot({src_start}, {length}) differs"
+            assert snapshot_bytes(bits) == want, f"{ctx}: snapshot({src_start}, {length}) differs"
             dst_shadow = src if rng.random() < 0.5 else rng.choice((main, other, sibling))
             if dst_shadow._edges and rng.random() < 0.5:
                 dst_flip = rng.choice(dst_shadow._edges)

@@ -1,7 +1,7 @@
 """Scenario load time over ``json.loads`` time, and build and run time, for
 two versions of partsan.
 
-    python tests/load_ratio.py SRC_A SRC_B [--seed S] [--repeat N] [--cpu] [--json FILE]
+    python tests/load_ratio.py SRC_A SRC_B [--seed S] [--repeat N] [--json FILE]
 
 SRC_A and SRC_B are two ``src`` directories, such as a parent's and a
 change's.  Each workload of ``perfbench/workloads.py`` is generated at seed
@@ -18,15 +18,15 @@ writes them to FILE.
 
 Timings of separate processes on a shared host are bimodal, so two
 versions are compared here inside one process, not in one process each.
-``--cpu`` times by ``time.process_time``, this process's CPU time, instead
-of the wall clock, so that time the host gives other jobs is not counted;
-their contention for caches and memory still is.  On a shared 2-vCPU host
-(Python 3.11), three invocations of one version against itself read a
-``step_mix`` run B/A of 0.985 to 0.997 by CPU time and 0.995 to 1.018 by
-wall clock, and one more by CPU time, while other jobs ran, read 1.087.
-A change that cut the benchmark's ``step_mix`` run_s by 8 % read 0.87 to
-0.94 against its parent by either clock.  A difference of a few per cent
-needs several invocations.
+Times are by the wall clock, ``time.perf_counter``.  This process's CPU
+time, ``time.process_time``, was tried and is no steadier, since other
+jobs' contention for caches and memory still counts: on a shared 2-vCPU
+host (Python 3.11), three invocations of one version against itself read
+a ``step_mix`` run B/A of 0.985 to 0.997 by CPU time and 0.995 to 1.018
+by wall clock, and one more by CPU time, while other jobs ran, read
+1.087.  A change that cut the benchmark's ``step_mix`` run_s by 8 % read
+0.87 to 0.94 against its parent by either clock.  A difference of a few
+per cent needs several invocations.
 """
 
 from __future__ import annotations
@@ -63,24 +63,15 @@ def import_version(src, *names):
         sys.modules.update(before)
 
 
-def _seconds(call, items, clock=time.perf_counter):
+def _seconds(call, items):
+    """Seconds that ``call`` takes over ``items``, and its results."""
     gc.collect()
-    t0 = clock()
-    for item in items:
-        call(item)
-    return clock() - t0
-
-
-def _timed(call, items, clock=time.perf_counter):
-    """Seconds by ``clock`` that ``call`` takes over ``items``, and its
-    results, which are kept."""
-    gc.collect()
-    t0 = clock()
+    t0 = time.perf_counter()
     results = [call(item) for item in items]
-    return clock() - t0, results
+    return time.perf_counter() - t0, results
 
 
-def measure(versions, texts, repeat, clock=time.perf_counter):
+def measure(versions, texts, repeat):
     """Best seconds of ``json.loads`` over ``texts``, and of each version's
     load of them, build of the scenarios it loaded and run of the
     simulators it built, as ``json``, ``A_load``, ``A_build``, ``A_run`` and
@@ -94,12 +85,12 @@ def measure(versions, texts, repeat, clock=time.perf_counter):
     best = {"json": float("inf")}
     for round_ in range(repeat):
         order = VERSIONS if round_ % 2 == 0 else VERSIONS[::-1]
-        best["json"] = min(best["json"], _seconds(json.loads, texts, clock))
+        best["json"] = min(best["json"], _seconds(json.loads, texts)[0])
         for label in order:
             load, build = versions[label]
-            load_s = _seconds(load, texts, clock)
-            build_s, simulators = _timed(build, loaded[label], clock)
-            run_s = _seconds(run, simulators, clock)
+            load_s = _seconds(load, texts)[0]
+            build_s, simulators = _seconds(build, loaded[label])
+            run_s = _seconds(run, simulators)[0]
             del simulators
             for key, seconds in (("load", load_s), ("build", build_s), ("run", run_s)):
                 key = f"{label}_{key}"
@@ -113,8 +104,6 @@ def main(argv):
     parser.add_argument("src_b", type=Path)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--repeat", type=int, default=7)
-    parser.add_argument("--cpu", action="store_true",
-                        help="time by this process's CPU time, not by the wall clock")
     parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
     srcs = {"A": args.src_a.resolve(), "B": args.src_b.resolve()}
@@ -136,12 +125,11 @@ def main(argv):
             del sys.modules[name]
         sys.modules.update(saved)
 
-    clock = time.process_time if args.cpu else time.perf_counter
-    print(f"in process, best of {args.repeat} by {clock.__name__}, seed {args.seed}, "
+    print(f"in process, best of {args.repeat}, seed {args.seed}, "
           f"A={srcs['A']} and B={srcs['B']} alternating")
     rows = {}
     for name, workload in texts.items():
-        best = measure(versions, workload, args.repeat, clock)
+        best = measure(versions, workload, args.repeat)
         rows[name] = row = {
             "scenarios": len(workload),
             "best_s": best,
@@ -164,7 +152,6 @@ def main(argv):
         )
     if args.json is not None:
         result = {"python": sys.version.split()[0], "seed": args.seed, "repeat": args.repeat,
-                  "clock": clock.__name__,
                   "src": {label: str(src) for label, src in srcs.items()}, "workloads": rows}
         args.json.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
     return 0

@@ -293,3 +293,14 @@ def ref_dispatch(ready):
 def ref_virtual(raw, factor):
     """floor(raw / factor) evaluated through Fraction division and floor."""
     return math.floor(Fraction(raw) / Fraction(factor))
+
+
+def snapshot_bytes(bits):
+    """A snapshot's bits one byte per span byte, 1 where initialized: a
+    ``Flips`` record (state at the start, flip offsets, length) expanded,
+    or per-byte ``bytes``, as older versions return them, unchanged."""
+    if isinstance(bits, bytes):
+        return bits
+    bounds = (0, *bits.offsets, bits.length)
+    spans = enumerate(zip(bounds, bounds[1:]))
+    return b"".join(bytes([bits.first ^ k & 1]) * (b - a) for k, (a, b) in spans)

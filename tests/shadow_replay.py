@@ -27,6 +27,7 @@ from functools import partial
 from pathlib import Path
 
 from load_ratio import VERSIONS, _seconds, import_version
+from oracles import snapshot_bytes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = ("step_mix", "big_partition")
@@ -173,7 +174,7 @@ def state(shadow):
     through methods every version has."""
     bits, _ = shadow.snapshot(0, shadow.size)
     origins = [shadow.origin_at(i) for i in range(shadow.size)]
-    return bytes(bits), origins, shadow.checks_performed
+    return snapshot_bytes(bits), origins, shadow.checks_performed
 
 
 def time_streams(path, srcs, repeat=7):
@@ -192,7 +193,7 @@ def time_streams(path, srcs, repeat=7):
         best = dict.fromkeys(VERSIONS, float("inf"))
         for round_ in range(repeat):
             for label in VERSIONS if round_ % 2 == 0 else VERSIONS[::-1]:
-                best[label] = min(best[label], _seconds(*runs[label]))
+                best[label] = min(best[label], _seconds(*runs[label])[0])
         print(f"{name}: {len(calls)} calls, best of {repeat}: A {best['A']:.6f} s, "
               f"B {best['B']:.6f} s, B/A {best['B'] / best['A']:.3f}", flush=True)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 import schedule_differential  # the test directory is on sys.path
+from oracles import snapshot_bytes
 from report_json import parse_report_json
 
 from partsan import scenario as scenario_module
@@ -695,7 +696,8 @@ def _guest_state(sim):
     state = []
     for mem in sim.partitions.values():
         bits, (table, _, inner, ids) = mem.init_shadow.snapshot(0, mem.size_bytes)
-        state.append((bytes(mem.data), bytes(bits), tuple(inner), tuple(table[i] for i in ids)))
+        origins = tuple(table[i] for i in ids)
+        state.append((bytes(mem.data), snapshot_bytes(bits), tuple(inner), origins))
     for port in sim.ports.values():
         state.append(tuple(port.queue) if hasattr(port, "queue") else port.latest)
     return state

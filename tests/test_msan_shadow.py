@@ -14,7 +14,7 @@ from partsan.msan_shadow import (
 )
 
 from equivalence import run_msan_edge_cases, run_msan_equivalence, run_msan_flip_edges
-from oracles import InitOracle
+from oracles import InitOracle, snapshot_bytes
 
 
 def test_fresh_shadow_is_fully_uninitialized():
@@ -41,12 +41,12 @@ def test_check_reports_first_unwritten_byte_and_origin():
 def test_check_is_pure_and_counts():
     s = InitShadow(1, 16)
     s.mark_initialized(4, 4, "write:w0")
-    before = bytes(s.snapshot(0, 16)[0]), list(s._edges)
+    before = snapshot_bytes(s.snapshot(0, 16)[0]), list(s._edges)
     assert s.checks_performed == 0
     s.check(0, 16, "ARITH")
     s.check(4, 4, "ARITH")
     assert s.checks_performed == 2
-    assert (bytes(s.snapshot(0, 16)[0]), s._edges) == before
+    assert (snapshot_bytes(s.snapshot(0, 16)[0]), s._edges) == before
 
 
 def test_mark_initialized_force_retags_nonforce_preserves():
@@ -193,7 +193,7 @@ def test_snapshot_into_another_shadow_keeps_every_label():
     assert [other.origin_at(32 + i) for i in range(64)] == [
         s.origin_at(i) for i in range(64)
     ]
-    assert bytes(other.snapshot(32, 64)[0]) == bytes(s.snapshot(0, 64)[0])
+    assert snapshot_bytes(other.snapshot(32, 64)[0]) == snapshot_bytes(s.snapshot(0, 64)[0])
     assert other.origin_at(0) == other.origin_at(127) == "write:first"
 
 
@@ -219,7 +219,7 @@ def test_unforced_mark_over_alternating_bytes(start, end):
         oracle.mark(i, 1, f"write:{i}")
     s.mark_initialized(start, end - start, "annotation", force=False)
     oracle.mark(start, end - start, "annotation", force=False)
-    assert bytes(s.snapshot(0, 16)[0]) == bytes(oracle.bits)
+    assert snapshot_bytes(s.snapshot(0, 16)[0]) == bytes(oracle.bits)
     assert [s.origin_at(i) for i in range(16)] == oracle.origins
 
 
@@ -259,7 +259,8 @@ def test_snapshot_bits_have_one_byte_per_span_byte():
     for start, length in ((0, 0), (0, 8), (8, 12), (0, 64), (5, 17), (21, 43), (63, 1)):
         bits, _ = s.snapshot(start, length)
         assert len(bits) == length
-        assert list(bytes(bits)) == [s.is_initialized(i) for i in range(start, start + length)]
+        want = [s.is_initialized(i) for i in range(start, start + length)]
+        assert list(snapshot_bytes(bits)) == want
 
 
 def test_a_large_snapshot_holds_its_labels_in_runs():
@@ -296,7 +297,8 @@ def test_a_large_copy_holds_nothing_per_copied_byte():
     # one shadow byte per copied byte would take 256 KiB
     assert peak < 16 * 1024
     assert s._edges == [1000, 6000, (1 << 19) + 1000, (1 << 19) + 6000]
-    assert bytes(s.snapshot(1 << 19, 1 << 18)[0]) == bytes(s.snapshot(0, 1 << 18)[0])
+    copied = s.snapshot(1 << 19, 1 << 18)[0]
+    assert snapshot_bytes(copied) == snapshot_bytes(s.snapshot(0, 1 << 18)[0])
     assert s.origin_at((1 << 19) + 999) == "alloc:big"
     assert s.origin_at((1 << 19) + 1000) == "write:w"
 

@@ -11,6 +11,8 @@ from partsan.ports import QueueingPort, SamplingPort, Validity
 from partsan.scenario import load_scenario
 from partsan.violations import ViolationError
 
+from oracles import snapshot_bytes
+
 
 def _memory(partition_id, label="buf", size=32, origins=None):
     mem = PartitionMemory(partition_id, 512, origins=origins)
@@ -192,7 +194,7 @@ def test_a_sent_message_holds_its_own_immutable_copy():
     src_mem.checked_write(base, b"\x09\x09\x09")
     msg = port.queue[0]
     assert type(msg.payload) is bytes and msg.payload == b"\x01\x02\x03"
-    assert bytes(msg.init_bits) == b"\x01\x01\x01"
+    assert snapshot_bytes(msg.init_bits) == b"\x01\x01\x01"
     port.receive(dst_mem, dst_mem.region("buf").base, now=1)
     assert dst_mem.checked_read(dst_mem.region("buf").base, 3) == b"\x01\x02\x03"
 
