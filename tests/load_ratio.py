@@ -40,6 +40,8 @@ import sys
 import time
 from pathlib import Path
 
+from bench_pairs import order
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 VERSIONS = ("A", "B")
 
@@ -84,9 +86,8 @@ def measure(versions, texts, repeat):
             build(scenario).run()
     best = {"json": float("inf")}
     for round_ in range(repeat):
-        order = VERSIONS if round_ % 2 == 0 else VERSIONS[::-1]
         best["json"] = min(best["json"], _seconds(json.loads, texts)[0])
-        for label in order:
+        for label in order(VERSIONS, round_):
             load, build = versions[label]
             load_s = _seconds(load, texts)[0]
             build_s, simulators = _seconds(build, loaded[label])

@@ -26,6 +26,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
+from bench_pairs import order
 from load_ratio import VERSIONS, _seconds, import_version
 from oracles import snapshot_bytes
 
@@ -192,7 +193,7 @@ def time_streams(path, srcs, repeat=7):
             _seconds(*run)
         best = dict.fromkeys(VERSIONS, float("inf"))
         for round_ in range(repeat):
-            for label in VERSIONS if round_ % 2 == 0 else VERSIONS[::-1]:
+            for label in order(VERSIONS, round_):
                 best[label] = min(best[label], _seconds(*runs[label])[0])
         print(f"{name}: {len(calls)} calls, best of {repeat}: A {best['A']:.6f} s, "
               f"B {best['B']:.6f} s, B/A {best['B'] / best['A']:.3f}", flush=True)

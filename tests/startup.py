@@ -30,15 +30,15 @@ results to FILE.
 
 from __future__ import annotations
 
+import argparse
 import json
-import os
-import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from bench_pairs import copy_tree, environment, order, spread
 
 COMMANDS = {
     "bare": ["-c", "pass"],
@@ -46,20 +46,6 @@ COMMANDS = {
     "run_all": ["-m", "partsan", "run-all"],
 }
 SETTINGS = ("warm", "cold")
-
-
-def _env(src, setting, cache):
-    env = {
-        key: value
-        for key, value in os.environ.items()
-        if key not in ("PYTHONPATH", "PYTHONPYCACHEPREFIX", "PYTHONDONTWRITEBYTECODE")
-    }
-    env["PYTHONPATH"] = str(src)
-    if setting == "warm":
-        env["PYTHONPYCACHEPREFIX"] = str(cache)
-    else:
-        env["PYTHONDONTWRITEBYTECODE"] = "1"
-    return env
 
 
 def _run(args, env, cwd):
@@ -91,52 +77,38 @@ def _self_times(stderr):
     return times
 
 
-def _order(srcs, round_):
-    """The labels of ``srcs``, reversed in odd rounds."""
-    labels = list(srcs)
-    return labels if round_ % 2 == 0 else labels[::-1]
-
-
 def measure(srcs, repeat):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        copies = {}
-        for label, src in srcs.items():
-            copies[label] = tmp / label / "src"
-            shutil.copytree(src, copies[label], ignore=shutil.ignore_patterns("__pycache__"))
+        copies = {
+            label: copy_tree({"src": src}, tmp / label) / "src" for label, src in srcs.items()
+        }
         samples = {
             setting: {label: {name: [] for name in COMMANDS} for label in srcs}
             for setting in SETTINGS
         }
         for setting in SETTINGS:
             envs = {
-                label: _env(copy, setting, tmp / label / "cache") for label, copy in copies.items()
+                label: {**environment(tmp / label / "cache" if setting == "warm" else None),
+                        "PYTHONPATH": str(copy)}
+                for label, copy in copies.items()
             }
             for label in srcs:  # fill the warm caches; check every command runs
                 for args in COMMANDS.values():
                     _run(args, envs[label], tmp)
             for round_ in range(repeat):
                 for name, args in COMMANDS.items():
-                    for label in _order(srcs, round_):
+                    for label in order(srcs, round_):
                         elapsed, _ = _run(args, envs[label], tmp)
                         samples[setting][label][name].append(elapsed)
         modules = {label: {} for label in srcs}
         for round_ in range(repeat):
-            for label in _order(srcs, round_):
-                env = _env(copies[label], "warm", tmp / label / "cache")
+            for label in order(srcs, round_):
+                env = {**environment(tmp / label / "cache"), "PYTHONPATH": str(copies[label])}
                 _, stderr = _run(["-X", "importtime", *COMMANDS["import"]], env, tmp)
                 for name, own in _self_times(stderr).items():
                     modules[label][name] = min(modules[label].get(name, own), own)
     return samples, modules
-
-
-def spread(values):
-    """Best, median and interquartile range of ``values``."""
-    if len(values) < 2:
-        q1 = q3 = values[0]
-    else:
-        q1, _, q3 = statistics.quantiles(values, n=4)
-    return {"best": min(values), "median": statistics.median(values), "iqr": q3 - q1}
 
 
 def summary(samples):
@@ -154,15 +126,14 @@ def summary(samples):
 
 
 def main(argv):
-    out = None
-    if "--json" in argv:
-        i = argv.index("--json")
-        out = argv[i + 1]
-        argv = argv[:i] + argv[i + 2 :]
-    if len(argv) not in (2, 3):
-        sys.exit(__doc__)
-    srcs = {"A": Path(argv[0]).resolve(), "B": Path(argv[1]).resolve()}
-    repeat = int(argv[2]) if len(argv) == 3 else 20
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src_a", type=Path)
+    parser.add_argument("src_b", type=Path)
+    parser.add_argument("repeat", type=int, nargs="?", default=20)
+    parser.add_argument("--json", type=Path)
+    args = parser.parse_args(argv)
+    srcs = {"A": args.src_a.resolve(), "B": args.src_b.resolve()}
+    repeat = args.repeat
     samples, modules = measure(srcs, repeat)
     above = summary(samples)
     print(f"python -S, {repeat} rounds, A={srcs['A']} and B={srcs['B']}, "
@@ -186,7 +157,7 @@ def main(argv):
     for name in sorted(modules["A"].keys() | modules["B"].keys()):
         a, b = (modules[label].get(name, "-") for label in srcs)
         print(f"  {name:32} A {a:>7}   B {b:>7}")
-    if out is not None:
+    if args.json is not None:
         result = {
             "python": sys.version.split()[0],
             "repeat": repeat,
@@ -195,7 +166,7 @@ def main(argv):
             "above_bare_s": above,
             "importtime_self_us": modules,
         }
-        Path(out).write_text(json.dumps(result, indent=2) + "\n")
+        args.json.write_text(json.dumps(result, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -219,6 +219,22 @@ def test_module_entry_point_runs():
     assert result.stdout.splitlines() == builtin_names()
 
 
+def test_run_all_json_report_does_not_depend_on_the_hash_seed():
+    """``run-all --report json`` prints the same bytes whatever order the
+    interpreter's string hashing gives sets and dicts of strings."""
+    reports = [
+        subprocess.run(
+            [sys.executable, "-m", "partsan", "run-all", "--report", "json"],
+            env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONHASHSEED": seed},
+            capture_output=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1", "987654")
+    ]
+    assert reports[0].count(b'"MATCH"') == 12
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_cli_import_leaves_out_modules_it_never_uses():
     """Start-up imports no module that only generates or locates code, no
     path or URL machinery, and no mmap, which only large partitions need."""

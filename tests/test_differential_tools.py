@@ -2,16 +2,19 @@
 ``mutation_differential.py`` keep producing scenarios that load and run, so
 that comparing two versions with them keeps meaning something;
 ``shadow_replay.py`` replays what it records; ``startup.py`` times fresh
-interpreters; ``rss_pairs.py`` reads each benchmark child's own peak RSS;
-and ``trace_counts.py`` tells two traced runs' counts apart."""
+interpreters; ``bench_pairs.py`` runs the benchmark in pairs, reads each
+child's own peak RSS and labels each metric by one rule; and
+``trace_counts.py`` tells two traced runs' counts apart."""
 
 import json
 from collections import Counter
 from itertools import islice
 from pathlib import Path
 
+import pytest
+
+import bench_pairs
 import mutation_differential
-import rss_pairs
 import schedule_differential
 import shadow_replay
 import startup
@@ -122,19 +125,80 @@ def test_startup_times_each_command_and_module():
         assert {"partsan", "partsan.cli", "partsan.scenario"} <= modules[label].keys()
 
 
-def test_rss_pairs_reads_each_childs_own_peak():
+def test_startup_command_line_rejects_json_without_a_file(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        startup.main([str(SRC), str(SRC), "--json"])
+    assert exit_.value.code == 2
+    assert "--json: expected one argument" in capsys.readouterr().err
+
+
+def test_bench_pairs_runs_one_real_pair_of_a_tree_against_itself():
     root = SRC.parent
-    peaks, digests = rss_pairs.measure(
-        {"A": root, "B": root}, ["--workload", "big_partition", "--seed", "1"], 1
+    runs, digests = bench_pairs.measure(
+        {"parent": root, "change": root}, "big_partition", 1, 1, 0.5
     )
     baseline = json.loads((PERFBENCH / "baseline.json").read_text(encoding="utf-8"))
     assert digests == {baseline["workloads"]["big_partition"]["1"]["digest"]}
-    assert set(peaks) == set(rss_pairs.SETTINGS)
-    for pairs in peaks.values():
-        (pair,) = pairs
-        assert all(5 < mib < 500 for mib in pair)
-    rows = rss_pairs.summary(peaks)
-    assert {row["pairs"] for row in rows.values()} == {1}
+    assert [(run["pair"], run["side"]) for run in runs] == [(0, "parent"), (0, "change")]
+    for run in runs:
+        assert run["result"]["correct"] and run["result"]["failed"] == 0
+        peaks = run["result"]["metrics"]["peak_rss_mib"]["value"], run["peak_rss_mib_cached"]
+        assert all(5 < mib < 500 for mib in peaks)
+
+
+def test_bench_pairs_alternates_which_side_runs_first():
+    assert [bench_pairs.order("AB", pair) for pair in range(3)] == [
+        ["A", "B"], ["B", "A"], ["A", "B"]
+    ]
+
+
+def test_bench_pairs_statistics_and_labels_on_fixed_samples():
+    compare = bench_pairs.compare
+    # an even count of pairs, three of them tied: the tie counts for neither side
+    row = compare([1, 2, 3, 4], [1, 2, 3, 5], "lower")
+    assert row["pairs_won"] == {"parent": 1, "change": 0}
+    assert row["parent_median"] == row["change_median"] == 2.5
+    assert (row["parent_iqr"], row["change_iqr"]) == (2.5, 3.25)
+    assert (row["change_pct"], row["gap_over_parent_iqr"], row["label"]) == (0, 0, "unresolved")
+
+    # lower is better: all 10 pairs won, median gap 2 over an IQR of 1
+    parent = [10, 11] * 5
+    row = compare(parent, [8, 9] * 4 + [8, 10], "lower")
+    assert row["pairs_won"] == {"parent": 0, "change": 10}
+    assert (row["parent_median"], row["change_median"], row["parent_iqr"]) == (10.5, 8.5, 1)
+    assert (row["change_pct"], row["gap_over_parent_iqr"], row["label"]) == (-19.05, 2, "better")
+
+    # higher is better (steps_per_s): the change lower in 9 pairs and tied in
+    # one is worse; 9 in 10 is enough
+    row = compare([100, 101] * 5, [95, 96] * 4 + [95, 101], "higher")
+    assert row["pairs_won"] == {"parent": 9, "change": 0}
+    assert (row["change_median"], row["gap_over_parent_iqr"], row["label"]) == (95.5, 5, "worse")
+    assert compare([100, 101] * 5, [105, 106] * 5, "higher")["label"] == "better"
+
+    # 8 pairs in 10 are too few, however wide the gap; a gap within the
+    # parent's IQR is too narrow, however many pairs
+    assert compare(parent, [1, 2] * 4 + [20, 20], "lower")["label"] == "unresolved"
+    row = compare(parent, [x - 0.5 for x in parent], "lower")
+    assert (row["pairs_won"]["change"], row["gap_over_parent_iqr"]) == (10, 0.5)
+    assert row["label"] == "unresolved"
+
+    # a single pair: both IQRs are 0, so any gap exceeds the parent's
+    row = compare([2.0], [1.0], "lower")
+    assert (row["parent_iqr"], row["change_iqr"], row["gap_over_parent_iqr"]) == (0, 0, None)
+    assert (row["pairs_won"], row["label"]) == ({"parent": 0, "change": 1}, "better")
+    assert compare([2.0], [2.0], "lower")["label"] == "unresolved"
+
+
+def test_bench_31_summaries_are_what_the_driver_makes_of_their_runs():
+    root = SRC.parent
+    bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {metric["name"]: metric["better"] for metric in bench["end_to_end"]}
+    better["peak_rss_mib_cached"] = better["peak_rss_mib"]
+    recorded = json.loads((root / "BENCH_31.json").read_text(encoding="utf-8"))
+    assert set(recorded["workloads"]) == {"campaign", "step_mix", "big_partition"}
+    for output in recorded["workloads"].values():
+        directions = {name: better[name] for name in output["summary"]}
+        assert bench_pairs.summary(output["runs"], directions) == output["summary"]
 
 
 def _traced_run(path, metrics):
