@@ -61,7 +61,6 @@ from .scenario import (
 from .sched import (
     INVALID_MODE,
     MAIN_PROCESS_ID,
-    DeadlineMiss,
     Process,
     ProcessTable,
     TimeModel,

@@ -24,13 +24,12 @@ from .errors import ConfigError
 from .guest_memory import PartitionMemory
 from .msan_shadow import copy_propagate, unpoison_padding
 from .ports import QueueingPort, SamplingPort
-from .scenario import Scenario
+from .scenario import _OPS, Scenario
 from .sched import (
     Process,
     ProcessTable,
     TimeModel,
     check_deadline,
-    deadline_due,
     get_my_id,
 )
 from .syscall_annotations import enforce_post, enforce_pre, resolve_sizes
@@ -187,7 +186,9 @@ class Simulator:
             pid: 0 if pid in self.tables else math.inf for pid in self.partitions
         }
         # per table, the virtual time its running process first misses its
-        # deadline (sched.deadline_due), and the earliest of them
+        # deadline in its current activation (activation plus due_offset;
+        # infinity once that miss is reported, so each activation misses
+        # once), and the earliest of them
         self._due: dict[int, int | float] = dict.fromkeys(self.tables, math.inf)
         self._next_due: int | float = math.inf
 
@@ -288,7 +289,7 @@ class Simulator:
         self._redispatch[pid] = (
             math.inf if period is None else process.activation_time + period
         )
-        self._due[pid] = deadline_due(process)
+        self._due[pid] = process.activation_time + process.due_offset
         self._next_due = min(self._due.values())
 
     def _watch_deadlines(self) -> None:
@@ -302,14 +303,7 @@ class Simulator:
             if due[pid] > now:
                 continue
             due[pid] = math.inf
-            miss = check_deadline(table.running, now)  # a miss, as ``now`` is due
-            self._event(
-                "DEADLINE_MISS",
-                part=pid,
-                process=miss.process_id,
-                elapsed=miss.elapsed,
-                budget=str(miss.budget),
-            )
+            self._event("DEADLINE_MISS", part=pid, **check_deadline(table.running, now))
         self._next_due = min(due.values())
 
     # -- memory ops -----------------------------------------------------------
@@ -525,32 +519,12 @@ class Simulator:
         if expected is not None and expected != result:
             self._contract(fields, f"get_my_id returned {result}, expected {expected}")
 
-    # One executor per workload op, keyed by the op names of scenario._OPS;
-    # IDLE has none, run() advances its ticks.
-    _EXECUTORS = {
-        "ALLOC": _op_alloc,
-        "START_PARTITION": _op_start_partition,
-        "RESET_PARTITION": _op_reset_partition,
-        "WRITE": _op_write,
-        "READ": _op_read,
-        "COPY": _op_copy,
-        "BRANCH_ON": _op_branch_on,
-        "ARITH": _op_arith,
-        "DIV": _op_div,
-        "SHIFT": _op_shift,
-        "TRUNC": _op_trunc,
-        "ALIGN_CHECK": _op_align_check,
-        "NULL_CHECK": _op_null_check,
-        "BOOL_CHECK": _op_bool_check,
-        "ENUM_CHECK": _op_enum_check,
-        "SYSCALL": _op_syscall,
-        "SEND": _op_send,
-        "RECEIVE": _op_receive,
-        "SAMPLING_WRITE": _op_sampling_write,
-        "SAMPLING_READ": _op_sampling_read,
-        "GET_MY_ID": _op_get_my_id,
-        "UNPOISON_PADDING": _op_unpoison_padding,
-    }
+
+# One executor per workload op of scenario._OPS, the method named after it;
+# IDLE has none, run() advances its ticks.
+Simulator._EXECUTORS = {
+    op: getattr(Simulator, f"_op_{op.lower()}") for op in _OPS if op != "IDLE"
+}
 
 
 def run_scenario(scenario: Scenario, seed: int = 0) -> RunReport:

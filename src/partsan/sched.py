@@ -6,12 +6,13 @@ is what the guest observes.  Dividing the timer output by a constant
 slowdown factor compensates globally for the overhead; individual deadline
 budgets can additionally be stretched with per-process timeout overrides
 when one process is hit harder than the average.
+
+Each process's budget text and due offset are fixed when it is built; when
+to check a deadline, and that an activation misses at most once, is the
+simulator's to decide (``harness.Simulator._due``).
 """
 
 from __future__ import annotations
-
-import math
-from collections import namedtuple
 
 from .errors import ConfigError
 
@@ -24,17 +25,17 @@ INVALID_MODE = "INVALID_MODE"
 
 class Process:
     """One schedulable process inside a partition.  ``multiplier`` (a timeout
-    override's Fraction, else the int 1) stretches the budget that fixes ``due_offset``."""
+    override's Fraction, else the int 1) stretches ``time_capacity`` into the
+    budget; its text and the first missing elapsed time, ``due_offset``, are
+    fixed here."""
 
     __slots__ = (
         "process_id",
         "priority",
-        "time_capacity",
         "period",
-        "multiplier",
+        "budget",
         "due_offset",
         "activation_time",
-        "deadline_missed",
     )
 
     def __init__(
@@ -42,16 +43,10 @@ class Process:
     ):
         self.process_id = process_id
         self.priority = priority
-        self.time_capacity = time_capacity
         self.period = period
-        self.multiplier = multiplier
+        self.budget = str(time_capacity * multiplier)
         self.due_offset = time_capacity * multiplier.numerator // multiplier.denominator + 1
         self.activation_time: int | None = None
-        self.deadline_missed = False
-
-
-#: A process exceeded its budget, time_capacity x multiplier (int or Fraction).
-DeadlineMiss = namedtuple("DeadlineMiss", "process_id elapsed budget")
 
 
 class TimeModel:
@@ -114,41 +109,27 @@ class ProcessTable:
         """Run the top process: highest priority, lowest id on ties.
 
         Its first dispatch activates it.  A periodic process is re-activated
-        at the last period boundary passed, which re-arms its deadline.
+        at the last period boundary passed: virtual time never decreases, so
+        before its next boundary that adds 0 periods.
         """
         chosen = min(self.processes, key=lambda p: (-p.priority, p.process_id))
         if chosen.activation_time is None:
             chosen.activation_time = virtual_now
-        elif chosen.period is not None and chosen.activation_time + chosen.period <= virtual_now:
+        elif chosen.period is not None:
             periods = (virtual_now - chosen.activation_time) // chosen.period
             chosen.activation_time += periods * chosen.period
-            chosen.deadline_missed = False
         self.running = chosen
         return chosen
 
 
-def deadline_due(process: Process) -> int | float:
-    """The first virtual time at which ``check_deadline`` reports a miss of
-    the process's current activation, or infinity when it cannot: not yet
-    activated, or already missed.  Elapsed time is an integer, so
+def check_deadline(process: Process, virtual_now: int) -> dict | None:
+    """The DEADLINE_MISS event's fields once the activated ``process`` has
+    run longer than its budget, else None.  Elapsed time is an integer, so
     ``elapsed > budget`` holds exactly from its ``due_offset`` on."""
-    if process.activation_time is None or process.deadline_missed:
-        return math.inf
-    return process.activation_time + process.due_offset
-
-
-def check_deadline(process: Process, virtual_now: int) -> DeadlineMiss | None:
-    """Budget check against virtual time: a miss from ``deadline_due`` on,
-    reported at most once per activation.  The budget is time_capacity
-    times the process's multiplier."""
-    if virtual_now < deadline_due(process):
+    elapsed = virtual_now - process.activation_time
+    if elapsed < process.due_offset:
         return None
-    process.deadline_missed = True
-    return DeadlineMiss(
-        process_id=process.process_id,
-        elapsed=virtual_now - process.activation_time,
-        budget=process.time_capacity * process.multiplier,
-    )
+    return {"process": process.process_id, "elapsed": elapsed, "budget": process.budget}
 
 
 def get_my_id(caller, legacy: bool = False):

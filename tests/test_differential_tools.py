@@ -3,11 +3,14 @@
 that comparing two versions with them keeps meaning something;
 ``shadow_replay.py`` replays what it records; ``startup.py`` times fresh
 interpreters; ``bench_pairs.py`` runs the benchmark in pairs, reads each
-child's own peak RSS and labels each metric by one rule; and
-``trace_counts.py`` tells two traced runs' counts apart."""
+child's own peak RSS and labels each metric by one rule;
+``trace_counts.py`` tells two traced runs' counts apart; and ``reach.py``
+lists the code that no run reaches."""
 
 import json
+import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
@@ -15,10 +18,15 @@ import pytest
 
 import bench_pairs
 import mutation_differential
+import reach
 import schedule_differential
 import shadow_replay
 import startup
 import trace_counts
+
+from partsan.errors import ConfigError
+from partsan.harness import run_scenario
+from partsan.scenario import load_scenario, to_fraction
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -44,6 +52,52 @@ def test_schedule_differential_scenarios_load_or_fail_at_load_and_run_determinis
     # most scenarios run, and most runs miss a deadline
     assert kinds["missed"] + kinds["report"] > 150
     assert kinds["missed"] > kinds["report"]
+
+
+def test_schedule_differential_misses_keep_the_deadline_rule():
+    """Over the same 300 scenarios, each DEADLINE_MISS has run longer than
+    its budget, the budget is ``time_capacity`` times the declared
+    process's override multiplier, and no activation of a partition (its
+    ``t - elapsed``) misses twice."""
+    misses = 0
+    for scenario_id, doc in islice(schedule_differential.scenarios(), 300):
+        try:
+            scenario = load_scenario(doc)
+        except ConfigError:
+            continue
+        budgets = {
+            (partition["id"], process["id"]): process["time_capacity"]
+            for partition in doc["partitions"]
+            for process in partition["processes"]
+        }
+        for override in doc["time"]["timeout_overrides"]:
+            budgets[override["partition"], override["process"]] *= to_fraction(
+                override["multiplier"]
+            )
+        activations = set()
+        for event in run_scenario(scenario).events:
+            if event.kind != "DEADLINE_MISS":
+                continue
+            info = event.info
+            assert Fraction(info["elapsed"]) > Fraction(info["budget"]), (scenario_id, event)
+            assert info["budget"] == str(budgets[info["part"], info["process"]]), scenario_id
+            activation = (info["part"], event.t - info["elapsed"])
+            assert activation not in activations, (scenario_id, event)
+            activations.add(activation)
+            misses += 1
+    assert misses > 500
+
+
+def test_reach_reports_what_the_builtins_never_run(monkeypatch):
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    found = reach.unreached([reach.builtins])
+    never_called = {qualname for _, _, qualname, never in found if never}
+    assert "ShadowMap.unpoison" in never_called
+    assert "Simulator.run" not in never_called
+    # the builtins miss no deadline, so run's call of _watch_deadlines is unreached
+    assert ("src/partsan/harness.py", "Simulator.run", "self._watch_deadlines()") in {
+        (where, qualname, reach.source_line(where, line)) for where, line, qualname, _ in found
+    }
 
 
 def _sampled_mutants():

@@ -380,6 +380,25 @@ def test_fractional_budgets_miss_one_tick_after_their_floor(slowdown, ticks):
     ])
 
 
+def test_a_miss_reports_the_budget_text_fixed_at_build():
+    # budget 3 x 3/2 = 9/2, missed in two activations: each miss carries the
+    # very string its Process was built with, so a miss does no ratio arithmetic
+    time = {"timeout_overrides": [{"partition": 1, "process": 1, "multiplier": "3/2"}]}
+    idle = [{"op": "IDLE", "ticks": n} for n in (6, 4, 5)]
+    data = {
+        "name": "budget-text",
+        "partitions": [_one_process(1, 3, period=10)],
+        "time": time,
+        "workload": [_write(1), idle[0], _write(1), idle[1], _write(1), idle[2]],
+    }
+    sim = Simulator(load_scenario(data))
+    misses = [e for e in sim.run().events if e.kind == "DEADLINE_MISS"]
+    process = sim.tables[1].running
+    assert process.budget == "9/2"
+    assert [(e.t, e.info["elapsed"]) for e in misses] == [(7, 7), (18, 8)]
+    assert all(e.info["budget"] is process.budget for e in misses)
+
+
 def test_same_step_misses_follow_the_partition_order():
     # partition 2 is declared first and due later (t=11) than partition 1
     # (t=6); both miss on the IDLE step, in declaration order

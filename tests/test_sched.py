@@ -17,7 +17,6 @@ from partsan.sched import (
     TimeModel,
     check_deadline,
     current_window,
-    deadline_due,
     get_my_id,
 )
 
@@ -222,9 +221,8 @@ def test_dispatch_reactivates_a_periodic_process_at_the_last_boundary():
     assert process.activation_time == 2
     table.dispatch(6)  # 2 + 5 not yet passed
     assert process.activation_time == 2
-    process.deadline_missed = True
     table.dispatch(7)
-    assert (process.activation_time, process.deadline_missed) == (7, False)
+    assert process.activation_time == 7
     # one floor division, however many periods passed
     table.dispatch(7 + 5 * 10**12 + 4)
     assert process.activation_time == 7 + 5 * 10**12
@@ -240,12 +238,10 @@ def _activated(capacity, multiplier=1):
 
 def test_check_deadline_examples():
     assert check_deadline(_activated(50), 40) is None
-    miss = check_deadline(_activated(50), 80)
-    assert miss is not None
-    assert miss.elapsed == 80 and miss.budget == Fraction(50)
+    assert check_deadline(_activated(50), 80) == {"process": 1, "elapsed": 80, "budget": "50"}
     assert check_deadline(_activated(50, Fraction(2)), 80) is None
     miss = check_deadline(_activated(50, Fraction(2)), 101)
-    assert miss is not None and miss.budget == Fraction(100)
+    assert miss == {"process": 1, "elapsed": 101, "budget": "100"}
 
 
 def test_check_deadline_boundary_is_exact():
@@ -255,27 +251,23 @@ def test_check_deadline_boundary_is_exact():
     assert check_deadline(_activated(50, Fraction(3, 2)), 76) is not None
 
 
-def test_deadline_due_is_the_first_missing_time():
+def test_due_offset_is_the_first_missing_time():
     for capacity, multiplier in itertools.product(
         (1, 2, 3, 7, 50), (1, Fraction(3, 2), Fraction(7, 3), Fraction(5, 4), 2)
     ):
         for activation in (0, 1, 13):
             process = _activated(capacity, multiplier)
             process.activation_time = activation
-            due = deadline_due(process)
+            due = activation + process.due_offset
             assert check_deadline(process, due - 1) is None
-            assert not process.deadline_missed
             assert check_deadline(process, due) is not None
-            assert deadline_due(process) == math.inf  # missed: no second report
-    assert deadline_due(_activated(3, Fraction(7, 3))) == 8  # budget 7
-    assert deadline_due(_activated(50, Fraction(3, 2))) == 76  # budget 75
-    unactivated = Process(process_id=1, priority=1, time_capacity=10)
-    assert deadline_due(unactivated) == math.inf
+    assert _activated(3, Fraction(7, 3)).due_offset == 8  # budget 7
+    assert _activated(50, Fraction(3, 2)).due_offset == 76  # budget 75
 
 
 def test_integer_deadline_arithmetic_agrees_with_the_fraction_definition():
     # a miss is elapsed > time_capacity x multiplier, compared as Fractions;
-    # deadline_due and check_deadline compute it in integers
+    # the due offset and check_deadline compute it in integers
     # the int 1 is the multiplier of a process without a timeout override
     multipliers = (1, Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), Fraction(7, 3))
     for capacity, multiplier in itertools.product(range(1, 41), multipliers):
@@ -283,31 +275,17 @@ def test_integer_deadline_arithmetic_agrees_with_the_fraction_definition():
         for activation in (0, 1, 13, 10**12):
             process = _activated(capacity, multiplier)
             process.activation_time = activation
-            due = deadline_due(process)
+            due = activation + process.due_offset
             for elapsed in range(math.floor(budget) - 2, math.ceil(budget) + 3):
-                process.deadline_missed = False
                 miss = check_deadline(process, activation + elapsed)
                 assert (miss is not None) == (elapsed > budget)
                 assert (activation + elapsed >= due) == (elapsed > budget)
                 if miss is not None:
-                    assert miss.elapsed == elapsed
-                    assert type(miss.budget) is type(multiplier) and miss.budget == budget
-    # the harness prints str(budget): the same text for either form of 1
+                    assert miss == {"process": 1, "elapsed": elapsed, "budget": str(budget)}
+    # the harness prints the budget text: the same for either form of 1
     for multiplier in (1, Fraction(1)):
-        assert str(check_deadline(_activated(50, multiplier), 51).budget) == "50"
-    assert str(check_deadline(_activated(3, Fraction(3, 2)), 5).budget) == "9/2"
-
-
-def test_check_deadline_reports_once_per_activation():
-    process = _activated(10)
-    assert check_deadline(process, 20) is not None
-    assert check_deadline(process, 30) is None
-    assert process.deadline_missed
-
-
-def test_check_deadline_ignores_unactivated():
-    process = Process(process_id=1, priority=1, time_capacity=10)
-    assert check_deadline(process, 1000) is None
+        assert check_deadline(_activated(50, multiplier), 51)["budget"] == "50"
+    assert check_deadline(_activated(3, Fraction(3, 2)), 5)["budget"] == "9/2"
 
 
 def test_get_my_id():
